@@ -1,19 +1,23 @@
-"""Pseudo-periodic solutions of the continuous equations of motion.
+"""Pseudo-periodic solutions: the mode-expansion core of both solvers, and
+the continuous entry points.
 
 Solutions are synthesized as u0 + sum_l e^{lam_l t} u_l: the summed variable
 x_s carries the nu = n pencil phases, and each particle adds nu = 0 phases on
 top of (1/n) x_s.  The homogeneous parts are constrained to sum to zero over
 particles, which is resolved by eliminating the last particle's amplitudes.
+The core (`_Core`) runs on a `pencil.Setting` without asking which one it is:
+it computes each kernel basis and the x_s constant once, assembles x_s and the
+particles, and solves amplitudes from samples at the ends of the interval.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import numkernel, pencil
 from .model import LagrangianSpec
-from .numkernel import RootSet
 
 
 class AssumptionViolation(Exception):
@@ -83,6 +87,7 @@ class SystemSolution:
 
     xs: ModeExpansion
     particles: tuple
+    interval = (-3.0, 3.0)  # where sum_mismatch samples by default
 
     def __post_init__(self):
         object.__setattr__(self, "particles", tuple(self.particles))
@@ -94,43 +99,126 @@ class SystemSolution:
     def sum_mismatch(self, times=None) -> float:
         """max_t |sum_j x_j(t) - x_s(t)| / scale over 32 fixed pseudo-random times."""
         if times is None:
-            times = np.random.default_rng(20240913).uniform(-3.0, 3.0, size=32)
+            times = np.random.default_rng(20240913).uniform(*self.interval, size=32)
         total = sum(p.value(times) for p in self.particles)
         ref = self.xs.value(times)
         scale = max(1.0, float(np.abs(ref).max()))
         return float(np.abs(total - ref).max()) / scale
 
 
-def _mode_basis(p: pencil.ClassicalPencil, roots: RootSet) -> np.ndarray:
+def mode_basis(setting: pencil.Setting, modes: pencil.Modes) -> np.ndarray:
     """Unit kernel direction of the pencil at every root (rows)."""
     try:
-        return np.array([numkernel.kernel_vector(pencil.classical_eval(p, lam))
-                         for lam in roots.roots])
+        return np.array([numkernel.kernel_vector(setting.evaluate(modes.pencil, z))
+                         for z in modes.roots.roots])
     except (numkernel.NotRankDeficient, numkernel.KernelNotOneDimensional) as exc:
         raise KernelFailure(str(exc)) from exc
 
 
-def _require_cel_assumptions(spec: LagrangianSpec, n: int) -> pencil.CelAssumptions:
+def constant_mode(setting: pencil.Setting, n: int) -> np.ndarray:
+    """Constant solution of one particle; n times it is the constant of x_s."""
+    p_n = setting.pencil(n)
+    return numkernel.solve_square(setting.at_constant(p_n), setting.constant_rhs).x
+
+
+class _Core:
+    """Mode bases and the x_s constant of one system, each computed on first use.
+
+    Raises AssumptionViolation unless the report's assumptions hold.
+    """
+
+    def __init__(self, rep: pencil.Assumptions, n: int):
+        if not rep.precondition_ok:
+            raise AssumptionViolation(f"pencil precondition fails: {rep.note}")
+        if n == 1:
+            # single particle: the nu=0 modes are eliminated by the sum constraint,
+            # so only the x_s pencil conditions matter
+            if not (rep.count_n_ok and rep.det_pn0_nonzero):
+                raise AssumptionViolation("x_s pencil assumptions fail for n = 1")
+        elif not rep.all_hold:
+            raise AssumptionViolation(
+                f"pencil assumptions fail: counts ({rep.count_n_ok}, {rep.count_0_ok}), "
+                f"disjoint {rep.disjoint}, det at 0 ({rep.det_pn0_nonzero}, "
+                f"{rep.det_p00_nonzero})")
+        self.rep = rep
+        self.n = n
+        self.lam_n = rep.modes_n.lam.roots
+        self.lam_0 = rep.modes_0.lam.roots
+
+    @cached_property
+    def w_n(self) -> np.ndarray:
+        return mode_basis(self.rep.setting, self.rep.modes_n)
+
+    @cached_property
+    def w_0(self) -> np.ndarray:
+        return mode_basis(self.rep.setting, self.rep.modes_0)
+
+    @cached_property
+    def xs0(self) -> np.ndarray:
+        return self.n * constant_mode(self.rep.setting, self.n)
+
+    def assemble(self, xs_amplitudes, particle_amplitudes=None) -> tuple:
+        """(x_s expansion, particle expansions); amplitudes as in general_solution_cel."""
+        n = self.n
+        xs_amplitudes = np.asarray(xs_amplitudes, dtype=complex).ravel()
+        if len(xs_amplitudes) != len(self.lam_n):
+            raise ValueError(f"expected {len(self.lam_n)} x_s amplitudes")
+        if particle_amplitudes is None:
+            particle_amplitudes = np.zeros((n - 1, len(self.lam_0)), dtype=complex)
+        particle_amplitudes = np.asarray(particle_amplitudes, dtype=complex)
+        if particle_amplitudes.shape != (n - 1, len(self.lam_0)):
+            raise ValueError(f"expected ({n - 1}, {len(self.lam_0)}) particle amplitudes")
+
+        xs = ModeExpansion(self.xs0, self.lam_n, xs_amplitudes[:, None] * self.w_n)
+        shared = xs_amplitudes[:, None] * self.w_n / n
+        if n == 1:
+            # the zero-sum constraint kills all nu=0 modes: x_1 = x_s exactly
+            return xs, (ModeExpansion(self.xs0, self.lam_n, shared),)
+        coeffs = np.vstack([particle_amplitudes,
+                            -particle_amplitudes.sum(axis=0)[None, :]])
+        lams = np.concatenate([self.lam_n, self.lam_0])
+        extras = coeffs[:, :, None] * self.w_0  # (n, K0, d)
+        return xs, tuple(ModeExpansion(self.xs0 / n, lams, np.vstack([shared, e]))
+                         for e in extras)
+
+    def boundary_solve(self, ends: tuple, data: np.ndarray) -> tuple:
+        """(x_s expansion, particle expansions, report) matching data, which is
+        (n, T, d) over the T sample times in ends = (start times, end times)."""
+        n = self.n
+        times = np.concatenate(ends)
+        amps_xs, cond_xs = _window_solve(self.lam_n, self.w_n, times,
+                                         data.sum(axis=0) - self.xs0)
+        particle_amps = np.zeros((n - 1, len(self.lam_0)), dtype=complex)
+        conds = []
+        if n > 1:
+            xs = ModeExpansion(self.xs0, self.lam_n, amps_xs[:, None] * self.w_n)
+            # one product per end: a BLAS product's rounding depends on its row count
+            xs_at = np.concatenate([xs.value(t) for t in ends])
+            for j in range(n - 1):
+                particle_amps[j], cond_j = _window_solve(self.lam_0, self.w_0, times,
+                                                         data[j] - xs_at / n)
+                conds.append(cond_j)
+        return *self.assemble(amps_xs, particle_amps), DirichletReport(cond_xs, tuple(conds))
+
+
+@dataclass(frozen=True)
+class DirichletReport:
+    """Condition numbers of the uncoupled boundary systems."""
+
+    xs_cond: float
+    particle_conds: tuple
+
+
+def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
+                  rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Amplitudes from values at the given times (rhs is (len(times), d))."""
+    E = np.exp(np.outer(times, roots))  # (T, K)
+    mat = (E[:, :, None] * basis[None, :, :]).transpose(0, 2, 1).reshape(-1, len(roots))
     try:
-        rep = pencil.check_cel_assumptions(spec, n)
-    except (pencil.LeadingSingular, numkernel.NumericalFailure) as exc:
-        raise AssumptionViolation(str(exc)) from exc
-    if n == 1:
-        # single particle: the nu=0 modes are eliminated by the sum constraint,
-        # so only the x_s pencil conditions matter
-        if not (rep.count_n_ok and rep.det_pn0_nonzero):
-            raise AssumptionViolation("x_s pencil assumptions fail for n = 1")
-        return rep
-    if not rep.all_hold:
-        raise AssumptionViolation(
-            f"pencil assumptions fail: counts ({rep.count_n_ok}, {rep.count_0_ok}), "
-            f"disjoint {rep.disjoint}, det at 0 ({rep.det_pn0_nonzero}, {rep.det_p00_nonzero})")
-    return rep
-
-
-def _xs_constant(spec: LagrangianSpec, n: int, pn: pencil.ClassicalPencil) -> np.ndarray:
-    res = numkernel.solve_square(pencil.classical_eval(pn, 0.0), spec.J7)
-    return n * res.x
+        res = numkernel.solve_square(mat, rhs.reshape(-1))
+    except numkernel.Singular as exc:
+        raise SingularBoundarySystem(str(exc)) from exc
+    return res.x, res.cond
 
 
 def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
@@ -141,63 +229,8 @@ def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
     particle_amplitudes is (n-1, 2d) over nu=0 roots, the last particle's
     homogeneous amplitudes being fixed by the zero-sum constraint.
     """
-    rep = _require_cel_assumptions(spec, n)
-    pn = pencil.classical_pencil(spec, n)
-    p0 = pencil.classical_pencil(spec, 0)
-    q_n, q_0 = rep.q_n, rep.q_0
-
-    xs_amplitudes = np.asarray(xs_amplitudes, dtype=complex).ravel()
-    if len(xs_amplitudes) != len(q_n):
-        raise ValueError(f"expected {len(q_n)} x_s amplitudes")
-    if particle_amplitudes is None:
-        particle_amplitudes = np.zeros((max(n - 1, 0), len(q_0)), dtype=complex)
-    particle_amplitudes = np.asarray(particle_amplitudes, dtype=complex)
-    if particle_amplitudes.shape != (n - 1, len(q_0)):
-        raise ValueError(f"expected ({n - 1}, {len(q_0)}) particle amplitudes")
-
-    w_n = _mode_basis(pn, q_n)
-    xs0 = _xs_constant(spec, n, pn)
-    xs = ModeExpansion(xs0, q_n.roots, xs_amplitudes[:, None] * w_n)
-
-    shared = xs_amplitudes[:, None] * w_n / n
-    if n == 1:
-        # the zero-sum constraint kills all nu=0 modes: x_1 = x_s exactly
-        return SystemSolution(xs, (ModeExpansion(xs0, q_n.roots, shared),))
-
-    w_0 = _mode_basis(p0, q_0)
-    coeffs = np.vstack([particle_amplitudes,
-                        -particle_amplitudes.sum(axis=0)[None, :]])
-    particles = []
-    for j in range(n):
-        extras = coeffs[j][:, None] * w_0
-        particles.append(ModeExpansion(
-            xs0 / n,
-            np.concatenate([q_n.roots, q_0.roots]),
-            np.vstack([shared, extras])))
-    return SystemSolution(xs, tuple(particles))
-
-
-@dataclass(frozen=True)
-class DirichletReport:
-    """Condition numbers of the uncoupled endpoint systems."""
-
-    xs_cond: float
-    particle_conds: tuple
-
-
-def _endpoint_solve(roots: np.ndarray, basis: np.ndarray, t0: float, tf: float,
-                    rhs0: np.ndarray, rhsf: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve for amplitudes from values at the two endpoints."""
-    # rows: d components at t0 then d at tf; one column per mode
-    cols0 = np.exp(roots * t0)[:, None] * basis
-    colsf = np.exp(roots * tf)[:, None] * basis
-    mat = np.vstack([cols0.T, colsf.T])
-    rhs = np.concatenate([rhs0, rhsf])
-    try:
-        res = numkernel.solve_square(mat, rhs)
-    except numkernel.Singular as exc:
-        raise SingularBoundarySystem(str(exc)) from exc
-    return res.x, res.cond
+    core = _Core(pencil.check_cel_assumptions(spec, n), n)
+    return SystemSolution(*core.assemble(xs_amplitudes, particle_amplitudes))
 
 
 def dirichlet_cel(spec: LagrangianSpec, n: int, t0: float, tf: float,
@@ -207,35 +240,11 @@ def dirichlet_cel(spec: LagrangianSpec, n: int, t0: float, tf: float,
     x_t0 and x_tf hold one row per particle.  The solve decouples into one
     square system for the summed variable and one per particle.
     """
-    rep = _require_cel_assumptions(spec, n)
-    pn = pencil.classical_pencil(spec, n)
-    p0 = pencil.classical_pencil(spec, 0)
-    q_n, q_0 = rep.q_n, rep.q_0
-
-    x_t0 = np.asarray(x_t0, dtype=complex).reshape(n, spec.d)
-    x_tf = np.asarray(x_tf, dtype=complex).reshape(n, spec.d)
-    xs0 = _xs_constant(spec, n, pn)
-    w_n = _mode_basis(pn, q_n)
-
-    amps_xs, cond_xs = _endpoint_solve(
-        q_n.roots, w_n, t0, tf,
-        x_t0.sum(axis=0) - xs0, x_tf.sum(axis=0) - xs0)
-    xs = ModeExpansion(xs0, q_n.roots, amps_xs[:, None] * w_n)
-
-    particle_amps = np.zeros((max(n - 1, 0), len(q_0)), dtype=complex)
-    conds = []
-    if n > 1:
-        w_0 = _mode_basis(p0, q_0)
-        xs_at0 = xs.value(t0)
-        xs_atf = xs.value(tf)
-        for j in range(n - 1):
-            amps_j, cond_j = _endpoint_solve(
-                q_0.roots, w_0, t0, tf,
-                x_t0[j] - xs_at0 / n, x_tf[j] - xs_atf / n)
-            particle_amps[j] = amps_j
-            conds.append(cond_j)
-    sol = general_solution_cel(spec, n, amps_xs, particle_amps)
-    return sol, DirichletReport(cond_xs, tuple(conds))
+    core = _Core(pencil.check_cel_assumptions(spec, n), n)
+    data = np.stack([np.asarray(x_t0, dtype=complex).reshape(n, spec.d),
+                     np.asarray(x_tf, dtype=complex).reshape(n, spec.d)], axis=1)
+    xs, particles, report = core.boundary_solve(([t0], [tf]), data)
+    return SystemSolution(xs, particles), report
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,22 +113,25 @@ class ExperimentConfig:
 
 
 def _build_operator(raw: dict, epsilon: float) -> ScaleOperator:
-    family = raw.get("family")
-    if family == "k_family":
-        return scaleop.k_family(epsilon, float(raw.get("k", 0.0)))
-    if family == "central":
-        return scaleop.central_difference(epsilon)
-    if family is not None:
-        raise ConfigParse(f"unknown operator family {family!r}")
-    if "N" not in raw or "gamma_re" not in raw:
-        raise ConfigParse("operator needs a family or N with gamma_re/gamma_im")
-    N = int(raw["N"])
-    gamma = np.asarray(raw["gamma_re"], dtype=float).astype(complex)
-    if "gamma_im" in raw:
-        gamma = gamma + 1j * np.asarray(raw["gamma_im"], dtype=float)
-    if gamma.shape != (2 * N + 1,):
-        raise DimensionMismatch(f"gamma must have length 2N+1 = {2 * N + 1}")
-    return ScaleOperator(gamma, epsilon)
+    try:
+        family = raw.get("family")
+        if family == "k_family":
+            return scaleop.k_family(epsilon, float(raw.get("k", 0.0)))
+        if family == "central":
+            return scaleop.central_difference(epsilon)
+        if family is not None:
+            raise ConfigParse(f"unknown operator family {family!r}")
+        if "N" not in raw or "gamma_re" not in raw:
+            raise ConfigParse("operator needs a family or N with gamma_re/gamma_im")
+        N = int(raw["N"])
+        gamma = np.asarray(raw["gamma_re"], dtype=float).astype(complex)
+        if "gamma_im" in raw:
+            gamma = gamma + 1j * np.asarray(raw["gamma_im"], dtype=float)
+        if gamma.shape != (2 * N + 1,):
+            raise DimensionMismatch(f"gamma must have length 2N+1 = {2 * N + 1}")
+        return ScaleOperator(gamma, epsilon)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"malformed operator block: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -425,30 +427,20 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def cmd_spectrum(cfg: ExperimentConfig, which: str, out_dir: Path) -> list[Path]:
-    spec = cfg.spec
-    header = ["re", "im", "residual", "convergent_flag"]
+    """Roots of the nu=0 and nu=n pencils; convergent_flag marks the discrete
+    roots within twice the classical spectral radius plus one."""
+    setting = pencil.Setting(cfg.spec, cfg.operator() if which == "del" else None)
     paths = []
-    if which == "cel":
-        for nu, tag in ((0, "nu0"), (cfg.n, "nun")):
-            roots = pencil.classical_spectrum(pencil.classical_pencil(spec, nu))
-            rows = [[z.real, z.imag, r, 1]
-                    for z, r in zip(roots.roots, roots.residuals)]
-            path = out_dir / f"spectrum_cel_{tag}.csv"
-            write_csv(path, header, rows)
-            paths.append(path)
-    else:
-        op = cfg.operator()
-        for nu, tag in ((0, "nu0"), (cfg.n, "nun")):
-            q_cls = pencil.classical_spectrum(pencil.classical_pencil(spec, nu))
-            radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
-            sp = pencil.transcendental_spectrum(
-                pencil.transcendental_pencil(spec, op, nu))
-            kept = set(np.flatnonzero(np.abs(sp.lam.roots) <= radius).tolist())
-            rows = [[z.real, z.imag, r, int(i in kept)]
-                    for i, (z, r) in enumerate(zip(sp.lam.roots, sp.lam.residuals))]
-            path = out_dir / f"spectrum_del_{tag}.csv"
-            write_csv(path, header, rows)
-            paths.append(path)
+    for nu, tag in ((0, "nu0"), (cfg.n, "nun")):
+        q_cls = pencil.classical_spectrum(pencil.classical_pencil(cfg.spec, nu))
+        lam = q_cls if setting.op is None else setting.modes(nu).lam
+        radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
+        kept = np.abs(lam.roots) <= radius
+        rows = [[z.real, z.imag, r, int(k)]
+                for z, r, k in zip(lam.roots, lam.residuals, kept)]
+        path = out_dir / f"spectrum_{which}_{tag}.csv"
+        write_csv(path, ["re", "im", "residual", "convergent_flag"], rows)
+        paths.append(path)
     for p in paths:
         print(f"wrote {p}")
     return paths
@@ -483,7 +475,7 @@ def _gamma_cell(cfg: ExperimentConfig, cel, a: float, b: float) -> float:
 
 
 def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
-                      workers: int, seed: int) -> Path:
+                      seed: int) -> Path:
     if grid == "gamma":
         block = cfg.sweep.get("gamma_grid", {})
         lo = float(block.get("min", -1.0))
@@ -491,13 +483,7 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
         points = int(block.get("points", 41))
         axis = np.linspace(lo, hi, points)
         cel = _cel_solution(cfg, seed)
-        cells = [(a, b) for a in axis for b in axis]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                metrics = list(pool.map(lambda ab: _gamma_cell(cfg, cel, *ab), cells))
-        else:
-            metrics = [_gamma_cell(cfg, cel, a, b) for a, b in cells]
-        rows = [[a, b, m] for (a, b), m in zip(cells, metrics)]
+        rows = [[a, b, _gamma_cell(cfg, cel, a, b)] for a in axis for b in axis]
         path = out_dir / "error_surface_gamma.csv"
         write_csv(path, ["gamma_m1_re", "gamma_1_re", "metric"], rows)
     else:
@@ -547,10 +533,12 @@ def cmd_choreo(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list[Path]:
     which = cfg.choreo.get("which", ["cel", "del"])
     if isinstance(which, str):
         which = [which]
+    if not isinstance(which, list) or any(kind not in ("cel", "del") for kind in which):
+        raise ConfigParse(f"choreo.which must list 'cel' and/or 'del', got {which!r}")
     times = _sample_times(cfg)
     written = []
     for kind in which:
-        size = 2 * spec.d if kind == "cel" else 4 * cfg.operator().N * spec.d
+        size = pencil.Setting(spec, cfg.operator() if kind == "del" else None).root_count
         if "amplitudes_re" in cfg.choreo:
             amps = _complex_block(cfg.choreo, "amplitudes", (size,))
         else:
@@ -585,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".")
     parser.add_argument("--which", choices=["cel", "del"], default="cel")
     parser.add_argument("--grid", choices=["gamma", "k"], default="gamma")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -603,7 +590,7 @@ def main(argv=None) -> int:
         elif args.command == "solve":
             cmd_solve(cfg, args.which, out_dir, args.seed)
         elif args.command == "error-surface":
-            cmd_error_surface(cfg, args.grid, out_dir, args.workers, args.seed)
+            cmd_error_surface(cfg, args.grid, out_dir, args.seed)
         elif args.command == "converge":
             cmd_converge(cfg, out_dir)
         elif args.command == "choreo":

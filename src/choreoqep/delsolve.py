@@ -1,5 +1,8 @@
 """Pseudo-periodic solutions of the discrete equations of motion.
 
+The solves run the `celsolve` core on the discrete `pencil.Setting`, with the
+first and last 2N grid nodes as boundary data; sampling, the recurrence march
+and the windowed residuals are particular to the grid and live here.
 Discrete solutions live on the uniform grid t0 + m*eps and are exact there;
 the same exponential expansions extend them off-grid.  The governing
 recurrences only hold where every window factor equals one, i.e. for
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, pencil, scaleop
-from .celsolve import AssumptionViolation, KernelFailure, ModeExpansion, \
-    SingularBoundarySystem
+from .celsolve import DirichletReport, SystemSolution, _Core
 from .model import LagrangianSpec
 from .scaleop import GridFunction, OutOfRange, ScaleOperator
 
@@ -60,21 +62,16 @@ class TrajectoryGrid:
 
 
 @dataclass(frozen=True)
-class DelSolution:
-    """Discrete solution: summed expansion, per-particle expansions, operator."""
+class DelSolution(SystemSolution):
+    """Discrete solution: summed and per-particle expansions on [t0, tf] under op."""
 
-    xs: ModeExpansion
-    particles: tuple
     op: ScaleOperator
     t0: float
     tf: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "particles", tuple(self.particles))
-
     @property
-    def n(self) -> int:
-        return len(self.particles)
+    def interval(self) -> tuple[float, float]:
+        return (self.t0, self.tf)
 
     @property
     def M(self) -> int:
@@ -94,83 +91,12 @@ class DelSolution:
         vals = np.array([p.value(times) for p in self.particles])
         return TrajectoryGrid(self.t0, self.op.epsilon, vals), self.xs.value(times)
 
-    def sum_mismatch(self, times=None) -> float:
-        if times is None:
-            times = np.random.default_rng(20240913).uniform(self.t0, self.tf, size=32)
-        total = sum(p.value(times) for p in self.particles)
-        ref = self.xs.value(times)
-        scale = max(1.0, float(np.abs(ref).max()))
-        return float(np.abs(total - ref).max()) / scale
 
-
-def _require_del_assumptions(spec: LagrangianSpec, op: ScaleOperator,
-                             n: int) -> pencil.DelAssumptions:
-    rep = pencil.check_del_assumptions(spec, op, n)
-    if not rep.precondition_ok:
-        raise AssumptionViolation(f"discrete pencil precondition fails: {rep.note}")
-    if n == 1:
-        if not (rep.count_n_ok and rep.det_pn0_nonzero):
-            raise AssumptionViolation("summed-variable pencil assumptions fail for n = 1")
-        return rep
-    if not rep.all_hold:
-        raise AssumptionViolation(
-            f"discrete pencil assumptions fail: counts ({rep.count_n_ok}, {rep.count_0_ok}), "
-            f"disjoint {rep.disjoint}, det at 0 ({rep.det_pn0_nonzero}, {rep.det_p00_nonzero})")
-    return rep
-
-
-def _kernel_basis(p: pencil.TranscendentalPencil,
-                  zeta_roots: np.ndarray) -> np.ndarray:
-    try:
-        return np.array([numkernel.kernel_vector(pencil.transcendental_eval(p, z))
-                         for z in zeta_roots])
-    except (numkernel.NotRankDeficient, numkernel.KernelNotOneDimensional) as exc:
-        raise KernelFailure(str(exc)) from exc
-
-
-def _xs_constant_del(spec: LagrangianSpec, op: ScaleOperator, n: int) -> np.ndarray:
-    p_n = pencil.transcendental_pencil(spec, op, n)
-    sbar0 = complex(op.gamma.sum()) / op.epsilon  # interior value of the adjoint on 1
-    rhs = spec.J7 + sbar0 * spec.J6
-    return n * numkernel.solve_square(pencil.transcendental_eval(p_n, 1.0), rhs).x
-
-
-def _assemble(spec: LagrangianSpec, op: ScaleOperator, n: int,
-              rep: pencil.DelAssumptions, xs_amplitudes, particle_amplitudes,
-              t0: float, M: int) -> DelSolution:
+def _discrete_core(spec: LagrangianSpec, op: ScaleOperator, n: int, M: int) -> _Core:
+    core = _Core(pencil.check_del_assumptions(spec, op, n), n)
     if M < 4 * op.N:
         raise WindowExceeded(f"M = {M} leaves no interior window (need M >= 4N)")
-    sp_n, sp_0 = rep.spectrum_n, rep.spectrum_0
-    xs_amplitudes = np.asarray(xs_amplitudes, dtype=complex).ravel()
-    if len(xs_amplitudes) != len(sp_n.lam):
-        raise ValueError(f"expected {len(sp_n.lam)} summed-variable amplitudes")
-
-    p_n = pencil.transcendental_pencil(spec, op, n)
-    w_n = _kernel_basis(p_n, sp_n.zeta.roots)
-    xs0 = _xs_constant_del(spec, op, n)
-    xs = ModeExpansion(xs0, sp_n.lam.roots, xs_amplitudes[:, None] * w_n)
-    tf = t0 + M * op.epsilon
-
-    shared = xs_amplitudes[:, None] * w_n / n
-    if n == 1:
-        return DelSolution(xs, (ModeExpansion(xs0, sp_n.lam.roots, shared),),
-                           op, t0, tf)
-
-    if particle_amplitudes is None:
-        particle_amplitudes = np.zeros((n - 1, len(sp_0.lam)), dtype=complex)
-    particle_amplitudes = np.asarray(particle_amplitudes, dtype=complex)
-    if particle_amplitudes.shape != (n - 1, len(sp_0.lam)):
-        raise ValueError(f"expected ({n - 1}, {len(sp_0.lam)}) particle amplitudes")
-    p_0 = pencil.transcendental_pencil(spec, op, 0)
-    w_0 = _kernel_basis(p_0, sp_0.zeta.roots)
-    coeffs = np.vstack([particle_amplitudes, -particle_amplitudes.sum(axis=0)[None, :]])
-    particles = []
-    for j in range(n):
-        particles.append(ModeExpansion(
-            xs0 / n,
-            np.concatenate([sp_n.lam.roots, sp_0.lam.roots]),
-            np.vstack([shared, coeffs[j][:, None] * w_0])))
-    return DelSolution(xs, tuple(particles), op, t0, tf)
+    return core
 
 
 def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
@@ -184,68 +110,27 @@ def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
     """
     if M is None:
         raise ValueError("M (node count) is required")
-    rep = _require_del_assumptions(spec, op, n)
-    return _assemble(spec, op, n, rep, xs_amplitudes, particle_amplitudes, t0, M)
-
-
-@dataclass(frozen=True)
-class DelDirichletReport:
-    xs_cond: float
-    particle_conds: tuple
-
-
-def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
-                  rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Amplitudes from values at the end-window nodes (rhs is (len(times), d))."""
-    E = np.exp(np.outer(times, roots))  # (T, K)
-    mat = (E[:, :, None] * basis[None, :, :]).transpose(0, 2, 1).reshape(-1, len(roots))
-    try:
-        res = numkernel.solve_square(mat, rhs.reshape(-1))
-    except numkernel.Singular as exc:
-        raise SingularBoundarySystem(str(exc)) from exc
-    return res.x, res.cond
+    core = _discrete_core(spec, op, n, M)
+    xs, particles = core.assemble(xs_amplitudes, particle_amplitudes)
+    return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
 
 
 def dirichlet_del(spec: LagrangianSpec, op: ScaleOperator, n: int, t0: float,
-                  M: int, head, tail) -> tuple[DelSolution, DelDirichletReport]:
+                  M: int, head, tail) -> tuple[DelSolution, DirichletReport]:
     """Solve from positions at the first 2N and last 2N grid nodes.
 
     head and tail are (n, 2N, d) arrays; together they supply 4Nd scalar
     constraints per uncoupled system, matching the 4Nd amplitudes.
     """
     N = op.N
-    rep = _require_del_assumptions(spec, op, n)
-    if M < 4 * N:
-        raise WindowExceeded(f"M = {M} leaves no interior window (need M >= 4N)")
+    core = _discrete_core(spec, op, n, M)
     head = np.asarray(head, dtype=complex).reshape(n, 2 * N, spec.d)
     tail = np.asarray(tail, dtype=complex).reshape(n, 2 * N, spec.d)
-    nodes = np.concatenate([np.arange(2 * N), np.arange(M - 2 * N + 1, M + 1)])
-    times = t0 + op.epsilon * nodes
+    ends = (t0 + op.epsilon * np.arange(2 * N),
+            t0 + op.epsilon * np.arange(M - 2 * N + 1, M + 1))
     data = np.concatenate([head, tail], axis=1)  # (n, 4N, d)
-
-    sp_n = rep.spectrum_n
-    p_n = pencil.transcendental_pencil(spec, op, n)
-    w_n = _kernel_basis(p_n, sp_n.zeta.roots)
-    xs0 = _xs_constant_del(spec, op, n)
-    amps_xs, cond_xs = _window_solve(sp_n.lam.roots, w_n, times,
-                                     data.sum(axis=0) - xs0)
-    xs = ModeExpansion(xs0, sp_n.lam.roots, amps_xs[:, None] * w_n)
-
-    particle_amps = None
-    conds = []
-    if n > 1:
-        sp_0 = rep.spectrum_0
-        p_0 = pencil.transcendental_pencil(spec, op, 0)
-        w_0 = _kernel_basis(p_0, sp_0.zeta.roots)
-        xs_at = xs.value(times)  # (4N, d)
-        particle_amps = np.zeros((n - 1, len(sp_0.lam)), dtype=complex)
-        for j in range(n - 1):
-            amps_j, cond_j = _window_solve(sp_0.lam.roots, w_0, times,
-                                           data[j] - xs_at / n)
-            particle_amps[j] = amps_j
-            conds.append(cond_j)
-    sol = _assemble(spec, op, n, rep, amps_xs, particle_amps, t0, M)
-    return sol, DelDirichletReport(cond_xs, tuple(conds))
+    xs, particles, report = core.boundary_solve(ends, data)
+    return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon), report
 
 
 def _stencil_matrices(spec: LagrangianSpec, op: ScaleOperator,
@@ -288,9 +173,8 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     g = scaleop.theta_coefficients(op)
     mats_n = _stencil_matrices(spec, op, n)
     mats_0 = _stencil_matrices(spec, op, 0)
-    sbar0 = complex(op.gamma.sum()) / eps
-    const_n = n * (sbar0 * spec.J6 + spec.J7)
-    src_const = sbar0 * spec.J6 + spec.J7
+    src_const = pencil.Setting(spec, op).constant_rhs
+    const_n = n * src_const
 
     def _factor(lead):
         try:

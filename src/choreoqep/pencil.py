@@ -1,4 +1,4 @@
-"""Quadratic and transcendental matrix pencils and their spectra.
+"""Quadratic and transcendental matrix pencils, their spectra and assumptions.
 
 For a system spec and a real weight nu, the quadratic pencil is
 
@@ -7,7 +7,9 @@ For a system spec and a real weight nu, the quadratic pencil is
 whose 2d roots drive the continuous-time solver.  The discrete analogue
 replaces -lam^2 and 2 lam by the scale-operator symbols; substituting
 zeta = e^{lam eps} turns zeta^{2Nd} det into a degree-4Nd polynomial whose
-roots give the discrete phases (principal branch in lam).
+roots give the discrete phases (principal branch in lam).  `Setting` is the
+one place where the two settings differ; the assumption checker, the
+solvers' shared core and the periodicity code all run on it.
 """
 from __future__ import annotations
 
@@ -158,12 +160,67 @@ def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
     return TranscendentalSpectrum(lam, zeta_sorted)
 
 
-def _pairwise_simple(roots: np.ndarray, tol: float) -> bool:
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < tol * max(1.0, abs(roots[i]), abs(roots[j])):
-                return False
-    return True
+@dataclass(frozen=True)
+class Modes:
+    """One pencil's roots: phases lam and the same roots in the pencil's variable."""
+
+    pencil: ClassicalPencil | TranscendentalPencil
+    lam: RootSet
+    roots: RootSet
+
+
+@dataclass(frozen=True)
+class Setting:
+    """The continuous/discrete decision (op is None: continuous).
+
+    It fixes which pencil is evaluated, the root variable used for kernel
+    vectors and separation tests (lam, or zeta = e^{lam eps}), where the
+    constant mode sits (lam = 0 with right-hand side J7, or zeta = 1 with
+    J7 + s_bar(0) J6) and how many roots to expect (2d or 4Nd).
+    """
+
+    spec: LagrangianSpec
+    op: ScaleOperator | None = None
+
+    @property
+    def root_count(self) -> int:
+        if self.op is None:
+            return 2 * self.spec.d
+        return 4 * self.op.N * self.spec.d
+
+    def pencil(self, nu: float) -> ClassicalPencil | TranscendentalPencil:
+        if self.op is None:
+            return classical_pencil(self.spec, nu)
+        return transcendental_pencil(self.spec, self.op, nu)
+
+    def evaluate(self, p, z: complex) -> np.ndarray:
+        """Pencil value at z in the root variable."""
+        if self.op is None:
+            return classical_eval(p, z)
+        return transcendental_eval(p, z)
+
+    def at_constant(self, p) -> np.ndarray:
+        """Pencil value at the constant mode (lam = 0, i.e. zeta = 1)."""
+        return self.evaluate(p, 0.0 if self.op is None else 1.0)
+
+    @property
+    def constant_rhs(self) -> np.ndarray:
+        """Right-hand side that fixes the constant mode of one particle.
+
+        s_bar(0) = sum(gamma) / eps is the interior value of the adjoint on 1.
+        """
+        if self.op is None:
+            return self.spec.J7
+        sbar0 = complex(self.op.gamma.sum()) / self.op.epsilon
+        return self.spec.J7 + sbar0 * self.spec.J6
+
+    def modes(self, nu: float, separation_tol: float = 1e-7) -> Modes:
+        p = self.pencil(nu)
+        if self.op is None:
+            lam = classical_spectrum(p)
+            return Modes(p, lam, lam)
+        sp = transcendental_spectrum(p, separation_tol=separation_tol)
+        return Modes(p, sp.lam, sp.zeta)
 
 
 def _cross_disjoint(r1: np.ndarray, r2: np.ndarray, tol: float) -> bool:
@@ -175,47 +232,16 @@ def _cross_disjoint(r1: np.ndarray, r2: np.ndarray, tol: float) -> bool:
 
 
 @dataclass(frozen=True)
-class CelAssumptions:
-    """Report on the four standing assumptions of the continuous solver."""
+class Assumptions:
+    """Report on the solvers' standing assumptions, measured in the root variable.
 
-    q_n: RootSet
-    q_0: RootSet
-    count_n_ok: bool
-    count_0_ok: bool
-    disjoint: bool
-    det_pn0_nonzero: bool
-    det_p00_nonzero: bool
+    Precondition failures (singular leading block, vanishing edge weights,
+    failed or clustered roots) are reported with a note, not raised.
+    """
 
-    @property
-    def all_hold(self) -> bool:
-        return (self.count_n_ok and self.count_0_ok and self.disjoint
-                and self.det_pn0_nonzero and self.det_p00_nonzero)
-
-
-def check_cel_assumptions(spec: LagrangianSpec, n: int,
-                          tol: float = 1e-7) -> CelAssumptions:
-    """Evaluate |Q_n| = |Q_0| = 2d, disjointness, and nonsingularity at 0."""
-    pn = classical_pencil(spec, n)
-    p0 = classical_pencil(spec, 0)
-    q_n = classical_spectrum(pn)
-    q_0 = classical_spectrum(p0)
-    return CelAssumptions(
-        q_n=q_n,
-        q_0=q_0,
-        count_n_ok=len(q_n) == 2 * spec.d and _pairwise_simple(q_n.roots, tol),
-        count_0_ok=len(q_0) == 2 * spec.d and _pairwise_simple(q_0.roots, tol),
-        disjoint=_cross_disjoint(q_n.roots, q_0.roots, tol),
-        det_pn0_nonzero=not _is_singular(classical_eval(pn, 0.0)),
-        det_p00_nonzero=not _is_singular(classical_eval(p0, 0.0)),
-    )
-
-
-@dataclass(frozen=True)
-class DelAssumptions:
-    """Report on the discrete solver's assumptions, measured on zeta-roots."""
-
-    spectrum_n: TranscendentalSpectrum | None
-    spectrum_0: TranscendentalSpectrum | None
+    setting: Setting
+    modes_n: Modes | None
+    modes_0: Modes | None
     precondition_ok: bool
     count_n_ok: bool
     count_0_ok: bool
@@ -230,32 +256,37 @@ class DelAssumptions:
                 and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
 
 
-def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int,
-                          tol: float = 1e-7) -> DelAssumptions:
-    """Discrete analogue of check_cel_assumptions in the zeta domain.
-
-    Precondition failures (vanishing edge weights, singular leading block)
-    are reported, not raised.
-    """
-    count = 4 * op.N * spec.d
+def _check_assumptions(setting: Setting, n: int, tol: float) -> Assumptions:
+    """|roots| = root_count and simple for nu = n and 0, disjointness, and
+    nonsingularity at the constant mode."""
     try:
-        sp_n = transcendental_spectrum(transcendental_pencil(spec, op, n), tol=1e-8,
-                                       separation_tol=tol)
-        sp_0 = transcendental_spectrum(transcendental_pencil(spec, op, 0), tol=1e-8,
-                                       separation_tol=tol)
+        modes_n = setting.modes(n, tol)
+        modes_0 = setting.modes(0, tol)
     except (LeadingSingular, DegenerateRoots, numkernel.NumericalFailure,
             numkernel.InterpolationInconsistent) as exc:
-        return DelAssumptions(None, None, False, False, False, False, False, False,
-                              note=str(exc))
-    pn = transcendental_pencil(spec, op, n)
-    p0 = transcendental_pencil(spec, op, 0)
-    return DelAssumptions(
-        spectrum_n=sp_n,
-        spectrum_0=sp_0,
+        return Assumptions(setting, None, None, False, False, False, False, False, False,
+                           note=str(exc))
+    count = setting.root_count
+    r_n, r_0 = modes_n.roots, modes_0.roots
+    return Assumptions(
+        setting=setting,
+        modes_n=modes_n,
+        modes_0=modes_0,
         precondition_ok=True,
-        count_n_ok=len(sp_n) == count and _pairwise_simple(sp_n.zeta.roots, tol),
-        count_0_ok=len(sp_0) == count and _pairwise_simple(sp_0.zeta.roots, tol),
-        disjoint=_cross_disjoint(sp_n.zeta.roots, sp_0.zeta.roots, tol),
-        det_pn0_nonzero=not _is_singular(transcendental_eval(pn, 1.0)),
-        det_p00_nonzero=not _is_singular(transcendental_eval(p0, 1.0)),
+        count_n_ok=len(r_n) == count and r_n.is_simple(tol),
+        count_0_ok=len(r_0) == count and r_0.is_simple(tol),
+        disjoint=_cross_disjoint(r_n.roots, r_0.roots, tol),
+        det_pn0_nonzero=not _is_singular(setting.at_constant(modes_n.pencil)),
+        det_p00_nonzero=not _is_singular(setting.at_constant(modes_0.pencil)),
     )
+
+
+def check_cel_assumptions(spec: LagrangianSpec, n: int, tol: float = 1e-7) -> Assumptions:
+    """Assumptions of the continuous solver, on the lam-roots."""
+    return _check_assumptions(Setting(spec), n, tol)
+
+
+def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int,
+                          tol: float = 1e-7) -> Assumptions:
+    """Assumptions of the discrete solver, on the zeta-roots."""
+    return _check_assumptions(Setting(spec, op), n, tol)

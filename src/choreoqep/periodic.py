@@ -84,26 +84,23 @@ def commensurability(roots, tol: float = 1e-9, max_den: int = 64) -> Commensurab
     return CommensurabilityReport(all_imag, tuple(ratios), period, used, ref, cycles)
 
 
-def _union_rootset(a: RootSet, b: RootSet) -> RootSet:
-    return RootSet.from_roots(np.concatenate([a.roots, b.roots]),
-                              np.concatenate([a.residuals, b.residuals]),
-                              max(a.tol, b.tol))
+def _is_periodic(setting: pencil.Setting, n: int, tol: float,
+                 max_den: int) -> CommensurabilityReport:
+    """Commensurability of the union of the nu=n and nu=0 phases."""
+    lam_n, lam_0 = setting.modes(n).lam, setting.modes(0).lam
+    return commensurability(np.concatenate([lam_n.roots, lam_0.roots]), tol, max_den)
 
 
 def is_periodic_cel(spec: LagrangianSpec, n: int, tol: float = 1e-9,
                     max_den: int = 64) -> CommensurabilityReport:
     """Commensurability of the union of the nu=n and nu=0 classical spectra."""
-    q_n = pencil.classical_spectrum(pencil.classical_pencil(spec, n))
-    q_0 = pencil.classical_spectrum(pencil.classical_pencil(spec, 0))
-    return commensurability(_union_rootset(q_n, q_0), tol, max_den)
+    return _is_periodic(pencil.Setting(spec), n, tol, max_den)
 
 
 def is_periodic_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
                     tol: float = 1e-9, max_den: int = 64) -> CommensurabilityReport:
     """Commensurability of the union of the discrete nu=n and nu=0 spectra."""
-    sp_n = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, n))
-    sp_0 = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, 0))
-    return commensurability(_union_rootset(sp_n.lam, sp_0.lam), tol, max_den)
+    return _is_periodic(pencil.Setting(spec, op), n, tol, max_den)
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,26 @@ def _delay_phases(rep: CommensurabilityReport, active: np.ndarray, n: int) -> np
     return phases
 
 
-def _build_choreo(u0: np.ndarray, roots: RootSet, basis: np.ndarray, amplitudes,
-                  rep: CommensurabilityReport, n: int):
+def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
+                        max_den: int) -> tuple[Choreography, ModeExpansion, tuple]:
+    """Choreography on the nu=0 modes, centred on the constant mode.
+
+    Requires the nu=0 spectrum to be simple nonzero imaginary commensurable
+    phases and the nu=n pencil to be regular at the constant mode.
+    """
+    try:
+        modes_0 = setting.modes(0)
+    except (pencil.LeadingSingular, pencil.DegenerateRoots,
+            numkernel.NumericalFailure) as exc:
+        raise NotChoreographic(str(exc)) from exc
+    roots = modes_0.lam
+    rep = _choreography_conditions(roots, setting.root_count, tol, max_den)
+    try:
+        u0 = celsolve.constant_mode(setting, n)
+    except numkernel.Singular as exc:
+        raise NotChoreographic("nu=n pencil is singular at the constant mode") from exc
+    basis = celsolve.mode_basis(setting, modes_0)
+
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
     if len(amplitudes) != len(roots):
         raise ValueError(f"expected {len(roots)} amplitudes")
@@ -172,8 +187,9 @@ def _build_choreo(u0: np.ndarray, roots: RootSet, basis: np.ndarray, amplitudes,
     u = ModeExpansion(u0, lams, vecs)
     particles = tuple(ModeExpansion(u0, lams, phases[j - 1][:, None] * vecs)
                       for j in range(1, n + 1))
+    xs = ModeExpansion(n * u0, [], np.zeros((0, setting.spec.d)))
     T = rep.period
-    return Choreography(u, n, T, T / n), particles
+    return Choreography(u, n, T, T / n), xs, particles
 
 
 def build_choreography_cel(spec: LagrangianSpec, n: int, amplitudes,
@@ -184,22 +200,8 @@ def build_choreography_cel(spec: LagrangianSpec, n: int, amplitudes,
     Requires the nu=0 spectrum to be 2d simple nonzero imaginary commensurable
     phases and the nu=n pencil to be regular at 0 (it fixes the center u0).
     """
-    try:
-        q_0 = pencil.classical_spectrum(pencil.classical_pencil(spec, 0))
-    except (pencil.LeadingSingular, numkernel.NumericalFailure) as exc:
-        raise NotChoreographic(str(exc)) from exc
-    rep = _choreography_conditions(q_0, 2 * spec.d, tol, max_den)
-
-    pn_at0 = pencil.classical_eval(pencil.classical_pencil(spec, n), 0.0)
-    try:
-        u0 = numkernel.solve_square(pn_at0, spec.J7).x
-    except numkernel.Singular as exc:
-        raise NotChoreographic("nu=n pencil is singular at 0") from exc
-    p_0 = pencil.classical_pencil(spec, 0)
-    basis = np.array([numkernel.kernel_vector(pencil.classical_eval(p_0, lam))
-                      for lam in q_0.roots])
-    ch, particles = _build_choreo(u0, q_0, basis, amplitudes, rep, n)
-    xs = ModeExpansion(n * u0, [], np.zeros((0, spec.d)))
+    ch, xs, particles = _build_choreography(pencil.Setting(spec), n, amplitudes,
+                                            tol, max_den)
     return ch, SystemSolution(xs, particles)
 
 
@@ -210,25 +212,8 @@ def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
     """Discrete choreography from amplitudes on the discrete nu=0 spectrum."""
     if M is None:
         raise ValueError("M (node count) is required")
-    try:
-        sp_0 = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, 0))
-    except (pencil.LeadingSingular, pencil.DegenerateRoots,
-            numkernel.NumericalFailure) as exc:
-        raise NotChoreographic(str(exc)) from exc
-    rep = _choreography_conditions(sp_0.lam, 4 * op.N * spec.d, tol, max_den)
-
-    p_n = pencil.transcendental_pencil(spec, op, n)
-    sbar0 = complex(op.gamma.sum()) / op.epsilon
-    try:
-        u0 = numkernel.solve_square(pencil.transcendental_eval(p_n, 1.0),
-                                    spec.J7 + sbar0 * spec.J6).x
-    except numkernel.Singular as exc:
-        raise NotChoreographic("discrete nu=n pencil is singular at 0") from exc
-    p_0 = pencil.transcendental_pencil(spec, op, 0)
-    basis = np.array([numkernel.kernel_vector(pencil.transcendental_eval(p_0, z))
-                      for z in sp_0.zeta.roots])
-    ch, particles = _build_choreo(u0, sp_0.lam, basis, amplitudes, rep, n)
-    xs = ModeExpansion(n * u0, [], np.zeros((0, spec.d)))
+    ch, xs, particles = _build_choreography(pencil.Setting(spec, op), n, amplitudes,
+                                            tol, max_den)
     return ch, DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
 
 

@@ -1,0 +1,89 @@
+"""The mode-expansion core shared by the continuous and discrete solvers."""
+import math
+
+import numpy as np
+
+from choreoqep import celsolve, delsolve, numkernel, pencil
+from choreoqep.model import LagrangianSpec
+from choreoqep.scaleop import central_difference
+
+from conftest import J2
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name, as the benchmark's tracer does; returns the call counter."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_dirichlet_cel_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
+    spectra = count_calls(monkeypatch, pencil, "classical_spectrum")
+    kernels = count_calls(monkeypatch, numkernel, "kernel_vector")
+    rng = np.random.default_rng(1)
+    celsolve.dirichlet_cel(ref_spec, 3, 0.0, 1.0, rng.standard_normal((3, 2)),
+                           rng.standard_normal((3, 2)))
+    assert spectra[0] == 2  # nu = n and nu = 0
+    assert kernels[0] == 8  # one per root: 2d + 2d
+
+
+def test_dirichlet_del_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
+    spectra = count_calls(monkeypatch, pencil, "transcendental_spectrum")
+    kernels = count_calls(monkeypatch, numkernel, "kernel_vector")
+    rng = np.random.default_rng(2)
+    delsolve.dirichlet_del(ref_spec, central_difference(0.01), 3, 0.0, 100,
+                           rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2)))
+    assert spectra[0] == 2
+    assert kernels[0] == 16  # one per root: 4Nd + 4Nd
+
+
+def test_both_checkers_report_a_singular_leading_block():
+    spec = LagrangianSpec(2, 3, np.zeros((2, 2)), J2, np.zeros((2, 2)), np.eye(2))
+    for rep in (pencil.check_cel_assumptions(spec, 3),
+                pencil.check_del_assumptions(spec, central_difference(0.05), 3)):
+        assert not rep.precondition_ok and not rep.all_hold
+        assert "singular" in rep.note
+
+
+def test_the_decision_fixes_root_count_and_constant_mode(ref_spec):
+    op = central_difference(0.05)
+    cel, dis = pencil.Setting(ref_spec), pencil.Setting(ref_spec, op)
+    assert (cel.root_count, dis.root_count) == (4, 8)
+    for setting in (cel, dis):
+        # both pencils equal -C_nu at their constant mode
+        _, c = pencil.coefficient_matrices(ref_spec, 3)
+        assert np.allclose(setting.at_constant(setting.pencil(3)), -c, atol=1e-12)
+    assert len(dis.modes(0).lam) == len(dis.modes(0).roots) == 8
+    assert np.allclose(np.exp(dis.modes(0).lam.roots * op.epsilon), dis.modes(0).roots.roots)
+
+
+def test_two_time_window_solve_is_the_endpoint_solve():
+    """_window_solve at [t0, tf] gives the bits of the endpoint formula."""
+    rng = np.random.default_rng(3)
+    roots = rng.standard_normal(4) * 0.3 + 1j * rng.standard_normal(4) * 4
+    basis = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    t0, tf = 0.25, 1.75
+    rhs0, rhsf = rng.standard_normal(2), rng.standard_normal(2)
+    mat = np.vstack([(np.exp(roots * t0)[:, None] * basis).T,
+                     (np.exp(roots * tf)[:, None] * basis).T])
+    want = numkernel.solve_square(mat, np.concatenate([rhs0, rhsf]))
+    got, cond = celsolve._window_solve(roots, basis, np.array([t0, tf]),
+                                       np.stack([rhs0, rhsf]))
+    assert np.array_equal(got, want.x) and cond == want.cond
+
+
+def test_del_solution_samples_sum_mismatch_on_its_interval(ref_spec):
+    M = 100
+    op = central_difference(2 * math.pi / 100)
+    rng = np.random.default_rng(4)
+    sol = delsolve.general_solution_del(
+        ref_spec, op, 3, rng.standard_normal(8), rng.standard_normal((2, 8)), 0.5, M)
+    assert sol.interval == (0.5, 0.5 + M * op.epsilon)
+    times = np.random.default_rng(20240913).uniform(*sol.interval, size=32)
+    assert sol.sum_mismatch() == sol.sum_mismatch(times)
