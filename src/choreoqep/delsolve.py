@@ -8,6 +8,10 @@ the same exponential expansions extend them off-grid.  The governing
 recurrences only hold where every window factor equals one, i.e. for
 t in [t0 + 2N eps, tf - 2N eps]; residuals outside that window are
 generically nonzero and document the boundary layer.
+
+Both read the operator's cached `WindowTables`: the march advances all particles
+by one d x 4Nd step matrix, and `_residuals` evaluates the windowed equations at
+any nodes with integer windows (so not on t0); `residual_del` is its one-node form.
 """
 from __future__ import annotations
 
@@ -15,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkernel, pencil, scaleop
+from . import numkernel, pencil
 from .celsolve import DirichletReport, SystemSolution, _Core
 from .model import LagrangianSpec
-from .scaleop import GridFunction, OutOfRange, ScaleOperator
+from .scaleop import OutOfRange, ScaleOperator
 
 
 class LeadingBlockSingular(Exception):
@@ -57,9 +61,6 @@ class TrajectoryGrid:
     def d(self) -> int:
         return self.values.shape[2]
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.epsilon * np.arange(self.M + 1)
-
 
 @dataclass(frozen=True)
 class DelSolution(SystemSolution):
@@ -76,11 +77,6 @@ class DelSolution(SystemSolution):
     @property
     def M(self) -> int:
         return int(round((self.tf - self.t0) / self.op.epsilon))
-
-    @property
-    def window(self) -> tuple[float, float]:
-        w = 2 * self.op.N * self.op.epsilon
-        return (self.t0 + w, self.tf - w)
 
     def interior_nodes(self) -> range:
         return range(2 * self.op.N, self.M - 2 * self.op.N + 1)
@@ -133,23 +129,18 @@ def dirichlet_del(spec: LagrangianSpec, op: ScaleOperator, n: int, t0: float,
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon), report
 
 
-def _stencil_matrices(spec: LagrangianSpec, op: ScaleOperator,
-                      nu: float) -> list[np.ndarray]:
-    """Interior-window coefficient of x(t + k eps) for k = -2N..2N."""
+def _step(spec: LagrangianSpec, op: ScaleOperator,
+          nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The interior recurrence solved for node c+2N, as (-B^-1 S, -B^-1): B is
+    the block on node c+2N, S the d x 4Nd row of blocks on nodes c-2N..c+2N-1."""
     a_nu, c_nu = pencil.coefficient_matrices(spec, nu)
-    g = scaleop.theta_coefficients(op)
-    a1 = scaleop.sigma1_coefficients(op)
-    eps = op.epsilon
-    N = op.N
-    mats = []
-    for k in range(-2 * N, 2 * N + 1):
-        m = (g[k + 2 * N] / eps**2) * a_nu.astype(complex)
-        if abs(k) <= N:
-            m = m + (a1[k + N] / eps) * spec.J5
-        if k == 0:
-            m = m + c_nu
-        mats.append(m)
-    return mats
+    interior = op.windows.stencil[2 * op.N, 2 * op.N]
+    blocks = np.einsum("rk,rij->kij", interior, np.stack([a_nu, spec.J5, c_nu]))
+    try:
+        inv = numkernel.solve_square(blocks[-1], np.eye(spec.d, dtype=complex)).x
+    except numkernel.Singular as exc:
+        raise LeadingBlockSingular(str(exc)) from exc
+    return -inv @ np.hstack(blocks[:-1]), -inv
 
 
 def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
@@ -158,54 +149,39 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     """March the interior-window recurrences forward from 4N seed nodes.
 
     xs_seed is (4N, d) and particle_seeds (n, 4N, d), holding nodes 0..4N-1.
-    The summed variable marches first, then each particle with it as source.
-    Marching uses only equations centered in the interior window, so nodes
-    4N..M are produced; an M < 4N grid has no such window.
+    The summed variable marches first, then all particles together with it
+    as source.  Marching uses only equations centered in the interior window,
+    so nodes 4N..M are produced; an M < 4N grid has no such window.
     """
-    N = op.N
+    R = 2 * op.N
     d = spec.d
-    eps = op.epsilon
-    if M < 4 * N:
-        raise WindowExceeded(f"M = {M} < 4N = {4 * N}: no interior equations")
-    xs_seed = np.asarray(xs_seed, dtype=complex).reshape(4 * N, d)
-    particle_seeds = np.asarray(particle_seeds, dtype=complex).reshape(n, 4 * N, d)
+    if M < 2 * R:
+        raise WindowExceeded(f"M = {M} < 4N = {2 * R}: no interior equations")
+    xs_seed = np.asarray(xs_seed, dtype=complex).reshape(2 * R, d)
+    particle_seeds = np.asarray(particle_seeds, dtype=complex).reshape(n, 2 * R, d)
 
-    g = scaleop.theta_coefficients(op)
-    mats_n = _stencil_matrices(spec, op, n)
-    mats_0 = _stencil_matrices(spec, op, 0)
+    step_n, solve_n = _step(spec, op, n)
+    step_0, solve_0 = _step(spec, op, 0)
     src_const = pencil.Setting(spec, op).constant_rhs
-    const_n = n * src_const
-
-    def _factor(lead):
-        try:
-            return numkernel.solve_square(lead, np.eye(d, dtype=complex)).x
-        except numkernel.Singular as exc:
-            raise LeadingBlockSingular(str(exc)) from exc
-
-    inv_n = _factor(mats_n[-1])
-    inv_0 = _factor(mats_0[-1])
+    const_n = solve_n @ (n * src_const)
+    centres = range(R, M - R + 1)
 
     xs = np.zeros((M + 1, d), dtype=complex)
-    xs[:4 * N] = xs_seed
-    for c in range(2 * N, M - 2 * N + 1):
-        rhs = const_n.astype(complex).copy()
-        for k in range(-2 * N, 2 * N):
-            rhs += mats_n[k + 2 * N] @ xs[c + k]
-        xs[c + 2 * N] = -(inv_n @ rhs)
+    xs[:2 * R] = xs_seed
+    for c in centres:
+        xs[c + R] = step_n @ xs[c - R:c + R].reshape(-1) + const_n
+
+    # the x_s source of the particle equations, at every centre
+    g = op.windows.stencil[R, R, 0]  # interior adjoint∘forward: theta / eps^2
+    bb_xs = sum(g[k + R] * xs[k + R:M - R + 1 + k] for k in range(-R, R + 1))
+    source = (bb_xs @ (2.0 * spec.J3).T + xs[R:M - R + 1] @ (2.0 * spec.J4).T
+              + src_const) @ solve_0.T
 
     traj = np.zeros((n, M + 1, d), dtype=complex)
-    traj[:, :4 * N] = particle_seeds
-    for j in range(n):
-        for c in range(2 * N, M - 2 * N + 1):
-            boxbox_xs = np.zeros(d, dtype=complex)
-            for k in range(-2 * N, 2 * N + 1):
-                boxbox_xs += (g[k + 2 * N] / eps**2) * xs[c + k]
-            rhs = (2.0 * spec.J3 @ boxbox_xs + 2.0 * spec.J4 @ xs[c] + src_const) \
-                .astype(complex)
-            for k in range(-2 * N, 2 * N):
-                rhs += mats_0[k + 2 * N] @ traj[j, c + k]
-            traj[j, c + 2 * N] = -(inv_0 @ rhs)
-    return TrajectoryGrid(t0, eps, traj), xs
+    traj[:, :2 * R] = particle_seeds
+    for i, c in enumerate(centres):
+        traj[:, c + R] = traj[:, c - R:c + R].reshape(n, -1) @ step_0.T + source[i]
+    return TrajectoryGrid(t0, op.epsilon, traj), xs
 
 
 @dataclass(frozen=True)
@@ -216,14 +192,29 @@ class DelResidual:
     particles: np.ndarray
 
 
-def _grid_arrays(traj, xs_values) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    if isinstance(traj, DelSolution):
-        grid, xs_vals = traj.sample()
-        return grid.values, xs_vals, grid.t0, grid.t0 + grid.M * grid.epsilon, grid.epsilon
-    if xs_values is None:
-        raise ValueError("xs_values is required alongside a TrajectoryGrid")
-    tf = traj.t0 + traj.M * traj.epsilon
-    return traj.values, np.asarray(xs_values, dtype=complex), traj.t0, tf, traj.epsilon
+def _residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
+               xs_vals: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed residuals at grid nodes 0 <= nodes <= M: (K, d) for x_s, (n, K, d)
+    for the particles, with K = len(nodes)."""
+    M = vals.shape[1] - 1
+    if M < 1:
+        raise ValueError("a grid needs at least two nodes")
+    R = 2 * op.N
+    before, after = np.minimum(nodes, R), np.minimum(M - nodes, R)
+    near = (nodes[:, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
+    values = np.concatenate([xs_vals[None, near], vals[:, near]])
+    # (1 + n, K, 3d): [boxbox f, sigma f, f] at each node, for x_s, then each particle
+    terms = op.windows.stencil[before, after] @ values
+    terms = terms.reshape(len(values), len(nodes), 3 * vals.shape[2])
+    forcing = op.windows.box1[before, after][:, None] * spec.J6 + spec.J7
+    a_n, c_n = pencil.coefficient_matrices(spec, n)
+    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
+    J3, J4, J5 = spec.J3, spec.J4, spec.J5
+
+    r_xs = -terms[0] @ np.concatenate([a_n, J5, c_n], axis=1).T - n * forcing
+    source = terms[0] @ np.concatenate([2.0 * J3, 0.0 * J5, 2.0 * J4], axis=1).T + forcing
+    r_p = -terms[1:] @ np.concatenate([a_0, J5, c_0], axis=1).T - source
+    return r_xs, r_p
 
 
 def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,
@@ -234,30 +225,15 @@ def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,
     is meaningful near the interval ends, where pseudo-periodic extensions
     generically fail to solve the equations.
     """
-    vals, xs_vals, t0, tf, eps = _grid_arrays(traj, xs_values)
+    if isinstance(traj, DelSolution):
+        grid, xs_vals = traj.sample()
+        vals = grid.values
+    elif xs_values is None:
+        raise ValueError("xs_values is required alongside a TrajectoryGrid")
+    else:
+        vals, xs_vals = traj.values, np.asarray(xs_values, dtype=complex)
     M = vals.shape[1] - 1
     if m < 0 or m > M:
         raise OutOfRange(f"node {m} outside 0..{M}")
-
-    a_n, c_n = pencil.coefficient_matrices(spec, n)
-    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
-    xs_grid = GridFunction(t0, eps, xs_vals)
-
-    bb_xs = scaleop.boxbox_apply(op, xs_grid, m, t0, tf)
-    sg_xs = scaleop.box_apply(op, xs_grid, m, t0, tf) \
-        - scaleop.adjoint_box_apply(op, xs_grid, m, t0, tf)
-    box1 = sum(op.gamma_at(j) / eps * scaleop.chi(op, j, t0 + m * eps, t0, tf)
-               for j in range(-op.N, op.N + 1))
-
-    r_xs = (-a_n @ bb_xs - spec.J5 @ sg_xs - c_n @ xs_vals[m]
-            - n * (box1 * spec.J6 + spec.J7))
-    source = 2.0 * spec.J3 @ bb_xs + 2.0 * spec.J4 @ xs_vals[m] \
-        + box1 * spec.J6 + spec.J7
-    rows = []
-    for j in range(vals.shape[0]):
-        f = GridFunction(t0, eps, vals[j])
-        bb = scaleop.boxbox_apply(op, f, m, t0, tf)
-        sg = scaleop.box_apply(op, f, m, t0, tf) \
-            - scaleop.adjoint_box_apply(op, f, m, t0, tf)
-        rows.append(-a_0 @ bb - spec.J5 @ sg - c_0 @ vals[j, m] - source)
-    return DelResidual(r_xs, np.array(rows))
+    r_xs, r_p = _residuals(spec, op, n, vals, xs_vals, np.array([m]))
+    return DelResidual(r_xs[0], r_p[:, 0])

@@ -106,12 +106,13 @@ class RootSet:
 
     def is_simple(self, rel_tol: float = 1e-7) -> bool:
         """True when no two roots fall within rel_tol * max(1, |root|) of each other."""
-        r = self.roots
-        for i in range(len(r)):
-            for j in range(i + 1, len(r)):
-                if abs(r[i] - r[j]) < rel_tol * max(1.0, abs(r[i]), abs(r[j])):
-                    return False
-        return True
+        return not np.triu(close_pairs(self.roots, self.roots, rel_tol), 1).any()
+
+
+def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """[i, j] is |a_i - b_j| < rel_tol * max(1, |a_i|, |b_j|)."""
+    a, b = np.asarray(a)[:, None], np.asarray(b)[None, :]
+    return np.abs(a - b) < rel_tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
 def _sorted_rootset(roots, residuals, tol) -> RootSet:

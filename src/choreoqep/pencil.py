@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkernel, scaleop
+from . import numkernel
 from .model import LagrangianSpec
 from .numkernel import RootSet
 from .scaleop import ScaleOperator
@@ -106,12 +106,10 @@ def transcendental_eval(p: TranscendentalPencil, zeta: complex) -> np.ndarray:
         raise ZeroArgument("transcendental pencil is undefined at zeta = 0")
     op = p.op
     a_nu, c_nu = coefficient_matrices(p.spec, p.nu)
-    g = scaleop.theta_coefficients(op)
     ks = np.arange(-2 * op.N, 2 * op.N + 1)
-    theta_hat = np.sum(g * np.asarray(zeta, dtype=complex) ** ks) / op.epsilon**2
-    a = scaleop.sigma1_coefficients(op)
+    theta_hat = np.sum(op.theta * np.asarray(zeta, dtype=complex) ** ks) / op.epsilon**2
     ks1 = np.arange(-op.N, op.N + 1)
-    sigma1_hat = np.sum(a * np.asarray(zeta, dtype=complex) ** ks1) / op.epsilon
+    sigma1_hat = np.sum(op.sigma1 * np.asarray(zeta, dtype=complex) ** ks1) / op.epsilon
     return -a_nu * theta_hat - p.spec.J5 * sigma1_hat - c_nu
 
 
@@ -223,14 +221,6 @@ class Setting:
         return Modes(p, sp.lam, sp.zeta)
 
 
-def _cross_disjoint(r1: np.ndarray, r2: np.ndarray, tol: float) -> bool:
-    for a in r1:
-        for b in r2:
-            if abs(a - b) < tol * max(1.0, abs(a), abs(b)):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class Assumptions:
     """Report on the solvers' standing assumptions, measured in the root variable.
@@ -275,7 +265,7 @@ def _check_assumptions(setting: Setting, n: int, tol: float) -> Assumptions:
         precondition_ok=True,
         count_n_ok=len(r_n) == count and r_n.is_simple(tol),
         count_0_ok=len(r_0) == count and r_0.is_simple(tol),
-        disjoint=_cross_disjoint(r_n.roots, r_0.roots, tol),
+        disjoint=not numkernel.close_pairs(r_n.roots, r_0.roots, tol).any(),
         det_pn0_nonzero=not _is_singular(setting.at_constant(modes_n.pencil)),
         det_p00_nonzero=not _is_singular(setting.at_constant(modes_0.pencil)),
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import celsolve, delsolve, numkernel, pencil, scaleop
+from . import celsolve, delsolve, numkernel, pencil
 from .celsolve import ModeExpansion, SystemSolution
 from .delsolve import DelSolution
 from .model import LagrangianSpec
@@ -270,11 +270,12 @@ def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec = None,
             op = sol.op
             eq_scale = (_theta_mass(op) / op.epsilon**2) * _matrix_mass(spec) \
                 * (1.0 + float(np.abs(grid_vals.values).max()))
+            values, nodes = grid_vals.values, np.array(sol.interior_nodes(), dtype=int)
             worst = 0.0
-            for m in sol.interior_nodes():
-                r = delsolve.residual_del(spec, op, ch.n, grid_vals, m, xs_vals)
-                worst = max(worst, float(np.abs(r.xs).max()),
-                            float(np.abs(r.particles).max()))
+            for part in np.split(nodes, range(256, len(nodes), 256)):  # bounded memory
+                r_xs, r_p = delsolve._residuals(spec, op, ch.n, values, xs_vals, part)
+                worst = max(worst, float(np.abs(r_xs).max(initial=0.0)),
+                            float(np.abs(r_p).max(initial=0.0)))
             residual_error = worst / eq_scale
             residual_ok = residual_error <= 1e-10
         else:
@@ -308,4 +309,4 @@ def _matrix_mass(spec: LagrangianSpec) -> float:
 
 
 def _theta_mass(op: ScaleOperator) -> float:
-    return float(np.abs(scaleop.theta_coefficients(op)).sum() + 1.0)
+    return float(np.abs(op.theta).sum() + 1.0)

@@ -8,10 +8,15 @@ with ``chi_j`` the indicator of [t0, tf] ∩ [t0 + j eps, tf + j eps].  The
 adjoint (mirrored-shift) operator uses f(t − j eps) with chi_j weights and
 converges to −d/dt; their composition carries the discrete second-derivative
 symbol exposed below.
+
+On a grid the windows are integers (`chi_node`), so each operator caches one
+read-only stencil: theta/sigma1 coefficients and `WindowTables`.  The time-based
+`chi` and `*box_apply` functions apply the same operators node by node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,13 +28,13 @@ class OutOfRange(Exception):
 
 @dataclass(frozen=True)
 class ScaleOperator:
-    """2N+1 complex weights gamma_{-N}..gamma_N and a positive time delay."""
+    """2N+1 complex weights gamma_{-N}..gamma_N (read-only) and a positive time delay."""
 
     gamma: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gamma, dtype=complex)).ravel()
+        g = _read_only(np.atleast_1d(np.array(self.gamma, dtype=complex)).ravel())
         if len(g) < 3 or len(g) % 2 == 0:
             raise ValueError("gamma must have odd length 2N+1 with N >= 1")
         if not self.epsilon > 0:
@@ -43,6 +48,26 @@ class ScaleOperator:
     def gamma_at(self, j: int) -> complex:
         """Weight gamma_j for |j| <= N."""
         return complex(self.gamma[j + self.N])
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """theta_coefficients, computed once per operator (read-only)."""
+        return _read_only(theta_coefficients(self))
+
+    @cached_property
+    def sigma1(self) -> np.ndarray:
+        """sigma1_coefficients, computed once per operator (read-only)."""
+        return _read_only(sigma1_coefficients(self))
+
+    @cached_property
+    def windows(self) -> "WindowTables":
+        """Window weights at every node position, computed once per operator."""
+        return _window_tables(self)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def central_difference(epsilon: float) -> ScaleOperator:
@@ -102,6 +127,34 @@ def chi(op: ScaleOperator, j: int, t: float, t0: float, tf: float) -> int:
 def chi_node(j: int, m: int, M: int) -> int:
     """chi_j at grid node m of a grid whose last node is M (integer-exact)."""
     return int(max(0, j) <= m <= M + min(0, j))
+
+
+class WindowTables(NamedTuple):
+    """Window weights indexed [a, b] by the nodes before (a) and after (b) a
+    node m, each capped at 2N; [2N, 2N] is the interior.  `stencil[a, b]` is
+    (3, 4N+1): applied to f at nodes m-2N..m+2N its rows give
+    (adjoint∘forward f)(m), ((forward − adjoint) f)(m) and f(m)."""
+
+    stencil: np.ndarray
+    box1: np.ndarray  # the adjoint applied to the constant 1
+
+
+def _window_tables(op: ScaleOperator) -> WindowTables:
+    N, R, eps = op.N, 2 * op.N, op.epsilon
+    span, ks = range(R + 1), np.arange(-R, R + 1)
+    # win[a, b, j + R] = chi_j at node a of a grid with last node a + b
+    win = np.array([[[chi_node(j, a, a + b) for j in ks] for b in span] for a in span],
+                   dtype=float)
+    wide = np.zeros(4 * R + 1, dtype=complex)  # gamma_j at j + 2R, zero for |j| > N
+    wide[3 * N:5 * N + 1] = op.gamma
+    gam = wide[R:3 * R + 1]
+    pair = wide[ks[:, None] + ks + 2 * R] * gam  # [k + R, l + R]: gamma_{k+l} gamma_l
+    mirrored = win[..., ::-1]  # chi_{-k}: node m + k lies on the grid
+    stencil = np.zeros((R + 1, R + 1, 3, 2 * R + 1), dtype=complex)
+    stencil[:, :, 0] = mirrored * (win @ pair.T) / eps**2
+    stencil[:, :, 1] = mirrored * (gam - gam[::-1]) / eps
+    stencil[:, :, 2, R] = 1.0
+    return WindowTables(_read_only(stencil), _read_only(win @ gam / eps))
 
 
 def _gather(op: ScaleOperator, f: GridFunction, m: int, t0: float, tf: float,
@@ -212,13 +265,11 @@ def symbol_theta(op: ScaleOperator, lam: complex) -> complex:
     Identically equal to symbol_s(lam) * symbol_s_bar(lam); tends to -lam^2
     as eps → 0 for operators passing check_operator_conditions.
     """
-    g = theta_coefficients(op)
     ks = np.arange(-2 * op.N, 2 * op.N + 1)
-    return complex(np.sum(g * np.exp(ks * lam * op.epsilon)) / op.epsilon**2)
+    return complex(np.sum(op.theta * np.exp(ks * lam * op.epsilon)) / op.epsilon**2)
 
 
 def symbol_sigma1(op: ScaleOperator, lam: complex) -> complex:
     """Interior symbol of (forward − adjoint); tends to 2 lam as eps → 0."""
-    a = sigma1_coefficients(op)
     ks = np.arange(-op.N, op.N + 1)
-    return complex(np.sum(a * np.exp(ks * lam * op.epsilon)) / op.epsilon)
+    return complex(np.sum(op.sigma1 * np.exp(ks * lam * op.epsilon)) / op.epsilon)
