@@ -24,10 +24,6 @@ class AssumptionViolation(Exception):
     """Raised when the standing pencil assumptions fail for a solve."""
 
 
-class KernelFailure(Exception):
-    """Raised when a pencil kernel direction cannot be extracted."""
-
-
 class SingularBoundarySystem(Exception):
     """Raised when endpoint data does not determine the amplitudes."""
 
@@ -106,13 +102,10 @@ class SystemSolution:
         return float(np.abs(total - ref).max()) / scale
 
 
-def mode_basis(setting: pencil.Setting, modes: pencil.Modes) -> np.ndarray:
-    """Unit kernel direction of the pencil at every root (rows)."""
-    try:
-        return np.array([numkernel.kernel_vector(setting.evaluate(modes.pencil, z))
-                         for z in modes.roots.roots])
-    except (numkernel.NotRankDeficient, numkernel.KernelNotOneDimensional) as exc:
-        raise KernelFailure(str(exc)) from exc
+def mode_basis(modes: pencil.Modes) -> np.ndarray:
+    """Unit kernel direction of the pencil at every root (rows): an end d-block of
+    the root's companion eigenvector, its largest component made real positive."""
+    return modes.roots.vectors
 
 
 def constant_mode(setting: pencil.Setting, n: int) -> np.ndarray:
@@ -147,11 +140,11 @@ class _Core:
 
     @cached_property
     def w_n(self) -> np.ndarray:
-        return mode_basis(self.rep.setting, self.rep.modes_n)
+        return mode_basis(self.rep.modes_n)
 
     @cached_property
     def w_0(self) -> np.ndarray:
-        return mode_basis(self.rep.setting, self.rep.modes_0)
+        return mode_basis(self.rep.modes_0)
 
     @cached_property
     def xs0(self) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Dense complex linear-algebra and polynomial primitives.
 
-Everything here is a pure function of its inputs: no caching, no shared
-state, safe for concurrent use.
+`pencil` takes its spectra from block-companion eigen-solves and stores them
+as `RootSet`s (residual = eigenpair backward error, plus kernel vectors);
+determinant interpolation, polynomial roots and SVD kernel vectors here are
+independent references for its tests.  Everything here is a pure function of
+its inputs: no caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -66,11 +69,6 @@ class Polynomial:
             return np.zeros_like(np.asarray(z, dtype=complex))
         return npoly.polyval(z, self.coeffs)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial(np.zeros(0, dtype=complex))
-        return Polynomial(npoly.polyder(self.coeffs))
-
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
         """Expand leading * prod (z - r) into coefficients."""
@@ -86,12 +84,16 @@ def _min_separation(roots: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Finite multiset of complex roots with residual and separation metadata."""
+    """Finite multiset of complex roots with residual and separation metadata.
+
+    A pencil spectrum also carries its unit kernel vectors, one row per root.
+    """
 
     roots: np.ndarray
     residuals: np.ndarray
     min_separation: float
     tol: float = 1e-8
+    vectors: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -105,8 +107,9 @@ class RootSet:
         return cls(roots, residuals, _min_separation(roots), tol)
 
     def is_simple(self, rel_tol: float = 1e-7) -> bool:
-        """True when no two roots fall within rel_tol * max(1, |root|) of each other."""
-        return not np.triu(close_pairs(self.roots, self.roots, rel_tol), 1).any()
+        """True when no two roots fall within rel_tol * max(1, |root|) of each other,
+        i.e. close_pairs of the roots with themselves is set on the diagonal only."""
+        return close_pairs(self.roots, self.roots, rel_tol).sum() == len(self.roots)
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -5,11 +5,18 @@ For a system spec and a real weight nu, the quadratic pencil is
     P_nu(lam) = (J1 + 2(nu-1) J3) lam^2 - 2 J5 lam - (J2 + 2(nu-1) J4)
 
 whose 2d roots drive the continuous-time solver.  The discrete analogue
-replaces -lam^2 and 2 lam by the scale-operator symbols; substituting
-zeta = e^{lam eps} turns zeta^{2Nd} det into a degree-4Nd polynomial whose
-roots give the discrete phases (principal branch in lam).  `Setting` is the
-one place where the two settings differ; the assumption checker, the
-solvers' shared core and the periodicity code all run on it.
+replaces -lam^2 and 2 lam by the scale-operator symbols; with zeta = e^{lam eps},
+zeta^{2N} times it is a degree-4N matrix polynomial whose 4Nd roots give the
+discrete phases (principal branch in lam).
+
+Each spectrum is one LAPACK eigen-solve of a monic block companion (Tisseur &
+Meerbergen, SIAM Rev. 2001), real when the weights are real.  The zeta-polynomial
+is shifted to w = (zeta - 1)/eps first, where its coefficients B_i are O(1) near
+the convergent roots.  The larger end d-block of an eigenvector (v, w v, ...) is
+the root's kernel vector v; the pair is accepted when its normwise backward error
+||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the
+root's residual.  `Setting` is the one place where the two settings differ; the
+assumption checker, the solvers' shared core and the periodicity code run on it.
 """
 from __future__ import annotations
 
@@ -50,14 +57,10 @@ class ClassicalPencil:
     C: np.ndarray
     nu: float
 
-    @classmethod
-    def from_spec(cls, spec: LagrangianSpec, nu: float) -> "ClassicalPencil":
-        a, c = coefficient_matrices(spec, nu)
-        return cls(a, -2.0 * spec.J5, -c, float(nu))
-
 
 def classical_pencil(spec: LagrangianSpec, nu: float) -> ClassicalPencil:
-    return ClassicalPencil.from_spec(spec, nu)
+    a, c = coefficient_matrices(spec, nu)
+    return ClassicalPencil(a, -2.0 * spec.J5, -c, float(nu))
 
 
 def classical_eval(p: ClassicalPencil, lam: complex) -> np.ndarray:
@@ -65,21 +68,62 @@ def classical_eval(p: ClassicalPencil, lam: complex) -> np.ndarray:
 
 
 def _is_singular(m: np.ndarray) -> bool:
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+    s = np.linalg.svd(m, compute_uv=False)
     return s[0] == 0 or s[-1] <= 1e-12 * s[0]
 
 
-def classical_spectrum(p: ClassicalPencil, tol: float = 1e-8,
-                       radius: float = 1.0) -> RootSet:
-    """All 2d pencil roots, counted with multiplicity."""
-    d = p.A.shape[0]
+def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
+    """Roots w, unit kernel vectors (rows) and backward errors of sum_i w^i blocks[i],
+    from its monic block companion in mu = w / s, s equalising ||B_0|| and ||B_k||."""
+    k, d = len(blocks) - 1, blocks.shape[1]
+    norms = np.linalg.norm(blocks, axis=(1, 2))
+    try:
+        with np.errstate(all="ignore"):
+            s = (norms[0] / norms[-1]) ** (1.0 / k)
+            s = s if 0 < s < np.inf else 1.0  # no scaling when B_0 = 0
+            s_powers = s ** np.arange(k + 1)
+            blocks, norms = blocks * s_powers[:, None, None], norms * s_powers
+            monic = np.linalg.solve(blocks[-1], np.hstack(blocks[:-1]))
+    except np.linalg.LinAlgError as exc:
+        raise LeadingSingular(f"leading block is singular: {exc}") from exc
+    if not np.isfinite(monic).all():
+        raise LeadingSingular("the block companion has infinite eigenvalues")
+    companion = np.eye(k * d, k=d, dtype=monic.dtype)
+    companion[-d:] = -monic
+    try:
+        mu, vecs = np.linalg.eig(companion)
+    except np.linalg.LinAlgError as exc:
+        raise numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") from exc
+    # the eigenvector is (v, mu v, .., mu^{k-1} v): read v from its larger end block
+    mu = mu.astype(complex)
+    v = np.where(np.abs(mu) <= 1.0, vecs[:d], vecs[-d:]).astype(complex)
+    with np.errstate(all="ignore"):
+        powers = mu ** np.arange(k + 1)[:, None]
+        num = np.linalg.norm(((blocks @ v) * powers[:, None]).sum(axis=0), axis=0)
+        den = np.abs(powers).T @ norms * np.linalg.norm(v, axis=0)
+        # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
+        errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
+    if not (errors.max() <= tol and np.abs(v).max(axis=0).min() > 0):
+        raise numkernel.NumericalFailure(
+            f"eigenpairs fail the backward-error test (worst {errors.max():.3e}, "
+            f"tol {tol:.1e}) or have a vanishing kernel block")
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(len(mu))]
+    v = v * (top.conj() / np.abs(top))  # largest component real positive
+    return s * mu, (v / np.linalg.norm(v, axis=0)).T, errors
+
+
+def _rootset(roots: np.ndarray, errors: np.ndarray, vectors: np.ndarray,
+             order: np.ndarray, tol: float) -> RootSet:
+    return RootSet(roots[order], errors[order], numkernel._min_separation(roots), tol,
+                   vectors[order])
+
+
+def classical_spectrum(p: ClassicalPencil, tol: float = 1e-8) -> RootSet:
+    """All 2d pencil roots and their kernel vectors, from the companion of (C, B, A)."""
     if _is_singular(p.A):
         raise LeadingSingular("leading coefficient is singular; root count drops below 2d")
-    poly = numkernel.det_as_polynomial(lambda z: classical_eval(p, z), 2 * d, radius)
-    if poly.degree != 2 * d:
-        raise LeadingSingular(
-            f"determinant degree {poly.degree} != 2d = {2 * d}")
-    return numkernel.polynomial_roots(poly, tol)
+    lam, vectors, errors = _eigenpairs(np.stack([p.C, p.B, p.A]), tol)
+    return _rootset(lam, errors, vectors, np.lexsort((lam.real, lam.imag)), tol)
 
 
 @dataclass(frozen=True)
@@ -124,38 +168,48 @@ class TranscendentalSpectrum:
         return len(self.lam)
 
 
+def _shifted_blocks(p: TranscendentalPencil) -> np.ndarray:
+    """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps.
+
+    zeta^{2N} theta_hat = g g~ / eps^2 with g = sum_j gamma_j zeta^{j+N}, g~ its
+    reverse; shifting each factor first keeps the near-cancelling B_0, B_1 accurate.
+    """
+    op, N, eps = p.op, p.op.N, p.op.epsilon
+    gamma = op.gamma if op.gamma.imag.any() else op.gamma.real
+    a_nu, c_nu = coefficient_matrices(p.spec, p.nu)
+    head = op.shift[:2 * N + 1, :2 * N + 1]
+    theta = np.convolve(head @ gamma, head @ gamma[::-1]) / eps**2
+    sigma1 = op.shift[:, N:3 * N + 1] @ (gamma - gamma[::-1]) / eps
+    return -(np.multiply.outer(theta, a_nu) + np.multiply.outer(sigma1, p.spec.J5)
+             + np.multiply.outer(op.shift[:, 2 * N], c_nu))
+
+
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
-                            radius: float = 1.0,
                             separation_tol: float = 1e-7) -> TranscendentalSpectrum:
-    """All 4Nd discrete phases from the degree-4Nd polynomial in zeta.
+    """All 4Nd discrete phases and their kernel vectors, from the companion of
+    zeta^{2N} P(zeta) in w = (zeta - 1)/eps.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
     op = p.op
-    N, d = op.N, p.spec.d
+    N = op.N
     if op.gamma_at(-N) * op.gamma_at(N) == 0:
         raise LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
     a_nu, _ = coefficient_matrices(p.spec, p.nu)
     if _is_singular(a_nu):
         raise LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
 
-    poly = numkernel.det_as_polynomial(
-        lambda z: z ** (2 * N) * transcendental_eval(p, z), 4 * N * d, radius)
-    if poly.degree != 4 * N * d:
-        raise LeadingSingular(
-            f"zeta-polynomial degree {poly.degree} != 4Nd = {4 * N * d}")
-    zeta = numkernel.polynomial_roots(poly, tol)
+    w, vectors, errors = _eigenpairs(_shifted_blocks(p), tol)
+    z = op.epsilon * w  # zeta - 1
+    # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
+    lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
+           + 1j * np.arctan2(z.imag, 1.0 + z.real)) / op.epsilon
+    order = np.lexsort((lam.real, lam.imag))
+    zeta = _rootset(1.0 + z, errors, vectors, order, tol)
     if not zeta.is_simple(separation_tol):
         raise DegenerateRoots("zeta-roots cluster below the separation tolerance")
-
-    lam_roots = np.log(zeta.roots) / op.epsilon
-    order = np.lexsort((lam_roots.real, lam_roots.imag))
-    lam = RootSet(lam_roots[order], zeta.residuals[order],
-                  numkernel._min_separation(lam_roots), tol)
-    zeta_sorted = RootSet(zeta.roots[order], zeta.residuals[order],
-                          zeta.min_separation, tol)
-    return TranscendentalSpectrum(lam, zeta_sorted)
+    return TranscendentalSpectrum(_rootset(lam, errors, vectors, order, tol), zeta)
 
 
 @dataclass(frozen=True)
@@ -191,15 +245,11 @@ class Setting:
             return classical_pencil(self.spec, nu)
         return transcendental_pencil(self.spec, self.op, nu)
 
-    def evaluate(self, p, z: complex) -> np.ndarray:
-        """Pencil value at z in the root variable."""
-        if self.op is None:
-            return classical_eval(p, z)
-        return transcendental_eval(p, z)
-
     def at_constant(self, p) -> np.ndarray:
         """Pencil value at the constant mode (lam = 0, i.e. zeta = 1)."""
-        return self.evaluate(p, 0.0 if self.op is None else 1.0)
+        if self.op is None:
+            return classical_eval(p, 0.0)
+        return transcendental_eval(p, 1.0)
 
     @property
     def constant_rhs(self) -> np.ndarray:
@@ -252,8 +302,7 @@ def _check_assumptions(setting: Setting, n: int, tol: float) -> Assumptions:
     try:
         modes_n = setting.modes(n, tol)
         modes_0 = setting.modes(0, tol)
-    except (LeadingSingular, DegenerateRoots, numkernel.NumericalFailure,
-            numkernel.InterpolationInconsistent) as exc:
+    except (LeadingSingular, DegenerateRoots, numkernel.NumericalFailure) as exc:
         return Assumptions(setting, None, None, False, False, False, False, False, False,
                            note=str(exc))
     count = setting.root_count

@@ -175,7 +175,7 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
         u0 = celsolve.constant_mode(setting, n)
     except numkernel.Singular as exc:
         raise NotChoreographic("nu=n pencil is singular at the constant mode") from exc
-    basis = celsolve.mode_basis(setting, modes_0)
+    basis = celsolve.mode_basis(modes_0)
 
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
     if len(amplitudes) != len(roots):

@@ -9,12 +9,13 @@ adjoint (mirrored-shift) operator uses f(t − j eps) with chi_j weights and
 converges to −d/dt; their composition carries the discrete second-derivative
 symbol exposed below.
 
-On a grid the windows are integers (`chi_node`), so each operator caches one
-read-only stencil: theta/sigma1 coefficients and `WindowTables`.  The time-based
-`chi` and `*box_apply` functions apply the same operators node by node.
+On a grid the windows are integers (`chi_node`); each operator caches read-only
+theta/sigma1 coefficients, `WindowTables` and the binomial `shift` to (zeta - 1)/eps.
+The time-based `chi` and `*box_apply` functions apply the same operators node by node.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -63,6 +64,14 @@ class ScaleOperator:
     def windows(self) -> "WindowTables":
         """Window weights at every node position, computed once per operator."""
         return _window_tables(self)
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """Binomial shift S[i, j] = eps^i C(j, i), i, j = 0..4N (read-only): coefficients
+        c of a polynomial in zeta become S @ c in w = (zeta - 1)/eps."""
+        ks = range(4 * self.N + 1)
+        binom = np.array([[math.comb(j, i) for j in ks] for i in ks], dtype=float)
+        return _read_only(binom * self.epsilon ** np.arange(len(ks))[:, None])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -118,7 +127,7 @@ def chi(op: ScaleOperator, j: int, t: float, t0: float, tf: float) -> int:
     if not t0 < tf:
         raise ValueError("chi requires t0 < tf")
     eps = op.epsilon
-    slack = 1e-9 * eps
+    slack = 1e-9 * eps + 8 * math.ulp(max(abs(t0), abs(tf), abs(t)))  # rounding of t
     lo = max(t0, t0 + j * eps)
     hi = min(tf, tf + j * eps)
     return int(lo - slack <= t <= hi + slack)

@@ -59,6 +59,18 @@ class TestSuccess:
         rows = (out / "error_surface_gamma.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 9
 
+    @pytest.mark.parametrize("grid", ["gamma", "k"])
+    def test_error_surface_samples_the_continuous_solution_once(
+            self, tmp_path, ref_config, monkeypatch, grid):
+        # the boundary data and window values depend on (cfg, N) only, not on the
+        # cell: once for the 3x3 gamma grid, once for the one M of the k grid
+        calls = []
+        original = cli._matched_del_data
+        monkeypatch.setattr(cli, "_matched_del_data",
+                            lambda *args: calls.append(args) or original(*args))
+        code, _ = run(tmp_path, "error-surface", ref_config, "--grid", grid)
+        assert code == cli.EXIT_OK and len(calls) == 1
+
     def test_error_surface_k(self, tmp_path, ref_config):
         code, out = run(tmp_path, "error-surface", ref_config, "--grid", "k")
         assert code == cli.EXIT_OK

@@ -1,8 +1,9 @@
 """Golden-output guard: three small CLI runs must keep writing the same bytes.
 
-The digests were recorded before the grid layer gained its cached stencil
-tables and array residuals.  A cache or vectorisation that moves one bit of a
-written number fails here, instead of silently changing a benchmark cell.
+The digests were recorded when the spectra moved to block-companion
+eigen-solves, after `test_oracle.py` confirmed the new roots against 50-digit
+ones.  A cache or vectorisation that moves one bit of a written number fails
+here, instead of silently changing a benchmark cell.
 Each run is a fresh `python -m choreoqep.cli` with BLAS pinned to one thread,
 as the benchmark runs it: threaded BLAS rounds differently with the core count.
 """
@@ -24,11 +25,11 @@ BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
 
 RUNS = {  # name -> (argv, file written, (tf, M), sha256 of the file)
     "gamma": (["error-surface", "--grid", "gamma"], "error_surface_gamma.csv", (1.0, 100),
-              "9a1cc55dd47fa4232bc9dc2e52855be8ca5e1b01980302b06a5bf97492b04f9a"),
+              "960c11d18671ae111063bf69570b37bd04f76eed16a45b8992c293dbf152bbf6"),
     "converge": (["converge"], "converge.csv", (1.0, 100),
-                 "a308b8162799c48448d1746c6c5a3a8e7d2faf2628387092ffcd61393b9ed466"),
+                 "33c10c53307e6aca70480000ef2ba02c89470e743e99155c473af0d804a8b311"),
     "solve_del": (["solve", "--which", "del"], "traj_del.csv", (4.0, 400),
-                  "52ac40e1a4454d5acbc902b094bb7f0ed9e4acb65c04e0cb26b3137dbd348973"),
+                  "7d4ae46a79e7aab5421578e93480590763a13c1c0f845e5d26917a1c2a445200"),
 }
 
 

@@ -225,7 +225,7 @@ def test_grid_path_never_calls_the_float_window(monkeypatch):
 
 def test_cached_stencil_arrays_are_read_only():
     op = OPERATORS["five_point"](0.1)
-    for arr in (op.gamma, op.theta, op.sigma1, *op.windows):
+    for arr in (op.gamma, op.theta, op.sigma1, op.shift, *op.windows):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
 

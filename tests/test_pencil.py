@@ -5,8 +5,8 @@ import pytest
 
 from choreoqep import numkernel
 from choreoqep.model import LagrangianSpec
-from choreoqep.pencil import (DegenerateRoots, LeadingSingular, ZeroArgument,
-                              check_cel_assumptions, check_del_assumptions,
+from choreoqep.pencil import (ClassicalPencil, DegenerateRoots, LeadingSingular,
+                              ZeroArgument, check_cel_assumptions, check_del_assumptions,
                               classical_eval, classical_pencil,
                               classical_spectrum, coefficient_matrices,
                               transcendental_eval, transcendental_pencil,
@@ -175,11 +175,18 @@ class TestAssumptionChecks:
         rep = check_cel_assumptions(spec, 3)
         assert not rep.disjoint and not rep.all_hold
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vanishing_constant_block(self):
         j4 = 0.5 * J2  # J2 - 2 J4 = 0
         spec = LagrangianSpec(2, 3, J1, J2, J3, j4)
         rep = check_cel_assumptions(spec, 3)
         assert not rep.det_p00_nonzero
+        # J5 = 0 too, so P_0(lam) = A lam^2: every backward-error term vanishes, and
+        # the result is typed with no warning
+        roots = classical_spectrum(classical_pencil(spec, 0))
+        assert (roots.roots == 0).all() and (roots.residuals == 0).all()
+        rep = check_del_assumptions(spec, central_difference(0.05), 3)
+        assert not rep.det_p00_nonzero and not rep.all_hold
 
     def test_reference_del_all_hold(self, ref_spec):
         op = central_difference(2 * math.pi / 100)
@@ -196,3 +203,39 @@ class TestAssumptionChecks:
         rep = check_del_assumptions(ref_spec, op, 3)
         assert not rep.precondition_ok and not rep.all_hold
         assert "gamma" in rep.note
+
+
+class TestCompanionErrorPaths:
+    def test_lapack_non_convergence_is_a_numerical_failure(self, monkeypatch, ref_spec):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(numkernel.NumericalFailure):
+            classical_spectrum(classical_pencil(ref_spec, 0))
+        p = transcendental_pencil(ref_spec, central_difference(0.05), 0)
+        with pytest.raises(numkernel.NumericalFailure):
+            transcendental_spectrum(p)
+        rep = check_del_assumptions(ref_spec, central_difference(0.05), 3)
+        assert not rep.precondition_ok and "eigen-solve" in rep.note
+
+    def test_infinite_eigenvalues_are_a_degree_drop(self):
+        # a leading block too small to invert in floating point: the companion overflows
+        p = ClassicalPencil(1e-310 * np.eye(2), np.zeros((2, 2)), np.eye(2), 0.0)
+        with pytest.raises(LeadingSingular):
+            classical_spectrum(p)
+
+    def test_backward_error_above_tol_is_rejected(self, ref_spec):
+        p = transcendental_pencil(ref_spec, central_difference(0.05), 3)
+        assert transcendental_spectrum(p).zeta.residuals.max() > 1e-30
+        with pytest.raises(numkernel.NumericalFailure):
+            transcendental_spectrum(p, tol=1e-30)
+
+    def test_real_weights_give_conjugate_pairs_and_vectors(self, ref_spec):
+        # real arithmetic: roots and kernel vectors come in exact conjugate pairs
+        p = transcendental_pencil(ref_spec, central_difference(0.05), 0)
+        sp = transcendental_spectrum(p)
+        z, v = sp.zeta.roots, sp.zeta.vectors
+        partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
+        assert np.array_equal(z[partner], z.conj())
+        assert np.array_equal(v[partner], v.conj())

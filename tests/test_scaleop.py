@@ -4,7 +4,7 @@ import pytest
 from choreoqep.scaleop import (GridFunction, OutOfRange, ScaleOperator,
                                adjoint_box_apply, box_apply, boxbox_apply,
                                central_difference, check_operator_conditions,
-                               chi, k_family, symbol_s, symbol_s_bar,
+                               chi, chi_node, k_family, symbol_s, symbol_s_bar,
                                symbol_sigma1, symbol_theta)
 
 
@@ -28,6 +28,17 @@ class TestChi:
         op = central_difference(0.1)
         assert chi(op, -1, 0.9, 0.0, 1.0) == 1
         assert chi(op, -1, 1.0, 0.0, 1.0) == 0
+
+    @pytest.mark.parametrize("op", [central_difference(1e-3), ScaleOperator(
+        np.array([1, -8, 0, 8, -1]) / 12.0, 1e-3)], ids=["central", "five_point"])
+    def test_agrees_with_chi_node_far_from_zero(self, op):
+        # at t0 = 1e6 the rounding of node times (ulp ~1.2e-10) exceeds 1e-9 eps
+        t0, M = 1e6, 200
+        f = GridFunction(t0, op.epsilon, np.zeros(M + 1))
+        tf = f.node_time(M)
+        for m in range(M + 1):
+            for j in range(-2 * op.N, 2 * op.N + 1):
+                assert chi(op, j, f.node_time(m), t0, tf) == chi_node(j, m, M), (m, j)
 
 
 class TestBoxApply:
@@ -172,3 +183,16 @@ class TestComposition:
         # the windowed double-sum gives the same composition in one shot
         direct = boxbox_apply(op, f, m, 0.0, M * eps)[0]
         assert abs(direct - want) < 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("op", [central_difference(0.1), ScaleOperator(
+    np.array([1, -8, 0, 8, -1]) / 12.0, 0.01)], ids=["central", "five_point"])
+def test_shift_rewrites_zeta_coefficients_in_w(op):
+    """S @ c are the coefficients of sum_j c_j zeta^j in w = (zeta - 1)/eps."""
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(4 * op.N + 1) + 1j * rng.standard_normal(4 * op.N + 1)
+    for w in (0.3 - 1.2j, 7.0, -40.0 + 2.0j):
+        zeta = 1.0 + op.epsilon * w
+        want = np.polynomial.polynomial.polyval(zeta, c)
+        got = np.polynomial.polynomial.polyval(w, op.shift @ c)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

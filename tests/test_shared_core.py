@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from choreoqep import celsolve, delsolve, numkernel, pencil
 from choreoqep.model import LagrangianSpec
@@ -23,24 +24,49 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+# determinant interpolation, polynomial roots and SVD kernels: test references only
+REFERENCE_PATHS = ("det_as_polynomial", "polynomial_roots", "kernel_vector")
+
+
 def test_dirichlet_cel_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
     spectra = count_calls(monkeypatch, pencil, "classical_spectrum")
-    kernels = count_calls(monkeypatch, numkernel, "kernel_vector")
+    solves = count_calls(monkeypatch, pencil, "_eigenpairs")
+    references = [count_calls(monkeypatch, numkernel, name) for name in REFERENCE_PATHS]
     rng = np.random.default_rng(1)
     celsolve.dirichlet_cel(ref_spec, 3, 0.0, 1.0, rng.standard_normal((3, 2)),
                            rng.standard_normal((3, 2)))
     assert spectra[0] == 2  # nu = n and nu = 0
-    assert kernels[0] == 8  # one per root: 2d + 2d
+    assert solves[0] == 2  # roots and kernel vectors together
+    assert [calls[0] for calls in references] == [0, 0, 0]
 
 
 def test_dirichlet_del_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
     spectra = count_calls(monkeypatch, pencil, "transcendental_spectrum")
-    kernels = count_calls(monkeypatch, numkernel, "kernel_vector")
+    solves = count_calls(monkeypatch, pencil, "_eigenpairs")
+    references = [count_calls(monkeypatch, numkernel, name) for name in REFERENCE_PATHS]
     rng = np.random.default_rng(2)
     delsolve.dirichlet_del(ref_spec, central_difference(0.01), 3, 0.0, 100,
                            rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2)))
     assert spectra[0] == 2
-    assert kernels[0] == 16  # one per root: 4Nd + 4Nd
+    assert solves[0] == 2
+    assert [calls[0] for calls in references] == [0, 0, 0]
+
+
+def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
+    op = central_difference(0.05)
+    for setting in (pencil.Setting(ref_spec), pencil.Setting(ref_spec, op)):
+        modes = setting.modes(3)
+        basis = celsolve.mode_basis(modes)
+        assert basis.shape == (setting.root_count, 2)
+        for z, v in zip(modes.roots.roots, basis):
+            # the same unit, phase-fixed direction as the SVD reference, up to rounding
+            if setting.op is None:
+                m = pencil.classical_eval(modes.pencil, z)
+            else:
+                m = pencil.transcendental_eval(modes.pencil, z)
+            ref = numkernel.kernel_vector(m, rank_tol=1e-6)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            assert np.abs(v - ref).max() <= 1e-8
 
 
 def test_both_checkers_report_a_singular_leading_block():
