@@ -4,7 +4,8 @@ As the delay shrinks, the discrete pencil tends to the quadratic one locally
 uniformly and the discrete spectrum, intersected with a compact window that
 discards the divergent roots, tends to the classical spectrum in the
 Hausdorff metric.  This module measures both; the pencil errors over a square
-grid of the window are one array expression in the two operator symbols.
+grid of the window are one array expression in the forward and adjoint symbols,
+summed from expm1 terms so that they stay accurate at small eps.
 """
 from __future__ import annotations
 
@@ -61,13 +62,15 @@ def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
 
 
 def _pencil_error(op: scaleop.ScaleOperator, lam: np.ndarray, gram: np.ndarray) -> float:
-    """max over lam of ||P_eps(e^{lam eps}) - P(lam)||_F.  The difference is
-    alpha A_nu + beta J5, alpha = -(theta_hat + lam^2) and beta = -(sigma1_hat - 2 lam),
-    so its norm comes from the Gram matrix of (A_nu, J5)."""
-    N, eps = op.N, op.epsilon
-    powers = np.exp(np.outer(lam, np.arange(-2 * N, 2 * N + 1)) * eps)
-    coeffs = -np.stack([powers @ op.theta / eps**2 + lam**2,
-                        powers[:, N:3 * N + 1] @ op.sigma1 / eps - 2.0 * lam])
+    """max over lam of ||P_eps(e^{lam eps}) - P(lam)||_F = ||alpha A_nu + beta J5||_F, from
+    the Gram matrix of (A_nu, J5).  With the symbols p = s(lam), q = s_bar(lam), theta_hat =
+    p q and sigma1_hat = p - q give alpha = -((p - lam) q + lam (q + lam)) and
+    beta = -((p - lam) - (q + lam)); p - lam and q + lam are summed from expm1 terms."""
+    eps, total = op.epsilon, op.gamma.sum()
+    x = np.outer(lam, np.arange(-op.N, op.N + 1)) * eps
+    p_lam = (np.expm1(x) @ op.gamma + total) / eps - lam  # p - lam
+    q_lam = (np.expm1(-x) @ op.gamma + total) / eps + lam  # q + lam
+    coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam])
     sq = np.einsum("ig,ij,jg->g", coeffs.conj(), gram, coeffs).real
     return float(np.sqrt(np.maximum(sq, 0.0)).max())
 

@@ -129,7 +129,8 @@ def polynomial_roots(p: Polynomial, tol: float = 1e-8) -> RootSet:
     """All roots of p (with multiplicity) via companion-matrix eigenvalues.
 
     Each eigenvalue gets one Newton correction (kept only if it does not
-    worsen the residual); residuals are |p(root)| / max|coeff|.
+    worsen the residual); residuals are the normwise backward errors
+    |p(root)| / sum_i |c_i| |root|^i.
     """
     if p.degree < 1:
         raise DegreeZero("polynomial_roots requires degree >= 1")
@@ -147,8 +148,7 @@ def polynomial_roots(p: Polynomial, tol: float = 1e-8) -> RootSet:
     better = np.abs(npoly.polyval(refined, c)) <= np.abs(val)
     roots = np.where(better, refined, roots)
 
-    scale = np.abs(c).max()
-    residuals = np.abs(npoly.polyval(roots, c)) / scale
+    residuals = np.abs(npoly.polyval(roots, c)) / npoly.polyval(np.abs(roots), np.abs(c))
     worst = residuals.max()
     if worst > tol:
         raise NumericalFailure(

@@ -13,7 +13,10 @@ Each spectrum is one LAPACK eigen-solve of a monic block companion (Tisseur &
 Meerbergen, SIAM Rev. 2001), real when the weights are real.  The zeta-polynomial
 is shifted to w = (zeta - 1)/eps first, where its coefficients B_i are O(1) near
 the convergent roots.  The larger end d-block of an eigenvector (v, w v, ...) is
-the root's kernel vector v; the pair is accepted when its normwise backward error
+the root's kernel vector v.  Antisymmetric weights (gamma_{-j} = -gamma_j) skip the
+zeta-companion: with s = g(zeta)/eps, g = sum_j gamma_j zeta^j, the discrete pencil
+is P(s), so its roots are the 2N preimages under s of each classical root, with that
+root's kernel vector.  A pair is accepted when its normwise backward error
 ||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the
 root's residual.  `Setting` is the one place where the two settings differ; the
 assumption checker, the solvers' shared core and the periodicity code run on it.
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from . import numkernel
 from .model import LagrangianSpec
@@ -72,6 +76,23 @@ def _is_singular(m: np.ndarray) -> bool:
     return s[0] == 0 or s[-1] <= 1e-12 * s[0]
 
 
+def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
+                     v: np.ndarray, tol: float) -> np.ndarray:
+    """||Q(mu) v|| / (sum_i |mu|^i ||B_i||_F ||v||) for each root mu and column v;
+    NumericalFailure unless every error is at most tol and no v vanishes."""
+    with np.errstate(all="ignore"):
+        powers = mu ** np.arange(len(blocks))[:, None]
+        num = np.linalg.norm(((blocks @ v) * powers[:, None]).sum(axis=0), axis=0)
+        den = np.abs(powers).T @ norms * np.linalg.norm(v, axis=0)
+        # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
+        errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
+    if not (errors.max() <= tol and np.abs(v).max(axis=0).min() > 0):
+        raise numkernel.NumericalFailure(
+            f"eigenpairs fail the backward-error test (worst {errors.max():.3e}, "
+            f"tol {tol:.1e}) or have a vanishing kernel block")
+    return errors
+
+
 def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
     """Roots w, unit kernel vectors (rows) and backward errors of sum_i w^i blocks[i],
     from its monic block companion in mu = w / s, s equalising ||B_0|| and ||B_k||."""
@@ -97,16 +118,7 @@ def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
     # the eigenvector is (v, mu v, .., mu^{k-1} v): read v from its larger end block
     mu = mu.astype(complex)
     v = np.where(np.abs(mu) <= 1.0, vecs[:d], vecs[-d:]).astype(complex)
-    with np.errstate(all="ignore"):
-        powers = mu ** np.arange(k + 1)[:, None]
-        num = np.linalg.norm(((blocks @ v) * powers[:, None]).sum(axis=0), axis=0)
-        den = np.abs(powers).T @ norms * np.linalg.norm(v, axis=0)
-        # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
-        errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
-    if not (errors.max() <= tol and np.abs(v).max(axis=0).min() > 0):
-        raise numkernel.NumericalFailure(
-            f"eigenpairs fail the backward-error test (worst {errors.max():.3e}, "
-            f"tol {tol:.1e}) or have a vanishing kernel block")
+    errors = _backward_errors(blocks, norms, mu, v, tol)
     top = v[np.argmax(np.abs(v), axis=0), np.arange(len(mu))]
     v = v * (top.conj() / np.abs(top))  # largest component real positive
     return s * mu, (v / np.linalg.norm(v, axis=0)).T, errors
@@ -184,10 +196,42 @@ def _shifted_blocks(p: TranscendentalPencil) -> np.ndarray:
              + np.multiply.outer(op.shift[:, 2 * N], c_nu))
 
 
+def _preimages(p: TranscendentalPencil, tol: float) -> tuple:
+    """Roots w, kernel vectors and backward errors of zeta^{2N} P(zeta) = zeta^{2N} P(s)
+    from the classical pairs (lam_k, v_k): the roots of h_k = zeta^N (g(zeta)/eps - lam_k),
+    from one batch of scaled companions and a Newton step kept unless it raises |h_k|."""
+    op, N, eps = p.op, p.op.N, p.op.epsilon
+    q = classical_pencil(p.spec, p.nu)
+    lam, vectors, _ = _eigenpairs(np.stack([q.C, q.B, q.A]), tol)
+    head = op.shift[:2 * N + 1, :2 * N + 1]
+    gamma = op.gamma if op.gamma.imag.any() else op.gamma.real
+    coeffs = (head @ gamma) / eps - lam[:, None] * head[:, N]  # ascending in w
+    with np.errstate(all="ignore"):
+        s = (np.abs(coeffs[:, :1]) / np.abs(coeffs[:, -1:])) ** (1.0 / (2 * N))
+    s = np.where((s > 0) & (s < np.inf), s, 1.0)  # mu = w / s
+    scaled = coeffs * s ** np.arange(2 * N + 1)
+    companion = np.zeros((len(lam), 2 * N, 2 * N), dtype=complex)
+    companion[:, :-1, 1:] = np.eye(2 * N - 1)
+    companion[:, -1] = -scaled[:, :-1] / scaled[:, -1:]
+    try:
+        w = s * np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") from exc
+    c = coeffs.T[:, :, None]  # polyval evaluates row i of w with coeffs[i]
+    h = npoly.polyval(w, c, tensor=False)
+    with np.errstate(all="ignore"):
+        newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
+    w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
+    w, vectors = w.ravel(), np.repeat(vectors, 2 * N, axis=0)
+    blocks = _shifted_blocks(p)
+    norms = np.linalg.norm(blocks, axis=(1, 2))
+    return w, vectors, _backward_errors(blocks, norms, w, vectors.T, tol)
+
+
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
                             separation_tol: float = 1e-7) -> TranscendentalSpectrum:
     """All 4Nd discrete phases and their kernel vectors, from the companion of
-    zeta^{2N} P(zeta) in w = (zeta - 1)/eps.
+    zeta^{2N} P(zeta) in w = (zeta - 1)/eps or, for antisymmetric weights, as preimages.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
@@ -200,7 +244,10 @@ def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
     if _is_singular(a_nu):
         raise LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
 
-    w, vectors, errors = _eigenpairs(_shifted_blocks(p), tol)
+    if not (op.gamma + op.gamma[::-1]).any():  # antisymmetric: gamma_{-j} = -gamma_j
+        w, vectors, errors = _preimages(p, tol)
+    else:
+        w, vectors, errors = _eigenpairs(_shifted_blocks(p), tol)
     z = op.epsilon * w  # zeta - 1
     # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
     lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)

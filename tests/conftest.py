@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from choreoqep import model
+from choreoqep import model, pencil
 from choreoqep.model import LagrangianSpec
 
 J1 = np.array([[7.0, 2.0], [2.0, 7.0]])
@@ -50,6 +50,19 @@ def make_discrete_tuned_spec_d3(op, omegas=(1.0, 2.0, 3.0), n=5):
     j3 = np.zeros((3, 3))
     j4 = 0.5 * j2 + 0.5 * np.diag(kappa)
     return LagrangianSpec(3, n, j1, j2, j3, j4)
+
+
+def record_eigenpair_blocks(monkeypatch):
+    """Wrap pencil._eigenpairs; returns the list of block shapes it is called on."""
+    shapes = []
+    original = pencil._eigenpairs
+
+    def recorded(blocks, tol):
+        shapes.append(blocks.shape)
+        return original(blocks, tol)
+
+    monkeypatch.setattr(pencil, "_eigenpairs", recorded)
+    return shapes
 
 
 @pytest.fixture

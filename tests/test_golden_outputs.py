@@ -1,8 +1,8 @@
 """Golden-output guard: three small CLI runs must keep writing the same bytes.
 
-The digests were recorded when the spectra moved to block-companion
-eigen-solves, after `test_oracle.py` confirmed the new roots against 50-digit
-ones.  A cache or vectorisation that moves one bit of a written number fails
+The digests were re-recorded when antisymmetric weights moved to preimages of
+the classical roots (and the pencil error to expm1 sums), after `test_oracle.py`
+confirmed the new roots against 50-digit ones.  A cache or vectorisation that moves one bit of a written number fails
 here, instead of silently changing a benchmark cell.
 Each run is a fresh `python -m choreoqep.cli` with BLAS pinned to one thread,
 as the benchmark runs it: threaded BLAS rounds differently with the core count.
@@ -25,11 +25,11 @@ BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
 
 RUNS = {  # name -> (argv, file written, (tf, M), sha256 of the file)
     "gamma": (["error-surface", "--grid", "gamma"], "error_surface_gamma.csv", (1.0, 100),
-              "960c11d18671ae111063bf69570b37bd04f76eed16a45b8992c293dbf152bbf6"),
+              "da1e65930bd8f8474d8e981d61902452cf43dd891ea82e6913d9703b8dee8a4b"),
     "converge": (["converge"], "converge.csv", (1.0, 100),
-                 "33c10c53307e6aca70480000ef2ba02c89470e743e99155c473af0d804a8b311"),
+                 "4de3ea3ebd91e219d71ab8729f0d6d61e37b485a16f1becdefc9497b51af1d26"),
     "solve_del": (["solve", "--which", "del"], "traj_del.csv", (4.0, 400),
-                  "7d4ae46a79e7aab5421578e93480590763a13c1c0f845e5d26917a1c2a445200"),
+                  "83ae278f6115c365a8f17af229d025eb5b62a7529b91bea524c25b820a76467a"),
 }
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from choreoqep import celsolve, delsolve, numkernel, pencil
 from choreoqep.model import LagrangianSpec
-from choreoqep.scaleop import central_difference
+from choreoqep.scaleop import central_difference, k_family
 
-from conftest import J2
+from conftest import J2, record_eigenpair_blocks
 
 
 def count_calls(monkeypatch, module, name):
@@ -40,16 +40,33 @@ def test_dirichlet_cel_computes_each_spectrum_and_basis_once(monkeypatch, ref_sp
     assert [calls[0] for calls in references] == [0, 0, 0]
 
 
-def test_dirichlet_del_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
+def del_solve_calls(monkeypatch, spec, op):
+    """dirichlet_del's spectrum calls, _eigenpairs block shapes and reference-path calls."""
     spectra = count_calls(monkeypatch, pencil, "transcendental_spectrum")
-    solves = count_calls(monkeypatch, pencil, "_eigenpairs")
+    shapes = record_eigenpair_blocks(monkeypatch)
     references = [count_calls(monkeypatch, numkernel, name) for name in REFERENCE_PATHS]
     rng = np.random.default_rng(2)
-    delsolve.dirichlet_del(ref_spec, central_difference(0.01), 3, 0.0, 100,
+    delsolve.dirichlet_del(spec, op, 3, 0.0, 100,
                            rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2)))
-    assert spectra[0] == 2
-    assert solves[0] == 2
-    assert [calls[0] for calls in references] == [0, 0, 0]
+    return spectra[0], shapes, [calls[0] for calls in references]
+
+
+def test_dirichlet_del_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
+    # antisymmetric weights: one classical (C, B, A) solve per spectrum, and none of
+    # the shifted (4N+1, d, d) zeta-companion
+    spectra, shapes, references = del_solve_calls(monkeypatch, ref_spec,
+                                                  central_difference(0.01))
+    assert spectra == 2
+    assert shapes == [(3, 2, 2), (3, 2, 2)]
+    assert references == [0, 0, 0]
+
+
+def test_dirichlet_del_solves_the_zeta_companion_for_other_weights(monkeypatch, ref_spec):
+    spectra, shapes, references = del_solve_calls(monkeypatch, ref_spec,
+                                                  k_family(0.01, 0.3))
+    assert spectra == 2
+    assert shapes == [(5, 2, 2), (5, 2, 2)]
+    assert references == [0, 0, 0]
 
 
 def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
