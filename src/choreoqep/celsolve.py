@@ -5,9 +5,11 @@ Solutions are synthesized as u0 + sum_l e^{lam_l t} u_l: the summed variable
 x_s carries the nu = n pencil phases, and each particle adds nu = 0 phases on
 top of (1/n) x_s.  The homogeneous parts are constrained to sum to zero over
 particles, which is resolved by eliminating the last particle's amplitudes.
-The core (`_Core`) runs on a `pencil.Setting` without asking which one it is:
-it computes each kernel basis and the x_s constant once, assembles x_s and the
-particles, and solves amplitudes from samples at the ends of the interval.
+The core (`_Core`) runs on a batch of `pencil.Setting`s without asking which
+kind they are: it holds each kernel basis and x_s constant with a leading batch
+axis, assembles x_s and the particles, and solves amplitudes from samples at the
+ends of the interval, every item at once.  An item that fails keeps the typed
+error its lone solve raises; the single-system entry points are the batch of one.
 """
 from __future__ import annotations
 
@@ -46,10 +48,9 @@ class ModeExpansion:
             vec = vec[None, :]
         if vec.shape != (len(lam), len(u0)):
             raise ValueError("vectors must be (K, d) matching lambdas and u0")
-        if len(lam) >= 2:
-            diff = np.abs(lam[:, None] - lam[None, :])
-            if diff[~np.eye(len(lam), dtype=bool)].min() <= 1e-10:
-                raise ValueError("mode phases must be pairwise distinct")
+        phase_failure, = _phase_failures(lam[None])
+        if phase_failure:
+            raise phase_failure
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "vectors", vec)
@@ -61,10 +62,8 @@ class ModeExpansion:
     def value(self, t):
         """Evaluate at scalar or array times; returns (..., d)."""
         t = np.asarray(t, dtype=float)
-        if len(self.lambdas) == 0:
-            return np.broadcast_to(self.u0, t.shape + (self.d,)).copy()
-        phases = np.exp(t[..., None] * self.lambdas)
-        return self.u0 + phases @ self.vectors
+        values = _expansion_values(self.u0, self.lambdas, self.vectors, t.reshape(-1))
+        return values.reshape(t.shape + (self.d,))
 
     __call__ = value
 
@@ -102,6 +101,21 @@ class SystemSolution:
         return float(np.abs(total - ref).max()) / scale
 
 
+def _phase_failures(lams: np.ndarray) -> list:
+    """Per row of a (B, K) stack of phases: a ValueError when two lie within 1e-10."""
+    diff = np.abs(lams[:, :, None] - lams[:, None, :])
+    diff[:, np.eye(lams.shape[1], dtype=bool)] = np.inf
+    return [ValueError("mode phases must be pairwise distinct") if close else None
+            for close in diff.min(axis=(1, 2), initial=np.inf) <= 1e-10]
+
+
+def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
+                      t: np.ndarray) -> np.ndarray:
+    """u0 + sum_l e^{lam_l t} u_l at the times t (T,), over any leading axes of
+    u0 (..., d), lams (..., K) and vectors (..., K, d): (..., T, d)."""
+    return u0[..., None, :] + np.exp(t[:, None] * lams[..., None, :]) @ vectors
+
+
 def mode_basis(modes: pencil.Modes) -> np.ndarray:
     """Unit kernel direction of the pencil at every root (rows): an end d-block of
     the root's companion eigenvector, its largest component made real positive."""
@@ -110,88 +124,131 @@ def mode_basis(modes: pencil.Modes) -> np.ndarray:
 
 def constant_mode(setting: pencil.Setting, n: int) -> np.ndarray:
     """Constant solution of one particle; n times it is the constant of x_s."""
-    p_n = setting.pencil(n)
-    return numkernel.solve_square(setting.at_constant(p_n), setting.constant_rhs).x
+    return numkernel.solve_square(setting.at_constant(setting.pencil(n)),
+                                  setting.constant_rhs).x
+
+
+def _live(failures: list) -> np.ndarray:
+    return np.flatnonzero([f is None for f in failures])
+
+
+def _set_failures(failures: list, live: np.ndarray, found: list) -> list:
+    """failures with found[j] at item live[j], which has not failed yet."""
+    found = dict(zip(live, found))
+    return [found.get(i) if f is None else f for i, f in enumerate(failures)]
+
+
+def _violation(failure, checks: np.ndarray, n: int) -> AssumptionViolation | None:
+    """What a solve raises, if anything, given `pencil._check_assumptions` for its item."""
+    count_n, count_0, disjoint, det_n, det_0 = (bool(c) for c in checks)
+    if failure is not None:
+        return AssumptionViolation(f"pencil precondition fails: {failure}")
+    if n == 1:
+        # single particle: the nu=0 modes are eliminated by the sum constraint,
+        # so only the x_s pencil conditions matter
+        if not (count_n and det_n):
+            return AssumptionViolation("x_s pencil assumptions fail for n = 1")
+    elif not checks.all():
+        return AssumptionViolation(
+            f"pencil assumptions fail: counts ({count_n}, {count_0}), "
+            f"disjoint {disjoint}, det at 0 ({det_n}, {det_0})")
+    return None
 
 
 class _Core:
-    """Mode bases and the x_s constant of one system, each computed on first use.
+    """Mode bases and x_s constants of a batch of settings sharing spec, N and eps, with
+    a leading batch axis.  failures[i] is what a solve of item i raises so far: an
+    AssumptionViolation unless its assumptions hold, None while it has not failed."""
 
-    Raises AssumptionViolation unless the report's assumptions hold.
-    """
-
-    def __init__(self, rep: pencil.Assumptions, n: int):
-        if not rep.precondition_ok:
-            raise AssumptionViolation(f"pencil precondition fails: {rep.note}")
-        if n == 1:
-            # single particle: the nu=0 modes are eliminated by the sum constraint,
-            # so only the x_s pencil conditions matter
-            if not (rep.count_n_ok and rep.det_pn0_nonzero):
-                raise AssumptionViolation("x_s pencil assumptions fail for n = 1")
-        elif not rep.all_hold:
-            raise AssumptionViolation(
-                f"pencil assumptions fail: counts ({rep.count_n_ok}, {rep.count_0_ok}), "
-                f"disjoint {rep.disjoint}, det at 0 ({rep.det_pn0_nonzero}, "
-                f"{rep.det_p00_nonzero})")
-        self.rep = rep
-        self.n = n
-        self.lam_n = rep.modes_n.lam.roots
-        self.lam_0 = rep.modes_0.lam.roots
+    def __init__(self, settings: list, n: int):
+        sp_n, sp_0, failures, checks = pencil._check_assumptions(settings, n, 1e-7)
+        self.settings, self.n = settings, n
+        self.failures = [_violation(f, c, n) for f, c in zip(failures, checks.T)]
+        self.lam_n, self.w_n = sp_n.lam, sp_n.vectors
+        self.lam_0, self.w_0 = sp_0.lam, sp_0.vectors
 
     @cached_property
-    def w_n(self) -> np.ndarray:
-        return mode_basis(self.rep.modes_n)
+    def xs0(self) -> tuple:
+        """(n times each item's constant mode (B, d), failures with the solves' ones)."""
+        live = _live(self.failures)
+        at, rhs = pencil._constant_systems(self.settings, self.n)
+        x, _, found = numkernel._solve_stack(at[live], rhs[live])
+        xs0 = np.zeros(rhs.shape, dtype=complex)
+        xs0[live] = self.n * x
+        return xs0, _set_failures(self.failures, live, found)
 
-    @cached_property
-    def w_0(self) -> np.ndarray:
-        return mode_basis(self.rep.modes_0)
-
-    @cached_property
-    def xs0(self) -> np.ndarray:
-        return self.n * constant_mode(self.rep.setting, self.n)
-
-    def assemble(self, xs_amplitudes, particle_amplitudes=None) -> tuple:
-        """(x_s expansion, particle expansions); amplitudes as in general_solution_cel."""
-        n = self.n
-        xs_amplitudes = np.asarray(xs_amplitudes, dtype=complex).ravel()
-        if len(xs_amplitudes) != len(self.lam_n):
-            raise ValueError(f"expected {len(self.lam_n)} x_s amplitudes")
-        if particle_amplitudes is None:
-            particle_amplitudes = np.zeros((n - 1, len(self.lam_0)), dtype=complex)
-        particle_amplitudes = np.asarray(particle_amplitudes, dtype=complex)
-        if particle_amplitudes.shape != (n - 1, len(self.lam_0)):
-            raise ValueError(f"expected ({n - 1}, {len(self.lam_0)}) particle amplitudes")
-
-        xs = ModeExpansion(self.xs0, self.lam_n, xs_amplitudes[:, None] * self.w_n)
-        shared = xs_amplitudes[:, None] * self.w_n / n
+    def expansions(self, xs_amplitudes: np.ndarray, particle_amplitudes: np.ndarray) -> tuple:
+        """(x_s, particles) of every item from amplitudes (B, K) and (B, n-1, K0), each
+        as (u0, phases, vectors): x_s (B, d), (B, K), (B, K, d); the particles, which
+        share u0 and phases, (B, 1, d), (B, 1, K'), (B, n, K', d)."""
+        n, xs0 = self.n, self.xs0[0]
+        xs = (xs0, self.lam_n, xs_amplitudes[:, :, None] * self.w_n)
+        shared = xs[2][:, None] / n
         if n == 1:
             # the zero-sum constraint kills all nu=0 modes: x_1 = x_s exactly
-            return xs, (ModeExpansion(self.xs0, self.lam_n, shared),)
-        coeffs = np.vstack([particle_amplitudes,
-                            -particle_amplitudes.sum(axis=0)[None, :]])
-        lams = np.concatenate([self.lam_n, self.lam_0])
-        extras = coeffs[:, :, None] * self.w_0  # (n, K0, d)
-        return xs, tuple(ModeExpansion(self.xs0 / n, lams, np.vstack([shared, e]))
-                         for e in extras)
+            return xs, (xs0[:, None], self.lam_n[:, None], shared)
+        coeffs = np.concatenate([particle_amplitudes,
+                                 -particle_amplitudes.sum(axis=1, keepdims=True)], axis=1)
+        extras = coeffs[..., None] * self.w_0[:, None]  # (B, n, K0, d)
+        shared = np.broadcast_to(shared, extras.shape[:2] + shared.shape[2:])
+        lams = np.concatenate([self.lam_n, self.lam_0], axis=1)
+        return xs, (xs0[:, None] / n, lams[:, None], np.concatenate([shared, extras], axis=2))
+
+    def assemble(self, xs_amplitudes, particle_amplitudes=None) -> tuple:
+        """(x_s expansion, particle expansions) of the batch of one; amplitudes as in
+        general_solution_cel."""
+        n, (_, failures) = self.n, self.xs0
+        if failures[0] is not None:
+            raise failures[0]
+        xs_amplitudes = np.asarray(xs_amplitudes, dtype=complex).ravel()
+        if len(xs_amplitudes) != self.lam_n.shape[1]:
+            raise ValueError(f"expected {self.lam_n.shape[1]} x_s amplitudes")
+        if particle_amplitudes is None:
+            particle_amplitudes = np.zeros((n - 1, self.lam_0.shape[1]), dtype=complex)
+        particle_amplitudes = np.asarray(particle_amplitudes, dtype=complex)
+        if particle_amplitudes.shape != (n - 1, self.lam_0.shape[1]):
+            raise ValueError(f"expected ({n - 1}, {self.lam_0.shape[1]}) particle amplitudes")
+        xs, (u0, lams, vectors) = self.expansions(xs_amplitudes[None], particle_amplitudes[None])
+        return (ModeExpansion(*(a[0] for a in xs)),
+                tuple(ModeExpansion(u0[0, 0], lams[0, 0], v) for v in vectors[0]))
 
     def boundary_solve(self, ends: tuple, data: np.ndarray) -> tuple:
-        """(x_s expansion, particle expansions, report) matching data, which is
-        (n, T, d) over the T sample times in ends = (start times, end times)."""
-        n = self.n
-        times = np.concatenate(ends)
-        amps_xs, cond_xs = _window_solve(self.lam_n, self.w_n, times,
-                                         data.sum(axis=0) - self.xs0)
-        particle_amps = np.zeros((n - 1, len(self.lam_0)), dtype=complex)
-        conds = []
+        """Amplitudes of every item matching data, (n, T, d) over the T sample times in
+        ends = (start times, end times): (x_s (B, K), particles (B, n-1, K0), condition
+        numbers (B, n), x_s first, failures).  Each stage is one stacked solve of the
+        items that have not failed yet."""
+        n, times, (xs0, failures) = self.n, np.concatenate(ends), self.xs0
+        amps_xs = np.zeros(self.lam_n.shape, dtype=complex)
+        amps_p = np.zeros((len(xs0), n - 1, self.lam_0.shape[1]), dtype=complex)
+        conds = np.full((len(xs0), n), np.nan)
+        live = _live(failures)
+        amps_xs[live], conds[live, 0], found = _window_solve(
+            self.lam_n[live], self.w_n[live], times, data.sum(axis=0) - xs0[live, None])
+        failures = _set_failures(failures, live, found)
+        live = _live(failures)
+        failures = _set_failures(failures, live, _phase_failures(self.lam_n[live]))
         if n > 1:
-            xs = ModeExpansion(self.xs0, self.lam_n, amps_xs[:, None] * self.w_n)
+            live = _live(failures)
             # one product per end: a BLAS product's rounding depends on its row count
-            xs_at = np.concatenate([xs.value(t) for t in ends])
-            for j in range(n - 1):
-                particle_amps[j], cond_j = _window_solve(self.lam_0, self.w_0, times,
-                                                         data[j] - xs_at / n)
-                conds.append(cond_j)
-        return *self.assemble(amps_xs, particle_amps), DirichletReport(cond_xs, tuple(conds))
+            xs_at = np.concatenate([_expansion_values(
+                xs0[live], self.lam_n[live], amps_xs[live, :, None] * self.w_n[live], t)
+                for t in ends], axis=1)
+            rhs = np.moveaxis(data[:n - 1] - xs_at[:, None] / n, 1, -1)  # (B', T, d, n-1)
+            amps, cond, found = _window_solve(self.lam_0[live], self.w_0[live], times, rhs)
+            amps_p[live], conds[live, 1:] = np.moveaxis(amps, -1, 1), cond[:, None]
+            failures = _set_failures(failures, live, found)
+            live = _live(failures)
+            lams = np.concatenate([self.lam_n, self.lam_0], axis=1)[live]
+            failures = _set_failures(failures, live, _phase_failures(lams))
+        return amps_xs, amps_p, conds, failures
+
+    def solve_one(self, ends: tuple, data: np.ndarray) -> tuple:
+        """(x_s expansion, particle expansions, report) of the batch of one."""
+        amps_xs, amps_p, conds, failures = self.boundary_solve(ends, data)
+        if failures[0] is not None:
+            raise failures[0]
+        report = DirichletReport(float(conds[0, 0]), tuple(float(c) for c in conds[0, 1:]))
+        return *self.assemble(amps_xs[0], amps_p[0]), report
 
 
 @dataclass(frozen=True)
@@ -203,15 +260,17 @@ class DirichletReport:
 
 
 def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
-                  rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Amplitudes from values at the given times (rhs is (len(times), d))."""
-    E = np.exp(np.outer(times, roots))  # (T, K)
-    mat = (E[:, :, None] * basis[None, :, :]).transpose(0, 2, 1).reshape(-1, len(roots))
-    try:
-        res = numkernel.solve_square(mat, rhs.reshape(-1))
-    except numkernel.Singular as exc:
-        raise SingularBoundarySystem(str(exc)) from exc
-    return res.x, res.cond
+                  rhs: np.ndarray) -> tuple:
+    """Amplitudes (B, K[, m]) from values at the given times, for each item of roots
+    (B, K), basis (B, K, d) and rhs (B, T, d[, m]); with condition numbers and the
+    failure of each item (SingularBoundarySystem for a singular system)."""
+    B, K = roots.shape
+    E = np.exp(times[:, None] * roots[:, None, :])  # (B, T, K)
+    mat = (E[..., None] * basis[:, None]).transpose(0, 1, 3, 2).reshape(B, K, K)  # square
+    x, cond, failures = numkernel._solve_stack(
+        mat, rhs.reshape((B, K) + rhs.shape[3:]))
+    return x, cond, [SingularBoundarySystem(str(f)) if isinstance(f, numkernel.Singular)
+                     else f for f in failures]
 
 
 def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
@@ -222,7 +281,7 @@ def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
     particle_amplitudes is (n-1, 2d) over nu=0 roots, the last particle's
     homogeneous amplitudes being fixed by the zero-sum constraint.
     """
-    core = _Core(pencil.check_cel_assumptions(spec, n), n)
+    core = _Core([pencil.Setting(spec)], n)
     return SystemSolution(*core.assemble(xs_amplitudes, particle_amplitudes))
 
 
@@ -233,10 +292,10 @@ def dirichlet_cel(spec: LagrangianSpec, n: int, t0: float, tf: float,
     x_t0 and x_tf hold one row per particle.  The solve decouples into one
     square system for the summed variable and one per particle.
     """
-    core = _Core(pencil.check_cel_assumptions(spec, n), n)
+    core = _Core([pencil.Setting(spec)], n)
     data = np.stack([np.asarray(x_t0, dtype=complex).reshape(n, spec.d),
                      np.asarray(x_tf, dtype=complex).reshape(n, spec.d)], axis=1)
-    xs, particles, report = core.boundary_solve(([t0], [tf]), data)
+    xs, particles, report = core.solve_one((np.array([t0]), np.array([tf])), data)
     return SystemSolution(xs, particles), report
 
 

@@ -88,10 +88,13 @@ class DelSolution(SystemSolution):
         return TrajectoryGrid(self.t0, self.op.epsilon, vals), self.xs.value(times)
 
 
-def _discrete_core(spec: LagrangianSpec, op: ScaleOperator, n: int, M: int) -> _Core:
-    core = _Core(pencil.check_del_assumptions(spec, op, n), n)
-    if M < 4 * op.N:
-        raise WindowExceeded(f"M = {M} leaves no interior window (need M >= 4N)")
+def _discrete_core(spec: LagrangianSpec, ops: list, n: int, M: int) -> _Core:
+    """The `_Core` of operators sharing N and eps; WindowExceeded for every item that
+    meets the assumptions when M < 4N."""
+    core = _Core([pencil.Setting(spec, op) for op in ops], n)
+    if M < 4 * ops[0].N:
+        core.failures = [f or WindowExceeded(
+            f"M = {M} leaves no interior window (need M >= 4N)") for f in core.failures]
     return core
 
 
@@ -106,9 +109,22 @@ def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
     """
     if M is None:
         raise ValueError("M (node count) is required")
-    core = _discrete_core(spec, op, n, M)
+    core = _discrete_core(spec, [op], n, M)
     xs, particles = core.assemble(xs_amplitudes, particle_amplitudes)
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
+
+
+def _dirichlet(spec: LagrangianSpec, ops: list, n: int, t0: float, M: int,
+               head, tail) -> tuple:
+    """The boundary problem of `dirichlet_del` for a batch of operators sharing N and
+    eps, as (core, ends, data) for `_Core.boundary_solve`."""
+    N, eps = ops[0].N, ops[0].epsilon
+    core = _discrete_core(spec, ops, n, M)
+    head = np.asarray(head, dtype=complex).reshape(n, 2 * N, spec.d)
+    tail = np.asarray(tail, dtype=complex).reshape(n, 2 * N, spec.d)
+    ends = (t0 + eps * np.arange(2 * N), t0 + eps * np.arange(M - 2 * N + 1, M + 1))
+    data = np.concatenate([head, tail], axis=1)  # (n, 4N, d)
+    return core, ends, data
 
 
 def dirichlet_del(spec: LagrangianSpec, op: ScaleOperator, n: int, t0: float,
@@ -116,16 +132,11 @@ def dirichlet_del(spec: LagrangianSpec, op: ScaleOperator, n: int, t0: float,
     """Solve from positions at the first 2N and last 2N grid nodes.
 
     head and tail are (n, 2N, d) arrays; together they supply 4Nd scalar
-    constraints per uncoupled system, matching the 4Nd amplitudes.
+    constraints per uncoupled system, matching the 4Nd amplitudes.  This is the
+    batch of one of the solve the error surfaces run on blocks of operators.
     """
-    N = op.N
-    core = _discrete_core(spec, op, n, M)
-    head = np.asarray(head, dtype=complex).reshape(n, 2 * N, spec.d)
-    tail = np.asarray(tail, dtype=complex).reshape(n, 2 * N, spec.d)
-    ends = (t0 + op.epsilon * np.arange(2 * N),
-            t0 + op.epsilon * np.arange(M - 2 * N + 1, M + 1))
-    data = np.concatenate([head, tail], axis=1)  # (n, 4N, d)
-    xs, particles, report = core.boundary_solve(ends, data)
+    core, ends, data = _dirichlet(spec, [op], n, t0, M, head, tail)
+    xs, particles, report = core.solve_one(ends, data)
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon), report
 
 

@@ -3,8 +3,10 @@
 `pencil` takes its spectra from block-companion eigen-solves and stores them
 as `RootSet`s (residual = eigenpair backward error, plus kernel vectors);
 determinant interpolation, polynomial roots and SVD kernel vectors here are
-independent references for its tests.  Everything here is a pure function of
-its inputs: no caching, no shared state, safe for concurrent use.
+independent references for its tests.  `solve_square` is the batch of one of
+`_solve_stack`, which solves a stack of systems and returns, per item, the error
+the single solve would raise.  Everything here is a pure function of its inputs:
+no caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -113,8 +115,8 @@ class RootSet:
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    """[i, j] is |a_i - b_j| < rel_tol * max(1, |a_i|, |b_j|)."""
-    a, b = np.asarray(a)[:, None], np.asarray(b)[None, :]
+    """[..., i, j] is |a_i - b_j| < rel_tol * max(1, |a_i|, |b_j|), over any leading axes."""
+    a, b = np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]
     return np.abs(a - b) < rel_tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
@@ -230,19 +232,65 @@ class LinearSolve:
         return self.cond > 1e12
 
 
+def _stacked(fn, fill, *stacks) -> tuple:
+    """(fn(*stacks), per-item LinAlgError or None) over the leading axis.  When LAPACK
+    fails on the stack, fn runs item by item, so that only the failing items fail;
+    their result is fill."""
+    try:
+        return fn(*stacks), [None] * len(stacks[0])
+    except np.linalg.LinAlgError:
+        pass
+    results, failures = [], []
+    for item in zip(*stacks):
+        try:
+            results.append(fn(*item))
+            failures.append(None)
+        except np.linalg.LinAlgError as exc:
+            results.append(fill)
+            failures.append(exc)
+    if isinstance(fill, tuple):
+        return tuple(np.stack(r) for r in zip(*results)), failures
+    return np.stack(results), failures
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve each a[i] @ x[i] = b[i] of a stack a (B, K, K), b (B, K) or (B, K, m).
+
+    Returns (x, cond, failures): failures[i] is what solve_square raises for item i
+    (Singular when a pivot of its LU factors is at most 1e-14 max|a[i]|), or None;
+    x and cond hold zeros and inf for failed items.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    x, cond = np.zeros(b.shape, dtype=complex), np.full(len(a), np.inf)
+    if len(a) == 0:
+        return x, cond, []
+    scale = np.abs(a).max(axis=(1, 2))
+    zero = (scale == 0)[:, None, None]  # fails before factoring, as a zero matrix
+    lu, piv = scipy.linalg.lu_factor(np.where(zero, np.eye(a.shape[-1]), a),
+                                     check_finite=False)
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
+    failures = [Singular("zero matrix") if s == 0 else
+                Singular(f"pivot {p:.3e} below 1e-14 x scale {s:.3e}") if p <= 1e-14 * s
+                else None for s, p in zip(scale, pivots)]
+    ok = np.array([f is None for f in failures])
+    if ok.any():
+        rhs = b[ok] if b.ndim == 3 else b[ok, :, None]
+        x[ok] = scipy.linalg.lu_solve((lu[ok], piv[ok]), rhs,
+                                      check_finite=False).reshape(x[ok].shape)
+        cond[ok], failed = _stacked(np.linalg.cond, np.inf, a[ok])
+        for i, exc in zip(np.flatnonzero(ok), failed):
+            failures[i] = exc
+    return x, cond, failures
+
+
 def solve_square(a, b) -> LinearSolve:
-    """Solve a @ x = b by LU with pivot-based singularity detection."""
+    """Solve a @ x = b by LU with pivot-based singularity detection: the batch of one
+    of `_solve_stack`, raising its error."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("solve_square expects a square matrix")
-    scale = np.abs(a).max()
-    if scale == 0:
-        raise Singular("zero matrix")
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= 1e-14 * scale:
-        raise Singular(f"pivot {pivots.min():.3e} below 1e-14 x scale {scale:.3e}")
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    cond = float(np.linalg.cond(a))
-    return LinearSolve(x, cond)
+    x, cond, failures = _solve_stack(a[None], b[None])
+    if failures[0] is not None:
+        raise failures[0]
+    return LinearSolve(x[0], float(cond[0]))

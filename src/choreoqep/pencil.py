@@ -20,10 +20,14 @@ root's kernel vector.  A pair is accepted when its normwise backward error
 ||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the
 root's residual.  `Setting` is the one place where the two settings differ; the
 assumption checker, the solvers' shared core and the periodicity code run on it.
+Spectra and assumption checks run on a batch of settings that share spec, N and
+eps, with a leading batch axis, every eigen-solve stacked: each item gets its arrays
+or the typed error its lone call raises, and the public functions are the batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -71,71 +75,74 @@ def classical_eval(p: ClassicalPencil, lam: complex) -> np.ndarray:
     return p.A * lam**2 + p.B * lam + p.C
 
 
-def _is_singular(m: np.ndarray) -> bool:
+def _is_singular(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack: zero, or sigma_min <= 1e-12 sigma_max."""
     s = np.linalg.svd(m, compute_uv=False)
-    return s[0] == 0 or s[-1] <= 1e-12 * s[0]
+    return (s[..., 0] == 0) | (s[..., -1] <= 1e-12 * s[..., 0])
 
 
 def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
-                     v: np.ndarray, tol: float) -> np.ndarray:
-    """||Q(mu) v|| / (sum_i |mu|^i ||B_i||_F ||v||) for each root mu and column v;
-    NumericalFailure unless every error is at most tol and no v vanishes."""
+                     v: np.ndarray, tol: float) -> tuple:
+    """||Q(mu) v|| / (sum_i |mu|^i ||B_i||_F ||v||) for each item's roots mu (B, K) and
+    columns v (B, d, K); per item, NumericalFailure unless all are <= tol and no v is 0."""
     with np.errstate(all="ignore"):
-        powers = mu ** np.arange(len(blocks))[:, None]
-        num = np.linalg.norm(((blocks @ v) * powers[:, None]).sum(axis=0), axis=0)
-        den = np.abs(powers).T @ norms * np.linalg.norm(v, axis=0)
+        powers = mu[:, None, :] ** np.arange(blocks.shape[1])[:, None]
+        num = np.linalg.norm(((blocks @ v[:, None]) * powers[:, :, None]).sum(axis=1), axis=1)
+        den = (np.abs(powers) * norms[:, :, None]).sum(axis=1) * np.linalg.norm(v, axis=1)
         # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
         errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
-    if not (errors.max() <= tol and np.abs(v).max(axis=0).min() > 0):
-        raise numkernel.NumericalFailure(
-            f"eigenpairs fail the backward-error test (worst {errors.max():.3e}, "
-            f"tol {tol:.1e}) or have a vanishing kernel block")
-    return errors
+    worst = errors.max(axis=1)
+    passed = (worst <= tol) & (np.abs(v).max(axis=1).min(axis=1) > 0)
+    return errors, [None if ok else numkernel.NumericalFailure(
+        f"eigenpairs fail the backward-error test (worst {w:.3e}, tol {tol:.1e}) "
+        "or have a vanishing kernel block") for w, ok in zip(worst, passed)]
 
 
 def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
-    """Roots w, unit kernel vectors (rows) and backward errors of sum_i w^i blocks[i],
-    from its monic block companion in mu = w / s, s equalising ||B_0|| and ||B_k||."""
-    k, d = len(blocks) - 1, blocks.shape[1]
-    norms = np.linalg.norm(blocks, axis=(1, 2))
-    try:
-        with np.errstate(all="ignore"):
-            s = (norms[0] / norms[-1]) ** (1.0 / k)
-            s = s if 0 < s < np.inf else 1.0  # no scaling when B_0 = 0
-            s_powers = s ** np.arange(k + 1)
-            blocks, norms = blocks * s_powers[:, None, None], norms * s_powers
-            monic = np.linalg.solve(blocks[-1], np.hstack(blocks[:-1]))
-    except np.linalg.LinAlgError as exc:
-        raise LeadingSingular(f"leading block is singular: {exc}") from exc
-    if not np.isfinite(monic).all():
-        raise LeadingSingular("the block companion has infinite eigenvalues")
-    companion = np.eye(k * d, k=d, dtype=monic.dtype)
-    companion[-d:] = -monic
-    try:
-        mu, vecs = np.linalg.eig(companion)
-    except np.linalg.LinAlgError as exc:
-        raise numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") from exc
+    """Per item of a (B, k+1, d, d) stack: roots w, unit kernel vectors (rows) and
+    backward errors of sum_i w^i blocks[i], from its monic block companion in
+    mu = w / s, s equalising ||B_0|| and ||B_k||; and what the item raises, or None."""
+    B, k, d = blocks.shape[0], blocks.shape[1] - 1, blocks.shape[2]
+    norms = np.linalg.norm(blocks, axis=(2, 3))
+    with np.errstate(all="ignore"):
+        s = (norms[:, 0] / norms[:, -1]) ** (1.0 / k)
+        s = np.where((0 < s) & (s < np.inf), s, 1.0)  # no scaling when B_0 = 0
+        s_powers = s[:, None] ** np.arange(k + 1)
+        blocks, norms = blocks * s_powers[:, :, None, None], norms * s_powers
+        lower = blocks[:, :-1].transpose(0, 2, 1, 3).reshape(B, d, k * d)  # B_0 .. B_k-1
+        monic, failed = numkernel._stacked(np.linalg.solve, np.zeros((d, k * d)),
+                                           blocks[:, -1], lower)
+    finite = np.isfinite(monic).all(axis=(1, 2))
+    failures = [LeadingSingular(f"leading block is singular: {exc}") if exc else None if ok
+                else LeadingSingular("the block companion has infinite eigenvalues")
+                for exc, ok in zip(failed, finite)]
+    companion = np.zeros((B, k * d, k * d), dtype=monic.dtype)
+    companion[:, :-d, d:] = np.eye((k - 1) * d)
+    companion[:, -d:] = np.where(finite[:, None, None], -monic, 0)
+    (mu, vecs), failed = numkernel._stacked(np.linalg.eig, (np.zeros(k * d), np.eye(k * d)),
+                                            companion)
     # the eigenvector is (v, mu v, .., mu^{k-1} v): read v from its larger end block
     mu = mu.astype(complex)
-    v = np.where(np.abs(mu) <= 1.0, vecs[:d], vecs[-d:]).astype(complex)
-    errors = _backward_errors(blocks, norms, mu, v, tol)
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(len(mu))]
-    v = v * (top.conj() / np.abs(top))  # largest component real positive
-    return s * mu, (v / np.linalg.norm(v, axis=0)).T, errors
-
-
-def _rootset(roots: np.ndarray, errors: np.ndarray, vectors: np.ndarray,
-             order: np.ndarray, tol: float) -> RootSet:
-    return RootSet(roots[order], errors[order], numkernel._min_separation(roots), tol,
-                   vectors[order])
+    v = np.where(np.abs(mu)[:, None] <= 1.0, vecs[:, :d], vecs[:, -d:]).astype(complex)
+    errors, rejected = _backward_errors(blocks, norms, mu, v, tol)
+    top = v[np.arange(B)[:, None], np.abs(v).argmax(axis=1), np.arange(k * d)][:, None]
+    with np.errstate(all="ignore"):  # only a failed item has a vanishing block
+        v = v * (top.conj() / np.abs(top))  # largest component real positive
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return s[:, None] * mu, v.transpose(0, 2, 1), errors, [
+        f or exc and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or r
+        for f, exc, r in zip(failures, failed, rejected)]
 
 
 def classical_spectrum(p: ClassicalPencil, tol: float = 1e-8) -> RootSet:
     """All 2d pencil roots and their kernel vectors, from the companion of (C, B, A)."""
     if _is_singular(p.A):
         raise LeadingSingular("leading coefficient is singular; root count drops below 2d")
-    lam, vectors, errors = _eigenpairs(np.stack([p.C, p.B, p.A]), tol)
-    return _rootset(lam, errors, vectors, np.lexsort((lam.real, lam.imag)), tol)
+    (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(np.stack([p.C, p.B, p.A])[None], tol)
+    if failure is not None:
+        raise failure
+    order = np.lexsort((lam.real, lam.imag))
+    return RootSet(lam[order], errors[order], numkernel._min_separation(lam), tol, vectors[order])
 
 
 @dataclass(frozen=True)
@@ -180,83 +187,141 @@ class TranscendentalSpectrum:
         return len(self.lam)
 
 
-def _shifted_blocks(p: TranscendentalPencil) -> np.ndarray:
-    """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps.
+def _shifted_blocks(spec: LagrangianSpec, op: ScaleOperator, gamma: np.ndarray,
+                    nu: float) -> np.ndarray:
+    """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps, (B, 4N+1, d, d),
+    for the weights gamma (B, 2N+1) of operators sharing op's N and eps.
 
     zeta^{2N} theta_hat = g g~ / eps^2 with g = sum_j gamma_j zeta^{j+N}, g~ its
     reverse; shifting each factor first keeps the near-cancelling B_0, B_1 accurate.
     """
-    op, N, eps = p.op, p.op.N, p.op.epsilon
-    gamma = op.gamma if op.gamma.imag.any() else op.gamma.real
-    a_nu, c_nu = coefficient_matrices(p.spec, p.nu)
+    N, eps = op.N, op.epsilon
+    gamma = gamma if gamma.imag.any() else gamma.real
+    a_nu, c_nu = coefficient_matrices(spec, nu)
     head = op.shift[:2 * N + 1, :2 * N + 1]
-    theta = np.convolve(head @ gamma, head @ gamma[::-1]) / eps**2
-    sigma1 = op.shift[:, N:3 * N + 1] @ (gamma - gamma[::-1]) / eps
-    return -(np.multiply.outer(theta, a_nu) + np.multiply.outer(sigma1, p.spec.J5)
-             + np.multiply.outer(op.shift[:, 2 * N], c_nu))
+    g, g_rev = gamma @ head.T, gamma[:, ::-1] @ head.T
+    theta = np.zeros((len(gamma), 4 * N + 1), dtype=gamma.dtype)
+    for i in range(2 * N + 1):  # the product g g~, one coefficient of g at a time
+        theta[:, i:i + 2 * N + 1] += g[:, i:i + 1] * g_rev
+    sigma1 = (gamma - gamma[:, ::-1]) @ op.shift[:, N:3 * N + 1].T / eps
+    return -(theta[:, :, None, None] / eps**2 * a_nu + sigma1[:, :, None, None] * spec.J5
+             + op.shift[:, 2 * N, None, None] * c_nu)
 
 
-def _preimages(p: TranscendentalPencil, tol: float) -> tuple:
-    """Roots w, kernel vectors and backward errors of zeta^{2N} P(zeta) = zeta^{2N} P(s)
-    from the classical pairs (lam_k, v_k): the roots of h_k = zeta^N (g(zeta)/eps - lam_k),
-    from one batch of scaled companions and a Newton step kept unless it raises |h_k|."""
-    op, N, eps = p.op, p.op.N, p.op.epsilon
-    q = classical_pencil(p.spec, p.nu)
-    lam, vectors, _ = _eigenpairs(np.stack([q.C, q.B, q.A]), tol)
+def _preimages(spec: LagrangianSpec, op: ScaleOperator, gamma: np.ndarray, nu: float,
+               tol: float) -> tuple:
+    """`_eigenpairs` of zeta^{2N} P(zeta) = zeta^{2N} P(s) for antisymmetric weights
+    gamma (B, 2N+1), from the pairs (lam_k, v_k) of one classical solve: the roots of
+    h_k = zeta^N (g(zeta)/eps - lam_k), from one batch of scaled companions and a
+    Newton step kept unless it raises |h_k|."""
+    N, eps = op.N, op.epsilon
+    q = classical_pencil(spec, nu)
+    lam, vectors, _, classical = _eigenpairs(np.stack([q.C, q.B, q.A])[None], tol)
+    lam, vectors = lam[0], vectors[0]
     head = op.shift[:2 * N + 1, :2 * N + 1]
-    gamma = op.gamma if op.gamma.imag.any() else op.gamma.real
-    coeffs = (head @ gamma) / eps - lam[:, None] * head[:, N]  # ascending in w
+    real = gamma if gamma.imag.any() else gamma.real
+    coeffs = (real @ head.T / eps)[:, None] - lam[:, None] * head[:, N]  # ascending in w
     with np.errstate(all="ignore"):
-        s = (np.abs(coeffs[:, :1]) / np.abs(coeffs[:, -1:])) ** (1.0 / (2 * N))
+        s = (np.abs(coeffs[..., :1]) / np.abs(coeffs[..., -1:])) ** (1.0 / (2 * N))
     s = np.where((s > 0) & (s < np.inf), s, 1.0)  # mu = w / s
     scaled = coeffs * s ** np.arange(2 * N + 1)
-    companion = np.zeros((len(lam), 2 * N, 2 * N), dtype=complex)
-    companion[:, :-1, 1:] = np.eye(2 * N - 1)
-    companion[:, -1] = -scaled[:, :-1] / scaled[:, -1:]
-    try:
-        w = s * np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") from exc
-    c = coeffs.T[:, :, None]  # polyval evaluates row i of w with coeffs[i]
+    companion = np.zeros(coeffs.shape[:2] + (2 * N, 2 * N), dtype=complex)
+    companion[..., :-1, 1:] = np.eye(2 * N - 1)
+    companion[..., -1, :] = -scaled[..., :-1] / scaled[..., -1:]
+    mu, failed = numkernel._stacked(np.linalg.eigvals, np.zeros((len(lam), 2 * N)),
+                                    companion)
+    w = s * mu
+    c = np.moveaxis(coeffs, -1, 0)[..., None]  # polyval evaluates w[b, k] with coeffs[b, k]
     h = npoly.polyval(w, c, tensor=False)
     with np.errstate(all="ignore"):
         newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
     w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
-    w, vectors = w.ravel(), np.repeat(vectors, 2 * N, axis=0)
-    blocks = _shifted_blocks(p)
-    norms = np.linalg.norm(blocks, axis=(1, 2))
-    return w, vectors, _backward_errors(blocks, norms, w, vectors.T, tol)
+    w, vectors = w.reshape(len(gamma), -1), np.repeat(vectors, 2 * N, axis=0)
+    blocks = _shifted_blocks(spec, op, gamma, nu)
+    errors, rejected = _backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), w,
+                                        np.broadcast_to(vectors.T, (len(w),) + vectors.T.shape),
+                                        tol)
+    return w, np.broadcast_to(vectors, w.shape + (spec.d,)), errors, [
+        classical[0] or exc and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}")
+        or r for exc, r in zip(failed, rejected)]
+
+
+class _Spectra(NamedTuple):
+    """Spectra of a batch of pencils, rows sorted by phase: phases and roots (in the
+    pencil's variable), backward errors, unit kernel vectors (B, K, d), and failures[i],
+    what item i's spectrum raises (None when it has one)."""
+
+    lam: np.ndarray
+    roots: np.ndarray
+    residuals: np.ndarray
+    vectors: np.ndarray
+    failures: list
+
+    def rootsets(self, i: int, tol: float) -> tuple:
+        """Item i as RootSets of (lam, roots); raises the item's failure."""
+        if self.failures[i] is not None:
+            raise self.failures[i]
+        return tuple(RootSet(r[i], self.residuals[i], numkernel._min_separation(r[i]), tol,
+                             self.vectors[i]) for r in (self.lam, self.roots))
+
+
+def _spectra(settings: list, nu: float, tol: float = 1e-8,
+             separation_tol: float = 1e-7) -> _Spectra:
+    """Spectra of the nu-pencils of a batch of settings that share spec, N and eps.
+
+    Continuous settings share the classical spectrum.  Discrete weights are routed in
+    batches: antisymmetric ones to preimages, others to the shifted companion, real
+    apart from complex, so that each item gets the roots of its lone spectrum.
+    """
+    spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
+    w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
+    vectors = np.zeros((B, K, spec.d), dtype=complex)
+    if op is None:
+        try:
+            q = classical_spectrum(classical_pencil(spec, nu), tol)
+        except (LeadingSingular, numkernel.NumericalFailure) as exc:
+            return _Spectra(w, w, residuals, vectors, [exc] * B)
+        w[:], residuals[:], vectors[:] = q.roots, q.residuals, q.vectors
+        return _Spectra(w, w, residuals, vectors, [None] * B)
+
+    gamma = np.stack([s.op.gamma for s in settings])
+    singular = _is_singular(coefficient_matrices(spec, nu)[0])
+    failures = [LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
+                if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
+                if singular else None for e in gamma[:, 0] * gamma[:, -1]]
+    live = np.array([f is None for f in failures])
+    # route 2 * (gamma_{-j} = -gamma_j) + (real weights)
+    routes = 2 * ~(gamma + gamma[:, ::-1]).any(axis=1) + ~gamma.imag.any(axis=1)
+    for route in np.unique(routes[live]):
+        idx = np.flatnonzero(live & (routes == route))
+        w[idx], vectors[idx], residuals[idx], failed = (
+            _preimages(spec, op, gamma[idx], nu, tol) if route >= 2
+            else _eigenpairs(_shifted_blocks(spec, op, gamma[idx], nu), tol))
+        for i, f in zip(idx, failed):
+            failures[i] = f
+    z = op.epsilon * w  # zeta - 1
+    # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
+    lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
+           + 1j * np.arctan2(z.imag, 1.0 + z.real)) / op.epsilon
+    order = np.arange(B)[:, None], np.lexsort((lam.real, lam.imag), axis=-1)
+    zeta = 1.0 + z[order]
+    simple = numkernel.close_pairs(zeta, zeta, separation_tol).sum(axis=(1, 2)) == K
+    failures = [f if f or ok else DegenerateRoots("zeta-roots cluster below the separation "
+                                                  "tolerance") for f, ok in zip(failures, simple)]
+    return _Spectra(lam[order], zeta, residuals[order], vectors[order], failures)
 
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
                             separation_tol: float = 1e-7) -> TranscendentalSpectrum:
     """All 4Nd discrete phases and their kernel vectors, from the companion of
-    zeta^{2N} P(zeta) in w = (zeta - 1)/eps or, for antisymmetric weights, as preimages.
+    zeta^{2N} P(zeta) in w = (zeta - 1)/eps or, for antisymmetric weights, as preimages:
+    the batch of one of `_spectra`, raising its failure.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    op = p.op
-    N = op.N
-    if op.gamma_at(-N) * op.gamma_at(N) == 0:
-        raise LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
-    a_nu, _ = coefficient_matrices(p.spec, p.nu)
-    if _is_singular(a_nu):
-        raise LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
-
-    if not (op.gamma + op.gamma[::-1]).any():  # antisymmetric: gamma_{-j} = -gamma_j
-        w, vectors, errors = _preimages(p, tol)
-    else:
-        w, vectors, errors = _eigenpairs(_shifted_blocks(p), tol)
-    z = op.epsilon * w  # zeta - 1
-    # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
-    lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
-           + 1j * np.arctan2(z.imag, 1.0 + z.real)) / op.epsilon
-    order = np.lexsort((lam.real, lam.imag))
-    zeta = _rootset(1.0 + z, errors, vectors, order, tol)
-    if not zeta.is_simple(separation_tol):
-        raise DegenerateRoots("zeta-roots cluster below the separation tolerance")
-    return TranscendentalSpectrum(_rootset(lam, errors, vectors, order, tol), zeta)
+    spectra = _spectra([Setting(p.spec, p.op)], p.nu, tol, separation_tol)
+    return TranscendentalSpectrum(*spectra.rootsets(0, tol))
 
 
 @dataclass(frozen=True)
@@ -275,7 +340,8 @@ class Setting:
     It fixes which pencil is evaluated, the root variable used for kernel
     vectors and separation tests (lam, or zeta = e^{lam eps}), where the
     constant mode sits (lam = 0 with right-hand side J7, or zeta = 1 with
-    J7 + s_bar(0) J6) and how many roots to expect (2d or 4Nd).
+    J7 + s_bar(0) J6) and how many roots to expect (2d or 4Nd).  A batch is a
+    list of settings that share spec, N and eps; the methods here are its batch of one.
     """
 
     spec: LagrangianSpec
@@ -294,28 +360,28 @@ class Setting:
 
     def at_constant(self, p) -> np.ndarray:
         """Pencil value at the constant mode (lam = 0, i.e. zeta = 1)."""
-        if self.op is None:
-            return classical_eval(p, 0.0)
-        return transcendental_eval(p, 1.0)
+        return _constant_systems([self], p.nu)[0][0]
 
     @property
     def constant_rhs(self) -> np.ndarray:
-        """Right-hand side that fixes the constant mode of one particle.
-
-        s_bar(0) = sum(gamma) / eps is the interior value of the adjoint on 1.
-        """
-        if self.op is None:
-            return self.spec.J7
-        sbar0 = complex(self.op.gamma.sum()) / self.op.epsilon
-        return self.spec.J7 + sbar0 * self.spec.J6
+        """Right-hand side that fixes the constant mode of one particle."""
+        return _constant_systems([self], 0)[1][0]
 
     def modes(self, nu: float, separation_tol: float = 1e-7) -> Modes:
-        p = self.pencil(nu)
-        if self.op is None:
-            lam = classical_spectrum(p)
-            return Modes(p, lam, lam)
-        sp = transcendental_spectrum(p, separation_tol=separation_tol)
-        return Modes(p, sp.lam, sp.zeta)
+        spectra = _spectra([self], nu, separation_tol=separation_tol)
+        return Modes(self.pencil(nu), *spectra.rootsets(0, 1e-8))
+
+
+def _constant_systems(settings: list, nu: float) -> tuple:
+    """Per setting of a batch: the pencil value at the constant mode (lam = 0, zeta = 1)
+    and the right-hand side fixing the constant mode of one particle, J7 + s_bar(0) J6.
+    s_bar(0) = sum(gamma)/eps (0 when continuous) is the interior value of the adjoint
+    on 1; the pencil there is -A_nu s_bar(0)^2 - C_nu, as sigma1_hat(1) = 0."""
+    spec, op = settings[0].spec, settings[0].op
+    a_nu, c_nu = coefficient_matrices(spec, nu)
+    sbar0 = np.zeros(len(settings)) if op is None else \
+        np.array([s.op.gamma.sum() for s in settings]) / op.epsilon
+    return -(sbar0**2)[:, None, None] * a_nu - c_nu, spec.J7 + sbar0[:, None] * spec.J6
 
 
 @dataclass(frozen=True)
@@ -343,36 +409,42 @@ class Assumptions:
                 and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
 
 
-def _check_assumptions(setting: Setting, n: int, tol: float) -> Assumptions:
+def _check_assumptions(settings: list, n: int, tol: float) -> tuple:
     """|roots| = root_count and simple for nu = n and 0, disjointness, and
-    nonsingularity at the constant mode."""
-    try:
-        modes_n = setting.modes(n, tol)
-        modes_0 = setting.modes(0, tol)
-    except (LeadingSingular, DegenerateRoots, numkernel.NumericalFailure) as exc:
+    nonsingularity at the constant mode, for each setting of a batch: (spectra at
+    nu = n and 0, failures, checks).  failures[i] is what item i's spectra raise (None
+    when both exist); the checks are a (5, B) bool array in the order of Assumptions."""
+    sp_n, sp_0 = (_spectra(settings, nu, separation_tol=tol) for nu in (n, 0))
+    failures = [f or g for f, g in zip(sp_n.failures, sp_0.failures)]
+    count = settings[0].root_count
+
+    def simple(r):
+        return (r.shape[1] == count) & (numkernel.close_pairs(r, r, tol).sum(axis=(1, 2))
+                                        == r.shape[1])
+
+    checks = np.array([simple(sp_n.roots), simple(sp_0.roots),
+                       ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),
+                       ~_is_singular(_constant_systems(settings, n)[0]),
+                       ~_is_singular(_constant_systems(settings, 0)[0])])
+    return sp_n, sp_0, failures, checks & [f is None for f in failures]
+
+
+def _report(setting: Setting, n: int, tol: float) -> Assumptions:
+    """The Assumptions of one setting: the batch of one of `_check_assumptions`."""
+    sp_n, sp_0, failures, checks = _check_assumptions([setting], n, tol)
+    if failures[0] is not None:
         return Assumptions(setting, None, None, False, False, False, False, False, False,
-                           note=str(exc))
-    count = setting.root_count
-    r_n, r_0 = modes_n.roots, modes_0.roots
-    return Assumptions(
-        setting=setting,
-        modes_n=modes_n,
-        modes_0=modes_0,
-        precondition_ok=True,
-        count_n_ok=len(r_n) == count and r_n.is_simple(tol),
-        count_0_ok=len(r_0) == count and r_0.is_simple(tol),
-        disjoint=not numkernel.close_pairs(r_n.roots, r_0.roots, tol).any(),
-        det_pn0_nonzero=not _is_singular(setting.at_constant(modes_n.pencil)),
-        det_p00_nonzero=not _is_singular(setting.at_constant(modes_0.pencil)),
-    )
+                           note=str(failures[0]))
+    modes = (Modes(setting.pencil(nu), *sp.rootsets(0, 1e-8)) for nu, sp in ((n, sp_n), (0, sp_0)))
+    return Assumptions(setting, *modes, True, *(bool(c) for c in checks[:, 0]))
 
 
 def check_cel_assumptions(spec: LagrangianSpec, n: int, tol: float = 1e-7) -> Assumptions:
     """Assumptions of the continuous solver, on the lam-roots."""
-    return _check_assumptions(Setting(spec), n, tol)
+    return _report(Setting(spec), n, tol)
 
 
 def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int,
                           tol: float = 1e-7) -> Assumptions:
     """Assumptions of the discrete solver, on the zeta-roots."""
-    return _check_assumptions(Setting(spec, op), n, tol)
+    return _report(Setting(spec, op), n, tol)

@@ -1,0 +1,160 @@
+"""The batched error surface against the per-cell solve it replaces.
+
+`cli._window_errors` solves blocks of operators at once; `dirichlet_del` is the
+batch of one.  Every cell's status must be the class of what the lone solve
+raises, and every ok cell's window error must match it to rounding.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from choreoqep import cli, delsolve, numkernel, pencil, scaleop
+from choreoqep.celsolve import SingularBoundarySystem
+from choreoqep.scaleop import ScaleOperator
+
+from conftest import make_oscillator_spec, make_reference_spec
+
+BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
+            "x_tf": [[-0.1, 0.4], [0.6, -0.3], [0.2, 0.1]]}
+RTOL = 1e-9  # measured <= 2.5e-11 against the per-cell solve on 41 x 41 grids
+
+
+def raw_config():
+    spec = make_reference_spec()
+    return {"d": spec.d, "n": spec.n,
+            **{k: getattr(spec, k).tolist() for k in ("J1", "J2", "J3", "J4")},
+            "time": {"t0": 0.0, "tf": 1.0, "M": 100}, "operator": {"family": "central"},
+            "boundary": BOUNDARY, "sweep": {"gamma_grid": {"points": 9}}}
+
+
+def reference_config():
+    return cli.parse_config(raw_config())
+
+
+def window_reference(cfg):
+    return cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
+
+
+def gamma_ops(cfg, points=9):
+    # the axes (gamma_{-1} gamma_1 = 0), the antisymmetric diagonal a = -b and cells
+    # with singular boundary systems
+    axis = np.linspace(-1.0, 1.0, points)
+    return [ScaleOperator(np.array([a, -(a + b), b], dtype=complex), cfg.epsilon)
+            for a in axis for b in axis]
+
+
+def k_ops(cfg):
+    # k = 0 is real and antisymmetric (preimages), the rest complex (companion)
+    return [scaleop.k_family(cfg.epsilon, k) for k in (-1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)]
+
+
+def per_cell(cfg, op, reference):
+    """(status, window error) from the lone dirichlet_del and the particles' values."""
+    head, tail, times, cel_values = reference
+    try:
+        sol, _ = delsolve.dirichlet_del(cfg.spec, op, cfg.n, cfg.t0, cfg.M, head, tail)
+    except (cli._ASSUMPTION_ERRORS + cli._NUMERICAL_ERRORS + (ValueError,)) as exc:
+        return type(exc).__name__, math.nan
+    diff = cel_values - np.array([p.value(times) for p in sol.particles])
+    return "ok", float(np.linalg.norm(diff.ravel()))
+
+
+def assert_same_cells(got, want):
+    (errors, status), (want_errors, want_status) = got, want
+    assert list(status) == list(want_status)
+    ok = [s == "ok" for s in status]
+    np.testing.assert_allclose(np.array(errors)[ok], np.array(want_errors)[ok], rtol=RTOL)
+    assert all(math.isnan(e) for e, good in zip(errors, ok) if not good)
+
+
+@pytest.mark.parametrize("grid", ["gamma", "k"])
+def test_each_cell_is_what_its_lone_solve_gives(grid):
+    cfg = reference_config()
+    ops = gamma_ops(cfg) if grid == "gamma" else k_ops(cfg)
+    reference = window_reference(cfg)
+    want_status, want_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
+    errors, status = cli._window_errors(cfg, ops, reference)
+    assert_same_cells((errors, status), (want_errors, want_status))
+    if grid == "gamma":
+        assert {"ok", "AssumptionViolation", "SingularBoundarySystem"} <= set(status)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_size_does_not_change_a_cell(monkeypatch, block):
+    cfg = reference_config()
+    ops = gamma_ops(cfg) + k_ops(cfg)
+    reference = window_reference(cfg)
+    want = cli._window_errors(cfg, ops, reference)
+    monkeypatch.setattr(cli, "BLOCK", block)
+    assert_same_cells(cli._window_errors(cfg, ops, reference), want)
+
+
+def test_csv_status_column_names_each_failure(tmp_path):
+    cfg = reference_config()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw_config()))
+    assert cli.main(["error-surface", "--config", str(config), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "error_surface_gamma.csv").read_text().strip().split("\n")
+    assert lines[0] == "gamma_m1_re,gamma_1_re,metric,status"
+    reference = window_reference(cfg)
+    sentinel = -math.log(3.0 * cfg.M)
+    for line, op in zip(lines[1:], gamma_ops(cfg)):
+        metric, status = float(line.split(",")[2]), line.split(",")[3]
+        want_status, want_error = per_cell(cfg, op, reference)
+        assert status == want_status
+        if status == "ok":
+            assert metric == pytest.approx(-math.log(want_error), rel=RTOL)
+        else:
+            assert metric == sentinel
+
+
+def test_the_surface_solves_spectra_per_block_not_per_cell(monkeypatch, tmp_path):
+    calls = []
+    original = pencil._eigenpairs
+    monkeypatch.setattr(pencil, "_eigenpairs",
+                        lambda *args: calls.append(1) or original(*args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw_config()))
+    assert cli.main(["error-surface", "--config", str(config), "--out", str(tmp_path)]) == 0
+    cells = len(gamma_ops(reference_config()))
+    assert len(calls) < cells / 4  # a per-cell solve makes two (nu = n and 0) per cell
+    # per block, nu = n and 0, each at most one classical and one companion solve;
+    # plus the continuous solution's two spectra
+    assert len(calls) <= 2 + 4 * math.ceil(cells / cli.BLOCK)
+
+
+def degenerate_rows_matrix(monkeypatch):
+    """The boundary matrix of test_delsolve's test_degenerate_rows_singular."""
+    eps, a, M = 0.1, 2.0 * math.pi / 10.0, 11
+    spec = make_oscillator_spec(math.sin(a) / eps)
+    data = np.cos(a * np.arange(M + 1))
+    seen = []
+    original = numkernel._solve_stack
+    monkeypatch.setattr(numkernel, "_solve_stack",
+                        lambda a, b: seen.append(a) or original(a, b))
+    with pytest.raises(SingularBoundarySystem):
+        delsolve.dirichlet_del(spec, scaleop.central_difference(eps), 1, 0.0, M,
+                               data[:2].reshape(1, 2, 1), data[-2:].reshape(1, 2, 1))
+    monkeypatch.undo()
+    return seen[-1][0]
+
+
+def test_stacked_solve_matches_one_solve_per_matrix(monkeypatch):
+    degenerate = degenerate_rows_matrix(monkeypatch)
+    K = len(degenerate)
+    rng = np.random.default_rng(8)
+    regular = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
+    stack = np.stack([regular[0], degenerate, np.zeros((K, K)), regular[1]]).astype(complex)
+    rhs = rng.standard_normal((4, K)) + 0j
+    x, cond, failures = numkernel._solve_stack(stack, rhs)
+    for i in range(4):
+        try:
+            want = numkernel.solve_square(stack[i], rhs[i])
+        except numkernel.Singular as exc:
+            assert type(failures[i]) is numkernel.Singular and str(failures[i]) == str(exc)
+            continue
+        assert failures[i] is None
+        assert np.array_equal(x[i], want.x) and cond[i] == want.cond
+    assert [f is None for f in failures] == [True, False, False, True]

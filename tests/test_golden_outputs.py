@@ -2,7 +2,9 @@
 
 The digests were re-recorded when antisymmetric weights moved to preimages of
 the classical roots (and the pencil error to expm1 sums), after `test_oracle.py`
-confirmed the new roots against 50-digit ones.  A cache or vectorisation that moves one bit of a written number fails
+confirmed the new roots against 50-digit ones.  The gamma digest was re-recorded
+again when the surface gained its status column, after `test_batched_surface.py`
+matched every cell against its lone solve; no metric moved.  A cache or vectorisation that moves one bit of a written number fails
 here, instead of silently changing a benchmark cell.
 Each run is a fresh `python -m choreoqep.cli` with BLAS pinned to one thread,
 as the benchmark runs it: threaded BLAS rounds differently with the core count.
@@ -25,7 +27,7 @@ BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
 
 RUNS = {  # name -> (argv, file written, (tf, M), sha256 of the file)
     "gamma": (["error-surface", "--grid", "gamma"], "error_surface_gamma.csv", (1.0, 100),
-              "da1e65930bd8f8474d8e981d61902452cf43dd891ea82e6913d9703b8dee8a4b"),
+              "5b2362cfe15000fd43e305c83291df778ea3cc93dc5c846269c354a96259b558"),
     "converge": (["converge"], "converge.csv", (1.0, 100),
                  "4de3ea3ebd91e219d71ab8729f0d6d61e37b485a16f1becdefc9497b51af1d26"),
     "solve_del": (["solve", "--which", "del"], "traj_del.csv", (4.0, 400),

@@ -279,7 +279,9 @@ class TestPreimagePath:
     def test_agrees_with_the_shifted_companion(self, d, op_name, eps):
         p = transcendental_pencil(gyroscopic_random_spec(d), ANTISYMMETRIC[op_name](eps), 0)
         sp = transcendental_spectrum(p)
-        w, vectors, _ = pencil._eigenpairs(pencil._shifted_blocks(p), 1e-8)
+        blocks = pencil._shifted_blocks(p.spec, p.op, p.op.gamma[None], p.nu)
+        (w,), (vectors,), _, failures = pencil._eigenpairs(blocks, 1e-8)
+        assert failures == [None]
         zeta = 1.0 + eps * w
         assert len(sp.zeta) == len(zeta) == 4 * p.op.N * d
         dist = np.abs(sp.zeta.roots[:, None] - zeta[None, :])
@@ -294,11 +296,11 @@ class TestPreimagePath:
 
     def test_only_other_weights_reach_the_zeta_companion(self, monkeypatch, ref_spec):
         shapes = record_eigenpair_blocks(monkeypatch)
-        routes = [(k_family(0.05, 0.3), (5, 2, 2)),
-                  (ScaleOperator(np.array([-0.3, -0.4, 0.7]), 0.05), (5, 2, 2)),  # gamma cell
-                  (central_difference(0.05), (3, 2, 2)),
-                  (five_point(0.05), (3, 2, 2)),
-                  (ANTISYMMETRIC["complex"](0.05), (3, 2, 2))]
+        routes = [(k_family(0.05, 0.3), (1, 5, 2, 2)),
+                  (ScaleOperator(np.array([-0.3, -0.4, 0.7]), 0.05), (1, 5, 2, 2)),  # gamma cell
+                  (central_difference(0.05), (1, 3, 2, 2)),
+                  (five_point(0.05), (1, 3, 2, 2)),
+                  (ANTISYMMETRIC["complex"](0.05), (1, 3, 2, 2))]
         for op, blocks in routes:
             shapes.clear()
             transcendental_spectrum(transcendental_pencil(ref_spec, op, 3))

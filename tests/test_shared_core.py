@@ -41,8 +41,9 @@ def test_dirichlet_cel_computes_each_spectrum_and_basis_once(monkeypatch, ref_sp
 
 
 def del_solve_calls(monkeypatch, spec, op):
-    """dirichlet_del's spectrum calls, _eigenpairs block shapes and reference-path calls."""
-    spectra = count_calls(monkeypatch, pencil, "transcendental_spectrum")
+    """dirichlet_del's batched spectrum calls, _eigenpairs block shapes and reference-path
+    calls."""
+    spectra = count_calls(monkeypatch, pencil, "_spectra")
     shapes = record_eigenpair_blocks(monkeypatch)
     references = [count_calls(monkeypatch, numkernel, name) for name in REFERENCE_PATHS]
     rng = np.random.default_rng(2)
@@ -53,11 +54,11 @@ def del_solve_calls(monkeypatch, spec, op):
 
 def test_dirichlet_del_computes_each_spectrum_and_basis_once(monkeypatch, ref_spec):
     # antisymmetric weights: one classical (C, B, A) solve per spectrum, and none of
-    # the shifted (4N+1, d, d) zeta-companion
+    # the shifted (4N+1, d, d) zeta-companion; a lone solve is a batch of one
     spectra, shapes, references = del_solve_calls(monkeypatch, ref_spec,
                                                   central_difference(0.01))
     assert spectra == 2
-    assert shapes == [(3, 2, 2), (3, 2, 2)]
+    assert shapes == [(1, 3, 2, 2), (1, 3, 2, 2)]
     assert references == [0, 0, 0]
 
 
@@ -65,7 +66,7 @@ def test_dirichlet_del_solves_the_zeta_companion_for_other_weights(monkeypatch, 
     spectra, shapes, references = del_solve_calls(monkeypatch, ref_spec,
                                                   k_family(0.01, 0.3))
     assert spectra == 2
-    assert shapes == [(5, 2, 2), (5, 2, 2)]
+    assert shapes == [(1, 5, 2, 2), (1, 5, 2, 2)]
     assert references == [0, 0, 0]
 
 
@@ -116,8 +117,10 @@ def test_two_time_window_solve_is_the_endpoint_solve():
     mat = np.vstack([(np.exp(roots * t0)[:, None] * basis).T,
                      (np.exp(roots * tf)[:, None] * basis).T])
     want = numkernel.solve_square(mat, np.concatenate([rhs0, rhsf]))
-    got, cond = celsolve._window_solve(roots, basis, np.array([t0, tf]),
-                                       np.stack([rhs0, rhsf]))
+    (got,), (cond,), failures = celsolve._window_solve(roots[None], basis[None],
+                                                       np.array([t0, tf]),
+                                                       np.stack([rhs0, rhsf])[None])
+    assert failures == [None]
     assert np.array_equal(got, want.x) and cond == want.cond
 
 
