@@ -3,9 +3,12 @@
 As the delay shrinks, the discrete pencil tends to the quadratic one locally
 uniformly and the discrete spectrum, intersected with a compact window that
 discards the divergent roots, tends to the classical spectrum in the
-Hausdorff metric.  This module measures both; the pencil errors over a square
-grid of the window are one array expression in the forward and adjoint symbols,
-summed from expm1 terms so that they stay accurate at small eps.
+Hausdorff metric.  This module measures both.  A sweep is one batch: the spectra
+at every delay are solved together, as one `pencil._spectra` call per distinct N,
+and the classical pencil is solved once for the whole sweep (antisymmetric weights
+take their roots as preimages of it).  The pencil errors over a square grid of the
+window are one array expression in the forward and adjoint symbols, summed from
+expm1 terms so that they stay accurate at small eps.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkernel, pencil, scaleop
+from . import pencil, scaleop
 from .model import LagrangianSpec
 from .numkernel import RootSet
 
@@ -79,10 +82,12 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
                   K_radius: float = None, grid_points: int = 21) -> SweepResult:
     """Hausdorff distances and pencil errors over a family of delays.
 
-    op_family maps epsilon to a ScaleOperator.  Failures at one delay (bad
-    operator conditions, degenerate spectra, empty windows) annotate that
-    entry and the sweep continues.  The order is the least-squares slope of
-    log(distance) against log(epsilon) over the valid entries.
+    op_family maps epsilon to a ScaleOperator.  The sweep is one batch: the delays
+    whose operators pass the operator conditions are solved together, one `_spectra`
+    call per distinct N, with the classical spectrum solved once and shared.
+    Failures at one delay (bad operator conditions, degenerate spectra, empty
+    windows) annotate that entry and the others are kept.  The order is the
+    least-squares slope of log(distance) against log(epsilon) over the valid entries.
     """
     epsilons = np.asarray(epsilons, dtype=float).ravel()
     p_cls = pencil.classical_pencil(spec, nu)
@@ -94,27 +99,28 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     axis = np.linspace(-K_radius, K_radius, grid_points)
     lam_grid = (axis[:, None] + 1j * axis[None, :]).ravel()
 
+    ops = [op_family(float(eps)) for eps in epsilons]
+    notes: list[str | None] = [
+        None if conds.sum_zero and conds.derivative_normalized else "operator conditions fail"
+        for conds in map(scaleop.check_operator_conditions, ops)]
     distances = np.full(len(epsilons), np.nan)
     pencil_errors = np.full(len(epsilons), np.nan)
-    notes: list[str | None] = [None] * len(epsilons)
-    for i, eps in enumerate(epsilons):
-        op = op_family(float(eps))
-        conds = scaleop.check_operator_conditions(op)
-        if not (conds.sum_zero and conds.derivative_normalized):
-            notes[i] = "operator conditions fail"
-            continue
-        tp = pencil.transcendental_pencil(spec, op, nu)
-        try:
-            sp = pencil.transcendental_spectrum(tp)
-        except (pencil.LeadingSingular, pencil.DegenerateRoots,
-                numkernel.NumericalFailure) as exc:
-            notes[i] = f"spectrum failure: {exc}"
-            continue
-        kept = filter_to_window(sp.lam, K_radius)
-        if len(kept) == 0:
-            notes[i] = "no roots inside the compact window"
-            continue
-        distances[i] = hausdorff_distance(kept, q_cls)
-        pencil_errors[i] = _pencil_error(op, lam_grid, gram)
+    by_n: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):
+        if notes[i] is None:
+            by_n.setdefault(op.N, []).append(i)
+    for idx in by_n.values():
+        sp = pencil._spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
+                             classical=q_cls)
+        for i, lam, failure in zip(idx, sp.lam, sp.failures):
+            if failure is not None:
+                notes[i] = f"spectrum failure: {failure}"
+                continue
+            kept = lam[np.abs(lam) <= K_radius]  # the compact window
+            if len(kept) == 0:
+                notes[i] = "no roots inside the compact window"
+                continue
+            distances[i] = hausdorff_distance(kept, q_cls)
+            pencil_errors[i] = _pencil_error(ops[i], lam_grid, gram)
     order = _fit_order(epsilons, distances)
     return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))

@@ -109,15 +109,37 @@ class RootSet:
         return cls(roots, residuals, _min_separation(roots), tol)
 
     def is_simple(self, rel_tol: float = 1e-7) -> bool:
-        """True when no two roots fall within rel_tol * max(1, |root|) of each other,
-        i.e. close_pairs of the roots with themselves is set on the diagonal only."""
-        return close_pairs(self.roots, self.roots, rel_tol).sum() == len(self.roots)
+        """True when no two roots fall within rel_tol * max(1, |root|) of each other."""
+        return bool(simple_rows(self.roots[None], rel_tol)[0])
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
     """[..., i, j] is |a_i - b_j| < rel_tol * max(1, |a_i|, |b_j|), over any leading axes."""
     a, b = np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]
     return np.abs(a - b) < rel_tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+# elements of the largest temporary that one chunk of a batched kernel forms: one row of
+# 256 x 256 root pairs, or a 64-cell surface block of 8 x 8
+CHUNK_ELEMENTS = 2**16
+
+
+def chunks(items: int, per_item: int) -> list:
+    """Slices of a batch of items that each form at most CHUNK_ELEMENTS temporary
+    elements, at per_item elements an item (at least one item a slice)."""
+    step = max(1, CHUNK_ELEMENTS // max(1, per_item))
+    return [slice(i, i + step) for i in range(0, items, step)]
+
+
+def simple_rows(roots: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Per row of roots (B, K): no two roots within rel_tol * max(1, |root|) of each other,
+    i.e. close_pairs of the row with itself is set on the diagonal only.  Rows are tested
+    in chunks of at most CHUNK_ELEMENTS pairs, which bounds the memory."""
+    B, K = roots.shape
+    simple = np.empty(B, dtype=bool)
+    for c in chunks(B, K * K):
+        simple[c] = close_pairs(roots[c], roots[c], rel_tol).sum(axis=(1, 2)) == K
+    return simple
 
 
 def _sorted_rootset(roots, residuals, tol) -> RootSet:

@@ -20,9 +20,11 @@ root's kernel vector.  A pair is accepted when its normwise backward error
 ||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the
 root's residual.  `Setting` is the one place where the two settings differ; the
 assumption checker, the solvers' shared core and the periodicity code run on it.
-Spectra and assumption checks run on a batch of settings that share spec, N and
-eps, with a leading batch axis, every eigen-solve stacked: each item gets its arrays
-or the typed error its lone call raises, and the public functions are the batch of one.
+Spectra and assumption checks run on a batch of settings that share spec and N; each
+item has its own eps.  The batch is a leading axis, every eigen-solve stacked: each
+item gets its arrays or the typed error its lone call raises, and the public functions
+are the batch of one.  A batch holds the cells of an error surface (one eps) or the
+delays of an eps-sweep, which also solves the classical pencil once for all its items.
 """
 from __future__ import annotations
 
@@ -84,13 +86,18 @@ def _is_singular(m: np.ndarray) -> np.ndarray:
 def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
                      v: np.ndarray, tol: float) -> tuple:
     """||Q(mu) v|| / (sum_i |mu|^i ||B_i||_F ||v||) for each item's roots mu (B, K) and
-    columns v (B, d, K); per item, NumericalFailure unless all are <= tol and no v is 0."""
+    columns v (B, d, K); per item, NumericalFailure unless all are <= tol and no v is 0.
+    Items go in chunks of at most numkernel.CHUNK_ELEMENTS elements of the products
+    B_i v, (k+1, d, K) an item, which bounds the memory."""
+    errors = np.empty(mu.shape)
     with np.errstate(all="ignore"):
-        powers = mu[:, None, :] ** np.arange(blocks.shape[1])[:, None]
-        num = np.linalg.norm(((blocks @ v[:, None]) * powers[:, :, None]).sum(axis=1), axis=1)
-        den = (np.abs(powers) * norms[:, :, None]).sum(axis=1) * np.linalg.norm(v, axis=1)
-        # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
-        errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
+        for c in numkernel.chunks(len(mu), blocks.shape[1] * v.shape[1] * v.shape[2]):
+            powers = mu[c, None, :] ** np.arange(blocks.shape[1])[:, None]
+            num = np.linalg.norm(((blocks[c] @ v[c, None]) * powers[:, :, None]).sum(axis=1),
+                                 axis=1)
+            den = (np.abs(powers) * norms[c, :, None]).sum(axis=1) * np.linalg.norm(v[c], axis=1)
+            # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
+            errors[c] = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
     worst = errors.max(axis=1)
     passed = (worst <= tol) & (np.abs(v).max(axis=1).min(axis=1) > 0)
     return errors, [None if ok else numkernel.NumericalFailure(
@@ -187,40 +194,74 @@ class TranscendentalSpectrum:
         return len(self.lam)
 
 
-def _shifted_blocks(spec: LagrangianSpec, op: ScaleOperator, gamma: np.ndarray,
+class _Delays(NamedTuple):
+    """The delays of a batch of operators sharing N: eps (B,), eps**2 (B,) rounded as a
+    lone call rounds it (libm pow, which numpy's square does not always match) and the
+    binomial shifts op.shift stacked to (B, 4N+1, 4N+1), built once per distinct eps (a
+    read-only broadcast when the batch shares one eps, as a surface block does)."""
+
+    eps: np.ndarray
+    eps2: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def of(cls, ops: list) -> "_Delays":
+        by_eps = {op.epsilon: op for op in ops}  # one operator, one shift, per distinct eps
+        eps = [op.epsilon for op in ops]
+        shift = np.broadcast_to(ops[0].shift, (len(ops),) + ops[0].shift.shape) \
+            if len(by_eps) == 1 else np.stack([by_eps[e].shift for e in eps])
+        return cls(np.array(eps), np.array([e**2 for e in eps]), shift)
+
+    def take(self, idx: np.ndarray) -> "_Delays":
+        return _Delays(*(a[idx] for a in self))
+
+
+def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x[b] @ m[b] for x (B, n) and m (B, n, p).  Items that share one m (one delay) take
+    one matrix product, and items that do not a stacked vector-matrix product, which is
+    how a lone item's row is multiplied: either way each row is rounded as in a batch at
+    one delay (einsum, which sums in another order, is not)."""
+    if (m == m[0]).all():
+        return x @ m[0]
+    return np.matmul(x[:, None], m)[:, 0]
+
+
+def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
                     nu: float) -> np.ndarray:
     """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps, (B, 4N+1, d, d),
-    for the weights gamma (B, 2N+1) of operators sharing op's N and eps.
+    for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay.
 
     zeta^{2N} theta_hat = g g~ / eps^2 with g = sum_j gamma_j zeta^{j+N}, g~ its
     reverse; shifting each factor first keeps the near-cancelling B_0, B_1 accurate.
     """
-    N, eps = op.N, op.epsilon
+    N = (gamma.shape[1] - 1) // 2
     gamma = gamma if gamma.imag.any() else gamma.real
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    head = op.shift[:2 * N + 1, :2 * N + 1]
-    g, g_rev = gamma @ head.T, gamma[:, ::-1] @ head.T
+    head_t = delays.shift[:, :2 * N + 1, :2 * N + 1].transpose(0, 2, 1)
+    g, g_rev = _row_products(gamma, head_t), _row_products(gamma[:, ::-1], head_t)
     theta = np.zeros((len(gamma), 4 * N + 1), dtype=gamma.dtype)
     for i in range(2 * N + 1):  # the product g g~, one coefficient of g at a time
         theta[:, i:i + 2 * N + 1] += g[:, i:i + 1] * g_rev
-    sigma1 = (gamma - gamma[:, ::-1]) @ op.shift[:, N:3 * N + 1].T / eps
-    return -(theta[:, :, None, None] / eps**2 * a_nu + sigma1[:, :, None, None] * spec.J5
-             + op.shift[:, 2 * N, None, None] * c_nu)
+    sigma1 = _row_products(gamma - gamma[:, ::-1],
+                           delays.shift[:, :, N:3 * N + 1].transpose(0, 2, 1)) \
+        / delays.eps[:, None]
+    return -(theta[:, :, None, None] / delays.eps2[:, None, None, None] * a_nu
+             + sigma1[:, :, None, None] * spec.J5
+             + delays.shift[:, :, 2 * N, None, None] * c_nu)
 
 
-def _preimages(spec: LagrangianSpec, op: ScaleOperator, gamma: np.ndarray, nu: float,
-               tol: float) -> tuple:
+def _preimages(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays, nu: float,
+               classical: RootSet, tol: float) -> tuple:
     """`_eigenpairs` of zeta^{2N} P(zeta) = zeta^{2N} P(s) for antisymmetric weights
-    gamma (B, 2N+1), from the pairs (lam_k, v_k) of one classical solve: the roots of
-    h_k = zeta^N (g(zeta)/eps - lam_k), from one batch of scaled companions and a
-    Newton step kept unless it raises |h_k|."""
-    N, eps = op.N, op.epsilon
-    q = classical_pencil(spec, nu)
-    lam, vectors, _, classical = _eigenpairs(np.stack([q.C, q.B, q.A])[None], tol)
-    lam, vectors = lam[0], vectors[0]
-    head = op.shift[:2 * N + 1, :2 * N + 1]
+    gamma (B, 2N+1), each at its own delay, from the classical pairs (lam_k, v_k): the
+    roots of h_k = zeta^N (g(zeta)/eps - lam_k), from one batch of scaled companions and
+    a Newton step kept unless it raises |h_k|."""
+    N = (gamma.shape[1] - 1) // 2
+    lam, vectors = classical.roots, classical.vectors
+    head = delays.shift[:, :2 * N + 1, :2 * N + 1]
     real = gamma if gamma.imag.any() else gamma.real
-    coeffs = (real @ head.T / eps)[:, None] - lam[:, None] * head[:, N]  # ascending in w
+    coeffs = ((_row_products(real, head.transpose(0, 2, 1)) / delays.eps[:, None])[:, None]
+              - lam[:, None] * head[:, None, :, N])  # ascending in w
     with np.errstate(all="ignore"):
         s = (np.abs(coeffs[..., :1]) / np.abs(coeffs[..., -1:])) ** (1.0 / (2 * N))
     s = np.where((s > 0) & (s < np.inf), s, 1.0)  # mu = w / s
@@ -237,13 +278,13 @@ def _preimages(spec: LagrangianSpec, op: ScaleOperator, gamma: np.ndarray, nu: f
         newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
     w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
     w, vectors = w.reshape(len(gamma), -1), np.repeat(vectors, 2 * N, axis=0)
-    blocks = _shifted_blocks(spec, op, gamma, nu)
+    blocks = _shifted_blocks(spec, gamma, delays, nu)
     errors, rejected = _backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), w,
                                         np.broadcast_to(vectors.T, (len(w),) + vectors.T.shape),
                                         tol)
     return w, np.broadcast_to(vectors, w.shape + (spec.d,)), errors, [
-        classical[0] or exc and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}")
-        or r for exc, r in zip(failed, rejected)]
+        exc and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or r
+        for exc, r in zip(failed, rejected)]
 
 
 class _Spectra(NamedTuple):
@@ -265,13 +306,15 @@ class _Spectra(NamedTuple):
                              self.vectors[i]) for r in (self.lam, self.roots))
 
 
-def _spectra(settings: list, nu: float, tol: float = 1e-8,
-             separation_tol: float = 1e-7) -> _Spectra:
-    """Spectra of the nu-pencils of a batch of settings that share spec, N and eps.
+def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float = 1e-7,
+             classical: RootSet | None = None) -> _Spectra:
+    """Spectra of the nu-pencils of a batch of settings that share spec and N; each item
+    has its own eps.
 
     Continuous settings share the classical spectrum.  Discrete weights are routed in
-    batches: antisymmetric ones to preimages, others to the shifted companion, real
-    apart from complex, so that each item gets the roots of its lone spectrum.
+    batches: antisymmetric ones to preimages of the classical spectrum (classical, when
+    the caller has solved it, else solved here once), others to the shifted companion,
+    real apart from complex, so that each item gets the roots of its lone spectrum.
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
@@ -285,6 +328,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8,
         return _Spectra(w, w, residuals, vectors, [None] * B)
 
     gamma = np.stack([s.op.gamma for s in settings])
+    delays = _Delays.of([s.op for s in settings])
     singular = _is_singular(coefficient_matrices(spec, nu)[0])
     failures = [LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
                 if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
@@ -294,18 +338,27 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8,
     routes = 2 * ~(gamma + gamma[:, ::-1]).any(axis=1) + ~gamma.imag.any(axis=1)
     for route in np.unique(routes[live]):
         idx = np.flatnonzero(live & (routes == route))
-        w[idx], vectors[idx], residuals[idx], failed = (
-            _preimages(spec, op, gamma[idx], nu, tol) if route >= 2
-            else _eigenpairs(_shifted_blocks(spec, op, gamma[idx], nu), tol))
+        if route < 2:
+            w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(
+                _shifted_blocks(spec, gamma[idx], delays.take(idx), nu), tol)
+        else:
+            try:
+                if classical is None:
+                    classical = classical_spectrum(classical_pencil(spec, nu), tol)
+            except (LeadingSingular, numkernel.NumericalFailure) as exc:
+                failed = [exc] * len(idx)
+            else:
+                w[idx], vectors[idx], residuals[idx], failed = _preimages(
+                    spec, gamma[idx], delays.take(idx), nu, classical, tol)
         for i, f in zip(idx, failed):
             failures[i] = f
-    z = op.epsilon * w  # zeta - 1
+    z = delays.eps[:, None] * w  # zeta - 1
     # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
     lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
-           + 1j * np.arctan2(z.imag, 1.0 + z.real)) / op.epsilon
+           + 1j * np.arctan2(z.imag, 1.0 + z.real)) / delays.eps[:, None]
     order = np.arange(B)[:, None], np.lexsort((lam.real, lam.imag), axis=-1)
     zeta = 1.0 + z[order]
-    simple = numkernel.close_pairs(zeta, zeta, separation_tol).sum(axis=(1, 2)) == K
+    simple = numkernel.simple_rows(zeta, separation_tol)
     failures = [f if f or ok else DegenerateRoots("zeta-roots cluster below the separation "
                                                   "tolerance") for f, ok in zip(failures, simple)]
     return _Spectra(lam[order], zeta, residuals[order], vectors[order], failures)
@@ -341,7 +394,8 @@ class Setting:
     vectors and separation tests (lam, or zeta = e^{lam eps}), where the
     constant mode sits (lam = 0 with right-hand side J7, or zeta = 1 with
     J7 + s_bar(0) J6) and how many roots to expect (2d or 4Nd).  A batch is a
-    list of settings that share spec, N and eps; the methods here are its batch of one.
+    list of settings that share spec and N; each item has its own eps.  The methods
+    here are its batch of one.
     """
 
     spec: LagrangianSpec
@@ -419,8 +473,7 @@ def _check_assumptions(settings: list, n: int, tol: float) -> tuple:
     count = settings[0].root_count
 
     def simple(r):
-        return (r.shape[1] == count) & (numkernel.close_pairs(r, r, tol).sum(axis=(1, 2))
-                                        == r.shape[1])
+        return (r.shape[1] == count) & numkernel.simple_rows(r, tol)
 
     checks = np.array([simple(sp_n.roots), simple(sp_0.roots),
                        ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),

@@ -18,6 +18,13 @@ def make_reference_spec(n=3, omega=(2.0, 5.0), j4_free=None):
     return LagrangianSpec(2, n, J1, J2, J3, j4)
 
 
+def make_gyroscopic_spec():
+    """The reference system with a skew J5, so that the sigma1 term contributes."""
+    spec = make_reference_spec()
+    return LagrangianSpec(2, 3, spec.J1, spec.J2, spec.J3, spec.J4,
+                          np.array([[0.0, 0.7], [-0.7, 0.0]]))
+
+
 def make_oscillator_spec(omega=1.0, n=1):
     """d=1 harmonic oscillator: J1 = 1, J2 = -omega^2, everything else zero."""
     return LagrangianSpec(1, n, [[1.0]], [[-omega**2]], [[0.0]], [[0.0]])

@@ -1,0 +1,127 @@
+"""The batched epsilon sweep against the per-epsilon loop it replaces.
+
+`epsilon_sweep` solves every delay of a sweep in one `pencil._spectra` call per N
+and reuses its classical spectrum; `transcendental_spectrum` is the batch of one.
+Each entry's distance, pencil error and note must be bit for bit what one spectrum
+per delay gives.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from choreoqep import convergence, pencil, scaleop
+from choreoqep.scaleop import ScaleOperator, central_difference, k_family
+
+from conftest import make_gyroscopic_spec, make_reference_spec
+
+EPSILONS = np.logspace(math.log10(1e-4), math.log10(0.2), 12)
+
+
+def five_point(eps):
+    return ScaleOperator(np.array([1, -8, 0, 8, -1]) / 12.0, eps)
+
+
+def complex_weights(eps):
+    # antisymmetric complex weights, sum zero and normalised
+    return ScaleOperator(
+        np.array([1 / 12 + 0.05j, -2 / 3 - 0.1j, 0, 2 / 3 + 0.1j, -1 / 12 - 0.05j]), eps)
+
+
+def patchwork(eps):
+    """Both N, failing operator conditions and a degenerate zeta-polynomial in one family."""
+    if eps < 1e-3:
+        return five_point(eps)
+    if eps < 1e-2:
+        return ScaleOperator([-1, 0, 1], eps)  # sum k gamma_k = 2: conditions fail
+    if eps < 5e-2:
+        return ScaleOperator([0, -1, 1], eps)  # forward difference: gamma_-1 gamma_1 = 0
+    return central_difference(eps)
+
+
+FAMILIES = {"central": central_difference, "five_point": five_point,
+            "k_family": lambda eps: k_family(eps, 0.3), "complex": complex_weights,
+            "patchwork": patchwork}
+
+
+def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
+    """The sweep as one lone spectrum per delay, each with its own classical solve."""
+    p_cls = pencil.classical_pencil(spec, nu)
+    pair = np.stack([p_cls.A, spec.J5]).reshape(2, -1)
+    gram = pair.conj() @ pair.T
+    q_cls = pencil.classical_spectrum(p_cls)
+    if K_radius is None:
+        K_radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
+    axis = np.linspace(-K_radius, K_radius, 21)
+    lam_grid = (axis[:, None] + 1j * axis[None, :]).ravel()
+    distances, errors, notes = [], [], []
+    for eps in epsilons:
+        op = op_family(float(eps))
+        distances.append(math.nan)
+        errors.append(math.nan)
+        notes.append(None)
+        conds = scaleop.check_operator_conditions(op)
+        if not (conds.sum_zero and conds.derivative_normalized):
+            notes[-1] = "operator conditions fail"
+            continue
+        try:
+            sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu))
+        except (pencil.LeadingSingular, pencil.DegenerateRoots,
+                pencil.numkernel.NumericalFailure) as exc:
+            notes[-1] = f"spectrum failure: {exc}"
+            continue
+        kept = convergence.filter_to_window(sp.lam, K_radius)
+        if len(kept) == 0:
+            notes[-1] = "no roots inside the compact window"
+            continue
+        distances[-1] = convergence.hausdorff_distance(kept, q_cls)
+        errors[-1] = convergence._pencil_error(op, lam_grid, gram)
+    return np.array(distances), np.array(errors), tuple(notes)
+
+
+def assert_sweep_is_the_loop(spec, op_family, nu, epsilons, K_radius=None):
+    result = convergence.epsilon_sweep(spec, op_family, nu, epsilons, K_radius)
+    distances, errors, notes = per_epsilon_loop(spec, op_family, nu, epsilons, K_radius)
+    assert result.notes == notes
+    assert np.array_equal(result.distances, distances, equal_nan=True)
+    assert np.array_equal(result.pencil_errors, errors, equal_nan=True)
+    return result
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
+                         ids=["reference", "gyroscopic"])
+@pytest.mark.parametrize("nu", [0.0, 3.0])
+def test_sweep_is_the_per_epsilon_loop_bit_for_bit(spec, family, nu):
+    result = assert_sweep_is_the_loop(spec, FAMILIES[family], nu, EPSILONS)
+    if family == "patchwork":
+        assert {note and note.split(":")[0] for note in result.notes} == {
+            None, "operator conditions fail", "spectrum failure"}
+
+
+def test_an_empty_window_is_noted_as_in_the_loop():
+    # below eps = 0.2, where eps * 5 reaches the resolution limit and the roots cluster
+    result = assert_sweep_is_the_loop(make_reference_spec(), central_difference, 0.0,
+                                      EPSILONS[:-1], K_radius=0.5)
+    assert result.notes == ("no roots inside the compact window",) * (len(EPSILONS) - 1)
+
+
+def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
+    calls = {"eig": 0, "_spectra": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eig")
+    counted(pencil, "_spectra")
+    for family in (central_difference, five_point):
+        calls.update(eig=0, _spectra=0)
+        result = convergence.epsilon_sweep(make_reference_spec(), family, 0.0, EPSILONS)
+        assert result.valid()[:-1].all()
+        assert calls == {"eig": 1, "_spectra": 1}

@@ -7,11 +7,10 @@ import pytest
 from choreoqep import pencil
 from choreoqep.convergence import (EmptySet, _pencil_error, epsilon_sweep,
                                    filter_to_window, hausdorff_distance)
-from choreoqep.model import LagrangianSpec
 from choreoqep.numkernel import RootSet
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
-from conftest import make_oscillator_spec, make_reference_spec
+from conftest import make_gyroscopic_spec, make_oscillator_spec, make_reference_spec
 
 
 class TestHausdorff:
@@ -70,18 +69,11 @@ def test_central_difference_order_two_down_to_small_epsilon():
     assert abs(result.estimated_order - 2.0) <= 0.05
 
 
-def gyroscopic_spec():
-    """The reference system with a skew J5, so that the sigma1 term contributes."""
-    spec = make_reference_spec()
-    return LagrangianSpec(2, 3, spec.J1, spec.J2, spec.J3, spec.J4,
-                          np.array([[0.0, 0.7], [-0.7, 0.0]]))
-
-
 @pytest.mark.parametrize("op_family", [
     central_difference, lambda eps: k_family(eps, 0.3),
     lambda eps: ScaleOperator(np.array([1, -8, 0, 8, -1]) / 12.0, eps)],
     ids=["central", "k_family", "five_point"])
-@pytest.mark.parametrize("spec", [make_reference_spec(), gyroscopic_spec()],
+@pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
                          ids=["reference", "gyroscopic"])
 def test_pencil_error_grid_matches_the_pointwise_loop(spec, op_family):
     # eps >= 0.05 keeps the cancellation in theta_hat + lam^2 (~1e-16 / eps^2)

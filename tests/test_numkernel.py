@@ -191,3 +191,49 @@ class TestSolveSquare:
     def test_zero_matrix_singular(self):
         with pytest.raises(Singular):
             solve_square(np.zeros((2, 2)), [1.0, 0.0])
+
+
+class TestSimpleRows:
+    """The chunked separation predicate against the unchunked close_pairs count."""
+
+    @staticmethod
+    def planted(rng, B, K):
+        """Random roots with a near-duplicate (1e-9 * max(1, |root|) apart) planted in a
+        third of the rows and a pair just outside the tolerance (1e-6 * max(1, |root|))
+        in another third."""
+        roots = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
+        roots *= 10.0 ** rng.uniform(-1, 2, (B, 1))
+        for b in range(B):
+            i, j = rng.choice(K, 2, replace=False)
+            if b % 3 < 2:
+                roots[b, i] = roots[b, j] + (1e-9, 1e-6)[b % 3] * max(1.0, abs(roots[b, j]))
+        return roots
+
+    @pytest.mark.parametrize("B, K", [(3, 256), (2000, 8), (50, 100), (4, 300), (1, 2)])
+    def test_matches_the_unchunked_count(self, B, K):
+        roots = self.planted(np.random.default_rng(B * K), B, K)
+        want = numkernel.close_pairs(roots, roots, 1e-7).sum(axis=(1, 2)) == K
+        got = numkernel.simple_rows(roots, 1e-7)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert not want[::3].any() and want[1::3].all()
+
+    def test_each_call_keeps_to_the_chunk_budget(self, monkeypatch):
+        shapes = []
+        original = numkernel.close_pairs
+
+        def recorded(a, b, rel_tol):
+            shapes.append(a.shape)
+            return original(a, b, rel_tol)
+
+        monkeypatch.setattr(numkernel, "close_pairs", recorded)
+        rng = np.random.default_rng(3)
+        for B, K in [(64, 8), (12, 256), (12, 128), (3, 512)]:
+            shapes.clear()
+            numkernel.simple_rows(self.planted(rng, B, K), 1e-7)
+            assert sum(s[0] for s in shapes) == B
+            # a row is never split, so one row may exceed the budget alone
+            assert all(s[0] * K * K <= numkernel.CHUNK_ELEMENTS or s[0] == 1 for s in shapes)
+        assert len(shapes) == 3  # three rows of 512 roots, one at a time
+        shapes.clear()
+        numkernel.simple_rows(self.planted(rng, 64, 8), 1e-7)
+        assert shapes == [(64, 8)]  # a gamma-surface block stays one call

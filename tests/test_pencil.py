@@ -242,6 +242,47 @@ class TestCompanionErrorPaths:
         assert np.array_equal(v[partner], v.conj())
 
 
+def summed_backward_errors(blocks, mu, v):
+    """The backward errors with Q(mu) v formed as one (B, k+1, d, K) product summed over
+    its block axis: the reference for the chunked form."""
+    norms = np.linalg.norm(blocks, axis=(2, 3))
+    powers = mu[:, None, :] ** np.arange(blocks.shape[1])[:, None]
+    num = np.linalg.norm(((blocks @ v[:, None]) * powers[:, :, None]).sum(axis=1), axis=1)
+    den = (np.abs(powers) * norms[:, :, None]).sum(axis=1) * np.linalg.norm(v, axis=1)
+    return num / den
+
+
+@pytest.mark.parametrize("B, k, d, K, shared", [
+    (12, 8, 32, 256, True),  # a 5-point sweep at d = 32 (preimages: one v), one per chunk
+    (12, 4, 8, 32, False),
+    (64, 4, 2, 8, False),  # a gamma-surface block on the shifted companion
+    (64, 2, 2, 4, True)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_backward_errors_match_the_summed_form_bit_for_bit(B, k, d, K, shared, dtype):
+    rng = np.random.default_rng(B + k + d + K)
+    blocks = rng.standard_normal((B, k + 1, d, d)).astype(dtype)
+    if dtype is complex:
+        blocks += 1j * rng.standard_normal(blocks.shape)
+    mu = (rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))) * 3.0
+    v = rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))
+    v = np.broadcast_to(v, (B, d, K)) if shared else \
+        rng.standard_normal((B, d, K)) + 1j * rng.standard_normal((B, d, K))
+    errors, _ = pencil._backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), mu, v,
+                                        1e-8)
+    assert np.array_equal(errors, summed_backward_errors(blocks, mu, v))
+
+
+def test_row_products_round_each_row_as_its_delay_batch_does():
+    # one shared matrix (one delay): the rows of one matrix product, as a batch at one
+    # delay has them; distinct matrices: each row as its lone (1, n) product
+    rng = np.random.default_rng(5)
+    x, m = rng.standard_normal((64, 5)), rng.standard_normal((5, 9))
+    assert np.array_equal(pencil._row_products(x, np.broadcast_to(m, (64, 5, 9))), x @ m)
+    ms = rng.standard_normal((64, 5, 9))
+    assert np.array_equal(pencil._row_products(x, ms),
+                          np.concatenate([x[b:b + 1] @ ms[b] for b in range(64)]))
+
+
 def five_point(eps):
     return ScaleOperator(np.array([1, -8, 0, 8, -1]) / 12.0, eps)
 
@@ -279,7 +320,8 @@ class TestPreimagePath:
     def test_agrees_with_the_shifted_companion(self, d, op_name, eps):
         p = transcendental_pencil(gyroscopic_random_spec(d), ANTISYMMETRIC[op_name](eps), 0)
         sp = transcendental_spectrum(p)
-        blocks = pencil._shifted_blocks(p.spec, p.op, p.op.gamma[None], p.nu)
+        blocks = pencil._shifted_blocks(p.spec, p.op.gamma[None], pencil._Delays.of([p.op]),
+                                        p.nu)
         (w,), (vectors,), _, failures = pencil._eigenpairs(blocks, 1e-8)
         assert failures == [None]
         zeta = 1.0 + eps * w
