@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -197,15 +198,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
 # artifact writers
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """The header line, then one line per row: numeric cells (int, float, numpy float)
+    as '%.17g', which reads back to the same double, and other cells as str.  The cell
+    types of the first row make one %-template for the whole table, so every row must
+    share them; rows may be a list of lists or a 2-D float array."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
+    if rows:
+        line = ",".join("%.17g" if isinstance(v, (int, float, np.floating)) else "%s"
+                        for v in rows[0])
+        lines.append("\n".join([line] * len(rows)) % tuple(chain.from_iterable(rows)))
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -240,8 +243,9 @@ def write_svg(path, traj: np.ndarray, times: np.ndarray = None) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{x0 - mx:.6g} {y0 - my:.6g} {w + 2 * mx:.6g} {h + 2 * my:.6g}">',
     ]
+    points = " ".join(["%.6g,%.6g"] * count)
     for j in range(n):
-        pts = " ".join(f"{xs[j, m]:.6g},{ys[j, m]:.6g}" for m in range(count))
+        pts = points % tuple(np.stack([xs[j], ys[j]], axis=1).ravel().tolist())
         color = _PALETTE[j % len(_PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="{stroke:.6g}" points="{pts}"/>')
@@ -249,37 +253,36 @@ def write_svg(path, traj: np.ndarray, times: np.ndarray = None) -> None:
     Path(path).write_text("\n".join(parts) + "\n", newline="\n")
 
 
-def _trajectory_rows(times: np.ndarray, values: np.ndarray):
-    """Rows (t, particle, c0_re, c0_im, ..., c{d-1}_re, c{d-1}_im)."""
+def _trajectory_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (count n, 2 + 2d) rows (t, particle, c0_re, c0_im, ..., c{d-1}_re,
+    c{d-1}_im) of values (n, count, d), node by node and particle by particle."""
     n, count, d = values.shape
-    for m in range(count):
-        for j in range(n):
-            row = [times[m], j]
-            for c in range(d):
-                row.extend([values[j, m, c].real, values[j, m, c].imag])
-            yield row
+    rows = np.empty((count, n, 2 + 2 * d))
+    rows[:, :, 0] = np.asarray(times)[:, None]
+    rows[:, :, 1] = np.arange(n)
+    rows[:, :, 2::2] = values.real.transpose(1, 0, 2)
+    rows[:, :, 3::2] = values.imag.transpose(1, 0, 2)
+    return rows.reshape(count * n, 2 + 2 * d)
 
 
 def _traj_header(d: int) -> list[str]:
-    cols = ["t", "particle"]
-    for c in range(d):
-        cols.extend([f"c{c}_re", f"c{c}_im"])
-    return cols
+    return ["t", "particle", *(f"c{c}_{part}" for c in range(d) for part in ("re", "im"))]
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the trajectory CSV writer; returns (times, values (n,M+1,d))."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    d = (len(header) - 2) // 2
-    cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    """Inverse of the trajectory CSV writer; returns (times, values (n, M+1, d)).
+
+    The body is parsed as one float array and scattered into values, real and
+    imaginary parts apart, so signed zeros and every other double come back bit
+    for bit.  A cell that is not a number, or rows of unequal length, raise ValueError."""
+    header, *lines = Path(path).read_text().strip().split("\n")
+    cells = np.array([line.split(",") for line in lines], dtype=float)
     n = int(cells[:, 1].max()) + 1
-    count = len(cells) // n
     times = cells[::n, 0]
-    values = np.zeros((n, count, d), dtype=complex)
-    for idx, row in enumerate(cells):
-        m, j = idx // n, int(row[1])
-        values[j, m] = row[2::2] + 1j * row[3::2]
+    values = np.zeros((n, len(cells) // n, (len(header.split(",")) - 2) // 2), dtype=complex)
+    nodes, particles = np.arange(len(cells)) // n, cells[:, 1].astype(int)
+    values.real[particles, nodes] = cells[:, 2::2]
+    values.imag[particles, nodes] = cells[:, 3::2]
     return times, values
 
 

@@ -12,6 +12,7 @@ generically nonzero and document the boundary layer.
 Both read the operator's cached `WindowTables`: the march advances all particles
 by one d x 4Nd step matrix, and `_residuals` evaluates the windowed equations at
 any nodes with integer windows (so not on t0); `residual_del` is its one-node form.
+Their coefficient blocks are built once per (spec, n) and kept on the read-only spec.
 """
 from __future__ import annotations
 
@@ -218,14 +219,24 @@ def _residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray
     terms = op.windows.stencil[before, after] @ values
     terms = terms.reshape(len(values), len(nodes), 3 * vals.shape[2])
     forcing = op.windows.box1[before, after][:, None] * spec.J6 + spec.J7
-    a_n, c_n = pencil.coefficient_matrices(spec, n)
-    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
-    J3, J4, J5 = spec.J3, spec.J4, spec.J5
-
-    r_xs = -terms[0] @ np.concatenate([a_n, J5, c_n], axis=1).T - n * forcing
-    source = terms[0] @ np.concatenate([2.0 * J3, 0.0 * J5, 2.0 * J4], axis=1).T + forcing
-    r_p = -terms[1:] @ np.concatenate([a_0, J5, c_0], axis=1).T - source
+    xs_block, source_block, particle_block = _equation_blocks(spec, n)
+    r_xs = -terms[0] @ xs_block - n * forcing
+    source = terms[0] @ source_block + forcing
+    r_p = -terms[1:] @ particle_block - source
     return r_xs, r_p
+
+
+def _equation_blocks(spec: LagrangianSpec, n: int) -> tuple:
+    """Transposes of [A_n J5 C_n], [2 J3 0 2 J4] and [A_0 J5 C_0], which take
+    [boxbox f, sigma f, f] to the x_s equation, the x_s source of the particle
+    equations and the particle equation; built once per (spec, n)."""
+    key = ("equation_blocks", n)
+    if key not in spec._derived:
+        (a_n, c_n), (a_0, c_0) = (pencil.coefficient_matrices(spec, nu) for nu in (n, 0))
+        J3, J4, J5 = spec.J3, spec.J4, spec.J5
+        spec._derived[key] = tuple(np.concatenate(row, axis=1).T for row in (
+            (a_n, J5, c_n), (2.0 * J3, 0.0 * J5, 2.0 * J4), (a_0, J5, c_0)))
+    return spec._derived[key]
 
 
 def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,

@@ -31,27 +31,22 @@ class SymmetryInfeasible(Exception):
     """Raised when no real coupling matrix satisfies the symmetry constraint."""
 
 
-def _as_matrix(a, d: int, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.shape != (d, d):
-        raise ValueError(f"{name} must be a {d}x{d} matrix, got shape {m.shape}")
+def _checked(a, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float copy of a in the given shape; a vector may come in any shape."""
+    m = np.array(a, dtype=float)
+    m = m.ravel() if len(shape) == 1 else m
+    if m.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
+    m.flags.writeable = False
     return m
-
-
-def _as_vector(a, d: int, name: str) -> np.ndarray:
-    v = np.asarray(a, dtype=float).ravel()
-    if v.shape != (d,):
-        raise ValueError(f"{name} must be a length-{d} vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite entries")
-    return v
 
 
 @dataclass(frozen=True)
 class LagrangianSpec:
-    """Dimensions (n, d) plus the coefficient matrices and vectors."""
+    """Dimensions (n, d) plus the coefficient matrices and vectors, held as read-only
+    copies: arrays derived from them can be kept for the life of the spec."""
 
     d: int
     n: int
@@ -66,16 +61,12 @@ class LagrangianSpec:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
-        for name in ("J1", "J2", "J3", "J4", "J5"):
+        for name in ("J1", "J2", "J3", "J4", "J5", "J6", "J7"):
+            shape = (self.d,) if name in ("J6", "J7") else (self.d, self.d)
             value = getattr(self, name)
-            if value is None:
-                value = np.zeros((self.d, self.d))
-            object.__setattr__(self, name, _as_matrix(value, self.d, name))
-        for name in ("J6", "J7"):
-            value = getattr(self, name)
-            if value is None:
-                value = np.zeros(self.d)
-            object.__setattr__(self, name, _as_vector(value, self.d, name))
+            object.__setattr__(self, name, _checked(np.zeros(shape) if value is None
+                                                    else value, shape, name))
+        object.__setattr__(self, "_derived", {})  # arrays solvers derive from these, by key
 
 
 @dataclass(frozen=True)
@@ -186,8 +177,8 @@ def transform_affine(spec: LagrangianSpec, A, b) -> LagrangianSpec:
     pick up the contributions of the shift b (additive constants dropped).
     Trajectories of the result are A x(t) + b for trajectories x(t) of spec.
     """
-    A = _as_matrix(A, spec.d, "A")
-    b = _as_vector(b, spec.d, "b")
+    A = _checked(A, (spec.d, spec.d), "A")
+    b = _checked(b, (spec.d,), "b")
     if np.linalg.cond(A) >= 1e12:
         raise SingularTransform("transform matrix condition number >= 1e12")
     ainv = np.linalg.inv(A)

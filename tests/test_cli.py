@@ -1,9 +1,12 @@
 """End-to-end tests through cli.main(argv) on temporary JSON configs."""
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choreoqep import cli
 from choreoqep.model import LagrangianSpec
@@ -125,6 +128,124 @@ class TestSuccess:
         code, _ = run(tmp_path, "validate", write_config(tmp_path, spec))
         assert code == cli.EXIT_OK
         assert "continuous assumptions hold: False" in capsys.readouterr().out
+
+
+def reference_csv(header, rows) -> bytes:
+    """The table written cell by cell: '.17g' of float(v) for numbers, str(v) otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g")
+                              if isinstance(v, (int, float, np.floating)) else str(v)
+                              for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_trajectory_rows(times, values):
+    """Row by row: t, particle, then the real and imaginary part of each coordinate."""
+    n, count, d = values.shape
+    for m in range(count):
+        for j in range(n):
+            yield [times[m], j, *(part for c in range(d)
+                                  for part in (values[j, m, c].real, values[j, m, c].imag))]
+
+
+def complex_block(real, imag):
+    """values with these exact parts: real + 1j * imag would lose signed zeros."""
+    values = np.empty(np.shape(real), dtype=complex)
+    values.real, values.imag = real, imag
+    return values
+
+
+EDGE = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e308, -1e308,
+        0.1, 1 / 3, 123456789.0, 2.0**60]
+
+
+class TestArtifactWriters:
+    """Every table kind against the per-cell reference writer, nan and inf included."""
+
+    def trajectory(self):
+        rng = np.random.default_rng(4)
+        real = rng.standard_normal((3, 5, 2)) * 10.0 ** rng.integers(-300, 300, (3, 5, 2))
+        imag = rng.choice(EDGE, (3, 5, 2))
+        return np.linspace(0.0, 0.4, 5), complex_block(real, imag)
+
+    def test_trajectory_block(self, tmp_path):
+        times, values = self.trajectory()
+        header = cli._traj_header(2)
+        cli.write_csv(tmp_path / "t.csv", header, cli._trajectory_rows(times, values))
+        want = reference_csv(header, reference_trajectory_rows(times, values))
+        assert (tmp_path / "t.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("kind", ["gamma", "converge", "spectrum", "k"])
+    def test_table_rows(self, tmp_path, kind):
+        rng = np.random.default_rng(5)
+        floats = [*EDGE, *rng.standard_normal(4)]
+        header, rows = {
+            "gamma": (["gamma_m1_re", "gamma_1_re", "metric", "status"],
+                      [[np.float64(a), np.float64(b), m, s] for a, b, m, s in zip(
+                          floats, floats[::-1], floats[3:] + floats[:3],
+                          ["ok", "DegenerateRoots", "ok", "SingularBoundarySystem"] * 5)]),
+            "converge": (["epsilon", "hausdorff", "pencil_error", "note"],
+                         [[e, np.float64(h), p, note] for e, h, p, note in zip(
+                             floats, floats[1:], floats[2:],
+                             ["", "operator conditions fail", "spectrum failure: x, y"] * 6)]),
+            "spectrum": (["re", "im", "residual", "convergent_flag"],
+                         [[z, -z, abs(z), int(k % 2)] for k, z in enumerate(floats)]),
+            "k": (["k", "M", "error", "status"],
+                  [[k, 100 * (i + 1), err, "ok"] for i, (k, err) in enumerate(
+                      zip(floats, floats[::-1]))]),
+        }[kind]
+        cli.write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() == reference_csv(header, rows)
+
+    def test_header_only_table(self, tmp_path):
+        cli.write_csv(tmp_path / "empty.csv", ["re", "im"], [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"re,im\n"
+
+    def test_svg_points_match_the_per_point_format(self, tmp_path):
+        times, values = self.trajectory()
+        values = np.where(np.isfinite(values), values, 0.0)  # a viewBox needs finite data
+        cli.write_svg(tmp_path / "t.svg", values, times)
+        lines = (tmp_path / "t.svg").read_text().split("\n")
+        for j, line in enumerate(lines[2:5]):
+            pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(values[j, :, 0].real,
+                                                                -values[j, :, 1].real))
+            assert line.endswith(f'points="{pts}"/>')
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.data())
+    def test_write_read_write_keeps_every_bit(self, n, d, count, data):
+        cell = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                          -1e-310, 1e308, -1e308, math.inf, -math.inf]),
+                         st.floats(allow_nan=False))
+        parts = np.array(data.draw(st.lists(cell, min_size=2 * n * count * d,
+                                            max_size=2 * n * count * d)))
+        times = np.array(data.draw(st.lists(cell, min_size=count, max_size=count)))
+        values = complex_block(*parts.reshape(2, n, count, d))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp) / "first.csv", Path(tmp) / "again.csv"
+            cli.write_csv(first, cli._traj_header(d), cli._trajectory_rows(times, values))
+            read_times, read_values = cli.read_trajectory_csv(first)
+            cli.write_csv(again, cli._traj_header(d),
+                          cli._trajectory_rows(read_times, read_values))
+            assert again.read_bytes() == first.read_bytes()
+        assert np.array_equal(read_times.view(np.uint64), times.view(np.uint64))
+        assert np.array_equal(read_values.view(np.uint64), values.view(np.uint64))
+
+    def test_signed_zeros_survive_the_reader(self, tmp_path):
+        values = complex_block([[[-0.0, 3.0]]], [[[1.0, -0.0]]])
+        cli.write_csv(tmp_path / "z.csv", cli._traj_header(2),
+                      cli._trajectory_rows(np.array([0.0]), values))
+        _, read = cli.read_trajectory_csv(tmp_path / "z.csv")
+        assert np.signbit(read.real).tolist() == [[[True, False]]]
+        assert np.signbit(read.imag).tolist() == [[[False, True]]]
+
+    @pytest.mark.parametrize("body", ["0,0,1,x", "0,0,1\n0,1,1,2,3"])
+    def test_a_malformed_body_is_a_value_error(self, tmp_path, body):
+        # the second body has 8 cells for two rows of 4, split 3 + 5
+        (tmp_path / "bad.csv").write_text(f"t,particle,c0_re,c0_im\n{body}\n")
+        with pytest.raises(ValueError):
+            cli.read_trajectory_csv(tmp_path / "bad.csv")
 
 
 class TestFailure:

@@ -112,6 +112,67 @@ def test_residual_does_not_depend_on_t0(name):
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.particles, b.particles), m
 
 
+def rebuilt_residuals(spec, op, n, vals, xs_vals, nodes):
+    """`delsolve._residuals` with its equation blocks rebuilt from
+    `pencil.coefficient_matrices` on every call."""
+    M, R = vals.shape[1] - 1, 2 * op.N
+    before, after = np.minimum(nodes, R), np.minimum(M - nodes, R)
+    near = (nodes[:, None] + np.arange(-R, R + 1)) % (M + 1)
+    values = np.concatenate([xs_vals[None, near], vals[:, near]])
+    terms = op.windows.stencil[before, after] @ values
+    terms = terms.reshape(len(values), len(nodes), 3 * vals.shape[2])
+    forcing = op.windows.box1[before, after][:, None] * spec.J6 + spec.J7
+    a_n, c_n = pencil.coefficient_matrices(spec, n)
+    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
+    J3, J4, J5 = spec.J3, spec.J4, spec.J5
+    r_xs = -terms[0] @ np.concatenate([a_n, J5, c_n], axis=1).T - n * forcing
+    source = terms[0] @ np.concatenate([2.0 * J3, 0.0 * J5, 2.0 * J4], axis=1).T + forcing
+    r_p = -terms[1:] @ np.concatenate([a_0, J5, c_0], axis=1).T - source
+    return r_xs, r_p
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@pytest.mark.parametrize("n", [1, 3])
+def test_cached_blocks_give_the_rebuilt_residuals_bit_for_bit(name, n):
+    op = OPERATORS[name](0.05)
+    spec = full_spec(n)
+    for M in (4 * op.N, 4 * op.N + 1, 60):  # every node, the boundary layers included
+        vals, xs_vals = random_grid(np.random.default_rng(10 * M + n), n, M)
+        nodes = np.arange(M + 1)
+        got, want = (f(spec, op, n, vals, xs_vals, nodes)
+                     for f in (delsolve._residuals, rebuilt_residuals))
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
+        grid = TrajectoryGrid(0.0, op.epsilon, vals)
+        for m in nodes:
+            one = residual_del(spec, op, n, grid, int(m), xs_vals)
+            want_xs, want_p = rebuilt_residuals(spec, op, n, vals, xs_vals, np.array([m]))
+            assert np.array_equal(bits(one.xs), bits(want_xs[0]))
+            assert np.array_equal(bits(one.particles), bits(want_p[:, 0]))
+
+
+def test_equation_blocks_are_built_once_per_spec_and_particle_count(monkeypatch):
+    op = OPERATORS["five_point"](0.05)
+    spec = full_spec(3)
+    vals, xs_vals = random_grid(np.random.default_rng(3), 3, 30)
+    grid = TrajectoryGrid(0.0, op.epsilon, vals)
+    want_xs, want_p = rebuilt_residuals(spec, op, 2, vals, xs_vals, np.array([5]))
+    calls = count_calls(monkeypatch, pencil, "coefficient_matrices")
+    residual_del(spec, op, 3, grid, 0, xs_vals)
+    assert calls[0] == 2  # nu = n and nu = 0
+    for m in range(31):
+        residual_del(spec, op, 3, grid, m, xs_vals)
+    assert calls[0] == 2
+    other = residual_del(spec, op, 2, grid, 5, xs_vals)  # another n: its own blocks
+    assert np.array_equal(bits(other.xs), bits(want_xs[0]))
+    assert np.array_equal(bits(other.particles), bits(want_p[:, 0]))
+    residual_del(full_spec(3), op, 3, grid, 5, xs_vals)  # another spec: its own blocks
+    assert calls[0] == 6
+
+
 def stencil_matrices(spec, op, nu):
     """Interior-window coefficient of x(t + k eps) for k = -2N..2N."""
     a_nu, c_nu = pencil.coefficient_matrices(spec, nu)

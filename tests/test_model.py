@@ -25,6 +25,25 @@ class TestValidateSpec:
         assert bad[0].magnitude == pytest.approx(1.0)
 
 
+class TestSpecArrays:
+    """The spec holds read-only copies, so what the solvers derive from it stays valid."""
+
+    def test_changing_the_caller_s_arrays_leaves_the_spec_unchanged(self):
+        j1, j7 = J1.copy(), np.array([0.5, -0.5])
+        spec = LagrangianSpec(2, 3, j1, J2, J3, np.eye(2), J7=j7)
+        j1[0, 0], j7[0] = 5.0, 9.0
+        assert spec.J1 is not j1 and spec.J1[0, 0] == J1[0, 0]
+        assert spec.J7[0] == 0.5
+
+    @pytest.mark.parametrize("name", ["J1", "J2", "J3", "J4", "J5", "J6", "J7"])
+    def test_writing_to_a_spec_array_raises(self, name):
+        spec = LagrangianSpec(2, 3, J1.copy(), J2.copy(), J3.copy(), np.eye(2))
+        before = getattr(spec, name).copy()
+        with pytest.raises(ValueError):
+            getattr(spec, name).flat[0] = 5.0
+        assert np.array_equal(getattr(spec, name), before)
+
+
 class TestEnergy:
     def test_oscillator_at_rest(self):
         omega = 3.0
