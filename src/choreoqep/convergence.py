@@ -7,8 +7,8 @@ Hausdorff metric.  This module measures both.  A sweep is one batch: the spectra
 at every delay are solved together, as one `pencil._spectra` call per distinct N,
 and the classical pencil is solved once for the whole sweep (antisymmetric weights
 take their roots as preimages of it).  The pencil errors over a square grid of the
-window are one array expression in the forward and adjoint symbols, summed from
-expm1 terms so that they stay accurate at small eps.
+window are one array expression per batch in the forward and adjoint symbols, summed
+from expm1 terms so that they stay accurate at small eps.
 """
 from __future__ import annotations
 
@@ -64,18 +64,22 @@ def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
     return float(slope)
 
 
-def _pencil_error(op: scaleop.ScaleOperator, lam: np.ndarray, gram: np.ndarray) -> float:
-    """max over lam of ||P_eps(e^{lam eps}) - P(lam)||_F = ||alpha A_nu + beta J5||_F, from
-    the Gram matrix of (A_nu, J5).  With the symbols p = s(lam), q = s_bar(lam), theta_hat =
-    p q and sigma1_hat = p - q give alpha = -((p - lam) q + lam (q + lam)) and
-    beta = -((p - lam) - (q + lam)); p - lam and q + lam are summed from expm1 terms."""
-    eps, total = op.epsilon, op.gamma.sum()
-    x = np.outer(lam, np.arange(-op.N, op.N + 1)) * eps
-    p_lam = (np.expm1(x) @ op.gamma + total) / eps - lam  # p - lam
-    q_lam = (np.expm1(-x) @ op.gamma + total) / eps + lam  # q + lam
-    coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam])
-    sq = np.einsum("ig,ij,jg->g", coeffs.conj(), gram, coeffs).real
-    return float(np.sqrt(np.maximum(sq, 0.0)).max())
+def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Per operator (all of one N), max over lam of ||P_eps(e^{lam eps}) - P(lam)||_F =
+    ||alpha A_nu + beta J5||_F, from the Gram matrix of (A_nu, J5): one (B, G, 2N+1)
+    expression over the operators.  With the symbols p = s(lam), q = s_bar(lam),
+    theta_hat = p q and sigma1_hat = p - q give alpha = -((p - lam) q + lam (q + lam))
+    and beta = -((p - lam) - (q + lam)); p - lam and q + lam are summed from expm1 terms."""
+    N = ops[0].N
+    eps = np.array([op.epsilon for op in ops])[:, None]
+    gamma = np.stack([op.gamma for op in ops])[:, :, None]
+    total = gamma.sum(axis=1)
+    x = np.outer(lam, np.arange(-N, N + 1)) * eps[:, :, None]
+    p_lam = ((np.expm1(x) @ gamma)[..., 0] + total) / eps - lam  # p - lam
+    q_lam = ((np.expm1(-x) @ gamma)[..., 0] + total) / eps + lam  # q + lam
+    coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam], axis=1)
+    sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
+    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
 
 def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
@@ -112,6 +116,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     for idx in by_n.values():
         sp = pencil._spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
                              classical=q_cls)
+        done = []
         for i, lam, failure in zip(idx, sp.lam, sp.failures):
             if failure is not None:
                 notes[i] = f"spectrum failure: {failure}"
@@ -121,6 +126,8 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
                 notes[i] = "no roots inside the compact window"
                 continue
             distances[i] = hausdorff_distance(kept, q_cls)
-            pencil_errors[i] = _pencil_error(ops[i], lam_grid, gram)
+            done.append(i)
+        if done:
+            pencil_errors[done] = _pencil_errors([ops[i] for i in done], lam_grid, gram)
     order = _fit_order(epsilons, distances)
     return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))

@@ -228,11 +228,14 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float) -> np
     if abs(s11) > tiny and abs(s22) > tiny:
         # s22 k3^2 + s12 (k1 - k4) k3 - s11 excess = 0
         disc = (s12 * (k1 - k4)) ** 2 + 4.0 * s22 * s11 * excess
-        if disc < 0:
+        # excess = k1 k4 - det cancels (e.g. to 0 when j4_free is a target w^2): a
+        # discriminant within rounding of the magnitudes of its terms is 0
+        terms = (s12 * (k1 - k4)) ** 2 + 4.0 * abs(s22 * s11) * (abs(k1 * k4) + det)
+        if disc < -1e-12 * terms:
             raise NoRealSolution(
                 f"off-diagonal equation has negative discriminant {disc:.3e}"
             )
-        k3 = (-s12 * (k1 - k4) + math.sqrt(disc)) / (2.0 * s22)
+        k3 = (-s12 * (k1 - k4) + math.sqrt(max(disc, 0.0))) / (2.0 * s22)
         k2 = (s12 * (k1 - k4) + s22 * k3) / s11
     elif abs(s22) > tiny:
         # s11 = 0: the symmetry constraint pins k3 directly

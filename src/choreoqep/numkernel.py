@@ -5,8 +5,10 @@ as `RootSet`s (residual = eigenpair backward error, plus kernel vectors);
 determinant interpolation, polynomial roots and SVD kernel vectors here are
 independent references for its tests.  `solve_square` is the batch of one of
 `_solve_stack`, which solves a stack of systems and returns, per item, the error
-the single solve would raise.  Everything here is a pure function of its inputs:
-no caching, no shared state, safe for concurrent use.
+the single solve would raise: its singularity test reads the LU pivots of one
+numpy elimination of the whole stack, and its solutions come from
+`np.linalg.solve`.  Everything here is a pure function of its inputs: no caching,
+no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-import scipy.linalg
 
 
 class DegreeZero(Exception):
@@ -275,39 +276,70 @@ def _stacked(fn, fill, *stacks) -> tuple:
     return np.stack(results), failures
 
 
+# columns an elimination step factors before one matmul updates the trailing block
+PANEL = 16
+
+
+def _pivots(a: np.ndarray) -> np.ndarray:
+    """|U[j, j]| of each item's LU factors (B, K), from one partial-pivot elimination of
+    the whole stack a (B, K, K).  Each step takes the row with the largest |Re| + |Im|
+    in its column, as LAPACK's getrf does, and a zero column is skipped as getrf skips
+    it.  Columns are eliminated PANEL at a time: a pivot row takes the panel's updates
+    to its columns right of the panel as it is chosen, and the rows below them one
+    matmul per panel."""
+    a = a.copy()
+    B, K, _ = a.shape
+    parts = a.view(float).reshape(B, K, K, 2)  # (Re, Im) of every entry
+    items, swap = np.arange(B)[:, None], np.zeros((B, 2), dtype=np.intp)
+    for j0 in range(0, K, PANEL):
+        j1 = min(j0 + PANEL, K)
+        for j in range(j0, j1):
+            swap[:] = j
+            swap[:, 1] += np.abs(parts[:, j:, j]).sum(axis=2).argmax(axis=1)
+            a[items, swap] = a[items, swap[:, ::-1]]
+            a[:, j, j1:] -= (a[:, None, j, j0:j] @ a[:, j0:j, j1:])[:, 0]
+            pivot = a[:, j, j]
+            a[:, j + 1:, j] /= np.where(pivot == 0, 1, pivot)[:, None]
+            a[:, j + 1:, j + 1:j1] -= a[:, j + 1:, j, None] * a[:, None, j, j + 1:j1]
+        a[:, j1:, j1:] -= a[:, j1:, j0:j1] @ a[:, j0:j1, j1:]
+    return np.abs(np.diagonal(a, axis1=1, axis2=2))
+
+
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve each a[i] @ x[i] = b[i] of a stack a (B, K, K), b (B, K) or (B, K, m).
 
-    Returns (x, cond, failures): failures[i] is what solve_square raises for item i
-    (Singular when a pivot of its LU factors is at most 1e-14 max|a[i]|), or None;
-    x and cond hold zeros and inf for failed items.
+    Returns (x, cond, failures): failures[i] is what solve_square raises for item i,
+    or None.  Item i is Singular when the smallest pivot of its LU factors, from
+    `_pivots`' one elimination of the whole stack, is at most 1e-14 max|a[i]|.  The
+    other items take x from `np.linalg.solve` and cond from `np.linalg.cond`; a
+    LAPACK failure in either fails its own item only.  x is zero and cond inf where
+    an item is singular or that call failed.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     x, cond = np.zeros(b.shape, dtype=complex), np.full(len(a), np.inf)
     if len(a) == 0:
         return x, cond, []
     scale = np.abs(a).max(axis=(1, 2))
-    zero = (scale == 0)[:, None, None]  # fails before factoring, as a zero matrix
-    lu, piv = scipy.linalg.lu_factor(np.where(zero, np.eye(a.shape[-1]), a),
-                                     check_finite=False)
-    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
+    pivots = _pivots(a).min(axis=1)
     failures = [Singular("zero matrix") if s == 0 else
                 Singular(f"pivot {p:.3e} below 1e-14 x scale {s:.3e}") if p <= 1e-14 * s
                 else None for s, p in zip(scale, pivots)]
-    ok = np.array([f is None for f in failures])
-    if ok.any():
+    ok = np.flatnonzero([f is None for f in failures])
+    if len(ok):
         rhs = b[ok] if b.ndim == 3 else b[ok, :, None]
-        x[ok] = scipy.linalg.lu_solve((lu[ok], piv[ok]), rhs,
-                                      check_finite=False).reshape(x[ok].shape)
-        cond[ok], failed = _stacked(np.linalg.cond, np.inf, a[ok])
-        for i, exc in zip(np.flatnonzero(ok), failed):
-            failures[i] = exc
+        solved, failed = _stacked(np.linalg.solve, np.zeros(rhs.shape[1:], dtype=complex),
+                                  a[ok], rhs)
+        x[ok] = solved.reshape(x[ok].shape)
+        cond[ok], failed_cond = _stacked(np.linalg.cond, np.inf, a[ok])
+        for i, exc, exc_cond in zip(ok, failed, failed_cond):
+            failures[i] = exc or exc_cond
     return x, cond, failures
 
 
 def solve_square(a, b) -> LinearSolve:
-    """Solve a @ x = b by LU with pivot-based singularity detection: the batch of one
-    of `_solve_stack`, raising its error."""
+    """Solve a @ x = b with pivot-based singularity detection: the batch of one of
+    `_solve_stack` (LU pivots from its elimination, x from `np.linalg.solve`), raising
+    its error."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -75,7 +75,7 @@ def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
             notes[-1] = "no roots inside the compact window"
             continue
         distances[-1] = convergence.hausdorff_distance(kept, q_cls)
-        errors[-1] = convergence._pencil_error(op, lam_grid, gram)
+        errors[-1] = convergence._pencil_errors([op], lam_grid, gram)[0]
     return np.array(distances), np.array(errors), tuple(notes)
 
 

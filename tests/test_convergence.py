@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from choreoqep import pencil
-from choreoqep.convergence import (EmptySet, _pencil_error, epsilon_sweep,
+from choreoqep.convergence import (EmptySet, _pencil_errors, epsilon_sweep,
                                    filter_to_window, hausdorff_distance)
 from choreoqep.numkernel import RootSet
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
@@ -110,7 +110,7 @@ def test_pencil_error_terms_match_50_digits_at_small_epsilon(op, bound):
         alpha, beta = abs(complex(p * q + z**2)), abs(complex(p - q - 2 * z))
     # with the Gram matrix of (A_nu, J5) set to diag(1, 0) or diag(0, 1), the pencil
     # error is |alpha| or |beta|
-    got_alpha = _pencil_error(op, np.array([lam]), np.diag([1.0, 0.0]))
-    got_beta = _pencil_error(op, np.array([lam]), np.diag([0.0, 1.0]))
+    got_alpha = _pencil_errors([op], np.array([lam]), np.diag([1.0, 0.0]))[0]
+    got_beta = _pencil_errors([op], np.array([lam]), np.diag([0.0, 1.0]))[0]
     assert abs(got_alpha - alpha) <= bound * alpha
     assert abs(got_beta - beta) <= bound * beta

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from choreoqep import pencil, scaleop
+from choreoqep import numkernel, pencil, scaleop
 from choreoqep.celsolve import ModeExpansion, SingularBoundarySystem
 from choreoqep.delsolve import (DelSolution, LeadingBlockSingular,
                                 TrajectoryGrid, WindowExceeded, dirichlet_del,
@@ -155,7 +155,7 @@ class TestDirichlet:
         assert np.allclose(amps[order][:2], 0.5, atol=1e-8)   # convergent pair
         assert np.abs(amps[order][2:]).max() <= 1e-8          # divergent pair
 
-    def test_degenerate_rows_singular(self):
+    def test_degenerate_rows_singular(self, monkeypatch):
         # arrange the discrete phases on exact tenth roots of unity so the
         # boundary rows at nodes {0, 1} repeat at nodes {10, 11}
         eps = 0.1
@@ -167,8 +167,19 @@ class TestDirichlet:
         data = np.cos(a / eps * eps * np.arange(M + 1))
         head = data[:2].reshape(1, 2, 1)
         tail = data[-2:].reshape(1, 2, 1)
+        seen = []
+        solve = numkernel._solve_stack
+        monkeypatch.setattr(numkernel, "_solve_stack",
+                            lambda a, b: seen.append(a[0]) or solve(a, b))
         with pytest.raises(SingularBoundarySystem):
             dirichlet_del(spec, op, 1, 0.0, M, head, tail)
+        # the premise: the boundary matrix (one row per node, nodes 0, 1, 10, 11) repeats
+        # its rows, so its smallest pivot is rounding, well below 1e-14 x scale
+        mat = seen[-1]
+        scale = np.abs(mat).max()
+        assert np.abs(mat[:2] - mat[2:]).max() <= 1e-14 * scale
+        ratio = numkernel._pivots(mat[None]).min() / scale
+        assert ratio <= 1e-14 / 3, f"smallest pivot ratio {ratio:.3e}: within 3x of 1e-14"
 
 
 class TestRecurrenceMarch:

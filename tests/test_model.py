@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,20 @@ class TestConstructJ4:
     def test_no_real_solution(self):
         with pytest.raises(NoRealSolution):
             construct_j4(J1, J2, J3, 2.0, 5.0, 29.0)  # j4_free = w1^2 + w2^2
+
+    @pytest.mark.parametrize("eps", [0.05, 0.025])
+    def test_discriminant_negative_by_rounding_is_zero(self, eps):
+        # the discrete targets sin(eps w)/eps with j4_free = max w^2 make the
+        # discriminant 0 exactly; in floating point it was -4.6e-12 (eps = 0.05)
+        # and -9.2e-12 (eps = 0.025), which raised NoRealSolution
+        w1, w2 = math.sin(2.0 * eps) / eps, math.sin(5.0 * eps) / eps
+        j4 = construct_j4(J1, J2, J3, w1, w2, w2**2)
+        spec = LagrangianSpec(2, 3, J1, J2, J3, j4)
+        assert validate_spec(spec) == []
+        roots = pencil.classical_spectrum(pencil.classical_pencil(spec, 0))
+        want = np.array(sorted([-w2, -w1, w1, w2]))
+        assert np.abs(np.sort(roots.roots.imag) - want).max() < 1e-8
+        assert np.abs(roots.roots.real).max() < 1e-8
 
     def test_output_is_symmetric_and_hits_targets(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from choreoqep import model, numkernel
@@ -191,6 +194,77 @@ class TestSolveSquare:
     def test_zero_matrix_singular(self):
         with pytest.raises(Singular):
             solve_square(np.zeros((2, 2)), [1.0, 0.0])
+
+
+class TestStackedElimination:
+    """`_solve_stack`'s pivots and Singular test against scipy's LAPACK LU, item by item."""
+
+    @staticmethod
+    def stack(rng, K):
+        """Two random complex items, a zero matrix, one whose first column ties every
+        |Re| + |Im| (rows 1 and 2 tie, with moduli sqrt(2) and 2) and, for K >= 2,
+        rank-deficient ones: a zero row, a zero column and, for K <= 8, a product of
+        rank K - 1.  Their smallest pivots are exactly 0, or rounding of ~1e-16 x
+        scale; a rank-deficient product at K = 64 already rounds to ~3e-14 x scale,
+        on either side of the 1e-14 threshold."""
+        def random():
+            return rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        tied = random()
+        tied[:, 0] = rng.choice([1 + 1j, -1 + 1j, 2, -2, 2j, -2j], K)
+        tied[:3, 0] = [0.5, 1 + 1j, 2][:K]
+        items = [random(), random(), np.zeros((K, K), dtype=complex), tied]
+        if K >= 2:
+            zero_row, zero_column = random(), random()
+            zero_row[K // 2] = 0
+            zero_column[:, K // 2] = 0
+            items += [zero_row, zero_column]
+        if 2 <= K <= 8:
+            items.append(rng.standard_normal((K, K - 1)) @ random()[:K - 1])
+        return np.stack(items)
+
+    @pytest.mark.parametrize("K", [1, 2, 8, 64, 256])
+    def test_pivots_and_singular_items_match_lapack(self, K):
+        rng = np.random.default_rng(K)
+        stack = self.stack(rng, K)
+        rhs = rng.standard_normal((len(stack), K, 2)) + 0j
+        scale = np.abs(stack).max(axis=(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lu_factor warns on an exactly singular item
+            factors = [scipy.linalg.lu_factor(a) for a in stack]
+        lapack = np.array([np.abs(np.diag(lu)) for lu, _ in factors])
+        got = numkernel._pivots(stack)
+        big = lapack > 1e-12 * scale[:, None]
+        assert np.all(np.abs(got - lapack)[big] <= 1e-12 * lapack[big])
+        singular = lapack.min(axis=1) <= 1e-14 * scale
+        assert singular.tolist() == [False, False, True, False] + [True] * (len(stack) - 4)
+        x, cond, failures = numkernel._solve_stack(stack, rhs)
+        assert [isinstance(f, Singular) for f in failures] == singular.tolist()
+        for i in np.flatnonzero(~singular):
+            want = scipy.linalg.lu_solve(factors[i], rhs[i])
+            assert np.linalg.norm(x[i] - want) <= 1e-10 * np.linalg.norm(want)
+            assert cond[i] == np.linalg.cond(stack[i])
+
+    def test_a_lapack_failure_in_the_solve_stays_with_its_item(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack[1, 0, 0] = 7.0
+        rhs = rng.standard_normal((3, 4)) + 0j
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if (a[..., 0, 0] == 7.0).any():
+                raise np.linalg.LinAlgError("planted failure")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        x, _, failures = numkernel._solve_stack(stack, rhs)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], np.linalg.LinAlgError)
+        assert not x[1].any()
+        for i in (0, 2):
+            assert np.array_equal(x[i], solve(stack[i], rhs[i, :, None])[:, 0])
+        with pytest.raises(np.linalg.LinAlgError, match="planted failure"):
+            solve_square(stack[1], rhs[1])
 
 
 class TestSimpleRows:
