@@ -2,8 +2,9 @@
 
 Subcommands: validate, spectrum, solve, error-surface, converge, choreo.
 Exit codes: 0 success, 2 config error, 3 assumption violation, 4 numerical
-failure.  error-surface solves its cells in blocks of BLOCK operators and writes
-each cell's status: "ok" or the class name of the error its lone solve raises.
+failure.  error-surface solves all its cells as one stacked batch, taken in
+`numkernel.chunks` that bound each kernel's largest temporary, and writes each
+cell's status: "ok" or the class name of the error its lone solve raises.
 """
 from __future__ import annotations
 
@@ -360,27 +361,26 @@ def _window_reference(cfg: ExperimentConfig, N: int, cel: celsolve.SystemSolutio
     return *_matched_del_data(cfg, N, cel), times, window
 
 
-BLOCK = 64  # cells per batched solve: 256 run faster but add ~4 MiB of peak memory
-
-
 def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, list]:
     """Per operator: the Euclidean norm of (continuous - discrete) at the
     `_window_reference` nodes, and its status, "ok" or the class name of what
-    `dirichlet_del` raises for it.  Operators share N and eps and are solved BLOCK at
-    a time; only the ones whose solves succeed are sampled."""
+    `dirichlet_del` raises for it.  Operators share N and eps and are solved as one
+    batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
+    whose solves succeed are sampled, in chunks of their (T, K') window exponentials."""
     head, tail, times, cel_values = reference
-    errors, status = [], []
-    for start in range(0, len(ops), BLOCK):
-        core, ends, data = delsolve._dirichlet(cfg.spec, ops[start:start + BLOCK], cfg.n,
-                                               cfg.t0, cfg.M, head, tail)
+    errors, status = np.full(len(ops), math.nan), []
+    K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
+    for c in numkernel.chunks(len(ops), K * K):
+        core, ends, data = delsolve._dirichlet(cfg.spec, ops[c], cfg.n, cfg.t0, cfg.M, head, tail)
         *amplitudes, _, failures = core.boundary_solve(ends, data)
-        ok = np.array([f is None for f in failures])
-        _, particles = core.expansions(*amplitudes)
-        diff = cel_values - celsolve._expansion_values(*(a[ok] for a in particles), times)
-        norms = iter([float(np.linalg.norm(cell.ravel())) for cell in diff])
-        errors += [next(norms) if f is None else math.nan for f in failures]
+        _, (u0, lams, vectors) = core.expansions(*amplitudes)
+        ok = celsolve._live(failures)
+        for w in numkernel.chunks(len(ok), len(times) * lams.shape[-1]):
+            w = ok[w]
+            diff = cel_values - celsolve._expansion_values(u0[w], lams[w], vectors[w], times)
+            errors[c][w] = [np.linalg.norm(cell.ravel()) for cell in diff]
         status += ["ok" if f is None else type(f).__name__ for f in failures]
-    return errors, status
+    return errors.tolist(), status
 
 
 # ---------------------------------------------------------------------------

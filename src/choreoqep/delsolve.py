@@ -10,9 +10,9 @@ t in [t0 + 2N eps, tf - 2N eps]; residuals outside that window are
 generically nonzero and document the boundary layer.
 
 Both read the operator's cached `WindowTables`: the march advances all particles
-by one d x 4Nd step matrix, and `_residuals` evaluates the windowed equations at
-any nodes with integer windows (so not on t0); `residual_del` is its one-node form.
-Their coefficient blocks are built once per (spec, n) and kept on the read-only spec.
+by one d x 4Nd step matrix; `_residuals` evaluates the windowed equations at any
+nodes (integer windows, so not on t0) and `residual_del` at one, off the grid's ends
+from a slice, both through `_equations`, with blocks built once per (spec, n).
 """
 from __future__ import annotations
 
@@ -215,10 +215,16 @@ def _residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray
     before, after = np.minimum(nodes, R), np.minimum(M - nodes, R)
     near = (nodes[:, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
     values = np.concatenate([xs_vals[None, near], vals[:, near]])
-    # (1 + n, K, 3d): [boxbox f, sigma f, f] at each node, for x_s, then each particle
-    terms = op.windows.stencil[before, after] @ values
-    terms = terms.reshape(len(values), len(nodes), 3 * vals.shape[2])
-    forcing = op.windows.box1[before, after][:, None] * spec.J6 + spec.J7
+    return _equations(spec, n, op.windows.stencil[before, after] @ values,
+                      op.windows.box1[before, after])
+
+
+def _equations(spec: LagrangianSpec, n: int, terms: np.ndarray, box1: np.ndarray) -> tuple:
+    """The residuals of `_residuals` from the stencil rows at K nodes, terms (1 + n, K,
+    3, d): [boxbox f, sigma f, f] for x_s, then each particle; box1 (K,) is the adjoint
+    on 1 there."""
+    terms = terms.reshape(terms.shape[:2] + (3 * spec.d,))
+    forcing = box1[:, None] * spec.J6 + spec.J7
     xs_block, source_block, particle_block = _equation_blocks(spec, n)
     r_xs = -terms[0] @ xs_block - n * forcing
     source = terms[0] @ source_block + forcing
@@ -254,8 +260,15 @@ def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,
         raise ValueError("xs_values is required alongside a TrajectoryGrid")
     else:
         vals, xs_vals = traj.values, np.asarray(xs_values, dtype=complex)
-    M = vals.shape[1] - 1
+    M, R = vals.shape[1] - 1, 2 * op.N
     if m < 0 or m > M:
         raise OutOfRange(f"node {m} outside 0..{M}")
-    r_xs, r_p = _residuals(spec, op, n, vals, xs_vals, np.array([m]))
+    if M < 1:
+        raise ValueError("a grid needs at least two nodes")
+    before, after = min(m, R), min(M - m, R)
+    near = slice(m - R, m + R + 1) if R <= m <= M - R else \
+        (m + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
+    values = np.concatenate([xs_vals[None, near], vals[:, near]])
+    r_xs, r_p = _equations(spec, n, (op.windows.stencil[before, after] @ values)[:, None],
+                           op.windows.box1[before, after, None])
     return DelResidual(r_xs[0], r_p[:, 0])

@@ -24,7 +24,8 @@ class DegreeZero(Exception):
 
 
 class NumericalFailure(Exception):
-    """Raised when an eigenvalue/refinement iteration fails to converge."""
+    """Raised when an eigenvalue/refinement iteration fails to converge, or a solve
+    meets non-finite entries or a LAPACK failure."""
 
 
 class InterpolationInconsistent(Exception):
@@ -121,7 +122,7 @@ def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 # elements of the largest temporary that one chunk of a batched kernel forms: one row of
-# 256 x 256 root pairs, or a 64-cell surface block of 8 x 8
+# 256 x 256 root pairs, or the 8 x 8 boundary matrices of 1,024 surface cells
 CHUNK_ELEMENTS = 2**16
 
 
@@ -270,7 +271,7 @@ def _stacked(fn, fill, *stacks) -> tuple:
             failures.append(None)
         except np.linalg.LinAlgError as exc:
             results.append(fill)
-            failures.append(exc)
+            failures.append(exc.with_traceback(None))  # its frames hold the stacks
     if isinstance(fill, tuple):
         return tuple(np.stack(r) for r in zip(*results)), failures
     return np.stack(results), failures
@@ -309,21 +310,24 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve each a[i] @ x[i] = b[i] of a stack a (B, K, K), b (B, K) or (B, K, m).
 
     Returns (x, cond, failures): failures[i] is what solve_square raises for item i,
-    or None.  Item i is Singular when the smallest pivot of its LU factors, from
-    `_pivots`' one elimination of the whole stack, is at most 1e-14 max|a[i]|.  The
-    other items take x from `np.linalg.solve` and cond from `np.linalg.cond`; a
-    LAPACK failure in either fails its own item only.  x is zero and cond inf where
-    an item is singular or that call failed.
+    or None.  An item with a non-finite entry in a[i] or b[i] is a NumericalFailure,
+    and the others are Singular when the smallest pivot of their LU factors, from
+    `_pivots`' one elimination of the stack, is at most 1e-14 max|a[i]|.  The rest
+    take x from `np.linalg.solve` and cond from `np.linalg.cond`; a LAPACK failure in
+    either fails its own item only, as a NumericalFailure caused by it.  x is zero and
+    cond inf where an item failed.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     x, cond = np.zeros(b.shape, dtype=complex), np.full(len(a), np.inf)
     if len(a) == 0:
         return x, cond, []
-    scale = np.abs(a).max(axis=(1, 2))
-    pivots = _pivots(a).min(axis=1)
-    failures = [Singular("zero matrix") if s == 0 else
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b.reshape(len(b), -1)).all(axis=1)
+    scale, pivots = np.abs(a).max(axis=(1, 2)), np.zeros(len(a))
+    pivots[finite] = _pivots(a[finite]).min(axis=1)
+    failures = [NumericalFailure("non-finite entries") if not f else
+                Singular("zero matrix") if s == 0 else
                 Singular(f"pivot {p:.3e} below 1e-14 x scale {s:.3e}") if p <= 1e-14 * s
-                else None for s, p in zip(scale, pivots)]
+                else None for f, s, p in zip(finite, scale, pivots)]
     ok = np.flatnonzero([f is None for f in failures])
     if len(ok):
         rhs = b[ok] if b.ndim == 3 else b[ok, :, None]
@@ -331,8 +335,10 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
                                   a[ok], rhs)
         x[ok] = solved.reshape(x[ok].shape)
         cond[ok], failed_cond = _stacked(np.linalg.cond, np.inf, a[ok])
-        for i, exc, exc_cond in zip(ok, failed, failed_cond):
-            failures[i] = exc or exc_cond
+        for i, exc in zip(ok, (e or f for e, f in zip(failed, failed_cond))):
+            if exc is not None:
+                failures[i] = NumericalFailure(f"LAPACK failed: {exc}")
+                failures[i].__cause__ = exc
     return x, cond, failures
 
 

@@ -323,7 +323,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
-            return _Spectra(w, w, residuals, vectors, [exc] * B)
+            return _Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B)
         w[:], residuals[:], vectors[:] = q.roots, q.residuals, q.vectors
         return _Spectra(w, w, residuals, vectors, [None] * B)
 
@@ -346,7 +346,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
                 if classical is None:
                     classical = classical_spectrum(classical_pencil(spec, nu), tol)
             except (LeadingSingular, numkernel.NumericalFailure) as exc:
-                failed = [exc] * len(idx)
+                failed = [exc.with_traceback(None)] * len(idx)
             else:
                 w[idx], vectors[idx], residuals[idx], failed = _preimages(
                     spec, gamma[idx], delays.take(idx), nu, classical, tol)
@@ -434,7 +434,7 @@ def _constant_systems(settings: list, nu: float) -> tuple:
     spec, op = settings[0].spec, settings[0].op
     a_nu, c_nu = coefficient_matrices(spec, nu)
     sbar0 = np.zeros(len(settings)) if op is None else \
-        np.array([s.op.gamma.sum() for s in settings]) / op.epsilon
+        np.stack([s.op.gamma for s in settings]).sum(axis=1) / op.epsilon
     return -(sbar0**2)[:, None, None] * a_nu - c_nu, spec.J7 + sbar0[:, None] * spec.J6
 
 

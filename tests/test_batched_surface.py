@@ -1,15 +1,22 @@
 """The batched error surface against the per-cell solve it replaces.
 
-`cli._window_errors` solves blocks of operators at once; `dirichlet_del` is the
-batch of one.  Every cell's status must be the class of what the lone solve
-raises, and every ok cell's window error must match it to rounding.
+`cli._window_errors` solves all its operators as one batch, in memory-bounded
+chunks; `dirichlet_del` is the batch of one.  Every cell's status must be the class
+of what the lone solve raises, and every ok cell's window error must match it to
+rounding.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choreoqep
 from choreoqep import cli, delsolve, numkernel, pencil, scaleop
 from choreoqep.celsolve import SingularBoundarySystem
 from choreoqep.scaleop import ScaleOperator
@@ -81,14 +88,68 @@ def test_each_cell_is_what_its_lone_solve_gives(grid):
         assert {"ok", "AssumptionViolation", "SingularBoundarySystem"} <= set(status)
 
 
+CELL_ELEMENTS = 8 * 8  # a cell's K x K boundary matrix, K = 4Nd at N = 1, d = 2
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_block_size_does_not_change_a_cell(monkeypatch, block):
+    """Chunks of 1 and 7 cells (every kernel's chunks shrink with them) give the
+    cells of the one-chunk surface."""
     cfg = reference_config()
     ops = gamma_ops(cfg) + k_ops(cfg)
     reference = window_reference(cfg)
     want = cli._window_errors(cfg, ops, reference)
-    monkeypatch.setattr(cli, "BLOCK", block)
+    monkeypatch.setattr(numkernel, "CHUNK_ELEMENTS", block * CELL_ELEMENTS)
+    assert len(numkernel.chunks(len(ops), CELL_ELEMENTS)) == math.ceil(len(ops) / block)
     assert_same_cells(cli._window_errors(cfg, ops, reference), want)
+
+
+def test_an_empty_surface_has_no_cells():
+    cfg = reference_config()
+    assert cli._window_errors(cfg, [], window_reference(cfg)) == ([], [])
+
+
+def test_the_window_errors_peak_does_not_grow_with_the_surface():
+    """The boundary solves and the window evaluation go in chunks of bounded size, so
+    4x the cells take about the same peak memory (tracemalloc)."""
+    cfg = reference_config()
+    reference = window_reference(cfg)
+    cli._window_errors(cfg, gamma_ops(cfg, 3), reference)  # lazy set-up
+    peaks = []
+    for points in (41, 81):
+        ops = gamma_ops(cfg, points)
+        tracemalloc.start()
+        try:
+            cli._window_errors(cfg, ops, reference)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+NON_FINITE_CELLS = """
+import json, sys
+import numpy as np
+from choreoqep import cli
+from choreoqep.scaleop import ScaleOperator
+cfg = cli.parse_config(json.loads(sys.argv[1]))
+ops = [ScaleOperator(np.array([a, -(a + b), b], dtype=complex), cfg.epsilon)
+       for a, b in ((-0.5, 0.0125), (-0.5, -0.0125))]
+reference = cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
+print(*cli._window_errors(cfg, ops, reference)[1])
+"""
+
+
+def test_non_finite_boundary_systems_are_numerical_failures_and_print_nothing():
+    """At M = 200 these two cells' boundary matrices overflow.  They are typed
+    failures before LAPACK sees them; LAPACK's SVD used to raise LinAlgError and
+    write DLASCL errors to the process's stdout, which a fresh interpreter shows."""
+    raw = raw_config()
+    raw["time"]["M"] = 200
+    env = {**os.environ, "PYTHONPATH": str(Path(choreoqep.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", NON_FINITE_CELLS, json.dumps(raw)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert done.stdout == "NumericalFailure NumericalFailure\n"
 
 
 def test_csv_status_column_names_each_failure(tmp_path):
@@ -120,9 +181,9 @@ def test_the_surface_solves_spectra_per_block_not_per_cell(monkeypatch, tmp_path
     assert cli.main(["error-surface", "--config", str(config), "--out", str(tmp_path)]) == 0
     cells = len(gamma_ops(reference_config()))
     assert len(calls) < cells / 4  # a per-cell solve makes two (nu = n and 0) per cell
-    # per block, nu = n and 0, each at most one classical and one companion solve;
+    # per chunk, nu = n and 0, each at most one classical and one companion solve;
     # plus the continuous solution's two spectra
-    assert len(calls) <= 2 + 4 * math.ceil(cells / cli.BLOCK)
+    assert len(calls) <= 2 + 4 * len(numkernel.chunks(cells, CELL_ELEMENTS))
 
 
 def degenerate_rows_matrix(monkeypatch):

@@ -259,11 +259,33 @@ class TestStackedElimination:
         monkeypatch.setattr(np.linalg, "solve", failing)
         x, _, failures = numkernel._solve_stack(stack, rhs)
         assert failures[0] is None and failures[2] is None
-        assert isinstance(failures[1], np.linalg.LinAlgError)
+        assert isinstance(failures[1], numkernel.NumericalFailure)
+        assert isinstance(failures[1].__cause__, np.linalg.LinAlgError)
         assert not x[1].any()
         for i in (0, 2):
             assert np.array_equal(x[i], solve(stack[i], rhs[i, :, None])[:, 0])
-        with pytest.raises(np.linalg.LinAlgError, match="planted failure"):
+        with pytest.raises(numkernel.NumericalFailure, match="planted failure") as info:
+            solve_square(stack[1], rhs[1])
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert info.value.__cause__.__traceback__ is None
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_a_non_finite_item_fails_before_the_elimination(self, monkeypatch, entry, where):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        rhs = rng.standard_normal((3, 4)) + 0j
+        (stack if where == "matrix" else rhs)[1, 2] = entry
+        seen = []
+        pivots = numkernel._pivots
+        monkeypatch.setattr(numkernel, "_pivots", lambda a: seen.append(a) or pivots(a))
+        x, cond, failures = numkernel._solve_stack(stack, rhs)
+        assert [len(a) for a in seen] == [2] and np.isfinite(seen[0]).all()
+        assert str(failures[1]) == "non-finite entries"
+        assert type(failures[1]) is numkernel.NumericalFailure
+        assert failures[0] is None and failures[2] is None
+        assert not x[1].any() and cond[1] == np.inf
+        with pytest.raises(numkernel.NumericalFailure, match="non-finite entries"):
             solve_square(stack[1], rhs[1])
 
 

@@ -220,6 +220,19 @@ class TestCompanionErrorPaths:
         rep = check_del_assumptions(ref_spec, central_difference(0.05), 3)
         assert not rep.precondition_ok and "eigen-solve" in rep.note
 
+    @pytest.mark.parametrize("eps", [None, (0.05, 0.1)], ids=["continuous", "preimages"])
+    def test_a_failure_shared_by_a_batch_keeps_no_frames(self, monkeypatch, ref_spec, eps):
+        """A classical failure shared by every item is stored without its traceback,
+        whose frames would keep the batch's arrays alive until the cyclic GC runs."""
+        def failing(p, tol=1e-8):
+            raise numkernel.NumericalFailure("planted failure")
+
+        monkeypatch.setattr(pencil, "classical_spectrum", failing)
+        ops = [None, None] if eps is None else [central_difference(e) for e in eps]
+        failures = pencil._spectra([pencil.Setting(ref_spec, op) for op in ops], 0).failures
+        assert len(failures) == 2 and failures[0] is failures[1]
+        assert str(failures[0]) == "planted failure" and failures[0].__traceback__ is None
+
     def test_infinite_eigenvalues_are_a_degree_drop(self):
         # a leading block too small to invert in floating point: the companion overflows
         p = ClassicalPencil(1e-310 * np.eye(2), np.zeros((2, 2)), np.eye(2), 0.0)
