@@ -138,21 +138,15 @@ def _set_failures(failures: list, live: np.ndarray, found: list) -> list:
     return [found.get(i) if f is None else f for i, f in enumerate(failures)]
 
 
-def _violation(failure, checks: np.ndarray, n: int) -> AssumptionViolation | None:
-    """What a solve raises, if anything, given `pencil._check_assumptions` for its item."""
-    count_n, count_0, disjoint, det_n, det_0 = (bool(c) for c in checks)
+def _violation(failure, checks: np.ndarray, n: int) -> AssumptionViolation:
+    """What a solve raises, given `pencil._check_assumptions` for an item that fails them."""
     if failure is not None:
         return AssumptionViolation(f"pencil precondition fails: {failure}")
     if n == 1:
-        # single particle: the nu=0 modes are eliminated by the sum constraint,
-        # so only the x_s pencil conditions matter
-        if not (count_n and det_n):
-            return AssumptionViolation("x_s pencil assumptions fail for n = 1")
-    elif not checks.all():
-        return AssumptionViolation(
-            f"pencil assumptions fail: counts ({count_n}, {count_0}), "
-            f"disjoint {disjoint}, det at 0 ({det_n}, {det_0})")
-    return None
+        return AssumptionViolation("x_s pencil assumptions fail for n = 1")
+    count_n, count_0, disjoint, det_n, det_0 = (bool(c) for c in checks)
+    return AssumptionViolation(f"pencil assumptions fail: counts ({count_n}, {count_0}), "
+                               f"disjoint {disjoint}, det at 0 ({det_n}, {det_0})")
 
 
 class _Core:
@@ -163,7 +157,11 @@ class _Core:
     def __init__(self, settings: list, n: int):
         sp_n, sp_0, failures, checks = pencil._check_assumptions(settings, n, 1e-7)
         self.settings, self.n = settings, n
-        self.failures = [_violation(f, c, n) for f, c in zip(failures, checks.T)]
+        # single particle: the nu=0 modes are eliminated by the sum constraint,
+        # so only the x_s pencil conditions (count and det at nu = n) matter
+        hold = (checks[[0, 3]] if n == 1 else checks).all(axis=0)
+        self.failures = [None if h else _violation(f, c, n)
+                         for h, f, c in zip(hold, failures, checks.T)]
         self.lam_n, self.w_n = sp_n.lam, sp_n.vectors
         self.lam_0, self.w_0 = sp_0.lam, sp_0.vectors
 
@@ -269,7 +267,7 @@ def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
     mat = (E[..., None] * basis[:, None]).transpose(0, 1, 3, 2).reshape(B, K, K)  # square
     x, cond, failures = numkernel._solve_stack(
         mat, rhs.reshape((B, K) + rhs.shape[3:]))
-    return x, cond, [SingularBoundarySystem(str(f)) if isinstance(f, numkernel.Singular)
+    return x, cond, [SingularBoundarySystem(f) if isinstance(f, numkernel.Singular)
                      else f for f in failures]
 
 

@@ -44,7 +44,12 @@ class KernelNotOneDimensional(Exception):
 
 
 class Singular(Exception):
-    """Raised when a linear solve meets an exactly or nearly singular matrix."""
+    """Raised when a linear solve meets an exactly or nearly singular matrix.  Made
+    from (pivot, scale), it formats its text only when read."""
+
+    def __str__(self) -> str:
+        return "pivot {:.3e} below 1e-14 x scale {:.3e}".format(*self.args) \
+            if len(self.args) == 2 else super().__str__()
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     pivots[finite] = _pivots(a[finite]).min(axis=1)
     failures = [NumericalFailure("non-finite entries") if not f else
                 Singular("zero matrix") if s == 0 else
-                Singular(f"pivot {p:.3e} below 1e-14 x scale {s:.3e}") if p <= 1e-14 * s
+                Singular(p, s) if p <= 1e-14 * s
                 else None for f, s, p in zip(finite, scale, pivots)]
     ok = np.flatnonzero([f is None for f in failures])
     if len(ok):

@@ -10,21 +10,24 @@ zeta^{2N} times it is a degree-4N matrix polynomial whose 4Nd roots give the
 discrete phases (principal branch in lam).
 
 Each spectrum is one LAPACK eigen-solve of a monic block companion (Tisseur &
-Meerbergen, SIAM Rev. 2001), real when the weights are real.  The zeta-polynomial
-is shifted to w = (zeta - 1)/eps first, where its coefficients B_i are O(1) near
-the convergent roots.  The larger end d-block of an eigenvector (v, w v, ...) is
-the root's kernel vector v.  Antisymmetric weights (gamma_{-j} = -gamma_j) skip the
-zeta-companion: with s = g(zeta)/eps, g = sum_j gamma_j zeta^j, the discrete pencil
-is P(s), so its roots are the 2N preimages under s of each classical root, with that
-root's kernel vector.  A pair is accepted when its normwise backward error
-||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the
-root's residual.  `Setting` is the one place where the two settings differ; the
-assumption checker, the solvers' shared core and the periodicity code run on it.
-Spectra and assumption checks run on a batch of settings that share spec and N; each
-item has its own eps.  The batch is a leading axis, every eigen-solve stacked: each
-item gets its arrays or the typed error its lone call raises, and the public functions
-are the batch of one.  A batch holds the cells of an error surface (one eps) or the
-delays of an eps-sweep, which also solves the classical pencil once for all its items.
+Meerbergen, SIAM Rev. 2001), real when the weights are real.  The zeta-polynomial is
+shifted to w = (zeta - 1)/eps first, where its coefficients B_i are O(1) near the
+convergent roots.  The larger end d-block of an eigenvector (v, w v, ...) is the root's
+kernel vector v.  Two symbol reductions skip the zeta-companion, each root keeping a
+classical kernel vector (g = sum_j gamma_j zeta^{j+N}, g~ its reverse): antisymmetric
+weights (gamma_{-j} = -gamma_j) make the pencil P(g/(eps zeta^N)), whose roots are the
+2N preimages of each classical root; when J5 = 0 it is -A_nu theta_hat - C_nu, zeta^{2N}
+theta_hat = g g~/eps^2, whose roots are those of g g~/eps^2 + mu_k zeta^{2N} for each
+eigenpair of A_nu mu - C_nu.  Other systems take the companion.  A pair is accepted when
+its normwise backward error ||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||), Q(w) v from the
+classical products on a reduction, is at most tol, and that error is the root's
+residual.  `Setting` is the one place where the two settings differ; the assumption
+checker, the solvers' shared core and the periodicity code run on it.  Spectra and
+assumption checks run on a batch of settings that share spec and N; each item has its
+own eps.  The batch is a leading axis, every eigen-solve stacked: each item gets its
+arrays or the typed error its lone call raises, and the public functions are the batch
+of one.  A batch holds the cells of an error surface (one eps) or the delays of an
+eps-sweep, and solves each reduction's classical pencil once.
 """
 from __future__ import annotations
 
@@ -83,26 +86,31 @@ def _is_singular(m: np.ndarray) -> np.ndarray:
     return (s[..., 0] == 0) | (s[..., -1] <= 1e-12 * s[..., 0])
 
 
+def _verdicts(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray, tol: float) -> tuple:
+    """Errors num / den (B, K); per item, a NumericalFailure unless all are <= tol and nonzero."""
+    with np.errstate(all="ignore"):
+        # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
+        errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
+    worst = errors.max(axis=1)
+    return errors, [None if ok else numkernel.NumericalFailure(
+        f"eigenpairs fail the backward-error test (worst {w:.3e}, tol {tol:.1e}) "
+        "or have a vanishing kernel block") for w, ok in zip(worst, (worst <= tol) & nonzero)]
+
+
 def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
                      v: np.ndarray, tol: float) -> tuple:
     """||Q(mu) v|| / (sum_i |mu|^i ||B_i||_F ||v||) for each item's roots mu (B, K) and
-    columns v (B, d, K); per item, NumericalFailure unless all are <= tol and no v is 0.
-    Items go in chunks of at most numkernel.CHUNK_ELEMENTS elements of the products
-    B_i v, (k+1, d, K) an item, which bounds the memory."""
-    errors = np.empty(mu.shape)
+    columns v (B, d, K), and `_verdicts` on them.  Items go in chunks of at most
+    numkernel.CHUNK_ELEMENTS elements of the products B_i v, (k+1, d, K) an item, which
+    bounds the memory."""
+    num, den = np.empty(mu.shape), np.empty(mu.shape)
     with np.errstate(all="ignore"):
         for c in numkernel.chunks(len(mu), blocks.shape[1] * v.shape[1] * v.shape[2]):
             powers = mu[c, None, :] ** np.arange(blocks.shape[1])[:, None]
-            num = np.linalg.norm(((blocks[c] @ v[c, None]) * powers[:, :, None]).sum(axis=1),
-                                 axis=1)
-            den = (np.abs(powers) * norms[c, :, None]).sum(axis=1) * np.linalg.norm(v[c], axis=1)
-            # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
-            errors[c] = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
-    worst = errors.max(axis=1)
-    passed = (worst <= tol) & (np.abs(v).max(axis=1).min(axis=1) > 0)
-    return errors, [None if ok else numkernel.NumericalFailure(
-        f"eigenpairs fail the backward-error test (worst {w:.3e}, tol {tol:.1e}) "
-        "or have a vanishing kernel block") for w, ok in zip(worst, passed)]
+            num[c] = np.linalg.norm(((blocks[c] @ v[c, None]) * powers[:, :, None]).sum(axis=1),
+                                    axis=1)
+            den[c] = (np.abs(powers) * norms[c, :, None]).sum(axis=1) * np.linalg.norm(v[c], axis=1)
+    return _verdicts(num, den, np.abs(v).max(axis=1).min(axis=1) > 0, tol)
 
 
 def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
@@ -226,65 +234,78 @@ def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None], m)[:, 0]
 
 
-def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
-                    nu: float) -> np.ndarray:
-    """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps, (B, 4N+1, d, d),
-    for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay.
-
-    zeta^{2N} theta_hat = g g~ / eps^2 with g = sum_j gamma_j zeta^{j+N}, g~ its
-    reverse; shifting each factor first keeps the near-cancelling B_0, B_1 accurate.
-    """
+def _symbols(gamma: np.ndarray, delays: _Delays) -> tuple:
+    """g = sum_j gamma_j zeta^{j+N} (B, 2N+1) and theta = g g~ (B, 4N+1) in w, for weights
+    gamma (B, 2N+1) each at its own delay, real when the weights are; shifting each factor
+    first keeps the near-cancelling low coefficients accurate."""
     N = (gamma.shape[1] - 1) // 2
     gamma = gamma if gamma.imag.any() else gamma.real
-    a_nu, c_nu = coefficient_matrices(spec, nu)
     head_t = delays.shift[:, :2 * N + 1, :2 * N + 1].transpose(0, 2, 1)
     g, g_rev = _row_products(gamma, head_t), _row_products(gamma[:, ::-1], head_t)
     theta = np.zeros((len(gamma), 4 * N + 1), dtype=gamma.dtype)
     for i in range(2 * N + 1):  # the product g g~, one coefficient of g at a time
         theta[:, i:i + 2 * N + 1] += g[:, i:i + 1] * g_rev
+    return g, theta
+
+
+def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
+                    nu: float) -> np.ndarray:
+    """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps, (B, 4N+1, d, d),
+    for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay."""
+    N = (gamma.shape[1] - 1) // 2
+    gamma = gamma if gamma.imag.any() else gamma.real
+    a_nu, c_nu = coefficient_matrices(spec, nu)
     sigma1 = _row_products(gamma - gamma[:, ::-1],
                            delays.shift[:, :, N:3 * N + 1].transpose(0, 2, 1)) \
         / delays.eps[:, None]
-    return -(theta[:, :, None, None] / delays.eps2[:, None, None, None] * a_nu
-             + sigma1[:, :, None, None] * spec.J5
+    return -(_symbols(gamma, delays)[1][:, :, None, None] / delays.eps2[:, None, None, None]
+             * a_nu + sigma1[:, :, None, None] * spec.J5
              + delays.shift[:, :, 2 * N, None, None] * c_nu)
 
 
-def _preimages(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays, nu: float,
-               classical: RootSet, tol: float) -> tuple:
-    """`_eigenpairs` of zeta^{2N} P(zeta) = zeta^{2N} P(s) for antisymmetric weights
-    gamma (B, 2N+1), each at its own delay, from the classical pairs (lam_k, v_k): the
-    roots of h_k = zeta^N (g(zeta)/eps - lam_k), from one batch of scaled companions and
-    a Newton step kept unless it raises |h_k|."""
-    N = (gamma.shape[1] - 1) // 2
-    lam, vectors = classical.roots, classical.vectors
-    head = delays.shift[:, :2 * N + 1, :2 * N + 1]
-    real = gamma if gamma.imag.any() else gamma.real
-    coeffs = ((_row_products(real, head.transpose(0, 2, 1)) / delays.eps[:, None])[:, None]
-              - lam[:, None] * head[:, None, :, N])  # ascending in w
+def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np.ndarray,
+               targets: np.ndarray, vectors: np.ndarray, tol: float) -> tuple:
+    """`_eigenpairs` of zeta^{2N} P(zeta) = sum_i base^i unit^{k-i} pencil[i] for weights
+    gamma (B, 2N+1) at their delays, with shifted-block norms (B, 4N+1), from the pairs
+    (t_k, v_k) of sum_i t^i pencil[i]: (C, B, A) with base = g/eps, unit = zeta^N
+    (antisymmetric weights), or (-C_nu, A_nu) with base = -g g~/eps^2, unit = zeta^{2N}
+    (J5 = 0).  v_k's roots are those of base - t_k unit: one batch of scaled companions,
+    real when the coefficients are, and a Newton step kept unless it raises the modulus."""
+    k, B, N = len(pencil) - 1, len(gamma), (gamma.shape[1] - 1) // 2
+    g, theta = _symbols(gamma, delays)
     with np.errstate(all="ignore"):
-        s = (np.abs(coeffs[..., :1]) / np.abs(coeffs[..., -1:])) ** (1.0 / (2 * N))
-    s = np.where((s > 0) & (s < np.inf), s, 1.0)  # mu = w / s
-    scaled = coeffs * s ** np.arange(2 * N + 1)
-    companion = np.zeros(coeffs.shape[:2] + (2 * N, 2 * N), dtype=complex)
-    companion[..., :-1, 1:] = np.eye(2 * N - 1)
-    companion[..., -1, :] = -scaled[..., :-1] / scaled[..., -1:]
-    mu, failed = numkernel._stacked(np.linalg.eigvals, np.zeros((len(lam), 2 * N)),
+        base, unit = (g / delays.eps[:, None], delays.shift[:, :2 * N + 1, N]) if k == 2 else \
+            (-theta / delays.eps2[:, None], delays.shift[:, :, 2 * N])
+        coeffs = base[:, None] - targets[:, None] * unit[:, None]  # (B, targets, ascending in w)
+        coeffs, deg = coeffs if coeffs.imag.any() else coeffs.real, coeffs.shape[-1] - 1
+        s = (np.abs(coeffs[..., :1]) / np.abs(coeffs[..., -1:])) ** (1.0 / deg)
+        s = np.where((s > 0) & (s < np.inf), s, 1.0)  # mu = w / s
+        scaled = coeffs * s ** np.arange(deg + 1)
+        row = -scaled[..., :-1] / scaled[..., -1:]
+    finite = np.isfinite(row).all(axis=(1, 2))
+    companion = np.zeros(coeffs.shape[:2] + (deg, deg), dtype=coeffs.dtype)
+    companion[..., :-1, 1:] = np.eye(deg - 1)
+    companion[..., -1, :] = np.where(finite[:, None, None], row, 0)
+    mu, failed = numkernel._stacked(np.linalg.eigvals, np.zeros((len(targets), deg)),
                                     companion)
     w = s * mu
     c = np.moveaxis(coeffs, -1, 0)[..., None]  # polyval evaluates w[b, k] with coeffs[b, k]
     h = npoly.polyval(w, c, tensor=False)
     with np.errstate(all="ignore"):
         newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
-    w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
-    w, vectors = w.reshape(len(gamma), -1), np.repeat(vectors, 2 * N, axis=0)
-    blocks = _shifted_blocks(spec, gamma, delays, nu)
-    errors, rejected = _backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), w,
-                                        np.broadcast_to(vectors.T, (len(w),) + vectors.T.shape),
-                                        tol)
-    return w, np.broadcast_to(vectors, w.shape + (spec.d,)), errors, [
-        exc and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or r
-        for exc, r in zip(failed, rejected)]
+        w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton,
+                     w).reshape(B, -1)
+        vectors = np.repeat(vectors, deg, axis=0)  # (targets * deg, d), one row a root
+        at = [npoly.polyval(w, p.T[:, :, None], tensor=False) for p in (base, unit)]
+        q = sum((at[0]**i * at[1]**(k - i))[..., None] * (pencil[i] @ vectors.T).T
+                for i in range(k + 1))  # Q(w) v, (B, targets * deg, d)
+        den = (np.abs(w[:, None]) ** np.arange(norms.shape[1])[:, None]
+               * norms[:, :, None]).sum(axis=1) * np.linalg.norm(vectors, axis=1)
+    errors, rejected = _verdicts(np.linalg.norm(q, axis=-1), den, True, tol)  # v_k unit
+    return w, np.broadcast_to(vectors, w.shape + vectors.shape[1:]), errors, [
+        LeadingSingular("the block companion has infinite eigenvalues") if not ok else exc
+        and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or r
+        for ok, exc, r in zip(finite, failed, rejected)]
 
 
 class _Spectra(NamedTuple):
@@ -312,9 +333,11 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     has its own eps.
 
     Continuous settings share the classical spectrum.  Discrete weights are routed in
-    batches: antisymmetric ones to preimages of the classical spectrum (classical, when
-    the caller has solved it, else solved here once), others to the shifted companion,
-    real apart from complex, so that each item gets the roots of its lone spectrum.
+    batches, real apart from complex so that each item gets the roots of its lone
+    spectrum: antisymmetric ones to preimages under g/eps of the classical pairs
+    (classical, when the caller has solved it), others when J5 = 0 to preimages under
+    g g~/eps^2 of the pairs of A_nu mu - C_nu, each pencil solved once a batch, and the
+    rest to the shifted block companion.
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
@@ -329,27 +352,31 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
 
     gamma = np.stack([s.op.gamma for s in settings])
     delays = _Delays.of([s.op for s in settings])
-    singular = _is_singular(coefficient_matrices(spec, nu)[0])
+    a_nu, c_nu = coefficient_matrices(spec, nu)
+    singular = _is_singular(a_nu)
     failures = [LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
                 if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
                 if singular else None for e in gamma[:, 0] * gamma[:, -1]]
     live = np.array([f is None for f in failures])
-    # route 2 * (gamma_{-j} = -gamma_j) + (real weights)
-    routes = 2 * ~(gamma + gamma[:, ::-1]).any(axis=1) + ~gamma.imag.any(axis=1)
+    # route 2 * (2: gamma_{-j} = -gamma_j, 1: J5 = 0, 0: companion) + (real weights)
+    reduction = np.where(~(gamma + gamma[:, ::-1]).any(axis=1), 2, int(not spec.J5.any()))
+    routes = 2 * reduction + ~gamma.imag.any(axis=1)
     for route in np.unique(routes[live]):
         idx = np.flatnonzero(live & (routes == route))
+        blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
         if route < 2:
-            w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(
-                _shifted_blocks(spec, gamma[idx], delays.take(idx), nu), tol)
-        else:
-            try:
-                if classical is None:
-                    classical = classical_spectrum(classical_pencil(spec, nu), tol)
-            except (LeadingSingular, numkernel.NumericalFailure) as exc:
-                failed = [exc.with_traceback(None)] * len(idx)
-            else:
+            w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(blocks, tol)
+        else:  # the pairs of the classical pencil (C, B, A), or of A_nu mu - C_nu
+            pencil = np.stack([-c_nu, -2.0 * spec.J5, a_nu] if route >= 4 else [-c_nu, a_nu])
+            if route < 4 or classical is None:
+                (targets,), (pairs,), _, (failure,) = _eigenpairs(pencil[None], tol)
+            else:  # solved by the caller, as an eps-sweep does
+                targets, pairs, failure = classical.roots, classical.vectors, None
+            failed = [failure] * len(idx)
+            if failure is None:
                 w[idx], vectors[idx], residuals[idx], failed = _preimages(
-                    spec, gamma[idx], delays.take(idx), nu, classical, tol)
+                    gamma[idx], delays.take(idx), np.linalg.norm(blocks, axis=(2, 3)), pencil,
+                    targets, pairs, tol)
         for i, f in zip(idx, failed):
             failures[i] = f
     z = delays.eps[:, None] * w  # zeta - 1
@@ -366,9 +393,9 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
                             separation_tol: float = 1e-7) -> TranscendentalSpectrum:
-    """All 4Nd discrete phases and their kernel vectors, from the companion of
-    zeta^{2N} P(zeta) in w = (zeta - 1)/eps or, for antisymmetric weights, as preimages:
-    the batch of one of `_spectra`, raising its failure.
+    """All 4Nd discrete phases and their kernel vectors, as preimages of the classical
+    pairs (antisymmetric weights, or J5 = 0) or from the companion of zeta^{2N} P(zeta)
+    in w = (zeta - 1)/eps: the batch of one of `_spectra`, raising its failure.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.

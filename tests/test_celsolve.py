@@ -5,7 +5,7 @@ import pytest
 
 from choreoqep import pencil
 from choreoqep.celsolve import (AssumptionViolation, ModeExpansion,
-                                SingularBoundarySystem, SystemSolution,
+                                SingularBoundarySystem, SystemSolution, _window_solve,
                                 dirichlet_cel, general_solution_cel,
                                 residual_cel)
 from choreoqep.model import LagrangianSpec
@@ -139,6 +139,14 @@ class TestDirichlet:
         ts = rng.uniform(t0, tf, 16)
         for p, q in zip(sol.particles, back.particles):
             assert np.abs(p.value(ts) - q.value(ts)).max() < 1e-8
+
+    def test_a_singular_boundary_system_reads_as_its_pivot_message(self):
+        # two equal phases sampled at two times: the 2 x 2 matrix of ones
+        _, _, (failure,) = _window_solve(np.zeros((1, 2), dtype=complex),
+                                         np.ones((1, 2, 1), dtype=complex),
+                                         np.array([0.0, 1.0]), np.ones((1, 2, 1)))
+        assert isinstance(failure, SingularBoundarySystem)
+        assert str(failure) == "pivot 0.000e+00 below 1e-14 x scale 1.000e+00"
 
     def test_resonant_interval_singular(self):
         spec = make_oscillator_spec(1.0)

@@ -192,8 +192,14 @@ class TestSolveSquare:
         assert np.allclose(res.x, [0.5, 0.5], atol=1e-14)
 
     def test_zero_matrix_singular(self):
-        with pytest.raises(Singular):
+        with pytest.raises(Singular, match="^zero matrix$"):
             solve_square(np.zeros((2, 2)), [1.0, 0.0])
+
+    def test_the_pivot_message_reads_as_formatted(self):
+        # made from (pivot, scale), the text is formatted when read
+        with pytest.raises(Singular) as info:
+            solve_square([[1.0, 2.0], [0.5, 1.0]], [1.0, 0.0])
+        assert str(info.value) == "pivot 0.000e+00 below 1e-14 x scale 2.000e+00"
 
 
 class TestStackedElimination:

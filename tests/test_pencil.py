@@ -13,8 +13,8 @@ from choreoqep.pencil import (ClassicalPencil, DegenerateRoots, LeadingSingular,
                               transcendental_spectrum)
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
-from conftest import (J1, J2, J3, make_oscillator_spec, make_reference_spec,
-                      record_eigenpair_blocks)
+from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
+                      make_reference_spec, record_eigenpair_blocks)
 
 
 def sorted_imag(roots):
@@ -224,14 +224,15 @@ class TestCompanionErrorPaths:
     def test_a_failure_shared_by_a_batch_keeps_no_frames(self, monkeypatch, ref_spec, eps):
         """A classical failure shared by every item is stored without its traceback,
         whose frames would keep the batch's arrays alive until the cyclic GC runs."""
-        def failing(p, tol=1e-8):
-            raise numkernel.NumericalFailure("planted failure")
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("planted failure")
 
-        monkeypatch.setattr(pencil, "classical_spectrum", failing)
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)  # the classical (C, B, A) solve
         ops = [None, None] if eps is None else [central_difference(e) for e in eps]
         failures = pencil._spectra([pencil.Setting(ref_spec, op) for op in ops], 0).failures
         assert len(failures) == 2 and failures[0] is failures[1]
-        assert str(failures[0]) == "planted failure" and failures[0].__traceback__ is None
+        assert str(failures[0]) == "companion eigen-solve failed: planted failure"
+        assert failures[0].__traceback__ is None
 
     def test_infinite_eigenvalues_are_a_degree_drop(self):
         # a leading block too small to invert in floating point: the companion overflows
@@ -349,14 +350,100 @@ class TestPreimagePath:
         assert np.abs(overlap - 1.0).max() <= 1e-10
         assert (sp.zeta.residuals <= 1e-12).all()
 
-    def test_only_other_weights_reach_the_zeta_companion(self, monkeypatch, ref_spec):
+    @staticmethod
+    def routed_blocks(monkeypatch, spec, other):
+        """For each kind of weights, the block shapes `_eigenpairs` solves at nu = 3:
+        other for weights that are not antisymmetric, the classical (C, B, A) for the rest."""
         shapes = record_eigenpair_blocks(monkeypatch)
-        routes = [(k_family(0.05, 0.3), (1, 5, 2, 2)),
-                  (ScaleOperator(np.array([-0.3, -0.4, 0.7]), 0.05), (1, 5, 2, 2)),  # gamma cell
+        routes = [(k_family(0.05, 0.3), other),
+                  (gamma_cell(0.05), other),
                   (central_difference(0.05), (1, 3, 2, 2)),
                   (five_point(0.05), (1, 3, 2, 2)),
                   (ANTISYMMETRIC["complex"](0.05), (1, 3, 2, 2))]
         for op, blocks in routes:
             shapes.clear()
-            transcendental_spectrum(transcendental_pencil(ref_spec, op, 3))
+            transcendental_spectrum(transcendental_pencil(spec, op, 3))
             assert shapes == [blocks]
+
+    def test_only_other_weights_reach_the_zeta_companion(self, monkeypatch):
+        # J5 != 0: the shifted (4N+1, d, d) blocks
+        self.routed_blocks(monkeypatch, make_gyroscopic_spec(), (1, 5, 2, 2))
+
+    def test_j5_zero_reduces_other_weights_to_the_linear_pencil(self, monkeypatch, ref_spec):
+        # J5 = 0: the pairs of A_nu mu - C_nu, blocks (-C_nu, A_nu), and no zeta-companion
+        self.routed_blocks(monkeypatch, ref_spec, (1, 2, 2, 2))
+
+
+def gamma_cell(eps):
+    """A cell of the error surface's gamma grid: real weights, neither antisymmetric nor
+    symmetric."""
+    return ScaleOperator(np.array([-0.3, -0.4, 0.7]), eps)
+
+
+def recorded_preimages(monkeypatch):
+    """Wrap pencil._preimages; returns the list of (gamma, delays, its outputs)."""
+    calls = []
+    original = pencil._preimages
+
+    def recorded(gamma, delays, *rest):
+        out = original(gamma, delays, *rest)
+        calls.append((gamma, delays, out))
+        return out
+
+    monkeypatch.setattr(pencil, "_preimages", recorded)
+    return calls
+
+
+class TestSymbolReductions:
+    """Antisymmetric weights (g/eps) and J5 = 0 (g g~/eps^2) reduce the zeta-pencil to
+    scalar polynomials over the classical pairs, with backward errors from the classical
+    products."""
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    @pytest.mark.parametrize("case", ["gamma_cells", "sweep_d8", "sweep_d32"])
+    def test_product_errors_match_the_shifted_blocks(self, monkeypatch, case, nu):
+        """Where the shifted blocks are assembled accurately: below eps = 1e-3 the
+        5-point operator's blocks carry their own rounding into the block form (off by
+        up to 4.9e-14 at eps = 1e-4), and test_oracle holds the product form to the
+        50-digit errors there instead."""
+        rng = np.random.default_rng(11)
+        if case == "gamma_cells":  # J5 = 0, 50 random real cells at the surface's delay
+            spec = make_reference_spec()
+            ops = [ScaleOperator(np.array([a, -(a + b), b]), 0.005)
+                   for a, b in rng.uniform(-1.0, 1.0, (50, 2))]
+        else:  # the benchmark sweep's antisymmetric operators, with a skew J5
+            spec = gyroscopic_random_spec(int(case[7:]))
+            ops = [op(eps) for op in (central_difference, five_point)
+                   for eps in (1e-3, 1e-2, 0.1, 0.2)]
+        calls = recorded_preimages(monkeypatch)
+        for N in {op.N for op in ops}:  # a batch shares N
+            pencil._spectra([pencil.Setting(spec, op) for op in ops if op.N == N], nu)
+        assert calls
+        for gamma, delays, (w, vectors, errors, failures) in calls:
+            assert failures == [None] * len(gamma)
+            blocks = pencil._shifted_blocks(spec, gamma, delays, nu)
+            want, _ = pencil._backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), w,
+                                              np.ascontiguousarray(vectors.transpose(0, 2, 1)),
+                                              1e-8)
+            assert np.abs(errors - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    def test_a_real_gamma_cell_gives_exact_conjugate_pairs(self, monkeypatch, ref_spec, nu):
+        calls = recorded_preimages(monkeypatch)
+        sp = transcendental_spectrum(transcendental_pencil(ref_spec, gamma_cell(0.05), nu))
+        assert len(calls) == 1  # the J5 = 0 reduction, a real companion
+        z, v = sp.zeta.roots, sp.zeta.vectors
+        partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
+        assert np.array_equal(z[partner], z.conj())
+        assert np.array_equal(v[partner], v.conj())
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
+                             ids=["reduced", "companion"])
+    @pytest.mark.parametrize("op", [k_family(1e-170, 0.3), gamma_cell(1e-170)],
+                             ids=["k_family", "gamma_cell"])
+    def test_an_underflowing_delay_is_a_degree_drop(self, capfd, spec, op):
+        # eps^2 underflows to 0: the companion rows are not finite and never reach eig(vals)
+        with pytest.raises(LeadingSingular, match="the block companion has infinite eigenvalues"):
+            transcendental_spectrum(transcendental_pencil(spec, op, 3))
+        assert capfd.readouterr().out == ""

@@ -8,7 +8,7 @@ from choreoqep import celsolve, delsolve, numkernel, pencil
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import central_difference, k_family
 
-from conftest import J2, record_eigenpair_blocks
+from conftest import J2, make_gyroscopic_spec, record_eigenpair_blocks
 
 
 def count_calls(monkeypatch, module, name):
@@ -62,11 +62,22 @@ def test_dirichlet_del_computes_each_spectrum_and_basis_once(monkeypatch, ref_sp
     assert references == [0, 0, 0]
 
 
-def test_dirichlet_del_solves_the_zeta_companion_for_other_weights(monkeypatch, ref_spec):
-    spectra, shapes, references = del_solve_calls(monkeypatch, ref_spec,
+def test_dirichlet_del_solves_the_zeta_companion_for_other_weights(monkeypatch):
+    # J5 != 0 and weights that are not antisymmetric: the shifted (4N+1, d, d) blocks
+    spectra, shapes, references = del_solve_calls(monkeypatch, make_gyroscopic_spec(),
                                                   k_family(0.01, 0.3))
     assert spectra == 2
     assert shapes == [(1, 5, 2, 2), (1, 5, 2, 2)]
+    assert references == [0, 0, 0]
+
+
+def test_dirichlet_del_reduces_other_weights_to_the_linear_pencil_when_j5_is_zero(
+        monkeypatch, ref_spec):
+    # J5 = 0: one (-C_nu, A_nu) solve per spectrum, and none of the zeta-companion
+    spectra, shapes, references = del_solve_calls(monkeypatch, ref_spec,
+                                                  k_family(0.01, 0.3))
+    assert spectra == 2
+    assert shapes == [(1, 2, 2, 2), (1, 2, 2, 2)]
     assert references == [0, 0, 0]
 
 
