@@ -170,7 +170,7 @@ class _Core:
         """(n times each item's constant mode (B, d), failures with the solves' ones)."""
         live = _live(self.failures)
         at, rhs = pencil._constant_systems(self.settings, self.n)
-        x, _, found = numkernel._solve_stack(at[live], rhs[live])
+        x, found = numkernel._solve_stack(at[live], rhs[live])
         xs0 = np.zeros(rhs.shape, dtype=complex)
         xs0[live] = self.n * x
         return xs0, _set_failures(self.failures, live, found)
@@ -213,14 +213,13 @@ class _Core:
     def boundary_solve(self, ends: tuple, data: np.ndarray) -> tuple:
         """Amplitudes of every item matching data, (n, T, d) over the T sample times in
         ends = (start times, end times): (x_s (B, K), particles (B, n-1, K0), condition
-        numbers (B, n), x_s first, failures).  Each stage is one stacked solve of the
-        items that have not failed yet."""
+        failures).  Each stage is one stacked solve of the items that have not failed
+        yet."""
         n, times, (xs0, failures) = self.n, np.concatenate(ends), self.xs0
         amps_xs = np.zeros(self.lam_n.shape, dtype=complex)
         amps_p = np.zeros((len(xs0), n - 1, self.lam_0.shape[1]), dtype=complex)
-        conds = np.full((len(xs0), n), np.nan)
         live = _live(failures)
-        amps_xs[live], conds[live, 0], found = _window_solve(
+        amps_xs[live], found = _window_solve(
             self.lam_n[live], self.w_n[live], times, data.sum(axis=0) - xs0[live, None])
         failures = _set_failures(failures, live, found)
         live = _live(failures)
@@ -232,20 +231,23 @@ class _Core:
                 xs0[live], self.lam_n[live], amps_xs[live, :, None] * self.w_n[live], t)
                 for t in ends], axis=1)
             rhs = np.moveaxis(data[:n - 1] - xs_at[:, None] / n, 1, -1)  # (B', T, d, n-1)
-            amps, cond, found = _window_solve(self.lam_0[live], self.w_0[live], times, rhs)
-            amps_p[live], conds[live, 1:] = np.moveaxis(amps, -1, 1), cond[:, None]
+            amps, found = _window_solve(self.lam_0[live], self.w_0[live], times, rhs)
+            amps_p[live] = np.moveaxis(amps, -1, 1)
             failures = _set_failures(failures, live, found)
             live = _live(failures)
             lams = np.concatenate([self.lam_n, self.lam_0], axis=1)[live]
             failures = _set_failures(failures, live, _phase_failures(lams))
-        return amps_xs, amps_p, conds, failures
+        return amps_xs, amps_p, failures
 
     def solve_one(self, ends: tuple, data: np.ndarray) -> tuple:
         """(x_s expansion, particle expansions, report) of the batch of one."""
-        amps_xs, amps_p, conds, failures = self.boundary_solve(ends, data)
+        amps_xs, amps_p, failures = self.boundary_solve(ends, data)
         if failures[0] is not None:
             raise failures[0]
-        report = DirichletReport(float(conds[0, 0]), tuple(float(c) for c in conds[0, 1:]))
+        times, bases = np.concatenate(ends), ((self.lam_n, self.w_n), (self.lam_0, self.w_0))
+        conds = [numkernel._cond(_window_matrix(lam[:1], w[:1], times)[0])
+                 for lam, w in bases[:1 if self.n == 1 else 2]]
+        report = DirichletReport(conds[0], tuple(conds[1:]) * (self.n - 1))
         return *self.assemble(amps_xs[0], amps_p[0]), report
 
 
@@ -257,17 +259,22 @@ class DirichletReport:
     particle_conds: tuple
 
 
+def _window_matrix(roots: np.ndarray, basis: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Boundary matrices (B, K, K), row (t, i) e^{lam_l t} (v_l)_i, of roots (B, K) and
+    basis (B, K, d) at T = K/d times."""
+    B, K = roots.shape
+    E = np.exp(times[:, None] * roots[:, None, :])  # (B, T, K)
+    return (E[..., None] * basis[:, None]).transpose(0, 1, 3, 2).reshape(B, K, K)
+
+
 def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
                   rhs: np.ndarray) -> tuple:
     """Amplitudes (B, K[, m]) from values at the given times, for each item of roots
-    (B, K), basis (B, K, d) and rhs (B, T, d[, m]); with condition numbers and the
-    failure of each item (SingularBoundarySystem for a singular system)."""
-    B, K = roots.shape
-    E = np.exp(times[:, None] * roots[:, None, :])  # (B, T, K)
-    mat = (E[..., None] * basis[:, None]).transpose(0, 1, 3, 2).reshape(B, K, K)  # square
-    x, cond, failures = numkernel._solve_stack(
-        mat, rhs.reshape((B, K) + rhs.shape[3:]))
-    return x, cond, [SingularBoundarySystem(f) if isinstance(f, numkernel.Singular)
+    (B, K), basis (B, K, d) and rhs (B, T, d[, m]); with the failure of each item
+    (SingularBoundarySystem for a singular system)."""
+    x, failures = numkernel._solve_stack(_window_matrix(roots, basis, times),
+                                         rhs.reshape(roots.shape + rhs.shape[3:]))
+    return x, [SingularBoundarySystem(f) if isinstance(f, numkernel.Singular)
                      else f for f in failures]
 
 

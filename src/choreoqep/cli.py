@@ -372,7 +372,7 @@ def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, l
     K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
     for c in numkernel.chunks(len(ops), K * K):
         core, ends, data = delsolve._dirichlet(cfg.spec, ops[c], cfg.n, cfg.t0, cfg.M, head, tail)
-        *amplitudes, _, failures = core.boundary_solve(ends, data)
+        *amplitudes, failures = core.boundary_solve(ends, data)
         _, (u0, lams, vectors) = core.expansions(*amplitudes)
         ok = celsolve._live(failures)
         for w in numkernel.chunks(len(ok), len(times) * lams.shape[-1]):

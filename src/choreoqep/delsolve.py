@@ -83,10 +83,18 @@ class DelSolution(SystemSolution):
         return range(2 * self.op.N, self.M - 2 * self.op.N + 1)
 
     def sample(self) -> tuple[TrajectoryGrid, np.ndarray]:
-        """Evaluate on the grid; returns (particle grid, summed values)."""
+        """Evaluate on the grid; returns (particle grid, summed values).  NumericalFailure
+        when a value is not finite: e^{lam t} overflows past max Re lam (tf - t0) ~ 709.78."""
         times = self.t0 + self.op.epsilon * np.arange(self.M + 1)
-        vals = np.array([p.value(times) for p in self.particles])
-        return TrajectoryGrid(self.t0, self.op.epsilon, vals), self.xs.value(times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, xs = np.array([p.value(times) for p in self.particles]), self.xs.value(times)
+        if not (np.isfinite(vals).all() and np.isfinite(xs).all()):
+            growth = (self.tf - self.t0) * max(e.lambdas.real.max()
+                                               for e in (self.xs, *self.particles))
+            raise numkernel.NumericalFailure(
+                f"samples are not finite: growth max Re lam (tf - t0) = {growth:.2f} "
+                f"against log(max float) = {np.log(np.finfo(float).max):.2f}")
+        return TrajectoryGrid(self.t0, self.op.epsilon, vals), xs
 
 
 def _discrete_core(spec: LagrangianSpec, ops: list, n: int, M: int) -> _Core:

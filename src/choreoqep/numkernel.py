@@ -7,8 +7,8 @@ independent references for its tests.  `solve_square` is the batch of one of
 `_solve_stack`, which solves a stack of systems and returns, per item, the error
 the single solve would raise: its singularity test reads the LU pivots of one
 numpy elimination of the whole stack, and its solutions come from
-`np.linalg.solve`.  Everything here is a pure function of its inputs: no caching,
-no shared state, safe for concurrent use.
+`np.linalg.solve`; only a lone solve computes a condition number.  Everything here
+is a pure function of its inputs: no caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -314,18 +314,17 @@ def _pivots(a: np.ndarray) -> np.ndarray:
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve each a[i] @ x[i] = b[i] of a stack a (B, K, K), b (B, K) or (B, K, m).
 
-    Returns (x, cond, failures): failures[i] is what solve_square raises for item i,
-    or None.  An item with a non-finite entry in a[i] or b[i] is a NumericalFailure,
-    and the others are Singular when the smallest pivot of their LU factors, from
+    Returns (x, failures): failures[i] is what solve_square raises for item i, or
+    None.  An item with a non-finite entry in a[i] or b[i] is a NumericalFailure, and
+    the others are Singular when the smallest pivot of their LU factors, from
     `_pivots`' one elimination of the stack, is at most 1e-14 max|a[i]|.  The rest
-    take x from `np.linalg.solve` and cond from `np.linalg.cond`; a LAPACK failure in
-    either fails its own item only, as a NumericalFailure caused by it.  x is zero and
-    cond inf where an item failed.
+    take x from `np.linalg.solve`; a LAPACK failure there fails its own item only, as
+    a NumericalFailure caused by it.  x is zero where an item failed.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    x, cond = np.zeros(b.shape, dtype=complex), np.full(len(a), np.inf)
+    x = np.zeros(b.shape, dtype=complex)
     if len(a) == 0:
-        return x, cond, []
+        return x, []
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b.reshape(len(b), -1)).all(axis=1)
     scale, pivots = np.abs(a).max(axis=(1, 2)), np.zeros(len(a))
     pivots[finite] = _pivots(a[finite]).min(axis=1)
@@ -339,23 +338,30 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
         solved, failed = _stacked(np.linalg.solve, np.zeros(rhs.shape[1:], dtype=complex),
                                   a[ok], rhs)
         x[ok] = solved.reshape(x[ok].shape)
-        cond[ok], failed_cond = _stacked(np.linalg.cond, np.inf, a[ok])
-        for i, exc in zip(ok, (e or f for e, f in zip(failed, failed_cond))):
+        for i, exc in zip(ok, failed):
             if exc is not None:
                 failures[i] = NumericalFailure(f"LAPACK failed: {exc}")
                 failures[i].__cause__ = exc
-    return x, cond, failures
+    return x, failures
+
+
+def _cond(a: np.ndarray) -> float:
+    """2-norm condition number (`np.linalg.cond`); a LAPACK failure is a NumericalFailure."""
+    (cond,), (exc,) = _stacked(np.linalg.cond, np.inf, a[None])
+    if exc is not None:
+        raise NumericalFailure(f"LAPACK failed: {exc}") from exc
+    return float(cond)
 
 
 def solve_square(a, b) -> LinearSolve:
     """Solve a @ x = b with pivot-based singularity detection: the batch of one of
     `_solve_stack` (LU pivots from its elimination, x from `np.linalg.solve`), raising
-    its error."""
+    its error, with the 2-norm condition number of a."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("solve_square expects a square matrix")
-    x, cond, failures = _solve_stack(a[None], b[None])
+    x, failures = _solve_stack(a[None], b[None])
     if failures[0] is not None:
         raise failures[0]
-    return LinearSolve(x[0], float(cond[0]))
+    return LinearSolve(x[0], _cond(a))

@@ -18,16 +18,18 @@ classical kernel vector (g = sum_j gamma_j zeta^{j+N}, g~ its reverse): antisymm
 weights (gamma_{-j} = -gamma_j) make the pencil P(g/(eps zeta^N)), whose roots are the
 2N preimages of each classical root; when J5 = 0 it is -A_nu theta_hat - C_nu, zeta^{2N}
 theta_hat = g g~/eps^2, whose roots are those of g g~/eps^2 + mu_k zeta^{2N} for each
-eigenpair of A_nu mu - C_nu.  Other systems take the companion.  A pair is accepted when
-its normwise backward error ||Q(w) v|| / (sum_i |w|^i ||B_i||_F ||v||), Q(w) v from the
-classical products on a reduction, is at most tol, and that error is the root's
-residual.  `Setting` is the one place where the two settings differ; the assumption
-checker, the solvers' shared core and the periodicity code run on it.  Spectra and
-assumption checks run on a batch of settings that share spec and N; each item has its
-own eps.  The batch is a leading axis, every eigen-solve stacked: each item gets its
-arrays or the typed error its lone call raises, and the public functions are the batch
-of one.  A batch holds the cells of an error surface (one eps) or the delays of an
-eps-sweep, and solves each reduction's classical pencil once.
+eigenpair of A_nu mu - C_nu.  Those are self-reciprocal: of half the degree in
+y = (zeta - 1)^2/zeta, a quadratic for N = 1, with two zeta-roots a y-root.  Other systems
+take the companion.  A pair is accepted when its normwise backward error ||Q(w) v|| /
+(sum_i |w|^i ||B_i||_F ||v||), Q(w) v from the classical products on a reduction, is at
+most tol, and that error is the root's residual.  `Setting` is the one place where the
+two settings differ; the assumption checker, the solvers' shared core and the
+periodicity code run on it.  Spectra and assumption checks run on a batch of settings
+that share spec and N; each item has its own eps.  The batch is a leading axis, every
+eigen-solve stacked: each item gets its arrays or the typed error its lone call raises,
+and the public functions are the batch of one.  A batch holds the cells of an error
+surface (one eps) or the delays of an eps-sweep, and solves each reduction's classical
+pencil once.
 """
 from __future__ import annotations
 
@@ -234,6 +236,14 @@ def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None], m)[:, 0]
 
 
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row products (B, m + n - 1) of polynomials p (B, m), q (B, n), one p_i at a time."""
+    out = np.zeros((len(p), p.shape[1] + q.shape[1] - 1), dtype=np.result_type(p, q))
+    for i in range(p.shape[1]):
+        out[:, i:i + q.shape[1]] += p[:, i:i + 1] * q
+    return out
+
+
 def _symbols(gamma: np.ndarray, delays: _Delays) -> tuple:
     """g = sum_j gamma_j zeta^{j+N} (B, 2N+1) and theta = g g~ (B, 4N+1) in w, for weights
     gamma (B, 2N+1) each at its own delay, real when the weights are; shifting each factor
@@ -242,10 +252,7 @@ def _symbols(gamma: np.ndarray, delays: _Delays) -> tuple:
     gamma = gamma if gamma.imag.any() else gamma.real
     head_t = delays.shift[:, :2 * N + 1, :2 * N + 1].transpose(0, 2, 1)
     g, g_rev = _row_products(gamma, head_t), _row_products(gamma[:, ::-1], head_t)
-    theta = np.zeros((len(gamma), 4 * N + 1), dtype=gamma.dtype)
-    for i in range(2 * N + 1):  # the product g g~, one coefficient of g at a time
-        theta[:, i:i + 2 * N + 1] += g[:, i:i + 1] * g_rev
-    return g, theta
+    return g, _polymul(g, g_rev)
 
 
 def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
@@ -263,14 +270,65 @@ def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
              + delays.shift[:, :, 2 * N, None, None] * c_nu)
 
 
+def _half_degree(gamma: np.ndarray) -> np.ndarray:
+    """h(zeta) h(1/zeta) = S^2 - y (y + 4) A^2 in y = zeta + 1/zeta - 2 (B, 2N+1) for h =
+    sum_j gamma_j zeta^j: S, A sum the weights' symmetric and antisymmetric parts times
+    zeta^j + zeta^-j = u_{j+1} - u_{j-1} and u_j = (zeta^j - zeta^-j)/(zeta - 1/zeta), halved."""
+    N, gamma = (gamma.shape[1] - 1) // 2, gamma if gamma.imag.any() else gamma.real
+    u = np.zeros((N + 2, N + 1))  # u_0 .. u_{N+1}, u_{j+1} = (y + 2) u_j - u_{j-1}
+    u[1, 0] = 1.0
+    for j in range(1, N + 1):
+        u[j + 1] = 2.0 * u[j] - u[j - 1] + np.r_[0.0, u[j, :-1]]
+    up, down = gamma[:, N + 1:], gamma[:, N - 1::-1]  # gamma_j, gamma_-j for j = 1..N
+    S, A = (up + down) @ ((u[2:] - u[:-2]) / 2), (up - down) @ (u[1:-1, :N] / 2)
+    S[:, 0] += gamma[:, N]
+    p = _polymul(S, S) - _polymul(_polymul(A, A), np.array([[0.0, 4.0, 1.0]]))
+    p[:, -1] = gamma[:, 0] * gamma[:, -1]
+    return p
+
+
+def _quadratic(a, b, c) -> np.ndarray:
+    """Roots (..., 2) of a x^2 + b x + c, a != 0: q/a and c/q for q = -(b + r)/2, r the root
+    of b^2 - 4ac making |q| largest; a real quadratic's complex roots as exact conjugates."""
+    with np.errstate(all="ignore"):
+        disc = b * b - 4 * a * c
+        r = np.sqrt(disc + 0j)
+        q = -0.5 * (b + np.where((np.conj(b) * r).real < 0, -r, r))
+        x = q / a
+        pair = (np.imag(a) == 0) & (np.imag(b) == 0) & (np.imag(disc) == 0) & (np.real(disc) < 0)
+        return np.stack([x, np.where(pair, x.conj(), np.where(q == 0, 0, c / q))], axis=-1)
+
+
+def _companion_roots(coeffs: np.ndarray, finite: np.ndarray) -> tuple:
+    """(roots (B, T, deg), finite, failures) of coeffs (B, T, deg+1) from one eigvals of their
+    monic companions in x / s, s equalising the end coefficients; rows of items not finite
+    (`finite`, and the rows themselves) are zero."""
+    deg = coeffs.shape[-1] - 1
+    with np.errstate(all="ignore"):
+        s = (np.abs(coeffs[..., :1]) / np.abs(coeffs[..., -1:])) ** (1.0 / deg)
+        s = np.where((s > 0) & (s < np.inf), s, 1.0)
+        scaled = coeffs * s ** np.arange(deg + 1)
+        row = -scaled[..., :-1] / scaled[..., -1:]
+    finite = finite & np.isfinite(row).all(axis=(1, 2))
+    companion = np.zeros(row.shape + (deg,), dtype=row.dtype)
+    companion[..., :-1, 1:] = np.eye(deg - 1)
+    companion[..., -1, :] = np.where(finite[:, None, None], row, 0)
+    mu, failed = numkernel._stacked(np.linalg.eigvals, np.zeros(row.shape[1:]), companion)
+    return s * mu, finite, failed
+
+
 def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np.ndarray,
                targets: np.ndarray, vectors: np.ndarray, tol: float) -> tuple:
     """`_eigenpairs` of zeta^{2N} P(zeta) = sum_i base^i unit^{k-i} pencil[i] for weights
     gamma (B, 2N+1) at their delays, with shifted-block norms (B, 4N+1), from the pairs
     (t_k, v_k) of sum_i t^i pencil[i]: (C, B, A) with base = g/eps, unit = zeta^N
     (antisymmetric weights), or (-C_nu, A_nu) with base = -g g~/eps^2, unit = zeta^{2N}
-    (J5 = 0).  v_k's roots are those of base - t_k unit: one batch of scaled companions,
-    real when the coefficients are, and a Newton step kept unless it raises the modulus."""
+    (J5 = 0).  v_k's roots are those of base - t_k unit in w, from scaled companions, or
+    for J5 = 0 from the self-reciprocal h(zeta) h(1/zeta) + t_k eps^2 of `_half_degree` in
+    y = (zeta - 1)^2 / zeta: the quadratic formula (N = 1) or 2N x 2N companions give y,
+    and each y the two roots eps w of x^2 - y x - y.  A Newton step in w is kept unless it
+    raises the modulus.  Items with w-coefficients not finite (or, for J5 = 0, a vanishing
+    leading one) are not solved."""
     k, B, N = len(pencil) - 1, len(gamma), (gamma.shape[1] - 1) // 2
     g, theta = _symbols(gamma, delays)
     with np.errstate(all="ignore"):
@@ -278,17 +336,18 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
             (-theta / delays.eps2[:, None], delays.shift[:, :, 2 * N])
         coeffs = base[:, None] - targets[:, None] * unit[:, None]  # (B, targets, ascending in w)
         coeffs, deg = coeffs if coeffs.imag.any() else coeffs.real, coeffs.shape[-1] - 1
-        s = (np.abs(coeffs[..., :1]) / np.abs(coeffs[..., -1:])) ** (1.0 / deg)
-        s = np.where((s > 0) & (s < np.inf), s, 1.0)  # mu = w / s
-        scaled = coeffs * s ** np.arange(deg + 1)
-        row = -scaled[..., :-1] / scaled[..., -1:]
-    finite = np.isfinite(row).all(axis=(1, 2))
-    companion = np.zeros(coeffs.shape[:2] + (deg, deg), dtype=coeffs.dtype)
-    companion[..., :-1, 1:] = np.eye(deg - 1)
-    companion[..., -1, :] = np.where(finite[:, None, None], row, 0)
-    mu, failed = numkernel._stacked(np.linalg.eigvals, np.zeros((len(targets), deg)),
-                                    companion)
-    w = s * mu
+    if k == 2:
+        w, finite, failed = _companion_roots(coeffs, np.ones(B, dtype=bool))
+    else:
+        finite = np.isfinite(coeffs).all(axis=(1, 2)) & coeffs[..., -1].all(axis=1)
+        p_y = np.repeat(_half_degree(gamma)[:, None], len(targets), axis=1) + 0j
+        p_y[..., 0] += delays.eps2[:, None] * targets  # (B, targets, ascending in y)
+        p_y, failed = p_y if p_y.imag.any() else p_y.real, [None] * B
+        if N == 1:
+            y = _quadratic(p_y[..., 2], p_y[..., 1], p_y[..., 0])
+        else:
+            y, finite, failed = _companion_roots(p_y, finite)
+        w = _quadratic(1.0, -y, -y).reshape(coeffs.shape[:2] + (deg,)) / delays.eps[:, None, None]
     c = np.moveaxis(coeffs, -1, 0)[..., None]  # polyval evaluates w[b, k] with coeffs[b, k]
     h = npoly.polyval(w, c, tensor=False)
     with np.errstate(all="ignore"):
@@ -341,8 +400,8 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
-    vectors = np.zeros((B, K, spec.d), dtype=complex)
     if op is None:
+        vectors = np.zeros((B, K, spec.d), dtype=complex)
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
@@ -358,6 +417,8 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
                 if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
                 if singular else None for e in gamma[:, 0] * gamma[:, -1]]
     live = np.array([f is None for f in failures])
+    # each route's kernel vectors as rows, and each root's row; row 0 (zero) for no route
+    rows, at = [np.zeros((1, spec.d), dtype=complex)], np.zeros((B, K), dtype=np.intp)
     # route 2 * (2: gamma_{-j} = -gamma_j, 1: J5 = 0, 0: companion) + (real weights)
     reduction = np.where(~(gamma + gamma[:, ::-1]).any(axis=1), 2, int(not spec.J5.any()))
     routes = 2 * reduction + ~gamma.imag.any(axis=1)
@@ -365,18 +426,21 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
         idx = np.flatnonzero(live & (routes == route))
         blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
         if route < 2:
-            w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(blocks, tol)
+            w[idx], v, residuals[idx], failed = _eigenpairs(blocks, tol)
         else:  # the pairs of the classical pencil (C, B, A), or of A_nu mu - C_nu
             pencil = np.stack([-c_nu, -2.0 * spec.J5, a_nu] if route >= 4 else [-c_nu, a_nu])
             if route < 4 or classical is None:
                 (targets,), (pairs,), _, (failure,) = _eigenpairs(pencil[None], tol)
             else:  # solved by the caller, as an eps-sweep does
                 targets, pairs, failure = classical.roots, classical.vectors, None
-            failed = [failure] * len(idx)
+            failed, v = [failure] * len(idx), None
             if failure is None:
-                w[idx], vectors[idx], residuals[idx], failed = _preimages(
+                w[idx], v, residuals[idx], failed = _preimages(
                     gamma[idx], delays.take(idx), np.linalg.norm(blocks, axis=(2, 3)), pencil,
                     targets, pairs, tol)
+        if v is not None:  # preimages broadcast one row a root to every item
+            rows.append(v[0] if v.strides[0] == 0 else v.reshape(-1, spec.d))
+            at[idx] = sum(map(len, rows[:-1])) + np.arange(len(rows[-1])).reshape(-1, K)
         for i, f in zip(idx, failed):
             failures[i] = f
     z = delays.eps[:, None] * w  # zeta - 1
@@ -388,7 +452,8 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     simple = numkernel.simple_rows(zeta, separation_tol)
     failures = [f if f or ok else DegenerateRoots("zeta-roots cluster below the separation "
                                                   "tolerance") for f, ok in zip(failures, simple)]
-    return _Spectra(lam[order], zeta, residuals[order], vectors[order], failures)
+    return _Spectra(lam[order], zeta, residuals[order], np.concatenate(rows)[at[order]],
+                    failures)
 
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,

@@ -267,6 +267,18 @@ class TestFailure:
         code, _ = run(tmp_path, "solve", write_config(tmp_path, spec, boundary=BOUNDARY))
         assert code == cli.EXIT_ASSUMPTION
 
+    def test_overflowing_discrete_samples_exit_numerical(self, tmp_path, capfd):
+        # 5-point weights, zero amplitudes: e^{lam t} overflows on M = 344 nodes
+        config = write_config(tmp_path, make_reference_spec(),
+                              operator={"N": 2, "gamma_re": [1 / 12, -2 / 3, 0.0, 2 / 3,
+                                                             -1 / 12]},
+                              amplitudes={"xs": [0.0] * 16},
+                              time={"t0": 0.0, "tf": 3.44, "M": 344})
+        code, out = run(tmp_path, "solve", config, "--which", "del")
+        assert code == cli.EXIT_NUMERICAL
+        assert not list(out.glob("traj_del.*"))
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_grid_without_interior_window(self, tmp_path):
         # M = 3 < 4N: the discrete solve has no interior equations
         config = write_config(tmp_path, make_reference_spec(), boundary=BOUNDARY,

@@ -7,16 +7,25 @@ again when the surface gained its status column, after `test_batched_surface.py`
 matched every cell against its lone solve; no metric moved.  It was re-recorded
 once more when weights that are not antisymmetric, with J5 = 0, moved to preimages
 under g g~/eps^2: every cell kept its status, on this surface and on eight benchmark
-surfaces, and ok metrics moved by at most 5.3e-14 here (3.4e-11 there).  The five-point
-sweep at small eps guards the summation order of the batched sweep: a stacked
-product summed in another order moves its distances at eps = 1e-4 by orders of
-magnitude, which the central-difference sweep at large eps cannot see.  A cache
-or vectorisation that moves one bit of a written number fails here, instead of
-silently changing a benchmark cell.  The discrete solve and the discrete
-choreography also pin their SVGs and the choreography its CSV, so that the array
-writers of both formats are held to the bytes the per-cell writers produced.
-Each run is a fresh `python -m choreoqep.cli` with BLAS pinned to one thread,
-as the benchmark runs it: threaded BLAS rounds differently with the core count.
+surfaces, and ok metrics moved by at most 5.3e-14 here (3.4e-11 there).
+
+The gamma digest was re-recorded a fourth time when those J5 = 0 polynomials, being
+self-reciprocal, moved from their degree-4N companions in w to half-degree polynomials
+in y = zeta + 1/zeta - 2 (a quadratic in closed form for N = 1), with two zeta-roots from
+each y-root.  The roots differ from the companion's at rounding level, so written metrics
+move in their last digits: every cell kept its status here and on eight benchmark
+surfaces, ok metrics moved by at most 4.9e-15 here (1.6e-12 there), and `test_pencil.py`
+holds the roots to the companion's and `test_oracle.py` to 50-digit ones.
+
+The five-point sweep at small eps guards the summation order of the batched sweep: a
+stacked product summed in another order moves its distances at eps = 1e-4 by orders of
+magnitude, which the central-difference sweep at large eps cannot see.  A cache or
+vectorisation that moves one bit of a written number fails here, instead of silently
+changing a benchmark cell.  The discrete solve and the discrete choreography also pin
+their SVGs and the choreography its CSV, so that the array writers of both formats are
+held to the bytes the per-cell writers produced.  Each run is a fresh
+`python -m choreoqep.cli` with BLAS pinned to one thread, as the benchmark runs it:
+threaded BLAS rounds differently with the core count.
 """
 import hashlib
 import json
@@ -48,7 +57,7 @@ CHOREO = {"d": 3, "n": 5, **{k: getattr(_TUNED, k).tolist() for k in ("J1", "J2"
 RUNS = {  # name -> (argv, (tf, M), config overrides, {file written: sha256 of its bytes})
     "gamma": (["error-surface", "--grid", "gamma"], (1.0, 100), {}, {
         "error_surface_gamma.csv":
-            "c4202624664f9f65bd75bfccf5bca699fdee0e024e65631cfee4ffe50de9f506"}),
+            "c59fe629822ad29e274efdbcdf5e2d6dd37a0367b3b2ebd48e3c206d495d10e2"}),
     "converge": (["converge"], (1.0, 100), {}, {
         "converge.csv": "4de3ea3ebd91e219d71ab8729f0d6d61e37b485a16f1becdefc9497b51af1d26"}),
     "converge_five_point": (["converge"], (1.0, 100), FIVE_POINT, {

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from choreoqep import numkernel, pencil
@@ -256,6 +257,79 @@ class TestCompanionErrorPaths:
         assert np.array_equal(v[partner], v.conj())
 
 
+def preimage_calls(monkeypatch):
+    """Wrap pencil._preimages; returns the list of (its arguments, its outputs)."""
+    calls, original = [], pencil._preimages
+    monkeypatch.setattr(pencil, "_preimages",
+                        lambda *args: calls.append((args, original(*args))) or calls[-1][1])
+    return calls
+
+
+def random_j5_zero_weights(rng, N, count):
+    """Real weights that are not antisymmetric: gamma cells (a, -(a + b), b) for N = 1,
+    and for N = 2 the 5-point weights plus random sum-zero, first-moment-zero parts."""
+    if N == 1:
+        return [np.array([a, -(a + b), b]) for a, b in rng.uniform(-1.0, 1.0, (count, 2))]
+    return [np.array([1, -8, 0, 8, -1]) / 12.0 + a * np.array([1, -4, 6, -4, 1])
+            + b * np.array([1, 0, -2, 0, 1]) for a, b in rng.uniform(-0.3, 0.3, (count, 2))]
+
+
+class TestHalfDegreeRoute:
+    """J5 = 0 with weights that are not antisymmetric: the self-reciprocal polynomials
+    h(zeta) h(1/zeta) + t eps^2 are solved in y = zeta + 1/zeta - 2, of degree 2N, and
+    each y-root gives two zeta-roots."""
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    @pytest.mark.parametrize("eps", [0.005, 1e-4])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_roots_match_the_degree_4n_companion_in_w(self, monkeypatch, ref_spec, N, eps,
+                                                      nu):
+        """Against the scaled companion of -g g~/eps^2 - t zeta^{2N} in w, without the
+        Newton step (measured <= 2.9e-14 at N = 1 and 3.4e-12 at N = 2)."""
+        ops = [ScaleOperator(g, eps)
+               for g in random_j5_zero_weights(np.random.default_rng(21), N, 50)]
+        calls = preimage_calls(monkeypatch)
+        pencil._spectra([pencil.Setting(ref_spec, op) for op in ops], nu)
+        ((gamma, delays, _, _, targets, _, _), (w, _, _, failures)), = calls
+        assert failures == [None] * len(ops)
+        coeffs = (-pencil._symbols(gamma, delays)[1][:, None] / delays.eps2[:, None, None]
+                  - targets[:, None] * delays.shift[:, None, :, 2 * N])
+        want, _, _ = pencil._companion_roots(coeffs, np.ones(len(ops), dtype=bool))
+        # per target: the roots of different targets agree to O(eps^2) far from zeta = 1
+        for got, ref in zip(w.reshape(-1, 4 * N), want.reshape(-1, 4 * N)):
+            dist = np.abs(got[:, None] - ref[None])
+            assert sorted(dist.argmin(axis=1)) == list(range(len(ref)))  # one to one
+            assert (dist.min(axis=0) <= 1e-11 * np.abs(ref)).all()
+
+    def test_n1_solves_in_closed_form_and_n2_on_2n_companions(self, monkeypatch, ref_spec):
+        shapes, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        for op, want in ((gamma_cell(0.05), []), (mixed_five_point(0.05), [(1, 2, 4, 4)])):
+            shapes.clear()
+            transcendental_spectrum(transcendental_pencil(ref_spec, op, 3))
+            assert shapes == want  # d = 2 targets, one 2N x 2N companion each
+
+    def test_the_quadratic_avoids_cancellation_and_pairs_conjugates(self):
+        # x^2 - (1e8 + 1e-8) x + 1 = (x - 1e8)(x - 1e-8): the small root to full accuracy
+        roots = pencil._quadratic(1.0, -(1e8 + 1e-8), 1.0)
+        assert roots[0] == 1e8 and abs(roots[1] - 1e-8) <= 1e-23
+        x = pencil._quadratic(np.array([2.0]), np.array([3.0]), np.array([5.0]))[0]
+        assert x[1] == x[0].conjugate() and x[0].imag != 0
+        assert np.abs(2 * x**2 + 3 * x + 5).max() <= 1e-14
+        assert (pencil._quadratic(1.0, 0.0, 0.0) == 0).all()  # q = 0: a double root at 0
+
+    def test_the_half_degree_polynomial_is_the_symbol_product(self):
+        rng = np.random.default_rng(5)
+        for N in (1, 2, 3):
+            gamma = rng.standard_normal((4, 2 * N + 1)) + 1j * rng.standard_normal((4, 2 * N + 1))
+            p = pencil._half_degree(gamma)
+            assert np.array_equal(p[:, -1], gamma[:, 0] * gamma[:, -1])
+            zeta = np.exp(0.3 + 0.7j)
+            want = npoly.polyval(zeta, gamma.T) * npoly.polyval(1 / zeta, gamma.T)
+            got = npoly.polyval(zeta + 1 / zeta - 2, p.T)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def summed_backward_errors(blocks, mu, v):
     """The backward errors with Q(mu) v formed as one (B, k+1, d, K) product summed over
     its block axis: the reference for the chunked form."""
@@ -380,6 +454,13 @@ def gamma_cell(eps):
     return ScaleOperator(np.array([-0.3, -0.4, 0.7]), eps)
 
 
+def mixed_five_point(eps):
+    """N = 2 weights that are neither antisymmetric nor symmetric: the 5-point operator
+    plus a fourth difference, still sum zero and normalised."""
+    return ScaleOperator(np.array([1, -8, 0, 8, -1]) / 12.0
+                         + 0.1 * np.array([1, -4, 6, -4, 1]), eps)
+
+
 def recorded_preimages(monkeypatch):
     """Wrap pencil._preimages; returns the list of (gamma, delays, its outputs)."""
     calls = []
@@ -429,9 +510,17 @@ class TestSymbolReductions:
 
     @pytest.mark.parametrize("nu", [0, 3])
     def test_a_real_gamma_cell_gives_exact_conjugate_pairs(self, monkeypatch, ref_spec, nu):
+        self.check_exact_conjugate_pairs(monkeypatch, ref_spec, gamma_cell(0.05), nu)
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    def test_real_n2_weights_give_exact_conjugate_pairs(self, monkeypatch, ref_spec, nu):
+        self.check_exact_conjugate_pairs(monkeypatch, ref_spec, mixed_five_point(0.05), nu)
+
+    @staticmethod
+    def check_exact_conjugate_pairs(monkeypatch, spec, op, nu):
         calls = recorded_preimages(monkeypatch)
-        sp = transcendental_spectrum(transcendental_pencil(ref_spec, gamma_cell(0.05), nu))
-        assert len(calls) == 1  # the J5 = 0 reduction, a real companion
+        sp = transcendental_spectrum(transcendental_pencil(spec, op, nu))
+        assert len(calls) == 1  # the J5 = 0 reduction, in real arithmetic
         z, v = sp.zeta.roots, sp.zeta.vectors
         partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
         assert np.array_equal(z[partner], z.conj())
@@ -440,8 +529,9 @@ class TestSymbolReductions:
     @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
                              ids=["reduced", "companion"])
-    @pytest.mark.parametrize("op", [k_family(1e-170, 0.3), gamma_cell(1e-170)],
-                             ids=["k_family", "gamma_cell"])
+    @pytest.mark.parametrize("op", [k_family(1e-170, 0.3), gamma_cell(1e-170),
+                                    mixed_five_point(1e-170)],
+                             ids=["k_family", "gamma_cell", "mixed_five_point"])
     def test_an_underflowing_delay_is_a_degree_drop(self, capfd, spec, op):
         # eps^2 underflows to 0: the companion rows are not finite and never reach eig(vals)
         with pytest.raises(LeadingSingular, match="the block companion has infinite eigenvalues"):
