@@ -1,7 +1,7 @@
 """Pseudo-periodic solutions: the mode-expansion core of both solvers, and
 the continuous entry points.
 
-Solutions are synthesized as u0 + sum_l e^{lam_l t} u_l: the summed variable
+Solutions are synthesized as u0 + sum_l e^{lam_l (t - a_l)} u_l: the summed variable
 x_s carries the nu = n pencil phases, and each particle adds nu = 0 phases on
 top of (1/n) x_s.  The homogeneous parts are constrained to sum to zero over
 particles, which is resolved by eliminating the last particle's amplitudes.
@@ -10,6 +10,8 @@ kind they are: it holds each kernel basis and x_s constant with a leading batch
 axis, assembles x_s and the particles, and solves amplitudes from samples at the
 ends of the interval, every item at once.  An item that fails keeps the typed
 error its lone solve raises; the single-system entry points are the batch of one.
+Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes growing by
+more than e are anchored at the last sample time, others at the first; columns equilibrated.
 """
 from __future__ import annotations
 
@@ -32,11 +34,13 @@ class SingularBoundarySystem(Exception):
 
 @dataclass(frozen=True)
 class ModeExpansion:
-    """Finite exponential sum u(t) = u0 + sum_l e^{lam_l t} u_l."""
+    """Finite exponential sum u(t) = u0 + sum_l e^{lam_l (t - a_l)} u_l; the anchors a_l
+    are 0 unless a boundary solve puts them at an end, where u_l is the mode's size."""
 
     u0: np.ndarray
     lambdas: np.ndarray
     vectors: np.ndarray
+    anchors: np.ndarray = 0.0
 
     def __post_init__(self):
         u0 = np.asarray(self.u0, dtype=complex).ravel()
@@ -54,6 +58,7 @@ class ModeExpansion:
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "vectors", vec)
+        object.__setattr__(self, "anchors", np.broadcast_to(self.anchors, lam.shape) + 0.0)
 
     @property
     def d(self) -> int:
@@ -62,7 +67,7 @@ class ModeExpansion:
     def value(self, t):
         """Evaluate at scalar or array times; returns (..., d)."""
         t = np.asarray(t, dtype=float)
-        values = _expansion_values(self.u0, self.lambdas, self.vectors, t.reshape(-1))
+        values = _expansion_values(self.u0, self.lambdas, self.vectors, self.anchors, t.ravel())
         return values.reshape(t.shape + (self.d,))
 
     __call__ = value
@@ -72,7 +77,7 @@ class ModeExpansion:
         t = np.asarray(t, dtype=float)
         if len(self.lambdas) == 0:
             return np.zeros(t.shape + (self.d,), dtype=complex)
-        phases = np.exp(t[..., None] * self.lambdas) * self.lambdas**order
+        phases = np.exp((t[..., None] - self.anchors) * self.lambdas) * self.lambdas**order
         return phases @ self.vectors
 
 
@@ -110,10 +115,31 @@ def _phase_failures(lams: np.ndarray) -> list:
 
 
 def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-    """u0 + sum_l e^{lam_l t} u_l at the times t (T,), over any leading axes of
-    u0 (..., d), lams (..., K) and vectors (..., K, d): (..., T, d)."""
-    return u0[..., None, :] + np.exp(t[:, None] * lams[..., None, :]) @ vectors
+                      anchors: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """u0 + sum_l e^{lam_l (t - a_l)} u_l at the times t (T,), over any leading axes of
+    u0 (..., d), lams and anchors (..., K) and vectors (..., K, d): (..., T, d).  A mode
+    whose vector is exactly 0 adds exactly 0, also where its exponential overflows."""
+    lams = np.where((vectors == 0).all(axis=-1), 0, lams)[..., None, :]
+    return u0[..., None, :] + np.exp((t[:, None] - anchors[..., None, :]) * lams) @ vectors
+
+
+def _grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
+                 anchors: np.ndarray, start: float, step: float, T: int) -> np.ndarray:
+    """`_expansion_values` at the T times start + m step from two exp tables a mode: node
+    m = q L + r (L = ceil(sqrt T)), counted from the end nearer the mode's anchor a, is
+    e^{lam (t_qL - a)} e^{lam r step}; no factor exceeds e at a boundary solve's anchors."""
+    L, last = int(np.ceil(np.sqrt(T))), start + (T - 1) * step
+    from_end = np.abs(anchors - last) < np.abs(anchors - start)
+    sign = np.where(from_end, -step, step)[..., None, :]
+    lams = np.where((vectors == 0).all(axis=-1), 0, lams)[..., None, :]
+    q = np.arange(0, T, L)
+    coarse = np.exp(((np.where(from_end, last, start) - anchors)[..., None, :]
+                     + sign * q[:, None]) * lams)
+    fine = np.exp(sign * np.arange(L)[:, None] * lams)
+    counted = (coarse[..., None, :] * fine[..., None, :, :]).reshape(  # node m from the end
+        fine.shape[:-2] + (len(q) * L, fine.shape[-1]))[..., :T, :]
+    E = np.where(from_end[..., None, :], counted[..., ::-1, :], counted)
+    return u0[..., None, :] + E @ vectors
 
 
 def mode_basis(modes: pencil.Modes) -> np.ndarray:
@@ -175,26 +201,28 @@ class _Core:
         xs0[live] = self.n * x
         return xs0, _set_failures(self.failures, live, found)
 
-    def expansions(self, xs_amplitudes: np.ndarray, particle_amplitudes: np.ndarray) -> tuple:
-        """(x_s, particles) of every item from amplitudes (B, K) and (B, n-1, K0), each
-        as (u0, phases, vectors): x_s (B, d), (B, K), (B, K, d); the particles, which
-        share u0 and phases, (B, 1, d), (B, 1, K'), (B, n, K', d)."""
-        n, xs0 = self.n, self.xs0[0]
-        xs = (xs0, self.lam_n, xs_amplitudes[:, :, None] * self.w_n)
+    def expansions(self, xs_amplitudes, particle_amplitudes, anchors) -> tuple:
+        """(x_s, particles) of every item from amplitudes (B, K), (B, n-1, K0) at anchors
+        (B, K + K0), x_s's phases then nu = 0's, as (u0, phases, vectors, anchors): x_s (B, d),
+        (B, K), (B, K, d), (B, K); particles (B, 1, d), (B, 1, K'), (B, n, K', d), (B, 1, K')."""
+        n, xs0, K = self.n, self.xs0[0], self.lam_n.shape[1]
+        anchors = np.broadcast_to(anchors, (len(xs0), K + self.lam_0.shape[1]))
+        xs = (xs0, self.lam_n, xs_amplitudes[:, :, None] * self.w_n, anchors[:, :K])
         shared = xs[2][:, None] / n
         if n == 1:
             # the zero-sum constraint kills all nu=0 modes: x_1 = x_s exactly
-            return xs, (xs0[:, None], self.lam_n[:, None], shared)
+            return xs, (xs0[:, None], self.lam_n[:, None], shared, xs[3][:, None])
         coeffs = np.concatenate([particle_amplitudes,
                                  -particle_amplitudes.sum(axis=1, keepdims=True)], axis=1)
         extras = coeffs[..., None] * self.w_0[:, None]  # (B, n, K0, d)
         shared = np.broadcast_to(shared, extras.shape[:2] + shared.shape[2:])
         lams = np.concatenate([self.lam_n, self.lam_0], axis=1)
-        return xs, (xs0[:, None] / n, lams[:, None], np.concatenate([shared, extras], axis=2))
+        return xs, (xs0[:, None] / n, lams[:, None], np.concatenate([shared, extras], axis=2),
+                    anchors[:, None])
 
-    def assemble(self, xs_amplitudes, particle_amplitudes=None) -> tuple:
+    def assemble(self, xs_amplitudes, particle_amplitudes=None, anchors=0.0) -> tuple:
         """(x_s expansion, particle expansions) of the batch of one; amplitudes as in
-        general_solution_cel."""
+        general_solution_cel, at anchors (K + K0,) as in `expansions`."""
         n, (_, failures) = self.n, self.xs0
         if failures[0] is not None:
             raise failures[0]
@@ -206,21 +234,25 @@ class _Core:
         particle_amplitudes = np.asarray(particle_amplitudes, dtype=complex)
         if particle_amplitudes.shape != (n - 1, self.lam_0.shape[1]):
             raise ValueError(f"expected ({n - 1}, {self.lam_0.shape[1]}) particle amplitudes")
-        xs, (u0, lams, vectors) = self.expansions(xs_amplitudes[None], particle_amplitudes[None])
+        xs, (u0, lams, vectors, anchors) = self.expansions(
+            xs_amplitudes[None], particle_amplitudes[None], anchors)
         return (ModeExpansion(*(a[0] for a in xs)),
-                tuple(ModeExpansion(u0[0, 0], lams[0, 0], v) for v in vectors[0]))
+                tuple(ModeExpansion(u0[0, 0], lams[0, 0], v, anchors[0, 0])
+                      for v in vectors[0]))
 
     def boundary_solve(self, ends: tuple, data: np.ndarray) -> tuple:
         """Amplitudes of every item matching data, (n, T, d) over the T sample times in
-        ends = (start times, end times): (x_s (B, K), particles (B, n-1, K0), condition
-        failures).  Each stage is one stacked solve of the items that have not failed
-        yet."""
+        ends = (start times, end times): (x_s (B, K), particles (B, n-1, K0), their
+        anchors (B, K + K0) as `expansions` takes them, condition failures).  Each stage
+        is one stacked solve of the items that have not failed yet."""
         n, times, (xs0, failures) = self.n, np.concatenate(ends), self.xs0
+        K, phases = self.lam_n.shape[1], np.concatenate([self.lam_n, self.lam_0], axis=1)
+        anchors = np.where(phases.real * (times[-1] - times[0]) > 1, times[-1], times[0])
         amps_xs = np.zeros(self.lam_n.shape, dtype=complex)
         amps_p = np.zeros((len(xs0), n - 1, self.lam_0.shape[1]), dtype=complex)
         live = _live(failures)
-        amps_xs[live], found = _window_solve(
-            self.lam_n[live], self.w_n[live], times, data.sum(axis=0) - xs0[live, None])
+        amps_xs[live], found = _window_solve(self.lam_n[live], self.w_n[live], times,
+                                             anchors[live, :K], data.sum(0) - xs0[live, None])
         failures = _set_failures(failures, live, found)
         live = _live(failures)
         failures = _set_failures(failures, live, _phase_failures(self.lam_n[live]))
@@ -228,54 +260,59 @@ class _Core:
             live = _live(failures)
             # one product per end: a BLAS product's rounding depends on its row count
             xs_at = np.concatenate([_expansion_values(
-                xs0[live], self.lam_n[live], amps_xs[live, :, None] * self.w_n[live], t)
-                for t in ends], axis=1)
+                xs0[live], self.lam_n[live], amps_xs[live, :, None] * self.w_n[live],
+                anchors[live, :K], t) for t in ends], axis=1)
             rhs = np.moveaxis(data[:n - 1] - xs_at[:, None] / n, 1, -1)  # (B', T, d, n-1)
-            amps, found = _window_solve(self.lam_0[live], self.w_0[live], times, rhs)
+            amps, found = _window_solve(self.lam_0[live], self.w_0[live], times,
+                                        anchors[live, K:], rhs)
             amps_p[live] = np.moveaxis(amps, -1, 1)
             failures = _set_failures(failures, live, found)
             live = _live(failures)
-            lams = np.concatenate([self.lam_n, self.lam_0], axis=1)[live]
-            failures = _set_failures(failures, live, _phase_failures(lams))
-        return amps_xs, amps_p, failures
+            failures = _set_failures(failures, live, _phase_failures(phases[live]))
+        return amps_xs, amps_p, anchors, failures
 
     def solve_one(self, ends: tuple, data: np.ndarray) -> tuple:
         """(x_s expansion, particle expansions, report) of the batch of one."""
-        amps_xs, amps_p, failures = self.boundary_solve(ends, data)
+        amps_xs, amps_p, anchors, failures = self.boundary_solve(ends, data)
         if failures[0] is not None:
             raise failures[0]
-        times, bases = np.concatenate(ends), ((self.lam_n, self.w_n), (self.lam_0, self.w_0))
-        conds = [numkernel._cond(_window_matrix(lam[:1], w[:1], times)[0])
-                 for lam, w in bases[:1 if self.n == 1 else 2]]
+        times, K = np.concatenate(ends), self.lam_n.shape[1]
+        bases = ((self.lam_n, self.w_n, anchors[:, :K]), (self.lam_0, self.w_0, anchors[:, K:]))
+        conds = [numkernel._cond(_window_matrix(lam[:1], w[:1], times, a[:1])[0][0])
+                 for lam, w, a in bases[:1 if self.n == 1 else 2]]
         report = DirichletReport(conds[0], tuple(conds[1:]) * (self.n - 1))
-        return *self.assemble(amps_xs[0], amps_p[0]), report
+        return *self.assemble(amps_xs[0], amps_p[0], anchors[0]), report
 
 
 @dataclass(frozen=True)
 class DirichletReport:
-    """Condition numbers of the uncoupled boundary systems."""
+    """Condition numbers of the uncoupled boundary systems as solved: anchored, equilibrated."""
 
     xs_cond: float
     particle_conds: tuple
 
 
-def _window_matrix(roots: np.ndarray, basis: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Boundary matrices (B, K, K), row (t, i) e^{lam_l t} (v_l)_i, of roots (B, K) and
-    basis (B, K, d) at T = K/d times."""
+def _window_matrix(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
+                   anchors: np.ndarray) -> tuple:
+    """Boundary matrices (B, K, K), row (t, i) e^{lam_l (t - a_l)} (v_l)_i / s_l, of roots
+    and anchors (B, K) and basis (B, K, d) at T = K/d times; with the scales s_l (B, K),
+    each column's largest modulus."""
     B, K = roots.shape
-    E = np.exp(times[:, None] * roots[:, None, :])  # (B, T, K)
-    return (E[..., None] * basis[:, None]).transpose(0, 1, 3, 2).reshape(B, K, K)
+    E = np.exp((times[:, None] - anchors[:, None, :]) * roots[:, None, :])  # (B, T, K)
+    a = (E[..., None] * basis[:, None]).transpose(0, 1, 3, 2).reshape(B, K, K)
+    scale = np.abs(a).max(axis=1)
+    return a / scale[:, None, :], scale
 
 
 def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
-                  rhs: np.ndarray) -> tuple:
-    """Amplitudes (B, K[, m]) from values at the given times, for each item of roots
-    (B, K), basis (B, K, d) and rhs (B, T, d[, m]); with the failure of each item
-    (SingularBoundarySystem for a singular system)."""
-    x, failures = numkernel._solve_stack(_window_matrix(roots, basis, times),
-                                         rhs.reshape(roots.shape + rhs.shape[3:]))
-    return x, [SingularBoundarySystem(f) if isinstance(f, numkernel.Singular)
-                     else f for f in failures]
+                  anchors: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Amplitudes (B, K[, m]) at the anchors (B, K) from values at the given times, for
+    each item of roots (B, K), basis (B, K, d) and rhs (B, T, d[, m]); with the failure
+    of each item (SingularBoundarySystem for a singular system)."""
+    a, scale = _window_matrix(roots, basis, times, anchors)
+    x, failures = numkernel._solve_stack(a, rhs.reshape(roots.shape + rhs.shape[3:]))
+    return (x.T / scale.T).T, [SingularBoundarySystem(f) if isinstance(f, numkernel.Singular)
+                               else f for f in failures]
 
 
 def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,

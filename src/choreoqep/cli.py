@@ -366,19 +366,23 @@ def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, l
     `_window_reference` nodes, and its status, "ok" or the class name of what
     `dirichlet_del` raises for it.  Operators share N and eps and are solved as one
     batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
-    whose solves succeed are sampled, in chunks of their (T, K') window exponentials."""
+    whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
+    all particles as one (T, K') @ (K', n d) product a cell (`celsolve._grid_values`)."""
     head, tail, times, cel_values = reference
+    want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
     errors, status = np.full(len(ops), math.nan), []
     K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
     for c in numkernel.chunks(len(ops), K * K):
         core, ends, data = delsolve._dirichlet(cfg.spec, ops[c], cfg.n, cfg.t0, cfg.M, head, tail)
         *amplitudes, failures = core.boundary_solve(ends, data)
-        _, (u0, lams, vectors) = core.expansions(*amplitudes)
+        _, (u0, lams, vectors, anchors) = core.expansions(*amplitudes)
         ok = celsolve._live(failures)
         for w in numkernel.chunks(len(ok), len(times) * lams.shape[-1]):
             w = ok[w]
-            diff = cel_values - celsolve._expansion_values(u0[w], lams[w], vectors[w], times)
-            errors[c][w] = [np.linalg.norm(cell.ravel()) for cell in diff]
+            stacked = vectors[w].transpose(0, 2, 1, 3).reshape(len(w), -1, want.shape[1])
+            diff = celsolve._grid_values(np.tile(u0[w, 0], cfg.n), lams[w, 0], stacked,
+                                         anchors[w, 0], times[0], cfg.epsilon, len(times))
+            errors[c][w] = np.linalg.norm(diff - want, axis=(1, 2))
         status += ["ok" if f is None else type(f).__name__ for f in failures]
     return errors.tolist(), status
 

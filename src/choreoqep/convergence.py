@@ -75,8 +75,10 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     gamma = np.stack([op.gamma for op in ops])[:, :, None]
     total = gamma.sum(axis=1)
     x = np.outer(lam, np.arange(-N, N + 1)) * eps[:, :, None]
-    p_lam = ((np.expm1(x) @ gamma)[..., 0] + total) / eps - lam  # p - lam
-    q_lam = ((np.expm1(-x) @ gamma)[..., 0] + total) / eps + lam  # q + lam
+    e = np.expm1(x)
+    p_lam = ((e @ gamma)[..., 0] + total) / eps - lam  # p - lam
+    # expm1(-x) is expm1(x) with its k columns reversed; a view would change the sums' bits
+    q_lam = ((np.ascontiguousarray(e[..., ::-1]) @ gamma)[..., 0] + total) / eps + lam
     coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam], axis=1)
     sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)

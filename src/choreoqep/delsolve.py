@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, pencil
-from .celsolve import DirichletReport, SystemSolution, _Core
+from .celsolve import DirichletReport, SystemSolution, _Core, _grid_values
 from .model import LagrangianSpec
 from .scaleop import OutOfRange, ScaleOperator
 
@@ -83,11 +83,13 @@ class DelSolution(SystemSolution):
         return range(2 * self.op.N, self.M - 2 * self.op.N + 1)
 
     def sample(self) -> tuple[TrajectoryGrid, np.ndarray]:
-        """Evaluate on the grid; returns (particle grid, summed values).  NumericalFailure
-        when a value is not finite: e^{lam t} overflows past max Re lam (tf - t0) ~ 709.78."""
-        times = self.t0 + self.op.epsilon * np.arange(self.M + 1)
+        """Evaluate on the grid by `celsolve._grid_values`; returns (particle grid, summed
+        values).  NumericalFailure when a value is not finite: unanchored, e^{lam t}
+        overflows past max Re lam (tf - t0) ~ 709.78."""
         with np.errstate(over="ignore", invalid="ignore"):
-            vals, xs = np.array([p.value(times) for p in self.particles]), self.xs.value(times)
+            xs, *vals = [_grid_values(e.u0, e.lambdas, e.vectors, e.anchors, self.t0,
+                                      self.op.epsilon, self.M + 1)
+                         for e in (self.xs, *self.particles)]
         if not (np.isfinite(vals).all() and np.isfinite(xs).all()):
             growth = (self.tf - self.t0) * max(e.lambdas.real.max()
                                                for e in (self.xs, *self.particles))

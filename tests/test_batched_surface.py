@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -38,6 +39,16 @@ def raw_config():
 
 def reference_config():
     return cli.parse_config(raw_config())
+
+
+def resonant_config():
+    """The oscillator x'' = -16 x on M = 13 nodes of eps = 1/8, where eps omega = 1/2
+    exactly: the central difference's zeta-roots are 12th roots of unity, so the boundary
+    rows at nodes 12 and 13 repeat those at 0 and 1 (checked at 50 digits below)."""
+    return cli.parse_config({
+        "d": 1, "n": 1, "J1": [[1.0]], "J2": [[-16.0]], "J3": [[0.0]], "J4": [[0.0]],
+        "time": {"t0": 0.0, "tf": 1.625, "M": 13}, "operator": {"family": "central"},
+        "boundary": {"x_t0": [[1.0]], "x_tf": [[0.5]]}})
 
 
 def window_reference(cfg):
@@ -76,16 +87,36 @@ def assert_same_cells(got, want):
     assert all(math.isnan(e) for e, good in zip(errors, ok) if not good)
 
 
-@pytest.mark.parametrize("grid", ["gamma", "k"])
+@pytest.mark.parametrize("grid", ["gamma", "k", "resonant"])
 def test_each_cell_is_what_its_lone_solve_gives(grid):
-    cfg = reference_config()
-    ops = gamma_ops(cfg) if grid == "gamma" else k_ops(cfg)
+    cfg = resonant_config() if grid == "resonant" else reference_config()
+    ops = k_ops(cfg) if grid == "k" else gamma_ops(cfg)
     reference = window_reference(cfg)
     want_status, want_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
     errors, status = cli._window_errors(cfg, ops, reference)
     assert_same_cells((errors, status), (want_errors, want_status))
     if grid == "gamma":
+        assert {"ok", "AssumptionViolation"} <= set(status)
+    if grid == "resonant":
         assert {"ok", "AssumptionViolation", "SingularBoundarySystem"} <= set(status)
+        assert status[2 * 9 + 6] == "SingularBoundarySystem"  # (-0.5, 0.5): central
+
+
+def test_the_resonant_cell_is_exactly_singular():
+    """At 50 digits, from the double-precision data converted exactly, every zeta-root
+    of the central difference's x_s equation A (boxbox zeta^m) + C zeta^m = 0 on the
+    resonant config satisfies zeta^12 = 1: the boundary matrix at nodes {0, 1, 12, 13}
+    repeats its rows, singular in exact arithmetic as well as in `_pivots`."""
+    cfg = resonant_config()
+    op = scaleop.central_difference(cfg.epsilon)
+    a, c = pencil.coefficient_matrices(cfg.spec, cfg.n)
+    boxbox = op.windows.stencil[2, 2, 0]  # weights on nodes m-2..m+2
+    with mp.workdps(50):
+        coeffs = [mp.mpf(float(a[0, 0])) * mp.mpf(float(w.real)) for w in boxbox[::-1]]
+        coeffs[2] += mp.mpf(float(c[0, 0]))
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        assert len(roots) == 4
+        assert max(abs(z**12 - 1) for z in roots) < mp.mpf(10) ** -45
 
 
 CELL_ELEMENTS = 8 * 8  # a cell's K x K boundary matrix, K = 4Nd at N = 1, d = 2
@@ -127,7 +158,7 @@ def test_the_window_errors_peak_does_not_grow_with_the_surface():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
-NON_FINITE_CELLS = """
+ONCE_OVERFLOWING_CELLS = """
 import json, sys
 import numpy as np
 from choreoqep import cli
@@ -140,16 +171,17 @@ print(*cli._window_errors(cfg, ops, reference)[1])
 """
 
 
-def test_non_finite_boundary_systems_are_numerical_failures_and_print_nothing():
-    """At M = 200 these two cells' boundary matrices overflow.  They are typed
-    failures before LAPACK sees them; LAPACK's SVD used to raise LinAlgError and
-    write DLASCL errors to the process's stdout, which a fresh interpreter shows."""
+def test_once_overflowing_cells_solve_and_print_nothing():
+    """At M = 200 these two cells' unanchored boundary columns e^{lam t} overflowed:
+    they were NumericalFailures, and before that LAPACK's SVD wrote DLASCL errors to
+    the process's stdout, which a fresh interpreter shows.  Anchored, they solve, and
+    the process still writes nothing but their statuses."""
     raw = raw_config()
     raw["time"]["M"] = 200
     env = {**os.environ, "PYTHONPATH": str(Path(choreoqep.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", NON_FINITE_CELLS, json.dumps(raw)],
+    done = subprocess.run([sys.executable, "-c", ONCE_OVERFLOWING_CELLS, json.dumps(raw)],
                           env=env, check=True, capture_output=True, text=True)
-    assert done.stdout == "NumericalFailure NumericalFailure\n"
+    assert done.stdout == "ok ok\n"
 
 
 def test_csv_status_column_names_each_failure(tmp_path):

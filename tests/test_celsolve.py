@@ -144,7 +144,7 @@ class TestDirichlet:
         # two equal phases sampled at two times: the 2 x 2 matrix of ones
         _, (failure,) = _window_solve(np.zeros((1, 2), dtype=complex),
                                       np.ones((1, 2, 1), dtype=complex),
-                                      np.array([0.0, 1.0]), np.ones((1, 2, 1)))
+                                      np.array([0.0, 1.0]), np.zeros((1, 2)), np.ones((1, 2, 1)))
         assert isinstance(failure, SingularBoundarySystem)
         assert str(failure) == "pivot 0.000e+00 below 1e-14 x scale 1.000e+00"
 

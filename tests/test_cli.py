@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choreoqep import cli
+from choreoqep import cli, delsolve
 from choreoqep.model import LagrangianSpec
-from choreoqep.scaleop import central_difference
+from choreoqep.scaleop import ScaleOperator, central_difference
 
 from conftest import J1, J2, make_discrete_tuned_spec_d3, make_reference_spec
 
@@ -268,11 +268,15 @@ class TestFailure:
         assert code == cli.EXIT_ASSUMPTION
 
     def test_overflowing_discrete_samples_exit_numerical(self, tmp_path, capfd):
-        # 5-point weights, zero amplitudes: e^{lam t} overflows on M = 344 nodes
-        config = write_config(tmp_path, make_reference_spec(),
-                              operator={"N": 2, "gamma_re": [1 / 12, -2 / 3, 0.0, 2 / 3,
-                                                             -1 / 12]},
-                              amplitudes={"xs": [0.0] * 16},
+        # 5-point weights, a unit amplitude on the fastest-growing spurious nu = 0 mode
+        # of particle 1: e^{lam t} overflows on M = 344 nodes
+        spec, gamma = make_reference_spec(), [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]
+        lams = delsolve.general_solution_del(spec, ScaleOperator(np.array(gamma), 0.01), 3,
+                                             np.zeros(16), None, 0.0, 344).particles[0].lambdas
+        particles = np.zeros((2, 16))
+        particles[0, lams[16:].real.argmax()] = 1.0  # nu = 0 phases follow x_s's 16
+        config = write_config(tmp_path, spec, operator={"N": 2, "gamma_re": gamma},
+                              amplitudes={"xs": [0.0] * 16, "particles": particles.tolist()},
                               time={"t0": 0.0, "tf": 3.44, "M": 344})
         code, out = run(tmp_path, "solve", config, "--which", "del")
         assert code == cli.EXIT_NUMERICAL

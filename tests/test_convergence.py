@@ -114,3 +114,30 @@ def test_pencil_error_terms_match_50_digits_at_small_epsilon(op, bound):
     got_beta = _pencil_errors([op], np.array([lam]), np.diag([0.0, 1.0]))[0]
     assert abs(got_alpha - alpha) <= bound * alpha
     assert abs(got_beta - beta) <= bound * beta
+
+
+def two_expm1_pencil_errors(ops, lam, gram):
+    """`_pencil_errors` with expm1(-x) computed on its own, as it was before the reuse."""
+    N = ops[0].N
+    eps = np.array([op.epsilon for op in ops])[:, None]
+    gamma = np.stack([op.gamma for op in ops])[:, :, None]
+    total = gamma.sum(axis=1)
+    x = np.outer(lam, np.arange(-N, N + 1)) * eps[:, :, None]
+    p_lam = ((np.expm1(x) @ gamma)[..., 0] + total) / eps - lam
+    q_lam = ((np.expm1(-x) @ gamma)[..., 0] + total) / eps + lam
+    coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam], axis=1)
+    sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
+    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
+
+
+def test_reversed_expm1_keeps_every_bit_of_its_own_call():
+    rng = np.random.default_rng(10)
+    for i in range(300):
+        N, B, G = rng.integers(1, 4), rng.integers(1, 13), rng.integers(1, 40)
+        ops = [ScaleOperator(rng.standard_normal(2 * N + 1)
+                             + 1j * (i % 2) * rng.standard_normal(2 * N + 1),
+                             10 ** rng.uniform(-4, -0.5)) for _ in range(B)]
+        lam = (rng.standard_normal(G) + 1j * rng.standard_normal(G)) * 10 ** rng.uniform(-1, 2)
+        a = rng.standard_normal((2, 2))
+        assert np.array_equal(_pencil_errors(ops, lam, a @ a.T),
+                              two_expm1_pencil_errors(ops, lam, a @ a.T))

@@ -49,16 +49,23 @@ class TestGeneralSolution:
     @pytest.mark.parametrize("eps", [0.05, 0.01])
     def test_overflowing_samples_are_a_numerical_failure(self, ref_spec, eps):
         # the 5-point operator's spurious phases grow by e^{709.9..711.1} over M = 344
-        # nodes, past the largest float: a typed error instead of a bare ValueError
+        # nodes, past the largest float.  With zero amplitudes they add exactly 0; a unit
+        # amplitude on the fastest nu = 0 one, whose kernel vector is (0, 1), is a typed
+        # error instead of a bare ValueError
         op = ScaleOperator(np.array([1, -8, 0, 8, -1]) / 12.0, eps)
-        zero = [general_solution_del(ref_spec, op, 3, np.zeros(16), np.zeros((2, 16)),
-                                     0.0, M) for M in (343, 344)]
-        grid, xs_vals = zero[0].sample()
+        zero = general_solution_del(ref_spec, op, 3, np.zeros(16), np.zeros((2, 16)), 0.0, 344)
+        grid, xs_vals = zero.sample()
         assert not grid.values.any() and not xs_vals.any()
+        growing = np.zeros((2, 16))
+        growing[0, np.argmax(zero.particles[0].lambdas[16:].real)] = 1.0  # after x_s's 16
+        one = [general_solution_del(ref_spec, op, 3, np.zeros(16), growing, 0.0, M)
+               for M in (343, 344)]
+        grid, _ = one[0].sample()
+        assert np.abs(grid.values).max() > 1e300
         with pytest.raises(numkernel.NumericalFailure,
                            match=r"max Re lam \(tf - t0\) = 7(09|11)\.\d\d against "
                                  r"log\(max float\) = 709\.78"):
-            zero[1].sample()
+            one[1].sample()
 
     def test_a_user_grid_with_non_finite_values_stays_a_value_error(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -119,19 +119,25 @@ def test_the_decision_fixes_root_count_and_constant_mode(ref_spec):
 
 
 def test_two_time_window_solve_is_the_endpoint_solve():
-    """_window_solve at [t0, tf] gives the bits of the endpoint formula."""
+    """_window_solve at [t0, tf] gives the bits of the endpoint formula: a mode that
+    grows by more than e over [t0, tf] anchored at tf, every other at t0, each column
+    divided by its largest modulus, and the amplitudes divided by it too."""
     rng = np.random.default_rng(3)
     roots = rng.standard_normal(4) * 0.3 + 1j * rng.standard_normal(4) * 4
+    roots[0] += 2.0  # e^{3.x} over the interval
     basis = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     t0, tf = 0.25, 1.75
+    anchors = np.where(roots.real * (tf - t0) > 1, tf, t0)
+    assert set(anchors) == {t0, tf}
     rhs0, rhsf = rng.standard_normal(2), rng.standard_normal(2)
-    mat = np.vstack([(np.exp(roots * t0)[:, None] * basis).T,
-                     (np.exp(roots * tf)[:, None] * basis).T])
-    want = numkernel.solve_square(mat, np.concatenate([rhs0, rhsf]))
+    mat = np.vstack([(np.exp((t0 - anchors) * roots)[:, None] * basis).T,
+                     (np.exp((tf - anchors) * roots)[:, None] * basis).T])
+    scale = np.abs(mat).max(axis=0)
+    want = numkernel.solve_square(mat / scale, np.concatenate([rhs0, rhsf]))
     (got,), failures = celsolve._window_solve(roots[None], basis[None], np.array([t0, tf]),
-                                              np.stack([rhs0, rhsf])[None])
+                                              anchors[None], np.stack([rhs0, rhsf])[None])
     assert failures == [None]
-    assert np.array_equal(got, want.x)
+    assert np.array_equal(got, want.x / scale)
 
 
 def test_del_solution_samples_sum_mismatch_on_its_interval(ref_spec):
