@@ -5,9 +5,9 @@ as `RootSet`s (residual = eigenpair backward error, plus kernel vectors);
 determinant interpolation, polynomial roots and SVD kernel vectors here are
 independent references for its tests.  `solve_square` is the batch of one of
 `_solve_stack`, which solves a stack of systems and returns, per item, the error
-the single solve would raise: its singularity test reads the LU pivots of one
-numpy elimination of the whole stack, and its solutions come from
-`np.linalg.solve`; only a lone solve computes a condition number.  Everything here
+the single solve would raise: one numpy elimination of the whole stack gives each
+item's LU factors, whose pivots decide singularity and which give x by
+back-substitution; only a lone solve computes a condition number.  Everything here
 is a pure function of its inputs: no caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
@@ -24,8 +24,8 @@ class DegreeZero(Exception):
 
 
 class NumericalFailure(Exception):
-    """Raised when an eigenvalue/refinement iteration fails to converge, or a solve
-    meets non-finite entries or a LAPACK failure."""
+    """Raised when an eigenvalue/refinement iteration fails to converge, a solve meets
+    non-finite entries or gives a non-finite x, or LAPACK fails."""
 
 
 class InterpolationInconsistent(Exception):
@@ -45,11 +45,11 @@ class KernelNotOneDimensional(Exception):
 
 class Singular(Exception):
     """Raised when a linear solve meets an exactly or nearly singular matrix.  Made
-    from (pivot, scale), it formats its text only when read."""
+    from (pivot, threshold, scale), it formats its text only when read."""
 
     def __str__(self) -> str:
-        return "pivot {:.3e} below 1e-14 x scale {:.3e}".format(*self.args) \
-            if len(self.args) == 2 else super().__str__()
+        return "pivot {:.3e} below {:.3g} x scale {:.3e}".format(*self.args) \
+            if len(self.args) == 3 else super().__str__()
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,9 @@ def kernel_vector(m, rank_tol: float = 1e-8) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSolve:
-    """Solution of a square system together with a condition estimate."""
+    """Solution of a square system with the 2-norm condition number of its matrix, from
+    an SVD.  A 1-norm estimate from the LU factors that gave x (Hager, SIAM J. Sci.
+    Stat. Comput. 5, 1984) would be cheaper; it is not done."""
 
     x: np.ndarray
     cond: float
@@ -262,9 +264,9 @@ class LinearSolve:
 
 
 def _stacked(fn, fill, *stacks) -> tuple:
-    """(fn(*stacks), per-item LinAlgError or None) over the leading axis.  When LAPACK
-    fails on the stack, fn runs item by item, so that only the failing items fail;
-    their result is fill."""
+    """(fn(*stacks), per-item LinAlgError or None) over the leading axis (eig, eigvals, cond
+    and `pencil._eigenpairs`' monic solve).  When LAPACK fails on the stack, fn runs item
+    by item, so that only the failing items fail; their result is fill."""
     try:
         return fn(*stacks), [None] * len(stacks[0])
     except np.linalg.LinAlgError:
@@ -286,16 +288,17 @@ def _stacked(fn, fill, *stacks) -> tuple:
 PANEL = 16
 
 
-def _pivots(a: np.ndarray) -> np.ndarray:
-    """|U[j, j]| of each item's LU factors (B, K), from one partial-pivot elimination of
-    the whole stack a (B, K, K).  Each step takes the row with the largest |Re| + |Im|
-    in its column, as LAPACK's getrf does, and a zero column is skipped as getrf skips
-    it.  Columns are eliminated PANEL at a time: a pivot row takes the panel's updates
-    to its columns right of the panel as it is chosen, and the rows below them one
-    matmul per panel."""
-    a = a.copy()
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(|U[j, j]| (B, K), x (B, K, m)) of each item of a stack a (B, K, K), b (B, K, m),
+    from one partial-pivot elimination of the whole stack [a | b], whose row swaps and
+    updates carry b, and back-substitution on U, one step a row of x (not finite where
+    a pivot is 0).  Each step takes the row with the largest |Re| + |Im| in its column,
+    as LAPACK's getrf does, and a zero column is skipped as getrf skips it.  Columns are
+    eliminated PANEL at a time: a pivot row takes the panel's updates to its columns
+    right of the panel as it is chosen, and the rows below them one matmul per panel."""
     B, K, _ = a.shape
-    parts = a.view(float).reshape(B, K, K, 2)  # (Re, Im) of every entry
+    a = np.ascontiguousarray(np.concatenate([a, b], axis=2))
+    parts = a.view(float).reshape(a.shape + (2,))  # (Re, Im) of every entry
     items, swap = np.arange(B)[:, None], np.zeros((B, 2), dtype=np.intp)
     for j0 in range(0, K, PANEL):
         j1 = min(j0 + PANEL, K)
@@ -308,41 +311,37 @@ def _pivots(a: np.ndarray) -> np.ndarray:
             a[:, j + 1:, j] /= np.where(pivot == 0, 1, pivot)[:, None]
             a[:, j + 1:, j + 1:j1] -= a[:, j + 1:, j, None] * a[:, None, j, j + 1:j1]
         a[:, j1:, j1:] -= a[:, j1:, j0:j1] @ a[:, j0:j1, j1:]
-    return np.abs(np.diagonal(a, axis1=1, axis2=2))
+    u, x = np.diagonal(a, axis1=1, axis2=2), a[:, :, K:]
+    with np.errstate(all="ignore"):
+        for j in range(K - 1, -1, -1):
+            x[:, j] = (x[:, j] - (a[:, None, j, j + 1:K] @ x[:, j + 1:])[:, 0]) / u[:, j, None]
+    return np.abs(u), x
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve each a[i] @ x[i] = b[i] of a stack a (B, K, K), b (B, K) or (B, K, m).
 
-    Returns (x, failures): failures[i] is what solve_square raises for item i, or
-    None.  An item with a non-finite entry in a[i] or b[i] is a NumericalFailure, and
-    the others are Singular when the smallest pivot of their LU factors, from
-    `_pivots`' one elimination of the stack, is at most 1e-14 max|a[i]|.  The rest
-    take x from `np.linalg.solve`; a LAPACK failure there fails its own item only, as
-    a NumericalFailure caused by it.  x is zero where an item failed.
+    Returns (x, failures): failures[i] is what solve_square raises for item i, or None:
+    a NumericalFailure for a non-finite entry in a[i] or b[i]; else, from the LU factors
+    of `_lu_solve`'s one elimination of the stack, Singular for a smallest pivot at most
+    1e-14 max(1, K/8)^1.5 max|a[i]| (~2 K^1.5 machine epsilon: rounding keeps an exactly
+    singular system's pivot under it as K grows), or a NumericalFailure for a non-finite
+    x.  x comes from the same factors, and is zero where an item failed.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    x = np.zeros(b.shape, dtype=complex)
-    if len(a) == 0:
-        return x, []
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b.reshape(len(b), -1)).all(axis=1)
-    scale, pivots = np.abs(a).max(axis=(1, 2)), np.zeros(len(a))
-    pivots[finite] = _pivots(a[finite]).min(axis=1)
+    rhs = b if b.ndim == 3 else b[..., None]
+    x, pivots = np.zeros(rhs.shape, dtype=complex), np.zeros(len(a))
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    u, x[finite] = _lu_solve(a[finite], rhs[finite])
+    pivots[finite], scale = u.min(axis=1), np.abs(a).max(axis=(1, 2))
+    tol = 1e-14 * max(1.0, a.shape[1] / 8) ** 1.5
     failures = [NumericalFailure("non-finite entries") if not f else
                 Singular("zero matrix") if s == 0 else
-                Singular(p, s) if p <= 1e-14 * s
-                else None for f, s, p in zip(finite, scale, pivots)]
-    ok = np.flatnonzero([f is None for f in failures])
-    if len(ok):
-        rhs = b[ok] if b.ndim == 3 else b[ok, :, None]
-        solved, failed = _stacked(np.linalg.solve, np.zeros(rhs.shape[1:], dtype=complex),
-                                  a[ok], rhs)
-        x[ok] = solved.reshape(x[ok].shape)
-        for i, exc in zip(ok, failed):
-            if exc is not None:
-                failures[i] = NumericalFailure(f"LAPACK failed: {exc}")
-                failures[i].__cause__ = exc
-    return x, failures
+                Singular(p, tol, s) if p <= tol * s else
+                None if ok else NumericalFailure("non-finite solution")
+                for f, s, p, ok in zip(finite, scale, pivots, np.isfinite(x).all(axis=(1, 2)))]
+    x[[f is not None for f in failures]] = 0
+    return x.reshape(b.shape), failures
 
 
 def _cond(a: np.ndarray) -> float:
@@ -355,8 +354,8 @@ def _cond(a: np.ndarray) -> float:
 
 def solve_square(a, b) -> LinearSolve:
     """Solve a @ x = b with pivot-based singularity detection: the batch of one of
-    `_solve_stack` (LU pivots from its elimination, x from `np.linalg.solve`), raising
-    its error, with the 2-norm condition number of a."""
+    `_solve_stack` (pivots and x from the same LU factors), raising its error, with the
+    2-norm condition number of a."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -106,7 +106,7 @@ def test_the_resonant_cell_is_exactly_singular():
     """At 50 digits, from the double-precision data converted exactly, every zeta-root
     of the central difference's x_s equation A (boxbox zeta^m) + C zeta^m = 0 on the
     resonant config satisfies zeta^12 = 1: the boundary matrix at nodes {0, 1, 12, 13}
-    repeats its rows, singular in exact arithmetic as well as in `_pivots`."""
+    repeats its rows, singular in exact arithmetic as well as in `_lu_solve`."""
     cfg = resonant_config()
     op = scaleop.central_difference(cfg.epsilon)
     a, c = pencil.coefficient_matrices(cfg.spec, cfg.n)
