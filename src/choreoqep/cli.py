@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -577,6 +578,7 @@ def cmd_choreo(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list[Path]:
     return written
 
 
+@cache  # one parser a process, built on first use: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="choreoqep",

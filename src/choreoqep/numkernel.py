@@ -25,7 +25,7 @@ class DegreeZero(Exception):
 
 class NumericalFailure(Exception):
     """Raised when an eigenvalue/refinement iteration fails to converge, a solve meets
-    non-finite entries or gives a non-finite x, or LAPACK fails."""
+    non-finite entries or gives a non-finite or underflowing x, or LAPACK fails."""
 
 
 class InterpolationInconsistent(Exception):
@@ -126,8 +126,8 @@ def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
     return np.abs(a - b) < rel_tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
-# elements of the largest temporary that one chunk of a batched kernel forms: one row of
-# 256 x 256 root pairs, or the 8 x 8 boundary matrices of 1,024 surface cells
+# elements of the largest temporary that one chunk of a batched kernel forms: the 8 x 8
+# boundary matrices of 1,024 surface cells, or the products B_i v of a spectrum's roots
 CHUNK_ELEMENTS = 2**16
 
 
@@ -140,12 +140,26 @@ def chunks(items: int, per_item: int) -> list:
 
 def simple_rows(roots: np.ndarray, rel_tol: float) -> np.ndarray:
     """Per row of roots (B, K): no two roots within rel_tol * max(1, |root|) of each other,
-    i.e. close_pairs of the row with itself is set on the diagonal only.  Rows are tested
-    in chunks of at most CHUNK_ELEMENTS pairs, which bounds the memory."""
-    B, K = roots.shape
-    simple = np.empty(B, dtype=bool)
-    for c in chunks(B, K * K):
-        simple[c] = close_pairs(roots[c], roots[c], rel_tol).sum(axis=(1, 2)) == K
+    i.e. close_pairs of the row with itself is set on the diagonal only (a root not finite
+    fails its own entry).  Rows are sorted by p = 0.8 Re + 0.6 Im (oblique, so that axes
+    and conjugate pairs keep distinct p); a close pair is within 2 (rel_tol + 4 eps)
+    max(1, |root|) / (1 - 2 rel_tol) of its lower root in p, rounding included, so roots
+    s = 1, 2, .. places apart are compared while some are that near.  Temporaries: (B, K)."""
+    K = roots.shape[1]
+    with np.errstate(all="ignore"):
+        simple = close_pairs(roots[..., None], roots[..., None], rel_tol).all(axis=(1, 2, 3))
+        p = 0.8 * roots.real + 0.6 * roots.imag
+        order = np.argsort(p, axis=1)
+        roots, p = np.take_along_axis(roots, order, 1), np.take_along_axis(p, order, 1)
+        scale = np.maximum(1.0, np.abs(roots))
+        window = 2 * (rel_tol + 4 * np.finfo(float).eps) * scale / max(1 - 2 * rel_tol, 0)
+    for s in range(1, K):
+        near = simple[:, None] & (p[:, s:] - p[:, :-s] < window[:, :-s])
+        if not near.any():
+            break
+        b, i = np.nonzero(near)
+        close = close_pairs(roots[b, i, None], roots[b, i + s, None], rel_tol)[:, 0, 0]
+        simple[b[close]] = False
     return simple
 
 
@@ -325,8 +339,10 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     a NumericalFailure for a non-finite entry in a[i] or b[i]; else, from the LU factors
     of `_lu_solve`'s one elimination of the stack, Singular for a smallest pivot at most
     1e-14 max(1, K/8)^1.5 max|a[i]| (~2 K^1.5 machine epsilon: rounding keeps an exactly
-    singular system's pivot under it as K grows), or a NumericalFailure for a non-finite
-    x.  x comes from the same factors, and is zero where an item failed.
+    singular system's pivot under it as K grows), or a NumericalFailure for an x that is
+    not finite or, with b[i] not zero, zero or subnormal in every entry (it underflows,
+    with backward error 1).  x comes from the same factors, and is zero where an item
+    failed.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     rhs = b if b.ndim == 3 else b[..., None]
@@ -335,11 +351,15 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     u, x[finite] = _lu_solve(a[finite], rhs[finite])
     pivots[finite], scale = u.min(axis=1), np.abs(a).max(axis=(1, 2))
     tol = 1e-14 * max(1.0, a.shape[1] / 8) ** 1.5
+    solved = np.isfinite(x).all(axis=(1, 2))
+    tiny = np.maximum(np.abs(x.real), np.abs(x.imag)) < np.finfo(float).tiny
+    underflows = tiny.all(axis=(1, 2)) & rhs.any(axis=(1, 2))
     failures = [NumericalFailure("non-finite entries") if not f else
                 Singular("zero matrix") if s == 0 else
                 Singular(p, tol, s) if p <= tol * s else
-                None if ok else NumericalFailure("non-finite solution")
-                for f, s, p, ok in zip(finite, scale, pivots, np.isfinite(x).all(axis=(1, 2)))]
+                NumericalFailure("non-finite solution") if not ok else
+                NumericalFailure("solution underflows") if under else None
+                for f, s, p, ok, under in zip(finite, scale, pivots, solved, underflows)]
     x[[f is not None for f in failures]] = 0
     return x.reshape(b.shape), failures
 

@@ -328,20 +328,26 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
     y = (zeta - 1)^2 / zeta: the quadratic formula (N = 1) or 2N x 2N companions give y,
     and each y the two roots eps w of x^2 - y x - y.  A Newton step in w is kept unless it
     raises the modulus.  Items with w-coefficients not finite (or, for J5 = 0, a vanishing
-    leading one) are not solved."""
-    k, B, N = len(pencil) - 1, len(gamma), (gamma.shape[1] - 1) // 2
+    leading one) are not solved.  With real weights, a target whose exact conjugate is a
+    target with Im > 0 is not solved either: its coefficients are the conjugates of that
+    target's, so its roots, Newton step and error terms are that target's, conjugated."""
+    k, B, N, T = len(pencil) - 1, len(gamma), (gamma.shape[1] - 1) // 2, len(targets)
+    partner = (targets[:, None] == targets.conj()).argmax(axis=1)
+    mirror = (targets.imag < 0) & (targets[partner] == targets.conj()) & ~gamma.imag.any()
+    own = np.flatnonzero(~mirror)  # the targets solved; src: each target's solve
+    src = np.searchsorted(own, np.where(mirror, partner, np.arange(T)))
     g, theta = _symbols(gamma, delays)
     with np.errstate(all="ignore"):
         base, unit = (g / delays.eps[:, None], delays.shift[:, :2 * N + 1, N]) if k == 2 else \
             (-theta / delays.eps2[:, None], delays.shift[:, :, 2 * N])
-        coeffs = base[:, None] - targets[:, None] * unit[:, None]  # (B, targets, ascending in w)
+        coeffs = base[:, None] - targets[own, None] * unit[:, None]  # (B, own, ascending in w)
         coeffs, deg = coeffs if coeffs.imag.any() else coeffs.real, coeffs.shape[-1] - 1
     if k == 2:
         w, finite, failed = _companion_roots(coeffs, np.ones(B, dtype=bool))
     else:
         finite = np.isfinite(coeffs).all(axis=(1, 2)) & coeffs[..., -1].all(axis=1)
-        p_y = np.repeat(_half_degree(gamma)[:, None], len(targets), axis=1) + 0j
-        p_y[..., 0] += delays.eps2[:, None] * targets  # (B, targets, ascending in y)
+        p_y = np.repeat(_half_degree(gamma)[:, None], len(own), axis=1) + 0j
+        p_y[..., 0] += delays.eps2[:, None] * targets[own]  # (B, own, ascending in y)
         p_y, failed = p_y if p_y.imag.any() else p_y.real, [None] * B
         if N == 1:
             y = _quadratic(p_y[..., 2], p_y[..., 1], p_y[..., 0])
@@ -352,15 +358,18 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
     h = npoly.polyval(w, c, tensor=False)
     with np.errstate(all="ignore"):
         newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
-        w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton,
-                     w).reshape(B, -1)
-        vectors = np.repeat(vectors, deg, axis=0)  # (targets * deg, d), one row a root
-        at = [npoly.polyval(w, p.T[:, :, None], tensor=False) for p in (base, unit)]
-        q = sum((at[0]**i * at[1]**(k - i))[..., None] * (pencil[i] @ vectors.T).T
-                for i in range(k + 1))  # Q(w) v, (B, targets * deg, d)
-        den = (np.abs(w[:, None]) ** np.arange(norms.shape[1])[:, None]
-               * norms[:, :, None]).sum(axis=1) * np.linalg.norm(vectors, axis=1)
-    errors, rejected = _verdicts(np.linalg.norm(q, axis=-1), den, True, tol)  # v_k unit
+        w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
+        rows, flat = np.repeat(vectors[own], deg, axis=0), w.reshape(B, -1)  # one row a root
+        at = [npoly.polyval(flat, p.T[:, :, None], tensor=False) for p in (base, unit)]
+        q = sum((at[0]**i * at[1]**(k - i))[..., None] * (pencil[i] @ rows.T).T
+                for i in range(k + 1))  # Q(w) v, (B, own * deg, d)
+        den = (np.abs(flat[:, None]) ** np.arange(norms.shape[1])[:, None]
+               * norms[:, :, None]).sum(axis=1) * np.linalg.norm(rows, axis=1)
+    num, den = (e.reshape(w.shape)[:, src].reshape(B, -1)
+                for e in (np.linalg.norm(q, axis=-1), den))
+    w = np.where(mirror[:, None], w[:, src].conj(), w[:, src]).reshape(B, -1)
+    errors, rejected = _verdicts(num, den, True, tol)  # v_k unit
+    vectors = np.repeat(vectors, deg, axis=0)
     return w, np.broadcast_to(vectors, w.shape + vectors.shape[1:]), errors, [
         LeadingSingular("the block companion has infinite eigenvalues") if not ok else exc
         and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or r

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,14 +69,20 @@ class ScaleOperator:
     def shift(self) -> np.ndarray:
         """Binomial shift S[i, j] = eps^i C(j, i), i, j = 0..4N (read-only): coefficients
         c of a polynomial in zeta become S @ c in w = (zeta - 1)/eps."""
-        ks = range(4 * self.N + 1)
-        binom = np.array([[math.comb(j, i) for j in ks] for i in ks], dtype=float)
-        return _read_only(binom * self.epsilon ** np.arange(len(ks))[:, None])
+        binom = _binomials(4 * self.N + 1)
+        return _read_only(binom * self.epsilon ** np.arange(len(binom))[:, None])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@cache
+def _binomials(size: int) -> np.ndarray:
+    """C(j, i) at [i, j], i, j < size: one read-only table per N, shared by its operators."""
+    return _read_only(np.array([[math.comb(j, i) for j in range(size)]
+                                for i in range(size)], dtype=float))
 
 
 def central_difference(epsilon: float) -> ScaleOperator:

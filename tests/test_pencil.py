@@ -16,6 +16,7 @@ from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
                       make_reference_spec, record_eigenpair_blocks)
+from perfbench.gen import _tuned_d3_system
 
 
 def sorted_imag(roots):
@@ -516,15 +517,68 @@ class TestSymbolReductions:
     def test_real_n2_weights_give_exact_conjugate_pairs(self, monkeypatch, ref_spec, nu):
         self.check_exact_conjugate_pairs(monkeypatch, ref_spec, mixed_five_point(0.05), nu)
 
+    @pytest.mark.parametrize("case", ["long_grid_choreography", "five_point",
+                                      "five_point_gyroscopic"])
+    def test_conjugate_targets_give_exact_conjugate_pairs(self, monkeypatch, case):
+        """Antisymmetric real weights, where each conjugate target's roots are its
+        partner's conjugated.  Solved apart, conjugate targets need not give conjugate
+        roots: 2 of the 12 zeta-roots of the benchmark's choreography system (d = 3,
+        n = 5, central difference at its delay (tf - t0)/M = 1500 (pi/15)/1500, nu = 0)
+        had no exact conjugate from LAPACK's complex eigen-solve."""
+        if case == "long_grid_choreography":
+            system = _tuned_d3_system(math.pi / 15)
+            spec = LagrangianSpec(3, 5, *(np.array(system[f"J{i}"]) for i in range(1, 5)))
+            op = central_difference(1500 * (math.pi / 15) / 1500)
+        else:
+            spec = make_gyroscopic_spec() if case.endswith("gyroscopic") else make_reference_spec()
+            op = five_point(0.05)
+        self.check_exact_conjugate_pairs(monkeypatch, spec, op, 0)
+
+    @pytest.mark.parametrize("op, solved", [(five_point(0.05), 2),
+                                            (ANTISYMMETRIC["complex"](0.05), 4)])
+    def test_each_conjugate_pair_of_targets_is_solved_once(self, monkeypatch, op, solved):
+        """The gyroscopic spec's four classical roots are two conjugate pairs: real
+        weights solve one companion a pair, complex weights one a root."""
+        shapes, original = [], pencil._companion_roots
+        monkeypatch.setattr(pencil, "_companion_roots",
+                            lambda c, f: shapes.append(c.shape) or original(c, f))
+        transcendental_spectrum(transcendental_pencil(make_gyroscopic_spec(), op, 0))
+        assert shapes == [(1, solved, 5)]  # coefficients of degree 2N = 4
+
     @staticmethod
     def check_exact_conjugate_pairs(monkeypatch, spec, op, nu):
         calls = recorded_preimages(monkeypatch)
         sp = transcendental_spectrum(transcendental_pencil(spec, op, nu))
-        assert len(calls) == 1  # the J5 = 0 reduction, in real arithmetic
+        assert len(calls) == 1  # a symbol reduction, in real arithmetic
         z, v = sp.zeta.roots, sp.zeta.vectors
         partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
         assert np.array_equal(z[partner], z.conj())
         assert np.array_equal(v[partner], v.conj())
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    @pytest.mark.parametrize("case", ["central", "five_point_gyroscopic", "complex",
+                                      "mixed_five_point"])
+    def test_each_batched_item_is_its_lone_spectrum(self, case, nu):
+        """Bit for bit over a batch of delays, whether conjugate targets are mirrored
+        (real weights) or each solved (complex weights); an item that fails raises alone
+        what it fails with in the batch."""
+        spec = make_gyroscopic_spec() if case.endswith("gyroscopic") else make_reference_spec()
+        family = {"central": central_difference, "five_point_gyroscopic": five_point,
+                  "complex": ANTISYMMETRIC["complex"], "mixed_five_point": mixed_five_point}
+        ops = [family[case](eps) for eps in (1e-3, 0.01, 0.05, 0.2)]
+        batch = pencil._spectra([pencil.Setting(spec, op) for op in ops], nu)
+        assert batch.failures.count(None) >= 3
+        for i, op in enumerate(ops):
+            if batch.failures[i] is not None:
+                with pytest.raises(type(batch.failures[i])) as info:
+                    transcendental_spectrum(transcendental_pencil(spec, op, nu))
+                assert str(info.value) == str(batch.failures[i])
+                continue
+            lone = transcendental_spectrum(transcendental_pencil(spec, op, nu))
+            for got, want in ((batch.lam[i], lone.lam.roots), (batch.roots[i], lone.zeta.roots),
+                              (batch.residuals[i], lone.zeta.residuals),
+                              (batch.vectors[i], lone.zeta.vectors)):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
