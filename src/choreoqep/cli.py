@@ -274,11 +274,11 @@ def _traj_header(d: int) -> list[str]:
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of the trajectory CSV writer; returns (times, values (n, M+1, d)).
 
-    The body is parsed as one float array and scattered into values, real and
+    The body is parsed in one pass of `np.loadtxt` and scattered into values, real and
     imaginary parts apart, so signed zeros and every other double come back bit
     for bit.  A cell that is not a number, or rows of unequal length, raise ValueError."""
-    header, *lines = Path(path).read_text().strip().split("\n")
-    cells = np.array([line.split(",") for line in lines], dtype=float)
+    with open(path) as f:
+        header, cells = f.readline(), np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
     n = int(cells[:, 1].max()) + 1
     times = cells[::n, 0]
     values = np.zeros((n, len(cells) // n, (len(header.split(",")) - 2) // 2), dtype=complex)

@@ -58,7 +58,7 @@ class SweepResult:
 
 def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
     ok = np.isfinite(distances) & (distances > 0)
-    if ok.sum() < 3:
+    if ok.sum() < 3 or len(np.unique(epsilons[ok])) < 2:  # one delay fixes no slope
         return math.nan
     slope = np.polyfit(np.log(epsilons[ok]), np.log(distances[ok]), 1)[0]
     return float(slope)

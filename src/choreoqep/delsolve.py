@@ -9,10 +9,11 @@ recurrences only hold where every window factor equals one, i.e. for
 t in [t0 + 2N eps, tf - 2N eps]; residuals outside that window are
 generically nonzero and document the boundary layer.
 
-Both read the operator's cached `WindowTables`: the march advances all particles
-by one d x 4Nd step matrix; `_residuals` evaluates the windowed equations at any
-nodes (integer windows, so not on t0) and `residual_del` at one, off the grid's ends
-from a slice, both through `_equations`, with blocks built once per (spec, n).
+A node's windowed equations are one linear map of its window values plus a constant,
+fixed by its class [a, b] (nodes before and after, capped at 2N): `_residual_map` folds
+the `WindowTables` stencil into the equation blocks once per (spec, n, operator value),
+for `residual_del` at one node and `_residuals` over nodes, one product per class.  The
+march moves x_s and the particles in one loop, one 4Nd x 3d product a step.
 """
 from __future__ import annotations
 
@@ -171,39 +172,44 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     """March the interior-window recurrences forward from 4N seed nodes.
 
     xs_seed is (4N, d) and particle_seeds (n, 4N, d), holding nodes 0..4N-1.
-    The summed variable marches first, then all particles together with it
-    as source.  Marching uses only equations centered in the interior window,
-    so nodes 4N..M are produced; an M < 4N grid has no such window.
+    Rows [x_s; x_1..x_n] march together, one product of their windows with
+    [S_0^T | S_n^T | couple] a step: x_s takes the S_n block, each particle the S_0
+    block plus x_s's couple block (its source); real weights march real and imaginary
+    parts as rows.  Marching uses only equations centered in the interior window, so
+    nodes 4N..M are produced; an M < 4N grid has no such window.
     """
-    R = 2 * op.N
-    d = spec.d
+    R, d = 2 * op.N, spec.d
     if M < 2 * R:
         raise WindowExceeded(f"M = {M} < 4N = {2 * R}: no interior equations")
-    xs_seed = np.asarray(xs_seed, dtype=complex).reshape(2 * R, d)
-    particle_seeds = np.asarray(particle_seeds, dtype=complex).reshape(n, 2 * R, d)
-
     step_n, solve_n = _step(spec, op, n)
     step_0, solve_0 = _step(spec, op, 0)
     src_const = pencil.Setting(spec, op).constant_rhs
     const_n = solve_n @ (n * src_const)
-    centres = range(R, M - R + 1)
-
-    xs = np.zeros((M + 1, d), dtype=complex)
-    xs[:2 * R] = xs_seed
-    for c in centres:
-        xs[c + R] = step_n @ xs[c - R:c + R].reshape(-1) + const_n
-
-    # the x_s source of the particle equations, at every centre
+    # x_s's source -B_0^-1 (2 J3 boxbox x_s + 2 J4 x_s[c] + const), boxbox over c-R..c+R
+    # with x_s[c+R] = S_n window + const_n
     g = op.windows.stencil[R, R, 0]  # interior adjoint∘forward: theta / eps^2
-    bb_xs = sum(g[k + R] * xs[k + R:M - R + 1 + k] for k in range(-R, R + 1))
-    source = (bb_xs @ (2.0 * spec.J3).T + xs[R:M - R + 1] @ (2.0 * spec.J4).T
-              + src_const) @ solve_0.T
-
-    traj = np.zeros((n, M + 1, d), dtype=complex)
-    traj[:, :2 * R] = particle_seeds
-    for i, c in enumerate(centres):
-        traj[:, c + R] = traj[:, c - R:c + R].reshape(n, -1) @ step_0.T + source[i]
-    return TrajectoryGrid(t0, op.epsilon, traj), xs
+    couple = 2.0 * spec.J3 @ (np.kron(g[:-1], np.eye(d)) + g[-1] * step_n)
+    couple[:, R * d:(R + 1) * d] += 2.0 * spec.J4
+    step = np.vstack([step_0, step_n, solve_0 @ couple]).T
+    const = np.concatenate([0.0 * const_n, const_n,
+                            solve_0 @ (2.0 * spec.J3 @ (g[-1] * const_n) + src_const)])
+    seeds = np.concatenate([np.reshape(xs_seed, (1, 2 * R, d)),
+                            np.reshape(particle_seeds, (n, 2 * R, d))]).astype(complex)
+    real = not step.imag.any()  # z[row, plane, node], planes real and imaginary
+    split = (lambda a, axis: np.stack([a.real, a.imag], axis)) if real else np.expand_dims
+    step, const, seeds = step.real.copy() if real else step, split(const, 0), split(seeds, 1)
+    z = np.pad(seeds, ((0, 0), (0, 0), (0, M + 1 - 2 * R), (0, 0)))
+    windows = np.lib.stride_tricks.as_strided(  # rows x planes by nodes c-R..c+R-1
+        z, (M - 2 * R + 1, (1 + n) * z.shape[1], 2 * R * d), (z.strides[2], *z.strides[1::2]),
+        writeable=False)
+    for w, xs, parts in zip(windows, np.moveaxis(z[0, :, 2 * R:], 1, 0),
+                            np.moveaxis(z[1:, :, 2 * R:], 2, 0)):
+        out = (w @ step).reshape(1 + n, -1, 3 * d)
+        out[0] += const
+        xs[...] = out[0, :, d:2 * d]
+        np.add(out[1:, :, :d], out[0, :, 2 * d:], out=parts)
+    values = z[:, 0] + 1j * z[:, 1] if real else z[:, 0]
+    return TrajectoryGrid(t0, op.epsilon, values[1:]), values[0]
 
 
 @dataclass(frozen=True)
@@ -217,28 +223,19 @@ class DelResidual:
 def _residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
                xs_vals: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Windowed residuals at grid nodes 0 <= nodes <= M: (K, d) for x_s, (n, K, d)
-    for the particles, with K = len(nodes)."""
-    M = vals.shape[1] - 1
+    for the particles, with K = len(nodes); one product per window class."""
+    M, R, d, rows = vals.shape[1] - 1, 2 * op.N, spec.d, len(vals)
     if M < 1:
         raise ValueError("a grid needs at least two nodes")
-    R = 2 * op.N
-    before, after = np.minimum(nodes, R), np.minimum(M - nodes, R)
-    near = (nodes[:, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
-    values = np.concatenate([xs_vals[None, near], vals[:, near]])
-    return _equations(spec, n, op.windows.stencil[before, after] @ values,
-                      op.windows.box1[before, after])
-
-
-def _equations(spec: LagrangianSpec, n: int, terms: np.ndarray, box1: np.ndarray) -> tuple:
-    """The residuals of `_residuals` from the stencil rows at K nodes, terms (1 + n, K,
-    3, d): [boxbox f, sigma f, f] for x_s, then each particle; box1 (K,) is the adjoint
-    on 1 there."""
-    terms = terms.reshape(terms.shape[:2] + (3 * spec.d,))
-    forcing = box1[:, None] * spec.J6 + spec.J7
-    xs_block, source_block, particle_block = _equation_blocks(spec, n)
-    r_xs = -terms[0] @ xs_block - n * forcing
-    source = terms[0] @ source_block + forcing
-    r_p = -terms[1:] @ particle_block - source
+    w_xs, w_p, forcing = _residual_map(spec, op, n)
+    r_xs, r_p = np.empty((len(nodes), d), complex), np.empty((rows, len(nodes), d), complex)
+    classes = np.minimum(nodes, R) * (R + 1) + np.minimum(M - nodes, R)
+    for c in np.unique(classes):
+        at, ab = np.flatnonzero(classes == c), divmod(int(c), R + 1)
+        near = (nodes[at, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
+        y = xs_vals[near].reshape(len(at), -1) @ w_xs[ab]
+        r_xs[at] = y[:, :d] - n * forcing[ab]
+        r_p[:, at] = vals[:, near].reshape(rows, len(at), -1) @ w_p[ab] + (y[:, d:] - forcing[ab])
     return r_xs, r_p
 
 
@@ -252,6 +249,23 @@ def _equation_blocks(spec: LagrangianSpec, n: int) -> tuple:
         J3, J4, J5 = spec.J3, spec.J4, spec.J5
         spec._derived[key] = tuple(np.concatenate(row, axis=1).T for row in (
             (a_n, J5, c_n), (2.0 * J3, 0.0 * J5, 2.0 * J4), (a_0, J5, c_0)))
+    return spec._derived[key]
+
+
+def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
+    """(W_xs, W_p, forcing): at a node of class [a, b], the x_s window times W_xs[a, b]
+    ((4N+1)d x 2d) is the x_s equation and the particles' x_s source, a particle window
+    times W_p[a, b] their equation, less n forcing[a, b] and forcing[a, b].  W is the
+    stencil rows over the negated `_equation_blocks`; keyed by operator value, not object."""
+    key = ("residual_map", n, op.N, op.epsilon, op.gamma.tobytes())
+    if key not in spec._derived:
+        d, A = spec.d, 2 * op.N + 1
+        xs_block, source_block, particle_block = _equation_blocks(spec, n)
+        spec._derived[key] = tuple(
+            np.einsum("abrj,rck->abjck", op.windows.stencil, -block.reshape(3, d, -1),
+                      order="C").reshape(A, A, (2 * A - 1) * d, -1)
+            for block in (np.hstack([xs_block, source_block]), particle_block)) + (
+            op.windows.box1[..., None] * spec.J6 + spec.J7,)
     return spec._derived[key]
 
 
@@ -270,15 +284,15 @@ def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,
         raise ValueError("xs_values is required alongside a TrajectoryGrid")
     else:
         vals, xs_vals = traj.values, np.asarray(xs_values, dtype=complex)
-    M, R = vals.shape[1] - 1, 2 * op.N
+    M, R, d = vals.shape[1] - 1, 2 * op.N, spec.d
     if m < 0 or m > M:
         raise OutOfRange(f"node {m} outside 0..{M}")
     if M < 1:
         raise ValueError("a grid needs at least two nodes")
-    before, after = min(m, R), min(M - m, R)
+    ab = min(m, R), min(M - m, R)
     near = slice(m - R, m + R + 1) if R <= m <= M - R else \
         (m + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
-    values = np.concatenate([xs_vals[None, near], vals[:, near]])
-    r_xs, r_p = _equations(spec, n, (op.windows.stencil[before, after] @ values)[:, None],
-                           op.windows.box1[before, after, None])
-    return DelResidual(r_xs[0], r_p[:, 0])
+    w_xs, w_p, forcing = _residual_map(spec, op, n)
+    y = xs_vals[near].reshape(-1) @ w_xs[ab]
+    return DelResidual(y[:d] - n * forcing[ab],
+                       vals[:, near].reshape(len(vals), -1) @ w_p[ab] + (y[d:] - forcing[ab]))

@@ -228,9 +228,9 @@ class _Delays(NamedTuple):
 
 def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """x[b] @ m[b] for x (B, n) and m (B, n, p).  Items that share one m (one delay) take
-    one matrix product, and items that do not a stacked vector-matrix product, which is
-    how a lone item's row is multiplied: either way each row is rounded as in a batch at
-    one delay (einsum, which sums in another order, is not)."""
+    one matrix product, and items that do not a stacked vector-matrix product (einsum would
+    sum in another order).  Rows round alike only within one batch: a row of a (6, 3)
+    product may round one ulp away from the same row multiplied alone."""
     if (m == m[0]).all():
         return x @ m[0]
     return np.matmul(x[:, None], m)[:, 0]
@@ -378,14 +378,16 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
 
 class _Spectra(NamedTuple):
     """Spectra of a batch of pencils, rows sorted by phase: phases and roots (in the
-    pencil's variable), backward errors, unit kernel vectors (B, K, d), and failures[i],
-    what item i's spectrum raises (None when it has one)."""
+    pencil's variable), backward errors, unit kernel vectors (B, K, d), failures[i],
+    what item i's spectrum raises (None when it has one), and simple[i], whether item
+    i's roots are separated at the separation tolerance."""
 
     lam: np.ndarray
     roots: np.ndarray
     residuals: np.ndarray
     vectors: np.ndarray
     failures: list
+    simple: np.ndarray
 
     def rootsets(self, i: int, tol: float) -> tuple:
         """Item i as RootSets of (lam, roots); raises the item's failure."""
@@ -414,9 +416,11 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
-            return _Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B)
+            return _Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B,
+                            np.zeros(B, dtype=bool))
         w[:], residuals[:], vectors[:] = q.roots, q.residuals, q.vectors
-        return _Spectra(w, w, residuals, vectors, [None] * B)
+        simple = numkernel.simple_rows(q.roots[None], separation_tol)  # judged, not raised
+        return _Spectra(w, w, residuals, vectors, [None] * B, np.repeat(simple, B))
 
     gamma = np.stack([s.op.gamma for s in settings])
     delays = _Delays.of([s.op for s in settings])
@@ -462,7 +466,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     failures = [f if f or ok else DegenerateRoots("zeta-roots cluster below the separation "
                                                   "tolerance") for f, ok in zip(failures, simple)]
     return _Spectra(lam[order], zeta, residuals[order], np.concatenate(rows)[at[order]],
-                    failures)
+                    failures, simple)
 
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
@@ -572,11 +576,7 @@ def _check_assumptions(settings: list, n: int, tol: float) -> tuple:
     sp_n, sp_0 = (_spectra(settings, nu, separation_tol=tol) for nu in (n, 0))
     failures = [f or g for f, g in zip(sp_n.failures, sp_0.failures)]
     count = settings[0].root_count
-
-    def simple(r):
-        return (r.shape[1] == count) & numkernel.simple_rows(r, tol)
-
-    checks = np.array([simple(sp_n.roots), simple(sp_0.roots),
+    checks = np.array([*((sp.roots.shape[1] == count) & sp.simple for sp in (sp_n, sp_0)),
                        ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),
                        ~_is_singular(_constant_systems(settings, n)[0]),
                        ~_is_singular(_constant_systems(settings, 0)[0])])

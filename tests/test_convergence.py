@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -52,6 +53,15 @@ def test_non_normalised_operator_is_noted_not_raised():
                            0.0, [0.1, 0.05, 0.025])
     assert result.notes == ("operator conditions fail",) * 3
     assert not result.valid().any()
+    assert math.isnan(result.estimated_order)
+
+
+def test_one_repeated_delay_fits_no_order():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.polyfit's RankWarning included
+        result = epsilon_sweep(make_reference_spec(), central_difference, 0.0,
+                               [0.01, 0.01, 0.01])
+    assert result.valid().all()
     assert math.isnan(result.estimated_order)
 
 

@@ -1,11 +1,12 @@
 """The grid kernels against loop references built from the public operators.
 
-The residual kernel reads per-operator window tables and the march advances
-all particles as one batch; here both are compared with the node-by-node
-formulas they replaced, written out with `box_apply`, `adjoint_box_apply`,
-`boxbox_apply` and `chi`.
+The residual kernel is one cached linear map per window class and the march
+advances x_s and all particles by one product a step; here both are compared
+with the node-by-node formulas they replaced, written out with `box_apply`,
+`adjoint_box_apply`, `boxbox_apply` and `chi`.
 """
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ OPERATORS = {
     "k_family": lambda eps: k_family(eps, 0.3),
     "five_point": lambda eps: ScaleOperator(
         np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]), eps),
+    "complex": lambda eps: ScaleOperator(  # complex march steps
+        np.array([-0.5 + 0.1j, 0.05j, 0.5 - 0.05j]), eps),
 }
 
 
@@ -112,46 +115,44 @@ def test_residual_does_not_depend_on_t0(name):
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.particles, b.particles), m
 
 
-def rebuilt_residuals(spec, op, n, vals, xs_vals, nodes):
-    """`delsolve._residuals` with its equation blocks rebuilt from
-    `pencil.coefficient_matrices` on every call."""
-    M, R = vals.shape[1] - 1, 2 * op.N
-    before, after = np.minimum(nodes, R), np.minimum(M - nodes, R)
-    near = (nodes[:, None] + np.arange(-R, R + 1)) % (M + 1)
-    values = np.concatenate([xs_vals[None, near], vals[:, near]])
-    terms = op.windows.stencil[before, after] @ values
-    terms = terms.reshape(len(values), len(nodes), 3 * vals.shape[2])
-    forcing = op.windows.box1[before, after][:, None] * spec.J6 + spec.J7
-    a_n, c_n = pencil.coefficient_matrices(spec, n)
-    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
+def rebuilt_map(spec, op, n):
+    """`delsolve._residual_map` rebuilt from `pencil.coefficient_matrices` on every
+    call."""
+    d, A = spec.d, 2 * op.N + 1
+    (a_n, c_n), (a_0, c_0) = (pencil.coefficient_matrices(spec, nu) for nu in (n, 0))
     J3, J4, J5 = spec.J3, spec.J4, spec.J5
-    r_xs = -terms[0] @ np.concatenate([a_n, J5, c_n], axis=1).T - n * forcing
-    source = terms[0] @ np.concatenate([2.0 * J3, 0.0 * J5, 2.0 * J4], axis=1).T + forcing
-    r_p = -terms[1:] @ np.concatenate([a_0, J5, c_0], axis=1).T - source
-    return r_xs, r_p
+    xs_block = np.concatenate([a_n, J5, c_n], axis=1).T
+    source_block = np.concatenate([2.0 * J3, 0.0 * J5, 2.0 * J4], axis=1).T
+    particle_block = np.concatenate([a_0, J5, c_0], axis=1).T
+    w_xs, w_p = (np.einsum("abrj,rck->abjck", op.windows.stencil, -block.reshape(3, d, -1),
+                           order="C").reshape(A, A, -1, cols)
+                 for block, cols in ((np.hstack([xs_block, source_block]), 2 * d),
+                                     (particle_block, d)))
+    return w_xs, w_p, op.windows.box1[..., None] * spec.J6 + spec.J7
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def same_map(got, want):
+    return all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 @pytest.mark.parametrize("n", [1, 3])
 def test_cached_blocks_give_the_rebuilt_residuals_bit_for_bit(name, n):
+    """Residuals are products with the cached map: after every node of every window
+    class has been evaluated, that map is bit for bit the one rebuilt from scratch."""
     op = OPERATORS[name](0.05)
     spec = full_spec(n)
     for M in (4 * op.N, 4 * op.N + 1, 60):  # every node, the boundary layers included
         vals, xs_vals = random_grid(np.random.default_rng(10 * M + n), n, M)
-        nodes = np.arange(M + 1)
-        got, want = (f(spec, op, n, vals, xs_vals, nodes)
-                     for f in (delsolve._residuals, rebuilt_residuals))
-        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
+        delsolve._residuals(spec, op, n, vals, xs_vals, np.arange(M + 1))
         grid = TrajectoryGrid(0.0, op.epsilon, vals)
-        for m in nodes:
-            one = residual_del(spec, op, n, grid, int(m), xs_vals)
-            want_xs, want_p = rebuilt_residuals(spec, op, n, vals, xs_vals, np.array([m]))
-            assert np.array_equal(bits(one.xs), bits(want_xs[0]))
-            assert np.array_equal(bits(one.particles), bits(want_p[:, 0]))
+        for m in range(M + 1):
+            residual_del(spec, op, n, grid, m, xs_vals)
+        assert same_map(delsolve._residual_map(spec, op, n), rebuilt_map(spec, op, n))
 
 
 def test_equation_blocks_are_built_once_per_spec_and_particle_count(monkeypatch):
@@ -159,18 +160,32 @@ def test_equation_blocks_are_built_once_per_spec_and_particle_count(monkeypatch)
     spec = full_spec(3)
     vals, xs_vals = random_grid(np.random.default_rng(3), 3, 30)
     grid = TrajectoryGrid(0.0, op.epsilon, vals)
-    want_xs, want_p = rebuilt_residuals(spec, op, 2, vals, xs_vals, np.array([5]))
+    want = rebuilt_map(spec, op, 2)
     calls = count_calls(monkeypatch, pencil, "coefficient_matrices")
     residual_del(spec, op, 3, grid, 0, xs_vals)
     assert calls[0] == 2  # nu = n and nu = 0
     for m in range(31):
         residual_del(spec, op, 3, grid, m, xs_vals)
     assert calls[0] == 2
-    other = residual_del(spec, op, 2, grid, 5, xs_vals)  # another n: its own blocks
-    assert np.array_equal(bits(other.xs), bits(want_xs[0]))
-    assert np.array_equal(bits(other.particles), bits(want_p[:, 0]))
+    residual_del(spec, op, 2, grid, 5, xs_vals)  # another n: its own blocks
+    assert same_map(delsolve._residual_map(spec, op, 2), want)
     residual_del(full_spec(3), op, 3, grid, 5, xs_vals)  # another spec: its own blocks
     assert calls[0] == 6
+
+
+def test_residual_maps_are_keyed_by_operator_value():
+    spec = full_spec(3)
+    gamma = np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12])
+    shared = delsolve._residual_map(spec, ScaleOperator(gamma, 0.05), 3)
+    assert delsolve._residual_map(spec, ScaleOperator(gamma.copy(), 0.05), 3) is shared
+    for other in (ScaleOperator(gamma, 0.04), ScaleOperator(1.5 * gamma, 0.05)):
+        got = delsolve._residual_map(spec, other, 3)
+        assert got is not shared and same_map(got, rebuilt_map(spec, other, 3))
+    for k in range(20):  # a new operator may take a deleted one's id, never its map
+        op = ScaleOperator(gamma * (2.0 + k), 0.05)
+        assert same_map(delsolve._residual_map(spec, op, 3), rebuilt_map(spec, op, 3))
+        del op
+        gc.collect()
 
 
 def stencil_matrices(spec, op, nu):
@@ -216,7 +231,7 @@ def reference_march(spec, op, n, xs_seed, particle_seeds, M):
     return traj, xs
 
 
-@pytest.mark.parametrize("name", ["k_family", "five_point"])  # N = 1 and N = 2
+@pytest.mark.parametrize("name", ["k_family", "five_point", "complex"])  # N = 1, 2, 1
 def test_batched_march_matches_per_particle_loop(name):
     op = OPERATORS[name](0.05)
     n, M = 3, 40  # the five-point operator's spurious modes grow the march to ~1e32

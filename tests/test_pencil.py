@@ -191,6 +191,12 @@ class TestAssumptionChecks:
         rep = check_del_assumptions(spec, central_difference(0.05), 3)
         assert not rep.det_p00_nonzero and not rep.all_hold
 
+    def test_clustered_classical_roots_are_judged_not_raised(self):
+        eye = np.eye(2)  # every block a multiple of I: each classical root is double
+        rep = check_cel_assumptions(LagrangianSpec(2, 3, eye, -eye, 0.1 * eye, 0.2 * eye), 3)
+        assert rep.precondition_ok and not rep.count_n_ok and not rep.count_0_ok
+        assert rep.modes_n is not None and rep.disjoint
+
     def test_reference_del_all_hold(self, ref_spec):
         op = central_difference(2 * math.pi / 100)
         rep = check_del_assumptions(ref_spec, op, 3)

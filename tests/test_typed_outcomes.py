@@ -1,20 +1,25 @@
-"""Typed outcomes of the spectrum entry points on well-formed input.
+"""Typed outcomes of the spectrum and grid entry points on well-formed input.
 
 `transcendental_spectrum` and `epsilon_sweep`, on drawn specs (d 1..8, with and
 without J5), real and complex weights with N = 1..2 and delays in [1e-4, 0.3],
 either return finite roots or raise one of the documented exceptions, and print
-nothing to the process's standard output.
+nothing to the process's standard output.  So do the grid entry points on grids
+of 2 to 41 nodes (fewer than 4N + 1 included): `residual_del` at every node is
+`_residuals` over all nodes, the march and the discrete solves return finite
+values or raise one of their documented exceptions.
 """
 import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from choreoqep import convergence, numkernel, pencil
+from choreoqep import cli, convergence, delsolve, numkernel, pencil
 from choreoqep.model import LagrangianSpec, validate_spec
 from choreoqep.scaleop import ScaleOperator
 
 DOCUMENTED = (pencil.LeadingSingular, pencil.DegenerateRoots, numkernel.NumericalFailure)
+MARCH_ERRORS = (ValueError, delsolve.LeadingBlockSingular, delsolve.WindowExceeded)
+SOLVE_ERRORS = cli._ASSUMPTION_ERRORS + cli._NUMERICAL_ERRORS
 
 
 @st.composite
@@ -85,4 +90,45 @@ def test_spectra_are_finite_or_a_documented_failure(capfd, spec, family, epsilon
         assert np.isfinite(sweep.pencil_errors[valid]).all()
         assert all(note is not None for note, ok in zip(sweep.notes, valid) if not ok)
         assert math.isnan(sweep.estimated_order) or np.isfinite(sweep.estimated_order)
+    assert capfd.readouterr().out == ""
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs(), weight_families(), delays, st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_grid_entry_points_are_finite_or_a_documented_failure(capfd, spec, family, eps, M,
+                                                              seed):
+    op, n, d, rng = family(eps), spec.n, spec.d, np.random.default_rng(seed)
+    vals = complex_normal(rng, (n, M + 1, d))
+    xs_vals = vals.sum(axis=0)
+    grid = delsolve.TrajectoryGrid(0.0, eps, vals)
+    r_xs, r_p = delsolve._residuals(spec, op, n, vals, xs_vals, np.arange(M + 1))
+    assert np.isfinite(r_xs).all() and np.isfinite(r_p).all()
+    scale = max(np.abs(r_xs).max(), np.abs(r_p).max())
+    for m in range(M + 1):
+        one = delsolve.residual_del(spec, op, n, grid, m, xs_vals)
+        assert np.abs(one.xs - r_xs[m]).max() <= 1e-14 * scale
+        assert np.abs(one.particles - r_p[:, m]).max() <= 1e-14 * scale
+    seeds = complex_normal(rng, (1 + n, 4 * op.N, d))
+    try:
+        marched, xs = delsolve.recurrence_march(spec, op, n, seeds[0], seeds[1:], M)
+    except MARCH_ERRORS:
+        pass
+    else:
+        assert np.isfinite(marched.values).all() and np.isfinite(xs).all()
+    K = 4 * op.N * d
+    solves = (lambda: delsolve.dirichlet_del(spec, op, n, 0.0, M, seeds[1:, :2 * op.N],
+                                             seeds[1:, 2 * op.N:])[0],
+              lambda: delsolve.general_solution_del(spec, op, n, complex_normal(rng, K),
+                                                    complex_normal(rng, (n - 1, K)), 0.0, M))
+    for solve in solves:
+        try:
+            sampled, xs = solve().sample()
+        except SOLVE_ERRORS:
+            continue
+        assert np.isfinite(sampled.values).all() and np.isfinite(xs).all()
     assert capfd.readouterr().out == ""
