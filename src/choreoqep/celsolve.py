@@ -127,19 +127,20 @@ def _grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
                  anchors: np.ndarray, start: float, step: float, T: int) -> np.ndarray:
     """`_expansion_values` at the T times start + m step from two exp tables a mode: node
     m = q L + r (L = ceil(sqrt T)), counted from the end nearer the mode's anchor a, is
-    e^{lam (t_qL - a)} e^{lam r step}; no factor exceeds e at a boundary solve's anchors."""
+    e^{lam (t_qL - a)} e^{lam r step}; no factor exceeds e at a boundary solve's anchors.
+    The tables are time-major, (nodes, ..., K), so the modes counted from the last node
+    are turned round in place, column by column."""
     L, last = int(np.ceil(np.sqrt(T))), start + (T - 1) * step
     from_end = np.abs(anchors - last) < np.abs(anchors - start)
-    sign = np.where(from_end, -step, step)[..., None, :]
-    lams = np.where((vectors == 0).all(axis=-1), 0, lams)[..., None, :]
-    q = np.arange(0, T, L)
-    coarse = np.exp(((np.where(from_end, last, start) - anchors)[..., None, :]
-                     + sign * q[:, None]) * lams)
-    fine = np.exp(sign * np.arange(L)[:, None] * lams)
-    counted = (coarse[..., None, :] * fine[..., None, :, :]).reshape(  # node m from the end
-        fine.shape[:-2] + (len(q) * L, fine.shape[-1]))[..., :T, :]
-    E = np.where(from_end[..., None, :], counted[..., ::-1, :], counted)
-    return u0[..., None, :] + E @ vectors
+    sign = np.where(from_end, -step, step)
+    lams = np.where((vectors == 0).all(axis=-1), 0, lams)
+    nodes = (-1,) + (1,) * lams.ndim  # the leading axis
+    q = np.arange(0, T, L).reshape(nodes)
+    coarse = np.exp((np.where(from_end, last, start) - anchors + sign * q) * lams)
+    fine = np.exp(sign * np.arange(L).reshape(nodes) * lams)
+    E = (coarse[:, None] * fine).reshape((len(q) * L,) + lams.shape)[:T]  # m from its end
+    E[:, from_end] = E[::-1, from_end]
+    return u0[..., None, :] + np.moveaxis(E, 0, -2) @ vectors
 
 
 def mode_basis(modes: pencil.Modes) -> np.ndarray:
@@ -322,6 +323,11 @@ def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
     xs_amplitudes has one entry per nu=n root (sorted order);
     particle_amplitudes is (n-1, 2d) over nu=0 roots, the last particle's
     homogeneous amplitudes being fixed by the zero-sum constraint.
+
+    The amplitudes are given at t = 0 (anchors 0), so a growing mode with a nonzero
+    amplitude overflows by design once Re lam t passes log(max float) ~ 709.78; `value`
+    then returns non-finite entries (with numpy's overflow warning) rather than raising.
+    A boundary solve anchors such modes at the far end instead.
     """
     core = _Core([pencil.Setting(spec)], n)
     return SystemSolution(*core.assemble(xs_amplitudes, particle_amplitudes))

@@ -5,6 +5,13 @@ Exit codes: 0 success, 2 config error, 3 assumption violation, 4 numerical
 failure.  error-surface solves all its cells as one stacked batch, taken in
 `numkernel.chunks` that bound each kernel's largest temporary, and writes each
 cell's status: "ok" or the class name of the error its lone solve raises.
+
+It solves each distinct discrete equation once.  With J5 = 0 the weights enter the
+equations only through the adjoint-forward symbol theta(zeta) = g(zeta) g(1/zeta)/eps^2
+and, in the constant mode, through s_bar(0) J6 = (sum gamma/eps) J6, and reversed weights
+leave both unchanged.  A gamma surface spans one range on both axes, so cell (b, a) is
+cell (a, b) reversed: the two share their spectra, kernel vectors and Dirichlet solve, and
+a cell's row is that of its class's first cell in grid order.
 """
 from __future__ import annotations
 
@@ -362,13 +369,39 @@ def _window_reference(cfg: ExperimentConfig, N: int, cel: celsolve.SystemSolutio
     return *_matched_del_data(cfg, N, cel), times, window
 
 
-def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, list]:
+def _equation_classes(spec: LagrangianSpec, ops: list) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, inverse): the first operator of each class in grid order, and
+    each operator's class, for ops sharing N.  A class is one discrete equation, keyed by
+    eps and the weights, -0.0 read as 0.0; when J5 = 0, by the lexicographically lesser of
+    the weights and their reverse, which share theta and s_bar(0).  With J5 != 0 (its
+    sigma1 term changes sign under reversal) only equal operators share a class."""
+    B = len(ops)
+    if B == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    weights = np.concatenate([op.gamma for op in ops]).view(float).reshape(B, -1) + 0.0
+    if not spec.J5.any():  # rows of re, im pairs; the reverse turns the pairs round
+        reverse = weights.reshape(B, -1, 2)[:, ::-1].reshape(B, -1)
+        at = np.arange(B), (weights != reverse).argmax(axis=1)  # first place they differ
+        weights = np.where((reverse[at] < weights[at])[:, None], reverse, weights)
+    keys = np.column_stack([[op.epsilon for op in ops], weights])
+    first = {}  # key bytes -> the first operator with that key
+    owner = [first.setdefault(key, i) for i, key in enumerate(
+        keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist())]
+    representatives = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return representatives, np.searchsorted(representatives, owner)
+
+
+def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, list, int]:
     """Per operator: the Euclidean norm of (continuous - discrete) at the
     `_window_reference` nodes, and its status, "ok" or the class name of what
-    `dirichlet_del` raises for it.  Operators share N and eps and are solved as one
+    `dirichlet_del` raises for it; and the number of operators solved.  Operators share N
+    and eps.  Only the first operator of each `_equation_classes` class is solved, and
+    every operator takes the row of its class.  The representatives are solved as one
     batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
     whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
     all particles as one (T, K') @ (K', n d) product a cell (`celsolve._grid_values`)."""
+    representatives, inverse = _equation_classes(cfg.spec, ops)
+    ops = [ops[i] for i in representatives]
     head, tail, times, cel_values = reference
     want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
     errors, status = np.full(len(ops), math.nan), []
@@ -385,7 +418,7 @@ def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, l
                                          anchors[w, 0], times[0], cfg.epsilon, len(times))
             errors[c][w] = np.linalg.norm(diff - want, axis=(1, 2))
         status += ["ok" if f is None else type(f).__name__ for f in failures]
-    return errors.tolist(), status
+    return errors[inverse].tolist(), [status[i] for i in inverse], len(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +534,7 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
                for a, b in cells]
         reference = _window_reference(cfg, 1, _cel_solution(cfg, seed))
         cap = 3.0 * cfg.M
-        errors, status = _window_errors(cfg, ops, reference)
+        errors, status, solved = _window_errors(cfg, ops, reference)
         rows = [[a, b, -math.log(cap if s != "ok" else min(max(err, 1e-300), cap)), s]
                 for (a, b), err, s in zip(cells, errors, status)]
         path = out_dir / "error_surface_gamma.csv"
@@ -510,18 +543,20 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
         block = cfg.sweep.get("k_grid", {})
         ks = [float(k) for k in block.get("ks", [-1.0, -0.5, 0.0, 0.5, 1.0])]
         Ms = [int(m) for m in block.get("Ms", [cfg.M])]
-        rows = []
+        rows, solved = [], 0
         for M in Ms:
             sub = ExperimentConfig(cfg.spec, cfg.t0, cfg.tf, M, cfg.operator_raw,
                                    cfg.targets, cfg.boundary, cfg.amplitudes,
                                    cfg.choreo, cfg.sweep)
             reference = _window_reference(sub, 1, _cel_solution(sub, seed))
-            errors, status = _window_errors(
+            errors, status, count = _window_errors(
                 sub, [scaleop.k_family(sub.epsilon, k) for k in ks], reference)
+            solved += count
             rows += [[k, M, err if s == "ok" else 3.0 * M, s]
                      for k, err, s in zip(ks, errors, status)]
         path = out_dir / "error_surface_k.csv"
         write_csv(path, ["k", "M", "error", "status"], rows)
+    print(f"solved {solved} distinct equations for {len(rows)} cells")
     print(f"wrote {path}")
     return path
 

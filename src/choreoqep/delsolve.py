@@ -117,7 +117,10 @@ def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
 
     Amplitude layout mirrors the continuous solver: one entry per sorted
     discrete phase, the last particle's homogeneous amplitudes resolved by
-    the zero-sum constraint.
+    the zero-sum constraint.  The amplitudes are given at t = 0 (anchors 0), so a
+    growing mode with a nonzero amplitude overflows by design once Re lam t passes
+    log(max float) ~ 709.78 on the grid: `sample` then raises NumericalFailure naming
+    the growth.
     """
     if M is None:
         raise ValueError("M (node count) is required")
@@ -176,7 +179,9 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     [S_0^T | S_n^T | couple] a step: x_s takes the S_n block, each particle the S_0
     block plus x_s's couple block (its source); real weights march real and imaginary
     parts as rows.  Marching uses only equations centered in the interior window, so
-    nodes 4N..M are produced; an M < 4N grid has no such window.
+    nodes 4N..M are produced; an M < 4N grid has no such window.  Non-finite seeds are a
+    ValueError; a march whose values overflow (growing modes, spurious ones included, over
+    many nodes) raises NumericalFailure with the growth it reached.
     """
     R, d = 2 * op.N, spec.d
     if M < 2 * R:
@@ -195,6 +200,8 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
                             solve_0 @ (2.0 * spec.J3 @ (g[-1] * const_n) + src_const)])
     seeds = np.concatenate([np.reshape(xs_seed, (1, 2 * R, d)),
                             np.reshape(particle_seeds, (n, 2 * R, d))]).astype(complex)
+    if not np.isfinite(seeds).all():
+        raise ValueError("the seeds have non-finite entries")
     real = not step.imag.any()  # z[row, plane, node], planes real and imaginary
     split = (lambda a, axis: np.stack([a.real, a.imag], axis)) if real else np.expand_dims
     step, const, seeds = step.real.copy() if real else step, split(const, 0), split(seeds, 1)
@@ -202,13 +209,22 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     windows = np.lib.stride_tricks.as_strided(  # rows x planes by nodes c-R..c+R-1
         z, (M - 2 * R + 1, (1 + n) * z.shape[1], 2 * R * d), (z.strides[2], *z.strides[1::2]),
         writeable=False)
-    for w, xs, parts in zip(windows, np.moveaxis(z[0, :, 2 * R:], 1, 0),
-                            np.moveaxis(z[1:, :, 2 * R:], 2, 0)):
-        out = (w @ step).reshape(1 + n, -1, 3 * d)
-        out[0] += const
-        xs[...] = out[0, :, d:2 * d]
-        np.add(out[1:, :, :d], out[0, :, 2 * d:], out=parts)
-    values = z[:, 0] + 1j * z[:, 1] if real else z[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, xs, parts in zip(windows, np.moveaxis(z[0, :, 2 * R:], 1, 0),
+                                np.moveaxis(z[1:, :, 2 * R:], 2, 0)):
+            out = (w @ step).reshape(1 + n, -1, 3 * d)
+            out[0] += const
+            xs[...] = out[0, :, d:2 * d]
+            np.add(out[1:, :, :d], out[0, :, 2 * d:], out=parts)
+        values = z[:, 0] + 1j * z[:, 1] if real else z[:, 0]
+    finite = np.isfinite(values).all(axis=(0, 2))
+    if not finite.all():
+        m = int(finite.argmin())
+        with np.errstate(divide="ignore"):
+            growth = np.log(np.abs(values[:, :m]).max(initial=0.0))
+        raise numkernel.NumericalFailure(
+            f"the march is not finite from node {m}: growth log max |x| = {growth:.2f} by "
+            f"node {m - 1}, against log(max float) = {np.log(np.finfo(float).max):.2f}")
     return TrajectoryGrid(t0, op.epsilon, values[1:]), values[0]
 
 

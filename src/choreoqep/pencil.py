@@ -118,8 +118,13 @@ def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
 def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
     """Per item of a (B, k+1, d, d) stack: roots w, unit kernel vectors (rows) and
     backward errors of sum_i w^i blocks[i], from its monic block companion in
-    mu = w / s, s equalising ||B_0|| and ||B_k||; and what the item raises, or None."""
+    mu = w / s, s equalising ||B_0|| and ||B_k||; and what the item raises, or None.  An
+    item with a coefficient that is not finite is a NumericalFailure, solved as identity
+    blocks so that no LAPACK call sees it."""
     B, k, d = blocks.shape[0], blocks.shape[1] - 1, blocks.shape[2]
+    coefficients = np.isfinite(blocks).all(axis=(1, 2, 3))
+    if not coefficients.all():
+        blocks = np.where(coefficients[:, None, None, None], blocks, np.eye(d))
     norms = np.linalg.norm(blocks, axis=(2, 3))
     with np.errstate(all="ignore"):
         s = (norms[:, 0] / norms[:, -1]) ** (1.0 / k)
@@ -130,9 +135,10 @@ def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
         monic, failed = numkernel._stacked(np.linalg.solve, np.zeros((d, k * d)),
                                            blocks[:, -1], lower)
     finite = np.isfinite(monic).all(axis=(1, 2))
-    failures = [LeadingSingular(f"leading block is singular: {exc}") if exc else None if ok
-                else LeadingSingular("the block companion has infinite eigenvalues")
-                for exc, ok in zip(failed, finite)]
+    failures = [numkernel.NumericalFailure("non-finite pencil coefficients") if not given
+                else LeadingSingular(f"leading block is singular: {exc}") if exc else None
+                if ok else LeadingSingular("the block companion has infinite eigenvalues")
+                for given, exc, ok in zip(coefficients, failed, finite)]
     companion = np.zeros((B, k * d, k * d), dtype=monic.dtype)
     companion[:, :-d, d:] = np.eye((k - 1) * d)
     companion[:, -d:] = np.where(finite[:, None, None], -monic, 0)
@@ -440,6 +446,11 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
         blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
         if route < 2:
             w[idx], v, residuals[idx], failed = _eigenpairs(blocks, tol)
+            # finite weights and eps leave a block infinite only through an under- or
+            # overflowing delay (theta/eps^2): the degree drop the reductions report
+            failed = [LeadingSingular("the block companion has infinite eigenvalues")
+                      if not ok else f for f, ok in zip(failed, np.isfinite(blocks).all(
+                          axis=(1, 2, 3)))]
         else:  # the pairs of the classical pencil (C, B, A), or of A_nu mu - C_nu
             pencil = np.stack([-c_nu, -2.0 * spec.J5, a_nu] if route >= 4 else [-c_nu, a_nu])
             if route < 4 or classical is None:

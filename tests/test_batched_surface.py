@@ -3,7 +3,9 @@
 `cli._window_errors` solves all its operators as one batch, in memory-bounded
 chunks; `dirichlet_del` is the batch of one.  Every cell's status must be the class
 of what the lone solve raises, and every ok cell's window error must match it to
-rounding.
+rounding.  Only one operator of each class of one discrete equation is solved (with
+J5 = 0, weights and their reverse); the class rule is held to the lone solves of every
+member.
 """
 import json
 import math
@@ -16,6 +18,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import choreoqep
 from choreoqep import cli, delsolve, numkernel, pencil, scaleop
@@ -51,6 +54,15 @@ def resonant_config():
         "boundary": {"x_t0": [[1.0]], "x_tf": [[0.5]]}})
 
 
+def config_with(**fields):
+    """The reference config with fields replaced, e.g. a J5 or J6 (flat lists)."""
+    return cli.parse_config({**raw_config(), **fields})
+
+
+GYROSCOPIC = {"J5": [0.0, 0.7, -0.7, 0.0]}  # conftest.make_gyroscopic_spec's J5
+LINEAR = {"J6": [0.2, -0.7]}
+
+
 def window_reference(cfg):
     return cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
 
@@ -80,7 +92,7 @@ def per_cell(cfg, op, reference):
 
 
 def assert_same_cells(got, want):
-    (errors, status), (want_errors, want_status) = got, want
+    (errors, status, *_), (want_errors, want_status) = got, want[:2]
     assert list(status) == list(want_status)
     ok = [s == "ok" for s in status]
     np.testing.assert_allclose(np.array(errors)[ok], np.array(want_errors)[ok], rtol=RTOL)
@@ -93,7 +105,7 @@ def test_each_cell_is_what_its_lone_solve_gives(grid):
     ops = k_ops(cfg) if grid == "k" else gamma_ops(cfg)
     reference = window_reference(cfg)
     want_status, want_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
-    errors, status = cli._window_errors(cfg, ops, reference)
+    errors, status, _ = cli._window_errors(cfg, ops, reference)
     assert_same_cells((errors, status), (want_errors, want_status))
     if grid == "gamma":
         assert {"ok", "AssumptionViolation"} <= set(status)
@@ -137,17 +149,19 @@ def test_block_size_does_not_change_a_cell(monkeypatch, block):
 
 def test_an_empty_surface_has_no_cells():
     cfg = reference_config()
-    assert cli._window_errors(cfg, [], window_reference(cfg)) == ([], [])
+    assert cli._window_errors(cfg, [], window_reference(cfg)) == ([], [], 0)
 
 
 def test_the_window_errors_peak_does_not_grow_with_the_surface():
     """The boundary solves and the window evaluation go in chunks of bounded size, so
-    4x the cells take about the same peak memory (tracemalloc)."""
+    4x the cells take about the same peak memory (tracemalloc).  Both surfaces solve
+    more than one chunk of representatives: 1,891 of 3,721 cells and 7,381 of 14,641
+    (41 x 41 solves only 861, less than one chunk of 1,024)."""
     cfg = reference_config()
     reference = window_reference(cfg)
     cli._window_errors(cfg, gamma_ops(cfg, 3), reference)  # lazy set-up
     peaks = []
-    for points in (41, 81):
+    for points in (61, 121):
         ops = gamma_ops(cfg, points)
         tracemalloc.start()
         try:
@@ -251,3 +265,73 @@ def test_stacked_solve_matches_one_solve_per_matrix(monkeypatch):
         assert failures[i] is None
         assert np.array_equal(x[i], want.x)
     assert [f is None for f in failures] == [True, False, False, True]
+
+
+def solved_operators(monkeypatch):
+    """The operators that reach `delsolve._dirichlet`, in order, as they are solved."""
+    seen = []
+    original = delsolve._dirichlet
+    monkeypatch.setattr(delsolve, "_dirichlet",
+                        lambda spec, ops, *args: seen.extend(ops) or original(spec, ops, *args))
+    return seen
+
+
+def assert_each_cell_is_its_lone_solve(cfg, ops, got):
+    reference = window_reference(cfg)
+    want_status, want_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
+    assert_same_cells(got, (want_errors, want_status))
+
+
+@st.composite
+def weights(draw):
+    """Three weights: real or complex, some exactly 0 (written as 0.0 or -0.0)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.standard_normal(3) + 1j * draw(st.sampled_from([0.0, 0.3])) * rng.standard_normal(3)
+    for j in draw(st.sets(st.integers(0, 2), max_size=1)):
+        gamma[j] = draw(st.sampled_from([0.0, -0.0]))
+    return gamma
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(weights())
+def test_reversed_weights_share_one_solve_when_j5_is_0(gamma):
+    """J5 = 0, with J6 = 0 and J6 != 0 (reversal keeps s_bar(0) J6): gamma, its reverse
+    and gamma with its zeros' signs flipped are one equation.  The first is the only one
+    of them solved, each takes its row, and each matches its own lone solve; -gamma is
+    another class."""
+    for cfg in (reference_config(), config_with(**LINEAR)):
+        flipped = np.where(gamma == 0, -gamma, gamma)  # 0.0 <-> -0.0 in each part
+        ops = [ScaleOperator(g, cfg.epsilon) for g in (gamma, gamma[::-1], flipped, -gamma)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = solved_operators(monkeypatch)
+            errors, status, solved = cli._window_errors(cfg, ops, window_reference(cfg))
+        assert seen == [ops[0], ops[3]] and solved == 2
+        assert len(set(status[:3])) == 1
+        assert np.array_equal(errors[:3], errors[:1] * 3, equal_nan=True)
+        assert_each_cell_is_its_lone_solve(cfg, ops, (errors, status))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(weights())
+def test_reversed_weights_are_solved_apart_when_j5_is_not_0(gamma):
+    cfg = config_with(**GYROSCOPIC)
+    assert cfg.spec.J5.any()
+    ops = [ScaleOperator(g, cfg.epsilon) for g in (gamma, gamma[::-1], -gamma)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = solved_operators(monkeypatch)
+        got = cli._window_errors(cfg, ops, window_reference(cfg))
+    assert seen == ops
+    assert_each_cell_is_its_lone_solve(cfg, ops, got)
+
+
+@pytest.mark.parametrize("grid, line", [("gamma", "solved 45 distinct equations for 81 cells"),
+                                        ("k", "solved 5 distinct equations for 5 cells")])
+def test_the_surface_says_how_many_equations_it_solved(capsys, tmp_path, grid, line):
+    """9 x 9 gamma cells pair off under reversal, (a, b) with (b, a), but for the 9 on
+    the diagonal: (81 + 9)/2 = 45.  k_family(-k) is k_family(k) reversed and negated,
+    and the classes do not merge negated weights: the k-grid solves all 5 cells."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw_config()))
+    assert cli.main(["error-surface", "--grid", grid, "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line

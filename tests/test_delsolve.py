@@ -256,6 +256,35 @@ class TestRecurrenceMarch:
             recurrence_march(ref_spec, op, 3, np.zeros((4, 2)),
                              np.zeros((3, 4, 2)), 3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_seeds_are_bad_input(self, ref_spec, value):
+        """A non-finite seed is the caller's, not an overflow of the march."""
+        seeds = np.zeros((3, 4, 2))
+        seeds[1, 2, 0] = value
+        with pytest.raises(ValueError, match="^the seeds have non-finite entries$"):
+            recurrence_march(ref_spec, central_difference(0.1), 3, np.zeros((4, 2)), seeds, 20)
+
+    def test_an_overflowing_march_names_its_growth(self, recwarn):
+        """The five-point operator's spurious modes on a random d = 8, n = 8 system
+        overflow a march of 2,000 nodes from 1e-3 seeds: a NumericalFailure, not the
+        bare ValueError of TrajectoryGrid, and no overflow warning on the way."""
+        rng = np.random.default_rng(8)
+        d, n = 8, 8
+
+        def sym(scale):
+            a = scale * rng.standard_normal((d, d))
+            return (a + a.T) / 2
+
+        spec = LagrangianSpec(d, n, np.eye(d) + sym(0.1), sym(2.0), sym(0.1), sym(0.5))
+        op = ScaleOperator(np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]), 0.01)
+        seeds = 1e-3 * (rng.standard_normal((1 + n, 8, d))
+                        + 1j * rng.standard_normal((1 + n, 8, d)))
+        with pytest.raises(numkernel.NumericalFailure,
+                           match=r"march is not finite from node \d+: growth log max \|x\| = "
+                                 r"7\d\d\.\d\d by node \d+, against log\(max float\) = 709\.78"):
+            recurrence_march(spec, op, n, seeds[0], seeds[1:], 2000)
+        assert not recwarn.list
+
 
 class TestResidual:
     def test_boundary_layer_documented(self, ref_spec):

@@ -34,6 +34,17 @@ surfaces (seeds 1-4).  Ok window errors moved by at most 4.1e-14 relative here a
 discrete solve's values moved by at most 4.4e-16 (entries up to 4); its SVG, both sweeps
 and the discrete choreography kept their bytes.
 
+The gamma digest was re-recorded when error surfaces came to solve each distinct
+discrete equation once: with J5 = 0, reversed weights share theta and s_bar(0), so a
+cell takes the row of the first cell of its class in grid order (15 of these 25 cells
+are solved).  Only cell (0.5, -0.5) moved, from 3.2564239231630356 to
+3.2564239231630316 (1.2e-15 relative), because it now takes the solve of (-0.5, 0.5),
+its reverse.  On eight benchmark surfaces (seeds 1-8) every cell kept its
+status and 1 to 3 ok metrics a surface moved, the window errors by at most 7.8e-13
+relative; `test_batched_surface.py` holds every member of a class to its own lone solve.
+The discrete solve and choreography kept their bytes when `celsolve._grid_values` came
+to turn its end-anchored modes round in place.
+
 The five-point sweep at small eps guards the summation order of the batched sweep: a
 stacked product summed in another order moves its distances at eps = 1e-4 by orders of
 magnitude, which the central-difference sweep at large eps cannot see.  A cache or
@@ -74,7 +85,7 @@ CHOREO = {"d": 3, "n": 5, **{k: getattr(_TUNED, k).tolist() for k in ("J1", "J2"
 RUNS = {  # name -> (argv, (tf, M), config overrides, {file written: sha256 of its bytes})
     "gamma": (["error-surface", "--grid", "gamma"], (1.0, 100), {}, {
         "error_surface_gamma.csv":
-            "35448cf5e93cf55d4123b1296ae477078fcfefac9d513417760bc7f826544447"}),
+            "5213b036af69237fdf7951e515b10db70767a993bbcad9850558c8f80050dd05"}),
     "converge": (["converge"], (1.0, 100), {}, {
         "converge.csv": "4de3ea3ebd91e219d71ab8729f0d6d61e37b485a16f1becdefc9497b51af1d26"}),
     "converge_five_point": (["converge"], (1.0, 100), FIVE_POINT, {

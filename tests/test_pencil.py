@@ -248,6 +248,32 @@ class TestCompanionErrorPaths:
         with pytest.raises(LeadingSingular):
             classical_spectrum(p)
 
+    @pytest.mark.parametrize("block, value", [(0, np.nan), (2, np.inf)],
+                             ids=["nan-lower", "inf-leading"])
+    def test_non_finite_coefficients_are_a_numerical_failure(self, recwarn, block, value):
+        """A NaN in a lower block used to read as LeadingSingular (infinite eigenvalues),
+        and an inf in the leading block as LeadingSingular or a backward-error failure
+        with worst nan.  Both are what `_solve_stack` makes of non-finite entries, a
+        NumericalFailure, and the batch's other items keep every bit."""
+        rng = np.random.default_rng(6)
+        blocks = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+        blocks[:, -1] += 3.0 * np.eye(2)
+        bad = blocks.copy()
+        bad[1, block, 0, 1] = value
+        *got, failures = pencil._eigenpairs(bad, 1e-8)
+        assert failures[0] is None and failures[2] is None
+        assert type(failures[1]) is numkernel.NumericalFailure
+        assert str(failures[1]) == "non-finite pencil coefficients"
+        for item, want in zip(got, pencil._eigenpairs(blocks[[0, 2]], 1e-8)):
+            assert np.array_equal(item[[0, 2]], want)
+        assert not recwarn.list
+
+    def test_a_nan_coefficient_fails_the_classical_spectrum(self):
+        p = ClassicalPencil(np.eye(2), np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                            0.0)
+        with pytest.raises(numkernel.NumericalFailure, match="non-finite pencil coefficients"):
+            classical_spectrum(p)
+
     def test_backward_error_above_tol_is_rejected(self, ref_spec):
         p = transcendental_pencil(ref_spec, central_difference(0.05), 3)
         assert transcendental_spectrum(p).zeta.residuals.max() > 1e-30

@@ -18,7 +18,8 @@ from choreoqep.model import LagrangianSpec, validate_spec
 from choreoqep.scaleop import ScaleOperator
 
 DOCUMENTED = (pencil.LeadingSingular, pencil.DegenerateRoots, numkernel.NumericalFailure)
-MARCH_ERRORS = (ValueError, delsolve.LeadingBlockSingular, delsolve.WindowExceeded)
+MARCH_ERRORS = (numkernel.NumericalFailure, delsolve.LeadingBlockSingular,
+                delsolve.WindowExceeded)
 SOLVE_ERRORS = cli._ASSUMPTION_ERRORS + cli._NUMERICAL_ERRORS
 
 
