@@ -65,20 +65,27 @@ class ModeExpansion:
         return len(self.u0)
 
     def value(self, t):
-        """Evaluate at scalar or array times; returns (..., d)."""
-        t = np.asarray(t, dtype=float)
-        values = _expansion_values(self.u0, self.lambdas, self.vectors, self.anchors, t.ravel())
-        return values.reshape(t.shape + (self.d,))
+        """Evaluate at scalar or array times; returns (..., d).  NumericalFailure when a
+        value is not finite: e^{lam (t - a)} overflows past max Re lam (t - a) ~ 709.78."""
+        return self._evaluate(self.u0, self.vectors, t)
 
     __call__ = value
 
     def derivative(self, t, order: int = 1):
-        """Exact derivative of the expansion (order >= 1 drops u0)."""
+        """Exact derivative of the expansion (order >= 1 drops u0), raising as `value`."""
+        return self._evaluate(0.0 * self.u0, self.lambdas[:, None]**order * self.vectors, t)
+
+    def _evaluate(self, u0: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if len(self.lambdas) == 0:
-            return np.zeros(t.shape + (self.d,), dtype=complex)
-        phases = np.exp((t[..., None] - self.anchors) * self.lambdas) * self.lambdas**order
-        return phases @ self.vectors
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _expansion_values(u0, self.lambdas, vectors, self.anchors, t.ravel())
+        if not np.isfinite(values).all():
+            growth = (self.lambdas.real * (t.ravel()[:, None] - self.anchors)).max(
+                initial=-np.inf)
+            raise numkernel.NumericalFailure(
+                f"values are not finite: growth max Re lam (t - a) = {growth:.2f} "
+                f"against log(max float) = {np.log(np.finfo(float).max):.2f}")
+        return values.reshape(t.shape + (self.d,))
 
 
 @dataclass(frozen=True)
@@ -143,18 +150,6 @@ def _grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
     return u0[..., None, :] + np.moveaxis(E, 0, -2) @ vectors
 
 
-def mode_basis(modes: pencil.Modes) -> np.ndarray:
-    """Unit kernel direction of the pencil at every root (rows): an end d-block of
-    the root's companion eigenvector, its largest component made real positive."""
-    return modes.roots.vectors
-
-
-def constant_mode(setting: pencil.Setting, n: int) -> np.ndarray:
-    """Constant solution of one particle; n times it is the constant of x_s."""
-    return numkernel.solve_square(setting.at_constant(setting.pencil(n)),
-                                  setting.constant_rhs).x
-
-
 def _live(failures: list) -> np.ndarray:
     return np.flatnonzero([f is None for f in failures])
 
@@ -196,7 +191,7 @@ class _Core:
     def xs0(self) -> tuple:
         """(n times each item's constant mode (B, d), failures with the solves' ones)."""
         live = _live(self.failures)
-        at, rhs = pencil._constant_systems(self.settings, self.n)
+        at, rhs = pencil.constant_systems(self.settings, self.n)
         x, found = numkernel._solve_stack(at[live], rhs[live])
         xs0 = np.zeros(rhs.shape, dtype=complex)
         xs0[live] = self.n * x
@@ -326,8 +321,8 @@ def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
 
     The amplitudes are given at t = 0 (anchors 0), so a growing mode with a nonzero
     amplitude overflows by design once Re lam t passes log(max float) ~ 709.78; `value`
-    then returns non-finite entries (with numpy's overflow warning) rather than raising.
-    A boundary solve anchors such modes at the far end instead.
+    then raises NumericalFailure naming the growth.  A boundary solve anchors such modes
+    at the far end instead.
     """
     core = _Core([pencil.Setting(spec)], n)
     return SystemSolution(*core.assemble(xs_amplitudes, particle_amplitudes))

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -502,6 +502,14 @@ def cmd_spectrum(cfg: ExperimentConfig, which: str, out_dir: Path) -> list[Path]
     return paths
 
 
+def _write_trajectory(stem: Path, times: np.ndarray, values: np.ndarray) -> list[Path]:
+    """Write values (n, T, d) at the T times to stem.csv and stem.svg; returns the paths."""
+    paths = [stem.with_suffix(".csv"), stem.with_suffix(".svg")]
+    write_csv(paths[0], _traj_header(values.shape[2]), _trajectory_rows(times, values))
+    write_svg(paths[1], values, times)
+    return paths
+
+
 def cmd_solve(cfg: ExperimentConfig, which: str, out_dir: Path, seed: int) -> list[Path]:
     times = _sample_times(cfg)
     if which == "cel":
@@ -511,13 +519,10 @@ def cmd_solve(cfg: ExperimentConfig, which: str, out_dir: Path, seed: int) -> li
         sol = _del_solution(cfg, seed)
         grid, _ = sol.sample()
         values = grid.values
-    csv_path = out_dir / f"traj_{which}.csv"
-    svg_path = out_dir / f"traj_{which}.svg"
-    write_csv(csv_path, _traj_header(cfg.d), _trajectory_rows(times, values))
-    write_svg(svg_path, values, times)
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
-    return [csv_path, svg_path]
+    paths = _write_trajectory(out_dir / f"traj_{which}", times, values)
+    for p in paths:
+        print(f"wrote {p}")
+    return paths
 
 
 def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
@@ -545,9 +550,7 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
         Ms = [int(m) for m in block.get("Ms", [cfg.M])]
         rows, solved = [], 0
         for M in Ms:
-            sub = ExperimentConfig(cfg.spec, cfg.t0, cfg.tf, M, cfg.operator_raw,
-                                   cfg.targets, cfg.boundary, cfg.amplitudes,
-                                   cfg.choreo, cfg.sweep)
+            sub = replace(cfg, M=M)
             reference = _window_reference(sub, 1, _cel_solution(sub, seed))
             errors, status, count = _window_errors(
                 sub, [scaleop.k_family(sub.epsilon, k) for k in ks], reference)
@@ -603,11 +606,7 @@ def cmd_choreo(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list[Path]:
         print(f"{kind}: period T = {ch.T:.12g}, delay T/n = {ch.delay:.12g}, "
               f"checks ok = {rep.all_ok}")
         values = np.array([p.value(times) for p in sol.particles])
-        csv_path = out_dir / f"choreo_{kind}.csv"
-        svg_path = out_dir / f"choreo_{kind}.svg"
-        write_csv(csv_path, _traj_header(cfg.d), _trajectory_rows(times, values))
-        write_svg(svg_path, values, times)
-        written.extend([csv_path, svg_path])
+        written.extend(_write_trajectory(out_dir / f"choreo_{kind}", times, values))
     for p in written:
         print(f"wrote {p}")
     return written

@@ -13,7 +13,8 @@ A node's windowed equations are one linear map of its window values plus a const
 fixed by its class [a, b] (nodes before and after, capped at 2N): `_residual_map` folds
 the `WindowTables` stencil into the equation blocks once per (spec, n, operator value),
 for `residual_del` at one node and `_residuals` over nodes, one product per class.  The
-march moves x_s and the particles in one loop, one 4Nd x 3d product a step.
+march's step is the same map's interior class [2N, 2N], solved for node c+2N: it moves
+x_s and the particles in one loop, one 4Nd x 3d product a step.
 """
 from __future__ import annotations
 
@@ -155,29 +156,15 @@ def dirichlet_del(spec: LagrangianSpec, op: ScaleOperator, n: int, t0: float,
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon), report
 
 
-def _step(spec: LagrangianSpec, op: ScaleOperator,
-          nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """The interior recurrence solved for node c+2N, as (-B^-1 S, -B^-1): B is
-    the block on node c+2N, S the d x 4Nd row of blocks on nodes c-2N..c+2N-1."""
-    a_nu, c_nu = pencil.coefficient_matrices(spec, nu)
-    interior = op.windows.stencil[2 * op.N, 2 * op.N]
-    blocks = np.einsum("rk,rij->kij", interior, np.stack([a_nu, spec.J5, c_nu]))
-    try:
-        inv = numkernel.solve_square(blocks[-1], np.eye(spec.d, dtype=complex)).x
-    except numkernel.Singular as exc:
-        raise LeadingBlockSingular(str(exc)) from exc
-    return -inv @ np.hstack(blocks[:-1]), -inv
-
-
 def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
                      xs_seed, particle_seeds, M: int,
                      t0: float = 0.0) -> tuple[TrajectoryGrid, np.ndarray]:
     """March the interior-window recurrences forward from 4N seed nodes.
 
-    xs_seed is (4N, d) and particle_seeds (n, 4N, d), holding nodes 0..4N-1.
-    Rows [x_s; x_1..x_n] march together, one product of their windows with
-    [S_0^T | S_n^T | couple] a step: x_s takes the S_n block, each particle the S_0
-    block plus x_s's couple block (its source); real weights march real and imaginary
+    xs_seed is (4N, d) and particle_seeds (n, 4N, d), holding nodes 0..4N-1.  The step is
+    the interior class [2N, 2N] of `_residual_map` solved for node c+2N, the window's last:
+    rows [x_s; x_1..x_n] march together, one product of nodes c-2N..c+2N-1 with
+    [particle step | x_s step | x_s's source] a step; real weights march real and imaginary
     parts as rows.  Marching uses only equations centered in the interior window, so
     nodes 4N..M are produced; an M < 4N grid has no such window.  Non-finite seeds are a
     ValueError; a march whose values overflow (growing modes, spurious ones included, over
@@ -186,18 +173,17 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     R, d = 2 * op.N, spec.d
     if M < 2 * R:
         raise WindowExceeded(f"M = {M} < 4N = {2 * R}: no interior equations")
-    step_n, solve_n = _step(spec, op, n)
-    step_0, solve_0 = _step(spec, op, 0)
-    src_const = pencil.Setting(spec, op).constant_rhs
-    const_n = solve_n @ (n * src_const)
-    # x_s's source -B_0^-1 (2 J3 boxbox x_s + 2 J4 x_s[c] + const), boxbox over c-R..c+R
-    # with x_s[c+R] = S_n window + const_n
-    g = op.windows.stencil[R, R, 0]  # interior adjoint∘forward: theta / eps^2
-    couple = 2.0 * spec.J3 @ (np.kron(g[:-1], np.eye(d)) + g[-1] * step_n)
-    couple[:, R * d:(R + 1) * d] += 2.0 * spec.J4
-    step = np.vstack([step_0, step_n, solve_0 @ couple]).T
-    const = np.concatenate([0.0 * const_n, const_n,
-                            solve_0 @ (2.0 * spec.J3 @ (g[-1] * const_n) + src_const)])
+    w_xs, w_p, f = (a[R, R] for a in _residual_map(spec, op, n))
+    (head_xs, last_xs), (head_p, last_p) = ((w[:2 * R * d], w[2 * R * d:]) for w in (w_xs, w_p))
+    try:  # inverses of the blocks on node c+2N: x_s's equation and a particle's
+        inv_xs, inv_p = (numkernel.solve_square(b.T, np.eye(d)).x.T
+                         for b in (last_xs[:, :d], last_p))
+    except numkernel.Singular as exc:
+        raise LeadingBlockSingular(str(exc)) from exc
+    step_xs, const_xs = -head_xs[:, :d] @ inv_xs, n * f @ inv_xs
+    source = head_xs[:, d:] + step_xs @ last_xs[:, d:]  # x_s's source, x_s[c+2N] stepped
+    step = np.hstack([-head_p @ inv_p, step_xs, -source @ inv_p])
+    const = np.concatenate([0.0 * const_xs, const_xs, (f - const_xs @ last_xs[:, d:]) @ inv_p])
     seeds = np.concatenate([np.reshape(xs_seed, (1, 2 * R, d)),
                             np.reshape(particle_seeds, (n, 2 * R, d))]).astype(complex)
     if not np.isfinite(seeds).all():

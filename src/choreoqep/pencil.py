@@ -417,8 +417,8 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
+    vectors = np.zeros((B, K, spec.d), dtype=complex)  # zero where no route solves
     if op is None:
-        vectors = np.zeros((B, K, spec.d), dtype=complex)
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
@@ -436,8 +436,6 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
                 if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
                 if singular else None for e in gamma[:, 0] * gamma[:, -1]]
     live = np.array([f is None for f in failures])
-    # each route's kernel vectors as rows, and each root's row; row 0 (zero) for no route
-    rows, at = [np.zeros((1, spec.d), dtype=complex)], np.zeros((B, K), dtype=np.intp)
     # route 2 * (2: gamma_{-j} = -gamma_j, 1: J5 = 0, 0: companion) + (real weights)
     reduction = np.where(~(gamma + gamma[:, ::-1]).any(axis=1), 2, int(not spec.J5.any()))
     routes = 2 * reduction + ~gamma.imag.any(axis=1)
@@ -445,7 +443,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
         idx = np.flatnonzero(live & (routes == route))
         blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
         if route < 2:
-            w[idx], v, residuals[idx], failed = _eigenpairs(blocks, tol)
+            w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(blocks, tol)
             # finite weights and eps leave a block infinite only through an under- or
             # overflowing delay (theta/eps^2): the degree drop the reductions report
             failed = [LeadingSingular("the block companion has infinite eigenvalues")
@@ -457,14 +455,11 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
                 (targets,), (pairs,), _, (failure,) = _eigenpairs(pencil[None], tol)
             else:  # solved by the caller, as an eps-sweep does
                 targets, pairs, failure = classical.roots, classical.vectors, None
-            failed, v = [failure] * len(idx), None
+            failed = [failure] * len(idx)
             if failure is None:
-                w[idx], v, residuals[idx], failed = _preimages(
+                w[idx], vectors[idx], residuals[idx], failed = _preimages(
                     gamma[idx], delays.take(idx), np.linalg.norm(blocks, axis=(2, 3)), pencil,
                     targets, pairs, tol)
-        if v is not None:  # preimages broadcast one row a root to every item
-            rows.append(v[0] if v.strides[0] == 0 else v.reshape(-1, spec.d))
-            at[idx] = sum(map(len, rows[:-1])) + np.arange(len(rows[-1])).reshape(-1, K)
         for i, f in zip(idx, failed):
             failures[i] = f
     z = delays.eps[:, None] * w  # zeta - 1
@@ -476,8 +471,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     simple = numkernel.simple_rows(zeta, separation_tol)
     failures = [f if f or ok else DegenerateRoots("zeta-roots cluster below the separation "
                                                   "tolerance") for f, ok in zip(failures, simple)]
-    return _Spectra(lam[order], zeta, residuals[order], np.concatenate(rows)[at[order]],
-                    failures, simple)
+    return _Spectra(lam[order], zeta, residuals[order], vectors[order], failures, simple)
 
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
@@ -528,21 +522,12 @@ class Setting:
             return classical_pencil(self.spec, nu)
         return transcendental_pencil(self.spec, self.op, nu)
 
-    def at_constant(self, p) -> np.ndarray:
-        """Pencil value at the constant mode (lam = 0, i.e. zeta = 1)."""
-        return _constant_systems([self], p.nu)[0][0]
-
-    @property
-    def constant_rhs(self) -> np.ndarray:
-        """Right-hand side that fixes the constant mode of one particle."""
-        return _constant_systems([self], 0)[1][0]
-
     def modes(self, nu: float, separation_tol: float = 1e-7) -> Modes:
         spectra = _spectra([self], nu, separation_tol=separation_tol)
         return Modes(self.pencil(nu), *spectra.rootsets(0, 1e-8))
 
 
-def _constant_systems(settings: list, nu: float) -> tuple:
+def constant_systems(settings: list, nu: float) -> tuple:
     """Per setting of a batch: the pencil value at the constant mode (lam = 0, zeta = 1)
     and the right-hand side fixing the constant mode of one particle, J7 + s_bar(0) J6.
     s_bar(0) = sum(gamma)/eps (0 when continuous) is the interior value of the adjoint
@@ -589,8 +574,8 @@ def _check_assumptions(settings: list, n: int, tol: float) -> tuple:
     count = settings[0].root_count
     checks = np.array([*((sp.roots.shape[1] == count) & sp.simple for sp in (sp_n, sp_0)),
                        ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),
-                       ~_is_singular(_constant_systems(settings, n)[0]),
-                       ~_is_singular(_constant_systems(settings, 0)[0])])
+                       ~_is_singular(constant_systems(settings, n)[0]),
+                       ~_is_singular(constant_systems(settings, 0)[0])])
     return sp_n, sp_0, failures, checks & [f is None for f in failures]
 
 

@@ -172,10 +172,9 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
     roots = modes_0.lam
     rep = _choreography_conditions(roots, setting.root_count, tol, max_den)
     try:
-        u0 = celsolve.constant_mode(setting, n)
+        u0 = numkernel.solve_square(*(a[0] for a in pencil.constant_systems([setting], n))).x
     except numkernel.Singular as exc:
         raise NotChoreographic("nu=n pencil is singular at the constant mode") from exc
-    basis = celsolve.mode_basis(modes_0)
 
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
     if len(amplitudes) != len(roots):
@@ -183,7 +182,7 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
     active = amplitudes != 0
     phases = _delay_phases(rep, active, n)
     lams = roots.roots[active]
-    vecs = amplitudes[active, None] * basis[active]
+    vecs = amplitudes[active, None] * modes_0.roots.vectors[active]
     u = ModeExpansion(u0, lams, vecs)
     particles = tuple(ModeExpansion(u0, lams, phases[j - 1][:, None] * vecs)
                       for j in range(1, n + 1))

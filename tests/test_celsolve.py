@@ -9,7 +9,7 @@ from choreoqep.celsolve import (AssumptionViolation, ModeExpansion,
                                 dirichlet_cel, general_solution_cel,
                                 residual_cel)
 from choreoqep.model import LagrangianSpec
-from choreoqep.numkernel import kernel_vector
+from choreoqep.numkernel import NumericalFailure, kernel_vector
 
 from conftest import J1, J2, J3, make_oscillator_spec, make_reference_spec
 
@@ -51,6 +51,12 @@ class TestModeExpansion:
         with pytest.raises(ValueError):
             ModeExpansion([0.0], [1j, 1j], [[1.0], [1.0]])
 
+    def test_a_zero_mode_adds_zero_where_its_exponential_overflows(self):
+        u = ModeExpansion([1.0], [800.0, 2j], [[0.0], [1.0]])
+        assert u.value(2.0)[0] == pytest.approx(1.0 + np.exp(4j))
+        assert u.derivative(2.0)[0] == pytest.approx(2j * np.exp(4j))
+        assert u.derivative(2.0, 2)[0] == pytest.approx(-4 * np.exp(4j))
+
 
 class TestGeneralSolution:
     def test_all_zero(self, ref_spec):
@@ -58,6 +64,19 @@ class TestGeneralSolution:
         ts = np.linspace(0, 5, 9)
         for p in sol.particles:
             assert np.abs(p.value(ts)).max() == 0.0
+
+    def test_an_overflowing_solution_names_its_growth(self, recwarn):
+        """Real phases +-2.04 at anchors 0 overflow e^{lam t} by t = 400: value and
+        derivative raise NumericalFailure, as DelSolution.sample does, with no
+        overflow warning on the way."""
+        spec = LagrangianSpec(1, 2, [[1]], [[4]], [[0.1]], [[0.5]])
+        particle = general_solution_cel(spec, 2, np.ones(2), np.ones((1, 2))).particles[0]
+        for evaluate in (particle.value, particle.derivative):
+            with pytest.raises(NumericalFailure,
+                               match=r"^values are not finite: growth max Re lam \(t - a\) = "
+                                     r"816\.50 against log\(max float\) = 709\.78$"):
+                evaluate(400.0)
+        assert not recwarn.list
 
     def test_single_oscillator_cosine(self):
         spec = make_oscillator_spec(2.0)

@@ -250,6 +250,20 @@ class TestRecurrenceMarch:
         with pytest.raises(LeadingBlockSingular):
             recurrence_march(spec, op, 2, np.zeros((4, 2)), np.zeros((2, 4, 2)), 20)
 
+    def test_a_vanishing_edge_weight_is_a_singular_leading_block(self, ref_spec):
+        """gamma_{-N} gamma_N = 0 zeroes the block on node c+2N."""
+        op = ScaleOperator(np.array([0.0, -1.0, 1.0]), 0.1)
+        with pytest.raises(LeadingBlockSingular):
+            recurrence_march(ref_spec, op, 3, np.zeros((4, 2)), np.zeros((3, 4, 2)), 20)
+
+    def test_the_march_and_the_residuals_share_one_map(self, ref_spec):
+        op = central_difference(0.1)
+        rng = np.random.default_rng(21)
+        grid, xs = recurrence_march(ref_spec, op, 3, rng.standard_normal((4, 2)),
+                                    rng.standard_normal((3, 4, 2)), 20)
+        residual_del(ref_spec, op, 3, grid, 10, xs)
+        assert [k[0] for k in ref_spec._derived].count("residual_map") == 1
+
     def test_window_too_small(self, ref_spec):
         op = central_difference(0.1)
         with pytest.raises(WindowExceeded):

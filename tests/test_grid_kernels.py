@@ -209,7 +209,7 @@ def reference_march(spec, op, n, xs_seed, particle_seeds, M):
     N, d, eps = op.N, spec.d, op.epsilon
     mats_n = stencil_matrices(spec, op, n)
     mats_0 = stencil_matrices(spec, op, 0)
-    src_const = pencil.Setting(spec, op).constant_rhs
+    src_const = spec.J7 + op.gamma.sum() / eps * spec.J6  # J7 + s_bar(0) J6
     g = scaleop.theta_coefficients(op)
     xs = np.zeros((M + 1, d), dtype=complex)
     xs[:4 * N] = xs_seed

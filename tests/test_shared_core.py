@@ -85,7 +85,7 @@ def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
     op = central_difference(0.05)
     for setting in (pencil.Setting(ref_spec), pencil.Setting(ref_spec, op)):
         modes = setting.modes(3)
-        basis = celsolve.mode_basis(modes)
+        basis = modes.roots.vectors
         assert basis.shape == (setting.root_count, 2)
         for z, v in zip(modes.roots.roots, basis):
             # the same unit, phase-fixed direction as the SVD reference, up to rounding
@@ -113,7 +113,7 @@ def test_the_decision_fixes_root_count_and_constant_mode(ref_spec):
     for setting in (cel, dis):
         # both pencils equal -C_nu at their constant mode
         _, c = pencil.coefficient_matrices(ref_spec, 3)
-        assert np.allclose(setting.at_constant(setting.pencil(3)), -c, atol=1e-12)
+        assert np.allclose(pencil.constant_systems([setting], 3)[0][0], -c, atol=1e-12)
     assert len(dis.modes(0).lam) == len(dis.modes(0).roots) == 8
     assert np.allclose(np.exp(dis.modes(0).lam.roots * op.epsilon), dis.modes(0).roots.roots)
 
