@@ -5,23 +5,25 @@ quadratic Lagrangian, both in continuous time (quadratic eigenvalue problems)
 and on uniform grids under windowed scale-derivative operators
 (transcendental eigenvalue problems).  On top of the solvers it classifies
 periodicity, constructs choreographic solutions, and measures the Hausdorff
-convergence of the discrete spectra as the grid delay shrinks.
+convergence of the discrete spectra as the grid delay shrinks.  The batched stages
+behind the public functions are exported too; `numkernel` states their contract.
 """
 
 from .model import LagrangianSpec, ParticleState, construct_j4, energy, \
     transform_affine, validate_spec, assemble_blocks
-from .numkernel import Polynomial, RootSet, det_as_polynomial, kernel_vector, \
-    polynomial_roots, solve_square
+from .numkernel import Polynomial, RootSet, cond, det_as_polynomial, kernel_vector, \
+    merge_failures, per_item, polynomial_roots, solve_square, solve_stack
 from .scaleop import GridFunction, ScaleOperator, box_apply, adjoint_box_apply, \
     central_difference, check_operator_conditions, chi, k_family, symbol_sigma1, \
     symbol_theta
-from .pencil import ClassicalPencil, TranscendentalPencil, check_cel_assumptions, \
-    check_del_assumptions, classical_eval, classical_pencil, classical_spectrum, \
-    transcendental_eval, transcendental_pencil, transcendental_spectrum
-from .celsolve import ModeExpansion, SystemSolution, dirichlet_cel, \
-    general_solution_cel, residual_cel
-from .delsolve import DelSolution, TrajectoryGrid, dirichlet_del, \
-    general_solution_del, recurrence_march, residual_del
+from .pencil import ClassicalPencil, Spectra, TranscendentalPencil, check_assumptions, \
+    check_cel_assumptions, check_del_assumptions, classical_eval, classical_pencil, \
+    classical_spectrum, constant_systems, spectra, transcendental_eval, \
+    transcendental_pencil, transcendental_spectrum
+from .celsolve import Core, ModeExpansion, SystemSolution, dirichlet_cel, \
+    general_solution_cel, grid_values, residual_cel
+from .delsolve import DelSolution, TrajectoryGrid, boundary_problem, dirichlet_del, \
+    general_solution_del, recurrence_march, residual_del, residuals
 from .periodic import Choreography, CommensurabilityReport, \
     build_choreography_cel, build_choreography_del, commensurability, \
     is_periodic_cel, is_periodic_del, verify_choreography

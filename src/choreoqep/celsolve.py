@@ -5,11 +5,10 @@ Solutions are synthesized as u0 + sum_l e^{lam_l (t - a_l)} u_l: the summed vari
 x_s carries the nu = n pencil phases, and each particle adds nu = 0 phases on
 top of (1/n) x_s.  The homogeneous parts are constrained to sum to zero over
 particles, which is resolved by eliminating the last particle's amplitudes.
-The core (`_Core`) runs on a batch of `pencil.Setting`s without asking which
+The core (`Core`) runs on a batch of `pencil.Setting`s without asking which
 kind they are: it holds each kernel basis and x_s constant with a leading batch
 axis, assembles x_s and the particles, and solves amplitudes from samples at the
-ends of the interval, every item at once.  An item that fails keeps the typed
-error its lone solve raises; the single-system entry points are the batch of one.
+ends of the interval, every item at once, under the batch contract of `numkernel`.
 Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes growing by
 more than e are anchored at the last sample time, others at the first; columns equilibrated.
 """
@@ -80,12 +79,15 @@ class ModeExpansion:
         with np.errstate(over="ignore", invalid="ignore"):
             values = _expansion_values(u0, self.lambdas, vectors, self.anchors, t.ravel())
         if not np.isfinite(values).all():
-            growth = (self.lambdas.real * (t.ravel()[:, None] - self.anchors)).max(
-                initial=-np.inf)
-            raise numkernel.NumericalFailure(
-                f"values are not finite: growth max Re lam (t - a) = {growth:.2f} "
-                f"against log(max float) = {np.log(np.finfo(float).max):.2f}")
+            raise numkernel.overflow("values are not finite", "max Re lam (t - a)",
+                                     self.growth(t))
         return values.reshape(t.shape + (self.d,))
+
+    def growth(self, t) -> float:
+        """max Re lam (t - a) over the modes and the times t: the log of the largest
+        factor e^{lam (t - a)} that evaluating at t forms."""
+        t = np.asarray(t, dtype=float).ravel()
+        return float((self.lambdas.real * (t[:, None] - self.anchors)).max(initial=-np.inf))
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,8 @@ def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
     return u0[..., None, :] + np.exp((t[:, None] - anchors[..., None, :]) * lams) @ vectors
 
 
-def _grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
-                 anchors: np.ndarray, start: float, step: float, T: int) -> np.ndarray:
+def grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
+                anchors: np.ndarray, start: float, step: float, T: int) -> np.ndarray:
     """`_expansion_values` at the T times start + m step from two exp tables a mode: node
     m = q L + r (L = ceil(sqrt T)), counted from the end nearer the mode's anchor a, is
     e^{lam (t_qL - a)} e^{lam r step}; no factor exceeds e at a boundary solve's anchors.
@@ -150,18 +152,8 @@ def _grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
     return u0[..., None, :] + np.moveaxis(E, 0, -2) @ vectors
 
 
-def _live(failures: list) -> np.ndarray:
-    return np.flatnonzero([f is None for f in failures])
-
-
-def _set_failures(failures: list, live: np.ndarray, found: list) -> list:
-    """failures with found[j] at item live[j], which has not failed yet."""
-    found = dict(zip(live, found))
-    return [found.get(i) if f is None else f for i, f in enumerate(failures)]
-
-
 def _violation(failure, checks: np.ndarray, n: int) -> AssumptionViolation:
-    """What a solve raises, given `pencil._check_assumptions` for an item that fails them."""
+    """What a solve raises, given `pencil.check_assumptions` for an item that fails them."""
     if failure is not None:
         return AssumptionViolation(f"pencil precondition fails: {failure}")
     if n == 1:
@@ -171,13 +163,13 @@ def _violation(failure, checks: np.ndarray, n: int) -> AssumptionViolation:
                                f"disjoint {disjoint}, det at 0 ({det_n}, {det_0})")
 
 
-class _Core:
+class Core:
     """Mode bases and x_s constants of a batch of settings sharing spec, N and eps, with
     a leading batch axis.  failures[i] is what a solve of item i raises so far: an
     AssumptionViolation unless its assumptions hold, None while it has not failed."""
 
     def __init__(self, settings: list, n: int):
-        sp_n, sp_0, failures, checks = pencil._check_assumptions(settings, n, 1e-7)
+        sp_n, sp_0, failures, checks = pencil.check_assumptions(settings, n, 1e-7)
         self.settings, self.n = settings, n
         # single particle: the nu=0 modes are eliminated by the sum constraint,
         # so only the x_s pencil conditions (count and det at nu = n) matter
@@ -190,12 +182,12 @@ class _Core:
     @cached_property
     def xs0(self) -> tuple:
         """(n times each item's constant mode (B, d), failures with the solves' ones)."""
-        live = _live(self.failures)
+        _, live = numkernel.merge_failures(self.failures)
         at, rhs = pencil.constant_systems(self.settings, self.n)
-        x, found = numkernel._solve_stack(at[live], rhs[live])
+        x, found = numkernel.solve_stack(at[live], rhs[live])
         xs0 = np.zeros(rhs.shape, dtype=complex)
         xs0[live] = self.n * x
-        return xs0, _set_failures(self.failures, live, found)
+        return xs0, numkernel.merge_failures(self.failures, found, live)[0]
 
     def expansions(self, xs_amplitudes, particle_amplitudes, anchors) -> tuple:
         """(x_s, particles) of every item from amplitudes (B, K), (B, n-1, K0) at anchors
@@ -246,14 +238,13 @@ class _Core:
         anchors = np.where(phases.real * (times[-1] - times[0]) > 1, times[-1], times[0])
         amps_xs = np.zeros(self.lam_n.shape, dtype=complex)
         amps_p = np.zeros((len(xs0), n - 1, self.lam_0.shape[1]), dtype=complex)
-        live = _live(failures)
+        _, live = numkernel.merge_failures(failures)
         amps_xs[live], found = _window_solve(self.lam_n[live], self.w_n[live], times,
                                              anchors[live, :K], data.sum(0) - xs0[live, None])
-        failures = _set_failures(failures, live, found)
-        live = _live(failures)
-        failures = _set_failures(failures, live, _phase_failures(self.lam_n[live]))
+        failures, live = numkernel.merge_failures(failures, found, live)
+        failures, live = numkernel.merge_failures(failures, _phase_failures(self.lam_n[live]),
+                                                  live)
         if n > 1:
-            live = _live(failures)
             # one product per end: a BLAS product's rounding depends on its row count
             xs_at = np.concatenate([_expansion_values(
                 xs0[live], self.lam_n[live], amps_xs[live, :, None] * self.w_n[live],
@@ -262,9 +253,8 @@ class _Core:
             amps, found = _window_solve(self.lam_0[live], self.w_0[live], times,
                                         anchors[live, K:], rhs)
             amps_p[live] = np.moveaxis(amps, -1, 1)
-            failures = _set_failures(failures, live, found)
-            live = _live(failures)
-            failures = _set_failures(failures, live, _phase_failures(phases[live]))
+            failures, live = numkernel.merge_failures(failures, found, live)
+            failures, _ = numkernel.merge_failures(failures, _phase_failures(phases[live]), live)
         return amps_xs, amps_p, anchors, failures
 
     def solve_one(self, ends: tuple, data: np.ndarray) -> tuple:
@@ -274,7 +264,7 @@ class _Core:
             raise failures[0]
         times, K = np.concatenate(ends), self.lam_n.shape[1]
         bases = ((self.lam_n, self.w_n, anchors[:, :K]), (self.lam_0, self.w_0, anchors[:, K:]))
-        conds = [numkernel._cond(_window_matrix(lam[:1], w[:1], times, a[:1])[0][0])
+        conds = [numkernel.cond(_window_matrix(lam[:1], w[:1], times, a[:1])[0][0])
                  for lam, w, a in bases[:1 if self.n == 1 else 2]]
         report = DirichletReport(conds[0], tuple(conds[1:]) * (self.n - 1))
         return *self.assemble(amps_xs[0], amps_p[0], anchors[0]), report
@@ -306,7 +296,7 @@ def _window_solve(roots: np.ndarray, basis: np.ndarray, times: np.ndarray,
     each item of roots (B, K), basis (B, K, d) and rhs (B, T, d[, m]); with the failure
     of each item (SingularBoundarySystem for a singular system)."""
     a, scale = _window_matrix(roots, basis, times, anchors)
-    x, failures = numkernel._solve_stack(a, rhs.reshape(roots.shape + rhs.shape[3:]))
+    x, failures = numkernel.solve_stack(a, rhs.reshape(roots.shape + rhs.shape[3:]))
     return (x.T / scale.T).T, [SingularBoundarySystem(f) if isinstance(f, numkernel.Singular)
                                else f for f in failures]
 
@@ -324,7 +314,7 @@ def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
     then raises NumericalFailure naming the growth.  A boundary solve anchors such modes
     at the far end instead.
     """
-    core = _Core([pencil.Setting(spec)], n)
+    core = Core([pencil.Setting(spec)], n)
     return SystemSolution(*core.assemble(xs_amplitudes, particle_amplitudes))
 
 
@@ -335,7 +325,7 @@ def dirichlet_cel(spec: LagrangianSpec, n: int, t0: float, tf: float,
     x_t0 and x_tf hold one row per particle.  The solve decouples into one
     square system for the summed variable and one per particle.
     """
-    core = _Core([pencil.Setting(spec)], n)
+    core = Core([pencil.Setting(spec)], n)
     data = np.stack([np.asarray(x_t0, dtype=complex).reshape(n, spec.d),
                      np.asarray(x_tf, dtype=complex).reshape(n, spec.d)], axis=1)
     xs, particles, report = core.solve_one((np.array([t0]), np.array([tf])), data)

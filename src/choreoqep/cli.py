@@ -399,7 +399,7 @@ def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, l
     every operator takes the row of its class.  The representatives are solved as one
     batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
     whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
-    all particles as one (T, K') @ (K', n d) product a cell (`celsolve._grid_values`)."""
+    all particles as one (T, K') @ (K', n d) product a cell (`celsolve.grid_values`)."""
     representatives, inverse = _equation_classes(cfg.spec, ops)
     ops = [ops[i] for i in representatives]
     head, tail, times, cel_values = reference
@@ -407,15 +407,16 @@ def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, l
     errors, status = np.full(len(ops), math.nan), []
     K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
     for c in numkernel.chunks(len(ops), K * K):
-        core, ends, data = delsolve._dirichlet(cfg.spec, ops[c], cfg.n, cfg.t0, cfg.M, head, tail)
+        core, ends, data = delsolve.boundary_problem(cfg.spec, ops[c], cfg.n, cfg.t0, cfg.M,
+                                                     head, tail)
         *amplitudes, failures = core.boundary_solve(ends, data)
         _, (u0, lams, vectors, anchors) = core.expansions(*amplitudes)
-        ok = celsolve._live(failures)
+        _, ok = numkernel.merge_failures(failures)
         for w in numkernel.chunks(len(ok), len(times) * lams.shape[-1]):
             w = ok[w]
             stacked = vectors[w].transpose(0, 2, 1, 3).reshape(len(w), -1, want.shape[1])
-            diff = celsolve._grid_values(np.tile(u0[w, 0], cfg.n), lams[w, 0], stacked,
-                                         anchors[w, 0], times[0], cfg.epsilon, len(times))
+            diff = celsolve.grid_values(np.tile(u0[w, 0], cfg.n), lams[w, 0], stacked,
+                                        anchors[w, 0], times[0], cfg.epsilon, len(times))
             errors[c][w] = np.linalg.norm(diff - want, axis=(1, 2))
         status += ["ok" if f is None else type(f).__name__ for f in failures]
     return errors[inverse].tolist(), [status[i] for i in inverse], len(ops)

@@ -4,7 +4,7 @@ As the delay shrinks, the discrete pencil tends to the quadratic one locally
 uniformly and the discrete spectrum, intersected with a compact window that
 discards the divergent roots, tends to the classical spectrum in the
 Hausdorff metric.  This module measures both.  A sweep is one batch: the spectra
-at every delay are solved together, as one `pencil._spectra` call per distinct N,
+at every delay are solved together, as one `pencil.spectra` call per distinct N,
 and the classical pencil is solved once for the whole sweep (antisymmetric weights
 take their roots as preimages of it).  The pencil errors over a square grid of the
 window are one array expression per batch in the forward and adjoint symbols, summed
@@ -89,7 +89,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     """Hausdorff distances and pencil errors over a family of delays.
 
     op_family maps epsilon to a ScaleOperator.  The sweep is one batch: the delays
-    whose operators pass the operator conditions are solved together, one `_spectra`
+    whose operators pass the operator conditions are solved together, one `pencil.spectra`
     call per distinct N, with the classical spectrum solved once and shared.
     Failures at one delay (bad operator conditions, degenerate spectra, empty
     windows) annotate that entry and the others are kept.  The order is the
@@ -116,8 +116,8 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
         if notes[i] is None:
             by_n.setdefault(op.N, []).append(i)
     for idx in by_n.values():
-        sp = pencil._spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
-                             classical=q_cls)
+        sp = pencil.spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
+                            classical=q_cls)
         done = []
         for i, lam, failure in zip(idx, sp.lam, sp.failures):
             if failure is not None:

@@ -12,7 +12,7 @@ generically nonzero and document the boundary layer.
 A node's windowed equations are one linear map of its window values plus a constant,
 fixed by its class [a, b] (nodes before and after, capped at 2N): `_residual_map` folds
 the `WindowTables` stencil into the equation blocks once per (spec, n, operator value),
-for `residual_del` at one node and `_residuals` over nodes, one product per class.  The
+for `residual_del` at one node and `residuals` over nodes, one product per class.  The
 march's step is the same map's interior class [2N, 2N], solved for node c+2N: it moves
 x_s and the particles in one loop, one 4Nd x 3d product a step.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, pencil
-from .celsolve import DirichletReport, SystemSolution, _Core, _grid_values
+from .celsolve import Core, DirichletReport, SystemSolution, grid_values
 from .model import LagrangianSpec
 from .scaleop import OutOfRange, ScaleOperator
 
@@ -85,29 +85,26 @@ class DelSolution(SystemSolution):
         return range(2 * self.op.N, self.M - 2 * self.op.N + 1)
 
     def sample(self) -> tuple[TrajectoryGrid, np.ndarray]:
-        """Evaluate on the grid by `celsolve._grid_values`; returns (particle grid, summed
-        values).  NumericalFailure when a value is not finite: unanchored, e^{lam t}
-        overflows past max Re lam (tf - t0) ~ 709.78."""
+        """Evaluate on the grid by `celsolve.grid_values`; returns (particle grid, summed
+        values).  NumericalFailure when a value is not finite: e^{lam (t - a)} overflows
+        past max Re lam (t - a) ~ 709.78 on [t0, tf]."""
+        expansions = (self.xs, *self.particles)
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, *vals = [_grid_values(e.u0, e.lambdas, e.vectors, e.anchors, self.t0,
-                                      self.op.epsilon, self.M + 1)
-                         for e in (self.xs, *self.particles)]
+            xs, *vals = [grid_values(e.u0, e.lambdas, e.vectors, e.anchors, self.t0,
+                                     self.op.epsilon, self.M + 1) for e in expansions]
         if not (np.isfinite(vals).all() and np.isfinite(xs).all()):
-            growth = (self.tf - self.t0) * max(e.lambdas.real.max()
-                                               for e in (self.xs, *self.particles))
-            raise numkernel.NumericalFailure(
-                f"samples are not finite: growth max Re lam (tf - t0) = {growth:.2f} "
-                f"against log(max float) = {np.log(np.finfo(float).max):.2f}")
+            raise numkernel.overflow("samples are not finite", "max Re lam (t - a)",
+                                     max(e.growth([self.t0, self.tf]) for e in expansions))
         return TrajectoryGrid(self.t0, self.op.epsilon, vals), xs
 
 
-def _discrete_core(spec: LagrangianSpec, ops: list, n: int, M: int) -> _Core:
-    """The `_Core` of operators sharing N and eps; WindowExceeded for every item that
+def _discrete_core(spec: LagrangianSpec, ops: list, n: int, M: int) -> Core:
+    """The `Core` of operators sharing N and eps; WindowExceeded for every item that
     meets the assumptions when M < 4N."""
-    core = _Core([pencil.Setting(spec, op) for op in ops], n)
+    core = Core([pencil.Setting(spec, op) for op in ops], n)
     if M < 4 * ops[0].N:
-        core.failures = [f or WindowExceeded(
-            f"M = {M} leaves no interior window (need M >= 4N)") for f in core.failures]
+        core.failures, _ = numkernel.merge_failures(core.failures, [WindowExceeded(
+            f"M = {M} leaves no interior window (need M >= 4N)") for op in ops])
     return core
 
 
@@ -130,10 +127,10 @@ def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
 
 
-def _dirichlet(spec: LagrangianSpec, ops: list, n: int, t0: float, M: int,
-               head, tail) -> tuple:
+def boundary_problem(spec: LagrangianSpec, ops: list, n: int, t0: float, M: int,
+                     head, tail) -> tuple:
     """The boundary problem of `dirichlet_del` for a batch of operators sharing N and
-    eps, as (core, ends, data) for `_Core.boundary_solve`."""
+    eps, as (core, ends, data) for `Core.boundary_solve`."""
     N, eps = ops[0].N, ops[0].epsilon
     core = _discrete_core(spec, ops, n, M)
     head = np.asarray(head, dtype=complex).reshape(n, 2 * N, spec.d)
@@ -151,7 +148,7 @@ def dirichlet_del(spec: LagrangianSpec, op: ScaleOperator, n: int, t0: float,
     constraints per uncoupled system, matching the 4Nd amplitudes.  This is the
     batch of one of the solve the error surfaces run on blocks of operators.
     """
-    core, ends, data = _dirichlet(spec, [op], n, t0, M, head, tail)
+    core, ends, data = boundary_problem(spec, [op], n, t0, M, head, tail)
     xs, particles, report = core.solve_one(ends, data)
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon), report
 
@@ -208,9 +205,8 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
         m = int(finite.argmin())
         with np.errstate(divide="ignore"):
             growth = np.log(np.abs(values[:, :m]).max(initial=0.0))
-        raise numkernel.NumericalFailure(
-            f"the march is not finite from node {m}: growth log max |x| = {growth:.2f} by "
-            f"node {m - 1}, against log(max float) = {np.log(np.finfo(float).max):.2f}")
+        raise numkernel.overflow(f"the march is not finite from node {m}",
+                                 f"log max |x| by node {m - 1}", growth)
     return TrajectoryGrid(t0, op.epsilon, values[1:]), values[0]
 
 
@@ -222,22 +218,25 @@ class DelResidual:
     particles: np.ndarray
 
 
-def _residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
-               xs_vals: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
+              xs_vals: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Windowed residuals at grid nodes 0 <= nodes <= M: (K, d) for x_s, (n, K, d)
-    for the particles, with K = len(nodes); one product per window class."""
+    for the particles, with K = len(nodes); one product per window class of each block
+    of 256 nodes, so that the window gathers stay bounded on long grids."""
     M, R, d, rows = vals.shape[1] - 1, 2 * op.N, spec.d, len(vals)
     if M < 1:
         raise ValueError("a grid needs at least two nodes")
     w_xs, w_p, forcing = _residual_map(spec, op, n)
     r_xs, r_p = np.empty((len(nodes), d), complex), np.empty((rows, len(nodes), d), complex)
     classes = np.minimum(nodes, R) * (R + 1) + np.minimum(M - nodes, R)
-    for c in np.unique(classes):
-        at, ab = np.flatnonzero(classes == c), divmod(int(c), R + 1)
-        near = (nodes[at, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
-        y = xs_vals[near].reshape(len(at), -1) @ w_xs[ab]
-        r_xs[at] = y[:, :d] - n * forcing[ab]
-        r_p[:, at] = vals[:, near].reshape(rows, len(at), -1) @ w_p[ab] + (y[:, d:] - forcing[ab])
+    for block in np.split(np.arange(len(nodes)), range(256, len(nodes), 256)):
+        for c in np.unique(classes[block]):
+            at, ab = block[classes[block] == c], divmod(int(c), R + 1)
+            near = (nodes[at, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
+            y = xs_vals[near].reshape(len(at), -1) @ w_xs[ab]
+            r_xs[at] = y[:, :d] - n * forcing[ab]
+            r_p[:, at] = (vals[:, near].reshape(rows, len(at), -1) @ w_p[ab]
+                          + (y[:, d:] - forcing[ab]))
     return r_xs, r_p
 
 

@@ -115,9 +115,10 @@ def validate_spec(spec: LagrangianSpec) -> list[Violation]:
 
 
 def energy(spec: LagrangianSpec, state: ParticleState) -> float:
-    """Conserved energy of a J5 = 0 system at the given state.
+    """Conserved energy of a J5 = 0 system at the given state: the Jacobi integral
+    sum v·dL/dv − L, in which the velocity-linear term J6·v cancels.
 
-    Single-particle terms 1/2 v·J1 v − 1/2 x·J2 x + J6·v − J7·x plus the
+    Single-particle terms 1/2 v·J1 v − 1/2 x·J2 x − J7·x plus the
     pair terms v_j·J3 v_k − x_j·J4 x_k over ordered pairs j != k.
     """
     if np.abs(spec.J5).max() > 1e-12:
@@ -129,7 +130,7 @@ def energy(spec: LagrangianSpec, state: ParticleState) -> float:
     e = 0.0
     for j in range(spec.n):
         e += 0.5 * v[j] @ spec.J1 @ v[j] - 0.5 * x[j] @ spec.J2 @ x[j]
-        e += spec.J6 @ v[j] - spec.J7 @ x[j]
+        e -= spec.J7 @ x[j]
     for j in range(spec.n):
         for k in range(spec.n):
             if j != k:

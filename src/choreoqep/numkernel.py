@@ -1,14 +1,16 @@
-"""Dense complex linear-algebra and polynomial primitives.
+"""Dense complex linear-algebra and polynomial primitives, and the batch contract.
 
-`pencil` takes its spectra from block-companion eigen-solves and stores them
-as `RootSet`s (residual = eigenpair backward error, plus kernel vectors);
-determinant interpolation, polynomial roots and SVD kernel vectors here are
-independent references for its tests.  `solve_square` is the batch of one of
-`_solve_stack`, which solves a stack of systems and returns, per item, the error
-the single solve would raise: one numpy elimination of the whole stack gives each
-item's LU factors, whose pivots decide singularity and which give x by
-back-substitution; only a lone solve computes a condition number.  Everything here
-is a pure function of its inputs: no caching, no shared state, safe for concurrent use.
+The contract of every batched stage (`solve_stack` here, `pencil.spectra`,
+`pencil.check_assumptions`, `celsolve.Core`): a batch is a leading item axis, and a stage
+gives its arrays for every item and a list `failures`, failures[i] None or the typed error
+that item's lone call raises.  `merge_failures` merges a later stage into that list, so
+that an item keeps the first failure it meets.  A public lone function is the batch of
+one, raising failures[0].  `pencil` takes its spectra from block-companion eigen-solves;
+determinant interpolation, polynomial roots and SVD kernel vectors here are independent
+references for its tests.  `solve_stack` takes each item's LU factors from one numpy
+elimination of the stack: their pivots decide singularity and give x; only a lone solve
+computes a condition number.  Everything here is a pure function of its inputs: no
+caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -26,6 +28,13 @@ class DegreeZero(Exception):
 class NumericalFailure(Exception):
     """Raised when an eigenvalue/refinement iteration fails to converge, a solve meets
     non-finite entries or gives a non-finite or underflowing x, or LAPACK fails."""
+
+
+def overflow(what: str, growth: str, figure: float) -> NumericalFailure:
+    """The one verdict on values that are not finite: what is not finite, and the growth
+    it reached (its measure and figure), set against log(max float) ~ 709.78."""
+    return NumericalFailure(f"{what}: growth {growth} = {figure:.2f} against "
+                            f"log(max float) = {np.log(np.finfo(float).max):.2f}")
 
 
 class InterpolationInconsistent(Exception):
@@ -84,13 +93,6 @@ class Polynomial:
         return cls(leading * npoly.polyfromroots(np.asarray(roots, dtype=complex)))
 
 
-def _min_separation(roots: np.ndarray) -> float:
-    if len(roots) < 2:
-        return math.inf
-    diff = np.abs(roots[:, None] - roots[None, :])
-    return float(diff[~np.eye(len(roots), dtype=bool)].min())
-
-
 @dataclass(frozen=True)
 class RootSet:
     """Finite multiset of complex roots with residual and separation metadata.
@@ -100,12 +102,19 @@ class RootSet:
 
     roots: np.ndarray
     residuals: np.ndarray
-    min_separation: float
     tol: float = 1e-8
     vectors: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.roots)
+
+    @property
+    def min_separation(self) -> float:
+        """The least distance between two roots; inf for fewer than two."""
+        if len(self.roots) < 2:
+            return math.inf
+        diff = np.abs(self.roots[:, None] - self.roots[None, :])
+        return float(diff[~np.eye(len(self.roots), dtype=bool)].min())
 
     @classmethod
     def from_roots(cls, roots, residuals=None, tol: float = 1e-8) -> "RootSet":
@@ -113,7 +122,7 @@ class RootSet:
         if residuals is None:
             residuals = np.zeros(len(roots))
         residuals = np.asarray(residuals, dtype=float).ravel()
-        return cls(roots, residuals, _min_separation(roots), tol)
+        return cls(roots, residuals, tol)
 
     def is_simple(self, rel_tol: float = 1e-7) -> bool:
         """True when no two roots fall within rel_tol * max(1, |root|) of each other."""
@@ -163,13 +172,6 @@ def simple_rows(roots: np.ndarray, rel_tol: float) -> np.ndarray:
     return simple
 
 
-def _sorted_rootset(roots, residuals, tol) -> RootSet:
-    order = np.lexsort((roots.real, roots.imag))
-    roots = roots[order]
-    residuals = residuals[order]
-    return RootSet(roots, residuals, _min_separation(roots), tol)
-
-
 def polynomial_roots(p: Polynomial, tol: float = 1e-8) -> RootSet:
     """All roots of p (with multiplicity) via companion-matrix eigenvalues.
 
@@ -199,7 +201,8 @@ def polynomial_roots(p: Polynomial, tol: float = 1e-8) -> RootSet:
         raise NumericalFailure(
             f"root residual {worst:.3e} exceeds acceptance tolerance {tol:.1e}"
         )
-    return _sorted_rootset(roots, residuals, tol)
+    order = np.lexsort((roots.real, roots.imag))
+    return RootSet(roots[order], residuals[order], tol)
 
 
 def det_as_polynomial(eval_fn, degree_bound: int, radius: float = 1.0) -> Polynomial:
@@ -277,10 +280,21 @@ class LinearSolve:
         return self.cond > 1e12
 
 
-def _stacked(fn, fill, *stacks) -> tuple:
+def merge_failures(failures: list, found=(), items=None) -> tuple:
+    """Merge a stage's failures into a batch's list: found[j] goes to item items[j] (item j
+    when items is None) unless that item has failed already, so that each item keeps its
+    first failure.  Returns (the merged list, the indices of the items still live)."""
+    merged = list(failures)
+    for i, f in zip(range(len(merged)) if items is None else items, found):
+        if merged[i] is None:
+            merged[i] = f
+    return merged, np.flatnonzero([f is None for f in merged])
+
+
+def per_item(fn, fill, *stacks) -> tuple:
     """(fn(*stacks), per-item LinAlgError or None) over the leading axis (eig, eigvals, cond
-    and `pencil._eigenpairs`' monic solve).  When LAPACK fails on the stack, fn runs item
-    by item, so that only the failing items fail; their result is fill."""
+    and `pencil`'s monic solve).  When LAPACK fails on the stack, fn runs item by item, so
+    that only the failing items fail; their result is fill."""
     try:
         return fn(*stacks), [None] * len(stacks[0])
     except np.linalg.LinAlgError:
@@ -332,7 +346,7 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> tuple:
     return np.abs(u), x
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve each a[i] @ x[i] = b[i] of a stack a (B, K, K), b (B, K) or (B, K, m).
 
     Returns (x, failures): failures[i] is what solve_square raises for item i, or None:
@@ -364,23 +378,23 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     return x.reshape(b.shape), failures
 
 
-def _cond(a: np.ndarray) -> float:
+def cond(a: np.ndarray) -> float:
     """2-norm condition number (`np.linalg.cond`); a LAPACK failure is a NumericalFailure."""
-    (cond,), (exc,) = _stacked(np.linalg.cond, np.inf, a[None])
+    (value,), (exc,) = per_item(np.linalg.cond, np.inf, a[None])
     if exc is not None:
         raise NumericalFailure(f"LAPACK failed: {exc}") from exc
-    return float(cond)
+    return float(value)
 
 
 def solve_square(a, b) -> LinearSolve:
     """Solve a @ x = b with pivot-based singularity detection: the batch of one of
-    `_solve_stack` (pivots and x from the same LU factors), raising its error, with the
+    `solve_stack` (pivots and x from the same LU factors), raising its error, with the
     2-norm condition number of a."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("solve_square expects a square matrix")
-    x, failures = _solve_stack(a[None], b[None])
+    x, failures = solve_stack(a[None], b[None])
     if failures[0] is not None:
         raise failures[0]
-    return LinearSolve(x[0], _cond(a))
+    return LinearSolve(x[0], cond(a))

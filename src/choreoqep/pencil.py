@@ -24,12 +24,11 @@ take the companion.  A pair is accepted when its normwise backward error ||Q(w) 
 (sum_i |w|^i ||B_i||_F ||v||), Q(w) v from the classical products on a reduction, is at
 most tol, and that error is the root's residual.  `Setting` is the one place where the
 two settings differ; the assumption checker, the solvers' shared core and the
-periodicity code run on it.  Spectra and assumption checks run on a batch of settings
-that share spec and N; each item has its own eps.  The batch is a leading axis, every
-eigen-solve stacked: each item gets its arrays or the typed error its lone call raises,
-and the public functions are the batch of one.  A batch holds the cells of an error
-surface (one eps) or the delays of an eps-sweep, and solves each reduction's classical
-pencil once.
+periodicity code run on it.  `spectra` and `check_assumptions` run on a batch of
+settings that share spec and N, each item with its own eps, under the batch contract of
+`numkernel`, every eigen-solve stacked.  A batch holds the cells of an error surface
+(one eps) or the delays of an eps-sweep, and solves each reduction's classical pencil
+once.
 """
 from __future__ import annotations
 
@@ -132,7 +131,7 @@ def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
         s_powers = s[:, None] ** np.arange(k + 1)
         blocks, norms = blocks * s_powers[:, :, None, None], norms * s_powers
         lower = blocks[:, :-1].transpose(0, 2, 1, 3).reshape(B, d, k * d)  # B_0 .. B_k-1
-        monic, failed = numkernel._stacked(np.linalg.solve, np.zeros((d, k * d)),
+        monic, failed = numkernel.per_item(np.linalg.solve, np.zeros((d, k * d)),
                                            blocks[:, -1], lower)
     finite = np.isfinite(monic).all(axis=(1, 2))
     failures = [numkernel.NumericalFailure("non-finite pencil coefficients") if not given
@@ -142,7 +141,7 @@ def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
     companion = np.zeros((B, k * d, k * d), dtype=monic.dtype)
     companion[:, :-d, d:] = np.eye((k - 1) * d)
     companion[:, -d:] = np.where(finite[:, None, None], -monic, 0)
-    (mu, vecs), failed = numkernel._stacked(np.linalg.eig, (np.zeros(k * d), np.eye(k * d)),
+    (mu, vecs), failed = numkernel.per_item(np.linalg.eig, (np.zeros(k * d), np.eye(k * d)),
                                             companion)
     # the eigenvector is (v, mu v, .., mu^{k-1} v): read v from its larger end block
     mu = mu.astype(complex)
@@ -165,7 +164,7 @@ def classical_spectrum(p: ClassicalPencil, tol: float = 1e-8) -> RootSet:
     if failure is not None:
         raise failure
     order = np.lexsort((lam.real, lam.imag))
-    return RootSet(lam[order], errors[order], numkernel._min_separation(lam), tol, vectors[order])
+    return RootSet(lam[order], errors[order], tol, vectors[order])
 
 
 @dataclass(frozen=True)
@@ -319,7 +318,7 @@ def _companion_roots(coeffs: np.ndarray, finite: np.ndarray) -> tuple:
     companion = np.zeros(row.shape + (deg,), dtype=row.dtype)
     companion[..., :-1, 1:] = np.eye(deg - 1)
     companion[..., -1, :] = np.where(finite[:, None, None], row, 0)
-    mu, failed = numkernel._stacked(np.linalg.eigvals, np.zeros(row.shape[1:]), companion)
+    mu, failed = numkernel.per_item(np.linalg.eigvals, np.zeros(row.shape[1:]), companion)
     return s * mu, finite, failed
 
 
@@ -382,7 +381,7 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
         for ok, exc, r in zip(finite, failed, rejected)]
 
 
-class _Spectra(NamedTuple):
+class Spectra(NamedTuple):
     """Spectra of a batch of pencils, rows sorted by phase: phases and roots (in the
     pencil's variable), backward errors, unit kernel vectors (B, K, d), failures[i],
     what item i's spectrum raises (None when it has one), and simple[i], whether item
@@ -399,12 +398,12 @@ class _Spectra(NamedTuple):
         """Item i as RootSets of (lam, roots); raises the item's failure."""
         if self.failures[i] is not None:
             raise self.failures[i]
-        return tuple(RootSet(r[i], self.residuals[i], numkernel._min_separation(r[i]), tol,
-                             self.vectors[i]) for r in (self.lam, self.roots))
+        return tuple(RootSet(r[i], self.residuals[i], tol, self.vectors[i])
+                     for r in (self.lam, self.roots))
 
 
-def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float = 1e-7,
-             classical: RootSet | None = None) -> _Spectra:
+def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float = 1e-7,
+            classical: RootSet | None = None) -> Spectra:
     """Spectra of the nu-pencils of a batch of settings that share spec and N; each item
     has its own eps.
 
@@ -422,25 +421,25 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
-            return _Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B,
-                            np.zeros(B, dtype=bool))
+            return Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B,
+                           np.zeros(B, dtype=bool))
         w[:], residuals[:], vectors[:] = q.roots, q.residuals, q.vectors
         simple = numkernel.simple_rows(q.roots[None], separation_tol)  # judged, not raised
-        return _Spectra(w, w, residuals, vectors, [None] * B, np.repeat(simple, B))
+        return Spectra(w, w, residuals, vectors, [None] * B, np.repeat(simple, B))
 
     gamma = np.stack([s.op.gamma for s in settings])
     delays = _Delays.of([s.op for s in settings])
     a_nu, c_nu = coefficient_matrices(spec, nu)
     singular = _is_singular(a_nu)
-    failures = [LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
-                if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
-                if singular else None for e in gamma[:, 0] * gamma[:, -1]]
-    live = np.array([f is None for f in failures])
+    failures, live = numkernel.merge_failures([None] * B, [
+        LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
+        if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
+        if singular else None for e in gamma[:, 0] * gamma[:, -1]])
     # route 2 * (2: gamma_{-j} = -gamma_j, 1: J5 = 0, 0: companion) + (real weights)
     reduction = np.where(~(gamma + gamma[:, ::-1]).any(axis=1), 2, int(not spec.J5.any()))
     routes = 2 * reduction + ~gamma.imag.any(axis=1)
     for route in np.unique(routes[live]):
-        idx = np.flatnonzero(live & (routes == route))
+        idx = live[routes[live] == route]
         blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
         if route < 2:
             w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(blocks, tol)
@@ -460,8 +459,7 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
                 w[idx], vectors[idx], residuals[idx], failed = _preimages(
                     gamma[idx], delays.take(idx), np.linalg.norm(blocks, axis=(2, 3)), pencil,
                     targets, pairs, tol)
-        for i, f in zip(idx, failed):
-            failures[i] = f
+        failures, _ = numkernel.merge_failures(failures, failed, idx)
     z = delays.eps[:, None] * w  # zeta - 1
     # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
     lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
@@ -469,22 +467,22 @@ def _spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float
     order = np.arange(B)[:, None], np.lexsort((lam.real, lam.imag), axis=-1)
     zeta = 1.0 + z[order]
     simple = numkernel.simple_rows(zeta, separation_tol)
-    failures = [f if f or ok else DegenerateRoots("zeta-roots cluster below the separation "
-                                                  "tolerance") for f, ok in zip(failures, simple)]
-    return _Spectra(lam[order], zeta, residuals[order], vectors[order], failures, simple)
+    failures, _ = numkernel.merge_failures(failures, [None if ok else DegenerateRoots(
+        "zeta-roots cluster below the separation tolerance") for ok in simple])
+    return Spectra(lam[order], zeta, residuals[order], vectors[order], failures, simple)
 
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
                             separation_tol: float = 1e-7) -> TranscendentalSpectrum:
     """All 4Nd discrete phases and their kernel vectors, as preimages of the classical
     pairs (antisymmetric weights, or J5 = 0) or from the companion of zeta^{2N} P(zeta)
-    in w = (zeta - 1)/eps: the batch of one of `_spectra`, raising its failure.
+    in w = (zeta - 1)/eps: the batch of one of `spectra`, raising its failure.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    spectra = _spectra([Setting(p.spec, p.op)], p.nu, tol, separation_tol)
-    return TranscendentalSpectrum(*spectra.rootsets(0, tol))
+    batch = spectra([Setting(p.spec, p.op)], p.nu, tol, separation_tol)
+    return TranscendentalSpectrum(*batch.rootsets(0, tol))
 
 
 @dataclass(frozen=True)
@@ -523,8 +521,8 @@ class Setting:
         return transcendental_pencil(self.spec, self.op, nu)
 
     def modes(self, nu: float, separation_tol: float = 1e-7) -> Modes:
-        spectra = _spectra([self], nu, separation_tol=separation_tol)
-        return Modes(self.pencil(nu), *spectra.rootsets(0, 1e-8))
+        batch = spectra([self], nu, separation_tol=separation_tol)
+        return Modes(self.pencil(nu), *batch.rootsets(0, 1e-8))
 
 
 def constant_systems(settings: list, nu: float) -> tuple:
@@ -564,13 +562,13 @@ class Assumptions:
                 and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
 
 
-def _check_assumptions(settings: list, n: int, tol: float) -> tuple:
+def check_assumptions(settings: list, n: int, tol: float) -> tuple:
     """|roots| = root_count and simple for nu = n and 0, disjointness, and
     nonsingularity at the constant mode, for each setting of a batch: (spectra at
     nu = n and 0, failures, checks).  failures[i] is what item i's spectra raise (None
     when both exist); the checks are a (5, B) bool array in the order of Assumptions."""
-    sp_n, sp_0 = (_spectra(settings, nu, separation_tol=tol) for nu in (n, 0))
-    failures = [f or g for f, g in zip(sp_n.failures, sp_0.failures)]
+    sp_n, sp_0 = (spectra(settings, nu, separation_tol=tol) for nu in (n, 0))
+    failures, _ = numkernel.merge_failures(sp_n.failures, sp_0.failures)
     count = settings[0].root_count
     checks = np.array([*((sp.roots.shape[1] == count) & sp.simple for sp in (sp_n, sp_0)),
                        ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),
@@ -580,8 +578,8 @@ def _check_assumptions(settings: list, n: int, tol: float) -> tuple:
 
 
 def _report(setting: Setting, n: int, tol: float) -> Assumptions:
-    """The Assumptions of one setting: the batch of one of `_check_assumptions`."""
-    sp_n, sp_0, failures, checks = _check_assumptions([setting], n, tol)
+    """The Assumptions of one setting: the batch of one of `check_assumptions`."""
+    sp_n, sp_0, failures, checks = check_assumptions([setting], n, tol)
     if failures[0] is not None:
         return Assumptions(setting, None, None, False, False, False, False, False, False,
                            note=str(failures[0]))

@@ -18,7 +18,6 @@ from . import celsolve, delsolve, numkernel, pencil
 from .celsolve import ModeExpansion, SystemSolution
 from .delsolve import DelSolution
 from .model import LagrangianSpec
-from .numkernel import RootSet
 from .scaleop import ScaleOperator
 
 
@@ -124,14 +123,12 @@ def _integer_cycles(rep: CommensurabilityReport) -> list[int]:
     return out
 
 
-def _choreography_conditions(roots: RootSet, expected: int, tol: float,
+def _choreography_conditions(phases: np.ndarray, tol: float,
                              max_den: int) -> CommensurabilityReport:
-    if len(roots) != expected or not roots.is_simple():
-        raise NotChoreographic(f"spectrum must hold {expected} simple roots")
-    rep = commensurability(roots, tol, max_den)
+    rep = commensurability(phases, tol, max_den)
     if not rep.all_imaginary:
         raise NotChoreographic("spectrum is not purely imaginary")
-    if any(abs(z.imag) <= tol for z in roots.roots):
+    if any(abs(z.imag) <= tol for z in phases):
         raise NotChoreographic("spectrum contains a zero phase")
     if rep.period is None:
         raise NotChoreographic("phases are incommensurable at the given tolerances")
@@ -161,8 +158,10 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
                         max_den: int) -> tuple[Choreography, ModeExpansion, tuple]:
     """Choreography on the nu=0 modes, centred on the constant mode.
 
-    Requires the nu=0 spectrum to be simple nonzero imaginary commensurable
-    phases and the nu=n pencil to be regular at the constant mode.
+    Requires root_count simple nu=0 roots, nonzero imaginary commensurable phases for
+    the modes in play, those with a nonzero amplitude (every mode when none is), and the
+    nu=n pencil to be regular at the constant mode.  A grid's spurious modes are not in
+    play when their amplitudes are zero.
     """
     try:
         modes_0 = setting.modes(0)
@@ -170,17 +169,20 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
             numkernel.NumericalFailure) as exc:
         raise NotChoreographic(str(exc)) from exc
     roots = modes_0.lam
-    rep = _choreography_conditions(roots, setting.root_count, tol, max_den)
+    if len(roots) != setting.root_count or not roots.is_simple():
+        raise NotChoreographic(f"spectrum must hold {setting.root_count} simple roots")
+    amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
+    if len(amplitudes) != len(roots):
+        raise ValueError(f"expected {len(roots)} amplitudes")
+    active = amplitudes != 0
+    in_play = active if active.any() else np.ones_like(active)
+    rep = _choreography_conditions(roots.roots[in_play], tol, max_den)
     try:
         u0 = numkernel.solve_square(*(a[0] for a in pencil.constant_systems([setting], n))).x
     except numkernel.Singular as exc:
         raise NotChoreographic("nu=n pencil is singular at the constant mode") from exc
 
-    amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
-    if len(amplitudes) != len(roots):
-        raise ValueError(f"expected {len(roots)} amplitudes")
-    active = amplitudes != 0
-    phases = _delay_phases(rep, active, n)
+    phases = _delay_phases(rep, active[in_play], n)
     lams = roots.roots[active]
     vecs = amplitudes[active, None] * modes_0.roots.vectors[active]
     u = ModeExpansion(u0, lams, vecs)
@@ -196,8 +198,9 @@ def build_choreography_cel(spec: LagrangianSpec, n: int, amplitudes,
                            ) -> tuple[Choreography, SystemSolution]:
     """Choreographic solution of the continuous equations from nu=0 amplitudes.
 
-    Requires the nu=0 spectrum to be 2d simple nonzero imaginary commensurable
-    phases and the nu=n pencil to be regular at 0 (it fixes the center u0).
+    Requires the nu=0 spectrum to be 2d simple roots, the modes with a nonzero
+    amplitude nonzero imaginary commensurable phases, and the nu=n pencil to be
+    regular at 0 (it fixes the center u0).
     """
     ch, xs, particles = _build_choreography(pencil.Setting(spec), n, amplitudes,
                                             tol, max_den)
@@ -208,7 +211,8 @@ def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
                            amplitudes, t0: float = 0.0, M: int = None,
                            tol: float = 1e-9, max_den: int = 64
                            ) -> tuple[Choreography, DelSolution]:
-    """Discrete choreography from amplitudes on the discrete nu=0 spectrum."""
+    """Discrete choreography from amplitudes on the discrete nu=0 spectrum: spurious
+    roots with a zero amplitude need not be imaginary or commensurable."""
     if M is None:
         raise ValueError("M (node count) is required")
     ch, xs, particles = _build_choreography(pencil.Setting(spec, op), n, amplitudes,
@@ -266,16 +270,12 @@ def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec = None,
     if spec is not None:
         if isinstance(sol, DelSolution):
             grid_vals, xs_vals = sol.sample()
-            op = sol.op
+            op, values = sol.op, grid_vals.values
             eq_scale = (_theta_mass(op) / op.epsilon**2) * _matrix_mass(spec) \
-                * (1.0 + float(np.abs(grid_vals.values).max()))
-            values, nodes = grid_vals.values, np.array(sol.interior_nodes(), dtype=int)
-            worst = 0.0
-            for part in np.split(nodes, range(256, len(nodes), 256)):  # bounded memory
-                r_xs, r_p = delsolve._residuals(spec, op, ch.n, values, xs_vals, part)
-                worst = max(worst, float(np.abs(r_xs).max(initial=0.0)),
-                            float(np.abs(r_p).max(initial=0.0)))
-            residual_error = worst / eq_scale
+                * (1.0 + float(np.abs(values).max()))
+            residuals = delsolve.residuals(spec, op, ch.n, values, xs_vals,
+                                           np.array(sol.interior_nodes(), dtype=int))
+            residual_error = max(float(np.abs(r).max(initial=0.0)) for r in residuals) / eq_scale
             residual_ok = residual_error <= 1e-10
         else:
             worst = 0.0

@@ -83,13 +83,13 @@ CELLS = [(a, b) for a in np.linspace(-1.0, 1.0, 8) for b in np.linspace(-1.0, 1.
 
 def test_grid_solve_is_the_discrete_problem():
     """The referee itself: on a cell whose modes stay bounded its values solve the
-    interior equations (`delsolve._residuals`) and agree with `dirichlet_del`."""
+    interior equations (`delsolve.residuals`) and agree with `dirichlet_del`."""
     cfg = surface_config(100)
     op = ScaleOperator(np.array([-0.5, 0.0, 0.5], dtype=complex), cfg.epsilon)
     head, tail, _, _ = cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
     values = grid_solve(cfg.spec, op, cfg.n, cfg.M, head, tail)
     nodes = np.arange(2, cfg.M - 1)
-    r_xs, r_p = delsolve._residuals(cfg.spec, op, cfg.n, values, values.sum(axis=0), nodes)
+    r_xs, r_p = delsolve.residuals(cfg.spec, op, cfg.n, values, values.sum(axis=0), nodes)
     mass = sum(np.abs(getattr(cfg.spec, k)).sum() for k in ("J1", "J2", "J3", "J4"))
     eq_scale = mass / cfg.epsilon**2 * np.abs(values).max()
     assert max(np.abs(r_xs).max(), np.abs(r_p).max()) <= 1e-14 * eq_scale
@@ -125,7 +125,7 @@ def test_grid_sampler_is_the_direct_anchored_exponential(T):
     times = start + step * np.arange(T)
     anchors = rule_anchors(lams, times)
     eye = np.eye(K, dtype=complex)
-    got = celsolve._grid_values(np.zeros(K), lams, eye, anchors, start, step, T)
+    got = celsolve.grid_values(np.zeros(K), lams, eye, anchors, start, step, T)
     want = celsolve._expansion_values(np.zeros(K), lams, eye, anchors, times)
     assert np.isfinite(got).all() and np.isfinite(want).all()
     scale = np.abs(want).max(axis=0)
@@ -138,7 +138,7 @@ def test_grid_sampler_with_the_default_anchor_is_the_plain_exponential():
     vectors = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     u = ModeExpansion(np.array([0.5, -1.0]), lams, vectors)
     times = 0.25 + 0.01 * np.arange(300)
-    got = celsolve._grid_values(u.u0, u.lambdas, u.vectors, u.anchors, 0.25, 0.01, 300)
+    got = celsolve.grid_values(u.u0, u.lambdas, u.vectors, u.anchors, 0.25, 0.01, 300)
     want = u.value(times)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -155,7 +155,7 @@ def test_real_root_round_trip_recovers_the_anchored_expansion(tf):
     expansion solves back to its amplitudes, with a well-conditioned system, where
     unanchored columns spread e^{+-5 tf}."""
     spec, n = real_root_spec(), 3
-    core = celsolve._Core([pencil.Setting(spec)], n)
+    core = celsolve.Core([pencil.Setting(spec)], n)
     assert np.allclose(np.sort(core.lam_0[0].real), [-5, -2, 2, 5])
     assert not core.lam_0.imag.any()
     phases = np.concatenate([core.lam_n, core.lam_0], axis=1)

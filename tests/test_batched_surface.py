@@ -238,8 +238,8 @@ def degenerate_rows_matrix(monkeypatch):
     spec = make_oscillator_spec(math.sin(a) / eps)
     data = np.cos(a * np.arange(M + 1))
     seen = []
-    original = numkernel._solve_stack
-    monkeypatch.setattr(numkernel, "_solve_stack",
+    original = numkernel.solve_stack
+    monkeypatch.setattr(numkernel, "solve_stack",
                         lambda a, b: seen.append(a) or original(a, b))
     with pytest.raises(SingularBoundarySystem):
         delsolve.dirichlet_del(spec, scaleop.central_difference(eps), 1, 0.0, M,
@@ -255,7 +255,7 @@ def test_stacked_solve_matches_one_solve_per_matrix(monkeypatch):
     regular = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
     stack = np.stack([regular[0], degenerate, np.zeros((K, K)), regular[1]]).astype(complex)
     rhs = rng.standard_normal((4, K)) + 0j
-    x, failures = numkernel._solve_stack(stack, rhs)
+    x, failures = numkernel.solve_stack(stack, rhs)
     for i in range(4):
         try:
             want = numkernel.solve_square(stack[i], rhs[i])
@@ -268,10 +268,10 @@ def test_stacked_solve_matches_one_solve_per_matrix(monkeypatch):
 
 
 def solved_operators(monkeypatch):
-    """The operators that reach `delsolve._dirichlet`, in order, as they are solved."""
+    """The operators that reach `delsolve.boundary_problem`, in order, as they are solved."""
     seen = []
-    original = delsolve._dirichlet
-    monkeypatch.setattr(delsolve, "_dirichlet",
+    original = delsolve.boundary_problem
+    monkeypatch.setattr(delsolve, "boundary_problem",
                         lambda spec, ops, *args: seen.extend(ops) or original(spec, ops, *args))
     return seen
 

@@ -1,6 +1,6 @@
 """The batched epsilon sweep against the per-epsilon loop it replaces.
 
-`epsilon_sweep` solves every delay of a sweep in one `pencil._spectra` call per N
+`epsilon_sweep` solves every delay of a sweep in one `pencil.spectra` call per N
 and reuses its classical spectrum; `transcendental_spectrum` is the batch of one.
 Each entry's distance, pencil error and note must be bit for bit what one spectrum
 per delay gives.
@@ -107,7 +107,7 @@ def test_an_empty_window_is_noted_as_in_the_loop():
 
 
 def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
-    calls = {"eig": 0, "_spectra": 0}
+    calls = {"eig": 0, "spectra": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -119,9 +119,9 @@ def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(np.linalg, "eig")
-    counted(pencil, "_spectra")
+    counted(pencil, "spectra")
     for family in (central_difference, five_point):
-        calls.update(eig=0, _spectra=0)
+        calls.update(eig=0, spectra=0)
         result = convergence.epsilon_sweep(make_reference_spec(), family, 0.0, EPSILONS)
         assert result.valid()[:-1].all()
-        assert calls == {"eig": 1, "_spectra": 1}
+        assert calls == {"eig": 1, "spectra": 1}

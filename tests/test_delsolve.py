@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,9 +64,23 @@ class TestGeneralSolution:
         grid, _ = one[0].sample()
         assert np.abs(grid.values).max() > 1e300
         with pytest.raises(numkernel.NumericalFailure,
-                           match=r"max Re lam \(tf - t0\) = 7(09|11)\.\d\d against "
+                           match=r"max Re lam \(t - a\) = 7(09|11)\.\d\d against "
                                  r"log\(max float\) = 709\.78"):
             one[1].sample()
+
+    def test_overflowing_samples_name_the_growth_from_the_anchors(self):
+        """Samples on [340, 350] overflow: the growth named is max Re lam (t - a) at the
+        anchors 0, as a value at t = 350 names it, not max Re lam (tf - t0)."""
+        spec = LagrangianSpec(1, 2, [[1.0]], [[4.0]], [[0.1]], [[0.5]])
+        sol = general_solution_del(spec, central_difference(0.01), 2, np.ones(4),
+                                   np.ones((1, 4)), 340.0, 1000)
+        with pytest.raises(numkernel.NumericalFailure) as sampled:
+            sol.sample()
+        with pytest.raises(numkernel.NumericalFailure) as valued:
+            sol.particles[0].value(350.0)
+        growth = [float(re.search(r"= (\d+\.\d\d) against", str(e.value)).group(1))
+                  for e in (sampled, valued)]
+        assert growth[0] > 709.78 and growth[0] == growth[1]
 
     def test_a_user_grid_with_non_finite_values_stays_a_value_error(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -193,8 +208,8 @@ class TestDirichlet:
         head = data[:2].reshape(1, 2, 1)
         tail = data[-2:].reshape(1, 2, 1)
         seen = []
-        solve = numkernel._solve_stack
-        monkeypatch.setattr(numkernel, "_solve_stack",
+        solve = numkernel.solve_stack
+        monkeypatch.setattr(numkernel, "solve_stack",
                             lambda a, b: seen.append(a[0]) or solve(a, b))
         with pytest.raises(SingularBoundarySystem):
             dirichlet_del(spec, op, 1, 0.0, M, head, tail)
@@ -294,8 +309,8 @@ class TestRecurrenceMarch:
         seeds = 1e-3 * (rng.standard_normal((1 + n, 8, d))
                         + 1j * rng.standard_normal((1 + n, 8, d)))
         with pytest.raises(numkernel.NumericalFailure,
-                           match=r"march is not finite from node \d+: growth log max \|x\| = "
-                                 r"7\d\d\.\d\d by node \d+, against log\(max float\) = 709\.78"):
+                           match=r"march is not finite from node \d+: growth log max \|x\| by "
+                                 r"node \d+ = 7\d\d\.\d\d against log\(max float\) = 709\.78"):
             recurrence_march(spec, op, n, seeds[0], seeds[1:], 2000)
         assert not recwarn.list
 

@@ -42,7 +42,7 @@ are solved).  Only cell (0.5, -0.5) moved, from 3.2564239231630356 to
 its reverse.  On eight benchmark surfaces (seeds 1-8) every cell kept its
 status and 1 to 3 ok metrics a surface moved, the window errors by at most 7.8e-13
 relative; `test_batched_surface.py` holds every member of a class to its own lone solve.
-The discrete solve and choreography kept their bytes when `celsolve._grid_values` came
+The discrete solve and choreography kept their bytes when `celsolve.grid_values` came
 to turn its end-anchored modes round in place.
 
 The five-point sweep at small eps guards the summation order of the batched sweep: a

@@ -90,7 +90,7 @@ def test_kernel_over_all_nodes_is_the_one_node_residual(name):
     op = OPERATORS[name](0.05)
     spec = full_spec(3)
     vals, xs_vals = random_grid(np.random.default_rng(1), 3, 40)
-    r_xs, r_p = delsolve._residuals(spec, op, 3, vals, xs_vals, np.arange(41))
+    r_xs, r_p = delsolve.residuals(spec, op, 3, vals, xs_vals, np.arange(41))
     grid = TrajectoryGrid(0.0, op.epsilon, vals)
     scale = max(np.abs(r_xs).max(), np.abs(r_p).max())
     for m in range(41):  # a batch may round differently from one node
@@ -148,7 +148,7 @@ def test_cached_blocks_give_the_rebuilt_residuals_bit_for_bit(name, n):
     spec = full_spec(n)
     for M in (4 * op.N, 4 * op.N + 1, 60):  # every node, the boundary layers included
         vals, xs_vals = random_grid(np.random.default_rng(10 * M + n), n, M)
-        delsolve._residuals(spec, op, n, vals, xs_vals, np.arange(M + 1))
+        delsolve.residuals(spec, op, n, vals, xs_vals, np.arange(M + 1))
         grid = TrajectoryGrid(0.0, op.epsilon, vals)
         for m in range(M + 1):
             residual_del(spec, op, n, grid, m, xs_vals)

@@ -76,6 +76,28 @@ class TestEnergy:
             values.append(energy(ref_spec, ParticleState(x, v)))
         assert abs(values[0] - values[1]) <= 1e-10 * max(1.0, abs(values[0]))
 
+    def test_the_velocity_linear_term_drops_out(self, ref_spec):
+        """J6·v does not enter the equations of motion, and the Jacobi integral
+        sum v·dL/dv - L cancels it: with J6 = (1, -2) the energy along a trajectory
+        on the bounded modes is constant and equal to that of J6 = 0."""
+        spec = LagrangianSpec(2, 3, ref_spec.J1, ref_spec.J2, ref_spec.J3, ref_spec.J4,
+                              None, [1.0, -2.0])
+        rng = np.random.default_rng(28)
+        lam_n, lam_0 = (pencil.classical_spectrum(pencil.classical_pencil(spec, nu)).roots
+                        for nu in (3, 0))
+        amps = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) \
+            * (np.abs(lam_n.real) < 1e-9)
+        extras = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) \
+            * (np.abs(lam_0.real) < 1e-9)
+        sol = celsolve.general_solution_cel(spec, 3, amps, extras)
+        values = []
+        for t in (0.3, 1.7):
+            x = np.array([p.value(t).real for p in sol.particles])
+            v = np.array([p.derivative(t).real for p in sol.particles])
+            values.append([energy(s, ParticleState(x, v)) for s in (spec, ref_spec)])
+        assert values[0][0] == pytest.approx(values[1][0], rel=1e-12)
+        assert values[0][0] == values[0][1] and values[1][0] == values[1][1]
+
 
 class TestAssembleBlocks:
     def test_uncoupled_identity(self):

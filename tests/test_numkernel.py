@@ -213,7 +213,7 @@ def backward_error(a, x, b):
 
 
 class TestStackedElimination:
-    """`_solve_stack`'s pivots and Singular test against scipy's LAPACK LU, item by item."""
+    """`solve_stack`'s pivots and Singular test against scipy's LAPACK LU, item by item."""
 
     @staticmethod
     def stack(rng, K):
@@ -260,7 +260,7 @@ class TestStackedElimination:
         lead, want = got[4:, :K - 2], lapack[4:, :K - 2]
         big = want > 1e-12 * scale[4:, None]
         assert np.all(np.abs(lead - want)[big] <= 1e-12 * want[big])
-        x, failures = numkernel._solve_stack(stack, rhs)
+        x, failures = numkernel.solve_stack(stack, rhs)
         singular = [False, False, True, False] + [True] * (len(stack) - 4)
         assert [isinstance(f, Singular) for f in failures] == singular
         for i in regular:
@@ -278,7 +278,7 @@ class TestStackedElimination:
             return rng.standard_normal((20, *shape)) + 1j * rng.standard_normal((20, *shape))
 
         stack = random(K, K - 1) @ random(K - 1, K)
-        x, failures = numkernel._solve_stack(stack, random(K, 1))
+        x, failures = numkernel.solve_stack(stack, random(K, 1))
         assert all(isinstance(f, Singular) for f in failures) and not x.any()
 
     def test_only_a_lone_solve_computes_a_condition_number(self, monkeypatch):
@@ -287,7 +287,7 @@ class TestStackedElimination:
         rhs = rng.standard_normal((3, 4)) + 0j
         cond, seen = np.linalg.cond, []
         monkeypatch.setattr(np.linalg, "cond", lambda a: seen.append(a.shape) or cond(a))
-        x, failures = numkernel._solve_stack(stack, rhs)
+        x, failures = numkernel.solve_stack(stack, rhs)
         assert failures == [None] * 3 and seen == []
         res = solve_square(stack[1], rhs[1])
         assert np.array_equal(res.x, x[1]) and res.cond == cond(stack[1])
@@ -304,7 +304,7 @@ class TestStackedElimination:
             raise AssertionError("np.linalg.solve called")
 
         monkeypatch.setattr(np.linalg, "solve", failing)
-        x, failures = numkernel._solve_stack(stack, rhs)
+        x, failures = numkernel.solve_stack(stack, rhs)
         assert failures == [None] * 3
         for i in range(3):
             assert backward_error(stack[i], x[i], rhs[i]) <= 1e-15
@@ -312,7 +312,7 @@ class TestStackedElimination:
 
     def test_a_non_finite_solution_is_a_numerical_failure(self):
         stack = np.array([[[1e-200]], [[2.0]], [[1e-200]]], dtype=complex)
-        x, failures = numkernel._solve_stack(stack, np.array([[1e200], [1.0], [1.0]]))
+        x, failures = numkernel.solve_stack(stack, np.array([[1e200], [1.0], [1.0]]))
         assert type(failures[0]) is numkernel.NumericalFailure
         assert str(failures[0]) == "non-finite solution"
         assert failures[1:] == [None, None]
@@ -326,7 +326,7 @@ class TestStackedElimination:
         big = np.diag([1e300, 1e300]).astype(complex)
         stack = np.stack([big, big, big, np.eye(2, dtype=complex)])
         rhs = np.array([[1e-300, 1e-10], [0, 0], [1e-300, 1e-7], [1e-300, 0]])
-        x, failures = numkernel._solve_stack(stack, rhs)
+        x, failures = numkernel.solve_stack(stack, rhs)
         assert type(failures[0]) is numkernel.NumericalFailure
         assert str(failures[0]) == "solution underflows" and not x[0].any()
         assert failures[1:] == [None] * 3
@@ -345,7 +345,7 @@ class TestStackedElimination:
         seen = []
         lu_solve = numkernel._lu_solve
         monkeypatch.setattr(numkernel, "_lu_solve", lambda a, b: seen.append(a) or lu_solve(a, b))
-        x, failures = numkernel._solve_stack(stack, rhs)
+        x, failures = numkernel.solve_stack(stack, rhs)
         assert [len(a) for a in seen] == [2] and np.isfinite(seen[0]).all()
         assert str(failures[1]) == "non-finite entries"
         assert type(failures[1]) is numkernel.NumericalFailure
@@ -393,7 +393,7 @@ def test_each_stacked_item_solves_or_fails_as_its_lone_solve(planted):
     """Every item either has a finite x of backward error <= 1e-12 or a Singular /
     NumericalFailure, and each is bitwise what its batch-of-one `solve_square` gives."""
     stack, rhs = planted
-    x, failures = numkernel._solve_stack(stack, rhs)
+    x, failures = numkernel.solve_stack(stack, rhs)
     for i, failure in enumerate(failures):
         try:
             want = solve_square(stack[i], rhs[i])

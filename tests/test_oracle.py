@@ -173,7 +173,7 @@ def test_antisymmetric_backward_errors_are_the_50_digit_ones(monkeypatch, name, 
     seen, original = [], pencil._preimages
     monkeypatch.setattr(pencil, "_preimages",
                         lambda *args: seen.append(original(*args)) or seen[-1])
-    pencil._spectra([pencil.Setting(spec, op)], nu)
+    pencil.spectra([pencil.Setting(spec, op)], nu)
     (w,), (v,), (errors,), _ = seen[0]
     with mp.workdps(50):
         coeffs = shifted_coeffs(zeta_coeffs(spec, op, nu), eps)

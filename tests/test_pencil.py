@@ -237,7 +237,7 @@ class TestCompanionErrorPaths:
 
         monkeypatch.setattr(np.linalg, "eig", no_convergence)  # the classical (C, B, A) solve
         ops = [None, None] if eps is None else [central_difference(e) for e in eps]
-        failures = pencil._spectra([pencil.Setting(ref_spec, op) for op in ops], 0).failures
+        failures = pencil.spectra([pencil.Setting(ref_spec, op) for op in ops], 0).failures
         assert len(failures) == 2 and failures[0] is failures[1]
         assert str(failures[0]) == "companion eigen-solve failed: planted failure"
         assert failures[0].__traceback__ is None
@@ -253,7 +253,7 @@ class TestCompanionErrorPaths:
     def test_non_finite_coefficients_are_a_numerical_failure(self, recwarn, block, value):
         """A NaN in a lower block used to read as LeadingSingular (infinite eigenvalues),
         and an inf in the leading block as LeadingSingular or a backward-error failure
-        with worst nan.  Both are what `_solve_stack` makes of non-finite entries, a
+        with worst nan.  Both are what `solve_stack` makes of non-finite entries, a
         NumericalFailure, and the batch's other items keep every bit."""
         rng = np.random.default_rng(6)
         blocks = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
@@ -322,7 +322,7 @@ class TestHalfDegreeRoute:
         ops = [ScaleOperator(g, eps)
                for g in random_j5_zero_weights(np.random.default_rng(21), N, 50)]
         calls = preimage_calls(monkeypatch)
-        pencil._spectra([pencil.Setting(ref_spec, op) for op in ops], nu)
+        pencil.spectra([pencil.Setting(ref_spec, op) for op in ops], nu)
         ((gamma, delays, _, _, targets, _, _), (w, _, _, failures)), = calls
         assert failures == [None] * len(ops)
         coeffs = (-pencil._symbols(gamma, delays)[1][:, None] / delays.eps2[:, None, None]
@@ -531,7 +531,7 @@ class TestSymbolReductions:
                    for eps in (1e-3, 1e-2, 0.1, 0.2)]
         calls = recorded_preimages(monkeypatch)
         for N in {op.N for op in ops}:  # a batch shares N
-            pencil._spectra([pencil.Setting(spec, op) for op in ops if op.N == N], nu)
+            pencil.spectra([pencil.Setting(spec, op) for op in ops if op.N == N], nu)
         assert calls
         for gamma, delays, (w, vectors, errors, failures) in calls:
             assert failures == [None] * len(gamma)
@@ -598,7 +598,7 @@ class TestSymbolReductions:
         family = {"central": central_difference, "five_point_gyroscopic": five_point,
                   "complex": ANTISYMMETRIC["complex"], "mixed_five_point": mixed_five_point}
         ops = [family[case](eps) for eps in (1e-3, 0.01, 0.05, 0.2)]
-        batch = pencil._spectra([pencil.Setting(spec, op) for op in ops], nu)
+        batch = pencil.spectra([pencil.Setting(spec, op) for op in ops], nu)
         assert batch.failures.count(None) >= 3
         for i, op in enumerate(ops):
             if batch.failures[i] is not None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from choreoqep import pencil
+from choreoqep.model import LagrangianSpec, construct_j4
 from choreoqep.numkernel import RootSet
 from choreoqep.periodic import (Choreography, DelayResonant, NotChoreographic,
                                 build_choreography_cel, build_choreography_del,
@@ -12,7 +13,7 @@ from choreoqep.periodic import (Choreography, DelayResonant, NotChoreographic,
                                 is_periodic_del, verify_choreography)
 from choreoqep.scaleop import central_difference, k_family
 
-from conftest import (make_curve_spec, make_discrete_tuned_spec_d3,
+from conftest import (J1, J2, J3, make_curve_spec, make_discrete_tuned_spec_d3,
                       make_oscillator_spec, make_reference_spec)
 
 TWO_PI = 2.0 * math.pi
@@ -164,6 +165,23 @@ class TestChoreographyDel:
         op = ScaleOperator(np.array([-0.7, 0.4, 0.3]), TWO_PI / 100)
         with pytest.raises(NotChoreographic):
             build_choreography_del(ref_spec, op, 3, np.ones(8), 0.0, 100)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
+    def test_spurious_roots_without_amplitude_do_not_bind(self, eps):
+        """J4 tuned to the discrete targets sin(eps w)/eps puts +-2i and +-5i in the grid's
+        nu = 0 spectrum; its spurious roots +-(pi/eps - w)i are incommensurable with them,
+        but with zero amplitudes they are not in play, and the choreography has T = 2 pi."""
+        targets = [math.sin(w * eps) / eps for w in (2.0, 5.0)]
+        spec = LagrangianSpec(2, 3, J1, J2, J3,
+                              construct_j4(J1, J2, J3, *targets, targets[1] ** 2))
+        op = central_difference(eps)
+        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        physical = np.isclose(np.abs(lam.imag), 2.0) | np.isclose(np.abs(lam.imag), 5.0)
+        assert physical.sum() == 4 and len(lam) == 8
+        ch, sol = build_choreography_del(spec, op, 3, physical.astype(float), 0.0,
+                                         round(TWO_PI / eps))
+        assert abs(ch.T - TWO_PI) <= 1e-14
+        assert verify_choreography(ch, sol, spec).all_ok
 
     def test_resonance_with_n3(self):
         # the ±3i mode has e^(3i * 2pi/3) = 1: the delay sums do not cancel

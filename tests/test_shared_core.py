@@ -43,7 +43,7 @@ def test_dirichlet_cel_computes_each_spectrum_and_basis_once(monkeypatch, ref_sp
 def del_solve_calls(monkeypatch, spec, op):
     """dirichlet_del's batched spectrum calls, _eigenpairs block shapes and reference-path
     calls."""
-    spectra = count_calls(monkeypatch, pencil, "_spectra")
+    spectra = count_calls(monkeypatch, pencil, "spectra")
     shapes = record_eigenpair_blocks(monkeypatch)
     references = [count_calls(monkeypatch, numkernel, name) for name in REFERENCE_PATHS]
     rng = np.random.default_rng(2)

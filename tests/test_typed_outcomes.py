@@ -5,15 +5,18 @@ without J5), real and complex weights with N = 1..2 and delays in [1e-4, 0.3],
 either return finite roots or raise one of the documented exceptions, and print
 nothing to the process's standard output.  So do the grid entry points on grids
 of 2 to 41 nodes (fewer than 4N + 1 included): `residual_del` at every node is
-`_residuals` over all nodes, the march and the discrete solves return finite
-values or raise one of their documented exceptions.
+`residuals` over all nodes, the march and the discrete solves return finite
+values or raise one of their documented exceptions.  The continuous solves
+(`dirichlet_cel`, `general_solution_cel`) and both choreography builders, sampled over
+their interval, give finite values or raise one of the errors the CLI documents; the
+builders get amplitudes on every mode, on one mode, or on about half of them.
 """
 import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from choreoqep import cli, convergence, delsolve, numkernel, pencil
+from choreoqep import celsolve, cli, convergence, delsolve, numkernel, pencil, periodic
 from choreoqep.model import LagrangianSpec, validate_spec
 from choreoqep.scaleop import ScaleOperator
 
@@ -107,7 +110,7 @@ def test_grid_entry_points_are_finite_or_a_documented_failure(capfd, spec, famil
     vals = complex_normal(rng, (n, M + 1, d))
     xs_vals = vals.sum(axis=0)
     grid = delsolve.TrajectoryGrid(0.0, eps, vals)
-    r_xs, r_p = delsolve._residuals(spec, op, n, vals, xs_vals, np.arange(M + 1))
+    r_xs, r_p = delsolve.residuals(spec, op, n, vals, xs_vals, np.arange(M + 1))
     assert np.isfinite(r_xs).all() and np.isfinite(r_p).all()
     scale = max(np.abs(r_xs).max(), np.abs(r_p).max())
     for m in range(M + 1):
@@ -132,4 +135,41 @@ def test_grid_entry_points_are_finite_or_a_documented_failure(capfd, spec, famil
         except SOLVE_ERRORS:
             continue
         assert np.isfinite(sampled.values).all() and np.isfinite(xs).all()
+    assert capfd.readouterr().out == ""
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs(), weight_families(), delays, st.floats(0.1, 20.0),
+       st.sampled_from(["all", "one", "half"]), st.integers(0, 2**32 - 1))
+def test_continuous_solves_and_choreographies_are_finite_or_a_documented_failure(
+        capfd, spec, family, eps, span, active, seed):
+    op, n, d, rng = family(eps), spec.n, spec.d, np.random.default_rng(seed)
+    times, M = np.linspace(0.0, span, 33), max(1, round(span / eps))
+
+    def amplitudes(size):
+        keep = {"all": np.ones(size, dtype=bool), "one": np.arange(size) == rng.integers(size),
+                "half": rng.random(size) < 0.5}[active]
+        return complex_normal(rng, size) * keep
+
+    def values(sol):
+        return [e.value(times) for e in (sol.xs, *sol.particles)]
+
+    def choreography(ch, sol):
+        return [ch.u.value(times), ch.T, *values(sol)]
+
+    K = 2 * d
+    runs = (lambda: values(celsolve.dirichlet_cel(spec, n, 0.0, span, complex_normal(rng, (n, d)),
+                                                  complex_normal(rng, (n, d)))[0]),
+            lambda: values(celsolve.general_solution_cel(spec, n, complex_normal(rng, K),
+                                                         complex_normal(rng, (n - 1, K)))),
+            lambda: choreography(*periodic.build_choreography_cel(spec, n, amplitudes(K))),
+            lambda: choreography(*periodic.build_choreography_del(
+                spec, op, n, amplitudes(2 * op.N * K), 0.0, M)))
+    for run in runs:
+        try:
+            out = run()
+        except SOLVE_ERRORS:
+            continue
+        assert all(np.isfinite(v).all() for v in out)
     assert capfd.readouterr().out == ""
