@@ -85,7 +85,7 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
-                  K_radius: float = None, grid_points: int = 21) -> SweepResult:
+                  K_radius: float = None) -> SweepResult:
     """Hausdorff distances and pencil errors over a family of delays.
 
     op_family maps epsilon to a ScaleOperator.  The sweep is one batch: the delays
@@ -102,7 +102,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     q_cls = pencil.classical_spectrum(p_cls)
     if K_radius is None:
         K_radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
-    axis = np.linspace(-K_radius, K_radius, grid_points)
+    axis = np.linspace(-K_radius, K_radius, 21)  # a 21 x 21 grid of pencil errors
     lam_grid = (axis[:, None] + 1j * axis[None, :]).ravel()
 
     ops = [op_family(float(eps)) for eps in epsilons]

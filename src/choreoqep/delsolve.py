@@ -10,9 +10,9 @@ t in [t0 + 2N eps, tf - 2N eps]; residuals outside that window are
 generically nonzero and document the boundary layer.
 
 A node's windowed equations are one linear map of its window values plus a constant,
-fixed by its class [a, b] (nodes before and after, capped at 2N): `_residual_map` folds
-the `WindowTables` stencil into the equation blocks once per (spec, n, operator value),
-for `residual_del` at one node and `residuals` over nodes, one product per class.  The
+fixed by its class [a, b] (nodes before and after, capped at 2N): `_residual_map` builds
+it from the banded operator matrix D once per (spec, n, operator value), for
+`residual_del` at one node and `residuals` over nodes, one product per class.  The
 march's step is the same map's interior class [2N, 2N], solved for node c+2N: it moves
 x_s and the particles in one loop, one 4Nd x 3d product a step.
 """
@@ -254,19 +254,30 @@ def _equation_blocks(spec: LagrangianSpec, n: int) -> tuple:
 
 
 def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
-    """(W_xs, W_p, forcing): at a node of class [a, b], the x_s window times W_xs[a, b]
-    ((4N+1)d x 2d) is the x_s equation and the particles' x_s source, a particle window
-    times W_p[a, b] their equation, less n forcing[a, b] and forcing[a, b].  W is the
-    stencil rows over the negated `_equation_blocks`; keyed by operator value, not object."""
+    """(W_xs, W_p, forcing) by window class [a, b]: a node with a nodes before it and b
+    after (each capped at 2N; [2N, 2N] is the interior) is node a of an (a+b+1)-node grid
+    with the banded D[i, i+j] = gamma_j.  Rows a of D^T D/eps^2, (D - D^T)/eps and the unit
+    give [boxbox f, sigma f, f] on nodes m-2N..m+2N; over the negated `_equation_blocks`
+    the x_s window times W_xs[a, b] ((4N+1)d x 2d) is the x_s equation and the particles'
+    x_s source, a particle window times W_p[a, b] their equation, less n forcing[a, b] and
+    forcing[a, b] = (D^T 1)_a/eps J6 + J7.  Keyed by operator value, not object."""
     key = ("residual_map", n, op.N, op.epsilon, op.gamma.tobytes())
     if key not in spec._derived:
-        d, A = spec.d, 2 * op.N + 1
+        N, R, d, eps = op.N, 2 * op.N, spec.d, op.epsilon
+        D = sum(np.diag(np.full(2 * R + 1 - abs(j), g), j)
+                for j, g in zip(range(-N, N + 1), op.gamma))  # D[i, i+j] = gamma_j
+        stencil = np.zeros((R + 1, R + 1, 3, 2 * R + 1), complex)
+        stencil[:, :, 2, R], box1 = 1.0, np.zeros((R + 1, R + 1), complex)
+        for a, b in np.ndindex(R + 1, R + 1):
+            grid, at = D[:a + b + 1, :a + b + 1], slice(R - a, R + b + 1)
+            stencil[a, b, :2, at] = grid[:, a] @ grid / eps**2, (grid[a] - grid[:, a]) / eps
+            box1[a, b] = grid[:, a].sum() / eps
         xs_block, source_block, particle_block = _equation_blocks(spec, n)
         spec._derived[key] = tuple(
-            np.einsum("abrj,rck->abjck", op.windows.stencil, -block.reshape(3, d, -1),
-                      order="C").reshape(A, A, (2 * A - 1) * d, -1)
+            np.einsum("abrj,rck->abjck", stencil, -block.reshape(3, d, -1),
+                      order="C").reshape(R + 1, R + 1, (2 * R + 1) * d, -1)
             for block in (np.hstack([xs_block, source_block]), particle_block)) + (
-            op.windows.box1[..., None] * spec.J6 + spec.J7,)
+            box1[..., None] * spec.J6 + spec.J7,)
     return spec._derived[key]
 
 

@@ -520,20 +520,20 @@ class Setting:
             return classical_pencil(self.spec, nu)
         return transcendental_pencil(self.spec, self.op, nu)
 
-    def modes(self, nu: float, separation_tol: float = 1e-7) -> Modes:
-        batch = spectra([self], nu, separation_tol=separation_tol)
+    def modes(self, nu: float) -> Modes:
+        batch = spectra([self], nu)
         return Modes(self.pencil(nu), *batch.rootsets(0, 1e-8))
 
 
 def constant_systems(settings: list, nu: float) -> tuple:
     """Per setting of a batch: the pencil value at the constant mode (lam = 0, zeta = 1)
     and the right-hand side fixing the constant mode of one particle, J7 + s_bar(0) J6.
-    s_bar(0) = sum(gamma)/eps (0 when continuous) is the interior value of the adjoint
+    s_bar(0) = sum(gamma)/eps, each item's own (0 when continuous), is the interior adjoint
     on 1; the pencil there is -A_nu s_bar(0)^2 - C_nu, as sigma1_hat(1) = 0."""
-    spec, op = settings[0].spec, settings[0].op
+    spec = settings[0].spec
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    sbar0 = np.zeros(len(settings)) if op is None else \
-        np.stack([s.op.gamma for s in settings]).sum(axis=1) / op.epsilon
+    sbar0 = np.zeros(len(settings)) if settings[0].op is None else np.stack(
+        [s.op.gamma for s in settings]).sum(axis=1) / [s.op.epsilon for s in settings]
     return -(sbar0**2)[:, None, None] * a_nu - c_nu, spec.J7 + sbar0[:, None] * spec.J6
 
 

@@ -9,9 +9,10 @@ adjoint (mirrored-shift) operator uses f(t − j eps) with chi_j weights and
 converges to −d/dt; their composition carries the discrete second-derivative
 symbol exposed below.
 
-On a grid the windows are integers (`chi_node`); each operator caches read-only
-theta/sigma1 coefficients, `WindowTables` and the binomial `shift` to (zeta - 1)/eps.
-The time-based `chi` and `*box_apply` functions apply the same operators node by node.
+On nodes 0..M the forward operator is D/eps, with the banded D[i, i+j] = gamma_j
+(0 <= i+j <= M), and the adjoint D^T/eps; each operator caches read-only theta/sigma1
+coefficients and the binomial `shift` to (zeta - 1)/eps.  The time-based `chi` and
+`*box_apply` functions apply the same operators node by node.
 """
 from __future__ import annotations
 
@@ -59,11 +60,6 @@ class ScaleOperator:
     def sigma1(self) -> np.ndarray:
         """sigma1_coefficients, computed once per operator (read-only)."""
         return _read_only(sigma1_coefficients(self))
-
-    @cached_property
-    def windows(self) -> "WindowTables":
-        """Window weights at every node position, computed once per operator."""
-        return _window_tables(self)
 
     @cached_property
     def shift(self) -> np.ndarray:
@@ -137,39 +133,6 @@ def chi(op: ScaleOperator, j: int, t: float, t0: float, tf: float) -> int:
     lo = max(t0, t0 + j * eps)
     hi = min(tf, tf + j * eps)
     return int(lo - slack <= t <= hi + slack)
-
-
-def chi_node(j: int, m: int, M: int) -> int:
-    """chi_j at grid node m of a grid whose last node is M (integer-exact)."""
-    return int(max(0, j) <= m <= M + min(0, j))
-
-
-class WindowTables(NamedTuple):
-    """Window weights indexed [a, b] by the nodes before (a) and after (b) a
-    node m, each capped at 2N; [2N, 2N] is the interior.  `stencil[a, b]` is
-    (3, 4N+1): applied to f at nodes m-2N..m+2N its rows give
-    (adjoint∘forward f)(m), ((forward − adjoint) f)(m) and f(m)."""
-
-    stencil: np.ndarray
-    box1: np.ndarray  # the adjoint applied to the constant 1
-
-
-def _window_tables(op: ScaleOperator) -> WindowTables:
-    N, R, eps = op.N, 2 * op.N, op.epsilon
-    span, ks = range(R + 1), np.arange(-R, R + 1)
-    # win[a, b, j + R] = chi_j at node a of a grid with last node a + b
-    win = np.array([[[chi_node(j, a, a + b) for j in ks] for b in span] for a in span],
-                   dtype=float)
-    wide = np.zeros(4 * R + 1, dtype=complex)  # gamma_j at j + 2R, zero for |j| > N
-    wide[3 * N:5 * N + 1] = op.gamma
-    gam = wide[R:3 * R + 1]
-    pair = wide[ks[:, None] + ks + 2 * R] * gam  # [k + R, l + R]: gamma_{k+l} gamma_l
-    mirrored = win[..., ::-1]  # chi_{-k}: node m + k lies on the grid
-    stencil = np.zeros((R + 1, R + 1, 3, 2 * R + 1), dtype=complex)
-    stencil[:, :, 0] = mirrored * (win @ pair.T) / eps**2
-    stencil[:, :, 1] = mirrored * (gam - gam[::-1]) / eps
-    stencil[:, :, 2, R] = 1.0
-    return WindowTables(_read_only(stencil), _read_only(win @ gam / eps))
 
 
 def _gather(op: ScaleOperator, f: GridFunction, m: int, t0: float, tf: float,
@@ -259,14 +222,10 @@ def symbol_s_bar(op: ScaleOperator, lam: complex) -> complex:
 def theta_coefficients(op: ScaleOperator) -> np.ndarray:
     """Coefficients g_k = sum_l gamma_{k+l} gamma_l for k = -2N..2N.
 
-    (1/eps^2) sum_k g_k e^{k lam eps} is the interior symbol of adjoint∘forward.
+    (1/eps^2) sum_k g_k e^{k lam eps} is the interior symbol of adjoint∘forward; g is
+    the interior row of D^T D for the banded D[i, i+j] = gamma_j.
     """
-    N = op.N
-    g = np.zeros(4 * N + 1, dtype=complex)
-    for k in range(-2 * N, 2 * N + 1):
-        for l in range(max(-N, -N - k), min(N, N - k) + 1):
-            g[k + 2 * N] += op.gamma_at(k + l) * op.gamma_at(l)
-    return g
+    return np.convolve(op.gamma, op.gamma[::-1])
 
 
 def sigma1_coefficients(op: ScaleOperator) -> np.ndarray:

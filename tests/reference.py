@@ -1,0 +1,76 @@
+"""Test-only referees for the grid layer, built without the package's residual map.
+
+`action_gradient` is the spectrum-free oracle: the discrete equations are the
+stationarity conditions of the discrete action
+
+    S(x) = sum_m L(x_m, (D x)_m / eps),
+    L = sum_j [v_j J1 v_j / 2 + x_j J2 x_j / 2 + x_j J5 v_j + J6 v_j + J7 x_j]
+        + sum_{j != k} [v_j J3 v_k + x_j J4 x_k],
+
+with D the (M+1) x (M+1) banded matrix D[i, i+j] = gamma_j wherever 0 <= i+j <= M (the
+window's truncation at the ends).  Its Hessian H and linear term b are assembled here as
+sparse Kronecker products from the weights and the spec alone, so that the residuals are
+-(H x + b) with no window table, symbol or equation block of the package.
+
+`window_map` is the residual map as it was built from integer window tables (chi_j at
+node m of a grid with last node M is 1 when max(0, j) <= m <= M + min(0, j)), to hold
+the map built from D to those outputs.
+"""
+import numpy as np
+import scipy.sparse as sp
+
+from choreoqep import delsolve
+
+
+def banded(op, M) -> sp.csr_matrix:
+    """D on nodes 0..M: D[i, i+j] = gamma_j where 0 <= i+j <= M."""
+    js = [j for j in range(-op.N, op.N + 1) if abs(j) <= M]
+    return sp.diags([np.full(M + 1 - abs(j), op.gamma[j + op.N]) for j in js], js,
+                    shape=(M + 1, M + 1), format="csr")
+
+
+def action(spec, op, n, M) -> tuple:
+    """(H, b) of the discrete action on n particles over nodes 0..M, unknowns ordered
+    (particle, node, component): grad S(x) = H x + b."""
+    nodes, parts, dim = sp.identity(M + 1), sp.identity(n), sp.identity(spec.d)
+    others = sp.csr_matrix(np.ones((n, n))) - parts  # the ordered pairs j != k
+    P = sp.kron(parts, sp.kron(banded(op, M) / op.epsilon, dim))  # x -> v
+    def pairs(own, other):  # own on each particle's block, 2 other on each pair j != k
+        return sp.kron(parts, sp.kron(nodes, own)) + sp.kron(others, sp.kron(nodes, 2.0 * other))
+
+    kinetic, potential = pairs(spec.J1, spec.J3), pairs(spec.J2, spec.J4)
+    gyro = sp.kron(parts, sp.kron(nodes, spec.J5)) @ P  # x J5 v, a bilinear form
+    H = P.T @ kinetic @ P + potential + gyro + gyro.T
+    ones = np.ones(n * (M + 1))
+    b = P.T @ np.kron(ones, spec.J6) + np.kron(ones, spec.J7)
+    return H.tocsr(), b
+
+
+def action_gradient(spec, op, n, vals) -> np.ndarray:
+    """H x + b at the particle values vals (n, M+1, d), shaped like vals."""
+    H, b = action(spec, op, n, vals.shape[1] - 1)
+    return (H @ vals.ravel() + b).reshape(vals.shape)
+
+
+def window_map(spec, op, n) -> tuple:
+    """(W_xs, W_p, forcing) of `delsolve._residual_map` from chi-weighted window tables."""
+    N, R, eps, d = op.N, 2 * op.N, op.epsilon, spec.d
+    span, ks = range(R + 1), np.arange(-R, R + 1)
+    # win[a, b, j + R] = chi_j at node a of a grid with last node a + b
+    win = np.array([[[int(max(0, j) <= a <= a + b + min(0, j)) for j in ks] for b in span]
+                    for a in span], dtype=float)
+    wide = np.zeros(4 * R + 1, dtype=complex)  # gamma_j at j + 2R, zero for |j| > N
+    wide[3 * N:5 * N + 1] = op.gamma
+    gam = wide[R:3 * R + 1]
+    pair = wide[ks[:, None] + ks + 2 * R] * gam  # [k + R, l + R]: gamma_{k+l} gamma_l
+    mirrored = win[..., ::-1]  # chi_{-k}: node m + k lies on the grid
+    stencil = np.zeros((R + 1, R + 1, 3, 2 * R + 1), dtype=complex)
+    stencil[:, :, 0] = mirrored * (win @ pair.T) / eps**2
+    stencil[:, :, 1] = mirrored * (gam - gam[::-1]) / eps
+    stencil[:, :, 2, R] = 1.0
+    box1 = win @ gam / eps  # the adjoint on 1
+    xs_block, source_block, particle_block = delsolve._equation_blocks(spec, n)
+    return tuple(np.einsum("abrj,rck->abjck", stencil, -block.reshape(3, d, -1),
+                           order="C").reshape(R + 1, R + 1, (2 * R + 1) * d, -1)
+                 for block in (np.hstack([xs_block, source_block]), particle_block)) + (
+        box1[..., None] * spec.J6 + spec.J7,)

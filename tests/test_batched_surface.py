@@ -122,7 +122,7 @@ def test_the_resonant_cell_is_exactly_singular():
     cfg = resonant_config()
     op = scaleop.central_difference(cfg.epsilon)
     a, c = pencil.coefficient_matrices(cfg.spec, cfg.n)
-    boxbox = op.windows.stencil[2, 2, 0]  # weights on nodes m-2..m+2
+    boxbox = op.theta / op.epsilon**2  # the interior weights on nodes m-2..m+2
     with mp.workdps(50):
         coeffs = [mp.mpf(float(a[0, 0])) * mp.mpf(float(w.real)) for w in boxbox[::-1]]
         coeffs[2] += mp.mpf(float(c[0, 0]))

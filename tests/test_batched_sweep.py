@@ -3,12 +3,14 @@
 `epsilon_sweep` solves every delay of a sweep in one `pencil.spectra` call per N
 and reuses its classical spectrum; `transcendental_spectrum` is the batch of one.
 Each entry's distance, pencil error and note must be bit for bit what one spectrum
-per delay gives.
+per delay gives.  The constant-mode systems and assumption checks of a batch with mixed
+delays must be, item by item, those of its batches of one.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from choreoqep import convergence, pencil, scaleop
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
@@ -125,3 +127,32 @@ def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
         result = convergence.epsilon_sweep(make_reference_spec(), family, 0.0, EPSILONS)
         assert result.valid()[:-1].all()
         assert calls == {"eig": 1, "spectra": 1}
+
+
+@st.composite
+def mixed_batches(draw):
+    """Weights uniform in (-1, 1) and 2 to 4 delays log-uniform in [1e-3, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(-1.0, 1.0, 3), 10.0 ** rng.uniform(-3.0, math.log10(2.0),
+                                                          draw(st.integers(2, 4)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(batch=((-0.028329282336421846, 0.7789756686980005, 0.8680870319124994),
+                (0.05, 1.3399983658146783)))  # nu = n is singular at item 1's constant mode
+@given(mixed_batches())
+def test_each_item_of_a_mixed_delay_batch_is_its_batch_of_one(batch):
+    """The constant-mode systems and assumption checks of a batch whose items have their
+    own eps, item by item against the batch of one."""
+    weights, epsilons = batch
+    items = [pencil.Setting(make_reference_spec(), ScaleOperator(weights, eps))
+             for eps in epsilons]
+    _, _, failures, checks = pencil.check_assumptions(items, 3, 1e-7)
+    systems = [pencil.constant_systems(items, nu) for nu in (3, 0)]
+    for i, setting in enumerate(items):
+        _, _, (failure,), lone = pencil.check_assumptions([setting], 3, 1e-7)
+        assert type(failures[i]) is type(failure)
+        assert np.array_equal(checks[:, i], lone[:, 0])
+        for batched, nu in zip(systems, (3, 0)):
+            for got, want in zip(batched, pencil.constant_systems([setting], nu)):
+                assert np.array_equal(got[i], want[0])

@@ -3,7 +3,9 @@
 The residual kernel is one cached linear map per window class and the march
 advances x_s and all particles by one product a step; here both are compared
 with the node-by-node formulas they replaced, written out with `box_apply`,
-`adjoint_box_apply`, `boxbox_apply` and `chi`.
+`adjoint_box_apply`, `boxbox_apply` and `chi`.  The map, built from the banded operator
+matrix D, is also held to the one built from chi-weighted window tables
+(`reference.window_map`).
 """
 import dataclasses
 import gc
@@ -16,6 +18,7 @@ from choreoqep.delsolve import TrajectoryGrid, recurrence_march, residual_del
 from choreoqep.scaleop import (GridFunction, OutOfRange, ScaleOperator,
                                central_difference, k_family)
 
+import reference
 from conftest import make_discrete_tuned_spec_d3, make_reference_spec
 
 from test_shared_core import count_calls
@@ -116,19 +119,10 @@ def test_residual_does_not_depend_on_t0(name):
 
 
 def rebuilt_map(spec, op, n):
-    """`delsolve._residual_map` rebuilt from `pencil.coefficient_matrices` on every
-    call."""
-    d, A = spec.d, 2 * op.N + 1
-    (a_n, c_n), (a_0, c_0) = (pencil.coefficient_matrices(spec, nu) for nu in (n, 0))
-    J3, J4, J5 = spec.J3, spec.J4, spec.J5
-    xs_block = np.concatenate([a_n, J5, c_n], axis=1).T
-    source_block = np.concatenate([2.0 * J3, 0.0 * J5, 2.0 * J4], axis=1).T
-    particle_block = np.concatenate([a_0, J5, c_0], axis=1).T
-    w_xs, w_p = (np.einsum("abrj,rck->abjck", op.windows.stencil, -block.reshape(3, d, -1),
-                           order="C").reshape(A, A, -1, cols)
-                 for block, cols in ((np.hstack([xs_block, source_block]), 2 * d),
-                                     (particle_block, d)))
-    return w_xs, w_p, op.windows.box1[..., None] * spec.J6 + spec.J7
+    """`delsolve._residual_map` built anew: on a fresh copy of the spec,
+    whose cache is empty, and a fresh copy of the operator."""
+    return delsolve._residual_map(dataclasses.replace(spec),
+                                  ScaleOperator(op.gamma.copy(), op.epsilon), n)
 
 
 def bits(a):
@@ -153,6 +147,47 @@ def test_cached_blocks_give_the_rebuilt_residuals_bit_for_bit(name, n):
         for m in range(M + 1):
             residual_del(spec, op, n, grid, m, xs_vals)
         assert same_map(delsolve._residual_map(spec, op, n), rebuilt_map(spec, op, n))
+
+
+def grid_outputs(spec, op, n, M):
+    """The residual map, the residuals over all nodes and at each node, and a march."""
+    vals, xs_vals = random_grid(np.random.default_rng(M + n), n, M)
+    grid = TrajectoryGrid(0.0, op.epsilon, vals)
+    ones = [residual_del(spec, op, n, grid, m, xs_vals) for m in range(M + 1)]
+    return (*delsolve._residual_map(spec, op, n),
+            *delsolve.residuals(spec, op, n, vals, xs_vals, np.arange(M + 1)),
+            np.array([r.xs for r in ones]), np.array([r.particles for r in ones]),
+            *marched(spec, op, n, xs_vals[:4 * op.N], vals[:, :4 * op.N], M))
+
+
+def marched(*args):
+    grid, xs = recurrence_march(*args)
+    return grid.values, xs
+
+
+@pytest.mark.parametrize("name, J6, exact", [
+    ("central", True, True), ("five_point", False, True), ("five_point", True, False),
+    ("k_family", True, False), ("gamma_cell", True, False), ("complex", True, False)])
+def test_the_map_from_D_keeps_the_window_table_outputs(monkeypatch, name, J6, exact):
+    """The map built from the banded D against the one from chi-weighted window tables
+    (`reference.window_map`), with the residuals and the march each gives: bit for bit
+    for the central difference, and for the 5-point operator when J6 = 0 (the adjoint
+    on 1 sums its weights in the other order); within 1e-15 relative otherwise, on grids
+    of 4N + 1 to 4N + 5 nodes (the march's rounding grows with its steps: 1.2e-15 for
+    the k-family at 4N + 9)."""
+    ops = {**OPERATORS, "gamma_cell": lambda eps: ScaleOperator([-0.3, -0.4, 0.7], eps)}
+    op = ops[name](0.05)
+    spec = full_spec(3) if J6 else dataclasses.replace(full_spec(3), J6=None)
+    for M in (4 * op.N, 4 * op.N + 1, 4 * op.N + 4):
+        got = grid_outputs(spec, op, 3, M)
+        monkeypatch.setattr(delsolve, "_residual_map", reference.window_map)
+        want = grid_outputs(dataclasses.replace(spec), op, 3, M)
+        monkeypatch.undo()
+        for a, b in zip(got, want):
+            if exact:
+                assert np.array_equal(bits(a), bits(b))
+            else:
+                assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_equation_blocks_are_built_once_per_spec_and_particle_count(monkeypatch):
@@ -305,7 +340,7 @@ def test_grid_path_never_calls_the_float_window(monkeypatch):
 
 def test_cached_stencil_arrays_are_read_only():
     op = OPERATORS["five_point"](0.1)
-    for arr in (op.gamma, op.theta, op.sigma1, op.shift, *op.windows):
+    for arr in (op.gamma, op.theta, op.sigma1, op.shift):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
 

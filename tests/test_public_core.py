@@ -4,7 +4,8 @@ The batched stages that the lone entry points run are public (`pencil.spectra`,
 `celsolve.Core`, `numkernel.solve_stack`, ...), so every module uses another's code
 through its public names only.  This parses each module of `src/choreoqep` and fails on
 an attribute access `module._name` through a package module it imported, and on
-`from .module import _name`.
+`from .module import _name`.  It also fails on a private top-level name that nothing in
+the package refers to beyond its own definition: a dead helper left behind.
 """
 import ast
 from pathlib import Path
@@ -43,3 +44,55 @@ def test_no_module_uses_another_modules_private_names():
     found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
              if (uses := private_uses(path))}
     assert found == {}
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """{name: definition node} for the private top-level names of one module."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found[name.id] = node
+    return {k: v for k, v in found.items() if k.startswith("_") and not k.startswith("__")}
+
+
+def dead_private_names(paths: list) -> list:
+    """(module, name) for every private top-level name that no code of the modules uses
+    outside the name's own definition."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    uses = {}  # name -> the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    uses.setdefault(alias.name, []).append(node)
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree).items():
+            inside = {id(n) for n in ast.walk(definition)}
+            if all(id(n) in inside for n in uses.get(name, [])):
+                dead.append((module, name))
+    return sorted(dead)
+
+
+def test_the_checker_sees_dead_private_names(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "_LIMIT = 3\n_UNREAD = 4\n\n\ndef _used():\n    return _LIMIT\n\n\n"
+        "def _unused():\n    return _used()\n\n\n"
+        "def _recursive(k):\n    return _recursive(k - 1) if k else 0\n\n\n"
+        "def _elsewhere():\n    return 0\n")
+    (tmp_path / "other.py").write_text("from . import probe\nx = probe._elsewhere()\n")
+    assert dead_private_names(sorted(tmp_path.glob("*.py"))) == [
+        ("probe", "_UNREAD"), ("probe", "_recursive"), ("probe", "_unused")]
+
+
+def test_no_private_name_is_dead():
+    assert dead_private_names(sorted(PACKAGE.glob("*.py"))) == []
