@@ -11,6 +11,8 @@ axis, assembles x_s and the particles, and solves amplitudes from samples at the
 ends of the interval, every item at once, under the batch contract of `numkernel`.
 Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes growing by
 more than e are anchored at the last sample time, others at the first; columns equilibrated.
+The equations of motion are `pencil.equation_blocks`, shared with the grid: `residual_cel`
+applies them to the expansions' exact derivatives.
 """
 from __future__ import annotations
 
@@ -333,32 +335,20 @@ def dirichlet_cel(spec: LagrangianSpec, n: int, t0: float, tf: float,
 
 
 @dataclass(frozen=True)
-class CelResidual:
-    """Left-minus-right of the equations of motion at one time."""
+class Residual:
+    """Left-minus-right of the x_s and particle equations: xs (..., d) and particles
+    (n, ..., d), over the times or grid nodes they were evaluated at."""
 
     xs: np.ndarray
     particles: np.ndarray
 
 
-def residual_cel(spec: LagrangianSpec, n: int, sol: SystemSolution,
-                 t: float) -> CelResidual:
-    """Exact residuals of the summed and per-particle equations at time t.
-
-    Uses analytic derivatives of the expansions.  For the summed variable the
-    equation is A_n x_s'' - 2 J5 x_s' - C_n x_s = n J7; for each particle
-    A_0 x_j'' - 2 J5 x_j' - C_0 x_j = -2 J3 x_s'' + 2 J4 x_s + J7.
-    """
-    a_n, c_n = pencil.coefficient_matrices(spec, n)
-    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
-    xs = sol.xs.value(t)
-    dxs = sol.xs.derivative(t, 1)
-    ddxs = sol.xs.derivative(t, 2)
-    r_xs = a_n @ ddxs - 2.0 * spec.J5 @ dxs - c_n @ xs - n * spec.J7
-    rhs = -2.0 * spec.J3 @ ddxs + 2.0 * spec.J4 @ xs + spec.J7
-    rows = []
-    for p in sol.particles:
-        x = p.value(t)
-        dx = p.derivative(t, 1)
-        ddx = p.derivative(t, 2)
-        rows.append(a_0 @ ddx - 2.0 * spec.J5 @ dx - c_0 @ x - rhs)
-    return CelResidual(r_xs, np.array(rows))
+def residual_cel(spec: LagrangianSpec, n: int, sol: SystemSolution, t) -> Residual:
+    """Exact residuals of the summed and per-particle equations at the time or times t:
+    `pencil.equation_blocks` on the jets [-x'', 2 x', x] of the expansions, from their
+    analytic derivatives."""
+    xs_block, source_block, particle_block = pencil.equation_blocks(spec, n)
+    xs, *particles = (np.concatenate([-e.derivative(t, 2), 2.0 * e.derivative(t), e.value(t)],
+                                     axis=-1) for e in (sol.xs, *sol.particles))
+    r_xs, source = np.split(-xs @ np.hstack([xs_block, source_block]), 2, axis=-1)
+    return Residual(r_xs - n * spec.J7, (source - spec.J7) - np.array(particles) @ particle_block)

@@ -113,9 +113,8 @@ class ExperimentConfig:
     def d(self) -> int:
         return self.spec.d
 
-    def operator(self, epsilon: float = None) -> ScaleOperator:
-        return _build_operator(self.operator_raw, self.epsilon if epsilon is None
-                               else epsilon)
+    def operator(self) -> ScaleOperator:
+        return _build_operator(self.operator_raw, self.epsilon)
 
     def operator_family(self):
         return lambda eps: _build_operator(self.operator_raw, eps)
@@ -327,7 +326,8 @@ def _cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
         sol, _ = celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf)
         return sol
     if cfg.amplitudes:
-        xs, ps = _parse_amplitudes(cfg.amplitudes, 2 * spec.d, n, 2 * spec.d, seed)
+        size = pencil.Setting(spec).root_count
+        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
         return celsolve.general_solution_cel(spec, n, xs, ps)
     raise ConfigParse("solve needs a boundary or amplitudes block")
 
@@ -355,7 +355,7 @@ def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
         sol, _ = delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail)
         return sol
     if cfg.amplitudes:
-        size = 4 * N * spec.d
+        size = pencil.Setting(spec, op).root_count
         xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
         return delsolve.general_solution_del(spec, op, n, xs, ps, cfg.t0, cfg.M)
     raise ConfigParse("solve needs a boundary or amplitudes block")
@@ -369,39 +369,38 @@ def _window_reference(cfg: ExperimentConfig, N: int, cel: celsolve.SystemSolutio
     return *_matched_del_data(cfg, N, cel), times, window
 
 
-def _equation_classes(spec: LagrangianSpec, ops: list) -> tuple[np.ndarray, np.ndarray]:
-    """(representatives, inverse): the first operator of each class in grid order, and
-    each operator's class, for ops sharing N.  A class is one discrete equation, keyed by
-    eps and the weights, -0.0 read as 0.0; when J5 = 0, by the lexicographically lesser of
-    the weights and their reverse, which share theta and s_bar(0).  With J5 != 0 (its
-    sigma1 term changes sign under reversal) only equal operators share a class."""
-    B = len(ops)
+def _equation_classes(spec: LagrangianSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, inverse): the first row of each class in grid order, and each
+    row's class, for weights gammas (B, 2N+1) at one eps.  A class is one discrete
+    equation, keyed by the weights, -0.0 read as 0.0; when J5 = 0, by the lexicographically
+    lesser of the weights and their reverse, which share theta and s_bar(0).  With J5 != 0
+    (its sigma1 term changes sign under reversal) only equal weights share a class."""
+    B = len(gammas)
     if B == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    weights = np.concatenate([op.gamma for op in ops]).view(float).reshape(B, -1) + 0.0
+    weights = np.asarray(gammas, dtype=complex).view(float).reshape(B, -1) + 0.0
     if not spec.J5.any():  # rows of re, im pairs; the reverse turns the pairs round
         reverse = weights.reshape(B, -1, 2)[:, ::-1].reshape(B, -1)
         at = np.arange(B), (weights != reverse).argmax(axis=1)  # first place they differ
         weights = np.where((reverse[at] < weights[at])[:, None], reverse, weights)
-    keys = np.column_stack([[op.epsilon for op in ops], weights])
-    first = {}  # key bytes -> the first operator with that key
+    first = {}  # key bytes -> the first row with that key
     owner = [first.setdefault(key, i) for i, key in enumerate(
-        keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist())]
+        weights.view(np.dtype((np.void, weights.itemsize * weights.shape[1]))).ravel().tolist())]
     representatives = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     return representatives, np.searchsorted(representatives, owner)
 
 
-def _window_errors(cfg: ExperimentConfig, ops: list, reference) -> tuple[list, list, int]:
-    """Per operator: the Euclidean norm of (continuous - discrete) at the
-    `_window_reference` nodes, and its status, "ok" or the class name of what
-    `dirichlet_del` raises for it; and the number of operators solved.  Operators share N
-    and eps.  Only the first operator of each `_equation_classes` class is solved, and
-    every operator takes the row of its class.  The representatives are solved as one
-    batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
+def _window_errors(cfg: ExperimentConfig, gammas: np.ndarray, reference) -> tuple[list, list, int]:
+    """Per row of operator weights gammas (B, 2N+1) at cfg.epsilon: the Euclidean norm of
+    (continuous - discrete) at the `_window_reference` nodes, and its status, "ok" or the
+    class name of what `dirichlet_del` raises for it; and the number of operators solved.
+    Only the first row of each `_equation_classes` class becomes an operator and is
+    solved, and every row takes the result of its class.  The representatives are solved
+    as one batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
     whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
     all particles as one (T, K') @ (K', n d) product a cell (`celsolve.grid_values`)."""
-    representatives, inverse = _equation_classes(cfg.spec, ops)
-    ops = [ops[i] for i in representatives]
+    representatives, inverse = _equation_classes(cfg.spec, gammas)
+    ops = [ScaleOperator(gammas[i], cfg.epsilon) for i in representatives]
     head, tail, times, cel_values = reference
     want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
     errors, status = np.full(len(ops), math.nan), []
@@ -535,14 +534,14 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
         lo = float(block.get("min", -1.0))
         hi = float(block.get("max", 1.0))
         points = int(block.get("points", 41))
-        cells = [(a, b) for a in np.linspace(lo, hi, points) for b in np.linspace(lo, hi, points)]
-        ops = [ScaleOperator(np.array([a, -(a + b), b], dtype=complex), cfg.epsilon)
-               for a, b in cells]
+        axis = np.linspace(lo, hi, points)
+        first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
         reference = _window_reference(cfg, 1, _cel_solution(cfg, seed))
         cap = 3.0 * cfg.M
-        errors, status, solved = _window_errors(cfg, ops, reference)
+        errors, status, solved = _window_errors(
+            cfg, np.stack([first, -(first + last), last], axis=1).astype(complex), reference)
         rows = [[a, b, -math.log(cap if s != "ok" else min(max(err, 1e-300), cap)), s]
-                for (a, b), err, s in zip(cells, errors, status)]
+                for a, b, err, s in zip(first.tolist(), last.tolist(), errors, status)]
         path = out_dir / "error_surface_gamma.csv"
         write_csv(path, ["gamma_m1_re", "gamma_1_re", "metric", "status"], rows)
     else:
@@ -554,7 +553,7 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
             sub = replace(cfg, M=M)
             reference = _window_reference(sub, 1, _cel_solution(sub, seed))
             errors, status, count = _window_errors(
-                sub, [scaleop.k_family(sub.epsilon, k) for k in ks], reference)
+                sub, np.array([scaleop.k_family(sub.epsilon, k).gamma for k in ks]), reference)
             solved += count
             rows += [[k, M, err if s == "ok" else 3.0 * M, s]
                      for k, err, s in zip(ks, errors, status)]

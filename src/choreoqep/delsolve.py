@@ -9,9 +9,11 @@ recurrences only hold where every window factor equals one, i.e. for
 t in [t0 + 2N eps, tf - 2N eps]; residuals outside that window are
 generically nonzero and document the boundary layer.
 
-A node's windowed equations are one linear map of its window values plus a constant,
-fixed by its class [a, b] (nodes before and after, capped at 2N): `_residual_map` builds
-it from the banded operator matrix D once per (spec, n, operator value), for
+The equations are `pencil.equation_blocks`, shared with continuous time, on the jet
+[boxbox x, sigma x, x] in place of [-x'', 2 x', x].  A node's windowed equations are one
+linear map of its window values plus a constant, fixed by its class [a, b] (nodes before
+and after, capped at 2N): `_residual_map` builds it from the banded operator matrix D and
+those blocks once per (spec, n, operator value), for
 `residual_del` at one node and `residuals` over nodes, one product per class.  The
 march's step is the same map's interior class [2N, 2N], solved for node c+2N: it moves
 x_s and the particles in one loop, one 4Nd x 3d product a step.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, pencil
-from .celsolve import Core, DirichletReport, SystemSolution, grid_values
+from .celsolve import Core, DirichletReport, Residual, SystemSolution, grid_values
 from .model import LagrangianSpec
 from .scaleop import OutOfRange, ScaleOperator
 
@@ -210,14 +212,6 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     return TrajectoryGrid(t0, op.epsilon, values[1:]), values[0]
 
 
-@dataclass(frozen=True)
-class DelResidual:
-    """Left-minus-right of the discrete equations at one node."""
-
-    xs: np.ndarray
-    particles: np.ndarray
-
-
 def residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
               xs_vals: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Windowed residuals at grid nodes 0 <= nodes <= M: (K, d) for x_s, (n, K, d)
@@ -240,24 +234,11 @@ def residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
     return r_xs, r_p
 
 
-def _equation_blocks(spec: LagrangianSpec, n: int) -> tuple:
-    """Transposes of [A_n J5 C_n], [2 J3 0 2 J4] and [A_0 J5 C_0], which take
-    [boxbox f, sigma f, f] to the x_s equation, the x_s source of the particle
-    equations and the particle equation; built once per (spec, n)."""
-    key = ("equation_blocks", n)
-    if key not in spec._derived:
-        (a_n, c_n), (a_0, c_0) = (pencil.coefficient_matrices(spec, nu) for nu in (n, 0))
-        J3, J4, J5 = spec.J3, spec.J4, spec.J5
-        spec._derived[key] = tuple(np.concatenate(row, axis=1).T for row in (
-            (a_n, J5, c_n), (2.0 * J3, 0.0 * J5, 2.0 * J4), (a_0, J5, c_0)))
-    return spec._derived[key]
-
-
 def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
     """(W_xs, W_p, forcing) by window class [a, b]: a node with a nodes before it and b
     after (each capped at 2N; [2N, 2N] is the interior) is node a of an (a+b+1)-node grid
     with the banded D[i, i+j] = gamma_j.  Rows a of D^T D/eps^2, (D - D^T)/eps and the unit
-    give [boxbox f, sigma f, f] on nodes m-2N..m+2N; over the negated `_equation_blocks`
+    give [boxbox f, sigma f, f] on nodes m-2N..m+2N; over the negated `pencil.equation_blocks`
     the x_s window times W_xs[a, b] ((4N+1)d x 2d) is the x_s equation and the particles'
     x_s source, a particle window times W_p[a, b] their equation, less n forcing[a, b] and
     forcing[a, b] = (D^T 1)_a/eps J6 + J7.  Keyed by operator value, not object."""
@@ -272,7 +253,7 @@ def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
             grid, at = D[:a + b + 1, :a + b + 1], slice(R - a, R + b + 1)
             stencil[a, b, :2, at] = grid[:, a] @ grid / eps**2, (grid[a] - grid[:, a]) / eps
             box1[a, b] = grid[:, a].sum() / eps
-        xs_block, source_block, particle_block = _equation_blocks(spec, n)
+        xs_block, source_block, particle_block = pencil.equation_blocks(spec, n)
         spec._derived[key] = tuple(
             np.einsum("abrj,rck->abjck", stencil, -block.reshape(3, d, -1),
                       order="C").reshape(R + 1, R + 1, (2 * R + 1) * d, -1)
@@ -281,21 +262,16 @@ def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
     return spec._derived[key]
 
 
-def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,
-                 xs_values=None) -> DelResidual:
-    """Exact windowed residuals of the discrete equations at node m.
+def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj: TrajectoryGrid,
+                 m: int, xs_values) -> Residual:
+    """Exact windowed residuals of the discrete equations at node m, from the particles'
+    grid values and x_s's, xs_values (M+1, d).
 
     Evaluates the governing recurrences with their true window factors, so it
     is meaningful near the interval ends, where pseudo-periodic extensions
     generically fail to solve the equations.
     """
-    if isinstance(traj, DelSolution):
-        grid, xs_vals = traj.sample()
-        vals = grid.values
-    elif xs_values is None:
-        raise ValueError("xs_values is required alongside a TrajectoryGrid")
-    else:
-        vals, xs_vals = traj.values, np.asarray(xs_values, dtype=complex)
+    vals, xs_vals = traj.values, np.asarray(xs_values, dtype=complex)
     M, R, d = vals.shape[1] - 1, 2 * op.N, spec.d
     if m < 0 or m > M:
         raise OutOfRange(f"node {m} outside 0..{M}")
@@ -306,5 +282,5 @@ def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj, m: int,
         (m + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
     w_xs, w_p, forcing = _residual_map(spec, op, n)
     y = xs_vals[near].reshape(-1) @ w_xs[ab]
-    return DelResidual(y[:d] - n * forcing[ab],
-                       vals[:, near].reshape(len(vals), -1) @ w_p[ab] + (y[d:] - forcing[ab]))
+    return Residual(y[:d] - n * forcing[ab],
+                    vals[:, near].reshape(len(vals), -1) @ w_p[ab] + (y[d:] - forcing[ab]))

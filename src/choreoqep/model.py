@@ -15,10 +15,6 @@ import numpy as np
 from . import numkernel
 
 
-class NonConservative(Exception):
-    """Raised when an energy is requested from a system with J5 != 0."""
-
-
 class SingularTransform(Exception):
     """Raised when an affine change of variables is numerically singular."""
 
@@ -115,27 +111,19 @@ def validate_spec(spec: LagrangianSpec) -> list[Violation]:
 
 
 def energy(spec: LagrangianSpec, state: ParticleState) -> float:
-    """Conserved energy of a J5 = 0 system at the given state: the Jacobi integral
-    sum v·dL/dv − L, in which the velocity-linear term J6·v cancels.
+    """Conserved energy at the given state: the Jacobi integral sum v·dL/dv − L, in which
+    the velocity-linear terms x·J5 v and J6·v cancel, so that it is conserved for any J5.
 
-    Single-particle terms 1/2 v·J1 v − 1/2 x·J2 x − J7·x plus the
-    pair terms v_j·J3 v_k − x_j·J4 x_k over ordered pairs j != k.
+    1/2 V·J8 V − 1/2 X·J9 X − J7·sum_j x_j over the stacked positions X and velocities V,
+    with the block forms J8 and J9 of `assemble_blocks`.
     """
-    if np.abs(spec.J5).max() > 1e-12:
-        raise NonConservative("energy is only a constant of motion when J5 = 0")
-    x = state.positions
-    v = state.velocities
+    x, v = state.positions, state.velocities
     if x.shape != (spec.n, spec.d):
         raise ValueError(f"state shape {x.shape} does not match (n, d) = {(spec.n, spec.d)}")
-    e = 0.0
-    for j in range(spec.n):
-        e += 0.5 * v[j] @ spec.J1 @ v[j] - 0.5 * x[j] @ spec.J2 @ x[j]
-        e -= spec.J7 @ x[j]
-    for j in range(spec.n):
-        for k in range(spec.n):
-            if j != k:
-                e += v[j] @ spec.J3 @ v[k] - x[j] @ spec.J4 @ x[k]
-    return float(e)
+    j8, j9 = (_block_fill(own, 2.0 * pair, spec.n)
+              for own, pair in ((spec.J1, spec.J3), (spec.J2, spec.J4)))
+    X, V = x.ravel(), v.ravel()
+    return float(0.5 * V @ j8 @ V - 0.5 * X @ j9 @ X - spec.J7 @ x.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ periodicity code run on it.  `spectra` and `check_assumptions` run on a batch of
 settings that share spec and N, each item with its own eps, under the batch contract of
 `numkernel`, every eigen-solve stacked.  A batch holds the cells of an error surface
 (one eps) or the delays of an eps-sweep, and solves each reduction's classical pencil
-once.
+once.  The equations of motion are stated once, for both settings, by `equation_blocks`:
+`celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
+and march to the scale operator's windows.
 """
 from __future__ import annotations
 
@@ -60,6 +62,26 @@ def coefficient_matrices(spec: LagrangianSpec, nu: float) -> tuple[np.ndarray, n
     """Weighted blocks (J1 + 2(nu-1) J3, J2 + 2(nu-1) J4)."""
     w = 2.0 * (nu - 1.0)
     return spec.J1 + w * spec.J3, spec.J2 + w * spec.J4
+
+
+def equation_blocks(spec: LagrangianSpec, n: int) -> tuple:
+    """The equations of motion of both settings, once per (spec, n):
+
+        A_n x_s'' - 2 J5 x_s' - C_n x_s = n f,
+        A_0 x_j'' - 2 J5 x_j' - C_0 x_j + 2 J3 x_s'' - 2 J4 x_s = f,
+
+    f = J7 in continuous time and J7 + (D^T 1)_m/eps J6 at grid node m.  Returned as the
+    transposes of [A_n J5 C_n], [2 J3 0 2 J4] and [A_0 J5 C_0], to multiply the jet
+    [-x'', 2 x', x] of x_s or a particle ([boxbox x, sigma x, x] on a grid): the first
+    gives minus the x_s equation's left-hand side, the second minus the x_s terms of a
+    particle's, the third minus its x_j terms."""
+    key = ("equation_blocks", n)
+    if key not in spec._derived:
+        (a_n, c_n), (a_0, c_0) = (coefficient_matrices(spec, nu) for nu in (n, 0))
+        J3, J4, J5 = spec.J3, spec.J4, spec.J5
+        spec._derived[key] = tuple(np.concatenate(row, axis=1).T for row in (
+            (a_n, J5, c_n), (2.0 * J3, 0.0 * J5, 2.0 * J4), (a_0, J5, c_0)))
+    return spec._derived[key]
 
 
 @dataclass(frozen=True)
@@ -263,16 +285,18 @@ def _symbols(gamma: np.ndarray, delays: _Delays) -> tuple:
 def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
                     nu: float) -> np.ndarray:
     """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps, (B, 4N+1, d, d),
-    for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay."""
+    for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay; not
+    finite where eps^2 underflows to 0, which `spectra` reads as a degree drop."""
     N = (gamma.shape[1] - 1) // 2
     gamma = gamma if gamma.imag.any() else gamma.real
     a_nu, c_nu = coefficient_matrices(spec, nu)
     sigma1 = _row_products(gamma - gamma[:, ::-1],
                            delays.shift[:, :, N:3 * N + 1].transpose(0, 2, 1)) \
         / delays.eps[:, None]
-    return -(_symbols(gamma, delays)[1][:, :, None, None] / delays.eps2[:, None, None, None]
-             * a_nu + sigma1[:, :, None, None] * spec.J5
-             + delays.shift[:, :, 2 * N, None, None] * c_nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -(_symbols(gamma, delays)[1][:, :, None, None] / delays.eps2[:, None, None, None]
+                 * a_nu + sigma1[:, :, None, None] * spec.J5
+                 + delays.shift[:, :, 2 * N, None, None] * c_nu)
 
 
 def _half_degree(gamma: np.ndarray) -> np.ndarray:
@@ -360,8 +384,8 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
             y, finite, failed = _companion_roots(p_y, finite)
         w = _quadratic(1.0, -y, -y).reshape(coeffs.shape[:2] + (deg,)) / delays.eps[:, None, None]
     c = np.moveaxis(coeffs, -1, 0)[..., None]  # polyval evaluates w[b, k] with coeffs[b, k]
-    h = npoly.polyval(w, c, tensor=False)
     with np.errstate(all="ignore"):
+        h = npoly.polyval(w, c, tensor=False)
         newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
         w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
         rows, flat = np.repeat(vectors[own], deg, axis=0), w.reshape(B, -1)  # one row a root
@@ -461,9 +485,11 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
                     targets, pairs, tol)
         failures, _ = numkernel.merge_failures(failures, failed, idx)
     z = delays.eps[:, None] * w  # zeta - 1
-    # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1
-    lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
-           + 1j * np.arctan2(z.imag, 1.0 + z.real)) / delays.eps[:, None]
+    # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1; a
+    # root zeta = 0 has Re lam = -inf
+    with np.errstate(all="ignore"):
+        lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
+               + 1j * np.arctan2(z.imag, 1.0 + z.real)) / delays.eps[:, None]
     order = np.arange(B)[:, None], np.lexsort((lam.real, lam.imag), axis=-1)
     zeta = 1.0 + z[order]
     simple = numkernel.simple_rows(zeta, separation_tol)

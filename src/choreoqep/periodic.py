@@ -278,15 +278,10 @@ def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec = None,
             residual_error = max(float(np.abs(r).max(initial=0.0)) for r in residuals) / eq_scale
             residual_ok = residual_error <= 1e-10
         else:
-            worst = 0.0
-            for t in ts[:32]:
-                r = celsolve.residual_cel(spec, ch.n, sol, float(t))
-                x_norm = max(float(np.abs(p.value(float(t))).max())
-                             for p in sol.particles)
-                scale = _matrix_mass(spec) * (1.0 + x_norm)
-                worst = max(worst, float(np.abs(r.particles).max()) / scale,
-                            float(np.abs(r.xs).max()) / scale)
-            residual_error = worst
+            r = celsolve.residual_cel(spec, ch.n, sol, ts[:32])
+            worst = np.maximum(np.abs(r.particles).max(axis=(0, 2)), np.abs(r.xs).max(axis=1))
+            x_norm = np.abs([p.value(ts[:32]) for p in sol.particles]).max(axis=(0, 2))
+            residual_error = float((worst / (_matrix_mass(spec) * (1.0 + x_norm))).max())
             residual_ok = residual_error <= 1e-9
 
     return ChoreographyReport(

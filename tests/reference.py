@@ -12,6 +12,9 @@ window's truncation at the ends).  Its Hessian H and linear term b are assembled
 sparse Kronecker products from the weights and the spec alone, so that the residuals are
 -(H x + b) with no window table, symbol or equation block of the package.
 
+`cel_residual` is the continuous residual as it was written before it came from the
+equation blocks: A_n/C_n formulas for one time, with their terms, to bound rounding.
+
 `window_map` is the residual map as it was built from integer window tables (chi_j at
 node m of a grid with last node M is 1 when max(0, j) <= m <= M + min(0, j)), to hold
 the map built from D to those outputs.
@@ -19,7 +22,7 @@ the map built from D to those outputs.
 import numpy as np
 import scipy.sparse as sp
 
-from choreoqep import delsolve
+from choreoqep import pencil
 
 
 def banded(op, M) -> sp.csr_matrix:
@@ -69,8 +72,29 @@ def window_map(spec, op, n) -> tuple:
     stencil[:, :, 1] = mirrored * (gam - gam[::-1]) / eps
     stencil[:, :, 2, R] = 1.0
     box1 = win @ gam / eps  # the adjoint on 1
-    xs_block, source_block, particle_block = delsolve._equation_blocks(spec, n)
+    xs_block, source_block, particle_block = pencil.equation_blocks(spec, n)
     return tuple(np.einsum("abrj,rck->abjck", stencil, -block.reshape(3, d, -1),
                            order="C").reshape(R + 1, R + 1, (2 * R + 1) * d, -1)
                  for block in (np.hstack([xs_block, source_block]), particle_block)) + (
         box1[..., None] * spec.J6 + spec.J7,)
+
+
+def cel_residual(spec, n, sol, t) -> tuple:
+    """((r_xs, r_particles), (size_xs, size_particles)) at one time t from the explicit
+    equations A_n x_s'' - 2 J5 x_s' - C_n x_s = n J7 and A_0 x_j'' - 2 J5 x_j' - C_0 x_j =
+    -2 J3 x_s'' + 2 J4 x_s + J7; the sizes sum the moduli of each equation's terms."""
+    a_n, c_n = pencil.coefficient_matrices(spec, n)
+    a_0, c_0 = pencil.coefficient_matrices(spec, 0)
+
+    def jet(e):
+        return e.derivative(t, 2), e.derivative(t, 1), e.value(t)
+
+    def terms(a, c, x):  # the terms of A x'' - 2 J5 x' - C x
+        return [a @ x[0], -2.0 * spec.J5 @ x[1], -c @ x[2]]
+
+    xs = jet(sol.xs)
+    own = terms(a_n, c_n, xs) + [-n * spec.J7]
+    source = [2.0 * spec.J3 @ xs[0], -2.0 * spec.J4 @ xs[2], -spec.J7]
+    particles = [terms(a_0, c_0, jet(p)) + source for p in sol.particles]
+    return ((sum(own), np.array([sum(r) for r in particles])),
+            (sum(map(np.abs, own)), np.array([sum(map(np.abs, r)) for r in particles])))

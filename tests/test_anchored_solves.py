@@ -30,7 +30,7 @@ def grid_solve(spec, op, n, M, head, tail):
     """Particle values (n, M+1, d) of the discrete Dirichlet problem from one dense
     solve of the interior equations a variable: the unknowns are nodes 2N..M-2N, the
     equations the interior stencil [theta/eps^2, sigma1/eps, 1] on nodes -2N..2N
-    centred there, with the blocks of `delsolve._equation_blocks`; x_s first, then every
+    centred there, with the blocks of `pencil.equation_blocks`; x_s first, then every
     particle with x_s as source."""
     R, d, eps = 2 * op.N, spec.d, op.epsilon
     U = M - 2 * R + 1
@@ -38,7 +38,7 @@ def grid_solve(spec, op, n, M, head, tail):
     stencil[0], stencil[1, op.N:3 * op.N + 1] = op.theta / eps**2, op.sigma1 / eps
     stencil[2, R] = 1.0
     forcing = op.gamma.sum() / eps * spec.J6 + spec.J7  # the adjoint on 1 is sum gamma/eps
-    xs_block, source_block, particle_block = delsolve._equation_blocks(spec, n)
+    xs_block, source_block, particle_block = pencil.equation_blocks(spec, n)
 
     def solve(block, rhs, known):
         # G[j] acts on node c - R + j of the equation centred on node c

@@ -69,22 +69,23 @@ def window_reference(cfg):
 
 def gamma_ops(cfg, points=9):
     # the axes (gamma_{-1} gamma_1 = 0), the antisymmetric diagonal a = -b and cells
-    # with singular boundary systems
+    # with singular boundary systems; weights (points^2, 3), as the surface takes them
     axis = np.linspace(-1.0, 1.0, points)
-    return [ScaleOperator(np.array([a, -(a + b), b], dtype=complex), cfg.epsilon)
-            for a in axis for b in axis]
+    return np.array([[a, -(a + b), b] for a in axis for b in axis], dtype=complex)
 
 
 def k_ops(cfg):
     # k = 0 is real and antisymmetric (preimages), the rest complex (companion)
-    return [scaleop.k_family(cfg.epsilon, k) for k in (-1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)]
+    return np.array([scaleop.k_family(cfg.epsilon, k).gamma
+                     for k in (-1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)])
 
 
-def per_cell(cfg, op, reference):
+def per_cell(cfg, gamma, reference):
     """(status, window error) from the lone dirichlet_del and the particles' values."""
     head, tail, times, cel_values = reference
     try:
-        sol, _ = delsolve.dirichlet_del(cfg.spec, op, cfg.n, cfg.t0, cfg.M, head, tail)
+        sol, _ = delsolve.dirichlet_del(cfg.spec, ScaleOperator(gamma, cfg.epsilon), cfg.n,
+                                        cfg.t0, cfg.M, head, tail)
     except (cli._ASSUMPTION_ERRORS + cli._NUMERICAL_ERRORS + (ValueError,)) as exc:
         return type(exc).__name__, math.nan
     diff = cel_values - np.array([p.value(times) for p in sol.particles])
@@ -139,7 +140,7 @@ def test_block_size_does_not_change_a_cell(monkeypatch, block):
     """Chunks of 1 and 7 cells (every kernel's chunks shrink with them) give the
     cells of the one-chunk surface."""
     cfg = reference_config()
-    ops = gamma_ops(cfg) + k_ops(cfg)
+    ops = np.concatenate([gamma_ops(cfg), k_ops(cfg)])
     reference = window_reference(cfg)
     want = cli._window_errors(cfg, ops, reference)
     monkeypatch.setattr(numkernel, "CHUNK_ELEMENTS", block * CELL_ELEMENTS)
@@ -176,10 +177,8 @@ ONCE_OVERFLOWING_CELLS = """
 import json, sys
 import numpy as np
 from choreoqep import cli
-from choreoqep.scaleop import ScaleOperator
 cfg = cli.parse_config(json.loads(sys.argv[1]))
-ops = [ScaleOperator(np.array([a, -(a + b), b], dtype=complex), cfg.epsilon)
-       for a, b in ((-0.5, 0.0125), (-0.5, -0.0125))]
+ops = np.array([[a, -(a + b), b] for a, b in ((-0.5, 0.0125), (-0.5, -0.0125))], dtype=complex)
 reference = cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
 print(*cli._window_errors(cfg, ops, reference)[1])
 """
@@ -301,11 +300,12 @@ def test_reversed_weights_share_one_solve_when_j5_is_0(gamma):
     another class."""
     for cfg in (reference_config(), config_with(**LINEAR)):
         flipped = np.where(gamma == 0, -gamma, gamma)  # 0.0 <-> -0.0 in each part
-        ops = [ScaleOperator(g, cfg.epsilon) for g in (gamma, gamma[::-1], flipped, -gamma)]
+        ops = np.array([gamma, gamma[::-1], flipped, -gamma])
         with pytest.MonkeyPatch.context() as monkeypatch:
             seen = solved_operators(monkeypatch)
             errors, status, solved = cli._window_errors(cfg, ops, window_reference(cfg))
-        assert seen == [ops[0], ops[3]] and solved == 2
+        assert [op.gamma.tobytes() for op in seen] == [ops[0].tobytes(), ops[3].tobytes()]
+        assert solved == 2
         assert len(set(status[:3])) == 1
         assert np.array_equal(errors[:3], errors[:1] * 3, equal_nan=True)
         assert_each_cell_is_its_lone_solve(cfg, ops, (errors, status))
@@ -316,11 +316,11 @@ def test_reversed_weights_share_one_solve_when_j5_is_0(gamma):
 def test_reversed_weights_are_solved_apart_when_j5_is_not_0(gamma):
     cfg = config_with(**GYROSCOPIC)
     assert cfg.spec.J5.any()
-    ops = [ScaleOperator(g, cfg.epsilon) for g in (gamma, gamma[::-1], -gamma)]
+    ops = np.array([gamma, gamma[::-1], -gamma])
     with pytest.MonkeyPatch.context() as monkeypatch:
         seen = solved_operators(monkeypatch)
         got = cli._window_errors(cfg, ops, window_reference(cfg))
-    assert seen == ops
+    assert [op.gamma.tobytes() for op in seen] == [g.tobytes() for g in ops]
     assert_each_cell_is_its_lone_solve(cfg, ops, got)
 
 

@@ -337,12 +337,12 @@ class TestResidual:
         assert np.allclose(r.xs, -3 * spec.J7)
         assert np.allclose(r.particles, np.tile(-spec.J7, (3, 1)))
 
-    def test_accepts_del_solution_directly(self, ref_spec):
+    def test_sampled_solution_solves_the_interior_equations(self, ref_spec):
         op = central_difference(TWO_PI / 100)
         rng = np.random.default_rng(23)
         sol = general_solution_del(ref_spec, op, 3, *random_amplitudes(rng, 3, 8),
                                    t0=0.0, M=100)
-        grid, _ = sol.sample()
+        grid, xs_vals = sol.sample()
         scale = equation_scale(ref_spec, op, grid.values)
-        r = residual_del(ref_spec, op, 3, sol, 50)
+        r = residual_del(ref_spec, op, 3, grid, 50, xs_vals)
         assert np.abs(r.particles).max() <= 1e-10 * scale

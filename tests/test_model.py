@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from choreoqep import celsolve, pencil
-from choreoqep.model import (LagrangianSpec, NoRealSolution, NonConservative,
+from choreoqep.model import (LagrangianSpec, NoRealSolution,
                              ParticleState, SingularTransform, assemble_blocks,
                              construct_j4, energy, transform_affine,
                              validate_spec)
 
-from conftest import J1, J2, J3, make_oscillator_spec, make_reference_spec
+from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
+                      make_reference_spec)
 
 
 class TestValidateSpec:
@@ -59,10 +60,24 @@ class TestEnergy:
         e = energy(spec, ParticleState([[0.0]], [[omega]]))
         assert e == pytest.approx(0.5 * omega**2)
 
-    def test_nonzero_j5_rejected(self):
-        spec = LagrangianSpec(2, 1, J1, J2, J3, np.eye(2), [[0, 1], [-1, 0]])
-        with pytest.raises(NonConservative):
-            energy(spec, ParticleState(np.zeros((1, 2)), np.zeros((1, 2))))
+    def test_conserved_with_gyroscopic_and_linear_terms(self):
+        """x·J5 v is linear in v, so the Jacobi integral drops it as it drops J6·v:
+        along a trajectory of the gyroscopic spec with J6 and J7, the energy is the same
+        at three times (measured constant to ~1e-15 relative)."""
+        gyro = make_gyroscopic_spec()
+        spec = LagrangianSpec(2, 3, gyro.J1, gyro.J2, gyro.J3, gyro.J4, gyro.J5,
+                              [1.0, -2.0], [0.3, 0.1])
+        rng = np.random.default_rng(30)
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        extras = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        sol = celsolve.general_solution_cel(spec, 3, amps, extras)
+        values = []
+        for t in (0.3, 1.7, 5.0):
+            x = np.array([p.value(t).real for p in sol.particles])
+            v = np.array([p.derivative(t).real for p in sol.particles])
+            values.append(energy(spec, ParticleState(x, v)))
+        assert max(values) - min(values) <= 1e-12 * abs(values[0])
+        assert abs(values[0]) > 1.0  # not 0 = 0
 
     def test_equal_along_solved_trajectory(self, ref_spec):
         rng = np.random.default_rng(5)

@@ -612,14 +612,29 @@ class TestSymbolReductions:
                               (batch.vectors[i], lone.zeta.vectors)):
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
                              ids=["reduced", "companion"])
     @pytest.mark.parametrize("op", [k_family(1e-170, 0.3), gamma_cell(1e-170),
                                     mixed_five_point(1e-170)],
                              ids=["k_family", "gamma_cell", "mixed_five_point"])
     def test_an_underflowing_delay_is_a_degree_drop(self, capfd, spec, op):
-        # eps^2 underflows to 0: the companion rows are not finite and never reach eig(vals)
+        # eps^2 underflows to 0: the companion rows are not finite and never reach eig(vals),
+        # and the division by it warns nothing (the suite makes RuntimeWarnings errors)
         with pytest.raises(LeadingSingular, match="the block companion has infinite eigenvalues"):
             transcendental_spectrum(transcendental_pencil(spec, op, 3))
         assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("nu", [0, 3])
+@pytest.mark.parametrize("weights, failure",
+                         [((1.0, 1e-12, 3.3e-159), numkernel.NumericalFailure),
+                          ((1.0, 0.0, 3.3e-159), DegenerateRoots)],
+                         ids=["overflowing_newton_step", "zeta_root_at_0"])
+def test_a_tiny_edge_weight_fails_typed_without_warnings(ref_spec, weights, failure, nu):
+    """At eps = 1 the first weights overflow the Newton step's polynomial values, and the
+    second have a zeta-root exactly 0, whose Log is -inf.  The suite turns
+    RuntimeWarnings into errors, so a warning from either raised in place of the item's
+    typed failure."""
+    op = ScaleOperator(np.array(weights), 1.0)
+    batch = pencil.spectra([pencil.Setting(ref_spec, op)], nu)
+    assert type(batch.failures[0]) is failure

@@ -5,7 +5,9 @@ The batched stages that the lone entry points run are public (`pencil.spectra`,
 through its public names only.  This parses each module of `src/choreoqep` and fails on
 an attribute access `module._name` through a package module it imported, and on
 `from .module import _name`.  It also fails on a private top-level name that nothing in
-the package refers to beyond its own definition: a dead helper left behind.
+the package refers to beyond its own definition: a dead helper left behind.  And the
+equations of motion are stated once, in `pencil.equation_blocks`: no other module calls
+`coefficient_matrices`, the weighted blocks A_nu and C_nu they are written with.
 """
 import ast
 from pathlib import Path
@@ -96,3 +98,35 @@ def test_the_checker_sees_dead_private_names(tmp_path):
 
 def test_no_private_name_is_dead():
     assert dead_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def equation_restatements(paths: list) -> dict:
+    """{module file: lines} of the calls to `coefficient_matrices` outside `pencil`."""
+    found = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", getattr(node.func, "id", None))
+                       == "coefficient_matrices")
+        if lines and path.stem != "pencil":
+            found[path.name] = lines
+    return found
+
+
+def test_the_checker_sees_a_restated_equation(tmp_path):
+    """A module that writes the continuous residual out as before, from A_n and C_n."""
+    (tmp_path / "pencil.py").write_text(
+        "def coefficient_matrices(spec, nu):\n    return spec.J1, spec.J2\n\n\n"
+        "def equation_blocks(spec, n):\n    return coefficient_matrices(spec, n)\n")
+    (tmp_path / "celsolve.py").write_text(
+        "from . import pencil\nfrom .pencil import coefficient_matrices\n\n\n"
+        "def residual_cel(spec, n, sol, t):\n"
+        "    a_n, c_n = pencil.coefficient_matrices(spec, n)\n"
+        "    a_0, c_0 = coefficient_matrices(spec, 0)\n"
+        "    xs, ddxs = sol.xs.value(t), sol.xs.derivative(t, 2)\n"
+        "    return a_n @ ddxs - c_n @ xs - n * spec.J7\n")
+    assert equation_restatements(sorted(tmp_path.glob("*.py"))) == {"celsolve.py": [6, 7]}
+
+
+def test_only_pencil_states_the_equations():
+    assert equation_restatements(sorted(PACKAGE.glob("*.py"))) == {}
