@@ -4,9 +4,10 @@ The package solves the equations of motion for particles coupled through a
 quadratic Lagrangian, both in continuous time (quadratic eigenvalue problems)
 and on uniform grids under windowed scale-derivative operators
 (transcendental eigenvalue problems).  On top of the solvers it classifies
-periodicity, constructs choreographic solutions, and measures the Hausdorff
-convergence of the discrete spectra as the grid delay shrinks.  The batched stages
-behind the public functions are exported too; `numkernel` states their contract.
+periodicity, constructs choreographic solutions, and measures how the discrete spectra
+(in the Hausdorff metric) and solutions (`window_errors`) converge as the grid delay
+shrinks.  The batched stages behind the public functions are exported too; `numkernel`
+states their contract.
 """
 
 from .model import LagrangianSpec, ParticleState, construct_j4, energy, \
@@ -27,7 +28,7 @@ from .delsolve import DelSolution, TrajectoryGrid, boundary_problem, dirichlet_d
 from .periodic import Choreography, CommensurabilityReport, \
     build_choreography_cel, build_choreography_del, commensurability, \
     is_periodic_cel, is_periodic_del, verify_choreography
-from .convergence import SweepResult, epsilon_sweep, filter_to_window, \
-    hausdorff_distance
+from .convergence import SweepResult, epsilon_sweep, equation_classes, filter_to_window, \
+    hausdorff_distance, node_values, window_errors, window_reference
 
 __version__ = "0.1.0"

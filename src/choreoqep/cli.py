@@ -2,16 +2,11 @@
 
 Subcommands: validate, spectrum, solve, error-surface, converge, choreo.
 Exit codes: 0 success, 2 config error, 3 assumption violation, 4 numerical
-failure.  error-surface solves all its cells as one stacked batch, taken in
-`numkernel.chunks` that bound each kernel's largest temporary, and writes each
-cell's status: "ok" or the class name of the error its lone solve raises.
-
-It solves each distinct discrete equation once.  With J5 = 0 the weights enter the
-equations only through the adjoint-forward symbol theta(zeta) = g(zeta) g(1/zeta)/eps^2
-and, in the constant mode, through s_bar(0) J6 = (sum gamma/eps) J6, and reversed weights
-leave both unchanged.  A gamma surface spans one range on both axes, so cell (b, a) is
-cell (a, b) reversed: the two share their spectra, kernel vectors and Dirichlet solve, and
-a cell's row is that of its class's first cell in grid order.
+failure.  The CLI only parses a config, dispatches to the library and writes what it
+returns; the experiments (the eps-sweep and the error-surface engine) live in
+`convergence`.  An error surface's `metric` (as -log) or `error` is the Euclidean norm of
+continuous - discrete over the window nodes and `max_error` its max norm; each cell's
+status is "ok" or the class name of the error its lone solve raises.
 """
 from __future__ import annotations
 
@@ -20,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -45,15 +40,12 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
 
-_ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, periodic.NotChoreographic,
-                      periodic.DelayResonant, pencil.LeadingSingular,
-                      pencil.DegenerateRoots)
-_NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
-                     celsolve.SingularBoundarySystem,
-                     delsolve.LeadingBlockSingular, delsolve.WindowExceeded,
-                     scaleop.OutOfRange, model.NoRealSolution,
-                     model.SymmetryInfeasible, model.SingularTransform,
-                     convergence.EmptySet)
+ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, periodic.NotChoreographic,
+                     periodic.DelayResonant, pencil.LeadingSingular, pencil.DegenerateRoots)
+NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
+                    celsolve.SingularBoundarySystem, delsolve.LeadingBlockSingular,
+                    delsolve.WindowExceeded, scaleop.OutOfRange, model.NoRealSolution,
+                    model.SymmetryInfeasible, model.SingularTransform, convergence.EmptySet)
 
 
 def _matrix(raw, d: int, name: str) -> np.ndarray:
@@ -109,15 +101,8 @@ class ExperimentConfig:
     def n(self) -> int:
         return self.spec.n
 
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
     def operator(self) -> ScaleOperator:
         return _build_operator(self.operator_raw, self.epsilon)
-
-    def operator_family(self):
-        return lambda eps: _build_operator(self.operator_raw, eps)
 
 
 def _build_operator(raw: dict, epsilon: float) -> ScaleOperator:
@@ -261,7 +246,7 @@ def write_svg(path, traj: np.ndarray, times: np.ndarray = None) -> None:
     Path(path).write_text("\n".join(parts) + "\n", newline="\n")
 
 
-def _trajectory_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+def trajectory_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The (count n, 2 + 2d) rows (t, particle, c0_re, c0_im, ..., c{d-1}_re,
     c{d-1}_im) of values (n, count, d), node by node and particle by particle."""
     n, count, d = values.shape
@@ -273,7 +258,7 @@ def _trajectory_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rows.reshape(count * n, 2 + 2 * d)
 
 
-def _traj_header(d: int) -> list[str]:
+def trajectory_header(d: int) -> list[str]:
     return ["t", "particle", *(f"c{c}_{part}" for c in range(d) for part in ("re", "im"))]
 
 
@@ -298,10 +283,6 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # solution assembly helpers
 
 
-def _sample_times(cfg: ExperimentConfig) -> np.ndarray:
-    return cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
-
-
 def _parse_amplitudes(block: dict, size_xs: int, n: int, size_p: int, seed: int):
     if block.get("random"):
         rng = np.random.default_rng(seed)
@@ -318,13 +299,12 @@ def _parse_amplitudes(block: dict, size_xs: int, n: int, size_p: int, seed: int)
     return xs, ps
 
 
-def _cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
+def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
     spec, n = cfg.spec, cfg.n
     if cfg.boundary and "x_t0" in cfg.boundary or cfg.boundary and "x_t0_re" in cfg.boundary:
         x0 = _complex_block(cfg.boundary, "x_t0", (n, spec.d))
         xf = _complex_block(cfg.boundary, "x_tf", (n, spec.d))
-        sol, _ = celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf)
-        return sol
+        return celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf)[0]
     if cfg.amplitudes:
         size = pencil.Setting(spec).root_count
         xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
@@ -332,93 +312,23 @@ def _cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
     raise ConfigParse("solve needs a boundary or amplitudes block")
 
 
-def _matched_del_data(cfg: ExperimentConfig, N: int, cel: celsolve.SystemSolution):
-    """DEL end-window data sampled from the continuous solution."""
-    head_t = cfg.t0 + cfg.epsilon * np.arange(2 * N)
-    tail_t = cfg.t0 + cfg.epsilon * np.arange(cfg.M - 2 * N + 1, cfg.M + 1)
-    head = np.array([p.value(head_t) for p in cel.particles])
-    tail = np.array([p.value(tail_t) for p in cel.particles])
-    return head, tail
-
-
 def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
     spec, n, op = cfg.spec, cfg.n, cfg.operator()
     N = op.N
-    if cfg.boundary and "head" in cfg.boundary or cfg.boundary and "head_re" in cfg.boundary:
+    if cfg.boundary and ("head" in cfg.boundary or "head_re" in cfg.boundary):
         head = _complex_block(cfg.boundary, "head", (n, 2 * N, spec.d))
         tail = _complex_block(cfg.boundary, "tail", (n, 2 * N, spec.d))
-        sol, _ = delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail)
-        return sol
-    if cfg.boundary:  # two-point boundary: match the continuous solution
-        cel = _cel_solution(cfg, seed)
-        head, tail = _matched_del_data(cfg, N, cel)
-        sol, _ = delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail)
-        return sol
-    if cfg.amplitudes:
+    elif cfg.boundary:  # two-point boundary: match the continuous solution
+        cel = cel_solution(cfg, seed)
+        head, tail = (convergence.node_values(cel, cfg.t0, cfg.epsilon, nodes) for nodes in
+                      (np.arange(2 * N), np.arange(cfg.M - 2 * N + 1, cfg.M + 1)))
+    elif cfg.amplitudes:
         size = pencil.Setting(spec, op).root_count
         xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
         return delsolve.general_solution_del(spec, op, n, xs, ps, cfg.t0, cfg.M)
-    raise ConfigParse("solve needs a boundary or amplitudes block")
-
-
-def _window_reference(cfg: ExperimentConfig, N: int, cel: celsolve.SystemSolution):
-    """(head, tail, window times, continuous values there): what every cell of an
-    error surface compares against, computed once since it depends on (cfg, N)."""
-    times = cfg.t0 + cfg.epsilon * np.arange(2 * N, cfg.M - 2 * N + 1)
-    window = np.array([p.value(times) for p in cel.particles])
-    return *_matched_del_data(cfg, N, cel), times, window
-
-
-def _equation_classes(spec: LagrangianSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(representatives, inverse): the first row of each class in grid order, and each
-    row's class, for weights gammas (B, 2N+1) at one eps.  A class is one discrete
-    equation, keyed by the weights, -0.0 read as 0.0; when J5 = 0, by the lexicographically
-    lesser of the weights and their reverse, which share theta and s_bar(0).  With J5 != 0
-    (its sigma1 term changes sign under reversal) only equal weights share a class."""
-    B = len(gammas)
-    if B == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    weights = np.asarray(gammas, dtype=complex).view(float).reshape(B, -1) + 0.0
-    if not spec.J5.any():  # rows of re, im pairs; the reverse turns the pairs round
-        reverse = weights.reshape(B, -1, 2)[:, ::-1].reshape(B, -1)
-        at = np.arange(B), (weights != reverse).argmax(axis=1)  # first place they differ
-        weights = np.where((reverse[at] < weights[at])[:, None], reverse, weights)
-    first = {}  # key bytes -> the first row with that key
-    owner = [first.setdefault(key, i) for i, key in enumerate(
-        weights.view(np.dtype((np.void, weights.itemsize * weights.shape[1]))).ravel().tolist())]
-    representatives = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    return representatives, np.searchsorted(representatives, owner)
-
-
-def _window_errors(cfg: ExperimentConfig, gammas: np.ndarray, reference) -> tuple[list, list, int]:
-    """Per row of operator weights gammas (B, 2N+1) at cfg.epsilon: the Euclidean norm of
-    (continuous - discrete) at the `_window_reference` nodes, and its status, "ok" or the
-    class name of what `dirichlet_del` raises for it; and the number of operators solved.
-    Only the first row of each `_equation_classes` class becomes an operator and is
-    solved, and every row takes the result of its class.  The representatives are solved
-    as one batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
-    whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
-    all particles as one (T, K') @ (K', n d) product a cell (`celsolve.grid_values`)."""
-    representatives, inverse = _equation_classes(cfg.spec, gammas)
-    ops = [ScaleOperator(gammas[i], cfg.epsilon) for i in representatives]
-    head, tail, times, cel_values = reference
-    want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
-    errors, status = np.full(len(ops), math.nan), []
-    K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
-    for c in numkernel.chunks(len(ops), K * K):
-        core, ends, data = delsolve.boundary_problem(cfg.spec, ops[c], cfg.n, cfg.t0, cfg.M,
-                                                     head, tail)
-        *amplitudes, failures = core.boundary_solve(ends, data)
-        _, (u0, lams, vectors, anchors) = core.expansions(*amplitudes)
-        _, ok = numkernel.merge_failures(failures)
-        for w in numkernel.chunks(len(ok), len(times) * lams.shape[-1]):
-            w = ok[w]
-            stacked = vectors[w].transpose(0, 2, 1, 3).reshape(len(w), -1, want.shape[1])
-            diff = celsolve.grid_values(np.tile(u0[w, 0], cfg.n), lams[w, 0], stacked,
-                                        anchors[w, 0], times[0], cfg.epsilon, len(times))
-            errors[c][w] = np.linalg.norm(diff - want, axis=(1, 2))
-        status += ["ok" if f is None else type(f).__name__ for f in failures]
-    return errors[inverse].tolist(), [status[i] for i in inverse], len(ops)
+    else:
+        raise ConfigParse("solve needs a boundary or amplitudes block")
+    return delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +343,8 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     conds = scaleop.check_operator_conditions(op)
     report["operator_conditions"] = {"sum_zero": conds.sum_zero,
                                      "derivative_normalized": conds.derivative_normalized}
-    cel = pencil.check_cel_assumptions(spec, n)
-    report["cel_assumptions"] = cel.all_hold
-    del_rep = pencil.check_del_assumptions(spec, op, n)
-    report["del_assumptions"] = del_rep.all_hold
+    report["cel_assumptions"] = pencil.check_cel_assumptions(spec, n).all_hold
+    report["del_assumptions"] = pencil.check_del_assumptions(spec, op, n).all_hold
 
     s = spec.J1 - 2.0 * spec.J3
     c = spec.J2 - 2.0 * spec.J4
@@ -505,15 +413,15 @@ def cmd_spectrum(cfg: ExperimentConfig, which: str, out_dir: Path) -> list[Path]
 def _write_trajectory(stem: Path, times: np.ndarray, values: np.ndarray) -> list[Path]:
     """Write values (n, T, d) at the T times to stem.csv and stem.svg; returns the paths."""
     paths = [stem.with_suffix(".csv"), stem.with_suffix(".svg")]
-    write_csv(paths[0], _traj_header(values.shape[2]), _trajectory_rows(times, values))
+    write_csv(paths[0], trajectory_header(values.shape[2]), trajectory_rows(times, values))
     write_svg(paths[1], values, times)
     return paths
 
 
 def cmd_solve(cfg: ExperimentConfig, which: str, out_dir: Path, seed: int) -> list[Path]:
-    times = _sample_times(cfg)
+    times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
     if which == "cel":
-        sol = _cel_solution(cfg, seed)
+        sol = cel_solution(cfg, seed)
         values = np.array([p.value(times) for p in sol.particles])
     else:
         sol = _del_solution(cfg, seed)
@@ -527,38 +435,34 @@ def cmd_solve(cfg: ExperimentConfig, which: str, out_dir: Path, seed: int) -> li
 
 def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
                       seed: int) -> Path:
-    """Window errors of the discrete solve over a grid of operators, with each cell's
-    status: "ok" or the class name of its error, whose metric or error is the cap."""
+    """Window errors of the discrete solve over a grid of operators, a block of them for
+    each M; a failed cell's Euclidean error is the cap 3M and its max_error nan."""
     if grid == "gamma":
         block = cfg.sweep.get("gamma_grid", {})
-        lo = float(block.get("min", -1.0))
-        hi = float(block.get("max", 1.0))
-        points = int(block.get("points", 41))
-        axis = np.linspace(lo, hi, points)
+        axis = np.linspace(float(block.get("min", -1.0)), float(block.get("max", 1.0)),
+                           int(block.get("points", 41)))
         first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
-        reference = _window_reference(cfg, 1, _cel_solution(cfg, seed))
-        cap = 3.0 * cfg.M
-        errors, status, solved = _window_errors(
-            cfg, np.stack([first, -(first + last), last], axis=1).astype(complex), reference)
-        rows = [[a, b, -math.log(cap if s != "ok" else min(max(err, 1e-300), cap)), s]
-                for a, b, err, s in zip(first.tolist(), last.tolist(), errors, status)]
-        path = out_dir / "error_surface_gamma.csv"
-        write_csv(path, ["gamma_m1_re", "gamma_1_re", "metric", "status"], rows)
+        blocks = [(cfg, zip(first.tolist(), last.tolist()),
+                   np.stack([first, -(first + last), last], axis=1).astype(complex))]
     else:
         block = cfg.sweep.get("k_grid", {})
         ks = [float(k) for k in block.get("ks", [-1.0, -0.5, 0.0, 0.5, 1.0])]
-        Ms = [int(m) for m in block.get("Ms", [cfg.M])]
-        rows, solved = [], 0
-        for M in Ms:
-            sub = replace(cfg, M=M)
-            reference = _window_reference(sub, 1, _cel_solution(sub, seed))
-            errors, status, count = _window_errors(
-                sub, np.array([scaleop.k_family(sub.epsilon, k).gamma for k in ks]), reference)
-            solved += count
-            rows += [[k, M, err if s == "ok" else 3.0 * M, s]
-                     for k, err, s in zip(ks, errors, status)]
-        path = out_dir / "error_surface_k.csv"
-        write_csv(path, ["k", "M", "error", "status"], rows)
+        blocks = [(sub, [(k, sub.M) for k in ks],
+                   np.array([scaleop.k_family(sub.epsilon, k).gamma for k in ks]))
+                  for sub in (replace(cfg, M=int(m)) for m in block.get("Ms", [cfg.M]))]
+    rows, solved = [], 0
+    for sub, labels, gammas in blocks:
+        args = sub.spec, sub.n, sub.t0, sub.M, sub.epsilon
+        reference = convergence.window_reference(cel_solution(sub, seed), *args[2:], 1)
+        errors, max_errors, status, count = convergence.window_errors(*args, gammas, reference)
+        solved += count
+        for label, err, max_err, s in zip(labels, errors, max_errors, status):
+            err = err if s == "ok" else 3.0 * sub.M
+            rows.append([*label, -math.log(max(err, 1e-300)) if grid == "gamma" else err,
+                         max_err, s])
+    path = out_dir / f"error_surface_{grid}.csv"
+    write_csv(path, [*(["gamma_m1_re", "gamma_1_re", "metric"] if grid == "gamma"
+                       else ["k", "M", "error"]), "max_error", "status"], rows)
     print(f"solved {solved} distinct equations for {len(rows)} cells")
     print(f"wrote {path}")
     return path
@@ -570,11 +474,10 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path) -> Path:
         raise ConfigParse("converge needs sweep.epsilons")
     epsilons = [float(e) for e in block["epsilons"]]
     nu = float(block.get("nu", 0.0))
-    result = convergence.epsilon_sweep(cfg.spec, cfg.operator_family(), nu, epsilons)
-    rows = []
-    for eps, dist, perr, note in zip(result.epsilons, result.distances,
-                                     result.pencil_errors, result.notes):
-        rows.append([eps, dist, perr, note or ""])
+    result = convergence.epsilon_sweep(cfg.spec, partial(_build_operator, cfg.operator_raw),
+                                      nu, epsilons)
+    rows = [[eps, dist, perr, note or ""] for eps, dist, perr, note in zip(
+        result.epsilons, result.distances, result.pencil_errors, result.notes)]
     path = out_dir / "converge.csv"
     write_csv(path, ["epsilon", "hausdorff", "pencil_error", "note"], rows)
     print(f"estimated order: {result.estimated_order:.4f}")
@@ -589,7 +492,7 @@ def cmd_choreo(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list[Path]:
         which = [which]
     if not isinstance(which, list) or any(kind not in ("cel", "del") for kind in which):
         raise ConfigParse(f"choreo.which must list 'cel' and/or 'del', got {which!r}")
-    times = _sample_times(cfg)
+    times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
     written = []
     for kind in which:
         size = pencil.Setting(spec, cfg.operator() if kind == "del" else None).root_count
@@ -649,10 +552,10 @@ def main(argv=None) -> int:
     except (ConfigParse, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _ASSUMPTION_ERRORS as exc:
+    except ASSUMPTION_ERRORS as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Quantifying how the discrete spectra approach the classical ones.
+"""Quantifying how the discrete spectra and solutions approach the classical ones.
 
 As the delay shrinks, the discrete pencil tends to the quadratic one locally
 uniformly and the discrete spectrum, intersected with a compact window that
@@ -7,8 +7,13 @@ Hausdorff metric.  This module measures both.  A sweep is one batch: the spectra
 at every delay are solved together, as one `pencil.spectra` call per distinct N,
 and the classical pencil is solved once for the whole sweep (antisymmetric weights
 take their roots as preimages of it).  The pencil errors over a square grid of the
-window are one array expression per batch in the forward and adjoint symbols, summed
-from expm1 terms so that they stay accurate at small eps.
+window are one array expression per batch in the forward and adjoint symbols: a series
+in lam over the weights' moments at small eps, expm1 terms elsewhere.
+
+The error surfaces hold the discrete Dirichlet solves under many operators to the
+continuous solution on one grid (`window_reference`, `window_errors`): one stacked batch,
+in `numkernel.chunks` that bound each kernel's largest temporary, with one solve per
+distinct discrete equation (`equation_classes`).
 """
 from __future__ import annotations
 
@@ -17,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pencil, scaleop
+from . import celsolve, delsolve, numkernel, pencil, scaleop
 from .model import LagrangianSpec
 from .numkernel import RootSet
+from .scaleop import ScaleOperator
 
 
 class EmptySet(Exception):
@@ -60,25 +66,41 @@ def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
     ok = np.isfinite(distances) & (distances > 0)
     if ok.sum() < 3 or len(np.unique(epsilons[ok])) < 2:  # one delay fixes no slope
         return math.nan
-    slope = np.polyfit(np.log(epsilons[ok]), np.log(distances[ok]), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(epsilons[ok]), np.log(distances[ok]), 1)[0])
 
 
 def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Per operator (all of one N), max over lam of ||P_eps(e^{lam eps}) - P(lam)||_F =
-    ||alpha A_nu + beta J5||_F, from the Gram matrix of (A_nu, J5): one (B, G, 2N+1)
-    expression over the operators.  With the symbols p = s(lam), q = s_bar(lam),
-    theta_hat = p q and sigma1_hat = p - q give alpha = -((p - lam) q + lam (q + lam))
-    and beta = -((p - lam) - (q + lam)); p - lam and q + lam are summed from expm1 terms."""
-    N = ops[0].N
+    ||alpha A_nu + beta J5||_F from the Gram matrix of (A_nu, J5), one (B, G) expression.
+    With p = s(lam), q = s_bar(lam): alpha = -((p - lam) q + lam (q + lam)) and
+    beta = -((p - lam) - (q + lam)), where p - lam = S(x)/eps, q + lam = S(-x)/eps at
+    x = lam eps and S(x) = sum_j gamma_j e^{jx} - x.  Where N max|x| <= 1, S is 20 terms of
+    its series in the moments M_m = sum_j gamma_j j^m (each a correctly rounded sum, M_1 - 1
+    one sum), as E(x^2) +- x O(x^2); elsewhere sum_j gamma_j expm1(jx) + M_0 - x.  No entry
+    depends on another operator: with two or more lams a batch keeps each one's bits."""
+    N, m = ops[0].N, np.arange(20)
     eps = np.array([op.epsilon for op in ops])[:, None]
-    gamma = np.stack([op.gamma for op in ops])[:, :, None]
-    total = gamma.sum(axis=1)
-    x = np.outer(lam, np.arange(-N, N + 1)) * eps[:, :, None]
-    e = np.expm1(x)
-    p_lam = ((e @ gamma)[..., 0] + total) / eps - lam  # p - lam
-    # expm1(-x) is expm1(x) with its k columns reversed; a view would change the sums' bits
-    q_lam = ((np.ascontiguousarray(e[..., ::-1]) @ gamma)[..., 0] + total) / eps + lam
+    gamma = np.stack([op.gamma for op in ops])
+    weights, inverse = np.unique(gamma, axis=0, return_inverse=True)  # a sweep has one
+    rows = weights[:, None, :] * np.arange(-N, N + 1.0) ** m[:, None]  # gamma_j j^m
+    rows[:, 1, N] = -1.0  # gamma_0 0^1 = 0: its place holds the -1 of M_1 - 1
+    parts = np.moveaxis(rows.view(float).reshape(*rows.shape, 2), -1, -2)  # re, im apart
+    moments = np.array([math.fsum(r) for r in parts.reshape(-1, 2 * N + 1).tolist()])
+    series = (moments.view(complex).reshape(len(weights), -1)
+              / np.cumprod(np.maximum(m, 1.0)))[inverse.ravel()]  # M_m/m!
+    small = N * np.abs(lam).max() * eps[:, 0] <= 1
+    x = lam * eps[small]
+    y, c = x * x, series[small, :, None]
+    even, odd = c[:, -2], c[:, -1]
+    for k in range(len(m) - 4, -1, -2):  # Horner's rule in x^2
+        even, odd = even * y + c[:, k], odd * y + c[:, k + 1]
+    gaps = np.empty((2, len(ops), len(lam)), dtype=complex)  # S(x), S(-x)
+    gaps[:, small] = even + x * odd, even - x * odd
+    for sign, gap in zip((1, -1), gaps):
+        x = sign * lam * eps[~small]
+        e = np.expm1(x[..., None] * np.arange(-N, N + 1))
+        gap[~small] = (e * gamma[~small, None]).sum(axis=2) + series[~small, :1] - x
+    p_lam, q_lam = gaps / eps
     coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam], axis=1)
     sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
@@ -133,3 +155,75 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
             pencil_errors[done] = _pencil_errors([ops[i] for i in done], lam_grid, gram)
     order = _fit_order(epsilons, distances)
     return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))
+
+
+def node_values(cel: celsolve.SystemSolution, t0: float, epsilon: float, nodes) -> np.ndarray:
+    """(n, len(nodes), d): the continuous solution's particles at the grid nodes k, the
+    times t0 + eps k."""
+    times = t0 + epsilon * np.asarray(nodes)
+    return np.array([p.value(times) for p in cel.particles])
+
+
+def window_reference(cel: celsolve.SystemSolution, t0: float, M: int, epsilon: float, N: int):
+    """(head, tail, window times, continuous values there): what every discrete solve on
+    the grid of M steps of eps from t0 under operators of half-width N is held to.  The
+    head and tail, nodes 0..2N-1 and M-2N+1..M, are its Dirichlet data; the window is
+    nodes 2N..M-2N."""
+    window = np.arange(2 * N, M - 2 * N + 1)
+    return (node_values(cel, t0, epsilon, np.arange(2 * N)),
+            node_values(cel, t0, epsilon, np.arange(M - 2 * N + 1, M + 1)),
+            t0 + epsilon * window, node_values(cel, t0, epsilon, window))
+
+
+def equation_classes(spec: LagrangianSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, inverse): the first row of each class in grid order, and each
+    row's class, for weights gammas (B, 2N+1) at one eps.  A class is one discrete
+    equation, keyed by the weights, -0.0 read as 0.0; when J5 = 0, by the lexicographically
+    lesser of the weights and their reverse, which share theta and s_bar(0).  With J5 != 0
+    (its sigma1 term changes sign under reversal) only equal weights share a class."""
+    B = len(gammas)
+    if B == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    weights = np.asarray(gammas, dtype=complex).view(float).reshape(B, -1) + 0.0
+    if not spec.J5.any():  # rows of re, im pairs; the reverse turns the pairs round
+        reverse = weights.reshape(B, -1, 2)[:, ::-1].reshape(B, -1)
+        at = np.arange(B), (weights != reverse).argmax(axis=1)  # first place they differ
+        weights = np.where((reverse[at] < weights[at])[:, None], reverse, weights)
+    first = {}  # key bytes -> the first row with that key
+    owner = [first.setdefault(key, i) for i, key in enumerate(
+        weights.view(np.dtype((np.void, weights.itemsize * weights.shape[1]))).ravel().tolist())]
+    representatives = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return representatives, np.searchsorted(representatives, owner)
+
+
+def window_errors(spec: LagrangianSpec, n: int, t0: float, M: int, epsilon: float,
+                  gammas: np.ndarray, reference) -> tuple[list, list, list, int]:
+    """Per row of operator weights gammas (B, 2N+1) at eps: the Euclidean and the max norm
+    of (continuous - discrete) at the `window_reference` nodes, over every particle and
+    coordinate (nan for a failed cell), and its status, "ok" or the class name of what
+    `dirichlet_del` raises for it; and the number of operators solved.
+    Only the first row of each `equation_classes` class becomes an operator and is
+    solved, and every row takes the result of its class.  The representatives are solved
+    as one batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
+    whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
+    all particles as one (T, K') @ (K', n d) product a cell (`celsolve.grid_values`)."""
+    representatives, inverse = equation_classes(spec, gammas)
+    ops = [ScaleOperator(gammas[i], epsilon) for i in representatives]
+    head, tail, times, cel_values = reference
+    want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
+    errors, status = np.full((len(ops), 2), math.nan), []
+    K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
+    for c in numkernel.chunks(len(ops), K * K):
+        core, ends, data = delsolve.boundary_problem(spec, ops[c], n, t0, M, head, tail)
+        *amplitudes, failures = core.boundary_solve(ends, data)
+        _, (u0, lams, vectors, anchors) = core.expansions(*amplitudes)
+        _, ok = numkernel.merge_failures(failures)
+        for w in numkernel.chunks(len(ok), len(times) * lams.shape[-1]):
+            w = ok[w]
+            stacked = vectors[w].transpose(0, 2, 1, 3).reshape(len(w), -1, want.shape[1])
+            diff = celsolve.grid_values(np.tile(u0[w, 0], n), lams[w, 0], stacked,
+                                        anchors[w, 0], times[0], epsilon, len(times)) - want
+            errors[c][w] = np.stack([np.linalg.norm(diff, axis=(1, 2)),
+                                     np.abs(diff).max(axis=(1, 2))], axis=1)
+        status += ["ok" if f is None else type(f).__name__ for f in failures]
+    return *errors[inverse].T.tolist(), [status[i] for i in inverse], len(ops)

@@ -9,7 +9,7 @@ continuous solve to its own round trip on a system whose roots are all real.
 import numpy as np
 import pytest
 
-from choreoqep import celsolve, cli, delsolve, pencil
+from choreoqep import celsolve, cli, convergence, delsolve, pencil
 from choreoqep.celsolve import ModeExpansion
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator
@@ -88,7 +88,8 @@ def test_grid_solve_is_the_discrete_problem():
     interior equations (`delsolve.residuals`) and agree with `dirichlet_del`."""
     cfg = surface_config(100)
     op = ScaleOperator(np.array([-0.5, 0.0, 0.5], dtype=complex), cfg.epsilon)
-    head, tail, _, _ = cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
+    head, tail, _, _ = convergence.window_reference(
+        cli.cel_solution(cfg, 0), cfg.t0, cfg.M, cfg.epsilon, 1)
     values = grid_solve(cfg.spec, op, cfg.n, cfg.M, head, tail)
     nodes = np.arange(2, cfg.M - 1)
     r_xs, r_p = delsolve.residuals(cfg.spec, op, cfg.n, values, values.sum(axis=0), nodes)
@@ -101,7 +102,8 @@ def test_grid_solve_is_the_discrete_problem():
 
 def test_anchored_solves_of_growing_cells_match_the_grid_solve():
     cfg = surface_config(200)
-    head, tail, _, _ = cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
+    head, tail, _, _ = convergence.window_reference(
+        cli.cel_solution(cfg, 0), cfg.t0, cfg.M, cfg.epsilon, 1)
     ops = [ScaleOperator(np.array([a, -(a + b), b], dtype=complex), cfg.epsilon)
            for a, b in CELLS]
     errors = []

@@ -1,6 +1,6 @@
 """The batched error surface against the per-cell solve it replaces.
 
-`cli._window_errors` solves all its operators as one batch, in memory-bounded
+`convergence.window_errors` solves all its operators as one batch, in memory-bounded
 chunks; `dirichlet_del` is the batch of one.  Every cell's status must be the class
 of what the lone solve raises, and every ok cell's window error must match it to
 rounding.  Only one operator of each class of one discrete equation is solved (with
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import choreoqep
-from choreoqep import cli, delsolve, numkernel, pencil, scaleop
+from choreoqep import cli, convergence, delsolve, numkernel, pencil, scaleop
 from choreoqep.celsolve import SingularBoundarySystem
 from choreoqep.scaleop import ScaleOperator
 
@@ -64,7 +64,13 @@ LINEAR = {"J6": [0.2, -0.7]}
 
 
 def window_reference(cfg):
-    return cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
+    return convergence.window_reference(cli.cel_solution(cfg, 0), cfg.t0, cfg.M,
+                                        cfg.epsilon, 1)
+
+
+def window_errors(cfg, ops, reference):
+    return convergence.window_errors(cfg.spec, cfg.n, cfg.t0, cfg.M, cfg.epsilon, ops,
+                                     reference)
 
 
 def gamma_ops(cfg, points=9):
@@ -81,23 +87,31 @@ def k_ops(cfg):
 
 
 def per_cell(cfg, gamma, reference):
-    """(status, window error) from the lone dirichlet_del and the particles' values."""
+    """(status, Euclidean window error, max window error) from the lone dirichlet_del and
+    the particles' values."""
     head, tail, times, cel_values = reference
     try:
         sol, _ = delsolve.dirichlet_del(cfg.spec, ScaleOperator(gamma, cfg.epsilon), cfg.n,
                                         cfg.t0, cfg.M, head, tail)
-    except (cli._ASSUMPTION_ERRORS + cli._NUMERICAL_ERRORS + (ValueError,)) as exc:
-        return type(exc).__name__, math.nan
+    except (cli.ASSUMPTION_ERRORS + cli.NUMERICAL_ERRORS + (ValueError,)) as exc:
+        return type(exc).__name__, math.nan, math.nan
     diff = cel_values - np.array([p.value(times) for p in sol.particles])
-    return "ok", float(np.linalg.norm(diff.ravel()))
+    return "ok", float(np.linalg.norm(diff.ravel())), float(np.abs(diff).max())
+
+
+def lone_cells(cfg, ops, reference):
+    """(errors, max errors, status) of the cells from their lone solves."""
+    status, errors, max_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
+    return errors, max_errors, status
 
 
 def assert_same_cells(got, want):
-    (errors, status, *_), (want_errors, want_status) = got, want[:2]
+    (errors, max_errors, status, *_), (want_errors, want_max, want_status, *_) = got, want
     assert list(status) == list(want_status)
     ok = [s == "ok" for s in status]
-    np.testing.assert_allclose(np.array(errors)[ok], np.array(want_errors)[ok], rtol=RTOL)
-    assert all(math.isnan(e) for e, good in zip(errors, ok) if not good)
+    for values, want_values in ((errors, want_errors), (max_errors, want_max)):
+        np.testing.assert_allclose(np.array(values)[ok], np.array(want_values)[ok], rtol=RTOL)
+        assert all(math.isnan(e) for e, good in zip(values, ok) if not good)
 
 
 @pytest.mark.parametrize("grid", ["gamma", "k", "resonant"])
@@ -105,9 +119,9 @@ def test_each_cell_is_what_its_lone_solve_gives(grid):
     cfg = resonant_config() if grid == "resonant" else reference_config()
     ops = k_ops(cfg) if grid == "k" else gamma_ops(cfg)
     reference = window_reference(cfg)
-    want_status, want_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
-    errors, status, _ = cli._window_errors(cfg, ops, reference)
-    assert_same_cells((errors, status), (want_errors, want_status))
+    got = window_errors(cfg, ops, reference)
+    assert_same_cells(got, lone_cells(cfg, ops, reference))
+    status = got[2]
     if grid == "gamma":
         assert {"ok", "AssumptionViolation"} <= set(status)
     if grid == "resonant":
@@ -142,15 +156,15 @@ def test_block_size_does_not_change_a_cell(monkeypatch, block):
     cfg = reference_config()
     ops = np.concatenate([gamma_ops(cfg), k_ops(cfg)])
     reference = window_reference(cfg)
-    want = cli._window_errors(cfg, ops, reference)
+    want = window_errors(cfg, ops, reference)
     monkeypatch.setattr(numkernel, "CHUNK_ELEMENTS", block * CELL_ELEMENTS)
     assert len(numkernel.chunks(len(ops), CELL_ELEMENTS)) == math.ceil(len(ops) / block)
-    assert_same_cells(cli._window_errors(cfg, ops, reference), want)
+    assert_same_cells(window_errors(cfg, ops, reference), want)
 
 
 def test_an_empty_surface_has_no_cells():
     cfg = reference_config()
-    assert cli._window_errors(cfg, [], window_reference(cfg)) == ([], [], 0)
+    assert window_errors(cfg, [], window_reference(cfg)) == ([], [], [], 0)
 
 
 def test_the_window_errors_peak_does_not_grow_with_the_surface():
@@ -160,13 +174,13 @@ def test_the_window_errors_peak_does_not_grow_with_the_surface():
     (41 x 41 solves only 861, less than one chunk of 1,024)."""
     cfg = reference_config()
     reference = window_reference(cfg)
-    cli._window_errors(cfg, gamma_ops(cfg, 3), reference)  # lazy set-up
+    window_errors(cfg, gamma_ops(cfg, 3), reference)  # lazy set-up
     peaks = []
     for points in (61, 121):
         ops = gamma_ops(cfg, points)
         tracemalloc.start()
         try:
-            cli._window_errors(cfg, ops, reference)
+            window_errors(cfg, ops, reference)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -176,11 +190,12 @@ def test_the_window_errors_peak_does_not_grow_with_the_surface():
 ONCE_OVERFLOWING_CELLS = """
 import json, sys
 import numpy as np
-from choreoqep import cli
+from choreoqep import cli, convergence
 cfg = cli.parse_config(json.loads(sys.argv[1]))
 ops = np.array([[a, -(a + b), b] for a, b in ((-0.5, 0.0125), (-0.5, -0.0125))], dtype=complex)
-reference = cli._window_reference(cfg, 1, cli._cel_solution(cfg, 0))
-print(*cli._window_errors(cfg, ops, reference)[1])
+args = cfg.spec, cfg.n, cfg.t0, cfg.M, cfg.epsilon
+reference = convergence.window_reference(cli.cel_solution(cfg, 0), *args[2:], 1)
+print(*convergence.window_errors(*args, ops, reference)[2])
 """
 
 
@@ -203,17 +218,34 @@ def test_csv_status_column_names_each_failure(tmp_path):
     config.write_text(json.dumps(raw_config()))
     assert cli.main(["error-surface", "--config", str(config), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "error_surface_gamma.csv").read_text().strip().split("\n")
-    assert lines[0] == "gamma_m1_re,gamma_1_re,metric,status"
+    assert lines[0] == "gamma_m1_re,gamma_1_re,metric,max_error,status"
     reference = window_reference(cfg)
     sentinel = -math.log(3.0 * cfg.M)
     for line, op in zip(lines[1:], gamma_ops(cfg)):
-        metric, status = float(line.split(",")[2]), line.split(",")[3]
-        want_status, want_error = per_cell(cfg, op, reference)
+        metric, max_error, status = line.split(",")[2:]
+        want_status, want_error, want_max = per_cell(cfg, op, reference)
         assert status == want_status
         if status == "ok":
-            assert metric == pytest.approx(-math.log(want_error), rel=RTOL)
+            assert float(metric) == pytest.approx(-math.log(want_error), rel=RTOL)
+            assert float(max_error) == pytest.approx(want_max, rel=RTOL)
         else:
-            assert metric == sentinel
+            assert float(metric) == sentinel and math.isnan(float(max_error))
+
+
+def test_an_ok_cell_above_the_cap_writes_its_own_error(tmp_path):
+    """Cell (-0.75, -0.45) solves, with a window error of about 1,517 > 3M = 300 (M = 100):
+    its metric is -log of that error, not the failure sentinel -log(3M)."""
+    raw = {**raw_config(), "sweep": {"gamma_grid": {"min": -0.75, "max": -0.45, "points": 2}}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main(["error-surface", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path)]) == 0
+    line = (tmp_path / "error_surface_gamma.csv").read_text().split("\n")[2].split(",")
+    cfg = cli.parse_config(raw)
+    status, error, _ = per_cell(cfg, np.array([-0.75, 1.2, -0.45], dtype=complex),
+                                window_reference(cfg))
+    assert [float(v) for v in line[:2]] == [-0.75, -0.45] and line[4] == status == "ok"
+    assert error > 3.0 * cfg.M
+    assert float(line[2]) == pytest.approx(-math.log(error), rel=RTOL)
 
 
 def test_the_surface_solves_spectra_per_block_not_per_cell(monkeypatch, tmp_path):
@@ -276,9 +308,7 @@ def solved_operators(monkeypatch):
 
 
 def assert_each_cell_is_its_lone_solve(cfg, ops, got):
-    reference = window_reference(cfg)
-    want_status, want_errors = zip(*(per_cell(cfg, op, reference) for op in ops))
-    assert_same_cells(got, (want_errors, want_status))
+    assert_same_cells(got, lone_cells(cfg, ops, window_reference(cfg)))
 
 
 @st.composite
@@ -303,12 +333,14 @@ def test_reversed_weights_share_one_solve_when_j5_is_0(gamma):
         ops = np.array([gamma, gamma[::-1], flipped, -gamma])
         with pytest.MonkeyPatch.context() as monkeypatch:
             seen = solved_operators(monkeypatch)
-            errors, status, solved = cli._window_errors(cfg, ops, window_reference(cfg))
+            got = window_errors(cfg, ops, window_reference(cfg))
+        errors, max_errors, status, solved = got
         assert [op.gamma.tobytes() for op in seen] == [ops[0].tobytes(), ops[3].tobytes()]
         assert solved == 2
         assert len(set(status[:3])) == 1
         assert np.array_equal(errors[:3], errors[:1] * 3, equal_nan=True)
-        assert_each_cell_is_its_lone_solve(cfg, ops, (errors, status))
+        assert np.array_equal(max_errors[:3], max_errors[:1] * 3, equal_nan=True)
+        assert_each_cell_is_its_lone_solve(cfg, ops, got)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
@@ -319,7 +351,7 @@ def test_reversed_weights_are_solved_apart_when_j5_is_not_0(gamma):
     ops = np.array([gamma, gamma[::-1], -gamma])
     with pytest.MonkeyPatch.context() as monkeypatch:
         seen = solved_operators(monkeypatch)
-        got = cli._window_errors(cfg, ops, window_reference(cfg))
+        got = window_errors(cfg, ops, window_reference(cfg))
     assert [op.gamma.tobytes() for op in seen] == [g.tobytes() for g in ops]
     assert_each_cell_is_its_lone_solve(cfg, ops, got)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choreoqep import cli, delsolve
+from choreoqep import cli, convergence, delsolve
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference
 
@@ -68,8 +68,8 @@ class TestSuccess:
         # the boundary data and window values depend on (cfg, N) only, not on the
         # cell: once for the 3x3 gamma grid, once for the one M of the k grid
         calls = []
-        original = cli._matched_del_data
-        monkeypatch.setattr(cli, "_matched_del_data",
+        original = convergence.window_reference
+        monkeypatch.setattr(convergence, "window_reference",
                             lambda *args: calls.append(args) or original(*args))
         code, _ = run(tmp_path, "error-surface", ref_config, "--grid", grid)
         assert code == cli.EXIT_OK and len(calls) == 1
@@ -111,7 +111,7 @@ class TestSuccess:
         assert values.shape == (3, 101, 2)
         assert np.allclose(times, np.linspace(0.0, 1.0, 101), rtol=0, atol=1e-15)
         again = tmp_path / "again.csv"
-        cli.write_csv(again, cli._traj_header(2), cli._trajectory_rows(times, values))
+        cli.write_csv(again, cli.trajectory_header(2), cli.trajectory_rows(times, values))
         assert again.read_bytes() == path.read_bytes()
 
     def test_svg_bytes_repeat(self, tmp_path, ref_config):
@@ -171,8 +171,8 @@ class TestArtifactWriters:
 
     def test_trajectory_block(self, tmp_path):
         times, values = self.trajectory()
-        header = cli._traj_header(2)
-        cli.write_csv(tmp_path / "t.csv", header, cli._trajectory_rows(times, values))
+        header = cli.trajectory_header(2)
+        cli.write_csv(tmp_path / "t.csv", header, cli.trajectory_rows(times, values))
         want = reference_csv(header, reference_trajectory_rows(times, values))
         assert (tmp_path / "t.csv").read_bytes() == want
 
@@ -224,18 +224,18 @@ class TestArtifactWriters:
         values = complex_block(*parts.reshape(2, n, count, d))
         with tempfile.TemporaryDirectory() as tmp:
             first, again = Path(tmp) / "first.csv", Path(tmp) / "again.csv"
-            cli.write_csv(first, cli._traj_header(d), cli._trajectory_rows(times, values))
+            cli.write_csv(first, cli.trajectory_header(d), cli.trajectory_rows(times, values))
             read_times, read_values = cli.read_trajectory_csv(first)
-            cli.write_csv(again, cli._traj_header(d),
-                          cli._trajectory_rows(read_times, read_values))
+            cli.write_csv(again, cli.trajectory_header(d),
+                          cli.trajectory_rows(read_times, read_values))
             assert again.read_bytes() == first.read_bytes()
         assert np.array_equal(read_times.view(np.uint64), times.view(np.uint64))
         assert np.array_equal(read_values.view(np.uint64), values.view(np.uint64))
 
     def test_signed_zeros_survive_the_reader(self, tmp_path):
         values = complex_block([[[-0.0, 3.0]]], [[[1.0, -0.0]]])
-        cli.write_csv(tmp_path / "z.csv", cli._traj_header(2),
-                      cli._trajectory_rows(np.array([0.0]), values))
+        cli.write_csv(tmp_path / "z.csv", cli.trajectory_header(2),
+                      cli.trajectory_rows(np.array([0.0]), values))
         _, read = cli.read_trajectory_csv(tmp_path / "z.csv")
         assert np.signbit(read.real).tolist() == [[[True, False]]]
         assert np.signbit(read.imag).tolist() == [[[False, True]]]

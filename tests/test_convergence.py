@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from choreoqep import pencil
+from choreoqep import celsolve, convergence, pencil
 from choreoqep.convergence import (EmptySet, _pencil_errors, epsilon_sweep,
                                    filter_to_window, hausdorff_distance)
 from choreoqep.numkernel import RootSet
@@ -102,52 +102,73 @@ def test_pencil_error_grid_matches_the_pointwise_loop(spec, op_family):
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("op, bound", [
-    (central_difference(1e-4), 1e-8),
-    (ScaleOperator(np.array([1, -8, 0, 8, -1]) / 12.0, 1e-3), 1e-4)],
-    ids=["central", "five_point"])
-def test_pencil_error_terms_match_50_digits_at_small_epsilon(op, bound):
+@pytest.mark.parametrize("gamma", [[-0.5, 0.0, 0.5], np.array([1, -8, 0, 8, -1]) / 12.0],
+                         ids=["central", "five_point"])
+def test_pencil_error_terms_match_50_digits_at_small_epsilon(gamma):
     # alpha = -(theta_hat + lam^2) and beta = -(sigma1_hat - 2 lam) are O(eps^order)
-    # differences of O(1/eps^2) sums; measured 5.9e-10 (central) and 3.3e-6 (5-point)
-    # relative, where summing the symbols directly gave 2.0e-3 and 0.12 for alpha
+    # differences of O(1/eps^2) sums; from the moment series (and from expm1 terms for the
+    # 5-point operator at eps = 0.2) measured within 5e-16 and 2.4e-15 relative, where
+    # expm1 terms alone gave 3.3e-6 (5-point, eps = 1e-3) and 3.8e-2 (5-point, eps = 1e-4)
     lam = 3 + 4j
-    with mp.workdps(50):
-        z, eps = mp.mpc(lam.real, lam.imag), mp.mpf(op.epsilon)
-        g = {j: mp.mpc(op.gamma_at(j).real, op.gamma_at(j).imag)
-             for j in range(-op.N, op.N + 1)}
-        p = sum(g[j] * mp.exp(j * z * eps) for j in g) / eps
-        q = sum(g[j] * mp.exp(-j * z * eps) for j in g) / eps
-        alpha, beta = abs(complex(p * q + z**2)), abs(complex(p - q - 2 * z))
-    # with the Gram matrix of (A_nu, J5) set to diag(1, 0) or diag(0, 1), the pencil
-    # error is |alpha| or |beta|
-    got_alpha = _pencil_errors([op], np.array([lam]), np.diag([1.0, 0.0]))[0]
-    got_beta = _pencil_errors([op], np.array([lam]), np.diag([0.0, 1.0]))[0]
-    assert abs(got_alpha - alpha) <= bound * alpha
-    assert abs(got_beta - beta) <= bound * beta
+    for eps in (1e-4, 1e-3, 1e-2, 0.2):
+        op = ScaleOperator(np.asarray(gamma, dtype=complex), eps)
+        with mp.workdps(50):
+            z, e = mp.mpc(lam.real, lam.imag), mp.mpf(op.epsilon)
+            g = {j: mp.mpc(op.gamma_at(j).real, op.gamma_at(j).imag)
+                 for j in range(-op.N, op.N + 1)}
+            p = sum(g[j] * mp.exp(j * z * e) for j in g) / e
+            q = sum(g[j] * mp.exp(-j * z * e) for j in g) / e
+            alpha, beta = abs(complex(p * q + z**2)), abs(complex(p - q - 2 * z))
+        # with the Gram matrix of (A_nu, J5) set to diag(1, 0) or diag(0, 1), the pencil
+        # error is |alpha| or |beta|
+        got_alpha = _pencil_errors([op], np.array([lam]), np.diag([1.0, 0.0]))[0]
+        got_beta = _pencil_errors([op], np.array([lam]), np.diag([0.0, 1.0]))[0]
+        assert abs(got_alpha - alpha) <= 1e-12 * alpha, eps
+        assert abs(got_beta - beta) <= 1e-12 * beta, eps
 
 
-def two_expm1_pencil_errors(ops, lam, gram):
-    """`_pencil_errors` with expm1(-x) computed on its own, as it was before the reuse."""
-    N = ops[0].N
-    eps = np.array([op.epsilon for op in ops])[:, None]
-    gamma = np.stack([op.gamma for op in ops])[:, :, None]
-    total = gamma.sum(axis=1)
-    x = np.outer(lam, np.arange(-N, N + 1)) * eps[:, :, None]
-    p_lam = ((np.expm1(x) @ gamma)[..., 0] + total) / eps - lam
-    q_lam = ((np.expm1(-x) @ gamma)[..., 0] + total) / eps + lam
-    coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam], axis=1)
-    sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
-    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
-
-
-def test_reversed_expm1_keeps_every_bit_of_its_own_call():
+def test_each_pencil_error_of_a_batch_is_its_batch_of_one():
+    """Batches that mix the moment series (N max|lam| eps <= 1) and expm1 terms give each
+    operator the bits of its lone call.  At least 2 lams: one lam times a column of B
+    operators runs through numpy's other complex-multiply loop, which can round apart."""
     rng = np.random.default_rng(10)
+    forms = set()
     for i in range(300):
-        N, B, G = rng.integers(1, 4), rng.integers(1, 13), rng.integers(1, 40)
+        N, B, G = rng.integers(1, 4), rng.integers(1, 13), rng.integers(2, 40)
         ops = [ScaleOperator(rng.standard_normal(2 * N + 1)
                              + 1j * (i % 2) * rng.standard_normal(2 * N + 1),
                              10 ** rng.uniform(-4, -0.5)) for _ in range(B)]
         lam = (rng.standard_normal(G) + 1j * rng.standard_normal(G)) * 10 ** rng.uniform(-1, 2)
+        forms |= {N * np.abs(lam).max() * op.epsilon <= 1 for op in ops}
         a = rng.standard_normal((2, 2))
-        assert np.array_equal(_pencil_errors(ops, lam, a @ a.T),
-                              two_expm1_pencil_errors(ops, lam, a @ a.T))
+        lone = [_pencil_errors([op], lam, a @ a.T)[0] for op in ops]
+        assert np.array_equal(_pencil_errors(ops, lam, a @ a.T), lone)
+    assert forms == {True, False}
+
+
+def window_max_errors(gamma, Ms):
+    """The max window error of the discrete Dirichlet solve at each M, held to the
+    continuous one on the reference spec, n = 3 on [0, 2], with random end positions."""
+    spec, gamma = make_reference_spec(), np.array([gamma], dtype=complex)
+    x0, xf = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3, spec.d))
+    cel, _ = celsolve.dirichlet_cel(spec, 3, 0.0, 2.0, x0, xf)
+    errors = []
+    for M in Ms:
+        reference = convergence.window_reference(cel, 0.0, M, 2.0 / M, gamma.shape[1] // 2)
+        _, max_errors, status, _ = convergence.window_errors(spec, 3, 0.0, M, 2.0 / M, gamma,
+                                                            reference)
+        assert status == ["ok"]
+        errors += max_errors
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("gamma, Ms, order, tol", [
+    ([-0.5, 0.0, 0.5], [400, 800, 1600, 3200, 6400], 2, 0.1),
+    (np.array([1, -8, 0, 8, -1]) / 12.0, [400, 800, 1600, 3200], 4, 0.2)],
+    ids=["central", "five_point"])
+def test_window_max_error_falls_at_the_operators_order(gamma, Ms, order, tol):
+    """The least-squares slope of log(max error) against log(eps = 2/M): measured 2.03
+    (central, max error 1.4e-5 at M = 6,400) and 4.11 (5-point, 1.1e-10 at M = 3,200)."""
+    errors = window_max_errors(gamma, Ms)
+    slope = np.polyfit(np.log(2.0 / np.array(Ms)), np.log(errors), 1)[0]
+    assert abs(slope - order) <= tol, slope

@@ -45,6 +45,15 @@ relative; `test_batched_surface.py` holds every member of a class to its own lon
 The discrete solve and choreography kept their bytes when `celsolve.grid_values` came
 to turn its end-anchored modes round in place.
 
+The gamma digest was re-recorded when the surfaces gained a max_error column (the max
+norm of continuous - discrete over the window nodes, nan for a failed cell); its other
+columns kept their bytes.  Both sweep digests were re-recorded when the pencil errors came
+to be summed from a series over the weights' moments at small eps: only the pencil_error
+column moved, the hausdorff column kept its bytes.  On the five-point sweep every value is
+now within 6.9e-16 of a 50-digit evaluation over its whole 21 x 21 grid, where the old
+values were 8.3e-4 (eps = 1e-4), 1.0e-7 (1e-3) and 1.5e-12 (1e-2) off; the central sweep's
+values moved by at most 2.9e-15 relative.
+
 The five-point sweep at small eps guards the summation order of the batched sweep: a
 stacked product summed in another order moves its distances at eps = 1e-4 by orders of
 magnitude, which the central-difference sweep at large eps cannot see.  A cache or
@@ -52,8 +61,8 @@ vectorisation that moves one bit of a written number fails here, instead of sile
 changing a benchmark cell.  The discrete solve and the discrete choreography also pin
 their SVGs and the choreography its CSV, so that the array writers of both formats are
 held to the bytes the per-cell writers produced.  Each run is a fresh
-`python -m choreoqep.cli` with BLAS pinned to one thread, as the benchmark runs it:
-threaded BLAS rounds differently with the core count.
+`python -m choreoqep.cli` with BLAS pinned to one thread, as the benchmark runs it, and
+each is run again at two BLAS threads, which must write the same bytes.
 """
 import hashlib
 import json
@@ -85,11 +94,11 @@ CHOREO = {"d": 3, "n": 5, **{k: getattr(_TUNED, k).tolist() for k in ("J1", "J2"
 RUNS = {  # name -> (argv, (tf, M), config overrides, {file written: sha256 of its bytes})
     "gamma": (["error-surface", "--grid", "gamma"], (1.0, 100), {}, {
         "error_surface_gamma.csv":
-            "5213b036af69237fdf7951e515b10db70767a993bbcad9850558c8f80050dd05"}),
+            "2dd6604e532ad01751ea9854ab9bfc445d6a302d691ad2b28cfa739a0f0c7d91"}),
     "converge": (["converge"], (1.0, 100), {}, {
-        "converge.csv": "4de3ea3ebd91e219d71ab8729f0d6d61e37b485a16f1becdefc9497b51af1d26"}),
+        "converge.csv": "fb18593e2438457d9e474304ff686b0c1a22002a03891950f547cf5d60d2af94"}),
     "converge_five_point": (["converge"], (1.0, 100), FIVE_POINT, {
-        "converge.csv": "406d6fca8f0ba57aec47643d253ce9aec8bc4eef1e6474c19eba262ff9bbcce6"}),
+        "converge.csv": "b0779f359f05bb0e8f4c33bf9170c0a15d821ec461ce36c0734e02c25f6b1483"}),
     "solve_del": (["solve", "--which", "del"], (4.0, 400), {}, {
         "traj_del.csv": "af55afe62740569af193921e738ef7c1375c5c2c4700222dd927237b441c4cfe",
         "traj_del.svg": "32eb773e2612217b777e8821edb5b6786a84ab095bcf3dc310068916efcf95f3"}),
@@ -117,21 +126,22 @@ def write_config(tmp_path, time, overrides):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """name -> the output directory of that run, each run made once per module."""
+    """(name, BLAS threads) -> the output directory of that run, each run made once per
+    module."""
     done = {}
 
-    def run(name):
-        if name not in done:
+    def run(name, threads=1):
+        if (name, threads) not in done:
             argv, time, overrides, _ = RUNS[name]
             tmp = tmp_path_factory.mktemp(name)
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1",
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads),
                    "PYTHONPATH": str(Path(choreoqep.__file__).parents[1])}
             subprocess.run([sys.executable, "-m", "choreoqep.cli", *argv, "--config",
                             write_config(tmp, time, overrides), "--out", str(tmp / "out")],
                            env=env, check=True, capture_output=True)
-            done[name] = tmp / "out"
-        return done[name]
+            done[name, threads] = tmp / "out"
+        return done[name, threads]
     return run
 
 
@@ -150,3 +160,9 @@ def test_csv_bytes_are_pinned(outputs, name):
     f.endswith(".svg") for f in RUNS[n][3])))
 def test_svg_bytes_are_pinned(outputs, name):
     _check(outputs(name), name, ".svg")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_bytes_are_pinned_at_two_blas_threads(outputs, name):
+    for suffix in (".csv", ".svg"):
+        _check(outputs(name, threads=2), name, suffix)

@@ -7,7 +7,9 @@ an attribute access `module._name` through a package module it imported, and on
 `from .module import _name`.  It also fails on a private top-level name that nothing in
 the package refers to beyond its own definition: a dead helper left behind.  And the
 equations of motion are stated once, in `pencil.equation_blocks`: no other module calls
-`coefficient_matrices`, the weighted blocks A_nu and C_nu they are written with.
+`coefficient_matrices`, the weighted blocks A_nu and C_nu they are written with.  The tests
+reach the command-line module through its public names only: the experiments it runs live
+in the library, so no test file uses a private `cli._name`.
 """
 import ast
 from pathlib import Path
@@ -130,3 +132,51 @@ def test_the_checker_sees_a_restated_equation(tmp_path):
 
 def test_only_pencil_states_the_equations():
     assert equation_restatements(sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def private_cli_uses(source: str) -> list:
+    """(line, "cli._name") for every private name of `choreoqep.cli` that a test's source
+    imports or reads as an attribute of the module, also inside the scripts it holds as
+    strings to run in a fresh interpreter."""
+    tree = ast.parse(source)
+    modules, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "choreoqep":
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "cli"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "choreoqep.cli":
+            uses += [(node.lineno, f"cli.{alias.name}") for alias in node.names
+                     if alias.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.name == "choreoqep.cli" and alias.asname}
+        elif isinstance(node, ast.Constant) and "choreoqep" in str(node.value):
+            try:
+                uses += [(node.lineno + line - 1, name)
+                         for line, name in private_cli_uses(node.value)]
+            except SyntaxError:  # prose, not a script
+                pass
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and (
+                isinstance(node.value, ast.Name) and node.value.id in modules
+                or ast.unparse(node.value) == "choreoqep.cli"):
+            uses.append((node.lineno, f"cli.{node.attr}"))
+    return sorted(uses)
+
+
+def test_the_checker_sees_private_cli_names():
+    probe = ("import choreoqep.cli\nimport choreoqep.cli as c\n"
+             "from choreoqep import cli, pencil\nfrom choreoqep.cli import main, _rows\n"
+             "a = cli._window_errors\nb = c._traj\nd = choreoqep.cli._x\n"
+             "e = cli.write_csv\nf = pencil._eigenpairs\n")
+    found = [(4, "cli._rows"), (5, "cli._window_errors"), (6, "cli._traj"), (7, "cli._x")]
+    assert private_cli_uses(probe) == found
+    script = f"SCRIPT = {probe!r}\nNOTE = 'on `choreoqep`, not a script'\n"
+    assert private_cli_uses(script) == found  # lines counted in the script
+
+
+def test_no_test_uses_a_private_cli_name():
+    """Every test file but this one, whose checker probes hold such uses on purpose."""
+    found = {path.name: uses for path in sorted(Path(__file__).parent.glob("*.py"))
+             if path.name != Path(__file__).name
+             and (uses := private_cli_uses(path.read_text()))}
+    assert found == {}

@@ -23,7 +23,7 @@ from choreoqep.scaleop import ScaleOperator
 DOCUMENTED = (pencil.LeadingSingular, pencil.DegenerateRoots, numkernel.NumericalFailure)
 MARCH_ERRORS = (numkernel.NumericalFailure, delsolve.LeadingBlockSingular,
                 delsolve.WindowExceeded)
-SOLVE_ERRORS = cli._ASSUMPTION_ERRORS + cli._NUMERICAL_ERRORS
+SOLVE_ERRORS = cli.ASSUMPTION_ERRORS + cli.NUMERICAL_ERRORS
 
 
 @st.composite
