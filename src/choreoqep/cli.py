@@ -436,11 +436,19 @@ def cmd_solve(cfg: ExperimentConfig, which: str, out_dir: Path, seed: int) -> li
 def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
                       seed: int) -> Path:
     """Window errors of the discrete solve over a grid of operators, a block of them for
-    each M; a failed cell's Euclidean error is the cap 3M and its max_error nan."""
+    each M; a failed cell's Euclidean error is the cap 3M and its max_error nan.  One
+    equation is solved per `convergence.equation_classes` class (reversal when J5 = 0,
+    reversal and negation when J6 = 0).  A gamma range with min = -max has a mirror-symmetric
+    axis with exact endpoints, so (a, b) and (-a, -b) can share a class; other ranges are
+    `np.linspace`'s.  k_family(-k) is k_family(k) reversed and negated."""
     if grid == "gamma":
         block = cfg.sweep.get("gamma_grid", {})
-        axis = np.linspace(float(block.get("min", -1.0)), float(block.get("max", 1.0)),
-                           int(block.get("points", 41)))
+        lo, hi, points = (float(block.get("min", -1.0)), float(block.get("max", 1.0)),
+                          int(block.get("points", 41)))
+        axis = np.linspace(lo, hi, points)
+        if lo == -hi:  # axis[points-1-k] = -axis[k]
+            half = axis[:points // 2]
+            axis = np.concatenate([half, np.zeros(points % 2), -half[::-1]])
         first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
         blocks = [(cfg, zip(first.tolist(), last.tolist()),
                    np.stack([first, -(first + last), last], axis=1).astype(complex))]

@@ -13,7 +13,8 @@ in lam over the weights' moments at small eps, expm1 terms elsewhere.
 The error surfaces hold the discrete Dirichlet solves under many operators to the
 continuous solution on one grid (`window_reference`, `window_errors`): one stacked batch,
 in `numkernel.chunks` that bound each kernel's largest temporary, with one solve per
-distinct discrete equation (`equation_classes`).
+distinct discrete equation (`equation_classes`: weights and their reverse when J5 = 0,
+their negated reverse when J6 = 0, all four forms when both are 0).
 """
 from __future__ import annotations
 
@@ -178,20 +179,23 @@ def window_reference(cel: celsolve.SystemSolution, t0: float, M: int, epsilon: f
 def equation_classes(spec: LagrangianSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(representatives, inverse): the first row of each class in grid order, and each
     row's class, for weights gammas (B, 2N+1) at one eps.  A class is one discrete
-    equation, keyed by the weights, -0.0 read as 0.0; when J5 = 0, by the lexicographically
-    lesser of the weights and their reverse, which share theta and s_bar(0).  With J5 != 0
-    (its sigma1 term changes sign under reversal) only equal weights share a class."""
+    equation: gamma enters it only through theta = g g~ (g~ of the reversed weights),
+    sigma1 = gamma - gamma~ times J5 and s_bar(0) = sum(gamma)/eps, squared and times J6.
+    So a class is gamma's orbit under reversal when J5 = 0 and under reversal with
+    negation when J6 = 0 (all four forms when both are 0, J5 and J6 tested exactly), keyed
+    by the lexicographic least of the forms, each from the weights, -0.0 read as 0.0."""
     B = len(gammas)
     if B == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    weights = np.asarray(gammas, dtype=complex).view(float).reshape(B, -1) + 0.0
-    if not spec.J5.any():  # rows of re, im pairs; the reverse turns the pairs round
-        reverse = weights.reshape(B, -1, 2)[:, ::-1].reshape(B, -1)
-        at = np.arange(B), (weights != reverse).argmax(axis=1)  # first place they differ
-        weights = np.where((reverse[at] < weights[at])[:, None], reverse, weights)
+    weights = np.asarray(gammas, dtype=complex).view(float).reshape(B, -1)
+    reverse = weights.reshape(B, -1, 2)[:, ::-1].reshape(B, -1)  # re, im pairs turned round
+    j5, j6, key = spec.J5.any(), spec.J6.any(), weights + 0.0
+    for form in np.stack([reverse, -weights, -reverse])[[not j5, not (j5 or j6), not j6]] + 0.0:
+        at = np.arange(B), (key != form).argmax(axis=1)  # first place they differ
+        key = np.where((form[at] < key[at])[:, None], form, key)
     first = {}  # key bytes -> the first row with that key
-    owner = [first.setdefault(key, i) for i, key in enumerate(
-        weights.view(np.dtype((np.void, weights.itemsize * weights.shape[1]))).ravel().tolist())]
+    owner = [first.setdefault(k, i) for i, k in enumerate(
+        key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel().tolist())]
     representatives = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     return representatives, np.searchsorted(representatives, owner)
 
@@ -202,19 +206,21 @@ def window_errors(spec: LagrangianSpec, n: int, t0: float, M: int, epsilon: floa
     of (continuous - discrete) at the `window_reference` nodes, over every particle and
     coordinate (nan for a failed cell), and its status, "ok" or the class name of what
     `dirichlet_del` raises for it; and the number of operators solved.
-    Only the first row of each `equation_classes` class becomes an operator and is
-    solved, and every row takes the result of its class.  The representatives are solved
-    as one batch, in `numkernel.chunks` of K x K boundary matrices (K = 4Nd); only the ones
-    whose solves succeed are sampled, in chunks of their (T, K') window exponentials,
-    all particles as one (T, K') @ (K', n d) product a cell (`celsolve.grid_values`)."""
+    Only the first row of each `equation_classes` class (reversal when J5 = 0, reversal
+    and negation when J6 = 0) becomes an operator and is solved, and every row takes the
+    result of its class.  The representatives are solved as one batch, in `numkernel.chunks`
+    of K x K boundary matrices (K = 4Nd), each chunk's operators built and its arrays
+    dropped before the next; only the ones whose solves succeed are sampled, in chunks of
+    their (T, K') window exponentials, all particles as one (T, K') @ (K', n d) product a
+    cell (`celsolve.grid_values`)."""
     representatives, inverse = equation_classes(spec, gammas)
-    ops = [ScaleOperator(gammas[i], epsilon) for i in representatives]
     head, tail, times, cel_values = reference
     want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
-    errors, status = np.full((len(ops), 2), math.nan), []
+    errors, status = np.full((len(representatives), 2), math.nan), []
     K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
-    for c in numkernel.chunks(len(ops), K * K):
-        core, ends, data = delsolve.boundary_problem(spec, ops[c], n, t0, M, head, tail)
+    for c in numkernel.chunks(len(representatives), K * K):
+        ops = [ScaleOperator(gammas[i], epsilon) for i in representatives[c]]
+        core, ends, data = delsolve.boundary_problem(spec, ops, n, t0, M, head, tail)
         *amplitudes, failures = core.boundary_solve(ends, data)
         _, (u0, lams, vectors, anchors) = core.expansions(*amplitudes)
         _, ok = numkernel.merge_failures(failures)
@@ -226,4 +232,5 @@ def window_errors(spec: LagrangianSpec, n: int, t0: float, M: int, epsilon: floa
             errors[c][w] = np.stack([np.linalg.norm(diff, axis=(1, 2)),
                                      np.abs(diff).max(axis=(1, 2))], axis=1)
         status += ["ok" if f is None else type(f).__name__ for f in failures]
-    return *errors[inverse].T.tolist(), [status[i] for i in inverse], len(ops)
+        del ops, core, ends, data, amplitudes, u0, lams, vectors, anchors  # freed before the next chunk
+    return *errors[inverse].T.tolist(), [status[i] for i in inverse], len(representatives)

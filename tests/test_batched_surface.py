@@ -3,9 +3,9 @@
 `convergence.window_errors` solves all its operators as one batch, in memory-bounded
 chunks; `dirichlet_del` is the batch of one.  Every cell's status must be the class
 of what the lone solve raises, and every ok cell's window error must match it to
-rounding.  Only one operator of each class of one discrete equation is solved (with
-J5 = 0, weights and their reverse); the class rule is held to the lone solves of every
-member.
+rounding.  Only one operator of each class of one discrete equation is solved (weights
+and their reverse when J5 = 0, their negated reverse when J6 = 0, all four forms when
+both are 0); the class rule is held to the lone solves of every member.
 """
 import json
 import math
@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import choreoqep
 from choreoqep import cli, convergence, delsolve, numkernel, pencil, scaleop
@@ -170,8 +170,8 @@ def test_an_empty_surface_has_no_cells():
 def test_the_window_errors_peak_does_not_grow_with_the_surface():
     """The boundary solves and the window evaluation go in chunks of bounded size, so
     4x the cells take about the same peak memory (tracemalloc).  Both surfaces solve
-    more than one chunk of representatives: 1,891 of 3,721 cells and 7,381 of 14,641
-    (41 x 41 solves only 861, less than one chunk of 1,024)."""
+    more than one chunk of representatives: 1,549 of 3,721 cells and 6,121 of 14,641
+    (on this `np.linspace` axis 41 x 41 solves only 819, less than one chunk of 1,024)."""
     cfg = reference_config()
     reference = window_reference(cfg)
     window_errors(cfg, gamma_ops(cfg, 3), reference)  # lazy set-up
@@ -321,49 +321,93 @@ def weights(draw):
     return gamma
 
 
-@settings(derandomize=True, max_examples=15, deadline=None)
-@given(weights())
-def test_reversed_weights_share_one_solve_when_j5_is_0(gamma):
-    """J5 = 0, with J6 = 0 and J6 != 0 (reversal keeps s_bar(0) J6): gamma, its reverse
-    and gamma with its zeros' signs flipped are one equation.  The first is the only one
-    of them solved, each takes its row, and each matches its own lone solve; -gamma is
-    another class."""
-    for cfg in (reference_config(), config_with(**LINEAR)):
-        flipped = np.where(gamma == 0, -gamma, gamma)  # 0.0 <-> -0.0 in each part
-        ops = np.array([gamma, gamma[::-1], flipped, -gamma])
+# the class of each of (gamma, reversed, negated, negated reversed, zeros' signs flipped)
+# under the four (J5, J6) cases, for weights whose four forms are distinct
+J5_IS_0 = [({}, [0, 0, 0, 0, 0]), (LINEAR, [0, 0, 1, 1, 0])]
+J5_IS_NOT_0 = [(GYROSCOPIC, [0, 1, 1, 0, 0]), ({**GYROSCOPIC, **LINEAR}, [0, 1, 2, 3, 0])]
+
+
+def assert_each_class_is_one_solve(gamma, cases):
+    """gamma enters the equation through theta = g g~, sigma1 J5 and s_bar(0) J6, so
+    reversal keeps it when J5 = 0 and reversal with negation when J6 = 0.  Only the first
+    member of each class is solved, every member takes its row, and each matches its own
+    lone solve."""
+    flipped = np.where(gamma == 0, -gamma, gamma)  # 0.0 <-> -0.0 in each part
+    ops = np.array([gamma, gamma[::-1], -gamma, -gamma[::-1], flipped])
+    assume(len({op.tobytes() for op in ops[:4] + 0.0}) == 4)
+    for fields, classes in cases:
+        cfg = config_with(**fields)
+        assert (cfg.spec.J5.any(), cfg.spec.J6.any()) == ("J5" in fields, "J6" in fields)
         with pytest.MonkeyPatch.context() as monkeypatch:
             seen = solved_operators(monkeypatch)
             got = window_errors(cfg, ops, window_reference(cfg))
-        errors, max_errors, status, solved = got
-        assert [op.gamma.tobytes() for op in seen] == [ops[0].tobytes(), ops[3].tobytes()]
-        assert solved == 2
-        assert len(set(status[:3])) == 1
-        assert np.array_equal(errors[:3], errors[:1] * 3, equal_nan=True)
-        assert np.array_equal(max_errors[:3], max_errors[:1] * 3, equal_nan=True)
+        firsts = [classes.index(c) for c in range(max(classes) + 1)]
+        assert [op.gamma.tobytes() for op in seen] == [ops[i].tobytes() for i in firsts]
+        assert got[3] == len(firsts)
+        for rows in got[:3]:
+            assert [str(rows[i]) for i in range(5)] == [str(rows[i]) for i in
+                                                       (firsts[c] for c in classes)]
         assert_each_cell_is_its_lone_solve(cfg, ops, got)
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(weights())
+def test_reversed_weights_share_one_solve_when_j5_is_0(gamma):
+    """J5 = 0: gamma, its reverse and gamma with its zeros' signs flipped are one
+    equation; -gamma joins them when J6 = 0 too, and is another class when J6 != 0."""
+    assert_each_class_is_one_solve(gamma, J5_IS_0)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
 @given(weights())
 def test_reversed_weights_are_solved_apart_when_j5_is_not_0(gamma):
-    cfg = config_with(**GYROSCOPIC)
-    assert cfg.spec.J5.any()
-    ops = np.array([gamma, gamma[::-1], -gamma])
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        seen = solved_operators(monkeypatch)
-        got = window_errors(cfg, ops, window_reference(cfg))
-    assert [op.gamma.tobytes() for op in seen] == [g.tobytes() for g in ops]
-    assert_each_cell_is_its_lone_solve(cfg, ops, got)
+    """J5 != 0: gamma and its reverse are two equations; -gamma reversed joins gamma when
+    J6 = 0, and all four forms are apart when J6 != 0."""
+    assert_each_class_is_one_solve(gamma, J5_IS_NOT_0)
 
 
-@pytest.mark.parametrize("grid, line", [("gamma", "solved 45 distinct equations for 81 cells"),
-                                        ("k", "solved 5 distinct equations for 5 cells")])
-def test_the_surface_says_how_many_equations_it_solved(capsys, tmp_path, grid, line):
-    """9 x 9 gamma cells pair off under reversal, (a, b) with (b, a), but for the 9 on
-    the diagonal: (81 + 9)/2 = 45.  k_family(-k) is k_family(k) reversed and negated,
-    and the classes do not merge negated weights: the k-grid solves all 5 cells."""
+@pytest.mark.parametrize("grid, points, line", [
+    ("gamma", 9, "solved 25 distinct equations for 81 cells"),
+    ("gamma", 41, "solved 441 distinct equations for 1681 cells"),
+    ("k", 9, "solved 3 distinct equations for 5 cells")], ids=["gamma-9x9", "gamma-41x41", "k"])
+def test_the_surface_says_how_many_equations_it_solved(capsys, tmp_path, grid, points, line):
+    """With J5 = 0 and J6 = 0 the cells (a, b), (b, a), (-a, -b) and (-b, -a) are one
+    equation, and a mirror-symmetric axis holds all four: by Burnside's count a p x p grid
+    (p odd) has (p^2 + p + 1 + p)/4 classes, 25 for 9 x 9 and 441 for 41 x 41 (with
+    `np.linspace`'s axis, 41 x 41 solves 819).  k_family(-k) is k_family(k) reversed and
+    negated, so the default k-grid's 5 cells are 3 equations."""
+    raw = {**raw_config(), "sweep": {"gamma_grid": {"min": -1.0, "max": 1.0, "points": points}}}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw_config()))
+    config.write_text(json.dumps(raw))
     assert cli.main(["error-surface", "--grid", grid, "--config", str(config),
                      "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == line
+
+
+def surface_axis(tmp_path, low, high, points):
+    """The gamma axis of an error surface on [low, high], read back from its CSV."""
+    raw = {**raw_config(), "sweep": {"gamma_grid": {"min": low, "max": high, "points": points}}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main(["error-surface", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "error_surface_gamma.csv").read_text().split("\n")[1:points + 1]
+    firsts, axis = zip(*(map(float, line.split(",")[:2]) for line in lines))
+    assert set(firsts) == {low}  # a-major: the first row of cells runs along b
+    return np.array(axis)
+
+
+@pytest.mark.parametrize("points", [7, 8])
+def test_a_symmetric_range_has_a_mirror_symmetric_axis(tmp_path, points):
+    """On [-0.3, 0.3] `np.linspace` is not mirror-symmetric; the surface's axis is,
+    bit for bit, with the exact endpoints (and 0 in the middle for an odd count)."""
+    spaced = np.linspace(-0.3, 0.3, points)
+    assert not np.array_equal(spaced, -spaced[::-1])
+    axis = surface_axis(tmp_path, -0.3, 0.3, points)
+    assert axis.tobytes() == (-axis[::-1] + 0.0).tobytes()
+    assert (axis[0], axis[-1]) == (-0.3, 0.3)
+    np.testing.assert_allclose(axis, spaced, rtol=0, atol=1e-16)
+
+
+def test_an_asymmetric_range_keeps_linspace(tmp_path):
+    axis = surface_axis(tmp_path, -0.3, 0.7, 7)
+    assert axis.tobytes() == np.linspace(-0.3, 0.7, 7).tobytes()
