@@ -191,18 +191,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
 # artifact writers
 
 
+CSV_BLOCK = 1024  # rows formatted and written at a time
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """The header line, then one line per row: numeric cells (int, float, numpy float)
     as '%.17g', which reads back to the same double, and other cells as str.  The cell
     types of the first row make one %-template for the whole table, so every row must
-    share them; rows may be a list of lists or a 2-D float array."""
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-    lines = [",".join(header)]
-    if rows:
-        line = ",".join("%.17g" if isinstance(v, (int, float, np.floating)) else "%s"
-                        for v in rows[0])
-        lines.append("\n".join([line] * len(rows)) % tuple(chain.from_iterable(rows)))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    share them; rows may be a list of lists or a 2-D float array.  Rows are formatted
+    and written CSV_BLOCK at a time, so a long table is never held as text at once."""
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK):
+            block = rows[start:start + CSV_BLOCK]
+            block = block.tolist() if isinstance(block, np.ndarray) else block
+            if start == 0:
+                line = ",".join("%.17g" if isinstance(v, (int, float, np.floating)) else "%s"
+                                for v in block[0]) + "\n"
+            f.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -445,10 +452,8 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
         block = cfg.sweep.get("gamma_grid", {})
         lo, hi, points = (float(block.get("min", -1.0)), float(block.get("max", 1.0)),
                           int(block.get("points", 41)))
-        axis = np.linspace(lo, hi, points)
-        if lo == -hi:  # axis[points-1-k] = -axis[k]
-            half = axis[:points // 2]
-            axis = np.concatenate([half, np.zeros(points % 2), -half[::-1]])
+        axis = convergence.symmetric_axis(hi, points) if lo == -hi else \
+            np.linspace(lo, hi, points)
         first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
         blocks = [(cfg, zip(first.tolist(), last.tolist()),
                    np.stack([first, -(first + last), last], axis=1).astype(complex))]

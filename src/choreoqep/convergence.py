@@ -8,7 +8,9 @@ at every delay are solved together, as one `pencil.spectra` call per distinct N,
 and the classical pencil is solved once for the whole sweep (antisymmetric weights
 take their roots as preimages of it).  The pencil errors over a square grid of the
 window are one array expression per batch in the forward and adjoint symbols: a series
-in lam over the weights' moments at small eps, expm1 terms elsewhere.
+in lam over the weights' moments at small eps, expm1 terms elsewhere.  The grid's axis is
+exactly mirror-symmetric, so with real weights and blocks, whose error at conj(lam) is
+bit for bit the one at lam, only its half with Im lam >= 0 is evaluated.
 
 The error surfaces hold the discrete Dirichlet solves under many operators to the
 continuous solution on one grid (`window_reference`, `window_errors`): one stacked batch,
@@ -63,6 +65,13 @@ class SweepResult:
         return np.isfinite(self.distances)
 
 
+def symmetric_axis(radius: float, points: int) -> np.ndarray:
+    """np.linspace(-radius, radius, points) made exactly mirror-symmetric: axis[points-1-k]
+    = -axis[k], with exact endpoints and 0 in the middle of an odd count."""
+    half = np.linspace(-radius, radius, points)[:points // 2]
+    return np.concatenate([half, np.zeros(points % 2), -half[::-1]])
+
+
 def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
     ok = np.isfinite(distances) & (distances > 0)
     if ok.sum() < 3 or len(np.unique(epsilons[ok])) < 2:  # one delay fixes no slope
@@ -82,7 +91,10 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     N, m = ops[0].N, np.arange(20)
     eps = np.array([op.epsilon for op in ops])[:, None]
     gamma = np.stack([op.gamma for op in ops])
-    weights, inverse = np.unique(gamma, axis=0, return_inverse=True)  # a sweep has one
+    if gamma.tobytes() == gamma[:1].tobytes() * len(ops):  # one weight vector, as a sweep has
+        weights, inverse = gamma[:1], np.zeros(len(ops), dtype=np.intp)
+    else:
+        weights, inverse = np.unique(gamma, axis=0, return_inverse=True)
     rows = weights[:, None, :] * np.arange(-N, N + 1.0) ** m[:, None]  # gamma_j j^m
     rows[:, 1, N] = -1.0  # gamma_0 0^1 = 0: its place holds the -1 of M_1 - 1
     parts = np.moveaxis(rows.view(float).reshape(*rows.shape, 2), -1, -2)  # re, im apart
@@ -91,10 +103,11 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
               / np.cumprod(np.maximum(m, 1.0)))[inverse.ravel()]  # M_m/m!
     small = N * np.abs(lam).max() * eps[:, 0] <= 1
     x = lam * eps[small]
-    y, c = x * x, series[small, :, None]
-    even, odd = c[:, -2], c[:, -1]
+    y, c = (x * x)[:, None], series[small, :, None]
+    even_odd = c[:, -2:]  # (b, 2, G)
     for k in range(len(m) - 4, -1, -2):  # Horner's rule in x^2
-        even, odd = even * y + c[:, k], odd * y + c[:, k + 1]
+        even_odd = even_odd * y + c[:, k:k + 2]
+    even, odd = even_odd[:, 0], even_odd[:, 1]
     gaps = np.empty((2, len(ops), len(lam)), dtype=complex)  # S(x), S(-x)
     gaps[:, small] = even + x * odd, even - x * odd
     for sign, gap in zip((1, -1), gaps):
@@ -112,8 +125,12 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     """Hausdorff distances and pencil errors over a family of delays.
 
     op_family maps epsilon to a ScaleOperator.  The sweep is one batch: the delays
-    whose operators pass the operator conditions are solved together, one `pencil.spectra`
-    call per distinct N, with the classical spectrum solved once and shared.
+    whose operators pass the operator conditions (checked once per weight vector) are
+    solved together, one `pencil.spectra` call per distinct N, with the classical spectrum
+    solved once and shared.  The pencil error is the max over a 21 x 21 grid of the
+    square |Re lam|, |Im lam| <= K_radius, on a `symmetric_axis` (axis[20 - k] = -axis[k],
+    0 in the middle), taken over the half Im lam >= 0 when the weights are real: the other
+    half are its conjugates, whose errors are the same numbers.
     Failures at one delay (bad operator conditions, degenerate spectra, empty
     windows) annotate that entry and the others are kept.  The order is the
     least-squares slope of log(distance) against log(epsilon) over the valid entries.
@@ -125,13 +142,15 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     q_cls = pencil.classical_spectrum(p_cls)
     if K_radius is None:
         K_radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
-    axis = np.linspace(-K_radius, K_radius, 21)  # a 21 x 21 grid of pencil errors
+    axis = symmetric_axis(K_radius, 21)  # a 21 x 21 grid of pencil errors
     lam_grid = (axis[:, None] + 1j * axis[None, :]).ravel()
+    upper = lam_grid[lam_grid.imag >= 0]  # its half with Im lam >= 0
 
     ops = [op_family(float(eps)) for eps in epsilons]
-    notes: list[str | None] = [
-        None if conds.sum_zero and conds.derivative_normalized else "operator conditions fail"
-        for conds in map(scaleop.check_operator_conditions, ops)]
+    distinct = {op.gamma.tobytes(): op for op in ops}  # conditions once per weight vector
+    holds = {key: all(scaleop.check_operator_conditions(op)) for key, op in distinct.items()}
+    notes: list[str | None] = [None if holds[op.gamma.tobytes()] else "operator conditions fail"
+                               for op in ops]
     distances = np.full(len(epsilons), np.nan)
     pencil_errors = np.full(len(epsilons), np.nan)
     by_n: dict[int, list[int]] = {}
@@ -152,8 +171,10 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
                 continue
             distances[i] = hausdorff_distance(kept, q_cls)
             done.append(i)
-        if done:
-            pencil_errors[done] = _pencil_errors([ops[i] for i in done], lam_grid, gram)
+        if done:  # real weights and blocks (a spec's are): conj(lam) has lam's error
+            real = not any(ops[i].gamma.imag.any() for i in done)
+            pencil_errors[done] = _pencil_errors([ops[i] for i in done],
+                                                 upper if real else lam_grid, gram)
     order = _fit_order(epsilons, distances)
     return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))
 

@@ -21,16 +21,18 @@ theta_hat = g g~/eps^2, whose roots are those of g g~/eps^2 + mu_k zeta^{2N} for
 eigenpair of A_nu mu - C_nu.  Those are self-reciprocal: of half the degree in
 y = (zeta - 1)^2/zeta, a quadratic for N = 1, with two zeta-roots a y-root.  Other systems
 take the companion.  A pair is accepted when its normwise backward error ||Q(w) v|| /
-(sum_i |w|^i ||B_i||_F ||v||), Q(w) v from the classical products on a reduction, is at
-most tol, and that error is the root's residual.  `Setting` is the one place where the
-two settings differ; the assumption checker, the solvers' shared core and the
-periodicity code run on it.  `spectra` and `check_assumptions` run on a batch of
-settings that share spec and N, each item with its own eps, under the batch contract of
-`numkernel`, every eigen-solve stacked.  A batch holds the cells of an error surface
-(one eps) or the delays of an eps-sweep, and solves each reduction's classical pencil
-once.  The equations of motion are stated once, for both settings, by `equation_blocks`:
-`celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
-and march to the scale operator's windows.
+(sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the root's residual.  On a
+reduction Q(w) v comes from the classical products and ||B_i||_F = ||R x_i|| from the
+scalar coefficients x_i = (theta_i/eps^2, sigma1_i, shift_i) of B_i and the R of one QR of
+[vec A_nu | vec J5 | vec C_nu]: only the companion assembles the shifted blocks.
+`Setting` is the one place where the two settings differ; the assumption checker, the
+solvers' shared core and the periodicity code run on it.  `spectra` and
+`check_assumptions` run on a batch of settings that share spec and N, each item with its
+own eps, under the batch contract of `numkernel`, every eigen-solve stacked.  A batch
+holds the cells of an error surface (one eps) or the delays of an eps-sweep, and solves
+each reduction's classical pencil once.  The equations of motion are stated once, for
+both settings, by `equation_blocks`: `celsolve.residual_cel` applies them to exact
+derivatives, and `delsolve`'s residual map and march to the scale operator's windows.
 """
 from __future__ import annotations
 
@@ -282,21 +284,42 @@ def _symbols(gamma: np.ndarray, delays: _Delays) -> tuple:
     return g, _polymul(g, g_rev)
 
 
+def _block_coefficients(gamma: np.ndarray, delays: _Delays) -> tuple:
+    """(theta/eps^2, sigma1, zeta^{2N}), each (B, 4N+1) in w: the scalar coefficients x_i of
+    the shifted blocks B_i = -(x_i0 A_nu + x_i1 J5 + x_i2 C_nu), for weights gamma (B, 2N+1)
+    at their delays."""
+    N = (gamma.shape[1] - 1) // 2
+    theta = _symbols(gamma, delays)[1]
+    gamma = gamma if gamma.imag.any() else gamma.real
+    sigma1 = _row_products(gamma - gamma[:, ::-1],
+                           delays.shift[:, :, N:3 * N + 1].transpose(0, 2, 1)) \
+        / delays.eps[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return theta / delays.eps2[:, None], sigma1, delays.shift[:, :, 2 * N]
+
+
 def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
                     nu: float) -> np.ndarray:
     """Coefficients B_0..B_4N of zeta^{2N} P(zeta) in w = (zeta - 1)/eps, (B, 4N+1, d, d),
     for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay; not
     finite where eps^2 underflows to 0, which `spectra` reads as a degree drop."""
-    N = (gamma.shape[1] - 1) // 2
-    gamma = gamma if gamma.imag.any() else gamma.real
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    sigma1 = _row_products(gamma - gamma[:, ::-1],
-                           delays.shift[:, :, N:3 * N + 1].transpose(0, 2, 1)) \
-        / delays.eps[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -(_symbols(gamma, delays)[1][:, :, None, None] / delays.eps2[:, None, None, None]
-                 * a_nu + sigma1[:, :, None, None] * spec.J5
-                 + delays.shift[:, :, 2 * N, None, None] * c_nu)
+    theta, sigma1, unit = (c[:, :, None, None] for c in _block_coefficients(gamma, delays))
+    with np.errstate(invalid="ignore"):
+        return -(theta * a_nu + sigma1 * spec.J5 + unit * c_nu)
+
+
+def _block_norms(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
+                 nu: float) -> np.ndarray:
+    """||B_i||_F (B, 4N+1) of the `_shifted_blocks`, never assembled: ||R x_i||_2 for the
+    x_i of `_block_coefficients` and the triangular R of [vec A_nu | vec J5 | vec C_nu] =
+    Q R.  A nearly vanishing block (C_nu close to a multiple of A_nu) keeps the rounding of
+    its parts, as its assembly does; the Gram form x^T R^T R x would keep sqrt(u) of them."""
+    a_nu, c_nu = coefficient_matrices(spec, nu)
+    factor = np.linalg.qr(np.stack([a_nu, spec.J5, c_nu], axis=-1).reshape(-1, 3), mode="r")
+    with np.errstate(all="ignore"):  # not finite where eps^2 underflows, as the blocks
+        return np.linalg.norm(np.stack(_block_coefficients(gamma, delays), axis=-1)
+                              @ factor.T, axis=-1)
 
 
 def _half_degree(gamma: np.ndarray) -> np.ndarray:
@@ -356,10 +379,11 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
     for J5 = 0 from the self-reciprocal h(zeta) h(1/zeta) + t_k eps^2 of `_half_degree` in
     y = (zeta - 1)^2 / zeta: the quadratic formula (N = 1) or 2N x 2N companions give y,
     and each y the two roots eps w of x^2 - y x - y.  A Newton step in w is kept unless it
-    raises the modulus.  Items with w-coefficients not finite (or, for J5 = 0, a vanishing
-    leading one) are not solved.  With real weights, a target whose exact conjugate is a
-    target with Im > 0 is not solved either: its coefficients are the conjugates of that
-    target's, so its roots, Newton step and error terms are that target's, conjugated."""
+    raises the modulus; Q(w) v skips the products of a zero block (J5 = 0).  Items with
+    w-coefficients not finite (or, for J5 = 0, a vanishing leading one) are not solved.
+    With real weights, a target whose exact conjugate is a target with Im > 0 is not solved
+    either: its coefficients are the conjugates of that target's, so its roots, Newton step
+    and error terms are that target's, conjugated."""
     k, B, N, T = len(pencil) - 1, len(gamma), (gamma.shape[1] - 1) // 2, len(targets)
     partner = (targets[:, None] == targets.conj()).argmax(axis=1)
     mirror = (targets.imag < 0) & (targets[partner] == targets.conj()) & ~gamma.imag.any()
@@ -391,7 +415,7 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
         rows, flat = np.repeat(vectors[own], deg, axis=0), w.reshape(B, -1)  # one row a root
         at = [npoly.polyval(flat, p.T[:, :, None], tensor=False) for p in (base, unit)]
         q = sum((at[0]**i * at[1]**(k - i))[..., None] * (pencil[i] @ rows.T).T
-                for i in range(k + 1))  # Q(w) v, (B, own * deg, d)
+                for i in range(k + 1) if pencil[i].any())  # Q(w) v, (B, own * deg, d)
         den = (np.abs(flat[:, None]) ** np.arange(norms.shape[1])[:, None]
                * norms[:, :, None]).sum(axis=1) * np.linalg.norm(rows, axis=1)
     num, den = (e.reshape(w.shape)[:, src].reshape(B, -1)
@@ -434,9 +458,10 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
     Continuous settings share the classical spectrum.  Discrete weights are routed in
     batches, real apart from complex so that each item gets the roots of its lone
     spectrum: antisymmetric ones to preimages under g/eps of the classical pairs
-    (classical, when the caller has solved it), others when J5 = 0 to preimages under
+    (classical, when the caller has solved it: its `classical_spectrum` of the nu-pencil,
+    which has already found A_nu nonsingular), others when J5 = 0 to preimages under
     g g~/eps^2 of the pairs of A_nu mu - C_nu, each pencil solved once a batch, and the
-    rest to the shifted block companion.
+    rest to the shifted block companion.  Only that companion assembles the shifted blocks.
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
@@ -454,7 +479,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
     gamma = np.stack([s.op.gamma for s in settings])
     delays = _Delays.of([s.op for s in settings])
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    singular = _is_singular(a_nu)
+    singular = classical is None and _is_singular(a_nu)
     failures, live = numkernel.merge_failures([None] * B, [
         LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
         if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
@@ -464,8 +489,8 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
     routes = 2 * reduction + ~gamma.imag.any(axis=1)
     for route in np.unique(routes[live]):
         idx = live[routes[live] == route]
-        blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
         if route < 2:
+            blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
             w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(blocks, tol)
             # finite weights and eps leave a block infinite only through an under- or
             # overflowing delay (theta/eps^2): the degree drop the reductions report
@@ -480,9 +505,9 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
                 targets, pairs, failure = classical.roots, classical.vectors, None
             failed = [failure] * len(idx)
             if failure is None:
+                items = gamma[idx], delays.take(idx)
                 w[idx], vectors[idx], residuals[idx], failed = _preimages(
-                    gamma[idx], delays.take(idx), np.linalg.norm(blocks, axis=(2, 3)), pencil,
-                    targets, pairs, tol)
+                    *items, _block_norms(spec, *items, nu), pencil, targets, pairs, tol)
         failures, _ = numkernel.merge_failures(failures, failed, idx)
     z = delays.eps[:, None] * w  # zeta - 1
     # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1; a

@@ -59,6 +59,20 @@ def make_discrete_tuned_spec_d3(op, omegas=(1.0, 2.0, 3.0), n=5):
     return LagrangianSpec(3, n, j1, j2, j3, j4)
 
 
+def make_spread_spec(d=32, seed=2011):
+    """A seeded d-dimensional system (n = 2, J5 = 0) whose nu = 0 roots are exactly +-i w
+    for d frequencies w evenly spread over [0.5, 2]: with A = L L^T and
+    K = L Q diag(w^2) Q^T L^T, J1 = A + 2 J3 and J2 = 2 J4 - K for small symmetric J3, J4."""
+    rng = np.random.default_rng(seed)
+    omega = np.linspace(0.5, 2.0, d)
+    g = rng.standard_normal((d, d))
+    lower = np.linalg.cholesky(g @ g.T / d + np.eye(d))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    k = lower @ q @ np.diag(omega**2) @ q.T @ lower.T
+    j3, j4 = (0.025 * (s + s.T) for s in rng.standard_normal((2, d, d)))
+    return LagrangianSpec(d, 2, lower @ lower.T + 2.0 * j3, 2.0 * j4 - (k + k.T) / 2.0, j3, j4)
+
+
 def record_eigenpair_blocks(monkeypatch):
     """Wrap pencil._eigenpairs; returns the list of block shapes it is called on."""
     shapes = []

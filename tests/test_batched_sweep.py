@@ -109,7 +109,9 @@ def test_an_empty_window_is_noted_as_in_the_loop():
 
 
 def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
-    calls = {"eig": 0, "spectra": 0}
+    """One classical eigen-solve and one SVD of A_nu (the batch is given the classical
+    spectrum, which has checked A_nu), and no assembled shifted blocks."""
+    calls = {}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -122,11 +124,13 @@ def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
 
     counted(np.linalg, "eig")
     counted(pencil, "spectra")
+    counted(pencil, "_is_singular")
+    counted(pencil, "_shifted_blocks")
     for family in (central_difference, five_point):
-        calls.update(eig=0, spectra=0)
+        calls.update(eig=0, spectra=0, _is_singular=0, _shifted_blocks=0)
         result = convergence.epsilon_sweep(make_reference_spec(), family, 0.0, EPSILONS)
         assert result.valid()[:-1].all()
-        assert calls == {"eig": 1, "spectra": 1}
+        assert calls == {"eig": 1, "spectra": 1, "_is_singular": 1, "_shifted_blocks": 0}
 
 
 @st.composite

@@ -198,6 +198,18 @@ class TestArtifactWriters:
         cli.write_csv(tmp_path / "table.csv", header, rows)
         assert (tmp_path / "table.csv").read_bytes() == reference_csv(header, rows)
 
+    @pytest.mark.parametrize("count", [cli.CSV_BLOCK - 1, cli.CSV_BLOCK, 2 * cli.CSV_BLOCK + 3])
+    def test_tables_written_in_blocks_keep_their_bytes(self, tmp_path, count):
+        rng = np.random.default_rng(6)
+        times, values = np.arange(count) * 0.1, rng.standard_normal((1, count, 1)) + 0j
+        rows = cli.trajectory_rows(times, values)
+        cli.write_csv(tmp_path / "t.csv", ["t", "particle", "re", "im"], rows)
+        want = reference_csv(["t", "particle", "re", "im"], rows.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == want
+        listed = [[float(t), "ok"] for t in times]
+        cli.write_csv(tmp_path / "l.csv", ["t", "status"], listed)
+        assert (tmp_path / "l.csv").read_bytes() == reference_csv(["t", "status"], listed)
+
     def test_header_only_table(self, tmp_path):
         cli.write_csv(tmp_path / "empty.csv", ["re", "im"], [])
         assert (tmp_path / "empty.csv").read_bytes() == b"re,im\n"

@@ -172,3 +172,49 @@ def test_window_max_error_falls_at_the_operators_order(gamma, Ms, order, tol):
     errors = window_max_errors(gamma, Ms)
     slope = np.polyfit(np.log(2.0 / np.array(Ms)), np.log(errors), 1)[0]
     assert abs(slope - order) <= tol, slope
+
+
+@pytest.mark.parametrize("nu", [0, 3])
+@pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],
+                         ids=["reference", "gyroscopic"])
+def test_central_sweep_distance_is_the_asinh_preimage_gap(spec, nu):
+    """With the central difference g(zeta)/eps = sinh(mu eps)/eps, so the convergent phase
+    of each classical root lam_k is asinh(eps lam_k)/eps.  Wherever the window holds
+    exactly those 2d roots, the Hausdorff distance is max_k |asinh(eps lam_k)/eps - lam_k|
+    (measured within 7e-9 relative over 12 delays in [1e-4, 0.2])."""
+    epsilons = np.logspace(-4, math.log10(0.2), 12)
+    result = epsilon_sweep(spec, central_difference, nu, epsilons)
+    lam = pencil.classical_spectrum(pencil.classical_pencil(spec, nu)).roots
+    radius = 2.0 * np.abs(lam).max() + 1.0
+    sp = pencil.spectra([pencil.Setting(spec, central_difference(e)) for e in epsilons], nu)
+    checked = 0
+    for eps, distance, roots, failure in zip(epsilons, result.distances, sp.lam, sp.failures):
+        if failure is not None or (np.abs(roots) <= radius).sum() != 2 * spec.d:
+            continue
+        predicted = np.abs(np.arcsinh(eps * lam) / eps - lam).max()
+        assert abs(distance - predicted) <= 1e-7 * predicted, eps
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("points", [2, 5, 21, 41])
+def test_symmetric_axis_is_linspace_mirrored_exactly(points):
+    axis = convergence.symmetric_axis(2.7, points)
+    assert np.array_equal(axis[::-1], -axis)
+    assert axis[0] == -2.7 and axis[-1] == 2.7
+    assert np.abs(axis - np.linspace(-2.7, 2.7, points)).max() <= 1e-15
+
+
+def test_real_weights_take_the_max_over_the_upper_half_grid():
+    """With real weights and blocks the pencil error at conj(lam) is bit for bit the one at
+    lam, so the upper half of a mirror-symmetric grid has the whole grid's max."""
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        N, B = rng.integers(1, 4), rng.integers(1, 13)
+        ops = [ScaleOperator(rng.standard_normal(2 * N + 1), 10 ** rng.uniform(-4, -0.5))
+               for _ in range(B)]
+        axis = convergence.symmetric_axis(10 ** rng.uniform(-1, 1.5), 21)
+        lam = (axis[:, None] + 1j * axis[None, :]).ravel()
+        a = rng.standard_normal((2, 2))
+        assert np.array_equal(_pencil_errors(ops, lam[lam.imag >= 0], a @ a.T),
+                              _pencil_errors(ops, lam, a @ a.T))

@@ -56,7 +56,12 @@ values moved by at most 2.9e-15 relative.
 
 The five-point sweep at small eps guards the summation order of the batched sweep: a
 stacked product summed in another order moves its distances at eps = 1e-4 by orders of
-magnitude, which the central-difference sweep at large eps cannot see.  A cache or
+magnitude, which the central-difference sweep at large eps cannot see.  Two d = 32 sweeps
+(`make_spread_spec`: roots +-i w, w spread over [0.5, 2]; both operators, 12 delays
+log-spaced on [1e-4, 0.2]) pin the kind of system whose fitted orders an eps-sweep reports:
+the 5-point distances at the two smallest delays (4.4e-16 and 1.6e-15) are a few units of
+the roots' rounding, and moving either by one unit, 2^-52, moves the fitted order 3.924 to
+between 3.901 and 3.962.  A cache or
 vectorisation that moves one bit of a written number fails here, instead of silently
 changing a benchmark cell.  The discrete solve and the discrete choreography also pin
 their SVGs and the choreography its CSV, so that the array writers of both formats are
@@ -72,18 +77,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import choreoqep
 from choreoqep.scaleop import central_difference
 
-from conftest import make_discrete_tuned_spec_d3, make_reference_spec
+from conftest import make_discrete_tuned_spec_d3, make_reference_spec, make_spread_spec
 
 BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
             "x_tf": [[-0.1, 0.4], [0.6, -0.3], [0.2, 0.1]]}
 
 FIVE_POINT = {"operator": {"N": 2, "gamma_re": [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]},
               "sweep": {"epsilons": [1e-4, 1e-3, 1e-2, 0.1]}}
+
+SPREAD = make_spread_spec()
+SPREAD_SWEEP = {"d": SPREAD.d, "n": SPREAD.n,
+                **{k: getattr(SPREAD, k).tolist() for k in ("J1", "J2", "J3", "J4")},
+                "sweep": {"epsilons": np.logspace(-4, math.log10(0.2), 12).tolist(), "nu": 0.0}}
 
 CHOREO_EPS = math.pi / 15.0
 _TUNED = make_discrete_tuned_spec_d3(central_difference(CHOREO_EPS))
@@ -99,6 +110,11 @@ RUNS = {  # name -> (argv, (tf, M), config overrides, {file written: sha256 of i
         "converge.csv": "fb18593e2438457d9e474304ff686b0c1a22002a03891950f547cf5d60d2af94"}),
     "converge_five_point": (["converge"], (1.0, 100), FIVE_POINT, {
         "converge.csv": "b0779f359f05bb0e8f4c33bf9170c0a15d821ec461ce36c0734e02c25f6b1483"}),
+    "converge_d32": (["converge"], (1.0, 100), SPREAD_SWEEP, {
+        "converge.csv": "a256324b51c07be746f13ef98a10f63318b0f558f63acdf0c8cbba798baa3ca0"}),
+    "converge_d32_five_point": (["converge"], (1.0, 100),
+                                {**SPREAD_SWEEP, "operator": FIVE_POINT["operator"]}, {
+        "converge.csv": "c680adc48b142039f11904ce71436edd00f85589b776791cb89c22253f029c49"}),
     "solve_del": (["solve", "--which", "del"], (4.0, 400), {}, {
         "traj_del.csv": "af55afe62740569af193921e738ef7c1375c5c2c4700222dd927237b441c4cfe",
         "traj_del.svg": "32eb773e2612217b777e8821edb5b6786a84ab095bcf3dc310068916efcf95f3"}),

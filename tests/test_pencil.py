@@ -638,3 +638,68 @@ def test_a_tiny_edge_weight_fails_typed_without_warnings(ref_spec, weights, fail
     op = ScaleOperator(np.array(weights), 1.0)
     batch = pencil.spectra([pencil.Setting(ref_spec, op)], nu)
     assert type(batch.failures[0]) is failure
+
+
+class TestBlockNorms:
+    """The symbol reductions take ||B_i||_F of the shifted blocks from their scalar
+    coefficients x_i and one QR factor R of [vec A_nu | vec J5 | vec C_nu]; only the
+    companion route assembles the blocks."""
+
+    @staticmethod
+    def norms(spec, ops, nu):
+        gamma, delays = np.stack([op.gamma for op in ops]), pencil._Delays.of(ops)
+        blocks = pencil._shifted_blocks(spec, gamma, delays, nu)
+        return (pencil._block_norms(spec, gamma, delays, nu),
+                np.linalg.norm(blocks, axis=(2, 3)))
+
+    @pytest.mark.parametrize("j5", ["zero", "skew"])
+    @pytest.mark.parametrize("weights", ["real", "complex"])
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_match_the_assembled_blocks(self, d, weights, j5):
+        rng = np.random.default_rng(d)
+        spec = gyroscopic_random_spec(d)
+        if j5 == "zero":
+            spec = LagrangianSpec(d, spec.n, spec.J1, spec.J2, spec.J3, spec.J4)
+        for N in (1, 2, 3):
+            gamma = rng.uniform(-1.0, 1.0, (6, 2 * N + 1))
+            if weights == "complex":
+                gamma = gamma + 1j * rng.uniform(-1.0, 1.0, gamma.shape)
+            eps = 10.0 ** rng.uniform(-4.0, math.log10(0.2), 6)
+            ops = [ScaleOperator(g, e) for g, e in zip(gamma, eps)]
+            for nu in (0, spec.n):
+                got, want = self.norms(spec, ops, nu)
+                assert (np.abs(got - want) <= 1e-12 * want).all()
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_a_nearly_vanishing_block_keeps_the_scale_of_its_parts(self, N):
+        """d = 1 with C_nu = c A_nu, c making x_2,0 + c x_2,2 cancel to 1e-10 of its parts:
+        the norm of B_2 must be held to u times its parts, which the Gram form x^T R^T R x
+        (error ~ sqrt(u) times them) is not."""
+        rng = np.random.default_rng(N)
+        op = ScaleOperator(rng.uniform(-1.0, 1.0, 2 * N + 1), 0.05)
+        gamma, delays = op.gamma[None], pencil._Delays.of([op])
+        x = pencil._block_coefficients(gamma, delays)
+        c = -x[0][0, 2].real / x[2][0, 2] * (1.0 + 1e-10)
+        spec = LagrangianSpec(1, 2, [[1.0]], [[c]], [[0.0]], [[0.0]])  # A_0 = 1, C_0 = c
+        got, want = self.norms(spec, [op], 0)
+        parts = np.abs(x[0]) + np.abs(c * x[2])
+        assert want[0, 2] <= 1e-9 * parts[0, 2]  # the block nearly vanishes
+        assert (np.abs(got - want) <= 1e-14 * parts).all()
+
+    @pytest.mark.parametrize("spec, op, assembled", [
+        (make_reference_spec(), central_difference(0.05), 0),
+        (make_reference_spec(), ANTISYMMETRIC["complex"](0.05), 0),
+        (make_reference_spec(), gamma_cell(0.05), 0),
+        (make_reference_spec(), k_family(0.05, 0.3), 0),
+        (make_gyroscopic_spec(), five_point(0.05), 0),
+        (make_gyroscopic_spec(), gamma_cell(0.05), 1),
+        (make_gyroscopic_spec(), k_family(0.05, 0.3), 1)],
+        ids=["antisymmetric", "antisymmetric_complex", "j5_zero", "j5_zero_complex",
+             "antisymmetric_gyroscopic", "companion", "companion_complex"])
+    def test_only_the_companion_route_assembles_them(self, monkeypatch, spec, op, assembled):
+        calls, original = [], pencil._shifted_blocks
+        monkeypatch.setattr(pencil, "_shifted_blocks",
+                            lambda *args: calls.append(args) or original(*args))
+        for nu in (0, 3):
+            pencil.spectra([pencil.Setting(spec, op)], nu)
+        assert len(calls) == 2 * assembled
