@@ -13,6 +13,9 @@ Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes g
 more than e are anchored at the last sample time, others at the first; columns equilibrated.
 The equations of motion are `pencil.equation_blocks`, shared with the grid: `residual_cel`
 applies them to the expansions' exact derivatives.
+A solve fails only on what it needs (`Core`): a spectrum it uses, phases that coincide in
+one expansion, a constant mode or a boundary system it cannot solve.  The paper's verdicts
+on simple and disjoint roots are reports (`pencil.check_assumptions`) that no solve reads.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .model import LagrangianSpec
 
 
 class AssumptionViolation(Exception):
-    """Raised when the standing pencil assumptions fail for a solve."""
+    """Raised when a solve's spectra, phases or constant mode do not determine it."""
 
 
 class SingularBoundarySystem(Exception):
@@ -53,9 +56,8 @@ class ModeExpansion:
             vec = vec[None, :]
         if vec.shape != (len(lam), len(u0)):
             raise ValueError("vectors must be (K, d) matching lambdas and u0")
-        phase_failure, = _phase_failures(lam[None])
-        if phase_failure:
-            raise phase_failure
+        if _coincident(lam[None])[0]:
+            raise ValueError("mode phases must be pairwise distinct")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "vectors", vec)
@@ -117,12 +119,11 @@ class SystemSolution:
         return float(np.abs(total - ref).max()) / scale
 
 
-def _phase_failures(lams: np.ndarray) -> list:
-    """Per row of a (B, K) stack of phases: a ValueError when two lie within 1e-10."""
+def _coincident(lams: np.ndarray) -> np.ndarray:
+    """Per row of a (B, K) stack of phases: whether two lie within 1e-10."""
     diff = np.abs(lams[:, :, None] - lams[:, None, :])
     diff[:, np.eye(lams.shape[1], dtype=bool)] = np.inf
-    return [ValueError("mode phases must be pairwise distinct") if close else None
-            for close in diff.min(axis=(1, 2), initial=np.inf) <= 1e-10]
+    return diff.min(axis=(1, 2), initial=np.inf) <= 1e-10
 
 
 def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
@@ -154,41 +155,38 @@ def grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
     return u0[..., None, :] + np.moveaxis(E, 0, -2) @ vectors
 
 
-def _violation(failure, checks: np.ndarray, n: int) -> AssumptionViolation:
-    """What a solve raises, given `pencil.check_assumptions` for an item that fails them."""
-    if failure is not None:
-        return AssumptionViolation(f"pencil precondition fails: {failure}")
-    if n == 1:
-        return AssumptionViolation("x_s pencil assumptions fail for n = 1")
-    count_n, count_0, disjoint, det_n, det_0 = (bool(c) for c in checks)
-    return AssumptionViolation(f"pencil assumptions fail: counts ({count_n}, {count_0}), "
-                               f"disjoint {disjoint}, det at 0 ({det_n}, {det_0})")
-
-
 class Core:
     """Mode bases and x_s constants of a batch of settings sharing spec, N and eps, with
-    a leading batch axis.  failures[i] is what a solve of item i raises so far: an
-    AssumptionViolation unless its assumptions hold, None while it has not failed."""
+    a leading batch axis.  failures[i] is what a solve of item i raises so far, None while
+    it has not failed: an AssumptionViolation where a spectrum it uses fails (nu = n, and
+    nu = 0 for n > 1), where two phases of one expansion coincide or (`xs0`) where the nu = n
+    pencil is singular at the constant mode; a SingularBoundarySystem (`boundary_solve`)."""
 
     def __init__(self, settings: list, n: int):
-        sp_n, sp_0, failures, checks = pencil.check_assumptions(settings, n, 1e-7)
+        sp_n, sp_0 = (pencil.spectra(settings, nu) for nu in (n, 0))
         self.settings, self.n = settings, n
-        # single particle: the nu=0 modes are eliminated by the sum constraint,
-        # so only the x_s pencil conditions (count and det at nu = n) matter
-        hold = (checks[[0, 3]] if n == 1 else checks).all(axis=0)
-        self.failures = [None if h else _violation(f, c, n)
-                         for h, f, c in zip(hold, failures, checks.T)]
         self.lam_n, self.w_n = sp_n.lam, sp_n.vectors
         self.lam_0, self.w_0 = sp_0.lam, sp_0.vectors
+        # single particle: the zero-sum constraint eliminates the nu=0 modes
+        used = (sp_n,) if n == 1 else (sp_n, sp_0)
+        phases = np.concatenate([sp.lam for sp in used], axis=1)
+        failed, live = numkernel.merge_failures(*(sp.failures for sp in used))
+        self.failures, _ = numkernel.merge_failures(
+            [f and AssumptionViolation(f"pencil precondition fails: {f}") for f in failed],
+            [AssumptionViolation("mode phases coincide within one expansion") if c else None
+             for c in _coincident(phases[live])], live)
 
     @cached_property
     def xs0(self) -> tuple:
-        """(n times each item's constant mode (B, d), failures with the solves' ones)."""
+        """(n times each item's constant mode (B, d), failures with the solves' ones: an
+        AssumptionViolation where the nu = n pencil is singular at the constant mode)."""
         _, live = numkernel.merge_failures(self.failures)
         at, rhs = pencil.constant_systems(self.settings, self.n)
         x, found = numkernel.solve_stack(at[live], rhs[live])
         xs0 = np.zeros(rhs.shape, dtype=complex)
         xs0[live] = self.n * x
+        found = [AssumptionViolation(f"nu = n pencil is singular at the constant mode: {f}")
+                 if isinstance(f, numkernel.Singular) else f for f in found]
         return xs0, numkernel.merge_failures(self.failures, found, live)[0]
 
     def expansions(self, xs_amplitudes, particle_amplitudes, anchors) -> tuple:
@@ -244,8 +242,6 @@ class Core:
         amps_xs[live], found = _window_solve(self.lam_n[live], self.w_n[live], times,
                                              anchors[live, :K], data.sum(0) - xs0[live, None])
         failures, live = numkernel.merge_failures(failures, found, live)
-        failures, live = numkernel.merge_failures(failures, _phase_failures(self.lam_n[live]),
-                                                  live)
         if n > 1:
             # one product per end: a BLAS product's rounding depends on its row count
             xs_at = np.concatenate([_expansion_values(
@@ -255,8 +251,7 @@ class Core:
             amps, found = _window_solve(self.lam_0[live], self.w_0[live], times,
                                         anchors[live, K:], rhs)
             amps_p[live] = np.moveaxis(amps, -1, 1)
-            failures, live = numkernel.merge_failures(failures, found, live)
-            failures, _ = numkernel.merge_failures(failures, _phase_failures(phases[live]), live)
+            failures, _ = numkernel.merge_failures(failures, found, live)
         return amps_xs, amps_p, anchors, failures
 
     def solve_one(self, ends: tuple, data: np.ndarray) -> tuple:

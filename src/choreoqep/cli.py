@@ -41,7 +41,7 @@ EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
 
 ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, periodic.NotChoreographic,
-                     periodic.DelayResonant, pencil.LeadingSingular, pencil.DegenerateRoots)
+                     periodic.DelayResonant, pencil.LeadingSingular)
 NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
                     celsolve.SingularBoundarySystem, delsolve.LeadingBlockSingular,
                     delsolve.WindowExceeded, scaleop.OutOfRange, model.NoRealSolution,

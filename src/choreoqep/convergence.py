@@ -131,8 +131,8 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     square |Re lam|, |Im lam| <= K_radius, on a `symmetric_axis` (axis[20 - k] = -axis[k],
     0 in the middle), taken over the half Im lam >= 0 when the weights are real: the other
     half are its conjugates, whose errors are the same numbers.
-    Failures at one delay (bad operator conditions, degenerate spectra, empty
-    windows) annotate that entry and the others are kept.  The order is the
+    Failures at one delay (bad operator conditions, failed spectra, zeta-roots clustered
+    below 1e-7, empty windows) annotate that entry and the others are kept.  The order is the
     least-squares slope of log(distance) against log(epsilon) over the valid entries.
     """
     epsilons = np.asarray(epsilons, dtype=float).ravel()
@@ -161,7 +161,10 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
         sp = pencil.spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
                             classical=q_cls)
         done = []
-        for i, lam, failure in zip(idx, sp.lam, sp.failures):
+        simple = numkernel.simple_rows(sp.roots, 1e-7)
+        for i, lam, failure, ok in zip(idx, sp.lam, sp.failures, simple):
+            if failure is None and not ok:
+                failure = "zeta-roots cluster below the separation tolerance"
             if failure is not None:
                 notes[i] = f"spectrum failure: {failure}"
                 continue

@@ -25,7 +25,7 @@ take the companion.  A pair is accepted when its normwise backward error ||Q(w) 
 reduction Q(w) v comes from the classical products and ||B_i||_F = ||R x_i|| from the
 scalar coefficients x_i = (theta_i/eps^2, sigma1_i, shift_i) of B_i and the R of one QR of
 [vec A_nu | vec J5 | vec C_nu]: only the companion assembles the shifted blocks.
-`Setting` is the one place where the two settings differ; the assumption checker, the
+`Setting` is the one place where the two settings differ; the assumption reports, the
 solvers' shared core and the periodicity code run on it.  `spectra` and
 `check_assumptions` run on a batch of settings that share spec and N, each item with its
 own eps, under the batch contract of `numkernel`, every eigen-solve stacked.  A batch
@@ -54,10 +54,6 @@ class LeadingSingular(Exception):
 
 class ZeroArgument(Exception):
     """Raised when the transcendental pencil is evaluated at zeta = 0."""
-
-
-class DegenerateRoots(Exception):
-    """Raised when pencil roots cluster below the separation tolerance."""
 
 
 def coefficient_matrices(spec: LagrangianSpec, nu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -431,16 +427,15 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
 
 class Spectra(NamedTuple):
     """Spectra of a batch of pencils, rows sorted by phase: phases and roots (in the
-    pencil's variable), backward errors, unit kernel vectors (B, K, d), failures[i],
-    what item i's spectrum raises (None when it has one), and simple[i], whether item
-    i's roots are separated at the separation tolerance."""
+    pencil's variable), backward errors, unit kernel vectors (B, K, d) and failures[i],
+    what item i's spectrum raises (None when it has one).  Roots are not judged for
+    separation here: a reader that needs simple roots applies `numkernel.simple_rows`."""
 
     lam: np.ndarray
     roots: np.ndarray
     residuals: np.ndarray
     vectors: np.ndarray
     failures: list
-    simple: np.ndarray
 
     def rootsets(self, i: int, tol: float) -> tuple:
         """Item i as RootSets of (lam, roots); raises the item's failure."""
@@ -450,7 +445,7 @@ class Spectra(NamedTuple):
                      for r in (self.lam, self.roots))
 
 
-def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float = 1e-7,
+def spectra(settings: list, nu: float, tol: float = 1e-8,
             classical: RootSet | None = None) -> Spectra:
     """Spectra of the nu-pencils of a batch of settings that share spec and N; each item
     has its own eps.
@@ -462,6 +457,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
     which has already found A_nu nonsingular), others when J5 = 0 to preimages under
     g g~/eps^2 of the pairs of A_nu mu - C_nu, each pencil solved once a batch, and the
     rest to the shifted block companion.  Only that companion assembles the shifted blocks.
+    A zeta-root at 0 has no finite phase: its item is a NumericalFailure.
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
@@ -470,11 +466,9 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
-            return Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B,
-                           np.zeros(B, dtype=bool))
+            return Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B)
         w[:], residuals[:], vectors[:] = q.roots, q.residuals, q.vectors
-        simple = numkernel.simple_rows(q.roots[None], separation_tol)  # judged, not raised
-        return Spectra(w, w, residuals, vectors, [None] * B, np.repeat(simple, B))
+        return Spectra(w, w, residuals, vectors, [None] * B)
 
     gamma = np.stack([s.op.gamma for s in settings])
     delays = _Delays.of([s.op for s in settings])
@@ -516,15 +510,13 @@ def spectra(settings: list, nu: float, tol: float = 1e-8, separation_tol: float 
         lam = (0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
                + 1j * np.arctan2(z.imag, 1.0 + z.real)) / delays.eps[:, None]
     order = np.arange(B)[:, None], np.lexsort((lam.real, lam.imag), axis=-1)
-    zeta = 1.0 + z[order]
-    simple = numkernel.simple_rows(zeta, separation_tol)
-    failures, _ = numkernel.merge_failures(failures, [None if ok else DegenerateRoots(
-        "zeta-roots cluster below the separation tolerance") for ok in simple])
-    return Spectra(lam[order], zeta, residuals[order], vectors[order], failures, simple)
+    failures, _ = numkernel.merge_failures(failures, [
+        None if ok else numkernel.NumericalFailure("a zeta-root at 0 has no finite phase")
+        for ok in np.isfinite(lam.real).all(axis=1)])
+    return Spectra(lam[order], 1.0 + z[order], residuals[order], vectors[order], failures)
 
 
-def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
-                            separation_tol: float = 1e-7) -> TranscendentalSpectrum:
+def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8) -> TranscendentalSpectrum:
     """All 4Nd discrete phases and their kernel vectors, as preimages of the classical
     pairs (antisymmetric weights, or J5 = 0) or from the companion of zeta^{2N} P(zeta)
     in w = (zeta - 1)/eps: the batch of one of `spectra`, raising its failure.
@@ -532,7 +524,7 @@ def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8,
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    batch = spectra([Setting(p.spec, p.op)], p.nu, tol, separation_tol)
+    batch = spectra([Setting(p.spec, p.op)], p.nu, tol)
     return TranscendentalSpectrum(*batch.rootsets(0, tol))
 
 
@@ -590,11 +582,10 @@ def constant_systems(settings: list, nu: float) -> tuple:
 
 @dataclass(frozen=True)
 class Assumptions:
-    """Report on the solvers' standing assumptions, measured in the root variable.
-
-    Precondition failures (singular leading block, vanishing edge weights,
-    failed or clustered roots) are reported with a note, not raised.
-    """
+    """Report on the paper's standing assumptions, in the root variable; no solve reads it
+    (`celsolve.Core`).  The paper's unique x_s/particle split needs the nu = n and nu = 0
+    roots disjoint, which solves do not enforce.  count_*_ok say the roots are simple; a
+    degree drop or a failed eigen-solve shows as precondition_ok False, with a note."""
 
     setting: Setting
     modes_n: Modes | None
@@ -614,14 +605,13 @@ class Assumptions:
 
 
 def check_assumptions(settings: list, n: int, tol: float) -> tuple:
-    """|roots| = root_count and simple for nu = n and 0, disjointness, and
-    nonsingularity at the constant mode, for each setting of a batch: (spectra at
-    nu = n and 0, failures, checks).  failures[i] is what item i's spectra raise (None
-    when both exist); the checks are a (5, B) bool array in the order of Assumptions."""
-    sp_n, sp_0 = (spectra(settings, nu, separation_tol=tol) for nu in (n, 0))
+    """Simple roots for nu = n and 0, disjointness at tol and nonsingularity at the constant
+    mode, reported for each setting of a batch: (spectra at nu = n and 0, failures, checks).
+    failures[i] is what item i's spectra raise (None when both exist); the checks are a
+    (5, B) bool array in the order of Assumptions."""
+    sp_n, sp_0 = (spectra(settings, nu) for nu in (n, 0))
     failures, _ = numkernel.merge_failures(sp_n.failures, sp_0.failures)
-    count = settings[0].root_count
-    checks = np.array([*((sp.roots.shape[1] == count) & sp.simple for sp in (sp_n, sp_0)),
+    checks = np.array([*(numkernel.simple_rows(sp.roots, tol) for sp in (sp_n, sp_0)),
                        ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),
                        ~_is_singular(constant_systems(settings, n)[0]),
                        ~_is_singular(constant_systems(settings, 0)[0])])
@@ -639,11 +629,11 @@ def _report(setting: Setting, n: int, tol: float) -> Assumptions:
 
 
 def check_cel_assumptions(spec: LagrangianSpec, n: int, tol: float = 1e-7) -> Assumptions:
-    """Assumptions of the continuous solver, on the lam-roots."""
+    """The paper's assumptions in continuous time, on the lam-roots: reported, not enforced."""
     return _report(Setting(spec), n, tol)
 
 
 def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int,
                           tol: float = 1e-7) -> Assumptions:
-    """Assumptions of the discrete solver, on the zeta-roots."""
+    """The paper's assumptions on the grid, on the zeta-roots: reported, not enforced."""
     return _report(Setting(spec, op), n, tol)

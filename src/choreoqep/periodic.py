@@ -165,8 +165,7 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
     """
     try:
         modes_0 = setting.modes(0)
-    except (pencil.LeadingSingular, pencil.DegenerateRoots,
-            numkernel.NumericalFailure) as exc:
+    except (pencil.LeadingSingular, numkernel.NumericalFailure) as exc:
         raise NotChoreographic(str(exc)) from exc
     roots = modes_0.lam
     if len(roots) != setting.root_count or not roots.is_simple():

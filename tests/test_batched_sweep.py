@@ -68,9 +68,11 @@ def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
             continue
         try:
             sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu))
-        except (pencil.LeadingSingular, pencil.DegenerateRoots,
-                pencil.numkernel.NumericalFailure) as exc:
+        except (pencil.LeadingSingular, pencil.numkernel.NumericalFailure) as exc:
             notes[-1] = f"spectrum failure: {exc}"
+            continue
+        if not sp.zeta.is_simple():
+            notes[-1] = "spectrum failure: zeta-roots cluster below the separation tolerance"
             continue
         kept = convergence.filter_to_window(sp.lam, K_radius)
         if len(kept) == 0:

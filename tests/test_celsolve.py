@@ -122,9 +122,12 @@ class TestGeneralSolution:
         assert sol.sum_mismatch() <= 1e-9
 
     def test_uncoupled_system_rejected(self):
+        # the nu = n and nu = 0 pencils are one: each particle expansion holds every phase twice
         spec = LagrangianSpec(2, 3, J1, J2, np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(AssumptionViolation):
             general_solution_cel(spec, 3, np.zeros(4), np.zeros((2, 4)))
+        with pytest.raises(AssumptionViolation, match="phases coincide"):
+            dirichlet_cel(spec, 3, 0.0, 1.0, np.zeros((3, 2)), np.ones((3, 2)))
 
     def test_center_of_mass_identities(self):
         spec = dataclasses.replace(make_reference_spec(), J7=np.array([0.3, -1.2]))

@@ -184,7 +184,7 @@ class TestArtifactWriters:
             "gamma": (["gamma_m1_re", "gamma_1_re", "metric", "status"],
                       [[np.float64(a), np.float64(b), m, s] for a, b, m, s in zip(
                           floats, floats[::-1], floats[3:] + floats[:3],
-                          ["ok", "DegenerateRoots", "ok", "SingularBoundarySystem"] * 5)]),
+                          ["ok", "AssumptionViolation", "ok", "SingularBoundarySystem"] * 5)]),
             "converge": (["epsilon", "hausdorff", "pencil_error", "note"],
                          [[e, np.float64(h), p, note] for e, h, p, note in zip(
                              floats, floats[1:], floats[2:],

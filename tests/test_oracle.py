@@ -142,12 +142,11 @@ def test_zeta_spectrum_matches_the_oracle(name, nu, op_name, eps):
     with mp.workdps(50):
         coeffs = zeta_coeffs(spec, op, nu)
         want = mp_companion_roots(coeffs)
-        sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu),
-                                            separation_tol=1e-300)
+        sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu))
         assert len(sp.zeta) == len(want) == 4 * op.N * spec.d
         assert hausdorff_distance(sp.zeta, want) <= root_tol(name, op_name)
         # simple (separation 1e-7) exactly when the oracle's roots are: the mixed 5-point
-        # weights at eps = 1e-3 have roots 1.9e-8 apart, and a DegenerateRoots spectrum
+        # weights at eps = 1e-3 have roots 1.9e-8 apart
         assert simple_rows(sp.zeta.roots[None], 1e-7) == simple_rows(want[None], 1e-7)
         check_pairs(coeffs, sp.zeta, sp.lam.roots, window_radius(spec, nu), spec.d)
 

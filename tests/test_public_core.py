@@ -9,9 +9,12 @@ the package refers to beyond its own definition: a dead helper left behind.  And
 equations of motion are stated once, in `pencil.equation_blocks`: no other module calls
 `coefficient_matrices`, the weighted blocks A_nu and C_nu they are written with.  The tests
 reach the command-line module through its public names only: the experiments it runs live
-in the library, so no test file uses a private `cli._name`.
+in the library, so no test file uses a private `cli._name`.  Every exception class the
+package defines is also raised by it: no typed failure is left behind once the code that
+raised it goes.
 """
 import ast
+import builtins
 from pathlib import Path
 
 import choreoqep
@@ -100,6 +103,44 @@ def test_the_checker_sees_dead_private_names(tmp_path):
 
 def test_no_private_name_is_dead():
     assert dead_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def unconstructed_exceptions(paths: list) -> tuple:
+    """(how many Exception subclasses the modules define, (module, name) for each that no
+    code of the modules constructs: no call of the class and no raise of it by name)."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    errors = {name for name in dir(builtins) if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), Exception)}
+    defined, grown = {}, True
+    while grown:  # subclasses of the package's own exceptions too, in any order
+        grown = False
+        for module, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name not in defined and any(
+                        getattr(base, "id", getattr(base, "attr", None)) in errors | set(defined)
+                        for base in node.bases):
+                    defined[node.name], grown = module, True
+    built = {getattr(target, "id", getattr(target, "attr", None))
+             for tree in trees.values() for node in ast.walk(tree)
+             for target in [node.func if isinstance(node, ast.Call)
+                            else node.exc if isinstance(node, ast.Raise) else None]}
+    return len(defined), sorted((module, name) for name, module in defined.items()
+                                if name not in built)
+
+
+def test_the_checker_sees_an_exception_nothing_raises(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "class Called(Exception):\n    pass\n\n\nclass Child(Called):\n    pass\n\n\n"
+        "class Bare(ValueError):\n    pass\n\n\nclass Orphan(Child):\n    pass\n\n\n"
+        "class Plain:\n    pass\n\n\ndef fail():\n    raise Bare\n\n\n"
+        "x = Called('a') if isinstance(None, Orphan) else Plain()\n")
+    (tmp_path / "other.py").write_text("from . import probe\nerror = probe.Child()\n")
+    assert unconstructed_exceptions(sorted(tmp_path.glob("*.py"))) == (4, [("probe", "Orphan")])
+
+
+def test_every_exception_the_package_defines_is_raised():
+    count, found = unconstructed_exceptions(sorted(PACKAGE.glob("*.py")))
+    assert count >= 20 and found == []
 
 
 def equation_restatements(paths: list) -> dict:

@@ -20,7 +20,7 @@ from choreoqep import celsolve, cli, convergence, delsolve, numkernel, pencil, p
 from choreoqep.model import LagrangianSpec, validate_spec
 from choreoqep.scaleop import ScaleOperator
 
-DOCUMENTED = (pencil.LeadingSingular, pencil.DegenerateRoots, numkernel.NumericalFailure)
+DOCUMENTED = (pencil.LeadingSingular, numkernel.NumericalFailure)
 MARCH_ERRORS = (numkernel.NumericalFailure, delsolve.LeadingBlockSingular,
                 delsolve.WindowExceeded)
 SOLVE_ERRORS = cli.ASSUMPTION_ERRORS + cli.NUMERICAL_ERRORS
