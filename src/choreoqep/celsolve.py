@@ -13,9 +13,11 @@ Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes g
 more than e are anchored at the last sample time, others at the first; columns equilibrated.
 The equations of motion are `pencil.equation_blocks`, shared with the grid: `residual_cel`
 applies them to the expansions' exact derivatives.
-A solve fails only on what it needs (`Core`): a spectrum it uses, phases that coincide in
-one expansion, a constant mode or a boundary system it cannot solve.  The paper's verdicts
-on simple and disjoint roots are reports (`pencil.check_assumptions`) that no solve reads.
+A solve fails only on what it needs (`Core`): a spectrum it uses, a constant mode or a
+boundary system it cannot solve.  Phases may repeat: an expansion is a plain sum, and where
+repeated phases make a boundary system's columns dependent its pivots say so.  The paper's
+verdicts on simple and disjoint roots are reports (`pencil.check_assumptions`) that no
+solve reads.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .model import LagrangianSpec
 
 
 class AssumptionViolation(Exception):
-    """Raised when a solve's spectra, phases or constant mode do not determine it."""
+    """Raised when a solve's spectra or constant mode do not determine it."""
 
 
 class SingularBoundarySystem(Exception):
@@ -38,8 +40,9 @@ class SingularBoundarySystem(Exception):
 
 @dataclass(frozen=True)
 class ModeExpansion:
-    """Finite exponential sum u(t) = u0 + sum_l e^{lam_l (t - a_l)} u_l; the anchors a_l
-    are 0 unless a boundary solve puts them at an end, where u_l is the mode's size."""
+    """Finite exponential sum u(t) = u0 + sum_l e^{lam_l (t - a_l)} u_l, phases repeating
+    or not; the anchors a_l are 0 unless a boundary solve puts them at an end, where u_l is
+    the mode's size."""
 
     u0: np.ndarray
     lambdas: np.ndarray
@@ -56,8 +59,6 @@ class ModeExpansion:
             vec = vec[None, :]
         if vec.shape != (len(lam), len(u0)):
             raise ValueError("vectors must be (K, d) matching lambdas and u0")
-        if _coincident(lam[None])[0]:
-            raise ValueError("mode phases must be pairwise distinct")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "vectors", vec)
@@ -119,13 +120,6 @@ class SystemSolution:
         return float(np.abs(total - ref).max()) / scale
 
 
-def _coincident(lams: np.ndarray) -> np.ndarray:
-    """Per row of a (B, K) stack of phases: whether two lie within 1e-10."""
-    diff = np.abs(lams[:, :, None] - lams[:, None, :])
-    diff[:, np.eye(lams.shape[1], dtype=bool)] = np.inf
-    return diff.min(axis=(1, 2), initial=np.inf) <= 1e-10
-
-
 def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
                       anchors: np.ndarray, t: np.ndarray) -> np.ndarray:
     """u0 + sum_l e^{lam_l (t - a_l)} u_l at the times t (T,), over any leading axes of
@@ -159,8 +153,9 @@ class Core:
     """Mode bases and x_s constants of a batch of settings sharing spec, N and eps, with
     a leading batch axis.  failures[i] is what a solve of item i raises so far, None while
     it has not failed: an AssumptionViolation where a spectrum it uses fails (nu = n, and
-    nu = 0 for n > 1), where two phases of one expansion coincide or (`xs0`) where the nu = n
-    pencil is singular at the constant mode; a SingularBoundarySystem (`boundary_solve`)."""
+    nu = 0 for n > 1) or (`xs0`) where the nu = n pencil is singular at the constant mode; a
+    SingularBoundarySystem (`boundary_solve`), also where repeated phases leave too few
+    independent columns."""
 
     def __init__(self, settings: list, n: int):
         sp_n, sp_0 = (pencil.spectra(settings, nu) for nu in (n, 0))
@@ -169,12 +164,9 @@ class Core:
         self.lam_0, self.w_0 = sp_0.lam, sp_0.vectors
         # single particle: the zero-sum constraint eliminates the nu=0 modes
         used = (sp_n,) if n == 1 else (sp_n, sp_0)
-        phases = np.concatenate([sp.lam for sp in used], axis=1)
-        failed, live = numkernel.merge_failures(*(sp.failures for sp in used))
-        self.failures, _ = numkernel.merge_failures(
-            [f and AssumptionViolation(f"pencil precondition fails: {f}") for f in failed],
-            [AssumptionViolation("mode phases coincide within one expansion") if c else None
-             for c in _coincident(phases[live])], live)
+        failed, _ = numkernel.merge_failures(*(sp.failures for sp in used))
+        self.failures = [f and AssumptionViolation(f"pencil precondition fails: {f}")
+                         for f in failed]
 
     @cached_property
     def xs0(self) -> tuple:

@@ -168,7 +168,7 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
     except (pencil.LeadingSingular, numkernel.NumericalFailure) as exc:
         raise NotChoreographic(str(exc)) from exc
     roots = modes_0.lam
-    if len(roots) != setting.root_count or not roots.is_simple():
+    if not roots.is_simple():
         raise NotChoreographic(f"spectrum must hold {setting.root_count} simple roots")
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
     if len(amplitudes) != len(roots):

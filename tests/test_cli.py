@@ -56,6 +56,17 @@ class TestSuccess:
                 lines = (out / f"spectrum_{which}_{tag}.csv").read_text().split("\n")
                 assert len(lines) == 1 + (4 if which == "cel" else 8) + 1
 
+    def test_uncoupled_system_writes_its_trajectory(self, tmp_path):
+        """Every phase repeats in each particle's expansion; the solve writes the
+        trajectory, which takes the boundary positions at both ends."""
+        spec = LagrangianSpec(2, 3, J1, J2, np.zeros((2, 2)), np.zeros((2, 2)))
+        code, out = run(tmp_path, "solve", write_config(tmp_path, spec, boundary=BOUNDARY))
+        assert code == cli.EXIT_OK
+        times, values = cli.read_trajectory_csv(out / "traj_cel.csv")
+        assert times[0] == 0.0 and times[-1] == 1.0 and values.shape == (3, 101, 2)
+        ends = np.stack([BOUNDARY["x_t0"], BOUNDARY["x_tf"]], axis=1)
+        assert np.abs(values[:, [0, -1]] - ends).max() <= 1e-13
+
     def test_error_surface_gamma(self, tmp_path, ref_config):
         code, out = run(tmp_path, "error-surface", ref_config, "--grid", "gamma")
         assert code == cli.EXIT_OK
@@ -273,11 +284,6 @@ class TestFailure:
         code, out = run(tmp_path, "choreo", config)
         assert code == cli.EXIT_CONFIG
         assert not list(out.glob("choreo_*"))
-
-    def test_uncoupled_system_violates_assumptions(self, tmp_path):
-        spec = LagrangianSpec(2, 3, J1, J2, np.zeros((2, 2)), np.zeros((2, 2)))
-        code, _ = run(tmp_path, "solve", write_config(tmp_path, spec, boundary=BOUNDARY))
-        assert code == cli.EXIT_ASSUMPTION
 
     def test_overflowing_discrete_samples_exit_numerical(self, tmp_path, capfd):
         # 5-point weights, a unit amplitude on the fastest-growing spurious nu = 0 mode

@@ -4,8 +4,9 @@ The batched stages that the lone entry points run are public (`pencil.spectra`,
 `celsolve.Core`, `numkernel.solve_stack`, ...), so every module uses another's code
 through its public names only.  This parses each module of `src/choreoqep` and fails on
 an attribute access `module._name` through a package module it imported, and on
-`from .module import _name`.  It also fails on a private top-level name that nothing in
-the package refers to beyond its own definition: a dead helper left behind.  And the
+`from .module import _name`.  It also fails on a private top-level name (function, class
+or assignment; dunders aside) that nothing in the package refers to beyond its own
+definition: a dead helper left behind.  And the
 equations of motion are stated once, in `pencil.equation_blocks`: no other module calls
 `coefficient_matrices`, the weighted blocks A_nu and C_nu they are written with.  The tests
 reach the command-line module through its public names only: the experiments it runs live
@@ -103,6 +104,20 @@ def test_the_checker_sees_dead_private_names(tmp_path):
 
 def test_no_private_name_is_dead():
     assert dead_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_the_checker_sees_a_helper_its_callers_left_behind(tmp_path):
+    """The package as it is, with a phase-coincidence test appended to `celsolve` and no
+    caller: among the package's 40-odd private top-level names it is the one flagged."""
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "celsolve.py", "a") as f:
+        f.write("\n\ndef _coincident(lams):\n"
+                "    diff = np.abs(lams[:, :, None] - lams[:, None, :])\n"
+                "    return diff.min(axis=(1, 2)) <= 1e-10\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    count = sum(len(private_definitions(ast.parse(path.read_text()))) for path in paths)
+    assert count >= 40 and dead_private_names(paths) == [("celsolve", "_coincident")]
 
 
 def unconstructed_exceptions(paths: list) -> tuple:

@@ -1,8 +1,11 @@
 """A solve fails only on what it needs.
 
-`celsolve.Core` fails an item on a spectrum it uses that fails, on phases that coincide
-within one expansion, on a nu = n pencil singular at the constant mode, and on a singular
-boundary system.  The paper's verdicts on simple and disjoint roots stay reports of
+`celsolve.Core` fails an item on a spectrum it uses that fails, on a nu = n pencil singular
+at the constant mode, and on a singular boundary system.  Phases that repeat within one
+expansion fail a solve only where the boundary system's pivots find its columns dependent:
+cells whose boundary-layer zeta-roots coincide to the last bit solve, and a repeated phase
+with one kernel vector is a SingularBoundarySystem.  The paper's verdicts on simple and
+disjoint roots stay reports of
 `pencil.check_assumptions`, which no solve reads: well-posed discrete problems whose
 zeta-roots come close (a d = 32 system's nu = n and nu = 0 roots under the 5-point
 operator, and mixed 5-point weights at small eps) solve, at the operator's order.
@@ -16,6 +19,7 @@ from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator
 
 from conftest import make_reference_spec, make_spread_spec
+from test_anchored_solves import grid_solve
 
 FIVE_POINT = np.array([1, -8, 0, 8, -1]) / 12.0
 MIXED = FIVE_POINT + 0.1 * np.array([1, -4, 6, -4, 1])
@@ -97,3 +101,63 @@ def test_a_single_particle_does_not_need_the_nu_0_spectrum():
     assert not pencil.check_cel_assumptions(spec, 1).precondition_ok
     sol, _ = celsolve.dirichlet_cel(spec, 1, 0.0, 1.0, [[1.0]], [[2.0]])
     assert np.abs(sol.particles[0].value([0.0, 1.0]).ravel() - [1.0, 2.0]).max() <= 1e-12
+
+
+def seeded_five_point_cells(count=50):
+    """5-point weights plus 0.1 r, r a standard normal draw (rng seed 11) made sum-zero and
+    first-moment-zero by projecting off (1, 1, 1, 1, 1) and (-2, -1, 0, 1, 2), then scaled
+    to max |r| = 1: the weights stay consistent (sum 0, first moment 1), and their
+    spurious zeta-roots move."""
+    rng, rows = np.random.default_rng(11), []
+    for _ in range(count):
+        r = rng.standard_normal(5)
+        for v in (np.ones(5), np.arange(-2.0, 3.0)):  # orthogonal to each other
+            r = r - (r @ v) / (v @ v) * v
+        rows.append(FIVE_POINT + 0.1 * (r / np.abs(r).max()))
+    return np.array(rows)
+
+
+def test_cells_whose_boundary_layer_phases_coincide_solve():
+    """Reference spec, n = 3, eps = 1e-4, M = 400.  In cells 3, 5 and 45 a boundary-layer
+    phase of the nu = n pencil equals one of the nu = 0 pencil to the last bit (in the
+    surface's batch; 5 and 45 alone), kernel vectors |<v, w>| = 0.17, so each particle
+    expansion holds it twice.  The two pencils' boundary systems are separate solves, and
+    the cells solve, in the batch and alone: measured within 3.4e-12 of the dense grid solve
+    and 1.2e-10 of the continuous solution, boundary condition numbers at most 88."""
+    spec, n, eps, M = make_reference_spec(), 3, 1e-4, 400
+    x0, xf = np.random.default_rng(7).uniform(-1.0, 1.0, (2, n, spec.d))
+    cel, _ = celsolve.dirichlet_cel(spec, n, 0.0, eps * M, x0, xf)
+    head, tail, _, want = reference = convergence.window_reference(cel, 0.0, M, eps, 2)
+    gammas = seeded_five_point_cells()
+    _, max_errors, status, _ = convergence.window_errors(spec, n, 0.0, M, eps, gammas, reference)
+    assert status == ["ok"] * 50
+    assert max(max_errors) <= 1e-9 * np.abs(want).max()
+    for cell in (3, 5, 45):
+        op = ScaleOperator(gammas[cell], eps)
+        sol, report = delsolve.dirichlet_del(spec, op, n, 0.0, M, head, tail)
+        got = sol.sample()[0].values
+        dense = grid_solve(spec, op, n, M, head, tail)
+        assert np.abs(got - dense).max() <= 1e-10 * np.abs(dense).max()
+        assert np.abs(got[:, 4:M - 3] - want).max() <= 1e-9 * np.abs(want).max()
+        assert max(report.xs_cond, *report.particle_conds) <= 1e2
+
+
+def test_the_pivots_decide_on_a_repeated_phase():
+    """Phases +-0.5i, each twice, at two times: with one kernel vector a phase (the second
+    a unimodular multiple of the first, as an eigen-solver may return it) the columns are
+    dependent, and the pivot test reads the rounding-level pivot left (measured 1.1e-16)
+    as singular; with two independent vectors a phase the same phases solve."""
+    v, w = np.array([1.0, 2.0]) / np.sqrt(5), np.array([2.0, -1.0]) / np.sqrt(5)
+    phases, times = np.array([[0.5j, 0.5j, -0.5j, -0.5j]]), np.array([0.0, 1.0])
+    data = np.random.default_rng(3).standard_normal((1, 2, 2)) + 0j
+    u = np.exp(2j)
+    _, (failure,) = celsolve._window_solve(phases, np.array([[v, u * v, w, u * w]]), times,
+                                          np.zeros((1, 4)), data)
+    assert isinstance(failure, celsolve.SingularBoundarySystem)
+    assert str(failure).endswith("below 1e-14 x scale 1.000e+00")
+    basis = np.array([[v, w, v, w]], dtype=complex)
+    (amplitudes,), (failure,) = celsolve._window_solve(phases, basis, times,
+                                                      np.zeros((1, 4)), data)
+    assert failure is None
+    values = np.exp(times[:, None] * phases) @ (amplitudes[:, None] * basis[0])
+    assert np.abs(values - data[0]).max() <= 1e-14
