@@ -70,7 +70,10 @@ class ModeExpansion:
 
     def value(self, t):
         """Evaluate at scalar or array times; returns (..., d).  NumericalFailure when a
-        value is not finite: e^{lam (t - a)} overflows past max Re lam (t - a) ~ 709.78."""
+        value is not finite: e^{lam (t - a)} overflows past max Re lam (t - a) ~ 709.78.
+        A lone time need not give the bits it gets inside an array of times: one row of
+        exponentials times the vectors runs through BLAS gemv, two or more through gemm
+        (measured up to 8.9e-16 apart on O(1) values with OpenBLAS)."""
         return self._evaluate(self.u0, self.vectors, t)
 
     __call__ = value

@@ -272,18 +272,20 @@ def trajectory_header(d: int) -> list[str]:
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of the trajectory CSV writer; returns (times, values (n, M+1, d)).
 
-    The body is parsed in one pass of `np.loadtxt` and scattered into values, real and
+    The body is parsed in one pass of `np.loadtxt` and copied into values, real and
     imaginary parts apart, so signed zeros and every other double come back bit
-    for bit.  A cell that is not a number, or rows of unequal length, raise ValueError."""
+    for bit.  A cell that is not a number, rows of unequal length, and nodes that are not
+    particles 0..n-1 in turn at one t each (a missing or repeated row) raise ValueError."""
     with open(path) as f:
         header, cells = f.readline(), np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-    n = int(cells[:, 1].max()) + 1
-    times = cells[::n, 0]
-    values = np.zeros((n, len(cells) // n, (len(header.split(",")) - 2) // 2), dtype=complex)
-    nodes, particles = np.arange(len(cells)) // n, cells[:, 1].astype(int)
-    values.real[particles, nodes] = cells[:, 2::2]
-    values.imag[particles, nodes] = cells[:, 3::2]
-    return times, values
+    n = int(np.clip(cells[:, 1].max(), 0, len(cells))) + 1  # else the checks below fail
+    nodes = cells[:len(cells) // n * n].reshape(-1, n, cells.shape[1]).transpose(1, 0, 2)
+    t = nodes[:, :, 0].view(np.uint64)  # bit for bit, nan and -0.0 too
+    if len(cells) % n or (nodes[:, :, 1] != np.arange(n)[:, None]).any() or (t != t[0]).any():
+        raise ValueError("rows must make whole nodes: particles 0..n-1 in turn, at one t")
+    values = np.zeros(nodes.shape[:2] + ((len(header.split(",")) - 2) // 2,), dtype=complex)
+    values.real, values.imag = nodes[:, :, 2::2], nodes[:, :, 3::2]
+    return nodes[0, :, 0], values
 
 
 # ---------------------------------------------------------------------------

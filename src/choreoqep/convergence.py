@@ -5,12 +5,15 @@ uniformly and the discrete spectrum, intersected with a compact window that
 discards the divergent roots, tends to the classical spectrum in the
 Hausdorff metric.  This module measures both.  A sweep is one batch: the spectra
 at every delay are solved together, as one `pencil.spectra` call per distinct N,
-and the classical pencil is solved once for the whole sweep (antisymmetric weights
-take their roots as preimages of it).  The pencil errors over a square grid of the
-window are one array expression per batch in the forward and adjoint symbols: a series
-in lam over the weights' moments at small eps, expm1 terms elsewhere.  The grid's axis is
-exactly mirror-symmetric, so with real weights and blocks, whose error at conj(lam) is
-bit for bit the one at lam, only its half with Im lam >= 0 is evaluated.
+and the classical pencil is solved once for the whole sweep (antisymmetric weights take
+their roots as preimages of it, backward errors from the R of each pair's products).  It
+computes only what it reports: `Spectra` never gathers its kernel vectors, and its
+Hausdorff distances are one masked expression.  The pencil errors over a square grid of
+the window are one array expression per batch in the forward and adjoint symbols: a
+series in lam over the weights' moments at small eps, expm1 terms elsewhere.  With real
+weights and blocks, on the grid's mirror-symmetric axis, the symbols at -conj(lam) are
+those at lam conjugated and swapped, bit for bit, and the error at conj(lam) is lam's:
+only the quarter Re lam, Im lam >= 0 is evaluated.
 
 The error surfaces hold the discrete Dirichlet solves under many operators to the
 continuous solution on one grid (`window_reference`, `window_errors`): one stacked batch,
@@ -35,14 +38,25 @@ class EmptySet(Exception):
     """Raised when a Hausdorff distance is requested from an empty set."""
 
 
+def _hausdorff_rows(a: np.ndarray, keep: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact max-min distances (B,) between the entries of each row of a (B, K) that keep
+    (B, K) marks and the set b (m,), one masked expression over the kept entries moved to
+    the front of their rows: nan where a row keeps none."""
+    first = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max(initial=0)]
+    a, keep = np.take_along_axis(a, first, axis=1), np.take_along_axis(keep, first, axis=1)
+    d = np.abs(a[:, :, None] - b)
+    to_b = np.where(keep, d.min(axis=2), -np.inf).max(axis=1, initial=-np.inf)
+    to_a = np.where(keep[:, :, None], d, np.inf).min(axis=1, initial=np.inf).max(axis=1)
+    return np.where(keep.any(axis=1), np.maximum(to_b, to_a), np.nan)
+
+
 def hausdorff_distance(f1, f2) -> float:
-    """Exact max-min distance between two finite nonempty complex sets."""
+    """Exact max-min distance between two finite nonempty complex sets: a batch of one."""
     a = np.asarray(getattr(f1, "roots", f1), dtype=complex).ravel()
     b = np.asarray(getattr(f2, "roots", f2), dtype=complex).ravel()
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("hausdorff_distance requires nonempty sets")
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(_hausdorff_rows(a[None], np.ones((1, len(a)), dtype=bool), b)[0])
 
 
 def filter_to_window(roots: RootSet, K_radius: float) -> RootSet:
@@ -87,8 +101,14 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     x = lam eps and S(x) = sum_j gamma_j e^{jx} - x.  Where N max|x| <= 1, S is 20 terms of
     its series in the moments M_m = sum_j gamma_j j^m (each a correctly rounded sum, M_1 - 1
     one sum), as E(x^2) +- x O(x^2); elsewhere sum_j gamma_j expm1(jx) + M_0 - x.  No entry
-    depends on another operator: with two or more lams a batch keeps each one's bits."""
-    N, m = ops[0].N, np.arange(20)
+    depends on another operator: with two or more lams a batch keeps each one's bits.
+    lam is (G,), or the grid axis[k] + i axis[l] (R, R) of a `symmetric_axis`: with real
+    weights and blocks (a spec's are) conj(lam) has lam's error, so the half l >= R//2 holds
+    the max, and -conj(lam) has lam's S values conjugated and swapped, so only the quarter
+    k, l >= R//2 is evaluated and row k < R//2 of the half takes row R-1-k's, mirrored."""
+    N, m, R, h = ops[0].N, np.arange(20), len(lam), len(lam) // 2
+    mirror = lam.ndim == 2 and not any(op.gamma.imag.any() for op in ops)
+    lam, half = (lam[h:, h:].ravel(), lam[:, h:].ravel()) if mirror else (lam.ravel(),) * 2
     eps = np.array([op.epsilon for op in ops])[:, None]
     gamma = np.stack([op.gamma for op in ops])
     if gamma.tobytes() == gamma[:1].tobytes() * len(ops):  # one weight vector, as a sweep has
@@ -115,7 +135,11 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
         e = np.expm1(x[..., None] * np.arange(-N, N + 1))
         gap[~small] = (e * gamma[~small, None]).sum(axis=2) + series[~small, :1] - x
     p_lam, q_lam = gaps / eps
-    coeffs = -np.stack([p_lam * (q_lam - lam) + lam * q_lam, p_lam - q_lam], axis=1)
+    if mirror:
+        p, q = (a.reshape(len(ops), R - h, R - h) for a in (p_lam, q_lam))
+        p_lam, q_lam = (np.concatenate([y[:, ::-1][:, :h].conj(), x], axis=1).reshape(
+            len(ops), -1) for x, y in ((p, q), (q, p)))
+    coeffs = -np.stack([p_lam * (q_lam - half) + half * q_lam, p_lam - q_lam], axis=1)
     sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
@@ -129,8 +153,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     solved together, one `pencil.spectra` call per distinct N, with the classical spectrum
     solved once and shared.  The pencil error is the max over a 21 x 21 grid of the
     square |Re lam|, |Im lam| <= K_radius, on a `symmetric_axis` (axis[20 - k] = -axis[k],
-    0 in the middle), taken over the half Im lam >= 0 when the weights are real: the other
-    half are its conjugates, whose errors are the same numbers.
+    0 in the middle), from its quarter Re lam, Im lam >= 0 when the weights are real.
     Failures at one delay (bad operator conditions, failed spectra, zeta-roots clustered
     below 1e-7, empty windows) annotate that entry and the others are kept.  The order is the
     least-squares slope of log(distance) against log(epsilon) over the valid entries.
@@ -142,10 +165,8 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     q_cls = pencil.classical_spectrum(p_cls)
     if K_radius is None:
         K_radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
-    axis = symmetric_axis(K_radius, 21)  # a 21 x 21 grid of pencil errors
-    lam_grid = (axis[:, None] + 1j * axis[None, :]).ravel()
-    upper = lam_grid[lam_grid.imag >= 0]  # its half with Im lam >= 0
-
+    axis = symmetric_axis(K_radius, 21)
+    lam_grid = axis[:, None] + 1j * axis[None, :]  # 21 x 21 pencil errors
     ops = [op_family(float(eps)) for eps in epsilons]
     distinct = {op.gamma.tobytes(): op for op in ops}  # conditions once per weight vector
     holds = {key: all(scaleop.check_operator_conditions(op)) for key, op in distinct.items()}
@@ -160,24 +181,20 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     for idx in by_n.values():
         sp = pencil.spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
                             classical=q_cls)
-        done = []
-        simple = numkernel.simple_rows(sp.roots, 1e-7)
-        for i, lam, failure, ok in zip(idx, sp.lam, sp.failures, simple):
+        done, simple = [], numkernel.simple_rows(sp.roots, 1e-7)
+        hausdorff = _hausdorff_rows(sp.lam, np.abs(sp.lam) <= K_radius, q_cls.roots)  # window
+        for i, failure, ok, h in zip(idx, sp.failures, simple, hausdorff):
             if failure is None and not ok:
                 failure = "zeta-roots cluster below the separation tolerance"
             if failure is not None:
                 notes[i] = f"spectrum failure: {failure}"
-                continue
-            kept = lam[np.abs(lam) <= K_radius]  # the compact window
-            if len(kept) == 0:
+            elif np.isnan(h):
                 notes[i] = "no roots inside the compact window"
-                continue
-            distances[i] = hausdorff_distance(kept, q_cls)
-            done.append(i)
-        if done:  # real weights and blocks (a spec's are): conj(lam) has lam's error
-            real = not any(ops[i].gamma.imag.any() for i in done)
-            pencil_errors[done] = _pencil_errors([ops[i] for i in done],
-                                                 upper if real else lam_grid, gram)
+            else:
+                distances[i] = h
+                done.append(i)
+        if done:
+            pencil_errors[done] = _pencil_errors([ops[i] for i in done], lam_grid, gram)
     order = _fit_order(epsilons, distances)
     return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))
 

@@ -21,10 +21,11 @@ theta_hat = g g~/eps^2, whose roots are those of g g~/eps^2 + mu_k zeta^{2N} for
 eigenpair of A_nu mu - C_nu.  Those are self-reciprocal: of half the degree in
 y = (zeta - 1)^2/zeta, a quadratic for N = 1, with two zeta-roots a y-root.  Other systems
 take the companion.  A pair is accepted when its normwise backward error ||Q(w) v|| /
-(sum_i |w|^i ||B_i||_F ||v||) is at most tol, and that error is the root's residual.  On a
-reduction Q(w) v comes from the classical products and ||B_i||_F = ||R x_i|| from the
-scalar coefficients x_i = (theta_i/eps^2, sigma1_i, shift_i) of B_i and the R of one QR of
-[vec A_nu | vec J5 | vec C_nu]: only the companion assembles the shifted blocks.
+(sum_i |w|^i ||B_i||_F ||v||) (Tisseur 2000) is at most tol, and that error is the root's
+residual.  On a reduction ||Q(w) v|| = ||R a(w)|| for the R of a classical pair's products
+[P_i v], and ||B_i||_F = ||R x_i|| from the scalar coefficients x_i = (theta_i/eps^2,
+sigma1_i, shift_i) of B_i and the R of [vec A_nu | vec J5 | vec C_nu]: only the companion
+assembles the shifted blocks.
 `Setting` is the one place where the two settings differ; the assumption reports, the
 solvers' shared core and the periodicity code run on it.  `spectra` and
 `check_assumptions` run on a batch of settings that share spec and N, each item with its
@@ -37,12 +38,13 @@ derivatives, and `delsolve`'s residual map and march to the scale operator's win
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from . import numkernel
+from . import numkernel, scaleop
 from .model import LagrangianSpec
 from .numkernel import RootSet
 from .scaleop import ScaleOperator
@@ -231,9 +233,9 @@ class TranscendentalSpectrum:
 
 class _Delays(NamedTuple):
     """The delays of a batch of operators sharing N: eps (B,), eps**2 (B,) rounded as a
-    lone call rounds it (libm pow, which numpy's square does not always match) and the
-    binomial shifts op.shift stacked to (B, 4N+1, 4N+1), built once per distinct eps (a
-    read-only broadcast when the batch shares one eps, as a surface block does)."""
+    lone call rounds it (libm pow, which numpy's square does not always match) and each
+    one's binomial shift op.shift, (B, 4N+1, 4N+1) in one expression with op.shift's bits
+    (a read-only broadcast of one when the batch shares one eps, as a surface block does)."""
 
     eps: np.ndarray
     eps2: np.ndarray
@@ -241,11 +243,10 @@ class _Delays(NamedTuple):
 
     @classmethod
     def of(cls, ops: list) -> "_Delays":
-        by_eps = {op.epsilon: op for op in ops}  # one operator, one shift, per distinct eps
-        eps = [op.epsilon for op in ops]
-        shift = np.broadcast_to(ops[0].shift, (len(ops),) + ops[0].shift.shape) \
-            if len(by_eps) == 1 else np.stack([by_eps[e].shift for e in eps])
-        return cls(np.array(eps), np.array([e**2 for e in eps]), shift)
+        eps, binom = np.array([op.epsilon for op in ops]), scaleop.binomials(4 * ops[0].N + 1)
+        shift = np.broadcast_to(ops[0].shift, (len(ops),) + binom.shape) if (eps == eps[0]).all() \
+            else binom * eps[:, None, None] ** np.arange(len(binom))[:, None]
+        return cls(eps, np.array([op.epsilon**2 for op in ops]), shift)
 
     def take(self, idx: np.ndarray) -> "_Delays":
         return _Delays(*(a[idx] for a in self))
@@ -280,12 +281,11 @@ def _symbols(gamma: np.ndarray, delays: _Delays) -> tuple:
     return g, _polymul(g, g_rev)
 
 
-def _block_coefficients(gamma: np.ndarray, delays: _Delays) -> tuple:
+def _block_coefficients(gamma: np.ndarray, delays: _Delays, theta: np.ndarray) -> tuple:
     """(theta/eps^2, sigma1, zeta^{2N}), each (B, 4N+1) in w: the scalar coefficients x_i of
     the shifted blocks B_i = -(x_i0 A_nu + x_i1 J5 + x_i2 C_nu), for weights gamma (B, 2N+1)
-    at their delays."""
+    at their delays, with theta from their `_symbols`."""
     N = (gamma.shape[1] - 1) // 2
-    theta = _symbols(gamma, delays)[1]
     gamma = gamma if gamma.imag.any() else gamma.real
     sigma1 = _row_products(gamma - gamma[:, ::-1],
                            delays.shift[:, :, N:3 * N + 1].transpose(0, 2, 1)) \
@@ -300,13 +300,13 @@ def _shifted_blocks(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
     for the weights gamma (B, 2N+1) of operators sharing N, each at its own delay; not
     finite where eps^2 underflows to 0, which `spectra` reads as a degree drop."""
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    theta, sigma1, unit = (c[:, :, None, None] for c in _block_coefficients(gamma, delays))
+    theta, sigma1, unit = (c[:, :, None, None] for c in _block_coefficients(
+        gamma, delays, _symbols(gamma, delays)[1]))
     with np.errstate(invalid="ignore"):
         return -(theta * a_nu + sigma1 * spec.J5 + unit * c_nu)
 
 
-def _block_norms(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
-                 nu: float) -> np.ndarray:
+def _block_norms(spec: LagrangianSpec, coefficients: tuple, nu: float) -> np.ndarray:
     """||B_i||_F (B, 4N+1) of the `_shifted_blocks`, never assembled: ||R x_i||_2 for the
     x_i of `_block_coefficients` and the triangular R of [vec A_nu | vec J5 | vec C_nu] =
     Q R.  A nearly vanishing block (C_nu close to a multiple of A_nu) keeps the rounding of
@@ -314,8 +314,7 @@ def _block_norms(spec: LagrangianSpec, gamma: np.ndarray, delays: _Delays,
     a_nu, c_nu = coefficient_matrices(spec, nu)
     factor = np.linalg.qr(np.stack([a_nu, spec.J5, c_nu], axis=-1).reshape(-1, 3), mode="r")
     with np.errstate(all="ignore"):  # not finite where eps^2 underflows, as the blocks
-        return np.linalg.norm(np.stack(_block_coefficients(gamma, delays), axis=-1)
-                              @ factor.T, axis=-1)
+        return np.linalg.norm(np.stack(coefficients, axis=-1) @ factor.T, axis=-1)
 
 
 def _half_degree(gamma: np.ndarray) -> np.ndarray:
@@ -365,17 +364,20 @@ def _companion_roots(coeffs: np.ndarray, finite: np.ndarray) -> tuple:
     return s * mu, finite, failed
 
 
-def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np.ndarray,
-               targets: np.ndarray, vectors: np.ndarray, tol: float) -> tuple:
+def _preimages(gamma: np.ndarray, delays: _Delays, symbols: tuple, norms: np.ndarray,
+               pencil: np.ndarray, targets: np.ndarray, vectors: np.ndarray,
+               tol: float) -> tuple:
     """`_eigenpairs` of zeta^{2N} P(zeta) = sum_i base^i unit^{k-i} pencil[i] for weights
-    gamma (B, 2N+1) at their delays, with shifted-block norms (B, 4N+1), from the pairs
-    (t_k, v_k) of sum_i t^i pencil[i]: (C, B, A) with base = g/eps, unit = zeta^N
-    (antisymmetric weights), or (-C_nu, A_nu) with base = -g g~/eps^2, unit = zeta^{2N}
-    (J5 = 0).  v_k's roots are those of base - t_k unit in w, from scaled companions, or
-    for J5 = 0 from the self-reciprocal h(zeta) h(1/zeta) + t_k eps^2 of `_half_degree` in
-    y = (zeta - 1)^2 / zeta: the quadratic formula (N = 1) or 2N x 2N companions give y,
-    and each y the two roots eps w of x^2 - y x - y.  A Newton step in w is kept unless it
-    raises the modulus; Q(w) v skips the products of a zero block (J5 = 0).  Items with
+    gamma (B, 2N+1) at their delays, with their `_symbols` (g, theta) and shifted-block
+    norms (B, 4N+1), from the pairs (t_k, v_k) of sum_i t^i pencil[i]: (C, B, A) with
+    base = g/eps, unit = zeta^N (antisymmetric weights), or (-C_nu, A_nu) with
+    base = -g g~/eps^2, unit = zeta^{2N} (J5 = 0).  v_k's roots are those of
+    base - t_k unit in w, from scaled companions, or for J5 = 0 from the self-reciprocal
+    h(zeta) h(1/zeta) + t_k eps^2 of `_half_degree` in y = (zeta - 1)^2 / zeta: the
+    quadratic formula (N = 1) or 2N x 2N companions give y, and each y the two roots eps w
+    of x^2 - y x - y.  A Newton step in w is kept unless it raises the modulus.
+    ||Q(w) v_k|| is ||R a(w)|| for a_i(w) = base^i unit^{k-i} and the R of one QR of
+    target k's products [pencil[i] v_k], which skip a zero block (J5 = 0).  Items with
     w-coefficients not finite (or, for J5 = 0, a vanishing leading one) are not solved.
     With real weights, a target whose exact conjugate is a target with Im > 0 is not solved
     either: its coefficients are the conjugates of that target's, so its roots, Newton step
@@ -385,7 +387,7 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
     mirror = (targets.imag < 0) & (targets[partner] == targets.conj()) & ~gamma.imag.any()
     own = np.flatnonzero(~mirror)  # the targets solved; src: each target's solve
     src = np.searchsorted(own, np.where(mirror, partner, np.arange(T)))
-    g, theta = _symbols(gamma, delays)
+    g, theta = symbols
     with np.errstate(all="ignore"):
         base, unit = (g / delays.eps[:, None], delays.shift[:, :2 * N + 1, N]) if k == 2 else \
             (-theta / delays.eps2[:, None], delays.shift[:, :, 2 * N])
@@ -408,34 +410,45 @@ def _preimages(gamma: np.ndarray, delays: _Delays, norms: np.ndarray, pencil: np
         h = npoly.polyval(w, c, tensor=False)
         newton = w - h / npoly.polyval(w, npoly.polyder(c), tensor=False)
         w = np.where(np.abs(npoly.polyval(newton, c, tensor=False)) <= np.abs(h), newton, w)
-        rows, flat = np.repeat(vectors[own], deg, axis=0), w.reshape(B, -1)  # one row a root
+        flat, used = w.reshape(B, -1), [i for i in range(k + 1) if pencil[i].any()]
         at = [npoly.polyval(flat, p.T[:, :, None], tensor=False) for p in (base, unit)]
-        q = sum((at[0]**i * at[1]**(k - i))[..., None] * (pencil[i] @ rows.T).T
-                for i in range(k + 1) if pencil[i].any())  # Q(w) v, (B, own * deg, d)
-        den = (np.abs(flat[:, None]) ** np.arange(norms.shape[1])[:, None]
-               * norms[:, :, None]).sum(axis=1) * np.linalg.norm(rows, axis=1)
-    num, den = (e.reshape(w.shape)[:, src].reshape(B, -1)
-                for e in (np.linalg.norm(q, axis=-1), den))
+        r = np.linalg.qr(np.stack([vectors[own] @ pencil[i].T for i in used], -1), mode="r")
+        ra = sum((at[0]**i * at[1]**(k - i)).reshape(w.shape)[..., None] * r[:, None, :, j]
+                 for j, i in enumerate(used))  # R a(w), (B, own, deg, rank)
+        den = (np.abs(flat[:, None]) ** np.arange(norms.shape[1])[:, None] * norms[:, :, None]
+               ).sum(axis=1).reshape(w.shape) * np.linalg.norm(vectors[own], axis=1)[:, None]
+    num, den = (e[:, src].reshape(B, -1) for e in (np.linalg.norm(ra, axis=-1), den))
     w = np.where(mirror[:, None], w[:, src].conj(), w[:, src]).reshape(B, -1)
     errors, rejected = _verdicts(num, den, True, tol)  # v_k unit
     vectors = np.repeat(vectors, deg, axis=0)
     return w, np.broadcast_to(vectors, w.shape + vectors.shape[1:]), errors, [
         LeadingSingular("the block companion has infinite eigenvalues") if not ok else exc
-        and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or r
-        for ok, exc, r in zip(finite, failed, rejected)]
+        and numkernel.NumericalFailure(f"companion eigen-solve failed: {exc}") or rej
+        for ok, exc, rej in zip(finite, failed, rejected)]
 
 
-class Spectra(NamedTuple):
+@dataclass(frozen=True)
+class Spectra:
     """Spectra of a batch of pencils, rows sorted by phase: phases and roots (in the
-    pencil's variable), backward errors, unit kernel vectors (B, K, d) and failures[i],
-    what item i's spectrum raises (None when it has one).  Roots are not judged for
-    separation here: a reader that needs simple roots applies `numkernel.simple_rows`."""
+    pencil's variable), backward errors (a reduction's in the R form), failures[i], what
+    item i's spectrum raises (None when it has one), and unit kernel vectors (B, K, d),
+    gathered on first read from the routes' (items, vectors) parts, zeros first, and sorted
+    by `order`: an eps-sweep never builds them.  Roots are not judged for separation here:
+    a reader that needs simple roots applies `numkernel.simple_rows`."""
 
     lam: np.ndarray
     roots: np.ndarray
     residuals: np.ndarray
-    vectors: np.ndarray
     failures: list
+    parts: list
+    order: tuple = ()
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        vectors = np.empty(self.roots.shape + self.parts[0][1].shape, dtype=complex)
+        for idx, v in self.parts:
+            vectors[idx] = v
+        return vectors[self.order]
 
     def rootsets(self, i: int, tol: float) -> tuple:
         """Item i as RootSets of (lam, roots); raises the item's failure."""
@@ -461,14 +474,14 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
     """
     spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
-    vectors = np.zeros((B, K, spec.d), dtype=complex)  # zero where no route solves
+    parts = [(slice(None), np.zeros(spec.d, dtype=complex))]  # zero where no route solves
     if op is None:
         try:
             q = classical_spectrum(classical_pencil(spec, nu), tol)
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
-            return Spectra(w, w, residuals, vectors, [exc.with_traceback(None)] * B)
-        w[:], residuals[:], vectors[:] = q.roots, q.residuals, q.vectors
-        return Spectra(w, w, residuals, vectors, [None] * B)
+            return Spectra(w, w, residuals, [exc.with_traceback(None)] * B, parts)
+        w[:], residuals[:] = q.roots, q.residuals
+        return Spectra(w, w, residuals, [None] * B, parts + [(slice(None), q.vectors)])
 
     gamma = np.stack([s.op.gamma for s in settings])
     delays = _Delays.of([s.op for s in settings])
@@ -485,7 +498,8 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
         idx = live[routes[live] == route]
         if route < 2:
             blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
-            w[idx], vectors[idx], residuals[idx], failed = _eigenpairs(blocks, tol)
+            w[idx], v, residuals[idx], failed = _eigenpairs(blocks, tol)
+            parts.append((idx, v))
             # finite weights and eps leave a block infinite only through an under- or
             # overflowing delay (theta/eps^2): the degree drop the reductions report
             failed = [LeadingSingular("the block companion has infinite eigenvalues")
@@ -500,8 +514,11 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
             failed = [failure] * len(idx)
             if failure is None:
                 items = gamma[idx], delays.take(idx)
-                w[idx], vectors[idx], residuals[idx], failed = _preimages(
-                    *items, _block_norms(spec, *items, nu), pencil, targets, pairs, tol)
+                g_theta = _symbols(*items)  # once for the norms and the preimages
+                norms = _block_norms(spec, _block_coefficients(*items, g_theta[1]), nu)
+                w[idx], v, residuals[idx], failed = _preimages(
+                    *items, g_theta, norms, pencil, targets, pairs, tol)
+                parts.append((idx, v))
         failures, _ = numkernel.merge_failures(failures, failed, idx)
     z = delays.eps[:, None] * w  # zeta - 1
     # Log(1 + z), with log|1 + z| from log1p so that it stays accurate near zeta = 1; a
@@ -513,7 +530,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
     failures, _ = numkernel.merge_failures(failures, [
         None if ok else numkernel.NumericalFailure("a zeta-root at 0 has no finite phase")
         for ok in np.isfinite(lam.real).all(axis=1)])
-    return Spectra(lam[order], 1.0 + z[order], residuals[order], vectors[order], failures)
+    return Spectra(lam[order], 1.0 + z[order], residuals[order], failures, parts, order)
 
 
 def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8) -> TranscendentalSpectrum:

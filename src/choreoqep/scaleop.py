@@ -65,7 +65,7 @@ class ScaleOperator:
     def shift(self) -> np.ndarray:
         """Binomial shift S[i, j] = eps^i C(j, i), i, j = 0..4N (read-only): coefficients
         c of a polynomial in zeta become S @ c in w = (zeta - 1)/eps."""
-        binom = _binomials(4 * self.N + 1)
+        binom = binomials(4 * self.N + 1)
         return _read_only(binom * self.epsilon ** np.arange(len(binom))[:, None])
 
 
@@ -75,7 +75,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _binomials(size: int) -> np.ndarray:
+def binomials(size: int) -> np.ndarray:
     """C(j, i) at [i, j], i, j < size: one read-only table per N, shared by its operators."""
     return _read_only(np.array([[math.comb(j, i) for j in range(size)]
                                 for i in range(size)], dtype=float))

@@ -270,6 +270,31 @@ class TestArtifactWriters:
         with pytest.raises(ValueError):
             cli.read_trajectory_csv(tmp_path / "bad.csv")
 
+    @staticmethod
+    def written_rows(tmp_path):
+        """The body rows of a 3-particle, 4-node trajectory as the writer writes them."""
+        values = complex_block(*np.arange(24.0).reshape(2, 3, 4, 1))
+        cli.write_csv(tmp_path / "good.csv", cli.trajectory_header(1),
+                      cli.trajectory_rows(0.5 * np.arange(4), values))
+        header, *rows = (tmp_path / "good.csv").read_text().splitlines()
+        return header, rows
+
+    @pytest.mark.parametrize("case", ["missing_row", "repeated_particle", "mixed_t"])
+    def test_a_malformed_node_is_a_value_error(self, tmp_path, case):
+        """A missing row once raised IndexError, a particle row given twice left the
+        missing particle at 0, and a node whose rows disagree on t read as the first t."""
+        header, rows = self.written_rows(tmp_path)
+        if case == "missing_row":
+            del rows[4]  # node 1, particle 1
+        elif case == "repeated_particle":
+            rows[5] = rows[4]  # node 1: particles 0, 1, 1
+        else:
+            rows[5] = "0.75" + rows[5][rows[5].index(","):]  # node 1: t = 0.5, 0.5, 0.75
+        (tmp_path / "bad.csv").write_text("\n".join([header, *rows]) + "\n")
+        cli.read_trajectory_csv(tmp_path / "good.csv")  # the file it was cut from reads
+        with pytest.raises(ValueError):
+            cli.read_trajectory_csv(tmp_path / "bad.csv")
+
 
 class TestFailure:
     @pytest.mark.parametrize("operator", [{"N": 0, "gamma_re": [0.0]},

@@ -1,0 +1,25 @@
+"""tools/pair_timer.py: fresh processes of two checkouts on one workload, outputs compared."""
+import subprocess
+import sys
+from pathlib import Path
+
+from tools import pair_timer
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_one_round_of_one_pass_with_the_repo_on_both_sides():
+    proc = subprocess.run([sys.executable, "tools/pair_timer.py", ".", ".", "--workload",
+                           "spectra_sweep", "--seed", "1", "--rounds", "1", "--passes", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["round 1 old", "round 1 new", "new/old"]
+    assert all(line.endswith("216 ok ops a pass") for line in lines[:2])
+
+
+def test_a_differing_digest_fails_the_run():
+    run = {"walls": [0.1], "ok": 1, "passes": [[["a", "b"], [True], [0.5]]]}
+    other = {**run, "passes": [[["a", "c"], [True], [0.5]]]}
+    assert pair_timer.same_outputs([run, run])
+    assert not pair_timer.same_outputs([run, other])

@@ -323,7 +323,7 @@ class TestHalfDegreeRoute:
                for g in random_j5_zero_weights(np.random.default_rng(21), N, 50)]
         calls = preimage_calls(monkeypatch)
         pencil.spectra([pencil.Setting(ref_spec, op) for op in ops], nu)
-        ((gamma, delays, _, _, targets, _, _), (w, _, _, failures)), = calls
+        ((gamma, delays, _, _, _, targets, _, _), (w, _, _, failures)), = calls
         assert failures == [None] * len(ops)
         coeffs = (-pencil._symbols(gamma, delays)[1][:, None] / delays.eps2[:, None, None]
                   - targets[:, None] * delays.shift[:, None, :, 2 * N])
@@ -649,7 +649,9 @@ class TestBlockNorms:
     def norms(spec, ops, nu):
         gamma, delays = np.stack([op.gamma for op in ops]), pencil._Delays.of(ops)
         blocks = pencil._shifted_blocks(spec, gamma, delays, nu)
-        return (pencil._block_norms(spec, gamma, delays, nu),
+        coefficients = pencil._block_coefficients(gamma, delays,
+                                                  pencil._symbols(gamma, delays)[1])
+        return (pencil._block_norms(spec, coefficients, nu),
                 np.linalg.norm(blocks, axis=(2, 3)))
 
     @pytest.mark.parametrize("j5", ["zero", "skew"])
@@ -678,7 +680,7 @@ class TestBlockNorms:
         rng = np.random.default_rng(N)
         op = ScaleOperator(rng.uniform(-1.0, 1.0, 2 * N + 1), 0.05)
         gamma, delays = op.gamma[None], pencil._Delays.of([op])
-        x = pencil._block_coefficients(gamma, delays)
+        x = pencil._block_coefficients(gamma, delays, pencil._symbols(gamma, delays)[1])
         c = -x[0][0, 2].real / x[2][0, 2] * (1.0 + 1e-10)
         spec = LagrangianSpec(1, 2, [[1.0]], [[c]], [[0.0]], [[0.0]])  # A_0 = 1, C_0 = c
         got, want = self.norms(spec, [op], 0)

@@ -1,0 +1,99 @@
+"""Time two checkouts against each other on one benchmark workload.
+
+    python3 tools/pair_timer.py OLD NEW --workload spectra_sweep --seed 2 --rounds 3 --passes 60
+
+OLD and NEW are the roots of two checkouts.  The workload's inputs are written once, by
+this repository's `perfbench.gen`, and every process reads the same ones.  Each round
+starts one fresh process of each checkout, OLD first in odd rounds and NEW first in
+even ones, with `src/` of that checkout on the path and BLAS pinned to one thread.  A
+process imports the CLI, parses the configs, makes the workload's warm-up call, then
+times PASSES in-process passes of `perfbench.workloads.run_pass`.
+
+Prints one line a process (its min and median pass time and ok ops a pass), then the
+NEW/OLD ratio of the min and of the median over all passes of each side.  Exits 1 if
+any job's output digest, any op's outcome or any fitted order differs between two passes
+of the run, on either side.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench import env, gen  # noqa: E402
+
+# Run in the workload's input directory, with the checkout's src/ and root on the path.
+_CHILD = """
+import json, sys, time
+from choreoqep import cli
+from perfbench import workloads
+manifest = json.load(open("manifest.json"))
+configs = {name: cli.load_config(name) for name in manifest["configs"]}
+workloads.run_cli(manifest["warmup_argv"])
+walls, results = [], []
+for _ in range(int(sys.argv[1])):
+    t = time.perf_counter()
+    results.append(workloads.run_pass(manifest, configs))
+    walls.append(time.perf_counter() - t)
+print(json.dumps({"walls": walls, "ok": results[0].ok,
+                  "passes": [[r.digests, r.outcomes, r.order_gaps] for r in results]}))
+"""
+
+
+def run_side(root: Path, inputs: Path, passes: int) -> dict:
+    """One fresh process of the checkout at root: its pass times and what each pass wrote."""
+    child_env = {**os.environ, **env.PINNED_THREADS,
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(passes)], cwd=inputs,
+                          env=child_env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"pair_timer: {root} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def same_outputs(runs: list) -> bool:
+    """True when every pass of every process wrote and classified the same."""
+    first = runs[0]["passes"][0]
+    return all(p == first for run in runs for p in run["passes"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--workload", required=True, choices=gen.WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--passes", type=int, default=40)
+    args = parser.parse_args(argv)
+
+    sides = {"old": args.old.resolve(), "new": args.new.resolve()}
+    runs = {"old": [], "new": []}
+    with tempfile.TemporaryDirectory() as inputs:
+        gen.write_inputs(args.workload, args.seed, inputs)
+        for r in range(args.rounds):
+            for name in ("old", "new") if r % 2 == 0 else ("new", "old"):
+                run = run_side(sides[name], Path(inputs), args.passes)
+                runs[name].append(run)
+                print(f"round {r + 1} {name}: min {1e3 * min(run['walls']):.1f} ms, "
+                      f"median {1e3 * statistics.median(run['walls']):.1f} ms, "
+                      f"{run['ok']} ok ops a pass", flush=True)
+    walls = {name: [w for run in rs for w in run["walls"]] for name, rs in runs.items()}
+    print(f"new/old: min {min(walls['new']) / min(walls['old']):.3f}, median "
+          f"{statistics.median(walls['new']) / statistics.median(walls['old']):.3f}")
+    if not same_outputs(runs["old"] + runs["new"]):
+        print("pair_timer: the outputs differ", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
