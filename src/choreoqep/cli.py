@@ -198,14 +198,14 @@ def write_csv(path, header: list[str], rows) -> None:
     """The header line, then one line per row: numeric cells (int, float, numpy float)
     as '%.17g', which reads back to the same double, and other cells as str.  The cell
     types of the first row make one %-template for the whole table, so every row must
-    share them; rows may be a list of lists or a 2-D float array.  Rows are formatted
-    and written CSV_BLOCK at a time, so a long table is never held as text at once."""
-    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    share them.  Rows are formatted and written CSV_BLOCK at a time, so a long table is
+    never held as text at once.  Trajectories have their own writer,
+    `write_trajectory_csv`."""
+    rows = list(rows)
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(rows), CSV_BLOCK):
             block = rows[start:start + CSV_BLOCK]
-            block = block.tolist() if isinstance(block, np.ndarray) else block
             if start == 0:
                 line = ",".join("%.17g" if isinstance(v, (int, float, np.floating)) else "%s"
                                 for v in block[0]) + "\n"
@@ -253,24 +253,30 @@ def write_svg(path, traj: np.ndarray, times: np.ndarray = None) -> None:
     Path(path).write_text("\n".join(parts) + "\n", newline="\n")
 
 
-def trajectory_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The (count n, 2 + 2d) rows (t, particle, c0_re, c0_im, ..., c{d-1}_re,
-    c{d-1}_im) of values (n, count, d), node by node and particle by particle."""
+def write_trajectory_csv(path, times: np.ndarray, values: np.ndarray) -> None:
+    """values (n, T, d) at the T times: the header, then one row a node and particle,
+    (t, particle, c0_re, c0_im, ..., c{d-1}_re, c{d-1}_im), node by node, every number
+    '%.17g' as in `write_csv`.  A node is one %-template whose particle indices are
+    literal text, and its time is formatted once for its n rows.  Whole nodes of at most
+    CSV_BLOCK rows are formatted and written at a time."""
     n, count, d = values.shape
-    rows = np.empty((count, n, 2 + 2 * d))
-    rows[:, :, 0] = np.asarray(times)[:, None]
-    rows[:, :, 1] = np.arange(n)
-    rows[:, :, 2::2] = values.real.transpose(1, 0, 2)
-    rows[:, :, 3::2] = values.imag.transpose(1, 0, 2)
-    return rows.reshape(count * n, 2 + 2 * d)
-
-
-def trajectory_header(d: int) -> list[str]:
-    return ["t", "particle", *(f"c{c}_{part}" for c in range(d) for part in ("re", "im"))]
+    node = "".join(f"%s,{j}" + ",%.17g" * (2 * d) + "\n" for j in range(n))
+    per = max(CSV_BLOCK // n, 1)  # nodes a block
+    times = np.asarray(times).tolist()
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(["t", "particle", *(f"c{c}_{part}" for c in range(d)
+                                             for part in ("re", "im"))]) + "\n")
+        for start in range(0, count, per):
+            block = values[:, start:start + per].transpose(1, 0, 2)
+            cells = np.empty((len(block), n, 1 + 2 * d), dtype=object)
+            cells[:, :, 0] = np.array(["%.17g" % t for t in times[start:start + per]],
+                                      dtype=object)[:, None]
+            cells[:, :, 1::2], cells[:, :, 2::2] = block.real, block.imag
+            f.write((node * len(block)) % tuple(cells.ravel().tolist()))
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the trajectory CSV writer; returns (times, values (n, M+1, d)).
+    """Inverse of `write_trajectory_csv`; returns (times, values (n, M+1, d)).
 
     The body is parsed in one pass of `np.loadtxt` and copied into values, real and
     imaginary parts apart, so signed zeros and every other double come back bit
@@ -420,9 +426,10 @@ def cmd_spectrum(cfg: ExperimentConfig, which: str, out_dir: Path) -> list[Path]
 
 
 def _write_trajectory(stem: Path, times: np.ndarray, values: np.ndarray) -> list[Path]:
-    """Write values (n, T, d) at the T times to stem.csv and stem.svg; returns the paths."""
+    """Write values (n, T, d) at the T times to stem.csv (`write_trajectory_csv`) and
+    stem.svg (`write_svg`); returns the paths."""
     paths = [stem.with_suffix(".csv"), stem.with_suffix(".svg")]
-    write_csv(paths[0], trajectory_header(values.shape[2]), trajectory_rows(times, values))
+    write_trajectory_csv(paths[0], times, values)
     write_svg(paths[1], values, times)
     return paths
 

@@ -105,8 +105,15 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     lam is (G,), or the grid axis[k] + i axis[l] (R, R) of a `symmetric_axis`: with real
     weights and blocks (a spec's are) conj(lam) has lam's error, so the half l >= R//2 holds
     the max, and -conj(lam) has lam's S values conjugated and swapped, so only the quarter
-    k, l >= R//2 is evaluated and row k < R//2 of the half takes row R-1-k's, mirrored."""
+    k, l >= R//2 is evaluated and row k < R//2 of the half takes row R-1-k's, mirrored.
+    Any other 2-D lam is a ValueError."""
     N, m, R, h = ops[0].N, np.arange(20), len(lam), len(lam) // 2
+    if lam.ndim == 2:
+        axis = lam[:, 0].real
+        if not (np.array_equal(lam, axis[:, None] + 1j * axis) and
+                np.array_equal(axis[::-1], -axis)):
+            raise ValueError("a 2-D lam must be the grid axis[k] + i axis[l] of one "
+                             "mirror-symmetric axis (see symmetric_axis)")
     mirror = lam.ndim == 2 and not any(op.gamma.imag.any() for op in ops)
     lam, half = (lam[h:, h:].ravel(), lam[:, h:].ravel()) if mirror else (lam.ravel(),) * 2
     eps = np.array([op.epsilon for op in ops])[:, None]
@@ -130,10 +137,11 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     even, odd = even_odd[:, 0], even_odd[:, 1]
     gaps = np.empty((2, len(ops), len(lam)), dtype=complex)  # S(x), S(-x)
     gaps[:, small] = even + x * odd, even - x * odd
-    for sign, gap in zip((1, -1), gaps):
-        x = sign * lam * eps[~small]
-        e = np.expm1(x[..., None] * np.arange(-N, N + 1))
-        gap[~small] = (e * gamma[~small, None]).sum(axis=2) + series[~small, :1] - x
+    x, terms, m_0 = lam * eps[~small], gamma[~small, None], series[~small, :1]
+    e = np.expm1(x[..., None] * np.arange(-N, N + 1))  # e^{jx} - 1 at j = -N..N
+    gaps[0, ~small] = (e * terms).sum(axis=2) + m_0 - x
+    e = np.ascontiguousarray(e[..., ::-1])  # e^{-jx} - 1, laid out as its own expm1's
+    gaps[1, ~small] = (e * terms).sum(axis=2) + m_0 + x
     p_lam, q_lam = gaps / eps
     if mirror:
         p, q = (a.reshape(len(ops), R - h, R - h) for a in (p_lam, q_lam))

@@ -16,7 +16,8 @@ and after, capped at 2N): `_residual_map` builds it from the banded operator mat
 those blocks once per (spec, n, operator value), for
 `residual_del` at one node and `residuals` over nodes, one product per class.  The
 march's step is the same map's interior class [2N, 2N], solved for node c+2N: it moves
-x_s and the particles in one loop, one 4Nd x 3d product a step.
+x_s and the particles in one loop, one 4Nd x 3d product a step into one buffer.  The map
+holds n times the forcing beside the forcing, as the x_s equation reads it at every node.
 """
 from __future__ import annotations
 
@@ -163,23 +164,25 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     xs_seed is (4N, d) and particle_seeds (n, 4N, d), holding nodes 0..4N-1.  The step is
     the interior class [2N, 2N] of `_residual_map` solved for node c+2N, the window's last:
     rows [x_s; x_1..x_n] march together, one product of nodes c-2N..c+2N-1 with
-    [particle step | x_s step | x_s's source] a step; real weights march real and imaginary
-    parts as rows.  Marching uses only equations centered in the interior window, so
-    nodes 4N..M are produced; an M < 4N grid has no such window.  Non-finite seeds are a
+    [particle step | x_s step | x_s's source] a step, into one buffer whose fixed views
+    take the constant, give x_s's new node and add x_s's source to the particles'; real
+    weights march real and imaginary parts as rows.  Marching uses only equations centered
+    in the interior window, so nodes 4N..M are produced; an M < 4N grid has no such
+    window.  Non-finite seeds are a
     ValueError; a march whose values overflow (growing modes, spurious ones included, over
     many nodes) raises NumericalFailure with the growth it reached.
     """
     R, d = 2 * op.N, spec.d
     if M < 2 * R:
         raise WindowExceeded(f"M = {M} < 4N = {2 * R}: no interior equations")
-    w_xs, w_p, f = (a[R, R] for a in _residual_map(spec, op, n))
+    w_xs, w_p, f, nf = (a[R, R] for a in _residual_map(spec, op, n))
     (head_xs, last_xs), (head_p, last_p) = ((w[:2 * R * d], w[2 * R * d:]) for w in (w_xs, w_p))
     try:  # inverses of the blocks on node c+2N: x_s's equation and a particle's
         inv_xs, inv_p = (numkernel.solve_square(b.T, np.eye(d)).x.T
                          for b in (last_xs[:, :d], last_p))
     except numkernel.Singular as exc:
         raise LeadingBlockSingular(str(exc)) from exc
-    step_xs, const_xs = -head_xs[:, :d] @ inv_xs, n * f @ inv_xs
+    step_xs, const_xs = -head_xs[:, :d] @ inv_xs, nf @ inv_xs
     source = head_xs[:, d:] + step_xs @ last_xs[:, d:]  # x_s's source, x_s[c+2N] stepped
     step = np.hstack([-head_p @ inv_p, step_xs, -source @ inv_p])
     const = np.concatenate([0.0 * const_xs, const_xs, (f - const_xs @ last_xs[:, d:]) @ inv_p])
@@ -194,13 +197,17 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     windows = np.lib.stride_tricks.as_strided(  # rows x planes by nodes c-R..c+R-1
         z, (M - 2 * R + 1, (1 + n) * z.shape[1], 2 * R * d), (z.strides[2], *z.strides[1::2]),
         writeable=False)
+    buf = np.empty((windows.shape[1], 3 * d), dtype=step.dtype)  # one step's product
+    rows = buf.reshape(1 + n, -1, 3 * d)
+    xs_row, own = rows[0], rows[1:, :, :d]
+    xs_next, xs_src = xs_row[:, d:2 * d], xs_row[:, 2 * d:]
     with np.errstate(over="ignore", invalid="ignore"):
         for w, xs, parts in zip(windows, np.moveaxis(z[0, :, 2 * R:], 1, 0),
                                 np.moveaxis(z[1:, :, 2 * R:], 2, 0)):
-            out = (w @ step).reshape(1 + n, -1, 3 * d)
-            out[0] += const
-            xs[...] = out[0, :, d:2 * d]
-            np.add(out[1:, :, :d], out[0, :, 2 * d:], out=parts)
+            np.matmul(w, step, out=buf)
+            xs_row += const
+            xs[...] = xs_next
+            np.add(own, xs_src, out=parts)
         values = z[:, 0] + 1j * z[:, 1] if real else z[:, 0]
     finite = np.isfinite(values).all(axis=(0, 2))
     if not finite.all():
@@ -220,7 +227,7 @@ def residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
     M, R, d, rows = vals.shape[1] - 1, 2 * op.N, spec.d, len(vals)
     if M < 1:
         raise ValueError("a grid needs at least two nodes")
-    w_xs, w_p, forcing = _residual_map(spec, op, n)
+    w_xs, w_p, forcing, n_forcing = _residual_map(spec, op, n)
     r_xs, r_p = np.empty((len(nodes), d), complex), np.empty((rows, len(nodes), d), complex)
     classes = np.minimum(nodes, R) * (R + 1) + np.minimum(M - nodes, R)
     for block in np.split(np.arange(len(nodes)), range(256, len(nodes), 256)):
@@ -228,20 +235,21 @@ def residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
             at, ab = block[classes[block] == c], divmod(int(c), R + 1)
             near = (nodes[at, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
             y = xs_vals[near].reshape(len(at), -1) @ w_xs[ab]
-            r_xs[at] = y[:, :d] - n * forcing[ab]
+            r_xs[at] = y[:, :d] - n_forcing[ab]
             r_p[:, at] = (vals[:, near].reshape(rows, len(at), -1) @ w_p[ab]
                           + (y[:, d:] - forcing[ab]))
     return r_xs, r_p
 
 
 def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
-    """(W_xs, W_p, forcing) by window class [a, b]: a node with a nodes before it and b
-    after (each capped at 2N; [2N, 2N] is the interior) is node a of an (a+b+1)-node grid
-    with the banded D[i, i+j] = gamma_j.  Rows a of D^T D/eps^2, (D - D^T)/eps and the unit
-    give [boxbox f, sigma f, f] on nodes m-2N..m+2N; over the negated `pencil.equation_blocks`
-    the x_s window times W_xs[a, b] ((4N+1)d x 2d) is the x_s equation and the particles'
-    x_s source, a particle window times W_p[a, b] their equation, less n forcing[a, b] and
-    forcing[a, b] = (D^T 1)_a/eps J6 + J7.  Keyed by operator value, not object."""
+    """(W_xs, W_p, forcing, n forcing) by window class [a, b]: a node with a nodes before
+    it and b after (each capped at 2N; [2N, 2N] is the interior) is node a of an
+    (a+b+1)-node grid with the banded D[i, i+j] = gamma_j.  Rows a of D^T D/eps^2,
+    (D - D^T)/eps and the unit give [boxbox f, sigma f, f] on nodes m-2N..m+2N; over the
+    negated `pencil.equation_blocks` the x_s window times W_xs[a, b] ((4N+1)d x 2d) is the
+    x_s equation and the particles' x_s source, a particle window times W_p[a, b] their
+    equation, less n forcing[a, b] and forcing[a, b] = (D^T 1)_a/eps J6 + J7.  Keyed by
+    operator value, not object."""
     key = ("residual_map", n, op.N, op.epsilon, op.gamma.tobytes())
     if key not in spec._derived:
         N, R, d, eps = op.N, 2 * op.N, spec.d, op.epsilon
@@ -254,11 +262,12 @@ def _residual_map(spec: LagrangianSpec, op: ScaleOperator, n: int) -> tuple:
             stencil[a, b, :2, at] = grid[:, a] @ grid / eps**2, (grid[a] - grid[:, a]) / eps
             box1[a, b] = grid[:, a].sum() / eps
         xs_block, source_block, particle_block = pencil.equation_blocks(spec, n)
+        forcing = box1[..., None] * spec.J6 + spec.J7
         spec._derived[key] = tuple(
             np.einsum("abrj,rck->abjck", stencil, -block.reshape(3, d, -1),
                       order="C").reshape(R + 1, R + 1, (2 * R + 1) * d, -1)
             for block in (np.hstack([xs_block, source_block]), particle_block)) + (
-            box1[..., None] * spec.J6 + spec.J7,)
+            forcing, n * forcing)
     return spec._derived[key]
 
 
@@ -280,7 +289,7 @@ def residual_del(spec: LagrangianSpec, op: ScaleOperator, n: int, traj: Trajecto
     ab = min(m, R), min(M - m, R)
     near = slice(m - R, m + R + 1) if R <= m <= M - R else \
         (m + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
-    w_xs, w_p, forcing = _residual_map(spec, op, n)
+    w_xs, w_p, forcing, n_forcing = _residual_map(spec, op, n)
     y = xs_vals[near].reshape(-1) @ w_xs[ab]
-    return Residual(y[:d] - n * forcing[ab],
+    return Residual(y[:d] - n_forcing[ab],
                     vals[:, near].reshape(len(vals), -1) @ w_p[ab] + (y[d:] - forcing[ab]))

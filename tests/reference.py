@@ -56,7 +56,8 @@ def action_gradient(spec, op, n, vals) -> np.ndarray:
 
 
 def window_map(spec, op, n) -> tuple:
-    """(W_xs, W_p, forcing) of `delsolve._residual_map` from chi-weighted window tables."""
+    """(W_xs, W_p, forcing, n forcing) of `delsolve._residual_map` from chi-weighted
+    window tables."""
     N, R, eps, d = op.N, 2 * op.N, op.epsilon, spec.d
     span, ks = range(R + 1), np.arange(-R, R + 1)
     # win[a, b, j + R] = chi_j at node a of a grid with last node a + b
@@ -73,10 +74,11 @@ def window_map(spec, op, n) -> tuple:
     stencil[:, :, 2, R] = 1.0
     box1 = win @ gam / eps  # the adjoint on 1
     xs_block, source_block, particle_block = pencil.equation_blocks(spec, n)
+    forcing = box1[..., None] * spec.J6 + spec.J7
     return tuple(np.einsum("abrj,rck->abjck", stencil, -block.reshape(3, d, -1),
                            order="C").reshape(R + 1, R + 1, (2 * R + 1) * d, -1)
                  for block in (np.hstack([xs_block, source_block]), particle_block)) + (
-        box1[..., None] * spec.J6 + spec.J7,)
+        forcing, n * forcing)
 
 
 def cel_residual(spec, n, sol, t) -> tuple:

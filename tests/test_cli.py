@@ -122,7 +122,7 @@ class TestSuccess:
         assert values.shape == (3, 101, 2)
         assert np.allclose(times, np.linspace(0.0, 1.0, 101), rtol=0, atol=1e-15)
         again = tmp_path / "again.csv"
-        cli.write_csv(again, cli.trajectory_header(2), cli.trajectory_rows(times, values))
+        cli.write_trajectory_csv(again, times, values)
         assert again.read_bytes() == path.read_bytes()
 
     def test_svg_bytes_repeat(self, tmp_path, ref_config):
@@ -149,6 +149,10 @@ def reference_csv(header, rows) -> bytes:
                               if isinstance(v, (int, float, np.floating)) else str(v)
                               for v in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def trajectory_header(d):
+    return ["t", "particle", *(f"c{c}_{part}" for c in range(d) for part in ("re", "im"))]
 
 
 def reference_trajectory_rows(times, values):
@@ -182,9 +186,27 @@ class TestArtifactWriters:
 
     def test_trajectory_block(self, tmp_path):
         times, values = self.trajectory()
-        header = cli.trajectory_header(2)
-        cli.write_csv(tmp_path / "t.csv", header, cli.trajectory_rows(times, values))
-        want = reference_csv(header, reference_trajectory_rows(times, values))
+        cli.write_trajectory_csv(tmp_path / "t.csv", times, values)
+        want = reference_csv(trajectory_header(2), reference_trajectory_rows(times, values))
+        assert (tmp_path / "t.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("edge", [-1, 1])
+    def test_trajectory_rows_are_the_per_cell_rendering(self, tmp_path, n, d, edge):
+        """A node's rows share one formatted time and take their particle indices as
+        text: the file is still format(v, ".17g") of every cell, the round trip the
+        trajectory checks read, on node counts one below and one above a block edge."""
+        count = cli.CSV_BLOCK // n + edge  # whole nodes of at most CSV_BLOCK rows a block
+        rng = np.random.default_rng(100 * n + 10 * d + edge)
+        cells = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                 3.0, -7.0, 2.0**60, 1e16 + 2.0]  # signed zeros, subnormals, integral floats
+        parts = np.where(rng.random((2, n, count, d)) < 0.5, rng.choice(cells, (2, n, count, d)),
+                         rng.standard_normal((2, n, count, d)) * 10.0 ** rng.integers(-20, 20))
+        times = np.where(rng.random(count) < 0.5, rng.choice(cells, count), 0.5 * np.arange(count))
+        values = complex_block(*parts)
+        cli.write_trajectory_csv(tmp_path / "t.csv", times, values)
+        want = reference_csv(trajectory_header(d), reference_trajectory_rows(times, values))
         assert (tmp_path / "t.csv").read_bytes() == want
 
     @pytest.mark.parametrize("kind", ["gamma", "converge", "spectrum", "k"])
@@ -212,12 +234,11 @@ class TestArtifactWriters:
     @pytest.mark.parametrize("count", [cli.CSV_BLOCK - 1, cli.CSV_BLOCK, 2 * cli.CSV_BLOCK + 3])
     def test_tables_written_in_blocks_keep_their_bytes(self, tmp_path, count):
         rng = np.random.default_rng(6)
-        times, values = np.arange(count) * 0.1, rng.standard_normal((1, count, 1)) + 0j
-        rows = cli.trajectory_rows(times, values)
+        rows = [[0.1 * m, int(m % 3), *rng.standard_normal(2)] for m in range(count)]
         cli.write_csv(tmp_path / "t.csv", ["t", "particle", "re", "im"], rows)
-        want = reference_csv(["t", "particle", "re", "im"], rows.tolist())
+        want = reference_csv(["t", "particle", "re", "im"], rows)
         assert (tmp_path / "t.csv").read_bytes() == want
-        listed = [[float(t), "ok"] for t in times]
+        listed = [[row[0], "ok"] for row in rows]
         cli.write_csv(tmp_path / "l.csv", ["t", "status"], listed)
         assert (tmp_path / "l.csv").read_bytes() == reference_csv(["t", "status"], listed)
 
@@ -247,18 +268,16 @@ class TestArtifactWriters:
         values = complex_block(*parts.reshape(2, n, count, d))
         with tempfile.TemporaryDirectory() as tmp:
             first, again = Path(tmp) / "first.csv", Path(tmp) / "again.csv"
-            cli.write_csv(first, cli.trajectory_header(d), cli.trajectory_rows(times, values))
+            cli.write_trajectory_csv(first, times, values)
             read_times, read_values = cli.read_trajectory_csv(first)
-            cli.write_csv(again, cli.trajectory_header(d),
-                          cli.trajectory_rows(read_times, read_values))
+            cli.write_trajectory_csv(again, read_times, read_values)
             assert again.read_bytes() == first.read_bytes()
         assert np.array_equal(read_times.view(np.uint64), times.view(np.uint64))
         assert np.array_equal(read_values.view(np.uint64), values.view(np.uint64))
 
     def test_signed_zeros_survive_the_reader(self, tmp_path):
         values = complex_block([[[-0.0, 3.0]]], [[[1.0, -0.0]]])
-        cli.write_csv(tmp_path / "z.csv", cli.trajectory_header(2),
-                      cli.trajectory_rows(np.array([0.0]), values))
+        cli.write_trajectory_csv(tmp_path / "z.csv", np.array([0.0]), values)
         _, read = cli.read_trajectory_csv(tmp_path / "z.csv")
         assert np.signbit(read.real).tolist() == [[[True, False]]]
         assert np.signbit(read.imag).tolist() == [[[False, True]]]
@@ -274,8 +293,7 @@ class TestArtifactWriters:
     def written_rows(tmp_path):
         """The body rows of a 3-particle, 4-node trajectory as the writer writes them."""
         values = complex_block(*np.arange(24.0).reshape(2, 3, 4, 1))
-        cli.write_csv(tmp_path / "good.csv", cli.trajectory_header(1),
-                      cli.trajectory_rows(0.5 * np.arange(4), values))
+        cli.write_trajectory_csv(tmp_path / "good.csv", 0.5 * np.arange(4), values)
         header, *rows = (tmp_path / "good.csv").read_text().splitlines()
         return header, rows
 

@@ -205,6 +205,22 @@ def test_symmetric_axis_is_linspace_mirrored_exactly(points):
     assert np.abs(axis - np.linspace(-2.7, 2.7, points)).max() <= 1e-15
 
 
+def test_a_grid_off_a_mirror_symmetric_axis_is_a_value_error():
+    """The quarter grid stands for the whole only on an exactly mirror-symmetric axis, as
+    `symmetric_axis` builds; most linspace axes are off by an ulp somewhere."""
+    ops, gram = [central_difference(0.1)], np.eye(2)
+    axis = np.linspace(-2.7, 2.7, 21)
+    assert not np.array_equal(axis[::-1], -axis)
+    with pytest.raises(ValueError):
+        _pencil_errors(ops, axis[:, None] + 1j * axis[None, :], gram)
+    axis = convergence.symmetric_axis(2.7, 21)
+    lam = axis[:, None] + 1j * axis[None, :]
+    assert np.array_equal(_pencil_errors(ops, lam, gram), _pencil_errors(ops, lam.ravel(), gram))
+    for bad in (lam[:, :20], lam.T.copy(), lam + 1e-3):  # not square, swapped, shifted
+        with pytest.raises(ValueError):
+            _pencil_errors(ops, bad, gram)
+
+
 def test_real_weights_take_the_max_over_the_upper_half_grid():
     """With real weights and blocks the pencil error at conj(lam) is bit for bit the one at
     lam, so the upper half of a mirror-symmetric grid has the whole grid's max."""

@@ -9,6 +9,7 @@ matrix D, is also held to the one built from chi-weighted window tables
 """
 import dataclasses
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -276,6 +277,48 @@ def test_batched_march_matches_per_particle_loop(name):
     want_traj, want_xs = reference_march(spec, op, n, xs_vals, vals, M)
     assert np.abs(xs - want_xs).max() <= 1e-12 * np.abs(want_xs).max()
     assert np.abs(grid.values - want_traj).max() <= 1e-12 * np.abs(want_traj).max()
+
+
+# sha256 of the values and x_s of a 60-node march, recorded when each step's product was
+# a new array: stepping into one buffer through fixed views kept every bit.
+MARCH_DIGESTS = {
+    "central": "857ed06ce33cc155eb32ca1232e73bcbeb4e5fe6bbb6ed4e5cf61ad530f7a8b1",
+    "complex": "f72775df1a5a7734ac43fd1057f6dd6b386ca85219f5661c7ceca8bbf83146c4",
+    "five_point": "a8644ccc699efadcbcfa6e3b75dddde09397454d8b0564c64c21dc5e97d3c7ac",
+    "k_family": "3f39afabdd3d381a41e3068de61e5236577746e0ac702e2e8cb5309e1e6f7316",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_the_march_keeps_its_bits(name):
+    op = OPERATORS[name](0.05)
+    vals, xs_vals = random_grid(np.random.default_rng(7), 3, 4 * op.N - 1)
+    grid, xs = recurrence_march(full_spec(3), op, 3, xs_vals, vals, 60)
+    digest = hashlib.sha256(grid.values.tobytes() + xs.tobytes()).hexdigest()
+    assert digest == MARCH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["central", "complex"])  # real and complex steps
+def test_marches_share_no_memory(monkeypatch, name):
+    """Two marches in a row return arrays of their own: none shares memory with another,
+    or with a buffer the steps are multiplied into."""
+    buffers, matmul = [], np.matmul
+
+    def recording(*args, out=None):
+        if out is not None:
+            buffers.append(out)
+        return matmul(*args, out=out)
+
+    monkeypatch.setattr(delsolve.np, "matmul", recording)
+    op, spec = OPERATORS[name](0.05), full_spec(3)
+    outputs = []
+    for seed in (8, 9):
+        vals, xs_vals = random_grid(np.random.default_rng(seed), 3, 4 * op.N - 1)
+        grid, xs = recurrence_march(spec, op, 3, xs_vals, vals, 30)
+        outputs += [grid.values, xs]
+    assert len(buffers) == 2 * (30 - 4 * op.N + 1)  # one product a step
+    for i, a in enumerate(outputs):
+        assert not any(np.shares_memory(a, b) for b in outputs[i + 1:] + buffers)
 
 
 def test_nodes_off_the_grid_raise(ref_spec):

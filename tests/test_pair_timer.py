@@ -1,7 +1,10 @@
 """tools/pair_timer.py: fresh processes of two checkouts on one workload, outputs compared."""
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from tools import pair_timer
 
@@ -16,6 +19,10 @@ def test_one_round_of_one_pass_with_the_repo_on_both_sides():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["round 1 old", "round 1 new", "new/old"]
     assert all(line.endswith("216 ok ops a pass") for line in lines[:2])
+    rss = [float(re.search(r"peak rss ([0-9.]+) MiB", line)[1]) for line in lines[:2]]
+    assert all(20 < mb < 2000 for mb in rss)  # a process with numpy loaded, in MiB
+    ratio = float(re.search(r"peak rss ([0-9.]+)$", lines[2])[1])
+    assert ratio == pytest.approx(rss[1] / rss[0], abs=5e-3)  # rss printed to 0.1 MiB
 
 
 def test_a_differing_digest_fails_the_run():

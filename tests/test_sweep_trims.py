@@ -87,6 +87,44 @@ def test_the_quarter_grid_is_the_half_grid_bit_for_bit(points):
     assert forms == {True, False}
 
 
+def two_expm1_errors(ops, lam, gram):
+    """The pencil errors over a 1-D lam as they were taken when every operator has
+    N max|lam| eps > 1: S(x) and S(-x) each from its own expm1 call."""
+    N, eps = ops[0].N, np.array([op.epsilon for op in ops])[:, None]
+    gamma = np.stack([op.gamma for op in ops])[:, None]
+    m_0 = np.array([[complex(math.fsum(op.gamma.real), math.fsum(op.gamma.imag))]
+                    for op in ops])
+    p, q = [((np.expm1((sign * lam * eps)[..., None] * np.arange(-N, N + 1)) * gamma).sum(
+        axis=2) + m_0 - sign * lam * eps) / eps for sign in (1, -1)]
+    coeffs = -np.stack([p * (q - lam) + lam * q, p - q], axis=1)
+    sq = np.einsum("big,ij,bjg->bg", coeffs.conj(), gram, coeffs).real
+    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
+
+
+def test_large_eps_terms_at_minus_x_are_the_reversed_columns_bit_for_bit():
+    """expm1(-jx) taken as a contiguous copy of expm1(jx) with its columns reversed keeps
+    the bits of its own expm1 call, on 1,600 random sweeps whose every delay takes expm1
+    terms (N = 1..3, up to 12 delays, real weights and one in five complex), over the
+    21 x 21 grid of a `symmetric_axis` and over random lams."""
+    rng = np.random.default_rng(38)
+    for trial in range(1600):
+        N, B, radius = rng.integers(1, 4), rng.integers(1, 13), 10 ** rng.uniform(-0.5, 1.5)
+        imag = 1j * (trial % 5 == 4)
+        ops = [ScaleOperator(rng.standard_normal(2 * N + 1)
+                             + imag * rng.standard_normal(2 * N + 1),
+                             10 ** rng.uniform(0.01, 1) / (N * radius)) for _ in range(B)]
+        a = rng.standard_normal((2, 2))
+        if trial % 2:
+            axis = convergence.symmetric_axis(radius, 21)
+            lam = axis[:, None] + 1j * axis[None, :]
+            got, lam = _pencil_errors(ops, lam, a @ a.T), (lam if imag else lam[:, 10:]).ravel()
+        else:
+            lam = radius * np.exp(2j * np.pi * rng.random(rng.integers(1, 40)))
+            lam[0] = radius  # N max|lam| eps > 1 for every delay
+            got = _pencil_errors(ops, lam, a @ a.T)
+        assert np.array_equal(got, two_expm1_errors(ops, lam, a @ a.T)), trial
+
+
 def test_one_expression_delays_are_each_operators_shift():
     """6,000 random delays in batches of up to 12 (N = 1..3): the stacked expression has
     the bits of each operator's own shift; a batch of one delay broadcasts its operator's."""

@@ -9,10 +9,11 @@ even ones, with `src/` of that checkout on the path and BLAS pinned to one threa
 process imports the CLI, parses the configs, makes the workload's warm-up call, then
 times PASSES in-process passes of `perfbench.workloads.run_pass`.
 
-Prints one line a process (its min and median pass time and ok ops a pass), then the
-NEW/OLD ratio of the min and of the median over all passes of each side.  Exits 1 if
-any job's output digest, any op's outcome or any fitted order differs between two passes
-of the run, on either side.
+Prints one line a process (its min and median pass time, its peak RSS from `ru_maxrss`
+as the benchmark's `peak_rss_mb` reads it, and ok ops a pass), then the NEW/OLD ratio of
+the min and of the median over all passes of each side, and of each side's largest peak
+RSS.  Exits 1 if any job's output digest, any op's outcome or any fitted order differs
+between two passes of the run, on either side.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from perfbench import env, gen  # noqa: E402
 
 # Run in the workload's input directory, with the checkout's src/ and root on the path.
 _CHILD = """
-import json, sys, time
+import json, resource, sys, time
 from choreoqep import cli
 from perfbench import workloads
 manifest = json.load(open("manifest.json"))
@@ -43,6 +44,7 @@ for _ in range(int(sys.argv[1])):
     results.append(workloads.run_pass(manifest, configs))
     walls.append(time.perf_counter() - t)
 print(json.dumps({"walls": walls, "ok": results[0].ok,
+                  "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                   "passes": [[r.digests, r.outcomes, r.order_gaps] for r in results]}))
 """
 
@@ -85,10 +87,13 @@ def main(argv=None) -> int:
                 runs[name].append(run)
                 print(f"round {r + 1} {name}: min {1e3 * min(run['walls']):.1f} ms, "
                       f"median {1e3 * statistics.median(run['walls']):.1f} ms, "
-                      f"{run['ok']} ok ops a pass", flush=True)
+                      f"peak rss {run['rss_mb']:.1f} MiB, {run['ok']} ok ops a pass",
+                      flush=True)
     walls = {name: [w for run in rs for w in run["walls"]] for name, rs in runs.items()}
+    rss = {name: max(run["rss_mb"] for run in rs) for name, rs in runs.items()}
     print(f"new/old: min {min(walls['new']) / min(walls['old']):.3f}, median "
-          f"{statistics.median(walls['new']) / statistics.median(walls['old']):.3f}")
+          f"{statistics.median(walls['new']) / statistics.median(walls['old']):.3f}, "
+          f"peak rss {rss['new'] / rss['old']:.3f}")
     if not same_outputs(runs["old"] + runs["new"]):
         print("pair_timer: the outputs differ", file=sys.stderr)
         return 1
