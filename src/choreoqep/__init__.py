@@ -8,27 +8,46 @@ periodicity, constructs choreographic solutions, and measures how the discrete s
 (in the Hausdorff metric) and solutions (`window_errors`) converge as the grid delay
 shrinks.  The batched stages behind the public functions are exported too; `numkernel`
 states their contract.
+
+Importing the package loads none of its modules: each name below is resolved on first
+access (PEP 562), importing only the module that defines it, so a command-line run loads
+what its command computes with.
 """
+import importlib
 
-from .model import LagrangianSpec, ParticleState, construct_j4, energy, \
-    transform_affine, validate_spec, assemble_blocks
-from .numkernel import Polynomial, RootSet, cond, det_as_polynomial, kernel_vector, \
-    merge_failures, per_item, polynomial_roots, solve_square, solve_stack
-from .scaleop import GridFunction, ScaleOperator, box_apply, adjoint_box_apply, \
-    central_difference, check_operator_conditions, chi, k_family, symbol_sigma1, \
-    symbol_theta
-from .pencil import ClassicalPencil, Spectra, TranscendentalPencil, check_assumptions, \
-    check_cel_assumptions, check_del_assumptions, classical_eval, classical_pencil, \
-    classical_spectrum, constant_systems, spectra, transcendental_eval, \
-    transcendental_pencil, transcendental_spectrum
-from .celsolve import Core, ModeExpansion, SystemSolution, dirichlet_cel, \
-    general_solution_cel, grid_values, residual_cel
-from .delsolve import DelSolution, TrajectoryGrid, boundary_problem, dirichlet_del, \
-    general_solution_del, recurrence_march, residual_del, residuals
-from .periodic import Choreography, CommensurabilityReport, \
-    build_choreography_cel, build_choreography_del, commensurability, \
-    is_periodic_cel, is_periodic_del, verify_choreography
-from .convergence import SweepResult, epsilon_sweep, equation_classes, filter_to_window, \
-    hausdorff_distance, node_values, window_errors, window_reference
+_EXPORTS = {name: module for module, names in {
+    "model": "LagrangianSpec ParticleState construct_j4 energy transform_affine "
+             "validate_spec assemble_blocks",
+    "numkernel": "Polynomial RootSet cond det_as_polynomial kernel_vector merge_failures "
+                 "per_item polynomial_roots solve_square solve_stack",
+    "scaleop": "GridFunction ScaleOperator box_apply adjoint_box_apply central_difference "
+               "check_operator_conditions chi k_family",
+    "pencil": "ClassicalPencil Spectra TranscendentalPencil check_assumptions "
+              "check_cel_assumptions check_del_assumptions classical_eval "
+              "classical_pencil classical_spectrum constant_systems spectra "
+              "transcendental_eval transcendental_pencil transcendental_spectrum",
+    "celsolve": "Core ModeExpansion SystemSolution dirichlet_cel general_solution_cel "
+                "grid_values residual_cel",
+    "delsolve": "DelSolution TrajectoryGrid boundary_problem dirichlet_del "
+                "general_solution_del recurrence_march residual_del residuals",
+    "periodic": "Choreography CommensurabilityReport build_choreography_cel "
+                "build_choreography_del commensurability is_periodic_cel is_periodic_del "
+                "verify_choreography",
+    "convergence": "SweepResult epsilon_sweep equation_classes filter_to_window "
+                   "hausdorff_distance node_values window_errors window_reference",
+}.items() for name in names.split()}
 
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -31,7 +31,8 @@ from .model import LagrangianSpec
 
 
 class AssumptionViolation(Exception):
-    """Raised when a solve's spectra or constant mode do not determine it."""
+    """Raised when a solve's spectra or constant mode do not determine it; `periodic`'s
+    NotChoreographic and DelayResonant subclass it for a choreography's conditions."""
 
 
 class SingularBoundarySystem(Exception):

@@ -6,7 +6,8 @@ failure.  The CLI only parses a config, dispatches to the library and writes wha
 returns; the experiments (the eps-sweep and the error-surface engine) live in
 `convergence`.  An error surface's `metric` (as -log) or `error` is the Euclidean norm of
 continuous - discrete over the window nodes and `max_error` its max norm; each cell's
-status is "ok" or the class name of the error its lone solve raises.
+status is "ok" or the class name of the error its lone solve raises.  A run imports only
+what its command computes with: `periodic` is loaded by `choreo` alone.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import celsolve, convergence, delsolve, model, numkernel, pencil, \
-    periodic, scaleop
+from . import celsolve, convergence, delsolve, model, numkernel, pencil, scaleop
 from .model import LagrangianSpec
 from .scaleop import ScaleOperator
 
@@ -40,8 +40,8 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
 
-ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, periodic.NotChoreographic,
-                     periodic.DelayResonant, pencil.LeadingSingular)
+# periodic's NotChoreographic and DelayResonant are AssumptionViolations
+ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, pencil.LeadingSingular)
 NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
                     celsolve.SingularBoundarySystem, delsolve.LeadingBlockSingular,
                     delsolve.WindowExceeded, scaleop.OutOfRange, model.NoRealSolution,
@@ -508,6 +508,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def cmd_choreo(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list[Path]:
+    from . import periodic  # only this command builds choreographies
+
     spec, n = cfg.spec, cfg.n
     which = cfg.choreo.get("which", ["cel", "del"])
     if isinstance(which, str):

@@ -88,7 +88,7 @@ def symmetric_axis(radius: float, points: int) -> np.ndarray:
 
 def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
     ok = np.isfinite(distances) & (distances > 0)
-    if ok.sum() < 3 or len(np.unique(epsilons[ok])) < 2:  # one delay fixes no slope
+    if ok.sum() < 3 or len(set(epsilons[ok].tolist())) < 2:  # one delay fixes no slope
         return math.nan
     return float(np.polyfit(np.log(epsilons[ok]), np.log(distances[ok]), 1)[0])
 

@@ -231,8 +231,8 @@ def residuals(spec: LagrangianSpec, op: ScaleOperator, n: int, vals: np.ndarray,
     r_xs, r_p = np.empty((len(nodes), d), complex), np.empty((rows, len(nodes), d), complex)
     classes = np.minimum(nodes, R) * (R + 1) + np.minimum(M - nodes, R)
     for block in np.split(np.arange(len(nodes)), range(256, len(nodes), 256)):
-        for c in np.unique(classes[block]):
-            at, ab = block[classes[block] == c], divmod(int(c), R + 1)
+        for c in sorted(set(classes[block].tolist())):
+            at, ab = block[classes[block] == c], divmod(c, R + 1)
             near = (nodes[at, None] + np.arange(-R, R + 1)) % (M + 1)  # off-grid nodes weigh 0
             y = xs_vals[near].reshape(len(at), -1) @ w_xs[ab]
             r_xs[at] = y[:, :d] - n_forcing[ab]

@@ -494,7 +494,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
     # route 2 * (2: gamma_{-j} = -gamma_j, 1: J5 = 0, 0: companion) + (real weights)
     reduction = np.where(~(gamma + gamma[:, ::-1]).any(axis=1), 2, int(not spec.J5.any()))
     routes = 2 * reduction + ~gamma.imag.any(axis=1)
-    for route in np.unique(routes[live]):
+    for route in sorted(set(routes[live].tolist())):
         idx = live[routes[live] == route]
         if route < 2:
             blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)

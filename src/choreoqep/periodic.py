@@ -15,17 +15,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import celsolve, delsolve, numkernel, pencil
-from .celsolve import ModeExpansion, SystemSolution
+from .celsolve import AssumptionViolation, ModeExpansion, SystemSolution
 from .delsolve import DelSolution
 from .model import LagrangianSpec
 from .scaleop import ScaleOperator
 
 
-class NotChoreographic(Exception):
+class NotChoreographic(AssumptionViolation):
     """Raised when the spectrum conditions for a choreography fail."""
 
 
-class DelayResonant(Exception):
+class DelayResonant(AssumptionViolation):
     """Raised when some e^{lam T/n} = 1, so the delay sums do not cancel."""
 
 
@@ -246,8 +246,7 @@ def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec = None,
     and (when spec is given) the equation residuals, at the stated tolerances.
     """
     T = ch.T if period is None else period
-    rng = np.random.default_rng(20240917)
-    ts = rng.uniform(0.0, ch.T, size=64)
+    ts = ch.T * ((np.arange(64) + 0.5) * 0.6180339887498949 % 1.0)  # golden-ratio points
     u_scale = max(1.0, float(np.abs(ch.u.value(ts)).max()))
     per_err = float(np.abs(ch.u.value(ts + T) - ch.u.value(ts)).max()) / u_scale
 

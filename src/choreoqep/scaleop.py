@@ -7,7 +7,7 @@ The forward operator acting on a function sampled with step ``epsilon`` is
 with ``chi_j`` the indicator of [t0, tf] ∩ [t0 + j eps, tf + j eps].  The
 adjoint (mirrored-shift) operator uses f(t − j eps) with chi_j weights and
 converges to −d/dt; their composition carries the discrete second-derivative
-symbol exposed below.
+symbol, whose coefficients `theta_coefficients` gives.
 
 On nodes 0..M the forward operator is D/eps, with the banded D[i, i+j] = gamma_j
 (0 <= i+j <= M), and the adjoint D^T/eps; each operator caches read-only theta/sigma1
@@ -208,17 +208,6 @@ def check_operator_conditions(op: ScaleOperator) -> OperatorConditions:
     return OperatorConditions(abs(total) <= 1e-12, abs(normal - 1.0) <= 1e-12)
 
 
-def symbol_s(op: ScaleOperator, lam: complex) -> complex:
-    """Interior symbol of the forward operator: (1/eps) sum gamma_j e^{j lam eps}."""
-    js = np.arange(-op.N, op.N + 1)
-    return complex(np.sum(op.gamma * np.exp(js * lam * op.epsilon)) / op.epsilon)
-
-
-def symbol_s_bar(op: ScaleOperator, lam: complex) -> complex:
-    """Interior symbol of the adjoint operator: (1/eps) sum gamma_j e^{-j lam eps}."""
-    return symbol_s(op, -lam)
-
-
 def theta_coefficients(op: ScaleOperator) -> np.ndarray:
     """Coefficients g_k = sum_l gamma_{k+l} gamma_l for k = -2N..2N.
 
@@ -231,19 +220,3 @@ def theta_coefficients(op: ScaleOperator) -> np.ndarray:
 def sigma1_coefficients(op: ScaleOperator) -> np.ndarray:
     """Antisymmetrized weights gamma_k - gamma_{-k} for k = -N..N."""
     return op.gamma - op.gamma[::-1]
-
-
-def symbol_theta(op: ScaleOperator, lam: complex) -> complex:
-    """Interior symbol of adjoint∘forward, as the explicit double sum.
-
-    Identically equal to symbol_s(lam) * symbol_s_bar(lam); tends to -lam^2
-    as eps → 0 for operators passing check_operator_conditions.
-    """
-    ks = np.arange(-2 * op.N, 2 * op.N + 1)
-    return complex(np.sum(op.theta * np.exp(ks * lam * op.epsilon)) / op.epsilon**2)
-
-
-def symbol_sigma1(op: ScaleOperator, lam: complex) -> complex:
-    """Interior symbol of (forward − adjoint); tends to 2 lam as eps → 0."""
-    ks = np.arange(-op.N, op.N + 1)
-    return complex(np.sum(op.sigma1 * np.exp(ks * lam * op.epsilon)) / op.epsilon)

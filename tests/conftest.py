@@ -50,7 +50,7 @@ def make_discrete_tuned_spec_d3(op, omegas=(1.0, 2.0, 3.0), n=5):
     the plain central difference and eps = pi/q the remaining discrete phases
     are ±i(q - w), so the whole spectrum is integer-commensurable.
     """
-    from choreoqep.scaleop import symbol_theta
+    from reference import symbol_theta
     kappa = [symbol_theta(op, 1j * w).real for w in omegas]
     j1 = np.eye(3)
     j2 = -np.eye(3)

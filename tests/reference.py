@@ -18,6 +18,9 @@ equation blocks: A_n/C_n formulas for one time, with their terms, to bound round
 `window_map` is the residual map as it was built from integer window tables (chi_j at
 node m of a grid with last node M is 1 when max(0, j) <= m <= M + min(0, j)), to hold
 the map built from D to those outputs.
+
+`symbol_s`, `symbol_s_bar`, `symbol_theta` and `symbol_sigma1` are an operator's interior
+symbols at one lam, each as its explicit sum over the weights.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -100,3 +103,30 @@ def cel_residual(spec, n, sol, t) -> tuple:
     particles = [terms(a_0, c_0, jet(p)) + source for p in sol.particles]
     return ((sum(own), np.array([sum(r) for r in particles])),
             (sum(map(np.abs, own)), np.array([sum(map(np.abs, r)) for r in particles])))
+
+
+def symbol_s(op, lam: complex) -> complex:
+    """Interior symbol of the forward operator: (1/eps) sum gamma_j e^{j lam eps}."""
+    js = np.arange(-op.N, op.N + 1)
+    return complex(np.sum(op.gamma * np.exp(js * lam * op.epsilon)) / op.epsilon)
+
+
+def symbol_s_bar(op, lam: complex) -> complex:
+    """Interior symbol of the adjoint operator: (1/eps) sum gamma_j e^{-j lam eps}."""
+    return symbol_s(op, -lam)
+
+
+def symbol_theta(op, lam: complex) -> complex:
+    """Interior symbol of adjoint∘forward, as the explicit double sum.
+
+    Identically equal to symbol_s(lam) * symbol_s_bar(lam); tends to -lam^2
+    as eps → 0 for operators passing check_operator_conditions.
+    """
+    ks = np.arange(-2 * op.N, 2 * op.N + 1)
+    return complex(np.sum(op.theta * np.exp(ks * lam * op.epsilon)) / op.epsilon**2)
+
+
+def symbol_sigma1(op, lam: complex) -> complex:
+    """Interior symbol of (forward − adjoint); tends to 2 lam as eps → 0."""
+    ks = np.arange(-op.N, op.N + 1)
+    return complex(np.sum(op.sigma1 * np.exp(ks * lam * op.epsilon)) / op.epsilon)

@@ -328,6 +328,28 @@ class TestFailure:
         assert code == cli.EXIT_CONFIG
         assert not list(out.glob("choreo_*"))
 
+    def test_a_spectrum_that_is_not_choreographic_exits_assumption(self, tmp_path, capfd):
+        # a generic real operator pushes part of the discrete spectrum off the imaginary axis
+        config = write_config(tmp_path, make_reference_spec(),
+                              time={"t0": 0.0, "tf": 2 * math.pi, "M": 100},
+                              operator={"N": 1, "gamma_re": [-0.7, 0.4, 0.3]},
+                              choreo={"which": "del"})
+        code, out = run(tmp_path, "choreo", config)
+        assert code == cli.EXIT_ASSUMPTION
+        assert "spectrum is not purely imaginary" in capfd.readouterr().err
+        assert not list(out.glob("choreo_*"))
+
+    def test_a_delay_resonance_exits_assumption(self, tmp_path, capfd):
+        # the +-3i mode has e^(3i * 2pi/3) = 1: the delay sums of n = 3 do not cancel
+        eps = math.pi / 15.0
+        spec = make_discrete_tuned_spec_d3(central_difference(eps), n=3)
+        config = write_config(tmp_path, spec, time={"t0": 0.0, "tf": 30 * eps, "M": 30},
+                              choreo={"which": "del"})
+        code, out = run(tmp_path, "choreo", config)
+        assert code == cli.EXIT_ASSUMPTION
+        assert "e^(lam T/n) = 1 for n = 3" in capfd.readouterr().err
+        assert not list(out.glob("choreo_*"))
+
     def test_overflowing_discrete_samples_exit_numerical(self, tmp_path, capfd):
         # 5-point weights, a unit amplitude on the fastest-growing spurious nu = 0 mode
         # of particle 1: e^{lam t} overflows on M = 344 nodes

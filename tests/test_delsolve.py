@@ -13,10 +13,10 @@ from choreoqep.delsolve import (DelSolution, LeadingBlockSingular,
                                 residual_del)
 from choreoqep.model import LagrangianSpec
 from choreoqep.numkernel import kernel_vector
-from choreoqep.scaleop import (ScaleOperator, central_difference, k_family,
-                               symbol_theta)
+from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import J1, J2, J3, make_oscillator_spec, make_reference_spec
+from reference import symbol_theta
 
 TWO_PI = 2.0 * math.pi
 

@@ -4,8 +4,9 @@ import pytest
 from choreoqep.scaleop import (GridFunction, OutOfRange, ScaleOperator,
                                adjoint_box_apply, box_apply, boxbox_apply,
                                central_difference, check_operator_conditions,
-                               chi, k_family, symbol_s, symbol_s_bar,
-                               symbol_sigma1, symbol_theta)
+                               chi, k_family)
+
+from reference import symbol_s, symbol_s_bar, symbol_sigma1, symbol_theta
 
 
 def test_operator_validation():

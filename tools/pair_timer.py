@@ -7,13 +7,15 @@ this repository's `perfbench.gen`, and every process reads the same ones.  Each 
 starts one fresh process of each checkout, OLD first in odd rounds and NEW first in
 even ones, with `src/` of that checkout on the path and BLAS pinned to one thread.  A
 process imports the CLI, parses the configs, makes the workload's warm-up call, then
-times PASSES in-process passes of `perfbench.workloads.run_pass`.
+times PASSES in-process passes of `perfbench.workloads.run_pass`.  Its set-up is the wall
+time from its first line to the end of the warm-up call, what the benchmark's `setup_s`
+counts.
 
-Prints one line a process (its min and median pass time, its peak RSS from `ru_maxrss`
-as the benchmark's `peak_rss_mb` reads it, and ok ops a pass), then the NEW/OLD ratio of
-the min and of the median over all passes of each side, and of each side's largest peak
-RSS.  Exits 1 if any job's output digest, any op's outcome or any fitted order differs
-between two passes of the run, on either side.
+Prints one line a process (its set-up, its min and median pass time, its peak RSS from
+`ru_maxrss` as the benchmark's `peak_rss_mb` reads it, and ok ops a pass), then the
+NEW/OLD ratio of the min and of the median over all passes of each side, of the median
+set-up and of each side's largest peak RSS.  Exits 1 if any job's output digest, any op's
+outcome or any fitted order differs between two passes of the run, on either side.
 """
 from __future__ import annotations
 
@@ -32,18 +34,20 @@ from perfbench import env, gen  # noqa: E402
 
 # Run in the workload's input directory, with the checkout's src/ and root on the path.
 _CHILD = """
-import json, resource, sys, time
+import time; start = time.perf_counter()
+import json, resource, sys
 from choreoqep import cli
 from perfbench import workloads
 manifest = json.load(open("manifest.json"))
 configs = {name: cli.load_config(name) for name in manifest["configs"]}
 workloads.run_cli(manifest["warmup_argv"])
+setup = time.perf_counter() - start
 walls, results = [], []
 for _ in range(int(sys.argv[1])):
     t = time.perf_counter()
     results.append(workloads.run_pass(manifest, configs))
     walls.append(time.perf_counter() - t)
-print(json.dumps({"walls": walls, "ok": results[0].ok,
+print(json.dumps({"setup": setup, "walls": walls, "ok": results[0].ok,
                   "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                   "passes": [[r.digests, r.outcomes, r.order_gaps] for r in results]}))
 """
@@ -85,15 +89,17 @@ def main(argv=None) -> int:
             for name in ("old", "new") if r % 2 == 0 else ("new", "old"):
                 run = run_side(sides[name], Path(inputs), args.passes)
                 runs[name].append(run)
-                print(f"round {r + 1} {name}: min {1e3 * min(run['walls']):.1f} ms, "
+                print(f"round {r + 1} {name}: set-up {1e3 * run['setup']:.1f} ms, "
+                      f"min {1e3 * min(run['walls']):.1f} ms, "
                       f"median {1e3 * statistics.median(run['walls']):.1f} ms, "
                       f"peak rss {run['rss_mb']:.1f} MiB, {run['ok']} ok ops a pass",
                       flush=True)
     walls = {name: [w for run in rs for w in run["walls"]] for name, rs in runs.items()}
+    setup = {name: statistics.median(run["setup"] for run in rs) for name, rs in runs.items()}
     rss = {name: max(run["rss_mb"] for run in rs) for name, rs in runs.items()}
     print(f"new/old: min {min(walls['new']) / min(walls['old']):.3f}, median "
           f"{statistics.median(walls['new']) / statistics.median(walls['old']):.3f}, "
-          f"peak rss {rss['new'] / rss['old']:.3f}")
+          f"set-up {setup['new'] / setup['old']:.3f}, peak rss {rss['new'] / rss['old']:.3f}")
     if not same_outputs(runs["old"] + runs["new"]):
         print("pair_timer: the outputs differ", file=sys.stderr)
         return 1
