@@ -118,16 +118,16 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     lam, half = (lam[h:, h:].ravel(), lam[:, h:].ravel()) if mirror else (lam.ravel(),) * 2
     eps = np.array([op.epsilon for op in ops])[:, None]
     gamma = np.stack([op.gamma for op in ops])
-    if gamma.tobytes() == gamma[:1].tobytes() * len(ops):  # one weight vector, as a sweep has
-        weights, inverse = gamma[:1], np.zeros(len(ops), dtype=np.intp)
-    else:
-        weights, inverse = np.unique(gamma, axis=0, return_inverse=True)
+    first = {}  # weight bytes -> the first operator with them
+    owner = [first.setdefault(g.tobytes(), i) for i, g in enumerate(gamma)]
+    classes = list(first.values())
+    weights, inverse = gamma[classes], np.searchsorted(classes, owner)
     rows = weights[:, None, :] * np.arange(-N, N + 1.0) ** m[:, None]  # gamma_j j^m
     rows[:, 1, N] = -1.0  # gamma_0 0^1 = 0: its place holds the -1 of M_1 - 1
     parts = np.moveaxis(rows.view(float).reshape(*rows.shape, 2), -1, -2)  # re, im apart
     moments = np.array([math.fsum(r) for r in parts.reshape(-1, 2 * N + 1).tolist()])
     series = (moments.view(complex).reshape(len(weights), -1)
-              / np.cumprod(np.maximum(m, 1.0)))[inverse.ravel()]  # M_m/m!
+              / np.cumprod(np.maximum(m, 1.0)))[inverse]  # M_m/m!
     small = N * np.abs(lam).max() * eps[:, 0] <= 1
     x = lam * eps[small]
     y, c = (x * x)[:, None], series[small, :, None]

@@ -1,7 +1,7 @@
 """Dense complex linear-algebra and polynomial primitives, and the batch contract.
 
 The contract of every batched stage (`solve_stack` here, `pencil.spectra`,
-`pencil.check_assumptions`, `celsolve.Core`): a batch is a leading item axis, and a stage
+`celsolve.Core`): a batch is a leading item axis, and a stage
 gives its arrays for every item and a list `failures`, failures[i] None or the typed error
 that item's lone call raises.  `merge_failures` merges a later stage into that list, so
 that an item keeps the first failure it meets.  A public lone function is the batch of

@@ -27,13 +27,13 @@ residual.  On a reduction ||Q(w) v|| = ||R a(w)|| for the R of a classical pair'
 sigma1_i, shift_i) of B_i and the R of [vec A_nu | vec J5 | vec C_nu]: only the companion
 assembles the shifted blocks.
 `Setting` is the one place where the two settings differ; the assumption reports, the
-solvers' shared core and the periodicity code run on it.  `spectra` and
-`check_assumptions` run on a batch of settings that share spec and N, each item with its
-own eps, under the batch contract of `numkernel`, every eigen-solve stacked.  A batch
-holds the cells of an error surface (one eps) or the delays of an eps-sweep, and solves
-each reduction's classical pencil once.  The equations of motion are stated once, for
-both settings, by `equation_blocks`: `celsolve.residual_cel` applies them to exact
-derivatives, and `delsolve`'s residual map and march to the scale operator's windows.
+solvers' shared core and the periodicity code run on it.  `spectra` runs on a batch of
+settings that share spec and N, each item with its own eps, under the batch contract of
+`numkernel`, every eigen-solve stacked.  A batch holds the cells of an error surface (one
+eps) or the delays of an eps-sweep, and solves each reduction's classical pencil once.
+The equations of motion are stated once, for both settings, by `equation_blocks`:
+`celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
+and march to the scale operator's windows.
 """
 from __future__ import annotations
 
@@ -558,10 +558,10 @@ class Modes:
 class Setting:
     """The continuous/discrete decision (op is None: continuous).
 
-    It fixes which pencil is evaluated, the root variable used for kernel
-    vectors and separation tests (lam, or zeta = e^{lam eps}), where the
-    constant mode sits (lam = 0 with right-hand side J7, or zeta = 1 with
-    J7 + s_bar(0) J6) and how many roots to expect (2d or 4Nd).  A batch is a
+    It fixes which pencil is evaluated, the root variable of its kernel
+    vectors (lam, or zeta = e^{lam eps}), where the constant mode sits
+    (lam = 0 with right-hand side J7, or zeta = 1 with J7 + s_bar(0) J6)
+    and how many roots to expect (2d or 4Nd).  A batch is a
     list of settings that share spec and N; each item has its own eps.  The methods
     here are its batch of one.
     """
@@ -599,21 +599,32 @@ def constant_systems(settings: list, nu: float) -> tuple:
 
 @dataclass(frozen=True)
 class Assumptions:
-    """Report on the paper's standing assumptions, in the root variable; no solve reads it
-    (`celsolve.Core`).  The paper's unique x_s/particle split needs the nu = n and nu = 0
-    roots disjoint, which solves do not enforce.  count_*_ok say the roots are simple; a
-    degree drop or a failed eigen-solve shows as precondition_ok False, with a note."""
+    """Report on the paper's standing assumptions; no solve reads it (`celsolve.Core`).  The
+    paper's unique x_s/particle split needs the nu = n and nu = 0 roots disjoint, which
+    solves do not enforce.  Both settings judge the phases lam, at tol relative
+    (`numkernel.close_pairs`): count_*_ok say that a spectrum's phases are simple, disjoint
+    that no nu = n phase is a nu = 0 phase.  On a grid, two zeta-roots that straddle the
+    negative real axis have phases near Im lam = +pi/eps and -pi/eps: close in zeta, they
+    are judged apart.  A spectrum that fails (a degree drop, a failed eigen-solve) has no
+    modes; failure is what it raised, nu = 0's first, and every verdict is False."""
 
     setting: Setting
     modes_n: Modes | None
     modes_0: Modes | None
-    precondition_ok: bool
+    failure: Exception | None
     count_n_ok: bool
     count_0_ok: bool
     disjoint: bool
     det_pn0_nonzero: bool
     det_p00_nonzero: bool
-    note: str = ""
+
+    @property
+    def precondition_ok(self) -> bool:
+        return self.failure is None
+
+    @property
+    def note(self) -> str:
+        return "" if self.failure is None else str(self.failure)
 
     @property
     def all_hold(self) -> bool:
@@ -621,36 +632,30 @@ class Assumptions:
                 and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
 
 
-def check_assumptions(settings: list, n: int, tol: float) -> tuple:
-    """Simple roots for nu = n and 0, disjointness at tol and nonsingularity at the constant
-    mode, reported for each setting of a batch: (spectra at nu = n and 0, failures, checks).
-    failures[i] is what item i's spectra raise (None when both exist); the checks are a
-    (5, B) bool array in the order of Assumptions."""
-    sp_n, sp_0 = (spectra(settings, nu) for nu in (n, 0))
-    failures, _ = numkernel.merge_failures(sp_n.failures, sp_0.failures)
-    checks = np.array([*(numkernel.simple_rows(sp.roots, tol) for sp in (sp_n, sp_0)),
-                       ~numkernel.close_pairs(sp_n.roots, sp_0.roots, tol).any(axis=(1, 2)),
-                       ~_is_singular(constant_systems(settings, n)[0]),
-                       ~_is_singular(constant_systems(settings, 0)[0])])
-    return sp_n, sp_0, failures, checks & [f is None for f in failures]
-
-
 def _report(setting: Setting, n: int, tol: float) -> Assumptions:
-    """The Assumptions of one setting: the batch of one of `check_assumptions`."""
-    sp_n, sp_0, failures, checks = check_assumptions([setting], n, tol)
-    if failures[0] is not None:
-        return Assumptions(setting, None, None, False, False, False, False, False, False,
-                           note=str(failures[0]))
-    modes = (Modes(setting.pencil(nu), *sp.rootsets(0, 1e-8)) for nu, sp in ((n, sp_n), (0, sp_0)))
-    return Assumptions(setting, *modes, True, *(bool(c) for c in checks[:, 0]))
+    """Simple phases for nu = n and 0, disjointness at tol and nonsingularity at the
+    constant mode, for one setting."""
+    sp_n, sp_0 = (spectra([setting], nu) for nu in (n, 0))
+    modes_n, modes_0 = (None if sp.failures[0] else
+                        Modes(setting.pencil(nu), *sp.rootsets(0, 1e-8))
+                        for nu, sp in ((n, sp_n), (0, sp_0)))
+    failure = sp_0.failures[0] or sp_n.failures[0]
+    if failure is not None:
+        return Assumptions(setting, modes_n, modes_0, failure, *[False] * 5)
+    lam_n, lam_0 = modes_n.lam, modes_0.lam
+    return Assumptions(setting, modes_n, modes_0, None, lam_n.is_simple(tol),
+                       lam_0.is_simple(tol),
+                       not numkernel.close_pairs(lam_n.roots, lam_0.roots, tol).any(),
+                       *(not _is_singular(constant_systems([setting], nu)[0][0])
+                         for nu in (n, 0)))
 
 
 def check_cel_assumptions(spec: LagrangianSpec, n: int, tol: float = 1e-7) -> Assumptions:
-    """The paper's assumptions in continuous time, on the lam-roots: reported, not enforced."""
+    """The paper's assumptions in continuous time: reported, not enforced."""
     return _report(Setting(spec), n, tol)
 
 
 def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int,
                           tol: float = 1e-7) -> Assumptions:
-    """The paper's assumptions on the grid, on the zeta-roots: reported, not enforced."""
+    """The paper's assumptions on the grid, judged on the phases: reported, not enforced."""
     return _report(Setting(spec, op), n, tol)

@@ -36,7 +36,6 @@ class CommensurabilityReport:
     all_imaginary: bool
     ratios: tuple
     period: float | None
-    max_denominator_used: int
     reference_omega: float | None = None
     reference_cycles: Fraction | None = None
 
@@ -60,11 +59,11 @@ def commensurability(roots, tol: float = 1e-9, max_den: int = 64) -> Commensurab
     all_imag = bool(all(abs(z.real) <= tol * max(1.0, abs(z)) for z in r))
     none_ratios = tuple(None for _ in r)
     if not all_imag:
-        return CommensurabilityReport(False, none_ratios, None, 0)
+        return CommensurabilityReport(False, none_ratios, None)
 
     ref = float(r[0].imag)
     if abs(ref) <= tol:
-        return CommensurabilityReport(True, none_ratios, None, 0, ref)
+        return CommensurabilityReport(True, none_ratios, None, ref)
     ratios = []
     for z in r:
         x = float(z.imag) / ref
@@ -75,31 +74,27 @@ def commensurability(roots, tol: float = 1e-9, max_den: int = 64) -> Commensurab
             ratios.append(None)
     period = None
     cycles = None
-    used = max((f.denominator for f in ratios if f is not None), default=0)
     if all(f is not None for f in ratios):
         cycles = Fraction(math.lcm(*[f.denominator for f in ratios]),
                           math.gcd(*[abs(f.numerator) for f in ratios]))
         period = float(2.0 * math.pi * cycles / abs(ref))
-    return CommensurabilityReport(all_imag, tuple(ratios), period, used, ref, cycles)
+    return CommensurabilityReport(all_imag, tuple(ratios), period, ref, cycles)
 
 
-def _is_periodic(setting: pencil.Setting, n: int, tol: float,
-                 max_den: int) -> CommensurabilityReport:
+def _is_periodic(setting: pencil.Setting, n: int) -> CommensurabilityReport:
     """Commensurability of the union of the nu=n and nu=0 phases."""
     lam_n, lam_0 = setting.modes(n).lam, setting.modes(0).lam
-    return commensurability(np.concatenate([lam_n.roots, lam_0.roots]), tol, max_den)
+    return commensurability(np.concatenate([lam_n.roots, lam_0.roots]))
 
 
-def is_periodic_cel(spec: LagrangianSpec, n: int, tol: float = 1e-9,
-                    max_den: int = 64) -> CommensurabilityReport:
+def is_periodic_cel(spec: LagrangianSpec, n: int) -> CommensurabilityReport:
     """Commensurability of the union of the nu=n and nu=0 classical spectra."""
-    return _is_periodic(pencil.Setting(spec), n, tol, max_den)
+    return _is_periodic(pencil.Setting(spec), n)
 
 
-def is_periodic_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
-                    tol: float = 1e-9, max_den: int = 64) -> CommensurabilityReport:
+def is_periodic_del(spec: LagrangianSpec, op: ScaleOperator, n: int) -> CommensurabilityReport:
     """Commensurability of the union of the discrete nu=n and nu=0 spectra."""
-    return _is_periodic(pencil.Setting(spec, op), n, tol, max_den)
+    return _is_periodic(pencil.Setting(spec, op), n)
 
 
 @dataclass(frozen=True)
@@ -112,23 +107,11 @@ class Choreography:
     delay: float
 
 
-def _integer_cycles(rep: CommensurabilityReport) -> list[int]:
-    """m_l = s * p_l / q_l, the signed number of reference periods per mode."""
-    out = []
-    for f in rep.ratios:
-        m = rep.reference_cycles * f
-        if m.denominator != 1:  # cannot happen when the period exists
-            raise NotChoreographic("inconsistent rational reconstruction")
-        out.append(int(m))
-    return out
-
-
-def _choreography_conditions(phases: np.ndarray, tol: float,
-                             max_den: int) -> CommensurabilityReport:
-    rep = commensurability(phases, tol, max_den)
+def _choreography_conditions(phases: np.ndarray) -> CommensurabilityReport:
+    rep = commensurability(phases)
     if not rep.all_imaginary:
         raise NotChoreographic("spectrum is not purely imaginary")
-    if any(abs(z.imag) <= tol for z in phases):
+    if any(abs(z.imag) <= 1e-9 for z in phases):
         raise NotChoreographic("spectrum contains a zero phase")
     if rep.period is None:
         raise NotChoreographic("phases are incommensurable at the given tolerances")
@@ -136,14 +119,15 @@ def _choreography_conditions(phases: np.ndarray, tol: float,
 
 
 def _delay_phases(rep: CommensurabilityReport, active: np.ndarray, n: int) -> np.ndarray:
-    """Phases e^{lam_l * j T / n} for j = 1..n via exact rational arithmetic."""
-    cycles = _integer_cycles(rep)
+    """Phases e^{lam_l * j T / n} for j = 1..n via exact rational arithmetic: mode l turns
+    m_l = s p_l / q_l reference periods, an integer as s = lcm(q)/gcd(p)."""
     sgn = 1 if rep.reference_omega > 0 else -1
     phases = np.empty((n, int(active.sum())), dtype=complex)
     col = 0
-    for l, m in enumerate(cycles):
-        if not active[l]:
+    for f, on in zip(rep.ratios, active):
+        if not on:
             continue
+        m = int(rep.reference_cycles * f)
         if (sgn * m) % n == 0 and m != 0:
             raise DelayResonant(
                 f"mode with {m} reference cycles has e^(lam T/n) = 1 for n = {n}")
@@ -154,32 +138,31 @@ def _delay_phases(rep: CommensurabilityReport, active: np.ndarray, n: int) -> np
     return phases
 
 
-def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
-                        max_den: int) -> tuple[Choreography, ModeExpansion, tuple]:
+def _build_choreography(setting: pencil.Setting, n: int,
+                        amplitudes) -> tuple[Choreography, ModeExpansion, tuple]:
     """Choreography on the nu=0 modes, centred on the constant mode.
 
-    Requires root_count simple nu=0 roots, nonzero imaginary commensurable phases for
-    the modes in play, those with a nonzero amplitude (every mode when none is), and the
-    nu=n pencil to be regular at the constant mode.  A grid's spurious modes are not in
-    play when their amplitudes are zero.
+    Requires nonzero imaginary commensurable phases for the modes in play, those with a
+    nonzero amplitude (every mode when none is), and the nu=n pencil to be regular at the
+    constant mode.  A grid's spurious modes are not in play when their amplitudes are zero.
+    Roots may repeat: the curve is a plain sum of its modes, each with its kernel vector.
     """
     try:
         modes_0 = setting.modes(0)
     except (pencil.LeadingSingular, numkernel.NumericalFailure) as exc:
         raise NotChoreographic(str(exc)) from exc
     roots = modes_0.lam
-    if not roots.is_simple():
-        raise NotChoreographic(f"spectrum must hold {setting.root_count} simple roots")
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
     if len(amplitudes) != len(roots):
         raise ValueError(f"expected {len(roots)} amplitudes")
     active = amplitudes != 0
     in_play = active if active.any() else np.ones_like(active)
-    rep = _choreography_conditions(roots.roots[in_play], tol, max_den)
-    try:
-        u0 = numkernel.solve_square(*(a[0] for a in pencil.constant_systems([setting], n))).x
-    except numkernel.Singular as exc:
-        raise NotChoreographic("nu=n pencil is singular at the constant mode") from exc
+    rep = _choreography_conditions(roots.roots[in_play])
+    (u0,), (failure,) = numkernel.solve_stack(*pencil.constant_systems([setting], n))
+    if isinstance(failure, numkernel.Singular):
+        raise NotChoreographic("nu=n pencil is singular at the constant mode") from failure
+    if failure is not None:
+        raise failure
 
     phases = _delay_phases(rep, active[in_play], n)
     lams = roots.roots[active]
@@ -192,30 +175,26 @@ def _build_choreography(setting: pencil.Setting, n: int, amplitudes, tol: float,
     return Choreography(u, n, T, T / n), xs, particles
 
 
-def build_choreography_cel(spec: LagrangianSpec, n: int, amplitudes,
-                           tol: float = 1e-9, max_den: int = 64
-                           ) -> tuple[Choreography, SystemSolution]:
+def build_choreography_cel(spec: LagrangianSpec, n: int,
+                           amplitudes) -> tuple[Choreography, SystemSolution]:
     """Choreographic solution of the continuous equations from nu=0 amplitudes.
 
-    Requires the nu=0 spectrum to be 2d simple roots, the modes with a nonzero
-    amplitude nonzero imaginary commensurable phases, and the nu=n pencil to be
-    regular at 0 (it fixes the center u0).
+    Requires the modes with a nonzero amplitude to have nonzero imaginary commensurable
+    phases, repeated or not, and the nu=n pencil to be regular at 0 (it fixes the
+    center u0).
     """
-    ch, xs, particles = _build_choreography(pencil.Setting(spec), n, amplitudes,
-                                            tol, max_den)
+    ch, xs, particles = _build_choreography(pencil.Setting(spec), n, amplitudes)
     return ch, SystemSolution(xs, particles)
 
 
 def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
-                           amplitudes, t0: float = 0.0, M: int = None,
-                           tol: float = 1e-9, max_den: int = 64
-                           ) -> tuple[Choreography, DelSolution]:
+                           amplitudes, t0: float = 0.0,
+                           M: int = None) -> tuple[Choreography, DelSolution]:
     """Discrete choreography from amplitudes on the discrete nu=0 spectrum: spurious
     roots with a zero amplitude need not be imaginary or commensurable."""
     if M is None:
         raise ValueError("M (node count) is required")
-    ch, xs, particles = _build_choreography(pencil.Setting(spec, op), n, amplitudes,
-                                            tol, max_den)
+    ch, xs, particles = _build_choreography(pencil.Setting(spec, op), n, amplitudes)
     return ch, DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
 
 

@@ -12,7 +12,8 @@ from choreoqep import cli, convergence, delsolve
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference
 
-from conftest import J1, J2, make_discrete_tuned_spec_d3, make_reference_spec
+from conftest import (J1, J2, make_discrete_tuned_spec_d3, make_gyroscopic_spec,
+                      make_reference_spec)
 
 BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
             "x_tf": [[-0.1, 0.4], [0.6, -0.3], [0.2, 0.1]]}
@@ -139,6 +140,80 @@ class TestSuccess:
         code, _ = run(tmp_path, "validate", write_config(tmp_path, spec))
         assert code == cli.EXIT_OK
         assert "continuous assumptions hold: False" in capsys.readouterr().out
+
+
+CONDITIONS = "operator conditions: sum_zero=True derivative_normalized=True"
+
+
+def validate(tmp_path, capsys, spec, **blocks):
+    """validate's exit code, printed lines and error text on a config for spec."""
+    code, _ = run(tmp_path, "validate", write_config(tmp_path, spec, **blocks))
+    printed = capsys.readouterr()
+    return code, printed.out.splitlines(), printed.err
+
+
+class TestValidate:
+    """validate's printed lines and exit codes, pinned."""
+
+    @pytest.mark.parametrize("M", [100, 20])
+    def test_reference_targets(self, tmp_path, capsys, M):
+        # rho = max |lam|^2 = 25 over the nu = 0 roots, so the bound is 10 * 1 * 25 / 0.25
+        code, lines, _ = validate(tmp_path, capsys, make_reference_spec(),
+                                  time={"t0": 0.0, "tf": 1.0, "M": M},
+                                  targets={"omega": [2.0, 5.0]})
+        warning = ["warning: grid too coarse, M^2 = 400 < 1000 (raise M for a meaningful "
+                   "discrete approximation)"] if M == 20 else []
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, "continuous assumptions hold: True",
+                         "discrete assumptions hold: True", *warning,
+                         "target spectrum deviation: 8.882e-16 (ok=True)"]
+
+    def test_discrete_targets_of_the_tuned_d3_system(self, tmp_path, capsys):
+        eps = math.pi / 15.0
+        code, lines, _ = validate(tmp_path, capsys,
+                                  make_discrete_tuned_spec_d3(central_difference(eps), n=5),
+                                  time={"t0": 0.0, "tf": 30 * eps, "M": 30},
+                                  targets={"omega": [1.0, 2.0, 3.0], "discrete": True})
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, "continuous assumptions hold: True",
+                         "discrete assumptions hold: True",
+                         "warning: grid too coarse, M^2 = 900 < 12437.7 (raise M for a "
+                         "meaningful discrete approximation)",
+                         "target spectrum deviation: 8.882e-16 (ok=True)"]
+
+    def test_a_singular_leading_block_with_targets_exits_assumption(self, tmp_path, capsys):
+        spec = LagrangianSpec(2, 3, np.zeros((2, 2)), J2, np.zeros((2, 2)), np.eye(2))
+        code, lines, err = validate(tmp_path, capsys, spec, targets={"omega": [2.0, 5.0]})
+        assert code == cli.EXIT_ASSUMPTION and lines == []
+        assert err == ("assumption violation: leading coefficient is singular; root count "
+                       "drops below 2d\n")
+
+    def test_a_gyroscopic_bound_reads_the_nu_0_roots(self, tmp_path, capsys):
+        # J5 != 0: rho = max |lam|^2 = 5.0028792^2 over the nu = 0 roots, not the 25 of
+        # (J1 - 2 J3)^-1 (J2 - 2 J4), which leaves J5 out; the bound is 10 * 10^2 * rho / 0.25
+        spec = make_gyroscopic_spec()
+        code, lines, _ = validate(tmp_path, capsys, spec, J5=spec.J5.tolist(),
+                                  time={"t0": 0.0, "tf": 10.0, "M": 100})
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, "continuous assumptions hold: True",
+                         "discrete assumptions hold: True",
+                         "warning: grid too coarse, M^2 = 10000 < 100115 (raise M for a "
+                         "meaningful discrete approximation)"]
+
+    @pytest.mark.parametrize("discrete, deviation", [(False, "0.000e+00 (ok=True)"),
+                                                     (True, "1.334e-04 (ok=False)")])
+    def test_targets_read_the_nu_0_roots_when_the_nu_n_spectrum_fails(
+            self, tmp_path, capsys, discrete, deviation):
+        # J1 + 2(n - 1) J3 = 0 for n = 3, while nu = 0 has A = 1.5 I, C = -6 I: lam = +-2i,
+        # each double; the central difference at eps = 0.01 moves them by 1.3e-4
+        eye = np.eye(2)
+        spec = LagrangianSpec(2, 3, eye, -5.0 * eye, -0.25 * eye, 0.5 * eye)
+        code, lines, _ = validate(tmp_path, capsys, spec,
+                                  targets={"omega": [2.0, 2.0], "discrete": discrete})
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, "continuous assumptions hold: False",
+                         "discrete assumptions hold: False",
+                         f"target spectrum deviation: {deviation}"]
 
 
 def reference_csv(header, rows) -> bytes:

@@ -191,6 +191,24 @@ class TestChoreographyDel:
             build_choreography_del(spec, op, 3, np.ones(12), 0.0, 30)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_isotropic_systems_build_their_choreography_in_both_settings(n):
+    """Every block a multiple of I2, so each nu = 0 phase +-i w (w^2 = 4.6 / 0.8) is double:
+    the choreography is a plain sum of its modes, with the period of w, continuous and on
+    the grid (central difference, eps = pi/60, unit amplitudes on the 4 modes with
+    |lam| < 10, whose phases are +-i asin(eps w)/eps)."""
+    eye, omega, eps = np.eye(2), math.sqrt(4.6 / 0.8), math.pi / 60.0
+    spec = LagrangianSpec(2, n, eye, -4.0 * eye, 0.1 * eye, 0.3 * eye)
+    ch, sol = build_choreography_cel(spec, n, np.ones(4))
+    assert ch.T == pytest.approx(TWO_PI / omega, rel=1e-12)
+    assert verify_choreography(ch, sol, spec).all_ok
+    op = central_difference(eps)
+    lam = pencil.Setting(spec, op).modes(0).lam.roots
+    ch, sol = build_choreography_del(spec, op, n, (np.abs(lam) < 10).astype(float), 0.0, 240)
+    assert ch.T == pytest.approx(TWO_PI * eps / math.asin(eps * omega), rel=1e-12)
+    assert verify_choreography(ch, sol, spec).all_ok
+
+
 class TestVerifyChoreography:
     def test_wrong_period_fails(self, ref_spec):
         ch, sol = build_choreography_cel(ref_spec, 3, np.ones(4))

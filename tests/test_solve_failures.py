@@ -5,10 +5,10 @@ at the constant mode, and on a singular boundary system.  Phases that repeat wit
 expansion fail a solve only where the boundary system's pivots find its columns dependent:
 cells whose boundary-layer zeta-roots coincide to the last bit solve, and a repeated phase
 with one kernel vector is a SingularBoundarySystem.  The paper's verdicts on simple and
-disjoint roots stay reports of
-`pencil.check_assumptions`, which no solve reads: well-posed discrete problems whose
-zeta-roots come close (a d = 32 system's nu = n and nu = 0 roots under the 5-point
-operator, and mixed 5-point weights at small eps) solve, at the operator's order.
+disjoint roots stay reports (`pencil.check_cel_assumptions`, `check_del_assumptions`),
+which no solve reads: well-posed discrete problems whose zeta-roots come close (a d = 32
+system's nu = n and nu = 0 roots under the 5-point operator, and mixed 5-point weights at
+small eps) solve, at the operator's order.
 """
 import numpy as np
 import pytest
@@ -42,8 +42,8 @@ def window_errors(spec, n, tf, gamma, Ms):
 
 def test_a_d32_system_whose_spectra_are_not_disjoint_in_zeta_solves_at_order_four():
     """The nu = n and nu = 0 zeta-roots of the d = 32 spread system come within 1e-7
-    relative (disjoint False); the solves return, with errors measured 4.8e-6, 9.1e-9 and
-    4.4e-11 and a fitted order of 4.19."""
+    relative (their phases do not: the report says disjoint); the solves return, with
+    errors measured 4.8e-6, 9.1e-9 and 4.4e-11 and a fitted order of 4.19."""
     Ms = np.array([200, 800, 3200])
     errors = window_errors(make_spread_spec(), 2, 4.0, FIVE_POINT, Ms)
     order = np.polyfit(np.log(4.0 / Ms), np.log(errors), 1)[0]
@@ -58,17 +58,18 @@ def test_mixed_five_point_weights_with_clustered_zeta_roots_solve():
 
 
 def test_solves_never_read_the_assumption_reports(monkeypatch):
-    """A surface's `window_errors` and a lone `dirichlet_del` make no call of
-    `pencil.check_assumptions`; the report on the d = 32 case that solves above keeps its
-    verdict, disjoint False (and so counts one call)."""
+    """A surface's `window_errors` and a lone `dirichlet_del` make no call of the report,
+    `pencil._report`; on the d = 32 case that solves above it judges the phases, whose
+    closest nu = n and nu = 0 pair is 1.1e-5 apart at |lam| = 103, and says every
+    assumption holds (one call)."""
     calls = []
-    original = pencil.check_assumptions
+    original = pencil._report
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pencil, "check_assumptions", counted)
+    monkeypatch.setattr(pencil, "_report", counted)
     spec, M = make_reference_spec(), 200
     x0, xf = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3, spec.d))
     cel, _ = celsolve.dirichlet_cel(spec, 3, 0.0, 1.0, x0, xf)
@@ -81,7 +82,7 @@ def test_solves_never_read_the_assumption_reports(monkeypatch):
 
     big = make_spread_spec()
     report = pencil.check_del_assumptions(big, ScaleOperator(FIVE_POINT, 4.0 / 200), 2)
-    assert report.precondition_ok and not report.disjoint
+    assert report.disjoint and report.all_hold
     assert len(calls) == 1
 
 
