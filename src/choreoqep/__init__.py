@@ -16,7 +16,7 @@ what its command computes with.
 import importlib
 
 _EXPORTS = {name: module for module, names in {
-    "model": "LagrangianSpec ParticleState construct_j4 energy transform_affine "
+    "model": "LagrangianSpec construct_j4 energy transform_affine "
              "validate_spec assemble_blocks",
     "numkernel": "Polynomial RootSet cond det_as_polynomial kernel_vector merge_failures "
                  "per_item polynomial_roots solve_square solve_stack",

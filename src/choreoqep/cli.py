@@ -151,30 +151,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if M < 1:
         raise ConfigParse("time block needs M >= 1")
 
+    targets = raw.get("targets")
     try:
         j1 = _matrix(raw["J1"], d, "J1")
         j2 = _matrix(raw["J2"], d, "J2")
         j3 = _matrix(raw.get("J3", np.zeros(d * d)), d, "J3")
+        j5 = _matrix(raw.get("J5", np.zeros(d * d)), d, "J5")
+        j6 = _vector(raw.get("J6", np.zeros(d)), d, "J6")
+        j7 = _vector(raw.get("J7", np.zeros(d)), d, "J7")
+        if "J4" in raw:
+            j4 = _matrix(raw["J4"], d, "J4")
+        elif targets is not None and d == 2 and "j4_free" in targets:
+            omega = [float(w) for w in targets["omega"]]
+            if len(omega) != 2:
+                raise DimensionMismatch("targets.omega must list 2 frequencies for d = 2")
+            j4 = model.construct_j4(j1, j2, j3, omega[0], omega[1],
+                                    float(targets["j4_free"]), j5)
+        else:
+            raise ConfigParse("J4 must be given directly, or via targets with "
+                              "j4_free for d = 2")
     except KeyError as exc:
-        raise ConfigParse(f"missing matrix {exc}") from exc
+        raise ConfigParse(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed matrix: {exc}") from exc
-
-    targets = raw.get("targets")
-    if "J4" in raw:
-        j4 = _matrix(raw["J4"], d, "J4")
-    elif targets is not None and d == 2 and "j4_free" in targets:
-        omega = [float(w) for w in targets["omega"]]
-        if len(omega) != 2:
-            raise DimensionMismatch("targets.omega must list 2 frequencies for d = 2")
-        j4 = model.construct_j4(j1, j2, j3, omega[0], omega[1],
-                                float(targets["j4_free"]))
-    else:
-        raise ConfigParse("J4 must be given directly, or via targets with "
-                          "j4_free for d = 2")
-    j5 = _matrix(raw.get("J5", np.zeros(d * d)), d, "J5")
-    j6 = _vector(raw.get("J6", np.zeros(d)), d, "J6")
-    j7 = _vector(raw.get("J7", np.zeros(d)), d, "J7")
+        raise ConfigParse(f"malformed matrix or targets block: {exc}") from exc
     try:
         spec = LagrangianSpec(d, n, j1, j2, j3, j4, j5, j6, j7)
     except ValueError as exc:
@@ -324,7 +323,8 @@ def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
         size = pencil.Setting(spec).root_count
         xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
         return celsolve.general_solution_cel(spec, n, xs, ps)
-    raise ConfigParse("solve needs a boundary or amplitudes block")
+    raise ConfigParse("a continuous solve needs boundary.x_t0 and boundary.x_tf, or amplitudes"
+                      if cfg.boundary else "solve needs a boundary or amplitudes block")
 
 
 def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
@@ -498,7 +498,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def cmd_choreo(cfg: ExperimentConfig, out_dir: Path, seed: int) -> list[Path]:
+def cmd_choreo(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     from . import periodic  # only this command builds choreographies
 
     spec, n = cfg.spec, cfg.n
@@ -563,7 +563,7 @@ def main(argv=None) -> int:
         elif args.command == "converge":
             cmd_converge(cfg, out_dir)
         elif args.command == "choreo":
-            cmd_choreo(cfg, out_dir, args.seed)
+            cmd_choreo(cfg, out_dir)
     except (ConfigParse, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -62,7 +62,7 @@ def hausdorff_distance(f1, f2) -> float:
 def filter_to_window(roots: RootSet, K_radius: float) -> RootSet:
     """Keep the roots with |lam| <= K_radius (drops the divergent ones)."""
     keep = np.abs(roots.roots) <= K_radius
-    return RootSet.from_roots(roots.roots[keep], roots.residuals[keep], roots.tol)
+    return RootSet.from_roots(roots.roots[keep], roots.residuals[keep])
 
 
 @dataclass(frozen=True)

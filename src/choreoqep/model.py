@@ -3,16 +3,17 @@
 A system of n particles in R^d is described by coefficient matrices J1..J5
 (single-particle kinetic/potential/gyroscopic blocks) and J3, J4 pair
 couplings, plus linear terms J6, J7.  The solvers assume the constant-
-coefficient regime with J1..J4 symmetric and J5 skew-symmetric.
+coefficient regime with J1..J4 symmetric and J5 skew-symmetric.  Besides the spec this
+holds what is derived from it alone: its structural check, the block forms, the energy
+of given positions and velocities, affine changes of variables, and the J4 (d = 2) that
+puts the nu = 0 roots on two target frequencies, J5 counted.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import numkernel
 
 
 class SingularTransform(Exception):
@@ -66,26 +67,6 @@ class LagrangianSpec:
 
 
 @dataclass(frozen=True)
-class ParticleState:
-    """Positions and velocities of all particles, one row each."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        v = np.asarray(self.velocities, dtype=float)
-        if p.ndim == 1:
-            p = p[None, :]
-        if v.ndim == 1:
-            v = v[None, :]
-        if p.shape != v.shape:
-            raise ValueError("positions and velocities must have matching shapes")
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "velocities", v)
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed structural requirement on a coefficient matrix."""
 
@@ -110,16 +91,19 @@ def validate_spec(spec: LagrangianSpec) -> list[Violation]:
     return out
 
 
-def energy(spec: LagrangianSpec, state: ParticleState) -> float:
-    """Conserved energy at the given state: the Jacobi integral sum v·dL/dv − L, in which
-    the velocity-linear terms x·J5 v and J6·v cancel, so that it is conserved for any J5.
+def energy(spec: LagrangianSpec, positions, velocities) -> float:
+    """Conserved energy at the given positions and velocities, each (n, d) with one row a
+    particle: the Jacobi integral sum v·dL/dv − L, in which the velocity-linear terms
+    x·J5 v and J6·v cancel, so that it is conserved for any J5.
 
     1/2 V·J8 V − 1/2 X·J9 X − J7·sum_j x_j over the stacked positions X and velocities V,
     with the block forms J8 and J9 of `assemble_blocks`.
     """
-    x, v = state.positions, state.velocities
-    if x.shape != (spec.n, spec.d):
-        raise ValueError(f"state shape {x.shape} does not match (n, d) = {(spec.n, spec.d)}")
+    x, v = np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float)
+    for name, a in (("positions", x), ("velocities", v)):
+        if a.shape != (spec.n, spec.d):
+            raise ValueError(f"{name} shape {a.shape} does not match (n, d) = "
+                             f"{(spec.n, spec.d)}")
     j8, j9 = (_block_fill(own, 2.0 * pair, spec.n)
               for own, pair in ((spec.J1, spec.J3), (spec.J2, spec.J4)))
     X, V = x.ravel(), v.ravel()
@@ -181,23 +165,28 @@ def transform_affine(spec: LagrangianSpec, A, b) -> LagrangianSpec:
     return LagrangianSpec(spec.d, spec.n, j1, j2, j3, j4, j5, j6, j7)
 
 
-def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float) -> np.ndarray:
-    """Pair-coupling matrix making the single-particle pencil spectrum {±i w1, ±i w2}.
+def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
+                 J5=None) -> np.ndarray:
+    """Pair-coupling matrix making the nu = 0 pencil spectrum {±i w1, ±i w2}.
 
-    Only defined for d = 2.  Writes J4 = J2/2 + (J1 - 2 J3) K / 2 and solves
-    for K = [[k1, k2], [k3, j4_free]] under trace(K) = w1^2 + w2^2,
-    det(K) = w1^2 w2^2 and symmetry of (J1 - 2 J3) K.
+    Only defined for d = 2.  Writes J4 = J2/2 + S K / 2 with S = J1 - 2 J3 and solves
+    for K = [[k1, k2], [k3, j4_free]] under trace(K) = w1^2 + w2^2 - 4 j^2 / det S,
+    det(K) = w1^2 w2^2 and symmetry of S K, where J5 = j [[0, 1], [-1, 0]] (zero when
+    not given): det P_0(i w) = det S det(K - w^2) - 4 w^2 j^2 vanishes at both targets.
     """
     S = np.asarray(J1, dtype=float) - 2.0 * np.asarray(J3, dtype=float)
     J2 = np.asarray(J2, dtype=float)
-    if S.shape != (2, 2) or J2.shape != (2, 2):
+    J5 = np.zeros((2, 2)) if J5 is None else np.asarray(J5, dtype=float)
+    if S.shape != (2, 2) or J2.shape != (2, 2) or J5.shape != (2, 2):
         raise ValueError("construct_j4 is defined for d = 2 only")
-    if abs(np.linalg.det(S)) < 1e-12 * max(1.0, np.abs(S).max() ** 2):
+    det_s = np.linalg.det(S)
+    if abs(det_s) < 1e-12 * max(1.0, np.abs(S).max() ** 2):
         raise ValueError("J1 - 2*J3 must be invertible")
     if omega1 <= 0 or omega2 <= 0:
         raise ValueError("target frequencies must be positive")
 
-    trace = omega1**2 + omega2**2
+    j = 0.5 * (J5[0, 1] - J5[1, 0])
+    trace = omega1**2 + omega2**2 - 4.0 * j**2 / det_s
     det = (omega1 * omega2) ** 2
     k1 = trace - j4_free
     k4 = j4_free

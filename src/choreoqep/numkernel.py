@@ -102,7 +102,6 @@ class RootSet:
 
     roots: np.ndarray
     residuals: np.ndarray
-    tol: float = 1e-8
     vectors: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -117,12 +116,12 @@ class RootSet:
         return float(diff[~np.eye(len(self.roots), dtype=bool)].min())
 
     @classmethod
-    def from_roots(cls, roots, residuals=None, tol: float = 1e-8) -> "RootSet":
+    def from_roots(cls, roots, residuals=None) -> "RootSet":
         roots = np.asarray(roots, dtype=complex).ravel()
         if residuals is None:
             residuals = np.zeros(len(roots))
         residuals = np.asarray(residuals, dtype=float).ravel()
-        return cls(roots, residuals, tol)
+        return cls(roots, residuals)
 
     def is_simple(self, rel_tol: float = 1e-7) -> bool:
         """True when no two roots fall within rel_tol * max(1, |root|) of each other."""
@@ -202,7 +201,7 @@ def polynomial_roots(p: Polynomial, tol: float = 1e-8) -> RootSet:
             f"root residual {worst:.3e} exceeds acceptance tolerance {tol:.1e}"
         )
     order = np.lexsort((roots.real, roots.imag))
-    return RootSet(roots[order], residuals[order], tol)
+    return RootSet(roots[order], residuals[order])
 
 
 def det_as_polynomial(eval_fn, degree_bound: int, radius: float = 1.0) -> Polynomial:

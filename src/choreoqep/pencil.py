@@ -30,7 +30,10 @@ assembles the shifted blocks.
 solvers' shared core and the periodicity code run on it.  `spectra` runs on a batch of
 settings that share spec and N, each item with its own eps, under the batch contract of
 `numkernel`, every eigen-solve stacked.  A batch holds the cells of an error surface (one
-eps) or the delays of an eps-sweep, and solves each reduction's classical pencil once.
+eps) or the delays of an eps-sweep, and solves each reduction's classical pencil once.  A
+lone spectrum in either setting is one record, `Modes` (its phases lam and its roots in
+the pencil's variable), built only by `Spectra.modes`: `Setting.modes`,
+`transcendental_spectrum` and the assumption reports return or hold it.
 The equations of motion are stated once, for both settings, by `equation_blocks`:
 `celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
 and march to the scale operator's windows.
@@ -186,7 +189,7 @@ def classical_spectrum(p: ClassicalPencil, tol: float = 1e-8) -> RootSet:
     if failure is not None:
         raise failure
     order = np.lexsort((lam.real, lam.imag))
-    return RootSet(lam[order], errors[order], tol, vectors[order])
+    return RootSet(lam[order], errors[order], vectors[order])
 
 
 @dataclass(frozen=True)
@@ -218,17 +221,6 @@ def transcendental_eval(p: TranscendentalPencil, zeta: complex) -> np.ndarray:
     ks1 = np.arange(-op.N, op.N + 1)
     sigma1_hat = np.sum(op.sigma1 * np.asarray(zeta, dtype=complex) ** ks1) / op.epsilon
     return -a_nu * theta_hat - p.spec.J5 * sigma1_hat - c_nu
-
-
-@dataclass(frozen=True)
-class TranscendentalSpectrum:
-    """Discrete phases (principal-branch lam) and the zeta-roots behind them."""
-
-    lam: RootSet
-    zeta: RootSet
-
-    def __len__(self) -> int:
-        return len(self.lam)
 
 
 class _Delays(NamedTuple):
@@ -428,13 +420,24 @@ def _preimages(gamma: np.ndarray, delays: _Delays, symbols: tuple, norms: np.nda
 
 
 @dataclass(frozen=True)
+class Modes:
+    """One pencil's spectrum, built by `Spectra.modes`: the phases lam and the same roots in
+    the pencil's variable (lam, or zeta = e^{lam eps}), sharing residuals and kernel
+    vectors."""
+
+    lam: RootSet
+    roots: RootSet
+
+
+@dataclass(frozen=True)
 class Spectra:
     """Spectra of a batch of pencils, rows sorted by phase: phases and roots (in the
     pencil's variable), backward errors (a reduction's in the R form), failures[i], what
     item i's spectrum raises (None when it has one), and unit kernel vectors (B, K, d),
     gathered on first read from the routes' (items, vectors) parts, zeros first, and sorted
-    by `order`: an eps-sweep never builds them.  Roots are not judged for separation here:
-    a reader that needs simple roots applies `numkernel.simple_rows`."""
+    by `order`: an eps-sweep never builds them.  `modes(i)` is item i as the one record of
+    a lone spectrum.  Roots are not judged for separation here: a reader that needs simple
+    roots applies `numkernel.simple_rows`."""
 
     lam: np.ndarray
     roots: np.ndarray
@@ -450,12 +453,12 @@ class Spectra:
             vectors[idx] = v
         return vectors[self.order]
 
-    def rootsets(self, i: int, tol: float) -> tuple:
-        """Item i as RootSets of (lam, roots); raises the item's failure."""
+    def modes(self, i: int) -> Modes:
+        """Item i's spectrum; raises the item's failure."""
         if self.failures[i] is not None:
             raise self.failures[i]
-        return tuple(RootSet(r[i], self.residuals[i], tol, self.vectors[i])
-                     for r in (self.lam, self.roots))
+        return Modes(*(RootSet(r[i], self.residuals[i], self.vectors[i])
+                       for r in (self.lam, self.roots)))
 
 
 def spectra(settings: list, nu: float, tol: float = 1e-8,
@@ -533,37 +536,28 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
     return Spectra(lam[order], 1.0 + z[order], residuals[order], failures, parts, order)
 
 
-def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8) -> TranscendentalSpectrum:
-    """All 4Nd discrete phases and their kernel vectors, as preimages of the classical
-    pairs (antisymmetric weights, or J5 = 0) or from the companion of zeta^{2N} P(zeta)
-    in w = (zeta - 1)/eps: the batch of one of `spectra`, raising its failure.
+def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8) -> Modes:
+    """All 4Nd discrete phases lam and zeta-roots with their kernel vectors, as preimages
+    of the classical pairs (antisymmetric weights, or J5 = 0) or from the companion of
+    zeta^{2N} P(zeta) in w = (zeta - 1)/eps: the batch of one of `spectra`, raising its
+    failure.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    batch = spectra([Setting(p.spec, p.op)], p.nu, tol)
-    return TranscendentalSpectrum(*batch.rootsets(0, tol))
-
-
-@dataclass(frozen=True)
-class Modes:
-    """One pencil's roots: phases lam and the same roots in the pencil's variable."""
-
-    pencil: ClassicalPencil | TranscendentalPencil
-    lam: RootSet
-    roots: RootSet
+    return spectra([Setting(p.spec, p.op)], p.nu, tol).modes(0)
 
 
 @dataclass(frozen=True)
 class Setting:
     """The continuous/discrete decision (op is None: continuous).
 
-    It fixes which pencil is evaluated, the root variable of its kernel
+    It fixes which pencil `spectra` solves, the root variable of its kernel
     vectors (lam, or zeta = e^{lam eps}), where the constant mode sits
     (lam = 0 with right-hand side J7, or zeta = 1 with J7 + s_bar(0) J6)
     and how many roots to expect (2d or 4Nd).  A batch is a
-    list of settings that share spec and N; each item has its own eps.  The methods
-    here are its batch of one.
+    list of settings that share spec and N; each item has its own eps.  `modes` is its
+    batch of one.
     """
 
     spec: LagrangianSpec
@@ -575,14 +569,8 @@ class Setting:
             return 2 * self.spec.d
         return 4 * self.op.N * self.spec.d
 
-    def pencil(self, nu: float) -> ClassicalPencil | TranscendentalPencil:
-        if self.op is None:
-            return classical_pencil(self.spec, nu)
-        return transcendental_pencil(self.spec, self.op, nu)
-
     def modes(self, nu: float) -> Modes:
-        batch = spectra([self], nu)
-        return Modes(self.pencil(nu), *batch.rootsets(0, 1e-8))
+        return spectra([self], nu).modes(0)
 
 
 def constant_systems(settings: list, nu: float) -> tuple:
@@ -608,7 +596,6 @@ class Assumptions:
     are judged apart.  A spectrum that fails (a degree drop, a failed eigen-solve) has no
     modes; failure is what it raised, nu = 0's first, and every verdict is False."""
 
-    setting: Setting
     modes_n: Modes | None
     modes_0: Modes | None
     failure: Exception | None
@@ -636,15 +623,12 @@ def _report(setting: Setting, n: int, tol: float) -> Assumptions:
     """Simple phases for nu = n and 0, disjointness at tol and nonsingularity at the
     constant mode, for one setting."""
     sp_n, sp_0 = (spectra([setting], nu) for nu in (n, 0))
-    modes_n, modes_0 = (None if sp.failures[0] else
-                        Modes(setting.pencil(nu), *sp.rootsets(0, 1e-8))
-                        for nu, sp in ((n, sp_n), (0, sp_0)))
+    modes_n, modes_0 = (None if sp.failures[0] else sp.modes(0) for sp in (sp_n, sp_0))
     failure = sp_0.failures[0] or sp_n.failures[0]
     if failure is not None:
-        return Assumptions(setting, modes_n, modes_0, failure, *[False] * 5)
+        return Assumptions(modes_n, modes_0, failure, *[False] * 5)
     lam_n, lam_0 = modes_n.lam, modes_0.lam
-    return Assumptions(setting, modes_n, modes_0, None, lam_n.is_simple(tol),
-                       lam_0.is_simple(tol),
+    return Assumptions(modes_n, modes_0, None, lam_n.is_simple(tol), lam_0.is_simple(tol),
                        not numkernel.close_pairs(lam_n.roots, lam_0.roots, tol).any(),
                        *(not _is_singular(constant_systems([setting], nu)[0][0])
                          for nu in (n, 0)))

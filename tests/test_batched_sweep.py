@@ -71,7 +71,7 @@ def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
         except (pencil.LeadingSingular, pencil.numkernel.NumericalFailure) as exc:
             notes[-1] = f"spectrum failure: {exc}"
             continue
-        if not sp.zeta.is_simple():
+        if not sp.roots.is_simple():
             notes[-1] = "spectrum failure: zeta-roots cluster below the separation tolerance"
             continue
         kept = convergence.filter_to_window(sp.lam, K_radius)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choreoqep import cli, convergence, delsolve
+from choreoqep import celsolve, cli, convergence, delsolve
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference
 
@@ -20,11 +20,13 @@ BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
 
 
 def write_config(tmp_path, spec, name="config.json", **blocks):
+    """A config for spec and the given blocks; a block given as None is left out."""
     raw = {"d": spec.d, "n": spec.n,
            **{k: getattr(spec, k).tolist() for k in ("J1", "J2", "J3", "J4")},
            "time": {"t0": 0.0, "tf": 1.0, "M": 100},
            "operator": {"family": "central"}}
     raw.update(blocks)
+    raw = {k: v for k, v in raw.items() if v is not None}
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
@@ -106,6 +108,17 @@ class TestSuccess:
         assert code == cli.EXIT_OK
         assert (out / "choreo_cel.csv").exists() and (out / "choreo_cel.svg").exists()
 
+    def test_choreo_cel_of_gyroscopic_targets(self, tmp_path, capsys):
+        # J4 from targets 2 and 5 with J5 != 0: the phases are commensurable, T = 2 pi
+        spec = make_gyroscopic_spec()
+        config = write_config(tmp_path, spec, J4=None, J5=spec.J5.tolist(),
+                              targets={"omega": [2.0, 5.0], "j4_free": 20.0},
+                              choreo={"which": ["cel"]})
+        code, _ = run(tmp_path, "choreo", config)
+        assert code == cli.EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == "cel: period T = 6.28318530718, delay T/n = 2.09439510239, checks ok = True"
+
     def test_choreo_del(self, tmp_path, capsys):
         eps = math.pi / 15.0
         spec = make_discrete_tuned_spec_d3(central_difference(eps), n=5)
@@ -140,6 +153,80 @@ class TestSuccess:
         code, _ = run(tmp_path, "validate", write_config(tmp_path, spec))
         assert code == cli.EXIT_OK
         assert "continuous assumptions hold: False" in capsys.readouterr().out
+
+
+TIMES = 0.0 + 0.01 * np.arange(101)  # the default grid: t in [0, 1], M = 100
+
+
+def solved_values(tmp_path, config, which, *more):
+    """The trajectory that `solve --which which` writes for config, read back."""
+    code, out = run(tmp_path, "solve", config, "--which", which, *more)
+    assert code == cli.EXIT_OK
+    times, values = cli.read_trajectory_csv(out / f"traj_{which}.csv")
+    assert np.array_equal(times, TIMES)
+    return values
+
+
+def library_values(spec, which, xs, ps):
+    """The trajectory of the amplitudes (xs, ps) on the default grid, straight from the
+    library."""
+    if which == "cel":
+        sol = celsolve.general_solution_cel(spec, spec.n, xs, ps)
+        return np.array([p.value(TIMES) for p in sol.particles])
+    return delsolve.general_solution_del(spec, central_difference(0.01), spec.n, xs, ps,
+                                         0.0, 100).sample()[0].values
+
+
+class TestInputForms:
+    """`solve` from an amplitudes block and from a discrete head/tail boundary writes what
+    the library computes for the same inputs, bit for bit."""
+
+    @pytest.mark.parametrize("which, size", [("cel", 4), ("del", 8)])
+    def test_explicit_amplitudes(self, tmp_path, which, size):
+        rng = np.random.default_rng(41)
+        xs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        ps = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+        spec = make_reference_spec()
+        config = write_config(tmp_path, spec, amplitudes={
+            "xs_re": xs.real.tolist(), "xs_im": xs.imag.tolist(),
+            "particles_re": ps.real.tolist(), "particles_im": ps.imag.tolist()})
+        assert np.array_equal(solved_values(tmp_path, config, which),
+                              library_values(spec, which, xs, ps))
+
+    @pytest.mark.parametrize("which, size", [("cel", 4), ("del", 8)])
+    def test_random_amplitudes_follow_the_seed(self, tmp_path, which, size):
+        spec = make_reference_spec()
+        config = write_config(tmp_path, spec, amplitudes={"random": True, "scale": 0.5})
+        got = {seed: solved_values(tmp_path, config, which, "--seed", str(seed))
+               for seed in (7, 8)}
+        rng = np.random.default_rng(7)
+        xs = 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        ps = 0.5 * (rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size)))
+        assert np.array_equal(got[7], library_values(spec, which, xs, ps))
+        assert np.array_equal(solved_values(tmp_path, config, which, "--seed", "7"), got[7])
+        assert not np.array_equal(got[7], got[8])
+
+    def test_discrete_head_and_tail(self, tmp_path):
+        rng = np.random.default_rng(42)
+        head, tail = rng.standard_normal((2, 3, 2, 2))
+        spec = make_reference_spec()
+        config = write_config(tmp_path, spec, boundary={"head": head.tolist(),
+                                                        "tail": tail.tolist()})
+        sol, _ = delsolve.dirichlet_del(spec, central_difference(0.01), 3, 0.0, 100,
+                                        head, tail)
+        values = solved_values(tmp_path, config, "del")
+        assert np.array_equal(values, sol.sample()[0].values)
+        assert np.abs(values[:, [0, 1, -2, -1]] - np.concatenate([head, tail], axis=1)
+                      ).max() <= 1e-12
+
+    def test_a_continuous_solve_names_the_fields_a_boundary_block_lacks(self, tmp_path,
+                                                                         capsys):
+        config = write_config(tmp_path, make_reference_spec(),
+                              boundary={"head": np.zeros((3, 2, 2)).tolist(),
+                                        "tail": np.zeros((3, 2, 2)).tolist()})
+        code, _ = run(tmp_path, "solve", config, "--which", "cel")
+        assert code == cli.EXIT_CONFIG
+        assert "boundary.x_t0 and boundary.x_tf" in capsys.readouterr().err
 
 
 CONDITIONS = "operator conditions: sum_zero=True derivative_normalized=True"
@@ -199,6 +286,18 @@ class TestValidate:
                          "discrete assumptions hold: True",
                          "warning: grid too coarse, M^2 = 10000 < 100115 (raise M for a "
                          "meaningful discrete approximation)"]
+
+    def test_gyroscopic_targets(self, tmp_path, capsys):
+        # J4 built from the targets with J5 counted: a J4 that leaves J5 out reads
+        # 2.879e-03 (ok=False)
+        spec = make_gyroscopic_spec()
+        code, lines, _ = validate(tmp_path, capsys, spec, J4=None, J5=spec.J5.tolist(),
+                                  targets={"omega": [2.0, 5.0], "j4_free": 20.0})
+        assert code == cli.EXIT_OK
+        assert lines[:-1] == [CONDITIONS, "continuous assumptions hold: True",
+                              "discrete assumptions hold: True"]
+        deviation = lines[-1].removeprefix("target spectrum deviation: ")
+        assert float(deviation.split()[0]) <= 1e-12 and deviation.endswith("(ok=True)")
 
     @pytest.mark.parametrize("discrete, deviation", [(False, "0.000e+00 (ok=True)"),
                                                      (True, "1.334e-04 (ok=False)")])
@@ -396,6 +495,31 @@ class TestFailure:
         config = write_config(tmp_path, make_reference_spec(), operator=operator)
         code, _ = run(tmp_path, "validate", config)
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("blocks, reason", [
+        ({"targets": {"omega": [-2.0, 5.0], "j4_free": 20.0}},
+         "target frequencies must be positive"),
+        ({"targets": {"omega": [0.0, 5.0], "j4_free": 20.0}},
+         "target frequencies must be positive"),
+        ({"J1": (2.0 * np.eye(2)).tolist(), "J3": np.eye(2).tolist(),
+          "targets": {"omega": [2.0, 5.0], "j4_free": 20.0}}, "J1 - 2*J3 must be invertible"),
+        ({"targets": {"omega": ["a", 5.0], "j4_free": 20.0}},
+         "could not convert string to float: 'a'"),
+        ({"targets": {"j4_free": 20.0}}, "missing field 'omega'"),
+    ], ids=["negative", "zero", "singular", "not-a-number", "no-omega"])
+    def test_a_bad_targets_block_is_a_config_error(self, tmp_path, capsys, blocks, reason):
+        config = write_config(tmp_path, make_reference_spec(), J4=None, **blocks)
+        code, _ = run(tmp_path, "validate", config)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG and err.startswith("config error: ") and reason in err
+
+    def test_targets_with_no_real_j4_exit_numerical(self, tmp_path, capsys):
+        # j4_free = w1^2 + w2^2 leaves the off-diagonal equation no real root
+        config = write_config(tmp_path, make_reference_spec(), J4=None,
+                              targets={"omega": [2.0, 5.0], "j4_free": 29.0})
+        code, _ = run(tmp_path, "validate", config)
+        assert code == cli.EXIT_NUMERICAL
+        assert "negative discriminant" in capsys.readouterr().err
 
     def test_unknown_choreography_kind_is_a_config_error(self, tmp_path):
         config = write_config(tmp_path, make_reference_spec(), choreo={"which": ["bogus"]})

@@ -38,12 +38,10 @@ class TestHausdorff:
 
 
 def test_filter_to_window_keeps_inner_roots_with_their_residuals():
-    roots = RootSet.from_roots([1j, 5j, -0.5, 2.0], residuals=[1e-9, 2e-9, 3e-9, 4e-9],
-                               tol=1e-6)
+    roots = RootSet.from_roots([1j, 5j, -0.5, 2.0], residuals=[1e-9, 2e-9, 3e-9, 4e-9])
     kept = filter_to_window(roots, 2.0)
     assert list(kept.roots) == [1j, -0.5, 2.0]
     assert list(kept.residuals) == [1e-9, 3e-9, 4e-9]
-    assert kept.tol == 1e-6
     assert kept.min_separation == pytest.approx(abs(1j + 0.5))
 
 

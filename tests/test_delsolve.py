@@ -147,7 +147,7 @@ class TestGeneralSolution:
         p_n = pencil.transcendental_pencil(spec, op, n)
         p_0 = pencil.transcendental_pencil(spec, op, 0)
         sp_n = pencil.transcendental_spectrum(p_n)
-        for zeta, lam in zip(sp_n.zeta.roots, sp_n.lam.roots):
+        for zeta, lam in zip(sp_n.roots.roots, sp_n.lam.roots):
             xs_a = kernel_vector(pencil.transcendental_eval(p_n, zeta))
             theta = symbol_theta(op, lam)
             xj_a = 2 * np.linalg.solve(

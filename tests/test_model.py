@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from choreoqep import celsolve, pencil
-from choreoqep.model import (LagrangianSpec, NoRealSolution,
-                             ParticleState, SingularTransform, assemble_blocks,
-                             construct_j4, energy, transform_affine,
+from choreoqep.model import (LagrangianSpec, NoRealSolution, SingularTransform,
+                             assemble_blocks, construct_j4, energy, transform_affine,
                              validate_spec)
 
 from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
@@ -51,13 +50,13 @@ class TestEnergy:
     def test_oscillator_at_rest(self):
         omega = 3.0
         spec = make_oscillator_spec(omega)
-        e = energy(spec, ParticleState([[1.0]], [[0.0]]))
+        e = energy(spec, [[1.0]], [[0.0]])
         assert e == pytest.approx(0.5 * omega**2)
 
     def test_oscillator_quarter_period(self):
         omega = 3.0
         spec = make_oscillator_spec(omega)
-        e = energy(spec, ParticleState([[0.0]], [[omega]]))
+        e = energy(spec, [[0.0]], [[omega]])
         assert e == pytest.approx(0.5 * omega**2)
 
     def test_conserved_with_gyroscopic_and_linear_terms(self):
@@ -75,7 +74,7 @@ class TestEnergy:
         for t in (0.3, 1.7, 5.0):
             x = np.array([p.value(t).real for p in sol.particles])
             v = np.array([p.derivative(t).real for p in sol.particles])
-            values.append(energy(spec, ParticleState(x, v)))
+            values.append(energy(spec, x, v))
         assert max(values) - min(values) <= 1e-12 * abs(values[0])
         assert abs(values[0]) > 1.0  # not 0 = 0
 
@@ -88,7 +87,7 @@ class TestEnergy:
         for t in (0.3, 1.7):
             x = np.array([p.value(t).real for p in sol.particles])
             v = np.array([p.derivative(t).real for p in sol.particles])
-            values.append(energy(ref_spec, ParticleState(x, v)))
+            values.append(energy(ref_spec, x, v))
         assert abs(values[0] - values[1]) <= 1e-10 * max(1.0, abs(values[0]))
 
     def test_the_velocity_linear_term_drops_out(self, ref_spec):
@@ -109,9 +108,17 @@ class TestEnergy:
         for t in (0.3, 1.7):
             x = np.array([p.value(t).real for p in sol.particles])
             v = np.array([p.derivative(t).real for p in sol.particles])
-            values.append([energy(s, ParticleState(x, v)) for s in (spec, ref_spec)])
+            values.append([energy(s, x, v) for s in (spec, ref_spec)])
         assert values[0][0] == pytest.approx(values[1][0], rel=1e-12)
         assert values[0][0] == values[0][1] and values[1][0] == values[1][1]
+
+
+    @pytest.mark.parametrize("x, v", [(np.zeros((3, 2)), np.zeros((2, 2))),
+                                      (np.zeros(6), np.zeros((3, 2)))],
+                             ids=["velocities", "positions"])
+    def test_a_state_of_another_shape_raises(self, ref_spec, x, v):
+        with pytest.raises(ValueError, match="shape"):
+            energy(ref_spec, x, v)
 
 
 class TestAssembleBlocks:
@@ -221,3 +228,20 @@ class TestConstructJ4:
             want = np.array(sorted([-w2, -w1, w1, w2]))
             assert np.abs(np.sort(roots.roots.imag) - want).max() < 1e-8
             assert np.abs(roots.roots.real).max() < 1e-8
+
+    def test_gyroscopic_targets(self):
+        """J5 = j [[0, 1], [-1, 0]] shifts trace K by -4 j^2 / det(J1 - 2 J3): the nu = 0
+        roots land on the targets, where a J4 built without J5 misses them by 2.9e-3."""
+        j5 = np.array([[0.0, 0.7], [-0.7, 0.0]])
+        spec = LagrangianSpec(2, 3, J1, J2, J3, construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, j5), j5)
+        assert validate_spec(spec) == []
+        roots = pencil.classical_spectrum(pencil.classical_pencil(spec, 0)).roots
+        assert np.abs(roots - np.array([-5j, -2j, 2j, 5j])).max() <= 1e-12
+        # j4_free must lie in the shifted K's eigenvalue range [4.005, 24.97]
+        with pytest.raises(NoRealSolution):
+            construct_j4(J1, J2, J3, 2.0, 5.0, 25.0, j5)
+
+    def test_a_zero_j5_keeps_every_bit(self):
+        for free in (4.0, 20.0, 25.0):
+            assert np.array_equal(construct_j4(J1, J2, J3, 2.0, 5.0, free, np.zeros((2, 2))),
+                                  construct_j4(J1, J2, J3, 2.0, 5.0, free))

@@ -69,7 +69,7 @@ class TestPolynomialRoots:
 
     def test_residuals_below_tolerance_and_sorted(self):
         rs = polynomial_roots(Polynomial([1600.0, 0.0, 116.0, 0.0, 1.0]))
-        assert (rs.residuals <= rs.tol).all()
+        assert (rs.residuals <= 1e-8).all()
         assert rs.min_separation == pytest.approx(6.0, rel=1e-8)
 
     def test_single_root_min_separation_infinite(self):

@@ -143,12 +143,12 @@ def test_zeta_spectrum_matches_the_oracle(name, nu, op_name, eps):
         coeffs = zeta_coeffs(spec, op, nu)
         want = mp_companion_roots(coeffs)
         sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu))
-        assert len(sp.zeta) == len(want) == 4 * op.N * spec.d
-        assert hausdorff_distance(sp.zeta, want) <= root_tol(name, op_name)
+        assert len(sp.roots) == len(want) == 4 * op.N * spec.d
+        assert hausdorff_distance(sp.roots, want) <= root_tol(name, op_name)
         # simple (separation 1e-7) exactly when the oracle's roots are: the mixed 5-point
         # weights at eps = 1e-3 have roots 1.9e-8 apart
-        assert simple_rows(sp.zeta.roots[None], 1e-7) == simple_rows(want[None], 1e-7)
-        check_pairs(coeffs, sp.zeta, sp.lam.roots, window_radius(spec, nu), spec.d)
+        assert simple_rows(sp.roots.roots[None], 1e-7) == simple_rows(want[None], 1e-7)
+        check_pairs(coeffs, sp.roots, sp.lam.roots, window_radius(spec, nu), spec.d)
 
 
 def shifted_coeffs(coeffs, eps):

@@ -125,7 +125,7 @@ class TestTranscendentalSpectrum:
     def test_reference_count(self, ref_spec):
         op = k_family(2 * math.pi / 100, 0.3)
         sp = transcendental_spectrum(transcendental_pencil(ref_spec, op, 0))
-        assert len(sp.lam) == 8 and len(sp.zeta) == 8  # 4Nd with N=1, d=2
+        assert len(sp.lam) == 8 and len(sp.roots) == 8  # 4Nd with N=1, d=2
 
     def test_vieta_product_of_zeta_roots(self, ref_spec):
         op = k_family(2 * math.pi / 100, 0.3)
@@ -134,13 +134,13 @@ class TestTranscendentalSpectrum:
         poly = numkernel.det_as_polynomial(
             lambda z: z**2 * transcendental_eval(p, z), 8)
         want = poly.coeffs[0] / poly.coeffs[-1]  # (-1)^deg * product of roots
-        got = np.prod(sp.zeta.roots)
+        got = np.prod(sp.roots.roots)
         assert abs(got - want) <= 1e-8 * abs(want)
 
     def test_residual_bound_on_zeta_roots(self, ref_spec):
         op = central_difference(2 * math.pi / 100)
         sp = transcendental_spectrum(transcendental_pencil(ref_spec, op, 3))
-        assert (sp.zeta.residuals <= 1e-8).all()
+        assert (sp.roots.residuals <= 1e-8).all()
 
     def test_convergent_and_divergent_split(self):
         spec = make_oscillator_spec(1.0)
@@ -164,7 +164,7 @@ class TestTranscendentalSpectrum:
         op = k_family(2 * math.pi / 100, 0.1)
         sp = transcendental_spectrum(transcendental_pencil(ref_spec, op, 0))
         assert (np.abs(sp.lam.roots.imag) <= math.pi / op.epsilon + 1e-9).all()
-        assert np.allclose(np.exp(sp.lam.roots * op.epsilon), sp.zeta.roots,
+        assert np.allclose(np.exp(sp.lam.roots * op.epsilon), sp.roots.roots,
                            atol=1e-12)
 
 
@@ -276,7 +276,7 @@ class TestCompanionErrorPaths:
 
     def test_backward_error_above_tol_is_rejected(self, ref_spec):
         p = transcendental_pencil(ref_spec, central_difference(0.05), 3)
-        assert transcendental_spectrum(p).zeta.residuals.max() > 1e-30
+        assert transcendental_spectrum(p).roots.residuals.max() > 1e-30
         with pytest.raises(numkernel.NumericalFailure):
             transcendental_spectrum(p, tol=1e-30)
 
@@ -284,7 +284,7 @@ class TestCompanionErrorPaths:
         # real arithmetic: roots and kernel vectors come in exact conjugate pairs
         p = transcendental_pencil(ref_spec, central_difference(0.05), 0)
         sp = transcendental_spectrum(p)
-        z, v = sp.zeta.roots, sp.zeta.vectors
+        z, v = sp.roots.roots, sp.roots.vectors
         partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
         assert np.array_equal(z[partner], z.conj())
         assert np.array_equal(v[partner], v.conj())
@@ -446,16 +446,16 @@ class TestPreimagePath:
         (w,), (vectors,), _, failures = pencil._eigenpairs(blocks, 1e-8)
         assert failures == [None]
         zeta = 1.0 + eps * w
-        assert len(sp.zeta) == len(zeta) == 4 * p.op.N * d
-        dist = np.abs(sp.zeta.roots[:, None] - zeta[None, :])
+        assert len(sp.roots) == len(zeta) == 4 * p.op.N * d
+        dist = np.abs(sp.roots.roots[:, None] - zeta[None, :])
         match = dist.argmin(axis=1)
         assert sorted(match) == list(range(len(zeta)))  # one to one
         # measured <= 6.5e-12 relative (the companion's error), 2.2e-15 and 9.2e-16 below
         assert (dist.min(axis=1) <= 1e-9 * np.maximum(1.0, np.abs(zeta[match]))).all()
         # the same unit direction, up to a phase
-        overlap = np.abs(np.sum(sp.zeta.vectors.conj() * vectors[match], axis=1))
+        overlap = np.abs(np.sum(sp.roots.vectors.conj() * vectors[match], axis=1))
         assert np.abs(overlap - 1.0).max() <= 1e-10
-        assert (sp.zeta.residuals <= 1e-12).all()
+        assert (sp.roots.residuals <= 1e-12).all()
 
     @staticmethod
     def routed_blocks(monkeypatch, spec, other):
@@ -582,7 +582,7 @@ class TestSymbolReductions:
         calls = recorded_preimages(monkeypatch)
         sp = transcendental_spectrum(transcendental_pencil(spec, op, nu))
         assert len(calls) == 1  # a symbol reduction, in real arithmetic
-        z, v = sp.zeta.roots, sp.zeta.vectors
+        z, v = sp.roots.roots, sp.roots.vectors
         partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
         assert np.array_equal(z[partner], z.conj())
         assert np.array_equal(v[partner], v.conj())
@@ -607,9 +607,9 @@ class TestSymbolReductions:
                 assert str(info.value) == str(batch.failures[i])
                 continue
             lone = transcendental_spectrum(transcendental_pencil(spec, op, nu))
-            for got, want in ((batch.lam[i], lone.lam.roots), (batch.roots[i], lone.zeta.roots),
-                              (batch.residuals[i], lone.zeta.residuals),
-                              (batch.vectors[i], lone.zeta.vectors)):
+            for got, want in ((batch.lam[i], lone.lam.roots), (batch.roots[i], lone.roots.roots),
+                              (batch.residuals[i], lone.roots.residuals),
+                              (batch.vectors[i], lone.roots.vectors)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", [make_reference_spec(), make_gyroscopic_spec()],

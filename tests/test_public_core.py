@@ -12,7 +12,7 @@ equations of motion are stated once, in `pencil.equation_blocks`: no other modul
 reach the command-line module through its public names only: the experiments it runs live
 in the library, so no test file uses a private `cli._name`.  Every exception class the
 package defines is also raised by it: no typed failure is left behind once the code that
-raised it goes.
+raised it goes.  And no module imports a name that it never reads.
 """
 import ast
 import builtins
@@ -188,6 +188,34 @@ def test_the_checker_sees_a_restated_equation(tmp_path):
 
 def test_only_pencil_states_the_equations():
     assert equation_restatements(sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) for every name a module imports and never reads; a `from __future__`
+    import is a compiler directive, not a name."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((node.lineno, name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (name := alias.asname or alias.name.split(".")[0]) not in read)
+
+
+def test_the_checker_sees_unused_imports(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("from __future__ import annotations\n\nimport math\nimport os.path\n"
+                      "import numpy as np\nfrom dataclasses import dataclass, field\n"
+                      "from . import numkernel, pencil\n\n\n@dataclass\nclass A:\n"
+                      "    x: np.ndarray\n\n\ny = pencil.spectra(os.sep)\n")
+    assert unused_imports(module) == [(3, "math"), (6, "field"), (7, "numkernel")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := unused_imports(path))}
+    assert found == {}
 
 
 def private_cli_uses(source: str) -> list:

@@ -90,9 +90,9 @@ def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
         for z, v in zip(modes.roots.roots, basis):
             # the same unit, phase-fixed direction as the SVD reference, up to rounding
             if setting.op is None:
-                m = pencil.classical_eval(modes.pencil, z)
+                m = pencil.classical_eval(pencil.classical_pencil(ref_spec, 3), z)
             else:
-                m = pencil.transcendental_eval(modes.pencil, z)
+                m = pencil.transcendental_eval(pencil.transcendental_pencil(ref_spec, op, 3), z)
             ref = numkernel.kernel_vector(m, rank_tol=1e-6)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
             assert np.abs(v - ref).max() <= 1e-8

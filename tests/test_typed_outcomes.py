@@ -82,8 +82,8 @@ def test_spectra_are_finite_or_a_documented_failure(capfd, spec, family, epsilon
                                                                              nu))
         except DOCUMENTED:
             continue
-        assert len(sp) == 4 * family(eps).N * spec.d
-        for roots in (sp.lam, sp.zeta):
+        assert len(sp.roots) == 4 * family(eps).N * spec.d
+        for roots in (sp.lam, sp.roots):
             assert np.isfinite(roots.roots).all() and np.isfinite(roots.vectors).all()
     try:
         sweep = convergence.epsilon_sweep(spec, family, nu, epsilons)
