@@ -16,8 +16,7 @@ what its command computes with.
 import importlib
 
 _EXPORTS = {name: module for module, names in {
-    "model": "LagrangianSpec construct_j4 energy transform_affine "
-             "validate_spec assemble_blocks",
+    "model": "LagrangianSpec construct_j4 energy validate_spec",
     "numkernel": "Polynomial RootSet cond det_as_polynomial kernel_vector merge_failures "
                  "per_item polynomial_roots solve_square solve_stack",
     "scaleop": "GridFunction ScaleOperator box_apply adjoint_box_apply central_difference "
@@ -31,10 +30,9 @@ _EXPORTS = {name: module for module, names in {
     "delsolve": "DelSolution TrajectoryGrid boundary_problem dirichlet_del "
                 "general_solution_del recurrence_march residual_del residuals",
     "periodic": "Choreography CommensurabilityReport build_choreography_cel "
-                "build_choreography_del commensurability is_periodic_cel is_periodic_del "
-                "verify_choreography",
+                "build_choreography_del commensurability verify_choreography",
     "convergence": "SweepResult epsilon_sweep equation_classes filter_to_window "
-                   "hausdorff_distance node_values window_errors window_reference",
+                   "node_values window_errors window_reference",
 }.items() for name in names.split()}
 
 __all__ = list(_EXPORTS)

@@ -101,11 +101,11 @@ class ModeExpansion:
 
 @dataclass(frozen=True)
 class SystemSolution:
-    """One expansion for the particle sum and one per particle."""
+    """One expansion for the particle sum x_s and one per particle; the particles sum to
+    x_s by construction (the zero-sum constraint on their nu = 0 amplitudes)."""
 
     xs: ModeExpansion
     particles: tuple
-    interval = (-3.0, 3.0)  # where sum_mismatch samples by default
 
     def __post_init__(self):
         object.__setattr__(self, "particles", tuple(self.particles))
@@ -113,15 +113,6 @@ class SystemSolution:
     @property
     def n(self) -> int:
         return len(self.particles)
-
-    def sum_mismatch(self, times=None) -> float:
-        """max_t |sum_j x_j(t) - x_s(t)| / scale over 32 fixed pseudo-random times."""
-        if times is None:
-            times = np.random.default_rng(20240913).uniform(*self.interval, size=32)
-        total = sum(p.value(times) for p in self.particles)
-        ref = self.xs.value(times)
-        scale = max(1.0, float(np.abs(ref).max()))
-        return float(np.abs(total - ref).max()) / scale
 
 
 def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,

@@ -45,7 +45,7 @@ ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, pencil.LeadingSingular)
 NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
                     celsolve.SingularBoundarySystem, delsolve.LeadingBlockSingular,
                     delsolve.WindowExceeded, scaleop.OutOfRange, model.NoRealSolution,
-                    model.SymmetryInfeasible, model.SingularTransform, convergence.EmptySet)
+                    model.SymmetryInfeasible)
 
 
 def _matrix(raw, d: int, name: str) -> np.ndarray:
@@ -64,15 +64,37 @@ def _vector(raw, d: int, name: str) -> np.ndarray:
     return arr
 
 
-def _complex_block(block: dict, name: str, shape: tuple) -> np.ndarray:
-    """Read name / name_re / name_im fields into a complex array of shape."""
-    re = block.get(f"{name}_re", block.get(name))
-    if re is None:
-        raise ConfigParse(f"missing field {name}")
-    out = np.asarray(re, dtype=float).astype(complex)
-    im = block.get(f"{name}_im")
-    if im is not None:
-        out = out + 1j * np.asarray(im, dtype=float)
+def _field(block: dict, key: str, convert, default, where: str):
+    """convert(block[key]), or convert(default) when key is absent, for the config field
+    where.key: a value that convert rejects (TypeError, ValueError) is a ConfigParse naming
+    the field.  Only the reading is guarded, so that no library error is relabelled."""
+    try:
+        return convert(block.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"malformed {where}.{key}: {exc}") from exc
+
+
+def _each(convert):
+    """convert applied to each value of a list."""
+    return lambda values: [convert(v) for v in values]
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _complex_block(block: dict, name: str, shape: tuple, where: str) -> np.ndarray:
+    """Read the name / name_re / name_im fields of the config block `where` into a complex
+    array of shape."""
+    key = f"{name}_re" if f"{name}_re" in block else name
+    if block.get(key) is None:
+        raise ConfigParse(f"missing field {where}.{name}")
+    as_array = partial(np.asarray, dtype=float)
+    out = _field(block, key, as_array, None, where).astype(complex)
+    if block.get(f"{name}_im") is not None:
+        out = out + 1j * _field(block, f"{name}_im", as_array, None, where)
     if out.shape != shape:
         raise DimensionMismatch(f"{name} must have shape {shape}, got {out.shape}")
     return out
@@ -150,8 +172,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParse("time block needs tf > t0")
     if M < 1:
         raise ConfigParse("time block needs M >= 1")
+    op = _build_operator(op_raw, (tf - t0) / M)  # fails fast on a malformed operator block
+    blocks = {name: raw.get(name) for name in ("targets", "boundary", "amplitudes", "choreo",
+                                               "sweep")}
+    for name, block in blocks.items():
+        if block is not None and not isinstance(block, dict):
+            raise ConfigParse(f"{name} must be an object, got {type(block).__name__}")
 
-    targets = raw.get("targets")
+    targets = blocks["targets"]
     try:
         j1 = _matrix(raw["J1"], d, "J1")
         j2 = _matrix(raw["J2"], d, "J2")
@@ -165,8 +193,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             omega = [float(w) for w in targets["omega"]]
             if len(omega) != 2:
                 raise DimensionMismatch("targets.omega must list 2 frequencies for d = 2")
+            if targets.get("discrete"):  # K's eigenvalues, which J5-free targets place
+                omega, counted = _grid_frequencies(op, omega, j1 - 2.0 * j3, j5), None
+            else:
+                counted = j5
             j4 = model.construct_j4(j1, j2, j3, omega[0], omega[1],
-                                    float(targets["j4_free"]), j5)
+                                    float(targets["j4_free"]), counted)
         else:
             raise ConfigParse("J4 must be given directly, or via targets with "
                               "j4_free for d = 2")
@@ -179,11 +211,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigParse(str(exc)) from exc
 
-    cfg = ExperimentConfig(spec, t0, tf, M, op_raw, targets,
-                           raw.get("boundary"), raw.get("amplitudes"),
-                           raw.get("choreo", {}), raw.get("sweep", {}))
-    cfg.operator()  # fail fast on malformed operator blocks
-    return cfg
+    return ExperimentConfig(spec, t0, tf, M, op_raw, targets, blocks["boundary"],
+                            blocks["amplitudes"], blocks["choreo"] or {}, blocks["sweep"] or {})
+
+
+def _grid_frequencies(op: ScaleOperator, omega: list, S: np.ndarray, J5: np.ndarray) -> list:
+    """targets.discrete: the frequencies sqrt(kappa_k) that `model.construct_j4` takes, J5
+    left out, to build the K whose nu = 0 roots on the grid of op are +-i omega_k.
+
+    With the interior symbols theta_k = Re sum_j theta_j e^{i j omega_k eps}/eps^2 and
+    s_k = |sum_j sigma1_j e^{i j omega_k eps}|/eps, each target needs theta_k^2 - tr K
+    theta_k + det K = s_k^2 j^2/det S, for J5 = j [[0, 1], [-1, 0]] and S = J1 - 2 J3: two
+    linear equations in (tr K, det K).  K's eigenvalues kappa are the roots of
+    x^2 - tr K x + det K, theta_1 and theta_2 when J5 = 0; a K that is not positive
+    definite is a NoRealSolution."""
+    if op.gamma.imag.any():
+        raise ConfigParse("targets.discrete builds J4 for real operator weights only")
+    eps, N = op.epsilon, op.N
+    at = [np.exp(1j * w * eps * np.arange(-2 * N, 2 * N + 1)) for w in omega]
+    theta = [float((op.theta @ z).real) / eps**2 for z in at]
+    kappa = theta
+    if J5.any():
+        if theta[0] == theta[1]:
+            raise ConfigParse("targets.discrete with J5 needs two distinct targets")
+        s2 = [abs(op.sigma1 @ z[N:3 * N + 1]) ** 2 / eps**2 for z in at]
+        shift = (0.5 * (J5[0, 1] - J5[1, 0])) ** 2 / np.linalg.det(S)
+        trace = theta[0] + theta[1] - (s2[0] - s2[1]) / (theta[0] - theta[1]) * shift
+        half, det = 0.5 * trace, theta[0] * (trace - theta[0]) + s2[0] * shift
+        root = math.sqrt(half**2 - det) if half**2 >= det else math.nan
+        kappa = [half - root, half + root]
+    if not min(kappa) > 0:
+        raise model.NoRealSolution(f"targets.discrete needs K positive definite, its "
+                                   f"eigenvalues would be {kappa}")
+    return [math.sqrt(k) for k in kappa]
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +275,9 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#e377c2"]
 
 
-def write_svg(path, traj: np.ndarray, times: np.ndarray = None) -> None:
-    """One polyline per particle over the first two coordinates (real parts).
+def write_svg(path, traj: np.ndarray, times: np.ndarray) -> None:
+    """One polyline per particle over the first two coordinates (real parts) of traj
+    (n, T, d) at the T times.
 
     For d = 1 the abscissa is time.  The viewBox is autoscaled to the data
     with a 1% margin; output bytes are deterministic for fixed input.
@@ -227,8 +288,6 @@ def write_svg(path, traj: np.ndarray, times: np.ndarray = None) -> None:
         xs = traj[:, :, 0].real
         ys = -traj[:, :, 1].real  # svg y grows downward
     else:
-        if times is None:
-            times = np.arange(count, dtype=float)
         xs = np.broadcast_to(times, (n, count))
         ys = -traj[:, :, 0].real
     x0, x1 = float(xs.min()), float(xs.max())
@@ -300,14 +359,14 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def _parse_amplitudes(block: dict, size_xs: int, n: int, size_p: int, seed: int):
     if block.get("random"):
         rng = np.random.default_rng(seed)
-        scale = float(block.get("scale", 1.0))
+        scale = _field(block, "scale", float, 1.0, "amplitudes")
         xs = scale * (rng.standard_normal(size_xs) + 1j * rng.standard_normal(size_xs))
         ps = scale * (rng.standard_normal((max(n - 1, 0), size_p))
                       + 1j * rng.standard_normal((max(n - 1, 0), size_p)))
         return xs, ps
-    xs = _complex_block(block, "xs", (size_xs,))
+    xs = _complex_block(block, "xs", (size_xs,), "amplitudes")
     if "particles_re" in block or "particles" in block:
-        ps = _complex_block(block, "particles", (n - 1, size_p))
+        ps = _complex_block(block, "particles", (n - 1, size_p), "amplitudes")
     else:
         ps = np.zeros((max(n - 1, 0), size_p), dtype=complex)
     return xs, ps
@@ -316,8 +375,8 @@ def _parse_amplitudes(block: dict, size_xs: int, n: int, size_p: int, seed: int)
 def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
     spec, n = cfg.spec, cfg.n
     if cfg.boundary and "x_t0" in cfg.boundary or cfg.boundary and "x_t0_re" in cfg.boundary:
-        x0 = _complex_block(cfg.boundary, "x_t0", (n, spec.d))
-        xf = _complex_block(cfg.boundary, "x_tf", (n, spec.d))
+        x0 = _complex_block(cfg.boundary, "x_t0", (n, spec.d), "boundary")
+        xf = _complex_block(cfg.boundary, "x_tf", (n, spec.d), "boundary")
         return celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf)[0]
     if cfg.amplitudes:
         size = pencil.Setting(spec).root_count
@@ -331,8 +390,8 @@ def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
     spec, n, op = cfg.spec, cfg.n, cfg.operator()
     N = op.N
     if cfg.boundary and ("head" in cfg.boundary or "head_re" in cfg.boundary):
-        head = _complex_block(cfg.boundary, "head", (n, 2 * N, spec.d))
-        tail = _complex_block(cfg.boundary, "tail", (n, 2 * N, spec.d))
+        head = _complex_block(cfg.boundary, "head", (n, 2 * N, spec.d), "boundary")
+        tail = _complex_block(cfg.boundary, "tail", (n, 2 * N, spec.d), "boundary")
     elif cfg.boundary:  # two-point boundary: match the continuous solution
         cel = cel_solution(cfg, seed)
         head, tail = (convergence.node_values(cel, cfg.t0, cfg.epsilon, nodes) for nodes in
@@ -368,7 +427,9 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     report["resolution_warning"] = bool(cfg.M**2 < bound)
 
     if cfg.targets and "omega" in cfg.targets:
-        omega = np.sort(np.abs(np.asarray(cfg.targets["omega"], dtype=float)))
+        omega = np.sort(np.abs(_field(cfg.targets, "omega", partial(np.asarray, dtype=float),
+                                      None, "targets")))
+        tol = _field(cfg.targets, "tol", float, 1e-6, "targets")
         discrete = bool(cfg.targets.get("discrete"))
         checked = dis if discrete else cel
         if checked.modes_0 is None:
@@ -379,7 +440,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         measured = np.sort(lam.roots.imag[lam.roots.imag > 0])
         dev = float(np.abs(measured - omega).max()) if len(measured) == len(omega) else math.inf
         report["targets_deviation"] = dev
-        report["targets_ok"] = dev <= float(cfg.targets.get("tol", 1e-6))
+        report["targets_ok"] = dev <= tol
 
     for v in report["violations"]:
         print(f"violation: {v}")
@@ -449,20 +510,22 @@ def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
     axis with exact endpoints, so (a, b) and (-a, -b) can share a class; other ranges are
     `np.linspace`'s.  k_family(-k) is k_family(k) reversed and negated."""
     if grid == "gamma":
-        block = cfg.sweep.get("gamma_grid", {})
-        lo, hi, points = (float(block.get("min", -1.0)), float(block.get("max", 1.0)),
-                          int(block.get("points", 41)))
+        block, where = _field(cfg.sweep, "gamma_grid", _object, {}, "sweep"), "sweep.gamma_grid"
+        lo, hi, points = (_field(block, "min", float, -1.0, where),
+                          _field(block, "max", float, 1.0, where),
+                          _field(block, "points", int, 41, where))
         axis = convergence.symmetric_axis(hi, points) if lo == -hi else \
             np.linspace(lo, hi, points)
         first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
         blocks = [(cfg, zip(first.tolist(), last.tolist()),
                    np.stack([first, -(first + last), last], axis=1).astype(complex))]
     else:
-        block = cfg.sweep.get("k_grid", {})
-        ks = [float(k) for k in block.get("ks", [-1.0, -0.5, 0.0, 0.5, 1.0])]
+        block, where = _field(cfg.sweep, "k_grid", _object, {}, "sweep"), "sweep.k_grid"
+        ks = _field(block, "ks", _each(float), [-1.0, -0.5, 0.0, 0.5, 1.0], where)
+        Ms = _field(block, "Ms", _each(int), [cfg.M], where)
         blocks = [(sub, [(k, sub.M) for k in ks],
                    np.array([scaleop.k_family(sub.epsilon, k).gamma for k in ks]))
-                  for sub in (replace(cfg, M=int(m)) for m in block.get("Ms", [cfg.M]))]
+                  for sub in (replace(cfg, M=m) for m in Ms)]
     rows, solved = [], 0
     for sub, labels, gammas in blocks:
         args = sub.spec, sub.n, sub.t0, sub.M, sub.epsilon
@@ -485,8 +548,8 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path) -> Path:
     block = cfg.sweep
     if "epsilons" not in block:
         raise ConfigParse("converge needs sweep.epsilons")
-    epsilons = [float(e) for e in block["epsilons"]]
-    nu = float(block.get("nu", 0.0))
+    epsilons = _field(block, "epsilons", _each(float), None, "sweep")
+    nu = _field(block, "nu", float, 0.0, "sweep")
     result = convergence.epsilon_sweep(cfg.spec, partial(_build_operator, cfg.operator_raw),
                                       nu, epsilons)
     rows = [[eps, dist, perr, note or ""] for eps, dist, perr, note in zip(
@@ -512,7 +575,7 @@ def cmd_choreo(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     for kind in which:
         size = pencil.Setting(spec, cfg.operator() if kind == "del" else None).root_count
         if "amplitudes_re" in cfg.choreo:
-            amps = _complex_block(cfg.choreo, "amplitudes", (size,))
+            amps = _complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
         else:
             amps = np.ones(size, dtype=complex)
         if kind == "cel":

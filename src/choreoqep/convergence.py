@@ -34,10 +34,6 @@ from .numkernel import RootSet
 from .scaleop import ScaleOperator
 
 
-class EmptySet(Exception):
-    """Raised when a Hausdorff distance is requested from an empty set."""
-
-
 def _hausdorff_rows(a: np.ndarray, keep: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact max-min distances (B,) between the entries of each row of a (B, K) that keep
     (B, K) marks and the set b (m,), one masked expression over the kept entries moved to
@@ -48,15 +44,6 @@ def _hausdorff_rows(a: np.ndarray, keep: np.ndarray, b: np.ndarray) -> np.ndarra
     to_b = np.where(keep, d.min(axis=2), -np.inf).max(axis=1, initial=-np.inf)
     to_a = np.where(keep[:, :, None], d, np.inf).min(axis=1, initial=np.inf).max(axis=1)
     return np.where(keep.any(axis=1), np.maximum(to_b, to_a), np.nan)
-
-
-def hausdorff_distance(f1, f2) -> float:
-    """Exact max-min distance between two finite nonempty complex sets: a batch of one."""
-    a = np.asarray(getattr(f1, "roots", f1), dtype=complex).ravel()
-    b = np.asarray(getattr(f2, "roots", f2), dtype=complex).ravel()
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySet("hausdorff_distance requires nonempty sets")
-    return float(_hausdorff_rows(a[None], np.ones((1, len(a)), dtype=bool), b)[0])
 
 
 def filter_to_window(roots: RootSet, K_radius: float) -> RootSet:
@@ -74,9 +61,6 @@ class SweepResult:
     pencil_errors: np.ndarray
     estimated_order: float
     notes: tuple
-
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.distances)
 
 
 def symmetric_axis(radius: float, points: int) -> np.ndarray:
@@ -163,8 +147,9 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     square |Re lam|, |Im lam| <= K_radius, on a `symmetric_axis` (axis[20 - k] = -axis[k],
     0 in the middle), from its quarter Re lam, Im lam >= 0 when the weights are real.
     Failures at one delay (bad operator conditions, failed spectra, zeta-roots clustered
-    below 1e-7, empty windows) annotate that entry and the others are kept.  The order is the
-    least-squares slope of log(distance) against log(epsilon) over the valid entries.
+    below numkernel.SEPARATION_TOL, empty windows) annotate that entry and the others are
+    kept.  The order is the least-squares slope of log(distance) against log(epsilon) over
+    the valid entries.
     """
     epsilons = np.asarray(epsilons, dtype=float).ravel()
     p_cls = pencil.classical_pencil(spec, nu)
@@ -189,7 +174,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
     for idx in by_n.values():
         sp = pencil.spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
                             classical=q_cls)
-        done, simple = [], numkernel.simple_rows(sp.roots, 1e-7)
+        done, simple = [], numkernel.simple_rows(sp.roots, numkernel.SEPARATION_TOL)
         hausdorff = _hausdorff_rows(sp.lam, np.abs(sp.lam) <= K_radius, q_cls.roots)  # window
         for i, failure, ok, h in zip(idx, sp.failures, simple, hausdorff):
             if failure is None and not ok:

@@ -77,10 +77,6 @@ class DelSolution(SystemSolution):
     tf: float
 
     @property
-    def interval(self) -> tuple[float, float]:
-        return (self.t0, self.tf)
-
-    @property
     def M(self) -> int:
         return int(round((self.tf - self.t0) / self.op.epsilon))
 
@@ -111,20 +107,17 @@ def _discrete_core(spec: LagrangianSpec, ops: list, n: int, M: int) -> Core:
     return core
 
 
-def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
-                         xs_amplitudes, particle_amplitudes=None,
-                         t0: float = 0.0, M: int = None) -> DelSolution:
-    """Assemble the discrete solution from per-mode amplitudes.
+def general_solution_del(spec: LagrangianSpec, op: ScaleOperator, n: int, xs_amplitudes,
+                         particle_amplitudes, t0: float, M: int) -> DelSolution:
+    """Assemble the discrete solution on the M steps of eps from t0 from per-mode amplitudes.
 
     Amplitude layout mirrors the continuous solver: one entry per sorted
     discrete phase, the last particle's homogeneous amplitudes resolved by
-    the zero-sum constraint.  The amplitudes are given at t = 0 (anchors 0), so a
-    growing mode with a nonzero amplitude overflows by design once Re lam t passes
-    log(max float) ~ 709.78 on the grid: `sample` then raises NumericalFailure naming
-    the growth.
+    the zero-sum constraint (particle_amplitudes None: all zero).  The amplitudes are
+    given at t = 0 (anchors 0), so a growing mode with a nonzero amplitude overflows by
+    design once Re lam t passes log(max float) ~ 709.78 on the grid: `sample` then raises
+    NumericalFailure naming the growth.
     """
-    if M is None:
-        raise ValueError("M (node count) is required")
     core = _discrete_core(spec, [op], n, M)
     xs, particles = core.assemble(xs_amplitudes, particle_amplitudes)
     return DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)

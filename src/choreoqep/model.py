@@ -4,9 +4,9 @@ A system of n particles in R^d is described by coefficient matrices J1..J5
 (single-particle kinetic/potential/gyroscopic blocks) and J3, J4 pair
 couplings, plus linear terms J6, J7.  The solvers assume the constant-
 coefficient regime with J1..J4 symmetric and J5 skew-symmetric.  Besides the spec this
-holds what is derived from it alone: its structural check, the block forms, the energy
-of given positions and velocities, affine changes of variables, and the J4 (d = 2) that
-puts the nu = 0 roots on two target frequencies, J5 counted.
+holds what is derived from it alone: its structural check, the energy of given positions
+and velocities, and the J4 (d = 2) that puts the nu = 0 roots on two target frequencies,
+J5 counted.
 """
 from __future__ import annotations
 
@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class SingularTransform(Exception):
-    """Raised when an affine change of variables is numerically singular."""
 
 
 class NoRealSolution(Exception):
@@ -97,72 +93,19 @@ def energy(spec: LagrangianSpec, positions, velocities) -> float:
     x·J5 v and J6·v cancel, so that it is conserved for any J5.
 
     1/2 V·J8 V − 1/2 X·J9 X − J7·sum_j x_j over the stacked positions X and velocities V,
-    with the block forms J8 and J9 of `assemble_blocks`.
+    with the nd x nd block forms J8 (J1 on the diagonal blocks, 2 J3 off them) and J9 (J2,
+    2 J4).
     """
     x, v = np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float)
     for name, a in (("positions", x), ("velocities", v)):
         if a.shape != (spec.n, spec.d):
             raise ValueError(f"{name} shape {a.shape} does not match (n, d) = "
                              f"{(spec.n, spec.d)}")
-    j8, j9 = (_block_fill(own, 2.0 * pair, spec.n)
+    eye = np.eye(spec.n)
+    j8, j9 = (np.kron(eye, own) + np.kron(np.ones((spec.n, spec.n)) - eye, 2.0 * pair)
               for own, pair in ((spec.J1, spec.J3), (spec.J2, spec.J4)))
     X, V = x.ravel(), v.ravel()
     return float(0.5 * V @ j8 @ V - 0.5 * X @ j9 @ X - spec.J7 @ x.sum(axis=0))
-
-
-@dataclass(frozen=True)
-class BlockForms:
-    """Stacked nd x nd quadratic-form blocks with definiteness flags."""
-
-    J8: np.ndarray
-    J9: np.ndarray
-    J10: np.ndarray
-    j8_positive: bool
-    j9_positive: bool
-
-
-def _block_fill(diag: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
-    d = diag.shape[0]
-    out = np.kron(np.eye(n), diag) + np.kron(np.ones((n, n)) - np.eye(n), off)
-    return out.reshape(n * d, n * d)
-
-
-def _positive_definite(m: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    radius = np.abs(w).max()
-    if radius == 0:
-        return False
-    return bool(w.min() > 1e-12 * radius)
-
-
-def assemble_blocks(spec: LagrangianSpec) -> BlockForms:
-    """Block matrices with J1 (resp. J2) diagonal and 2*J3 (resp. 2*J4) off-diagonal."""
-    j8 = _block_fill(spec.J1, 2.0 * spec.J3, spec.n)
-    j9 = _block_fill(spec.J2, 2.0 * spec.J4, spec.n)
-    j10 = np.kron(np.eye(spec.n), spec.J5)
-    return BlockForms(j8, j9, j10, _positive_definite(j8), _positive_definite(j9))
-
-
-def transform_affine(spec: LagrangianSpec, A, b) -> LagrangianSpec:
-    """Coefficients of the system expressed in hatted variables x_hat = A x + b.
-
-    Quadratic blocks transform by congruence with A^{-1}; the linear terms
-    pick up the contributions of the shift b (additive constants dropped).
-    Trajectories of the result are A x(t) + b for trajectories x(t) of spec.
-    """
-    A = _checked(A, (spec.d, spec.d), "A")
-    b = _checked(b, (spec.d,), "b")
-    if np.linalg.cond(A) >= 1e12:
-        raise SingularTransform("transform matrix condition number >= 1e12")
-    ainv = np.linalg.inv(A)
-
-    def cong(m):
-        return ainv.T @ m @ ainv
-
-    j1, j2, j3, j4, j5 = (cong(getattr(spec, k)) for k in ("J1", "J2", "J3", "J4", "J5"))
-    j6 = ainv.T @ spec.J6 - j5.T @ b
-    j7 = ainv.T @ spec.J7 - j2 @ b - 2.0 * (spec.n - 1) * (j4 @ b)
-    return LagrangianSpec(spec.d, spec.n, j1, j2, j3, j4, j5, j6, j7)
 
 
 def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,

@@ -14,7 +14,6 @@ caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +92,16 @@ class Polynomial:
         return cls(leading * npoly.polyfromroots(np.asarray(roots, dtype=complex)))
 
 
+# two roots closer than this, relative to max(1, |root|), are one repeated root to every
+# verdict on simple or disjoint roots: `RootSet.is_simple`, the assumption reports and the
+# eps-sweep's cluster note
+SEPARATION_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class RootSet:
-    """Finite multiset of complex roots with residual and separation metadata.
-
-    A pencil spectrum also carries its unit kernel vectors, one row per root.
-    """
+    """Finite multiset of complex roots with their residuals; a pencil spectrum also
+    carries its unit kernel vectors, one row per root."""
 
     roots: np.ndarray
     residuals: np.ndarray
@@ -106,14 +109,6 @@ class RootSet:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    @property
-    def min_separation(self) -> float:
-        """The least distance between two roots; inf for fewer than two."""
-        if len(self.roots) < 2:
-            return math.inf
-        diff = np.abs(self.roots[:, None] - self.roots[None, :])
-        return float(diff[~np.eye(len(self.roots), dtype=bool)].min())
 
     @classmethod
     def from_roots(cls, roots, residuals=None) -> "RootSet":
@@ -123,9 +118,9 @@ class RootSet:
         residuals = np.asarray(residuals, dtype=float).ravel()
         return cls(roots, residuals)
 
-    def is_simple(self, rel_tol: float = 1e-7) -> bool:
-        """True when no two roots fall within rel_tol * max(1, |root|) of each other."""
-        return bool(simple_rows(self.roots[None], rel_tol)[0])
+    def is_simple(self) -> bool:
+        """True when no two roots fall within SEPARATION_TOL * max(1, |root|) of each other."""
+        return bool(simple_rows(self.roots[None], SEPARATION_TOL)[0])
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -273,10 +268,6 @@ class LinearSolve:
 
     x: np.ndarray
     cond: float
-
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.cond > 1e12
 
 
 def merge_failures(failures: list, found=(), items=None) -> tuple:

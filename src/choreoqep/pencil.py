@@ -21,11 +21,11 @@ theta_hat = g g~/eps^2, whose roots are those of g g~/eps^2 + mu_k zeta^{2N} for
 eigenpair of A_nu mu - C_nu.  Those are self-reciprocal: of half the degree in
 y = (zeta - 1)^2/zeta, a quadratic for N = 1, with two zeta-roots a y-root.  Other systems
 take the companion.  A pair is accepted when its normwise backward error ||Q(w) v|| /
-(sum_i |w|^i ||B_i||_F ||v||) (Tisseur 2000) is at most tol, and that error is the root's
-residual.  On a reduction ||Q(w) v|| = ||R a(w)|| for the R of a classical pair's products
-[P_i v], and ||B_i||_F = ||R x_i|| from the scalar coefficients x_i = (theta_i/eps^2,
-sigma1_i, shift_i) of B_i and the R of [vec A_nu | vec J5 | vec C_nu]: only the companion
-assembles the shifted blocks.
+(sum_i |w|^i ||B_i||_F ||v||) (Tisseur 2000) is at most BACKWARD_ERROR_TOL, and that
+error is the root's residual.  On a reduction ||Q(w) v|| = ||R a(w)|| for the R of a
+classical pair's products [P_i v], and ||B_i||_F = ||R x_i|| from the scalar coefficients
+x_i = (theta_i/eps^2, sigma1_i, shift_i) of B_i and the R of [vec A_nu | vec J5 | vec C_nu]:
+only the companion assembles the shifted blocks.
 `Setting` is the one place where the two settings differ; the assumption reports, the
 solvers' shared core and the periodicity code run on it.  `spectra` runs on a batch of
 settings that share spec and N, each item with its own eps, under the batch contract of
@@ -59,6 +59,10 @@ class LeadingSingular(Exception):
 
 class ZeroArgument(Exception):
     """Raised when the transcendental pencil is evaluated at zeta = 0."""
+
+
+# the largest normwise backward error of an accepted eigenpair, in either setting
+BACKWARD_ERROR_TOL = 1e-8
 
 
 def coefficient_matrices(spec: LagrangianSpec, nu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,19 +116,20 @@ def _is_singular(m: np.ndarray) -> np.ndarray:
     return (s[..., 0] == 0) | (s[..., -1] <= 1e-12 * s[..., 0])
 
 
-def _verdicts(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray, tol: float) -> tuple:
-    """Errors num / den (B, K); per item, a NumericalFailure unless all are <= tol and nonzero."""
+def _verdicts(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray) -> tuple:
+    """Errors num / den (B, K); per item, a NumericalFailure unless all are at most
+    BACKWARD_ERROR_TOL and nonzero."""
     with np.errstate(all="ignore"):
         # den = 0: every term mu^i B_i v vanishes, an exact pair unless num says otherwise
         errors = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
-    worst = errors.max(axis=1)
+    worst, tol = errors.max(axis=1), BACKWARD_ERROR_TOL
     return errors, [None if ok else numkernel.NumericalFailure(
         f"eigenpairs fail the backward-error test (worst {w:.3e}, tol {tol:.1e}) "
         "or have a vanishing kernel block") for w, ok in zip(worst, (worst <= tol) & nonzero)]
 
 
 def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
-                     v: np.ndarray, tol: float) -> tuple:
+                     v: np.ndarray) -> tuple:
     """||Q(mu) v|| / (sum_i |mu|^i ||B_i||_F ||v||) for each item's roots mu (B, K) and
     columns v (B, d, K), and `_verdicts` on them.  Items go in chunks of at most
     numkernel.CHUNK_ELEMENTS elements of the products B_i v, (k+1, d, K) an item, which
@@ -136,10 +141,10 @@ def _backward_errors(blocks: np.ndarray, norms: np.ndarray, mu: np.ndarray,
             num[c] = np.linalg.norm(((blocks[c] @ v[c, None]) * powers[:, :, None]).sum(axis=1),
                                     axis=1)
             den[c] = (np.abs(powers) * norms[c, :, None]).sum(axis=1) * np.linalg.norm(v[c], axis=1)
-    return _verdicts(num, den, np.abs(v).max(axis=1).min(axis=1) > 0, tol)
+    return _verdicts(num, den, np.abs(v).max(axis=1).min(axis=1) > 0)
 
 
-def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
+def _eigenpairs(blocks: np.ndarray) -> tuple:
     """Per item of a (B, k+1, d, d) stack: roots w, unit kernel vectors (rows) and
     backward errors of sum_i w^i blocks[i], from its monic block companion in
     mu = w / s, s equalising ||B_0|| and ||B_k||; and what the item raises, or None.  An
@@ -171,7 +176,7 @@ def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
     # the eigenvector is (v, mu v, .., mu^{k-1} v): read v from its larger end block
     mu = mu.astype(complex)
     v = np.where(np.abs(mu)[:, None] <= 1.0, vecs[:, :d], vecs[:, -d:]).astype(complex)
-    errors, rejected = _backward_errors(blocks, norms, mu, v, tol)
+    errors, rejected = _backward_errors(blocks, norms, mu, v)
     top = v[np.arange(B)[:, None], np.abs(v).argmax(axis=1), np.arange(k * d)][:, None]
     with np.errstate(all="ignore"):  # only a failed item has a vanishing block
         v = v * (top.conj() / np.abs(top))  # largest component real positive
@@ -181,11 +186,11 @@ def _eigenpairs(blocks: np.ndarray, tol: float) -> tuple:
         for f, exc, r in zip(failures, failed, rejected)]
 
 
-def classical_spectrum(p: ClassicalPencil, tol: float = 1e-8) -> RootSet:
+def classical_spectrum(p: ClassicalPencil) -> RootSet:
     """All 2d pencil roots and their kernel vectors, from the companion of (C, B, A)."""
     if _is_singular(p.A):
         raise LeadingSingular("leading coefficient is singular; root count drops below 2d")
-    (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(np.stack([p.C, p.B, p.A])[None], tol)
+    (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(np.stack([p.C, p.B, p.A])[None])
     if failure is not None:
         raise failure
     order = np.lexsort((lam.real, lam.imag))
@@ -357,8 +362,7 @@ def _companion_roots(coeffs: np.ndarray, finite: np.ndarray) -> tuple:
 
 
 def _preimages(gamma: np.ndarray, delays: _Delays, symbols: tuple, norms: np.ndarray,
-               pencil: np.ndarray, targets: np.ndarray, vectors: np.ndarray,
-               tol: float) -> tuple:
+               pencil: np.ndarray, targets: np.ndarray, vectors: np.ndarray) -> tuple:
     """`_eigenpairs` of zeta^{2N} P(zeta) = sum_i base^i unit^{k-i} pencil[i] for weights
     gamma (B, 2N+1) at their delays, with their `_symbols` (g, theta) and shifted-block
     norms (B, 4N+1), from the pairs (t_k, v_k) of sum_i t^i pencil[i]: (C, B, A) with
@@ -411,7 +415,7 @@ def _preimages(gamma: np.ndarray, delays: _Delays, symbols: tuple, norms: np.nda
                ).sum(axis=1).reshape(w.shape) * np.linalg.norm(vectors[own], axis=1)[:, None]
     num, den = (e[:, src].reshape(B, -1) for e in (np.linalg.norm(ra, axis=-1), den))
     w = np.where(mirror[:, None], w[:, src].conj(), w[:, src]).reshape(B, -1)
-    errors, rejected = _verdicts(num, den, True, tol)  # v_k unit
+    errors, rejected = _verdicts(num, den, True)  # v_k unit
     vectors = np.repeat(vectors, deg, axis=0)
     return w, np.broadcast_to(vectors, w.shape + vectors.shape[1:]), errors, [
         LeadingSingular("the block companion has infinite eigenvalues") if not ok else exc
@@ -461,8 +465,7 @@ class Spectra:
                        for r in (self.lam, self.roots)))
 
 
-def spectra(settings: list, nu: float, tol: float = 1e-8,
-            classical: RootSet | None = None) -> Spectra:
+def spectra(settings: list, nu: float, classical: RootSet | None = None) -> Spectra:
     """Spectra of the nu-pencils of a batch of settings that share spec and N; each item
     has its own eps.
 
@@ -480,7 +483,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
     parts = [(slice(None), np.zeros(spec.d, dtype=complex))]  # zero where no route solves
     if op is None:
         try:
-            q = classical_spectrum(classical_pencil(spec, nu), tol)
+            q = classical_spectrum(classical_pencil(spec, nu))
         except (LeadingSingular, numkernel.NumericalFailure) as exc:
             return Spectra(w, w, residuals, [exc.with_traceback(None)] * B, parts)
         w[:], residuals[:] = q.roots, q.residuals
@@ -501,7 +504,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
         idx = live[routes[live] == route]
         if route < 2:
             blocks = _shifted_blocks(spec, gamma[idx], delays.take(idx), nu)
-            w[idx], v, residuals[idx], failed = _eigenpairs(blocks, tol)
+            w[idx], v, residuals[idx], failed = _eigenpairs(blocks)
             parts.append((idx, v))
             # finite weights and eps leave a block infinite only through an under- or
             # overflowing delay (theta/eps^2): the degree drop the reductions report
@@ -511,7 +514,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
         else:  # the pairs of the classical pencil (C, B, A), or of A_nu mu - C_nu
             pencil = np.stack([-c_nu, -2.0 * spec.J5, a_nu] if route >= 4 else [-c_nu, a_nu])
             if route < 4 or classical is None:
-                (targets,), (pairs,), _, (failure,) = _eigenpairs(pencil[None], tol)
+                (targets,), (pairs,), _, (failure,) = _eigenpairs(pencil[None])
             else:  # solved by the caller, as an eps-sweep does
                 targets, pairs, failure = classical.roots, classical.vectors, None
             failed = [failure] * len(idx)
@@ -520,7 +523,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
                 g_theta = _symbols(*items)  # once for the norms and the preimages
                 norms = _block_norms(spec, _block_coefficients(*items, g_theta[1]), nu)
                 w[idx], v, residuals[idx], failed = _preimages(
-                    *items, g_theta, norms, pencil, targets, pairs, tol)
+                    *items, g_theta, norms, pencil, targets, pairs)
                 parts.append((idx, v))
         failures, _ = numkernel.merge_failures(failures, failed, idx)
     z = delays.eps[:, None] * w  # zeta - 1
@@ -536,7 +539,7 @@ def spectra(settings: list, nu: float, tol: float = 1e-8,
     return Spectra(lam[order], 1.0 + z[order], residuals[order], failures, parts, order)
 
 
-def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8) -> Modes:
+def transcendental_spectrum(p: TranscendentalPencil) -> Modes:
     """All 4Nd discrete phases lam and zeta-roots with their kernel vectors, as preimages
     of the classical pairs (antisymmetric weights, or J5 = 0) or from the companion of
     zeta^{2N} P(zeta) in w = (zeta - 1)/eps: the batch of one of `spectra`, raising its
@@ -545,7 +548,7 @@ def transcendental_spectrum(p: TranscendentalPencil, tol: float = 1e-8) -> Modes
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    return spectra([Setting(p.spec, p.op)], p.nu, tol).modes(0)
+    return spectra([Setting(p.spec, p.op)], p.nu).modes(0)
 
 
 @dataclass(frozen=True)
@@ -589,12 +592,13 @@ def constant_systems(settings: list, nu: float) -> tuple:
 class Assumptions:
     """Report on the paper's standing assumptions; no solve reads it (`celsolve.Core`).  The
     paper's unique x_s/particle split needs the nu = n and nu = 0 roots disjoint, which
-    solves do not enforce.  Both settings judge the phases lam, at tol relative
-    (`numkernel.close_pairs`): count_*_ok say that a spectrum's phases are simple, disjoint
-    that no nu = n phase is a nu = 0 phase.  On a grid, two zeta-roots that straddle the
-    negative real axis have phases near Im lam = +pi/eps and -pi/eps: close in zeta, they
-    are judged apart.  A spectrum that fails (a degree drop, a failed eigen-solve) has no
-    modes; failure is what it raised, nu = 0's first, and every verdict is False."""
+    solves do not enforce.  Both settings judge the phases lam, at
+    numkernel.SEPARATION_TOL relative (`numkernel.close_pairs`): count_*_ok say that a
+    spectrum's phases are simple, disjoint that no nu = n phase is a nu = 0 phase.  On a
+    grid, two zeta-roots that straddle the negative real axis have phases near
+    Im lam = +pi/eps and -pi/eps: close in zeta, they are judged apart.  A spectrum that
+    fails (a degree drop, a failed eigen-solve) has no modes; failure is what it raised,
+    nu = 0's first, and every verdict is False."""
 
     modes_n: Modes | None
     modes_0: Modes | None
@@ -619,27 +623,27 @@ class Assumptions:
                 and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
 
 
-def _report(setting: Setting, n: int, tol: float) -> Assumptions:
-    """Simple phases for nu = n and 0, disjointness at tol and nonsingularity at the
-    constant mode, for one setting."""
+def _report(setting: Setting, n: int) -> Assumptions:
+    """Simple phases for nu = n and 0, disjointness and nonsingularity at the constant
+    mode, for one setting."""
     sp_n, sp_0 = (spectra([setting], nu) for nu in (n, 0))
     modes_n, modes_0 = (None if sp.failures[0] else sp.modes(0) for sp in (sp_n, sp_0))
     failure = sp_0.failures[0] or sp_n.failures[0]
     if failure is not None:
         return Assumptions(modes_n, modes_0, failure, *[False] * 5)
     lam_n, lam_0 = modes_n.lam, modes_0.lam
-    return Assumptions(modes_n, modes_0, None, lam_n.is_simple(tol), lam_0.is_simple(tol),
-                       not numkernel.close_pairs(lam_n.roots, lam_0.roots, tol).any(),
+    return Assumptions(modes_n, modes_0, None, lam_n.is_simple(), lam_0.is_simple(),
+                       not numkernel.close_pairs(lam_n.roots, lam_0.roots,
+                                                 numkernel.SEPARATION_TOL).any(),
                        *(not _is_singular(constant_systems([setting], nu)[0][0])
                          for nu in (n, 0)))
 
 
-def check_cel_assumptions(spec: LagrangianSpec, n: int, tol: float = 1e-7) -> Assumptions:
+def check_cel_assumptions(spec: LagrangianSpec, n: int) -> Assumptions:
     """The paper's assumptions in continuous time: reported, not enforced."""
-    return _report(Setting(spec), n, tol)
+    return _report(Setting(spec), n)
 
 
-def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int,
-                          tol: float = 1e-7) -> Assumptions:
+def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int) -> Assumptions:
     """The paper's assumptions on the grid, judged on the phases: reported, not enforced."""
-    return _report(Setting(spec, op), n, tol)
+    return _report(Setting(spec, op), n)

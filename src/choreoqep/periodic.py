@@ -1,10 +1,13 @@
-"""Periodicity classification and choreographic solutions.
+"""Choreographic solutions, built from the phases in play and verified.
 
-A finite exponential sum is periodic iff every phase is purely imaginary and
-all pairwise ratios are rational; the minimal period follows from the
-reconstructed rationals.  A choreography is a single T-periodic curve
-traversed by all n particles with delays jT/n, which forces the particle sum
-to be constant through the vanishing geometric sums sum_j (e^{lam T/n})^j.
+A finite exponential sum is periodic iff every phase is purely imaginary and all pairwise
+ratios are rational: `commensurability` decides both for the phases of the modes in play
+and gives the minimal period from the reconstructed rationals.  A choreography is a single
+T-periodic curve traversed by all n particles with delays jT/n, which forces the particle
+sum to be constant through the vanishing geometric sums sum_j (e^{lam T/n})^j.
+`build_choreography_cel` and `build_choreography_del` build it on the nu = 0 modes of
+either setting; `verify_choreography` measures its defining properties and the residuals
+of the equations of motion.
 """
 from __future__ import annotations
 
@@ -44,16 +47,16 @@ def _roots_array(roots) -> np.ndarray:
     return np.asarray(getattr(roots, "roots", roots), dtype=complex).ravel()
 
 
-def commensurability(roots, tol: float = 1e-9, max_den: int = 64) -> CommensurabilityReport:
+def commensurability(roots) -> CommensurabilityReport:
     """Classify phases: imaginary? pairwise-rational? minimal common period?
 
-    Ratios are taken against the first root and reconstructed by continued
-    fractions with denominator <= max_den and absolute error <= tol; with
-    ratios p_l/q_l in lowest terms the period is 2*pi*s/|w_1| where
-    s = lcm(q_l)/gcd(p_l) is the least positive rational making every
+    A phase is imaginary when |Re| <= 1e-9 max(1, |phase|).  Ratios are taken against
+    the first root and reconstructed by continued fractions with denominator <= 64 and
+    absolute error <= 1e-9; with ratios p_l/q_l in lowest terms the period is
+    2*pi*s/|w_1| where s = lcm(q_l)/gcd(p_l) is the least positive rational making every
     s*p_l/q_l an integer.
     """
-    r = _roots_array(roots)
+    tol, r = 1e-9, _roots_array(roots)
     if len(r) == 0:
         raise ValueError("commensurability requires at least one root")
     all_imag = bool(all(abs(z.real) <= tol * max(1.0, abs(z)) for z in r))
@@ -67,7 +70,7 @@ def commensurability(roots, tol: float = 1e-9, max_den: int = 64) -> Commensurab
     ratios = []
     for z in r:
         x = float(z.imag) / ref
-        f = Fraction(x).limit_denominator(max_den)
+        f = Fraction(x).limit_denominator(64)
         if f != 0 and abs(float(f) - x) <= tol:
             ratios.append(f)
         else:
@@ -79,22 +82,6 @@ def commensurability(roots, tol: float = 1e-9, max_den: int = 64) -> Commensurab
                           math.gcd(*[abs(f.numerator) for f in ratios]))
         period = float(2.0 * math.pi * cycles / abs(ref))
     return CommensurabilityReport(all_imag, tuple(ratios), period, ref, cycles)
-
-
-def _is_periodic(setting: pencil.Setting, n: int) -> CommensurabilityReport:
-    """Commensurability of the union of the nu=n and nu=0 phases."""
-    lam_n, lam_0 = setting.modes(n).lam, setting.modes(0).lam
-    return commensurability(np.concatenate([lam_n.roots, lam_0.roots]))
-
-
-def is_periodic_cel(spec: LagrangianSpec, n: int) -> CommensurabilityReport:
-    """Commensurability of the union of the nu=n and nu=0 classical spectra."""
-    return _is_periodic(pencil.Setting(spec), n)
-
-
-def is_periodic_del(spec: LagrangianSpec, op: ScaleOperator, n: int) -> CommensurabilityReport:
-    """Commensurability of the union of the discrete nu=n and nu=0 spectra."""
-    return _is_periodic(pencil.Setting(spec, op), n)
 
 
 @dataclass(frozen=True)
@@ -187,13 +174,11 @@ def build_choreography_cel(spec: LagrangianSpec, n: int,
     return ch, SystemSolution(xs, particles)
 
 
-def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int,
-                           amplitudes, t0: float = 0.0,
-                           M: int = None) -> tuple[Choreography, DelSolution]:
-    """Discrete choreography from amplitudes on the discrete nu=0 spectrum: spurious
-    roots with a zero amplitude need not be imaginary or commensurable."""
-    if M is None:
-        raise ValueError("M (node count) is required")
+def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int, amplitudes,
+                           t0: float, M: int) -> tuple[Choreography, DelSolution]:
+    """Discrete choreography from amplitudes on the discrete nu=0 spectrum, as a solution
+    on the M steps of eps from t0: spurious roots with a zero amplitude need not be
+    imaginary or commensurable."""
     ch, xs, particles = _build_choreography(pencil.Setting(spec, op), n, amplitudes)
     return ch, DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
 
@@ -205,27 +190,23 @@ class ChoreographyReport:
     periodicity_error: float
     delay_error: float
     xs_constancy_error: float
-    residual_error: float | None
+    residual_error: float
     periodic_ok: bool
     delay_ok: bool
     xs_constant_ok: bool
-    residual_ok: bool | None
+    residual_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        checks = [self.periodic_ok, self.delay_ok, self.xs_constant_ok]
-        if self.residual_ok is not None:
-            checks.append(self.residual_ok)
-        return all(checks)
+        return self.periodic_ok and self.delay_ok and self.xs_constant_ok and self.residual_ok
 
 
-def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec = None,
-                        period: float = None) -> ChoreographyReport:
-    """Check periodicity, the delay structure, constancy of the particle sum,
-    and (when spec is given) the equation residuals, at the stated tolerances.
+def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec) -> ChoreographyReport:
+    """Check periodicity over ch.T, the delay structure, constancy of the particle sum and
+    the equation residuals of spec, at the stated tolerances.
     """
-    T = ch.T if period is None else period
-    ts = ch.T * ((np.arange(64) + 0.5) * 0.6180339887498949 % 1.0)  # golden-ratio points
+    T = ch.T
+    ts = T * ((np.arange(64) + 0.5) * 0.6180339887498949 % 1.0)  # golden-ratio points
     u_scale = max(1.0, float(np.abs(ch.u.value(ts)).max()))
     per_err = float(np.abs(ch.u.value(ts + T) - ch.u.value(ts)).max()) / u_scale
 
@@ -242,24 +223,21 @@ def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec = None,
         + float(np.abs(ch.u.vectors).sum())
     xs_err = float(np.abs(sol.xs.value(grid) - ch.n * ch.u.u0).max())
 
-    residual_error = None
-    residual_ok = None
-    if spec is not None:
-        if isinstance(sol, DelSolution):
-            grid_vals, xs_vals = sol.sample()
-            op, values = sol.op, grid_vals.values
-            eq_scale = (_theta_mass(op) / op.epsilon**2) * _matrix_mass(spec) \
-                * (1.0 + float(np.abs(values).max()))
-            residuals = delsolve.residuals(spec, op, ch.n, values, xs_vals,
-                                           np.array(sol.interior_nodes(), dtype=int))
-            residual_error = max(float(np.abs(r).max(initial=0.0)) for r in residuals) / eq_scale
-            residual_ok = residual_error <= 1e-10
-        else:
-            r = celsolve.residual_cel(spec, ch.n, sol, ts[:32])
-            worst = np.maximum(np.abs(r.particles).max(axis=(0, 2)), np.abs(r.xs).max(axis=1))
-            x_norm = np.abs([p.value(ts[:32]) for p in sol.particles]).max(axis=(0, 2))
-            residual_error = float((worst / (_matrix_mass(spec) * (1.0 + x_norm))).max())
-            residual_ok = residual_error <= 1e-9
+    if isinstance(sol, DelSolution):
+        grid_vals, xs_vals = sol.sample()
+        op, values = sol.op, grid_vals.values
+        eq_scale = (_theta_mass(op) / op.epsilon**2) * _matrix_mass(spec) \
+            * (1.0 + float(np.abs(values).max()))
+        residuals = delsolve.residuals(spec, op, ch.n, values, xs_vals,
+                                       np.array(sol.interior_nodes(), dtype=int))
+        residual_error = max(float(np.abs(r).max(initial=0.0)) for r in residuals) / eq_scale
+        residual_ok = residual_error <= 1e-10
+    else:
+        r = celsolve.residual_cel(spec, ch.n, sol, ts[:32])
+        worst = np.maximum(np.abs(r.particles).max(axis=(0, 2)), np.abs(r.xs).max(axis=1))
+        x_norm = np.abs([p.value(ts[:32]) for p in sol.particles]).max(axis=(0, 2))
+        residual_error = float((worst / (_matrix_mass(spec) * (1.0 + x_norm))).max())
+        residual_ok = residual_error <= 1e-9
 
     return ChoreographyReport(
         periodicity_error=per_err,

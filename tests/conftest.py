@@ -78,9 +78,9 @@ def record_eigenpair_blocks(monkeypatch):
     shapes = []
     original = pencil._eigenpairs
 
-    def recorded(blocks, tol):
+    def recorded(blocks):
         shapes.append(blocks.shape)
-        return original(blocks, tol)
+        return original(blocks)
 
     monkeypatch.setattr(pencil, "_eigenpairs", recorded)
     return shapes

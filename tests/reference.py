@@ -21,11 +21,18 @@ the map built from D to those outputs.
 
 `symbol_s`, `symbol_s_bar`, `symbol_theta` and `symbol_sigma1` are an operator's interior
 symbols at one lam, each as its explicit sum over the weights.
+
+`hausdorff_distance` is the max-min distance between two finite sets as a double loop,
+independent of the sweep's masked expression.  `is_periodic_cel` and `is_periodic_del`
+classify the union of a system's nu = n and nu = 0 phases with `periodic.commensurability`.
+`transform_affine` rewrites a spec in the variables A x + b, a change of variables that
+its trajectories must follow.
 """
 import numpy as np
 import scipy.sparse as sp
 
-from choreoqep import pencil
+from choreoqep import pencil, periodic
+from choreoqep.model import LagrangianSpec
 
 
 def banded(op, M) -> sp.csr_matrix:
@@ -130,3 +137,56 @@ def symbol_sigma1(op, lam: complex) -> complex:
     """Interior symbol of (forward − adjoint); tends to 2 lam as eps → 0."""
     ks = np.arange(-op.N, op.N + 1)
     return complex(np.sum(op.sigma1 * np.exp(ks * lam * op.epsilon)) / op.epsilon)
+
+
+class EmptySet(Exception):
+    """Raised when a Hausdorff distance is requested from an empty set."""
+
+
+def hausdorff_distance(f1, f2) -> float:
+    """max(max_a min_b |a - b|, max_b min_a |a - b|) over two finite nonempty complex sets
+    (arrays or RootSets), from the table of |a - b| filled one element of a at a time; nan
+    when an entry is nan.  The moduli are numpy's, as the sweep's are: Python's complex
+    abs rounds some of them differently."""
+    a, b = (np.asarray(getattr(f, "roots", f), dtype=complex).ravel() for f in (f1, f2))
+    if len(a) == 0 or len(b) == 0:
+        raise EmptySet("hausdorff_distance requires nonempty sets")
+    table = np.abs([x - b for x in a])
+    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+
+
+def _is_periodic(setting: pencil.Setting, n: int):
+    lam_n, lam_0 = setting.modes(n).lam, setting.modes(0).lam
+    return periodic.commensurability(np.concatenate([lam_n.roots, lam_0.roots]))
+
+
+def is_periodic_cel(spec, n):
+    """Commensurability of the union of the nu=n and nu=0 classical spectra."""
+    return _is_periodic(pencil.Setting(spec), n)
+
+
+def is_periodic_del(spec, op, n):
+    """Commensurability of the union of the discrete nu=n and nu=0 spectra."""
+    return _is_periodic(pencil.Setting(spec, op), n)
+
+
+class SingularTransform(Exception):
+    """Raised when an affine change of variables is numerically singular."""
+
+
+def transform_affine(spec, A, b) -> LagrangianSpec:
+    """Coefficients of the system expressed in hatted variables x_hat = A x + b.
+
+    Quadratic blocks transform by congruence with A^{-1}; the linear terms pick up the
+    contributions of the shift b (additive constants dropped).  Trajectories of the result
+    are A x(t) + b for trajectories x(t) of spec.
+    """
+    A = np.array(A, dtype=float).reshape(spec.d, spec.d)
+    b = np.array(b, dtype=float).reshape(spec.d)
+    if np.linalg.cond(A) >= 1e12:
+        raise SingularTransform("transform matrix condition number >= 1e12")
+    ainv = np.linalg.inv(A)
+    j1, j2, j3, j4, j5 = (ainv.T @ getattr(spec, k) @ ainv for k in ("J1", "J2", "J3", "J4", "J5"))
+    j6 = ainv.T @ spec.J6 - j5.T @ b
+    j7 = ainv.T @ spec.J7 - j2 @ b - 2.0 * (spec.n - 1) * (j4 @ b)
+    return LagrangianSpec(spec.d, spec.n, j1, j2, j3, j4, j5, j6, j7)

@@ -16,6 +16,7 @@ from choreoqep import convergence, pencil, scaleop
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import make_gyroscopic_spec, make_reference_spec
+from reference import hausdorff_distance
 
 EPSILONS = np.logspace(math.log10(1e-4), math.log10(0.2), 12)
 
@@ -78,7 +79,7 @@ def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
         if len(kept) == 0:
             notes[-1] = "no roots inside the compact window"
             continue
-        distances[-1] = convergence.hausdorff_distance(kept, q_cls)
+        distances[-1] = hausdorff_distance(kept, q_cls)
         errors[-1] = convergence._pencil_errors([op], lam_grid, gram)[0]
     return np.array(distances), np.array(errors), tuple(notes)
 
@@ -131,7 +132,7 @@ def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
     for family in (central_difference, five_point):
         calls.update(eig=0, spectra=0, _is_singular=0, _shifted_blocks=0)
         result = convergence.epsilon_sweep(make_reference_spec(), family, 0.0, EPSILONS)
-        assert result.valid()[:-1].all()
+        assert np.isfinite(result.distances)[:-1].all()
         assert calls == {"eig": 1, "spectra": 1, "_is_singular": 1, "_shifted_blocks": 0}
 
 

@@ -120,7 +120,10 @@ class TestGeneralSolution:
     def test_sum_identity(self, ref_spec):
         rng = np.random.default_rng(8)
         sol = general_solution_cel(ref_spec, 3, *random_amplitudes(rng, 3, 4))
-        assert sol.sum_mismatch() <= 1e-9
+        times = np.random.default_rng(20240913).uniform(-3.0, 3.0, size=32)
+        xs = sol.xs.value(times)
+        total = sum(p.value(times) for p in sol.particles)
+        assert np.abs(total - xs).max() <= 1e-9 * max(1.0, np.abs(xs).max())
 
     def test_uncoupled_system_solves_particle_by_particle(self):
         """The nu = n and nu = 0 pencils are one, so each particle expansion holds every

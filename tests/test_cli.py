@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choreoqep import celsolve, cli, convergence, delsolve
+from choreoqep import celsolve, cli, convergence, delsolve, pencil, periodic
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference
 
@@ -299,6 +299,33 @@ class TestValidate:
         deviation = lines[-1].removeprefix("target spectrum deviation: ")
         assert float(deviation.split()[0]) <= 1e-12 and deviation.endswith("(ok=True)")
 
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("j", [0.0, 0.7], ids=["no_J5", "gyroscopic"])
+    def test_discrete_targets_build_j4_from_the_grid_symbols(self, tmp_path, capsys, j, eps):
+        """targets.discrete builds J4 from the central difference's symbols at the config's
+        eps, J5 counted: the grid's nu = 0 roots land on +-2i and +-5i (measured within
+        2.9e-14), and the choreography on those 4 modes verifies with T = 2 pi."""
+        spec = make_reference_spec()
+        blocks = {"J4": None, "J5": [[0.0, j], [-j, 0.0]],
+                  "time": {"t0": 0.0, "tf": 64 * eps, "M": 64},
+                  "targets": {"omega": [2.0, 5.0], "j4_free": 20.0, "discrete": True}}
+        code, lines, _ = validate(tmp_path, capsys, spec, **blocks)
+        deviation = lines[-1].removeprefix("target spectrum deviation: ")
+        assert code == cli.EXIT_OK and deviation.endswith("(ok=True)")
+        assert float(deviation.split()[0]) <= 1e-13
+        cfg = cli.load_config(write_config(tmp_path, spec, **blocks))
+        lam = pencil.Setting(cfg.spec, cfg.operator()).modes(0).lam.roots
+        physical = np.isclose(np.abs(lam.imag), 2.0) | np.isclose(np.abs(lam.imag), 5.0)
+        assert physical.sum() == 4 and len(lam) == 8
+        ch, sol = periodic.build_choreography_del(cfg.spec, cfg.operator(), 3, physical,
+                                                  cfg.t0, cfg.M)
+        assert abs(ch.T - 2 * math.pi) <= 1e-13
+        assert periodic.verify_choreography(ch, sol, cfg.spec).all_ok
+        config = write_config(tmp_path, spec, **blocks,
+                              choreo={"which": "del", "amplitudes_re": physical.tolist()})
+        code, _ = run(tmp_path, "choreo", config)
+        assert code == cli.EXIT_OK and "checks ok = True" in capsys.readouterr().out
+
     @pytest.mark.parametrize("discrete, deviation", [(False, "0.000e+00 (ok=True)"),
                                                      (True, "1.334e-04 (ok=False)")])
     def test_targets_read_the_nu_0_roots_when_the_nu_n_spectrum_fails(
@@ -512,6 +539,39 @@ class TestFailure:
         code, _ = run(tmp_path, "validate", config)
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG and err.startswith("config error: ") and reason in err
+
+    @pytest.mark.parametrize("argv, blocks, field", [
+        (["validate"], {"targets": {"omega": ["a", 5]}}, "targets.omega"),
+        (["validate"], {"targets": {"omega": [2.0, 5.0], "tol": "x"}}, "targets.tol"),
+        (["converge"], {"sweep": {"epsilons": ["a"]}}, "sweep.epsilons"),
+        (["converge"], {"sweep": {"epsilons": [0.1, 0.05], "nu": "x"}}, "sweep.nu"),
+        (["error-surface", "--grid", "gamma"], {"sweep": {"gamma_grid": {"points": "x"}}},
+         "sweep.gamma_grid.points"),
+        (["error-surface", "--grid", "k"], {"sweep": {"k_grid": {"Ms": ["x"]}}},
+         "sweep.k_grid.Ms"),
+        (["error-surface", "--grid", "k"], {"sweep": {"k_grid": {"ks": ["x"]}}},
+         "sweep.k_grid.ks"),
+        (["choreo"], {"choreo": {"which": "cel", "amplitudes_re": [1, "a", 1, 1]}},
+         "choreo.amplitudes_re"),
+        (["choreo"], {"choreo": [1]}, "choreo must be an object"),
+        (["solve"], {"boundary": {**BOUNDARY, "x_t0": [["a", 0], [0, 0], [0, 0]]}},
+         "boundary.x_t0"),
+        (["solve"], {"amplitudes": {"random": True, "scale": "x"}}, "amplitudes.scale"),
+    ], ids=["targets-omega", "targets-tol", "epsilons", "nu", "points", "Ms", "ks",
+            "amplitudes", "choreo-block", "x_t0", "scale"])
+    def test_a_malformed_value_is_a_config_error_naming_its_field(self, tmp_path, capsys,
+                                                                 argv, blocks, field):
+        config = write_config(tmp_path, make_reference_spec(), **blocks)
+        code, _ = run(tmp_path, argv[0], config, *argv[1:])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG and err.startswith("config error: ") and field in err
+
+    def test_discrete_targets_need_real_weights(self, tmp_path, capsys):
+        config = write_config(tmp_path, make_reference_spec(), J4=None,
+                              operator={"family": "k_family", "k": 0.3},
+                              targets={"omega": [2.0, 5.0], "j4_free": 20.0, "discrete": True})
+        code, _ = run(tmp_path, "validate", config)
+        assert code == cli.EXIT_CONFIG and "real operator weights" in capsys.readouterr().err
 
     def test_targets_with_no_real_j4_exit_numerical(self, tmp_path, capsys):
         # j4_free = w1^2 + w2^2 leaves the off-diagonal equation no real root

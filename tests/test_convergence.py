@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from choreoqep import celsolve, convergence, pencil
-from choreoqep.convergence import (EmptySet, _pencil_errors, epsilon_sweep,
-                                   filter_to_window, hausdorff_distance)
+from choreoqep.convergence import _pencil_errors, epsilon_sweep, filter_to_window
 from choreoqep.numkernel import RootSet
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import make_gyroscopic_spec, make_oscillator_spec, make_reference_spec
+from reference import EmptySet, hausdorff_distance
 
 
 class TestHausdorff:
@@ -42,7 +42,6 @@ def test_filter_to_window_keeps_inner_roots_with_their_residuals():
     kept = filter_to_window(roots, 2.0)
     assert list(kept.roots) == [1j, -0.5, 2.0]
     assert list(kept.residuals) == [1e-9, 3e-9, 4e-9]
-    assert kept.min_separation == pytest.approx(abs(1j + 0.5))
 
 
 def test_non_normalised_operator_is_noted_not_raised():
@@ -50,7 +49,7 @@ def test_non_normalised_operator_is_noted_not_raised():
     result = epsilon_sweep(make_oscillator_spec(), lambda eps: ScaleOperator([-1, 0, 1], eps),
                            0.0, [0.1, 0.05, 0.025])
     assert result.notes == ("operator conditions fail",) * 3
-    assert not result.valid().any()
+    assert not np.isfinite(result.distances).any()
     assert math.isnan(result.estimated_order)
 
 
@@ -59,7 +58,7 @@ def test_one_repeated_delay_fits_no_order():
         warnings.simplefilter("error")  # np.polyfit's RankWarning included
         result = epsilon_sweep(make_reference_spec(), central_difference, 0.0,
                                [0.01, 0.01, 0.01])
-    assert result.valid().all()
+    assert np.isfinite(result.distances).all()
     assert math.isnan(result.estimated_order)
 
 
@@ -67,7 +66,7 @@ def test_one_repeated_delay_fits_no_order():
                          ids=["oscillator", "reference"])
 def test_central_difference_converges_at_order_two(spec):
     result = epsilon_sweep(spec, central_difference, 0.0, np.logspace(-3, -1, 7))
-    assert result.valid().all()
+    assert np.isfinite(result.distances).all()
     assert abs(result.estimated_order - 2.0) <= 0.05
 
 

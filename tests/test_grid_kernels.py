@@ -390,7 +390,7 @@ def test_cached_stencil_arrays_are_read_only():
 
 def test_vectorised_root_predicates_keep_the_loop_booleans():
     rng = np.random.default_rng(6)
-    tol = 1e-7
+    tol = numkernel.SEPARATION_TOL
     for _ in range(200):
         base = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         r1 = base * 10.0 ** rng.integers(-3, 3)
@@ -401,4 +401,4 @@ def test_vectorised_root_predicates_keep_the_loop_booleans():
         simple = not any(abs(roots[i] - roots[j]) < tol * max(1.0, abs(roots[i]),
                                                               abs(roots[j]))
                          for i in range(len(roots)) for j in range(i + 1, len(roots)))
-        assert numkernel.RootSet.from_roots(roots).is_simple(tol) == simple
+        assert numkernel.RootSet.from_roots(roots).is_simple() == simple

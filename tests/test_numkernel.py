@@ -70,11 +70,8 @@ class TestPolynomialRoots:
     def test_residuals_below_tolerance_and_sorted(self):
         rs = polynomial_roots(Polynomial([1600.0, 0.0, 116.0, 0.0, 1.0]))
         assert (rs.residuals <= 1e-8).all()
-        assert rs.min_separation == pytest.approx(6.0, rel=1e-8)
-
-    def test_single_root_min_separation_infinite(self):
-        rs = polynomial_roots(Polynomial([-2.0, 1.0]))
-        assert rs.min_separation == np.inf
+        # (z^2 + 16)(z^2 + 100), sorted by imaginary part: nearest roots 6 apart
+        assert np.allclose(rs.roots, [-10j, -4j, 4j, 10j], rtol=0, atol=1e-8 * 6.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 6.283)),
@@ -182,7 +179,6 @@ class TestSolveSquare:
         res = solve_square(np.eye(3), [1.0, 2.0, 3.0])
         assert np.allclose(res.x, [1, 2, 3])
         assert res.cond == pytest.approx(1.0)
-        assert not res.ill_conditioned
 
     def test_cosine_boundary_system(self):
         # x(t) = c+ e^{it} + c- e^{-it} with x(0) = 1, x(pi/2) = 0:

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from choreoqep import pencil
-from choreoqep.convergence import hausdorff_distance
 from choreoqep.numkernel import simple_rows
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import make_reference_spec
+from reference import hausdorff_distance
 
 REF = make_reference_spec()
 SPECS = {"d1": LagrangianSpec(1, 3, [[1.0]], [[-2.0]], [[0.3]], [[0.2]]),

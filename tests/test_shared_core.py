@@ -140,12 +140,16 @@ def test_two_time_window_solve_is_the_endpoint_solve():
     assert np.array_equal(got, want.x / scale)
 
 
+
 def test_del_solution_samples_sum_mismatch_on_its_interval(ref_spec):
+    """The particles of a discrete solution sum to x_s over its own interval [t0, tf]."""
     M = 100
     op = central_difference(2 * math.pi / 100)
     rng = np.random.default_rng(4)
     sol = delsolve.general_solution_del(
         ref_spec, op, 3, rng.standard_normal(8), rng.standard_normal((2, 8)), 0.5, M)
-    assert sol.interval == (0.5, 0.5 + M * op.epsilon)
-    times = np.random.default_rng(20240913).uniform(*sol.interval, size=32)
-    assert sol.sum_mismatch() == sol.sum_mismatch(times)
+    assert (sol.t0, sol.tf) == (0.5, 0.5 + M * op.epsilon)
+    times = np.random.default_rng(20240913).uniform(sol.t0, sol.tf, size=32)
+    xs = sol.xs.value(times)
+    total = sum(p.value(times) for p in sol.particles)
+    assert np.abs(total - xs).max() <= 1e-9 * max(1.0, np.abs(xs).max())

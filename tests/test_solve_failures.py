@@ -92,7 +92,7 @@ def test_a_constant_mode_singular_system_is_an_assumption_violation():
     op = ScaleOperator(np.array([-0.028329282336421846, 0.7789756686980005,
                                  0.8680870319124994]), 1.3399983658146783)
     with pytest.raises(AssumptionViolation, match="singular at the constant mode"):
-        delsolve.general_solution_del(make_reference_spec(), op, 3, np.zeros(8), M=10)
+        delsolve.general_solution_del(make_reference_spec(), op, 3, np.zeros(8), None, 0.0, 10)
 
 
 def test_a_single_particle_does_not_need_the_nu_0_spectrum():

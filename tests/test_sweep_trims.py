@@ -1,7 +1,7 @@
 """The eps-sweep computes only what it writes, and keeps every bit of it.
 
 Each shortcut of the sweep path is held here to the code it replaced, bit for bit:
-the masked Hausdorff expression of a spectra batch to one `hausdorff_distance` a delay,
+the masked Hausdorff expression of a spectra batch to one distance a delay,
 the quarter pencil-error grid to the half it mirrors, `_Delays.of`'s one expression to
 each operator's own `shift`, and a sweep reads no kernel vectors at all.  The
 preimage routes take ||Q(w) v|| as ||R a(w)|| from the R of each target's products; that
@@ -20,6 +20,7 @@ from choreoqep.convergence import _hausdorff_rows, _pencil_errors
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import make_gyroscopic_spec, make_reference_spec, make_spread_spec
+from reference import hausdorff_distance
 
 EPSILONS = np.logspace(-4, math.log10(0.2), 12)
 
@@ -58,8 +59,7 @@ def test_batched_hausdorff_is_the_loop_of_lone_distances():
         assert np.array_equal(got, loop_hausdorff(a, keep, b), equal_nan=True)
         for row, k, h in zip(a, keep, got):
             if k.any():
-                assert np.array_equal(h, convergence.hausdorff_distance(row[k], b),
-                                      equal_nan=True)
+                assert np.array_equal(h, hausdorff_distance(row[k], b), equal_nan=True)
         shapes.add(K)
     assert 256 in shapes
 
@@ -160,7 +160,7 @@ def test_a_sweep_never_gathers_kernel_vectors(vector_reads, spec, family):
     operators fail their conditions; a lone spectrum reads them, so the count is live."""
     result = convergence.epsilon_sweep(spec, family, 0.0, EPSILONS)
     assert vector_reads == []
-    if not result.valid().any():
+    if not np.isfinite(result.distances).any():
         return
     pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, family(0.01), 0.0))
     assert vector_reads == [1, 1]  # the lam and the zeta RootSet
@@ -177,7 +177,7 @@ def recorded_preimages(monkeypatch):
 def product_errors(args, out):
     """The backward errors of `_preimages`' roots in the form the R form replaced:
     ||sum_i base^i unit^{k-i} pencil[i] v|| from the products of every root's vector."""
-    gamma, delays, (g, theta), norms, pen, _, _, _ = args
+    gamma, delays, (g, theta), norms, pen, _, _ = args
     w, v, _, _ = out
     k, N = len(pen) - 1, (gamma.shape[1] - 1) // 2
     base, unit = (g / delays.eps[:, None], delays.shift[:, :2 * N + 1, N]) if k == 2 else \
@@ -205,7 +205,7 @@ def test_r_form_errors_are_the_product_form(monkeypatch, spec, operator):
             pencil.spectra([pencil.Setting(spec, op) for op in ops], nu)
     assert len(calls) == (2 if spec.J5.any() else 4)  # J5 != 0: the cells take the companion
     for args, out in calls:
-        errors, tol, want = out[2], args[-1], product_errors(args, out)
+        errors, tol, want = out[2], pencil.BACKWARD_ERROR_TOL, product_errors(args, out)
         assert np.abs(errors - want).max() <= 1e-15
         assert np.array_equal((errors <= tol).all(axis=1), (want <= tol).all(axis=1))
 
