@@ -1,13 +1,14 @@
 """Command-line front end: JSON configs in, CSV/SVG artifacts out.
 
-Subcommands: validate, spectrum, solve, error-surface, converge, choreo.
-Exit codes: 0 success, 2 config error, 3 assumption violation, 4 numerical
-failure.  The CLI only parses a config, dispatches to the library and writes what it
-returns; the experiments (the eps-sweep and the error-surface engine) live in
-`convergence`.  An error surface's `metric` (as -log) or `error` is the Euclidean norm of
-continuous - discrete over the window nodes and `max_error` its max norm; each cell's
-status is "ok" or the class name of the error its lone solve raises.  A run imports only
-what its command computes with: `periodic` is loaded by `choreo` alone.
+Subcommands: validate, spectrum, solve, error-surface, converge, choreo.  Exit codes: 0
+success, 2 config error, 3 assumption violation, 4 numerical failure.  README.md documents
+the commands, the config blocks with their defaults and the forms of a complex value.  The
+CLI only parses a config, dispatches to the library and writes what it returns; the
+experiments (the eps-sweep and the error-surface engine) live in `convergence`.  An error
+surface's `metric` (as -log) or `error` is the Euclidean norm of continuous - discrete over
+the window nodes and `max_error` its max norm; each cell's status is "ok" or the class name
+of the error its lone solve raises.  A run imports only what its command computes with:
+`periodic` is loaded by `choreo` alone.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
@@ -28,11 +29,7 @@ from .scaleop import ScaleOperator
 
 
 class ConfigParse(Exception):
-    """Raised when the configuration file cannot be interpreted."""
-
-
-class DimensionMismatch(Exception):
-    """Raised when config fields disagree about dimensions."""
+    """Raised when the configuration file cannot be interpreted or its fields disagree."""
 
 
 EXIT_OK = 0
@@ -53,14 +50,14 @@ def _matrix(raw, d: int, name: str) -> np.ndarray:
     if arr.shape == (d * d,):
         arr = arr.reshape(d, d)  # row-major flat form
     if arr.shape != (d, d):
-        raise DimensionMismatch(f"{name} must be {d}x{d} (or flat length {d * d})")
+        raise ConfigParse(f"{name} must be {d}x{d} (or flat length {d * d})")
     return arr
 
 
 def _vector(raw, d: int, name: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float).ravel()
     if arr.shape != (d,):
-        raise DimensionMismatch(f"{name} must have length {d}")
+        raise ConfigParse(f"{name} must have length {d}")
     return arr
 
 
@@ -79,10 +76,37 @@ def _each(convert):
     return lambda values: [convert(v) for v in values]
 
 
+def _at_least_one(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
+def _kinds(value) -> list:
+    """'cel', 'del' or a non-empty list of them, as a list."""
+    kinds = [value] if isinstance(value, str) else value
+    if not isinstance(kinds, list) or not kinds or any(k not in ("cel", "del") for k in kinds):
+        raise ValueError(f"must list 'cel' and/or 'del', got {value!r}")
+    return kinds
+
+
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
     return value
+
+
+def _given(block: dict | None, name: str) -> bool:
+    """Whether block gives the complex value name: it has name, name_re or name_im."""
+    return any(key in (block or {}) for key in (name, f"{name}_re", f"{name}_im"))
 
 
 def _complex_block(block: dict, name: str, shape: tuple, where: str) -> np.ndarray:
@@ -96,7 +120,7 @@ def _complex_block(block: dict, name: str, shape: tuple, where: str) -> np.ndarr
     if block.get(f"{name}_im") is not None:
         out = out + 1j * _field(block, f"{name}_im", as_array, None, where)
     if out.shape != shape:
-        raise DimensionMismatch(f"{name} must have shape {shape}, got {out.shape}")
+        raise ConfigParse(f"{name} must have shape {shape}, got {out.shape}")
     return out
 
 
@@ -143,7 +167,7 @@ def _build_operator(raw: dict, epsilon: float) -> ScaleOperator:
         if "gamma_im" in raw:
             gamma = gamma + 1j * np.asarray(raw["gamma_im"], dtype=float)
         if gamma.shape != (2 * N + 1,):
-            raise DimensionMismatch(f"gamma must have length 2N+1 = {2 * N + 1}")
+            raise ConfigParse(f"gamma must have length 2N+1 = {2 * N + 1}")
         return ScaleOperator(gamma, epsilon)
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"malformed operator block: {exc}") from exc
@@ -192,7 +216,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         elif targets is not None and d == 2 and "j4_free" in targets:
             omega = [float(w) for w in targets["omega"]]
             if len(omega) != 2:
-                raise DimensionMismatch("targets.omega must list 2 frequencies for d = 2")
+                raise ConfigParse("targets.omega must list 2 frequencies for d = 2")
             if targets.get("discrete"):  # K's eigenvalues, which J5-free targets place
                 omega, counted = _grid_frequencies(op, omega, j1 - 2.0 * j3, j5), None
             else:
@@ -356,31 +380,39 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # solution assembly helpers
 
 
-def _parse_amplitudes(block: dict, size_xs: int, n: int, size_p: int, seed: int):
+def _parse_amplitudes(block: dict, size: int, n: int, seed: int):
+    """(x_s amplitudes (size,), particle amplitudes (n - 1, size)) of an amplitudes block:
+    seeded random ones, or xs and particles given (no particles given reads zeros)."""
     if block.get("random"):
         rng = np.random.default_rng(seed)
         scale = _field(block, "scale", float, 1.0, "amplitudes")
-        xs = scale * (rng.standard_normal(size_xs) + 1j * rng.standard_normal(size_xs))
-        ps = scale * (rng.standard_normal((max(n - 1, 0), size_p))
-                      + 1j * rng.standard_normal((max(n - 1, 0), size_p)))
+        xs = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        ps = scale * (rng.standard_normal((max(n - 1, 0), size))
+                      + 1j * rng.standard_normal((max(n - 1, 0), size)))
         return xs, ps
-    xs = _complex_block(block, "xs", (size_xs,), "amplitudes")
-    if "particles_re" in block or "particles" in block:
-        ps = _complex_block(block, "particles", (n - 1, size_p), "amplitudes")
-    else:
-        ps = np.zeros((max(n - 1, 0), size_p), dtype=complex)
-    return xs, ps
+    xs = _complex_block(block, "xs", (size,), "amplitudes")
+    if _given(block, "particles"):
+        return xs, _complex_block(block, "particles", (n - 1, size), "amplitudes")
+    return xs, np.zeros((max(n - 1, 0), size), dtype=complex)
+
+
+def _reported(kind: str, solution, report: celsolve.DirichletReport):
+    """solution, once the condition numbers of its Dirichlet solve's boundary systems are
+    printed."""
+    print(f"{kind} boundary systems: xs_cond = {report.xs_cond:.3e}, particle_conds = "
+          f"[{', '.join(f'{c:.3e}' for c in report.particle_conds)}]")
+    return solution
 
 
 def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
     spec, n = cfg.spec, cfg.n
-    if cfg.boundary and "x_t0" in cfg.boundary or cfg.boundary and "x_t0_re" in cfg.boundary:
+    if _given(cfg.boundary, "x_t0"):
         x0 = _complex_block(cfg.boundary, "x_t0", (n, spec.d), "boundary")
         xf = _complex_block(cfg.boundary, "x_tf", (n, spec.d), "boundary")
-        return celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf)[0]
+        return _reported("cel", *celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf))
     if cfg.amplitudes:
         size = pencil.Setting(spec).root_count
-        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
+        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, seed)
         return celsolve.general_solution_cel(spec, n, xs, ps)
     raise ConfigParse("a continuous solve needs boundary.x_t0 and boundary.x_tf, or amplitudes"
                       if cfg.boundary else "solve needs a boundary or amplitudes block")
@@ -389,7 +421,7 @@ def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
 def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
     spec, n, op = cfg.spec, cfg.n, cfg.operator()
     N = op.N
-    if cfg.boundary and ("head" in cfg.boundary or "head_re" in cfg.boundary):
+    if _given(cfg.boundary, "head"):
         head = _complex_block(cfg.boundary, "head", (n, 2 * N, spec.d), "boundary")
         tail = _complex_block(cfg.boundary, "tail", (n, 2 * N, spec.d), "boundary")
     elif cfg.boundary:  # two-point boundary: match the continuous solution
@@ -398,34 +430,30 @@ def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
                       (np.arange(2 * N), np.arange(cfg.M - 2 * N + 1, cfg.M + 1)))
     elif cfg.amplitudes:
         size = pencil.Setting(spec, op).root_count
-        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, size, seed)
+        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, seed)
         return delsolve.general_solution_del(spec, op, n, xs, ps, cfg.t0, cfg.M)
     else:
         raise ConfigParse("solve needs a boundary or amplitudes block")
-    return delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail)[0]
+    return _reported("del", *delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def cmd_validate(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     spec, n = cfg.spec, cfg.n
     op = cfg.operator()
-    report: dict = {}
-    report["violations"] = [str(v) for v in model.validate_spec(spec)]
+    violations = model.validate_spec(spec)
     conds = scaleop.check_operator_conditions(op)
-    report["operator_conditions"] = {"sum_zero": conds.sum_zero,
-                                     "derivative_normalized": conds.derivative_normalized}
     cel, dis = pencil.check_cel_assumptions(spec, n), pencil.check_del_assumptions(spec, op, n)
-    report["cel_assumptions"], report["del_assumptions"] = cel.all_hold, dis.all_hold
 
     # rho = max |lam|^2 over the nu = 0 classical roots
     rho = math.inf if cel.modes_0 is None else float(np.abs(cel.modes_0.lam.roots).max()) ** 2
     edge = abs(op.gamma_at(-op.N) * op.gamma_at(op.N))
     bound = math.inf if edge == 0 else 10.0 * (cfg.tf - cfg.t0) ** 2 * rho / edge
-    report["resolution_warning"] = bool(cfg.M**2 < bound)
 
+    deviation = None
     if cfg.targets and "omega" in cfg.targets:
         omega = np.sort(np.abs(_field(cfg.targets, "omega", partial(np.asarray, dtype=float),
                                       None, "targets")))
@@ -438,29 +466,26 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         if discrete:
             lam = convergence.filter_to_window(lam, 2 * omega.max() + 1.0)
         measured = np.sort(lam.roots.imag[lam.roots.imag > 0])
-        dev = float(np.abs(measured - omega).max()) if len(measured) == len(omega) else math.inf
-        report["targets_deviation"] = dev
-        report["targets_ok"] = dev <= tol
+        deviation = (float(np.abs(measured - omega).max()) if len(measured) == len(omega)
+                     else math.inf)
 
-    for v in report["violations"]:
+    for v in violations:
         print(f"violation: {v}")
     print(f"operator conditions: sum_zero={conds.sum_zero} "
           f"derivative_normalized={conds.derivative_normalized}")
-    print(f"continuous assumptions hold: {report['cel_assumptions']}")
-    print(f"discrete assumptions hold: {report['del_assumptions']}")
-    if report["resolution_warning"]:
+    print(f"continuous assumptions hold: {cel.all_hold}")
+    print(f"discrete assumptions hold: {dis.all_hold}")
+    if cfg.M**2 < bound:
         print(f"warning: grid too coarse, M^2 = {cfg.M**2} < {bound:.6g} "
               "(raise M for a meaningful discrete approximation)")
-    if "targets_ok" in report:
-        print(f"target spectrum deviation: {report['targets_deviation']:.3e} "
-              f"(ok={report['targets_ok']})")
-    return report
+    if deviation is not None:
+        print(f"target spectrum deviation: {deviation:.3e} (ok={deviation <= tol})")
 
 
-def cmd_spectrum(cfg: ExperimentConfig, which: str, out_dir: Path) -> list[Path]:
+def cmd_spectrum(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     """Roots of the nu=0 and nu=n pencils, with eigenpair backward errors as residual;
     convergent_flag marks roots within twice the classical spectral radius plus one."""
-    setting = pencil.Setting(cfg.spec, cfg.operator() if which == "del" else None)
+    setting = pencil.Setting(cfg.spec, cfg.operator() if args.which == "del" else None)
     paths = []
     for nu, tag in ((0, "nu0"), (cfg.n, "nun")):
         q_cls = pencil.classical_spectrum(pencil.classical_pencil(cfg.spec, nu))
@@ -469,12 +494,11 @@ def cmd_spectrum(cfg: ExperimentConfig, which: str, out_dir: Path) -> list[Path]
         kept = np.abs(lam.roots) <= radius
         rows = [[z.real, z.imag, r, int(k)]
                 for z, r, k in zip(lam.roots, lam.residuals, kept)]
-        path = out_dir / f"spectrum_{which}_{tag}.csv"
+        path = out_dir / f"spectrum_{args.which}_{tag}.csv"
         write_csv(path, ["re", "im", "residual", "convergent_flag"], rows)
         paths.append(path)
     for p in paths:
         print(f"wrote {p}")
-    return paths
 
 
 def _write_trajectory(stem: Path, times: np.ndarray, values: np.ndarray) -> list[Path]:
@@ -486,70 +510,71 @@ def _write_trajectory(stem: Path, times: np.ndarray, values: np.ndarray) -> list
     return paths
 
 
-def cmd_solve(cfg: ExperimentConfig, which: str, out_dir: Path, seed: int) -> list[Path]:
+def cmd_solve(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
-    if which == "cel":
-        sol = cel_solution(cfg, seed)
+    if args.which == "cel":
+        sol = cel_solution(cfg, args.seed)
         values = np.array([p.value(times) for p in sol.particles])
     else:
-        sol = _del_solution(cfg, seed)
-        grid, _ = sol.sample()
-        values = grid.values
-    paths = _write_trajectory(out_dir / f"traj_{which}", times, values)
-    for p in paths:
+        values = _del_solution(cfg, args.seed).sample()[0].values
+    for p in _write_trajectory(out_dir / f"traj_{args.which}", times, values):
         print(f"wrote {p}")
-    return paths
 
 
-def cmd_error_surface(cfg: ExperimentConfig, grid: str, out_dir: Path,
-                      seed: int) -> Path:
+def cmd_error_surface(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     """Window errors of the discrete solve over a grid of operators, a block of them for
-    each M; a failed cell's Euclidean error is the cap 3M and its max_error nan.  One
-    equation is solved per `convergence.equation_classes` class (reversal when J5 = 0,
-    reversal and negation when J6 = 0).  A gamma range with min = -max has a mirror-symmetric
-    axis with exact endpoints, so (a, b) and (-a, -b) can share a class; other ranges are
-    `np.linspace`'s.  k_family(-k) is k_family(k) reversed and negated."""
-    if grid == "gamma":
+    each M, all held to one continuous solve; a failed cell's Euclidean error is the cap 3M
+    and its max_error nan.  The k grid prints each k's order over M, fitted to its ok
+    cells' max_error (the Euclidean error sums over the M - 4N + 1 window nodes, so its
+    slope reads about half an order low).  One equation is solved per
+    `convergence.equation_classes` class (reversal when J5 = 0, reversal and negation when
+    J6 = 0).  A gamma range with min = -max has a mirror-symmetric axis with exact
+    endpoints, so (a, b) and (-a, -b) can share a class; other ranges are `np.linspace`'s.
+    k_family(-k) is k_family(k) reversed and negated."""
+    gamma = args.grid == "gamma"
+    if gamma:
         block, where = _field(cfg.sweep, "gamma_grid", _object, {}, "sweep"), "sweep.gamma_grid"
         lo, hi, points = (_field(block, "min", float, -1.0, where),
                           _field(block, "max", float, 1.0, where),
-                          _field(block, "points", int, 41, where))
+                          _field(block, "points", _at_least_one, 41, where))
         axis = convergence.symmetric_axis(hi, points) if lo == -hi else \
             np.linspace(lo, hi, points)
         first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
-        blocks = [(cfg, zip(first.tolist(), last.tolist()),
+        blocks = [(cfg.M, zip(first.tolist(), last.tolist()),
                    np.stack([first, -(first + last), last], axis=1).astype(complex))]
     else:
         block, where = _field(cfg.sweep, "k_grid", _object, {}, "sweep"), "sweep.k_grid"
         ks = _field(block, "ks", _each(float), [-1.0, -0.5, 0.0, 0.5, 1.0], where)
-        Ms = _field(block, "Ms", _each(int), [cfg.M], where)
-        blocks = [(sub, [(k, sub.M) for k in ks],
-                   np.array([scaleop.k_family(sub.epsilon, k).gamma for k in ks]))
-                  for sub in (replace(cfg, M=m) for m in Ms)]
-    rows, solved = [], 0
-    for sub, labels, gammas in blocks:
-        args = sub.spec, sub.n, sub.t0, sub.M, sub.epsilon
-        reference = convergence.window_reference(cel_solution(sub, seed), *args[2:], 1)
-        errors, max_errors, status, count = convergence.window_errors(*args, gammas, reference)
+        Ms = _field(block, "Ms", _each(_at_least_one), [cfg.M], where)
+        blocks = [(M, [(k, M) for k in ks],
+                   np.array([scaleop.k_family((cfg.tf - cfg.t0) / M, k).gamma for k in ks]))
+                  for M in Ms]
+    cel, rows, solved = cel_solution(cfg, args.seed), [], 0
+    for M, labels, gammas in blocks:
+        problem = cfg.spec, cfg.n, cfg.t0, M, (cfg.tf - cfg.t0) / M
+        reference = convergence.window_reference(cel, *problem[2:], 1)
+        errors, max_errors, status, count = convergence.window_errors(*problem, gammas, reference)
         solved += count
         for label, err, max_err, s in zip(labels, errors, max_errors, status):
-            err = err if s == "ok" else 3.0 * sub.M
-            rows.append([*label, -math.log(max(err, 1e-300)) if grid == "gamma" else err,
-                         max_err, s])
-    path = out_dir / f"error_surface_{grid}.csv"
-    write_csv(path, [*(["gamma_m1_re", "gamma_1_re", "metric"] if grid == "gamma"
+            err = err if s == "ok" else 3.0 * M
+            rows.append([*label, -math.log(max(err, 1e-300)) if gamma else err, max_err, s])
+    path = out_dir / f"error_surface_{args.grid}.csv"
+    write_csv(path, [*(["gamma_m1_re", "gamma_1_re", "metric"] if gamma
                        else ["k", "M", "error"]), "max_error", "status"], rows)
     print(f"solved {solved} distinct equations for {len(rows)} cells")
+    for k in [] if gamma else ks:  # over M; a failed cell's nan max_error enters no fit
+        cells = np.array([(m, max_err) for kk, m, _, max_err, _ in rows if kk == k])
+        order = convergence.fit_order((cfg.tf - cfg.t0) / cells[:, 0], cells[:, 1])
+        print(f"estimated order (k = {k:g}): {order:.4f}")
     print(f"wrote {path}")
-    return path
 
 
-def cmd_converge(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def cmd_converge(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     block = cfg.sweep
     if "epsilons" not in block:
         raise ConfigParse("converge needs sweep.epsilons")
     epsilons = _field(block, "epsilons", _each(float), None, "sweep")
-    nu = _field(block, "nu", float, 0.0, "sweep")
+    nu = _field(block, "nu", _finite, 0.0, "sweep")
     result = convergence.epsilon_sweep(cfg.spec, partial(_build_operator, cfg.operator_raw),
                                       nu, epsilons)
     rows = [[eps, dist, perr, note or ""] for eps, dist, perr, note in zip(
@@ -558,26 +583,19 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path) -> Path:
     write_csv(path, ["epsilon", "hausdorff", "pencil_error", "note"], rows)
     print(f"estimated order: {result.estimated_order:.4f}")
     print(f"wrote {path}")
-    return path
 
 
-def cmd_choreo(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def cmd_choreo(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     from . import periodic  # only this command builds choreographies
 
     spec, n = cfg.spec, cfg.n
-    which = cfg.choreo.get("which", ["cel", "del"])
-    if isinstance(which, str):
-        which = [which]
-    if not isinstance(which, list) or any(kind not in ("cel", "del") for kind in which):
-        raise ConfigParse(f"choreo.which must list 'cel' and/or 'del', got {which!r}")
+    which = _field(cfg.choreo, "which", _kinds, ["cel", "del"], "choreo")
     times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
     written = []
     for kind in which:
         size = pencil.Setting(spec, cfg.operator() if kind == "del" else None).root_count
-        if "amplitudes_re" in cfg.choreo:
-            amps = _complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
-        else:
-            amps = np.ones(size, dtype=complex)
+        amps = (_complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
+                if _given(cfg.choreo, "amplitudes") else np.ones(size, dtype=complex))
         if kind == "cel":
             ch, sol = periodic.build_choreography_cel(spec, n, amps)
         else:
@@ -590,7 +608,9 @@ def cmd_choreo(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
         written.extend(_write_trajectory(out_dir / f"choreo_{kind}", times, values))
     for p in written:
         print(f"wrote {p}")
-    return written
+
+
+COMMANDS = ("validate", "spectrum", "solve", "error-surface", "converge", "choreo")
 
 
 @cache  # one parser a process, built on first use: parsing leaves it unchanged
@@ -598,9 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="choreoqep",
         description="Quadratic n-particle systems: solve, classify, export.")
-    parser.add_argument("command",
-                        choices=["validate", "spectrum", "solve",
-                                 "error-surface", "converge", "choreo"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--which", choices=["cel", "del"], default="cel")
@@ -610,24 +628,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: `cmd_<command>(cfg, args, out_dir)`, looked up in the module at
+    call time, so that a wrapper set on that attribute (a tracer's) is the one called."""
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
         cfg = load_config(args.config)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "validate":
-            cmd_validate(cfg, out_dir)
-        elif args.command == "spectrum":
-            cmd_spectrum(cfg, args.which, out_dir)
-        elif args.command == "solve":
-            cmd_solve(cfg, args.which, out_dir, args.seed)
-        elif args.command == "error-surface":
-            cmd_error_surface(cfg, args.grid, out_dir, args.seed)
-        elif args.command == "converge":
-            cmd_converge(cfg, out_dir)
-        elif args.command == "choreo":
-            cmd_choreo(cfg, out_dir)
-    except (ConfigParse, DimensionMismatch) as exc:
+        globals()["cmd_" + args.command.replace("-", "_")](cfg, args, out_dir)
+    except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ASSUMPTION_ERRORS as exc:

@@ -70,7 +70,9 @@ def symmetric_axis(radius: float, points: int) -> np.ndarray:
     return np.concatenate([half, np.zeros(points % 2), -half[::-1]])
 
 
-def _fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
+def fit_order(epsilons: np.ndarray, distances: np.ndarray) -> float:
+    """The least-squares slope of log(distance) against log(eps) over the finite, positive
+    distances; nan with fewer than 3 of them or a single eps."""
     ok = np.isfinite(distances) & (distances > 0)
     if ok.sum() < 3 or len(set(epsilons[ok].tolist())) < 2:  # one delay fixes no slope
         return math.nan
@@ -188,7 +190,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
                 done.append(i)
         if done:
             pencil_errors[done] = _pencil_errors([ops[i] for i in done], lam_grid, gram)
-    order = _fit_order(epsilons, distances)
+    order = fit_order(epsilons, distances)
     return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))
 
 
@@ -249,7 +251,7 @@ def window_errors(spec: LagrangianSpec, n: int, t0: float, M: int, epsilon: floa
     cell (`celsolve.grid_values`)."""
     representatives, inverse = equation_classes(spec, gammas)
     head, tail, times, cel_values = reference
-    want = cel_values.transpose(1, 0, 2).reshape(len(times), -1)  # (T, n d)
+    want = cel_values.transpose(1, 0, 2).reshape(len(times), n * spec.d)  # T may be 0
     errors, status = np.full((len(representatives), 2), math.nan), []
     K = 2 * head[0].size  # 4Nd: head holds 2N nodes of d values a particle
     for c in numkernel.chunks(len(representatives), K * K):

@@ -188,9 +188,12 @@ def _eigenpairs(blocks: np.ndarray) -> tuple:
 
 def classical_spectrum(p: ClassicalPencil) -> RootSet:
     """All 2d pencil roots and their kernel vectors, from the companion of (C, B, A)."""
+    blocks = np.stack([p.C, p.B, p.A])
+    if not np.isfinite(blocks).all():  # the SVD below would not converge
+        raise numkernel.NumericalFailure("non-finite pencil coefficients")
     if _is_singular(p.A):
         raise LeadingSingular("leading coefficient is singular; root count drops below 2d")
-    (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(np.stack([p.C, p.B, p.A])[None])
+    (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(blocks[None])
     if failure is not None:
         raise failure
     order = np.lexsort((lam.real, lam.imag))

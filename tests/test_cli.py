@@ -95,6 +95,56 @@ class TestSuccess:
         assert len(rows) == 2
         assert all(0 < float(r.split(",")[2]) < 300 for r in rows)
 
+    @pytest.mark.parametrize("grid, blocks, cells", [
+        ("k", {"sweep": {"k_grid": {"ks": [0.0], "Ms": [2, 3, 100]}}},
+         [("0", "2", "WindowExceeded"), ("0", "3", "WindowExceeded"), ("0", "100", "ok")]),
+        ("gamma", {"time": {"t0": 0.0, "tf": 0.03, "M": 3},
+                   "sweep": {"gamma_grid": {"points": 2}}},
+         [(a, b, "WindowExceeded") for a in ("-1", "1") for b in ("-1", "1")])],
+        ids=["k", "gamma"])
+    def test_error_surface_cells_with_no_window_read_window_exceeded(self, tmp_path, grid,
+                                                                     blocks, cells):
+        # M < 4N leaves no window node: such a cell fails as the lone dirichlet_del does
+        config = write_config(tmp_path, make_reference_spec(), boundary=BOUNDARY, **blocks)
+        code, out = run(tmp_path, "error-surface", config, "--grid", grid)
+        assert code == cli.EXIT_OK
+        rows = (out / f"error_surface_{grid}.csv").read_text().strip().split("\n")[1:]
+        assert [(*r.split(",")[:2], r.split(",")[-1]) for r in rows] == cells
+
+    def test_error_surface_k_fits_each_order_over_M(self, tmp_path, capsys):
+        """The central difference (k = 0) on [0, 2]: the max window error falls at order 2
+        over M = 400 .. 6,400 (measured 2.02; the same fit on random ends reads 2.03 in
+        test_convergence.py).  Each k prints its own line."""
+        config = write_config(tmp_path, make_reference_spec(), boundary=BOUNDARY,
+                              time={"t0": 0.0, "tf": 2.0, "M": 100},
+                              sweep={"k_grid": {"ks": [0.0, 0.5],
+                                                "Ms": [400, 800, 1600, 3200, 6400]}})
+        code, _ = run(tmp_path, "error-surface", config, "--grid", "k")
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("estimated order")]
+        assert code == cli.EXIT_OK and len(lines) == 2
+        assert abs(float(lines[0].removeprefix("estimated order (k = 0): ")) - 2.0) <= 0.1
+        assert lines[1].startswith("estimated order (k = 0.5): ")
+
+    @pytest.mark.parametrize("operator, low, high", [
+        ({"family": "central"}, 1.0, 10.0),
+        ({"N": 2, "gamma_re": [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]}, 1e3, math.inf)],
+        ids=["central", "five_point"])
+    def test_a_dirichlet_solve_prints_its_condition_numbers(self, tmp_path, capsys, operator,
+                                                           low, high):
+        """Reference spec on [0, 2], eps = 2/M, M = 200: the central difference's x_s
+        system stays about 4, the 5-point operator's reads 1.4e4."""
+        config = write_config(tmp_path, make_reference_spec(), boundary=BOUNDARY,
+                              operator=operator, time={"t0": 0.0, "tf": 2.0, "M": 200})
+        code, _ = run(tmp_path, "solve", config, "--which", "del")
+        printed = capsys.readouterr().out.splitlines()
+        assert code == cli.EXIT_OK and [line[:24] for line in printed[:2]] == [
+            "cel boundary systems: xs", "del boundary systems: xs"]
+        conds = printed[1].removeprefix("del boundary systems: xs_cond = ")
+        xs_cond, particles = conds.split(", particle_conds = ")
+        assert low < float(xs_cond) < high
+        assert len(json.loads(particles)) == 2
+
     def test_converge(self, tmp_path, ref_config, capsys):
         code, out = run(tmp_path, "converge", ref_config)
         assert code == cli.EXIT_OK
@@ -107,6 +157,19 @@ class TestSuccess:
         code, out = run(tmp_path, "choreo", config)
         assert code == cli.EXIT_OK
         assert (out / "choreo_cel.csv").exists() and (out / "choreo_cel.svg").exists()
+
+    def test_choreo_reads_each_form_of_its_amplitudes(self, tmp_path, capsys):
+        # unit amplitudes on the +-5i modes alone: T = 2 pi/5, in either form; the plain
+        # form used to be ignored for all ones, T = 2 pi
+        written = []
+        for form in ({"amplitudes": [1, 0, 0, 1]}, {"amplitudes_re": [1, 0, 0, 1]}):
+            config = write_config(tmp_path, make_reference_spec(),
+                                  choreo={"which": ["cel"], **form})
+            code, out = run(tmp_path, "choreo", config)
+            assert code == cli.EXIT_OK
+            assert capsys.readouterr().out.startswith("cel: period T = 1.25663706144,")
+            written.append((out / "choreo_cel.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_choreo_cel_of_gyroscopic_targets(self, tmp_path, capsys):
         # J4 from targets 2 and 5 with J5 != 0: the phases are commensurable, T = 2 pi
@@ -557,8 +620,22 @@ class TestFailure:
         (["solve"], {"boundary": {**BOUNDARY, "x_t0": [["a", 0], [0, 0], [0, 0]]}},
          "boundary.x_t0"),
         (["solve"], {"amplitudes": {"random": True, "scale": "x"}}, "amplitudes.scale"),
+        (["error-surface", "--grid", "gamma"], {"sweep": {"gamma_grid": {"points": -1}}},
+         "sweep.gamma_grid.points: must be at least 1"),
+        (["error-surface", "--grid", "k"], {"sweep": {"k_grid": {"Ms": [0]}}},
+         "sweep.k_grid.Ms: must be at least 1"),
+        (["error-surface", "--grid", "k"], {"sweep": {"k_grid": {"Ms": [100, -5]}}},
+         "sweep.k_grid.Ms: must be at least 1"),
+        (["converge"], {"sweep": {"epsilons": [0.1, 0.05], "nu": "nan"}},
+         "sweep.nu: must be finite"),
+        (["choreo"], {"choreo": {"which": []}}, "choreo.which"),
+        (["choreo"], {"choreo": {"which": "cel", "amplitudes_im": [1, 0, 0, 1]}},
+         "missing field choreo.amplitudes"),
+        (["solve"], {"amplitudes": {"xs": [1, 0, 0, 1], "particles_im": np.eye(2, 4).tolist()}},
+         "missing field amplitudes.particles"),
     ], ids=["targets-omega", "targets-tol", "epsilons", "nu", "points", "Ms", "ks",
-            "amplitudes", "choreo-block", "x_t0", "scale"])
+            "amplitudes", "choreo-block", "x_t0", "scale", "no-points", "zero-M", "negative-M",
+            "nan-nu", "no-kind", "amplitudes-im-alone", "particles-im-alone"])
     def test_a_malformed_value_is_a_config_error_naming_its_field(self, tmp_path, capsys,
                                                                  argv, blocks, field):
         config = write_config(tmp_path, make_reference_spec(), **blocks)

@@ -269,10 +269,13 @@ class TestCompanionErrorPaths:
         assert not recwarn.list
 
     def test_a_nan_coefficient_fails_the_classical_spectrum(self):
-        p = ClassicalPencil(np.eye(2), np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 1.0]]),
-                            0.0)
-        with pytest.raises(numkernel.NumericalFailure, match="non-finite pencil coefficients"):
-            classical_spectrum(p)
+        # in the constant block, and in the leading one, whose singularity test (an SVD)
+        # used to end in LinAlgError
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        for blocks in ((np.eye(2), np.zeros((2, 2)), nan), (nan, np.zeros((2, 2)), np.eye(2))):
+            with pytest.raises(numkernel.NumericalFailure,
+                               match="non-finite pencil coefficients"):
+                classical_spectrum(ClassicalPencil(*blocks, 0.0))
 
     def test_backward_error_above_tol_is_rejected(self, monkeypatch, ref_spec):
         p = transcendental_pencil(ref_spec, central_difference(0.05), 3)

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from choreoqep import cli
 from perfbench import trace
+
+from conftest import make_reference_spec
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -28,3 +31,26 @@ def test_a_full_trace_names_every_declared_per_layer_metric():
     named = set(tracer.metrics([0.0] * len(tracer.groups), attempted=1))
     declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
     assert {name for name in declared if not name.startswith("trace.overhead_")} <= named
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--which", "del"],
+                                  ["solve", "--which", "del"], ["error-surface", "--grid", "k"],
+                                  ["converge"], ["choreo"]], ids=lambda argv: argv[0])
+def test_each_command_runs_through_its_traced_function(tmp_path, argv):
+    """`cli.main` looks its command up in the module when it runs, so the wrapper the
+    tracer sets on `cli.cmd_*` counts one `cli.command` call; a table of the functions
+    built at import would count none."""
+    spec = make_reference_spec()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "d": spec.d, "n": spec.n,
+        **{k: getattr(spec, k).tolist() for k in ("J1", "J2", "J3", "J4")},
+        "time": {"t0": 0.0, "tf": 1.0, "M": 40}, "operator": {"family": "central"},
+        "boundary": {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
+                     "x_tf": [[-0.1, 0.4], [0.6, -0.3], [0.2, 0.1]]},
+        "sweep": {"k_grid": {"ks": [0.0]}, "epsilons": [0.1, 0.05, 0.025]},
+        "choreo": {"which": ["cel"]}}))
+    tracer = trace.Tracer()
+    with tracer.installed():
+        assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert tracer.calls[tracer.groups.index("cli.command")] == 1
