@@ -120,7 +120,7 @@ def _complex_block(block: dict, name: str, shape: tuple, where: str) -> np.ndarr
     if block.get(f"{name}_im") is not None:
         out = out + 1j * _field(block, f"{name}_im", as_array, None, where)
     if out.shape != shape:
-        raise ConfigParse(f"{name} must have shape {shape}, got {out.shape}")
+        raise ConfigParse(f"{where}.{name} must have shape {shape}, got {out.shape}")
     return out
 
 
@@ -160,15 +160,10 @@ def _build_operator(raw: dict, epsilon: float) -> ScaleOperator:
             return scaleop.central_difference(epsilon)
         if family is not None:
             raise ConfigParse(f"unknown operator family {family!r}")
-        if "N" not in raw or "gamma_re" not in raw:
-            raise ConfigParse("operator needs a family or N with gamma_re/gamma_im")
+        if "N" not in raw:
+            raise ConfigParse("operator needs a family or N with gamma")
         N = int(raw["N"])
-        gamma = np.asarray(raw["gamma_re"], dtype=float).astype(complex)
-        if "gamma_im" in raw:
-            gamma = gamma + 1j * np.asarray(raw["gamma_im"], dtype=float)
-        if gamma.shape != (2 * N + 1,):
-            raise ConfigParse(f"gamma must have length 2N+1 = {2 * N + 1}")
-        return ScaleOperator(gamma, epsilon)
+        return ScaleOperator(_complex_block(raw, "gamma", (2 * N + 1,), "operator"), epsilon)
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"malformed operator block: {exc}") from exc
 
@@ -217,12 +212,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             omega = [float(w) for w in targets["omega"]]
             if len(omega) != 2:
                 raise ConfigParse("targets.omega must list 2 frequencies for d = 2")
-            if targets.get("discrete"):  # K's eigenvalues, which J5-free targets place
-                omega, counted = _grid_frequencies(op, omega, j1 - 2.0 * j3, j5), None
-            else:
-                counted = j5
-            j4 = model.construct_j4(j1, j2, j3, omega[0], omega[1],
-                                    float(targets["j4_free"]), counted)
+            j4 = model.construct_j4(j1, j2, j3, omega[0], omega[1], float(targets["j4_free"]),
+                                    j5, op if targets.get("discrete") else None)
         else:
             raise ConfigParse("J4 must be given directly, or via targets with "
                               "j4_free for d = 2")
@@ -237,37 +228,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(spec, t0, tf, M, op_raw, targets, blocks["boundary"],
                             blocks["amplitudes"], blocks["choreo"] or {}, blocks["sweep"] or {})
-
-
-def _grid_frequencies(op: ScaleOperator, omega: list, S: np.ndarray, J5: np.ndarray) -> list:
-    """targets.discrete: the frequencies sqrt(kappa_k) that `model.construct_j4` takes, J5
-    left out, to build the K whose nu = 0 roots on the grid of op are +-i omega_k.
-
-    With the interior symbols theta_k = Re sum_j theta_j e^{i j omega_k eps}/eps^2 and
-    s_k = |sum_j sigma1_j e^{i j omega_k eps}|/eps, each target needs theta_k^2 - tr K
-    theta_k + det K = s_k^2 j^2/det S, for J5 = j [[0, 1], [-1, 0]] and S = J1 - 2 J3: two
-    linear equations in (tr K, det K).  K's eigenvalues kappa are the roots of
-    x^2 - tr K x + det K, theta_1 and theta_2 when J5 = 0; a K that is not positive
-    definite is a NoRealSolution."""
-    if op.gamma.imag.any():
-        raise ConfigParse("targets.discrete builds J4 for real operator weights only")
-    eps, N = op.epsilon, op.N
-    at = [np.exp(1j * w * eps * np.arange(-2 * N, 2 * N + 1)) for w in omega]
-    theta = [float((op.theta @ z).real) / eps**2 for z in at]
-    kappa = theta
-    if J5.any():
-        if theta[0] == theta[1]:
-            raise ConfigParse("targets.discrete with J5 needs two distinct targets")
-        s2 = [abs(op.sigma1 @ z[N:3 * N + 1]) ** 2 / eps**2 for z in at]
-        shift = (0.5 * (J5[0, 1] - J5[1, 0])) ** 2 / np.linalg.det(S)
-        trace = theta[0] + theta[1] - (s2[0] - s2[1]) / (theta[0] - theta[1]) * shift
-        half, det = 0.5 * trace, theta[0] * (trace - theta[0]) + s2[0] * shift
-        root = math.sqrt(half**2 - det) if half**2 >= det else math.nan
-        kappa = [half - root, half + root]
-    if not min(kappa) > 0:
-        raise model.NoRealSolution(f"targets.discrete needs K positive definite, its "
-                                   f"eigenvalues would be {kappa}")
-    return [math.sqrt(k) for k in kappa]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +323,10 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
     The body is parsed in one pass of `np.loadtxt` and copied into values, real and
     imaginary parts apart, so signed zeros and every other double come back bit
     for bit.  A cell that is not a number, rows of unequal length, and nodes that are not
-    particles 0..n-1 in turn at one t each (a missing or repeated row) raise ValueError."""
+    particles 0..n-1 in turn at one t each (a missing or repeated row) raise ValueError.
+    The file records n nowhere, so n is 1 + the largest particle index: a file that lacks
+    the last particle at every node reads as n - 1 particles, and one whose rows all carry
+    particle 0 is, byte for byte, the file of one particle with each time repeated."""
     with open(path) as f:
         header, cells = f.readline(), np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
     n = int(np.clip(cells[:, 1].max(), 0, len(cells))) + 1  # else the checks below fail
@@ -591,11 +554,16 @@ def cmd_choreo(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     spec, n = cfg.spec, cfg.n
     which = _field(cfg.choreo, "which", _kinds, ["cel", "del"], "choreo")
     times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
-    written = []
+    amplitudes = []  # every setting's, read before any choreography is built
     for kind in which:
         size = pencil.Setting(spec, cfg.operator() if kind == "del" else None).root_count
-        amps = (_complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
-                if _given(cfg.choreo, "amplitudes") else np.ones(size, dtype=complex))
+        try:
+            amplitudes.append(_complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
+                              if _given(cfg.choreo, "amplitudes") else np.ones(size, dtype=complex))
+        except ConfigParse as exc:
+            raise ConfigParse(f"{exc} for the {kind} setting") from exc
+    written = []
+    for kind, amps in zip(which, amplitudes):
         if kind == "cel":
             ch, sol = periodic.build_choreography_cel(spec, n, amps)
         else:

@@ -6,7 +6,8 @@ couplings, plus linear terms J6, J7.  The solvers assume the constant-
 coefficient regime with J1..J4 symmetric and J5 skew-symmetric.  Besides the spec this
 holds what is derived from it alone: its structural check, the energy of given positions
 and velocities, and the J4 (d = 2) that puts the nu = 0 roots on two target frequencies,
-J5 counted.
+J5 counted, in continuous time or on a scale operator's grid: one construction, the
+targets entering through the operator's symbols (`construct_j4`).
 """
 from __future__ import annotations
 
@@ -109,13 +110,16 @@ def energy(spec: LagrangianSpec, positions, velocities) -> float:
 
 
 def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
-                 J5=None) -> np.ndarray:
-    """Pair-coupling matrix making the nu = 0 pencil spectrum {±i w1, ±i w2}.
+                 J5=None, op=None) -> np.ndarray:
+    """Pair-coupling matrix making the nu = 0 roots +-i omega1, +-i omega2: in continuous
+    time when op is None, as in `pencil.Setting`, else on the grid of the operator op.
 
-    Only defined for d = 2.  Writes J4 = J2/2 + S K / 2 with S = J1 - 2 J3 and solves
-    for K = [[k1, k2], [k3, j4_free]] under trace(K) = w1^2 + w2^2 - 4 j^2 / det S,
-    det(K) = w1^2 w2^2 and symmetry of S K, where J5 = j [[0, 1], [-1, 0]] (zero when
-    not given): det P_0(i w) = det S det(K - w^2) - 4 w^2 j^2 vanishes at both targets.
+    Only defined for d = 2.  Writes J4 = J2/2 + S K / 2 with S = J1 - 2 J3 and solves for
+    K = [[k1, k2], [k3, j4_free]] under symmetry of S K and, with J5 = j [[0, 1], [-1, 0]]
+    (zero when not given) and c = j^2 / det S, w_k^4 - (tr K + 4c) w_k^2 + det K = c r_k at
+    each target: det P_0 vanishes there.  w = omega and r = 0 in continuous time; on the
+    grid (real weights) w = |h|/eps and r = -4 (Re h)^2/eps^2, h = sum_j gamma_j e^{i j omega
+    eps}, from the symbols |h|^2/eps^2 of -lam^2 and 2 |Im h|/eps of |2 lam|.
     """
     S = np.asarray(J1, dtype=float) - 2.0 * np.asarray(J3, dtype=float)
     J2 = np.asarray(J2, dtype=float)
@@ -128,9 +132,24 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
     if omega1 <= 0 or omega2 <= 0:
         raise ValueError("target frequencies must be positive")
 
-    j = 0.5 * (J5[0, 1] - J5[1, 0])
-    trace = omega1**2 + omega2**2 - 4.0 * j**2 / det_s
-    det = (omega1 * omega2) ** 2
+    c = (0.5 * (J5[0, 1] - J5[1, 0])) ** 2 / det_s
+    w, r = np.array([omega1, omega2], dtype=float), np.zeros(2)
+    if op is not None:  # h summed in +-j pairs: antisymmetric weights have Re h = 0 exactly
+        if op.gamma.imag.any():
+            raise ValueError("grid targets build J4 for real operator weights only")
+        g, N, eps = op.gamma.real, op.N, op.epsilon
+        x = np.outer(w * eps, np.arange(1, N + 1))
+        even = g[N] + np.cos(x) @ (g[N + 1:] + g[N - 1::-1])
+        odd = np.sin(x) @ (g[N + 1:] - g[N - 1::-1])
+        w, r = np.hypot(even, odd) / eps, -4.0 * (even / eps) ** 2
+    (w1, w2), (r1, r2) = w, r
+    q = 0.0  # c (r1 - r2)/(w1^2 - w2^2): 0 in continuous time and for antisymmetric weights
+    if c != 0 and r1 != r2:
+        if w1**2 == w2**2:
+            raise NoRealSolution("two targets of one |h| but two Re h: no K fits both")
+        q = c * (r1 - r2) / (w1**2 - w2**2)
+    trace = w1**2 + w2**2 - q - 4.0 * c
+    det = (w1 * w2) ** 2 + c * r2 - w2**2 * q
     k1 = trace - j4_free
     k4 = j4_free
     excess = k1 * k4 - det  # required product of the off-diagonal entries

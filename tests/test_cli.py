@@ -293,6 +293,7 @@ class TestInputForms:
 
 
 CONDITIONS = "operator conditions: sum_zero=True derivative_normalized=True"
+FIVE_POINT = {"N": 2, "gamma_re": [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]}
 
 
 def validate(tmp_path, capsys, spec, **blocks):
@@ -367,7 +368,7 @@ class TestValidate:
     def test_discrete_targets_build_j4_from_the_grid_symbols(self, tmp_path, capsys, j, eps):
         """targets.discrete builds J4 from the central difference's symbols at the config's
         eps, J5 counted: the grid's nu = 0 roots land on +-2i and +-5i (measured within
-        2.9e-14), and the choreography on those 4 modes verifies with T = 2 pi."""
+        1.8e-15), and the choreography on those 4 modes verifies with T = 2 pi."""
         spec = make_reference_spec()
         blocks = {"J4": None, "J5": [[0.0, j], [-j, 0.0]],
                   "time": {"t0": 0.0, "tf": 64 * eps, "M": 64},
@@ -375,7 +376,7 @@ class TestValidate:
         code, lines, _ = validate(tmp_path, capsys, spec, **blocks)
         deviation = lines[-1].removeprefix("target spectrum deviation: ")
         assert code == cli.EXIT_OK and deviation.endswith("(ok=True)")
-        assert float(deviation.split()[0]) <= 1e-13
+        assert float(deviation.split()[0]) <= 1e-14
         cfg = cli.load_config(write_config(tmp_path, spec, **blocks))
         lam = pencil.Setting(cfg.spec, cfg.operator()).modes(0).lam.roots
         physical = np.isclose(np.abs(lam.imag), 2.0) | np.isclose(np.abs(lam.imag), 5.0)
@@ -388,6 +389,37 @@ class TestValidate:
                               choreo={"which": "del", "amplitudes_re": physical.tolist()})
         code, _ = run(tmp_path, "choreo", config)
         assert code == cli.EXIT_OK and "checks ok = True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("j", [0.0, 0.7], ids=["no_J5", "gyroscopic"])
+    @pytest.mark.parametrize("operator", [{"family": "central"}, FIVE_POINT],
+                             ids=["central", "five_point"])
+    def test_grid_targets_stay_on_the_grid_roots_as_eps_shrinks(self, tmp_path, capsys,
+                                                                 operator, j, eps):
+        """Built from each target's |h| and Re h, not from sqrt(kappa) of K's eigenvalues
+        (which missed by up to 2.9e-14 for the central difference and 8.1e-14 for the
+        5-point operator at eps = 0.0125): measured within 4.4e-15."""
+        code, lines, _ = validate(tmp_path, capsys, make_reference_spec(), J4=None,
+                                  J5=[[0.0, j], [-j, 0.0]], operator=operator,
+                                  time={"t0": 0.0, "tf": 64 * eps, "M": 64},
+                                  targets={"omega": [2.0, 5.0], "j4_free": 20.0,
+                                           "discrete": True})
+        deviation = lines[-1].removeprefix("target spectrum deviation: ")
+        assert code == cli.EXIT_OK and float(deviation.split()[0]) <= 1e-14
+
+    def test_grid_targets_with_a_strong_j5_need_no_positive_definite_k(self, tmp_path, capsys):
+        """J5 = 40 [[0, 1], [-1, 0]] makes K's eigenvalues negative (-48.2 and -2.06 on this
+        grid, -47.9 and -2.09 in continuous time) and K's eigenvalues are not the targets, so
+        the grid's J4 exists as the continuous one does (this exited 4 when the grid
+        targets went through sqrt(kappa))."""
+        code, lines, _ = validate(tmp_path, capsys, make_reference_spec(), J4=None,
+                                  J5=[[0.0, 40.0], [-40.0, 0.0]],
+                                  time={"t0": 0.0, "tf": 2 * math.pi, "M": 200},
+                                  targets={"omega": [2.0, 5.0], "j4_free": -20.0,
+                                           "discrete": True})
+        deviation = lines[-1].removeprefix("target spectrum deviation: ")
+        assert code == cli.EXIT_OK and deviation.endswith("(ok=True)")
+        assert float(deviation.split()[0]) <= 1e-14
 
     @pytest.mark.parametrize("discrete, deviation", [(False, "0.000e+00 (ok=True)"),
                                                      (True, "1.334e-04 (ok=False)")])
@@ -586,6 +618,24 @@ class TestFailure:
         code, _ = run(tmp_path, "validate", config)
         assert code == cli.EXIT_CONFIG
 
+    def test_operator_weights_take_every_complex_form(self, tmp_path, capsys):
+        """Plain gamma reads as gamma_re does; gamma_im alone gives no weights."""
+        written = []
+        for key in ("gamma", "gamma_re"):
+            config = write_config(tmp_path, make_reference_spec(), name=f"{key}.json",
+                                  operator={"N": 2, key: FIVE_POINT["gamma_re"]},
+                                  sweep={"epsilons": [0.1, 0.05, 0.025]})
+            code, out = run(tmp_path / key, "converge", config)
+            assert code == cli.EXIT_OK
+            written.append((out / "converge.csv").read_bytes())
+        assert written[0] == written[1]
+        capsys.readouterr()
+        config = write_config(tmp_path, make_reference_spec(),
+                              operator={"N": 2, "gamma_im": [0.0] * 5})
+        code, _ = run(tmp_path, "validate", config)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: missing field operator.gamma\n"
+
     @pytest.mark.parametrize("blocks, reason", [
         ({"targets": {"omega": [-2.0, 5.0], "j4_free": 20.0}},
          "target frequencies must be positive"),
@@ -657,6 +707,18 @@ class TestFailure:
         code, _ = run(tmp_path, "validate", config)
         assert code == cli.EXIT_NUMERICAL
         assert "negative discriminant" in capsys.readouterr().err
+
+    def test_choreo_reads_every_settings_amplitudes_before_building(self, tmp_path, capsys):
+        """Four amplitudes fit the continuous root count 2d = 4 but not the grid's 4Nd = 8:
+        nothing is built, printed or written (the continuous choreography once was)."""
+        config = write_config(tmp_path, make_reference_spec(),
+                              choreo={"amplitudes": [1, 0, 0, 1]})
+        code, out = run(tmp_path, "choreo", config)
+        printed = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and printed.out == ""
+        assert printed.err == ("config error: choreo.amplitudes must have shape (8,), got (4,) "
+                               "for the del setting\n")
+        assert not list(out.glob("choreo_*"))
 
     def test_unknown_choreography_kind_is_a_config_error(self, tmp_path):
         config = write_config(tmp_path, make_reference_spec(), choreo={"which": ["bogus"]})

@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from choreoqep import celsolve, pencil
-from choreoqep.model import LagrangianSpec, NoRealSolution, construct_j4, energy, validate_spec
+from choreoqep.model import (LagrangianSpec, NoRealSolution, SymmetryInfeasible, construct_j4,
+                             energy, validate_spec)
+from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
                       make_reference_spec)
@@ -221,3 +224,59 @@ class TestConstructJ4:
         for free in (4.0, 20.0, 25.0):
             assert np.array_equal(construct_j4(J1, J2, J3, 2.0, 5.0, free, np.zeros((2, 2))),
                                   construct_j4(J1, J2, J3, 2.0, 5.0, free))
+
+    def test_continuous_targets_keep_every_bit(self):
+        """The bytes of 1,000 continuous constructions (or the class of the error each
+        raises: 47 of them), recorded before the grid case joined this function: 500 seeded
+        targets omega in [0.3, 6] with j4_free between their squares, each without and with
+        a J5 = j [[0, 1], [-1, 0]], j in [-1.5, 1.5]."""
+        rng = np.random.default_rng(45)
+        digest, failed = hashlib.sha256(), 0
+        for _ in range(500):
+            w1, w2 = rng.uniform(0.3, 6.0, size=2)
+            free = rng.uniform(min(w1, w2) ** 2, max(w1, w2) ** 2)
+            j = rng.uniform(-1.5, 1.5)
+            for j5 in (None, np.array([[0.0, j], [-j, 0.0]])):
+                try:
+                    out = construct_j4(J1, J2, J3, float(w1), float(w2), float(free), j5).tobytes()
+                except (NoRealSolution, SymmetryInfeasible) as exc:
+                    out, failed = type(exc).__name__.encode(), failed + 1
+                digest.update(out)
+        assert failed == 47
+        assert digest.hexdigest() == ("6ae54bbfc12e4023b01cc35c2153043d"
+                                      "27f2eca277993e19222d98e57c422e53")
+
+    @pytest.mark.parametrize("j", [0.0, 0.7])
+    def test_antisymmetric_weights_are_the_continuous_case_at_their_symbol(self, j):
+        """The central difference's |h|/eps is sin(omega eps)/eps and its Re h is 0, so its
+        J4 is the continuous one built at those frequencies, bit for bit."""
+        j5, eps = np.array([[0.0, j], [-j, 0.0]]), 0.05
+        w1, w2 = math.sin(2.0 * eps) / eps, math.sin(5.0 * eps) / eps
+        assert np.array_equal(construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, j5, central_difference(eps)),
+                              construct_j4(J1, J2, J3, w1, w2, 20.0, j5))
+
+    @pytest.mark.parametrize("gamma", [[-0.7, 0.4, 0.3], [0.1, -0.8, 0.2, 0.6, -0.1]],
+                             ids=["N1", "N2"])
+    @pytest.mark.parametrize("j", [0.0, 0.7, 3.0])
+    def test_grid_targets_with_generic_real_weights(self, gamma, j):
+        """Weights that are not antisymmetric have Re h != 0, so r_1 != r_2 enters tr K and
+        det K: the grid's nu = 0 roots still land on +-2i and +-5i (measured within 1.4e-14)."""
+        op, j5 = ScaleOperator(np.array(gamma), 0.05), np.array([[0.0, j], [-j, 0.0]])
+        j4 = construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, j5, op)
+        spec = LagrangianSpec(2, 3, J1, J2, J3, j4, j5)
+        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        assert max(np.abs(lam - target).min() for target in (2j, 5j, -2j, -5j)) <= 1e-13
+
+    def test_equal_grid_targets_with_j5(self):
+        """omega1 = omega2 on the grid with J5 != 0 is the continuous case at w: a double
+        root at +-2i (split by about 4e-8, as a double root's rounding splits it)."""
+        s_diag, j5 = np.diag([1.0, -1.0]), np.array([[0.0, 0.7], [-0.7, 0.0]])
+        op, zero = central_difference(0.05), np.zeros((2, 2))
+        j4 = construct_j4(s_diag, np.diag([3.0, -2.0]), zero, 2.0, 2.0, 0.0, j5, op)
+        spec = LagrangianSpec(2, 3, s_diag, np.diag([3.0, -2.0]), zero, j4, j5)
+        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        assert (np.abs(np.abs(lam) - 2.0) <= 1e-7).sum() == 4
+
+    def test_grid_targets_need_real_weights(self):
+        with pytest.raises(ValueError, match="real operator weights"):
+            construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, None, k_family(0.05, 0.3))

@@ -14,7 +14,8 @@ in the library, so no test file uses a private `cli._name`.  Every exception cla
 package defines is also raised by it: no typed failure is left behind once the code that
 raised it goes.  And no module imports a name that it never reads.  Last, `src/` holds
 only what a command or the benchmark uses: a name-based walk from `cli.main` and the names
-the benchmark's files mention reaches every definition but the three it pins.
+the benchmark's files mention reaches every definition but the three it pins.  And the CLI
+reads nothing from `numpy.linalg`: it parses, dispatches and writes.
 """
 import ast
 import re
@@ -219,6 +220,26 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
              if (names := unused_imports(path))}
     assert found == {}
+
+
+def linalg_reads(source: str) -> list:
+    """(line, name) for every attribute that source reads from numpy's `linalg`, however
+    numpy or `linalg` was imported."""
+    tree = ast.parse(source)
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and ast.unparse(node.value).split(".")[-1] == "linalg")
+
+
+def test_the_checker_sees_linalg_reads():
+    probe = ("import numpy as np\nfrom numpy import linalg\n\n\n"
+             "def f(a):\n    return np.linalg.det(a), linalg.eig(a), np.linalg.LinAlgError\n")
+    assert linalg_reads(probe) == [(6, "LinAlgError"), (6, "det"), (6, "eig")]
+
+
+def test_the_cli_does_no_linear_algebra():
+    """The CLI only parses, dispatches and writes: its numerics live in the library."""
+    assert linalg_reads((PACKAGE / "cli.py").read_text()) == []
 
 
 def private_cli_uses(source: str) -> list:
