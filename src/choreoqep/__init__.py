@@ -19,12 +19,11 @@ _EXPORTS = {name: module for module, names in {
     "model": "LagrangianSpec construct_j4 energy validate_spec",
     "numkernel": "Polynomial RootSet cond det_as_polynomial kernel_vector merge_failures "
                  "per_item polynomial_roots solve_square solve_stack",
-    "scaleop": "GridFunction ScaleOperator box_apply adjoint_box_apply central_difference "
+    "scaleop": "ScaleOperator box_apply adjoint_box_apply central_difference "
                "check_operator_conditions chi k_family",
-    "pencil": "ClassicalPencil Spectra TranscendentalPencil check_cel_assumptions "
-              "check_del_assumptions classical_eval classical_pencil classical_spectrum "
-              "constant_systems spectra transcendental_eval transcendental_pencil "
-              "transcendental_spectrum",
+    "pencil": "ClassicalPencil Spectra check_cel_assumptions check_del_assumptions "
+              "classical_eval classical_pencil classical_spectrum constant_systems spectra "
+              "transcendental_eval transcendental_spectrum",
     "celsolve": "Core ModeExpansion SystemSolution dirichlet_cel general_solution_cel "
                 "grid_values residual_cel",
     "delsolve": "DelSolution TrajectoryGrid boundary_problem dirichlet_del "

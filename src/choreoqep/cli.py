@@ -572,6 +572,9 @@ def cmd_choreo(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         rep = periodic.verify_choreography(ch, sol, spec)
         print(f"{kind}: period T = {ch.T:.12g}, delay T/n = {ch.delay:.12g}, "
               f"checks ok = {rep.all_ok}")
+        print(f"{kind}: errors periodicity {rep.periodicity_error:.3e}, delay "
+              f"{rep.delay_error:.3e}, x_s constancy {rep.xs_constancy_error:.3e}, "
+              f"residual {rep.residual_error:.3e}")
         values = np.array([p.value(times) for p in sol.particles])
         written.extend(_write_trajectory(out_dir / f"choreo_{kind}", times, values))
     for p in written:

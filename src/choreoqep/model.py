@@ -119,7 +119,9 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
     (zero when not given) and c = j^2 / det S, w_k^4 - (tr K + 4c) w_k^2 + det K = c r_k at
     each target: det P_0 vanishes there.  w = omega and r = 0 in continuous time; on the
     grid (real weights) w = |h|/eps and r = -4 (Re h)^2/eps^2, h = sum_j gamma_j e^{i j omega
-    eps}, from the symbols |h|^2/eps^2 of -lam^2 and 2 |Im h|/eps of |2 lam|.
+    eps}, from the symbols |h|^2/eps^2 of -lam^2 and 2 |Im h|/eps of |2 lam|.  One target
+    given twice (r != 0) takes the omega-derivative of its equation as the second, which
+    makes its root double.
     """
     S = np.asarray(J1, dtype=float) - 2.0 * np.asarray(J3, dtype=float)
     J2 = np.asarray(J2, dtype=float)
@@ -138,9 +140,10 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
         if op.gamma.imag.any():
             raise ValueError("grid targets build J4 for real operator weights only")
         g, N, eps = op.gamma.real, op.N, op.epsilon
-        x = np.outer(w * eps, np.arange(1, N + 1))
-        even = g[N] + np.cos(x) @ (g[N + 1:] + g[N - 1::-1])
-        odd = np.sin(x) @ (g[N + 1:] - g[N - 1::-1])
+        j, plus, minus = np.arange(1, N + 1), g[N + 1:] + g[N - 1::-1], g[N + 1:] - g[N - 1::-1]
+        x = np.outer(w * eps, j)
+        even, odd = g[N] + np.cos(x) @ plus, np.sin(x) @ minus
+        d_even, d_odd = -(np.sin(x) * j) @ plus, (np.cos(x) * j) @ minus  # d/d(omega eps)
         w, r = np.hypot(even, odd) / eps, -4.0 * (even / eps) ** 2
     (w1, w2), (r1, r2) = w, r
     q = 0.0  # c (r1 - r2)/(w1^2 - w2^2): 0 in continuous time and for antisymmetric weights
@@ -148,6 +151,11 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
         if w1**2 == w2**2:
             raise NoRealSolution("two targets of one |h| but two Re h: no K fits both")
         q = c * (r1 - r2) / (w1**2 - w2**2)
+    elif c != 0 and r1 != 0 and w1 == w2:  # one target twice: its limit c r'/(w^2)'
+        slope = even[0] * d_even[0] + odd[0] * d_odd[0]  # (w^2)' eps / 2
+        if slope == 0:
+            raise NoRealSolution("a double target where |h| is stationary: no K fits it")
+        q = -4.0 * c * even[0] * d_even[0] / slope
     trace = w1**2 + w2**2 - q - 4.0 * c
     det = (w1 * w2) ** 2 + c * r2 - w2**2 * q
     k1 = trace - j4_free

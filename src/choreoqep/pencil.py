@@ -98,12 +98,11 @@ class ClassicalPencil:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    nu: float
 
 
 def classical_pencil(spec: LagrangianSpec, nu: float) -> ClassicalPencil:
     a, c = coefficient_matrices(spec, nu)
-    return ClassicalPencil(a, -2.0 * spec.J5, -c, float(nu))
+    return ClassicalPencil(a, -2.0 * spec.J5, -c)
 
 
 def classical_eval(p: ClassicalPencil, lam: complex) -> np.ndarray:
@@ -200,35 +199,22 @@ def classical_spectrum(p: ClassicalPencil) -> RootSet:
     return RootSet(lam[order], errors[order], vectors[order])
 
 
-@dataclass(frozen=True)
-class TranscendentalPencil:
-    """Discrete pencil attached to a system spec and a scale operator."""
-
-    spec: LagrangianSpec
-    op: ScaleOperator
-    nu: float
-
-
-def transcendental_pencil(spec: LagrangianSpec, op: ScaleOperator,
-                          nu: float) -> TranscendentalPencil:
-    return TranscendentalPencil(spec, op, float(nu))
-
-
-def transcendental_eval(p: TranscendentalPencil, zeta: complex) -> np.ndarray:
-    """Pencil value at zeta = e^{lam eps}; Laurent powers range over -2N..2N.
+def transcendental_eval(spec: LagrangianSpec, op: ScaleOperator, nu: float,
+                        zeta: complex) -> np.ndarray:
+    """The nu-pencil of spec on op's grid at zeta = e^{lam eps}; Laurent powers range over
+    -2N..2N.
 
     Equals -A_nu * theta_hat(zeta) - J5 * sigma1_hat(zeta) - C_nu with
     theta_hat, sigma1_hat the operator symbols written in zeta.
     """
     if zeta == 0:
         raise ZeroArgument("transcendental pencil is undefined at zeta = 0")
-    op = p.op
-    a_nu, c_nu = coefficient_matrices(p.spec, p.nu)
+    a_nu, c_nu = coefficient_matrices(spec, nu)
     ks = np.arange(-2 * op.N, 2 * op.N + 1)
     theta_hat = np.sum(op.theta * np.asarray(zeta, dtype=complex) ** ks) / op.epsilon**2
     ks1 = np.arange(-op.N, op.N + 1)
     sigma1_hat = np.sum(op.sigma1 * np.asarray(zeta, dtype=complex) ** ks1) / op.epsilon
-    return -a_nu * theta_hat - p.spec.J5 * sigma1_hat - c_nu
+    return -a_nu * theta_hat - spec.J5 * sigma1_hat - c_nu
 
 
 class _Delays(NamedTuple):
@@ -542,16 +528,16 @@ def spectra(settings: list, nu: float, classical: RootSet | None = None) -> Spec
     return Spectra(lam[order], 1.0 + z[order], residuals[order], failures, parts, order)
 
 
-def transcendental_spectrum(p: TranscendentalPencil) -> Modes:
-    """All 4Nd discrete phases lam and zeta-roots with their kernel vectors, as preimages
-    of the classical pairs (antisymmetric weights, or J5 = 0) or from the companion of
-    zeta^{2N} P(zeta) in w = (zeta - 1)/eps: the batch of one of `spectra`, raising its
-    failure.
+def transcendental_spectrum(spec: LagrangianSpec, op: ScaleOperator, nu: float) -> Modes:
+    """All 4Nd discrete phases lam and zeta-roots, with their kernel vectors, of the
+    nu-pencil of spec on op's grid, as preimages of the classical pairs (antisymmetric
+    weights, or J5 = 0) or from the companion of zeta^{2N} P(zeta) in w = (zeta - 1)/eps:
+    the batch of one of `spectra`, raising its failure.
 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    return spectra([Setting(p.spec, p.op)], p.nu).modes(0)
+    return Setting(spec, op).modes(nu)
 
 
 @dataclass(frozen=True)

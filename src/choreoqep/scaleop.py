@@ -12,14 +12,15 @@ symbol, whose coefficients `theta_coefficients` gives.
 On nodes 0..M the forward operator is D/eps, with the banded D[i, i+j] = gamma_j
 (0 <= i+j <= M), and the adjoint D^T/eps; each operator caches read-only theta/sigma1
 coefficients and the binomial `shift` to (zeta - 1)/eps.  The time-based `chi` and
-`*box_apply` functions apply the same operators node by node.
+`*box_apply` functions apply the same operators node by node, to samples (M+1, d) at
+the nodes t0 + m eps of the operator's own delay.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,39 +92,6 @@ def k_family(epsilon: float, k: float) -> ScaleOperator:
     return ScaleOperator(np.array([-0.5 + 1j * k, -2j * k, 0.5 + 1j * k]), epsilon)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex d-vector samples on the uniform grid t0 + m*epsilon, m = 0..M."""
-
-    t0: float
-    epsilon: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2:
-            raise ValueError("values must be an (M+1, d) array")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def M(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    def node_time(self, m: int) -> float:
-        return self.t0 + m * self.epsilon
-
-    @classmethod
-    def from_callable(cls, fn: Callable, t0: float, epsilon: float, M: int) -> "GridFunction":
-        vals = np.array([np.atleast_1d(fn(t0 + m * epsilon)) for m in range(M + 1)])
-        return cls(t0, epsilon, vals)
-
-
 def chi(op: ScaleOperator, j: int, t: float, t0: float, tf: float) -> int:
     """Indicator of [t0, tf] ∩ [t0 + j eps, tf + j eps], closed at ties."""
     if not t0 < tf:
@@ -135,45 +103,45 @@ def chi(op: ScaleOperator, j: int, t: float, t0: float, tf: float) -> int:
     return int(lo - slack <= t <= hi + slack)
 
 
-def _gather(op: ScaleOperator, f: GridFunction, m: int, t0: float, tf: float,
+def _gather(op: ScaleOperator, f: np.ndarray, m: int, t0: float, tf: float,
             shift_sign: int) -> np.ndarray:
-    """Windowed sum gamma_j/eps * f(m + s*j) * chi_{-s*j}, s = shift_sign."""
-    eps = op.epsilon
-    t = f.node_time(m)
-    out = np.zeros(f.d, dtype=complex)
+    """Windowed sum gamma_j/eps * f[m + s*j] * chi_{-s*j}, s = shift_sign, for the samples
+    f (M+1, d) at t0 + m eps (a 1-D f has d = 1)."""
+    eps, f = op.epsilon, np.asarray(f, dtype=complex).reshape(len(f), -1)
+    t = t0 + m * eps
+    out = np.zeros(f.shape[1], dtype=complex)
     for j in range(-op.N, op.N + 1):
         w = chi(op, -shift_sign * j, t, t0, tf)
         if not w:
             continue
         node = m + shift_sign * j
-        if node < 0 or node > f.M:
+        if node < 0 or node >= len(f):
             raise OutOfRange(f"node {node} needed by nonzero window weight is missing")
-        out += op.gamma_at(j) / eps * f.values[node]
+        out += op.gamma_at(j) / eps * f[node]
     return out
 
 
-def box_apply(op: ScaleOperator, f: GridFunction, m: int, t0: float, tf: float) -> np.ndarray:
-    """Forward scale derivative at node m."""
+def box_apply(op: ScaleOperator, f: np.ndarray, m: int, t0: float, tf: float) -> np.ndarray:
+    """Forward scale derivative at node m of the samples f (M+1, d) at t0 + m eps."""
     return _gather(op, f, m, t0, tf, +1)
 
 
-def adjoint_box_apply(op: ScaleOperator, f: GridFunction, m: int, t0: float,
+def adjoint_box_apply(op: ScaleOperator, f: np.ndarray, m: int, t0: float,
                       tf: float) -> np.ndarray:
     """Mirrored-shift scale derivative at node m (tends to −f' as eps → 0)."""
     return _gather(op, f, m, t0, tf, -1)
 
 
-def boxbox_apply(op: ScaleOperator, f: GridFunction, m: int, t0: float,
+def boxbox_apply(op: ScaleOperator, f: np.ndarray, m: int, t0: float,
                  tf: float) -> np.ndarray:
     """Composition adjoint∘forward at node m with exact window factors.
 
     Equals sum over |l|<=N, |k+l|<=N of gamma_{k+l} gamma_l / eps^2
-    * chi_l(t) chi_{-k}(t) * f(m+k).
+    * chi_l(t) chi_{-k}(t) * f[m+k].
     """
-    eps = op.epsilon
-    N = op.N
-    t = f.node_time(m)
-    out = np.zeros(f.d, dtype=complex)
+    eps, N, f = op.epsilon, op.N, np.asarray(f, dtype=complex).reshape(len(f), -1)
+    t = t0 + m * eps
+    out = np.zeros(f.shape[1], dtype=complex)
     for k in range(-2 * N, 2 * N + 1):
         wk = chi(op, -k, t, t0, tf)
         if not wk:
@@ -185,9 +153,9 @@ def boxbox_apply(op: ScaleOperator, f: GridFunction, m: int, t0: float,
         if acc == 0:
             continue
         node = m + k
-        if node < 0 or node > f.M:
+        if node < 0 or node >= len(f):
             raise OutOfRange(f"node {node} needed by nonzero window weight is missing")
-        out += acc / eps**2 * f.values[node]
+        out += acc / eps**2 * f[node]
     return out
 
 

@@ -68,7 +68,7 @@ def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
             notes[-1] = "operator conditions fail"
             continue
         try:
-            sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu))
+            sp = pencil.transcendental_spectrum(spec, op, nu)
         except (pencil.LeadingSingular, pencil.numkernel.NumericalFailure) as exc:
             notes[-1] = f"spectrum failure: {exc}"
             continue

@@ -182,6 +182,24 @@ class TestSuccess:
         line = capsys.readouterr().out.splitlines()[0]
         assert line == "cel: period T = 6.28318530718, delay T/n = 2.09439510239, checks ok = True"
 
+    def test_choreo_prints_the_errors_it_checks_after_each_setting(self, tmp_path, capsys):
+        """Each setting's line is followed by the four errors `verify_choreography`
+        measures, so that `checks ok = False` can be read off by property and size."""
+        eps = math.pi / 15.0
+        spec = make_discrete_tuned_spec_d3(central_difference(eps), n=5)
+        config = write_config(tmp_path, spec, time={"t0": 0.0, "tf": 30 * eps, "M": 30},
+                              choreo={"which": "del"})
+        code, _ = run(tmp_path, "choreo", config)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == cli.EXIT_OK and lines[0].startswith("del: period T = ")
+        ch, sol = periodic.build_choreography_del(spec, central_difference(eps), 5,
+                                                  np.ones(12), 0.0, 30)
+        rep = periodic.verify_choreography(ch, sol, spec)
+        assert lines[1] == (
+            f"del: errors periodicity {rep.periodicity_error:.3e}, delay "
+            f"{rep.delay_error:.3e}, x_s constancy {rep.xs_constancy_error:.3e}, "
+            f"residual {rep.residual_error:.3e}")
+
     def test_choreo_del(self, tmp_path, capsys):
         eps = math.pi / 15.0
         spec = make_discrete_tuned_spec_d3(central_difference(eps), n=5)
@@ -420,6 +438,24 @@ class TestValidate:
         deviation = lines[-1].removeprefix("target spectrum deviation: ")
         assert code == cli.EXIT_OK and deviation.endswith("(ok=True)")
         assert float(deviation.split()[0]) <= 1e-14
+
+    def test_equal_grid_targets_with_generic_weights_and_j5_meet_their_double_root(
+            self, tmp_path, capsys):
+        """Both targets 2 on the grid of weights (-0.7, 0.4, 0.3) with J5 != 0: one target
+        equation twice, and its omega-derivative as the second.  This read 3.957e-04
+        (ok=False), one root pair left off +-2i; now 2.984e-08, a double root split by
+        rounding (the central difference reads 3.8e-10)."""
+        zero = np.zeros((2, 2))
+        spec = LagrangianSpec(2, 3, np.diag([1.0, -1.0]), np.diag([3.0, -2.0]), zero, zero)
+        code, lines, _ = validate(tmp_path, capsys, spec, J4=None,
+                                  J5=[[0.0, 0.7], [-0.7, 0.0]],
+                                  time={"t0": 0.0, "tf": 5.0, "M": 100},
+                                  operator={"N": 1, "gamma": [-0.7, 0.4, 0.3]},
+                                  targets={"omega": [2.0, 2.0], "j4_free": 0.0,
+                                           "discrete": True})
+        deviation = lines[-1].removeprefix("target spectrum deviation: ")
+        assert code == cli.EXIT_OK and deviation.endswith("(ok=True)")
+        assert float(deviation.split()[0]) <= 1e-6
 
     @pytest.mark.parametrize("discrete, deviation", [(False, "0.000e+00 (ok=True)"),
                                                      (True, "1.334e-04 (ok=False)")])

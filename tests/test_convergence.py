@@ -92,8 +92,8 @@ def test_pencil_error_grid_matches_the_pointwise_loop(spec, op_family):
     radius = 2.0 * float(np.abs(pencil.classical_spectrum(p_cls).roots).max()) + 1.0
     axis = np.linspace(-radius, radius, 21)
     for eps, got in zip(epsilons, result.pencil_errors):
-        tp = pencil.transcendental_pencil(spec, op_family(eps), nu)
-        want = max(np.linalg.norm(pencil.transcendental_eval(tp, np.exp(lam * eps))
+        op = op_family(eps)
+        want = max(np.linalg.norm(pencil.transcendental_eval(spec, op, nu, np.exp(lam * eps))
                                   - pencil.classical_eval(p_cls, lam))
                    for lam in (axis[:, None] + 1j * axis[None, :]).ravel())
         assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -147,22 +147,20 @@ class TestGeneralSolution:
                                    J7=np.array([1.1, 0.4]))
         n = 3
         op = ScaleOperator(np.array([-0.45 + 0.1j, -0.2, 0.55 + 0.1j]), 0.05)
-        p_n = pencil.transcendental_pencil(spec, op, n)
-        p_0 = pencil.transcendental_pencil(spec, op, 0)
-        sp_n = pencil.transcendental_spectrum(p_n)
+        sp_n = pencil.transcendental_spectrum(spec, op, n)
         for zeta, lam in zip(sp_n.roots.roots, sp_n.lam.roots):
-            xs_a = kernel_vector(pencil.transcendental_eval(p_n, zeta))
+            xs_a = kernel_vector(pencil.transcendental_eval(spec, op, n, zeta))
             theta = symbol_theta(op, lam)
             xj_a = 2 * np.linalg.solve(
-                pencil.transcendental_eval(p_0, zeta),
+                pencil.transcendental_eval(spec, op, 0, zeta),
                 (spec.J4 + theta * spec.J3) @ xs_a)
             assert np.abs(xj_a - xs_a / n).max() < 1e-10
         sbar0 = op.gamma.sum() / op.epsilon
         theta0 = symbol_theta(op, 0.0)
-        xs_0 = n * np.linalg.solve(pencil.transcendental_eval(p_n, 1.0),
+        xs_0 = n * np.linalg.solve(pencil.transcendental_eval(spec, op, n, 1.0),
                                    spec.J7 + sbar0 * spec.J6)
         xj_0 = np.linalg.solve(
-            pencil.transcendental_eval(p_0, 1.0),
+            pencil.transcendental_eval(spec, op, 0, 1.0),
             2 * (theta0 * spec.J3 + spec.J4) @ xs_0 + sbar0 * spec.J6 + spec.J7)
         assert np.abs(xj_0 - xs_0 / n).max() < 1e-10
 

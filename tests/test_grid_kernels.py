@@ -16,8 +16,7 @@ import pytest
 
 from choreoqep import delsolve, numkernel, pencil, periodic, scaleop
 from choreoqep.delsolve import TrajectoryGrid, recurrence_march, residual_del
-from choreoqep.scaleop import (GridFunction, OutOfRange, ScaleOperator,
-                               central_difference, k_family)
+from choreoqep.scaleop import OutOfRange, ScaleOperator, central_difference, k_family
 
 import reference
 from conftest import make_discrete_tuned_spec_d3, make_reference_spec
@@ -54,7 +53,6 @@ def reference_residual(spec, op, n, vals, xs_vals, t0, m):
     a_0, c_0 = pencil.coefficient_matrices(spec, 0)
 
     def applied(f):
-        f = GridFunction(t0, eps, f)
         return (scaleop.boxbox_apply(op, f, m, t0, tf),
                 scaleop.box_apply(op, f, m, t0, tf)
                 - scaleop.adjoint_box_apply(op, f, m, t0, tf))

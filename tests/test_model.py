@@ -277,6 +277,45 @@ class TestConstructJ4:
         lam = pencil.Setting(spec, op).modes(0).lam.roots
         assert (np.abs(np.abs(lam) - 2.0) <= 1e-7).sum() == 4
 
+    @pytest.mark.parametrize("gamma", [[-0.7, 0.4, 0.3], [0.1, -0.8, 0.2, 0.6, -0.1]],
+                             ids=["N1", "N2"])
+    def test_equal_grid_targets_with_generic_weights_give_the_double_root(self, gamma):
+        """With Re h != 0 the two target equations coincide, and q = c r'/(w^2)' (the limit
+        of the divided difference) makes the target's omega-derivative hold too: both root
+        pairs land on +-2i, split as a double root's rounding splits it (3e-8 for N = 1).
+        Before, q = 0 left one pair 4.0e-4 away (N = 1)."""
+        s_diag, j5 = np.diag([1.0, -1.0]), np.array([[0.0, 0.7], [-0.7, 0.0]])
+        op, zero = ScaleOperator(np.array(gamma), 0.05), np.zeros((2, 2))
+        j4 = construct_j4(s_diag, np.diag([3.0, -2.0]), zero, 2.0, 2.0, 0.0, j5, op)
+        spec = LagrangianSpec(2, 3, s_diag, np.diag([3.0, -2.0]), zero, j4, j5)
+        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        assert [(np.abs(lam - target) <= 1e-6).sum() for target in (2j, -2j)] == [2, 2]
+
+    def test_equal_targets_where_re_h_vanishes_keep_every_bit(self):
+        """The double-target q needs Re h != 0: continuous targets and the central
+        difference's (antisymmetric, Re h = 0) build J4 as before it.  The bytes of 800
+        constructions (or the class of the error each raises: 67 of them), recorded at the
+        parent of that change: 200 seeded d = 2 systems with S = diag(a, -b), omega1 =
+        omega2, each continuous and central, without and with J5."""
+        rng = np.random.default_rng(47)
+        digest, failed = hashlib.sha256(), 0
+        for _ in range(200):
+            a, b = rng.uniform(0.5, 3.0, size=2)
+            j1, j2 = np.diag([a, -b]), np.diag(rng.uniform(-3, 3, size=2))
+            w = float(rng.uniform(0.3, 6.0))
+            free, j = float(rng.uniform(-2.0, 2.0) * w * w), float(rng.uniform(-1.5, 1.5))
+            for op in (None, central_difference(float(rng.uniform(0.01, 0.2)))):
+                for j5 in (None, np.array([[0.0, j], [-j, 0.0]])):
+                    try:
+                        out = construct_j4(j1, j2, np.zeros((2, 2)), w, w, free, j5, op)
+                        out = out.tobytes()
+                    except (NoRealSolution, SymmetryInfeasible) as exc:
+                        out, failed = type(exc).__name__.encode(), failed + 1
+                    digest.update(out)
+        assert failed == 67
+        assert digest.hexdigest() == ("6b2b21e7f53844c2ad86182249d43f25"
+                                      "e828b262560d9e2ac6d500804f7fb37c")
+
     def test_grid_targets_need_real_weights(self):
         with pytest.raises(ValueError, match="real operator weights"):
             construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, None, k_family(0.05, 0.3))

@@ -142,7 +142,7 @@ def test_zeta_spectrum_matches_the_oracle(name, nu, op_name, eps):
     with mp.workdps(50):
         coeffs = zeta_coeffs(spec, op, nu)
         want = mp_companion_roots(coeffs)
-        sp = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, nu))
+        sp = pencil.transcendental_spectrum(spec, op, nu)
         assert len(sp.roots) == len(want) == 4 * op.N * spec.d
         assert hausdorff_distance(sp.roots, want) <= root_tol(name, op_name)
         # simple (separation 1e-7) exactly when the oracle's roots are: the mixed 5-point

@@ -21,6 +21,9 @@ def test_one_round_of_one_pass_with_the_repo_on_both_sides():
     assert all(line.endswith("216 ok ops a pass") for line in lines[:2])
     rss = [float(re.search(r"peak rss ([0-9.]+) MiB", line)[1]) for line in lines[:2]]
     assert all(20 < mb < 2000 for mb in rss)  # a process with numpy loaded, in MiB
+    # the child's own VmHWM, which ru_maxrss (the parent's peak at least) bounds
+    own = [float(re.search(r"\(own ([0-9.]+) MiB\)", line)[1]) for line in lines[:2]]
+    assert all(20 < mb <= total + 0.1 for mb, total in zip(own, rss))
     ratio = float(re.search(r"peak rss ([0-9.]+)$", lines[2])[1])
     assert ratio == pytest.approx(rss[1] / rss[0], abs=5e-3)  # rss printed to 0.1 MiB
     setup = [float(re.search(r": set-up ([0-9.]+) ms, min", line)[1]) for line in lines[:2]]

@@ -10,8 +10,7 @@ from choreoqep.pencil import (ClassicalPencil, LeadingSingular, ZeroArgument,
                               check_cel_assumptions, check_del_assumptions,
                               classical_eval, classical_pencil,
                               classical_spectrum, coefficient_matrices,
-                              transcendental_eval, transcendental_pencil,
-                              transcendental_spectrum)
+                              transcendental_eval, transcendental_spectrum)
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import (J1, J2, J3, make_gyroscopic_spec, make_oscillator_spec,
@@ -82,30 +81,28 @@ class TestTranscendentalEval:
     def test_at_one_reduces_to_constant_block(self, ref_spec):
         op = k_family(0.1, 0.3)
         for nu in (0, 3):
-            p = transcendental_pencil(ref_spec, op, nu)
             _, c = coefficient_matrices(ref_spec, nu)
-            assert np.allclose(transcendental_eval(p, 1.0), -c, atol=1e-12)
+            assert np.allclose(transcendental_eval(ref_spec, op, nu, 1.0), -c, atol=1e-12)
 
     def test_scalar_central_closed_form(self):
         spec = make_oscillator_spec(2.0)
         eps = 0.1
-        p = transcendental_pencil(spec, central_difference(eps), 1)
         for zeta in (0.7 + 0.4j, 1.5, np.exp(0.3j)):
             want = ((zeta - 1 / zeta) / (2 * eps)) ** 2 + 4.0
-            assert transcendental_eval(p, zeta)[0, 0] == pytest.approx(want)
+            got = transcendental_eval(spec, central_difference(eps), 1, zeta)
+            assert got[0, 0] == pytest.approx(want)
 
     def test_zero_argument(self, ref_spec):
-        p = transcendental_pencil(ref_spec, central_difference(0.1), 0)
         with pytest.raises(ZeroArgument):
-            transcendental_eval(p, 0.0)
+            transcendental_eval(ref_spec, central_difference(0.1), 0, 0.0)
 
     def test_tends_to_classical_second_order_for_central(self, ref_spec):
         lam = 0.4 + 1.1j
         pc = classical_pencil(ref_spec, 0)
         errs = []
         for eps in (1e-2, 5e-3):
-            pt = transcendental_pencil(ref_spec, central_difference(eps), 0)
-            diff = transcendental_eval(pt, np.exp(lam * eps)) - classical_eval(pc, lam)
+            diff = (transcendental_eval(ref_spec, central_difference(eps), 0, np.exp(lam * eps))
+                    - classical_eval(pc, lam))
             errs.append(np.abs(diff).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -114,7 +111,7 @@ class TestTranscendentalSpectrum:
     def test_scalar_closed_form(self):
         spec = make_oscillator_spec(1.0)
         eps = 0.1
-        sp = transcendental_spectrum(transcendental_pencil(spec, central_difference(eps), 1))
+        sp = transcendental_spectrum(spec, central_difference(eps), 1)
         assert len(sp.lam) == 4
         slow = math.asin(eps) / eps
         fast = (math.pi - math.asin(eps)) / eps
@@ -124,29 +121,28 @@ class TestTranscendentalSpectrum:
 
     def test_reference_count(self, ref_spec):
         op = k_family(2 * math.pi / 100, 0.3)
-        sp = transcendental_spectrum(transcendental_pencil(ref_spec, op, 0))
+        sp = transcendental_spectrum(ref_spec, op, 0)
         assert len(sp.lam) == 8 and len(sp.roots) == 8  # 4Nd with N=1, d=2
 
     def test_vieta_product_of_zeta_roots(self, ref_spec):
         op = k_family(2 * math.pi / 100, 0.3)
-        p = transcendental_pencil(ref_spec, op, 0)
-        sp = transcendental_spectrum(p)
+        sp = transcendental_spectrum(ref_spec, op, 0)
         poly = numkernel.det_as_polynomial(
-            lambda z: z**2 * transcendental_eval(p, z), 8)
+            lambda z: z**2 * transcendental_eval(ref_spec, op, 0, z), 8)
         want = poly.coeffs[0] / poly.coeffs[-1]  # (-1)^deg * product of roots
         got = np.prod(sp.roots.roots)
         assert abs(got - want) <= 1e-8 * abs(want)
 
     def test_residual_bound_on_zeta_roots(self, ref_spec):
         op = central_difference(2 * math.pi / 100)
-        sp = transcendental_spectrum(transcendental_pencil(ref_spec, op, 3))
+        sp = transcendental_spectrum(ref_spec, op, 3)
         assert (sp.roots.residuals <= 1e-8).all()
 
     def test_convergent_and_divergent_split(self):
         spec = make_oscillator_spec(1.0)
         for eps in (0.1, 0.05, 0.025):
             sp = transcendental_spectrum(
-                transcendental_pencil(spec, central_difference(eps), 1))
+                spec, central_difference(eps), 1)
             inside = sp.lam.roots[np.abs(sp.lam.roots) <= 10.0]
             outside = sp.lam.roots[np.abs(sp.lam.roots) > 10.0]
             assert len(inside) == 2 and len(outside) == 2
@@ -158,11 +154,11 @@ class TestTranscendentalSpectrum:
     def test_zero_edge_weight_rejected(self, ref_spec):
         op = ScaleOperator(np.array([0.0, -0.5, 0.5]), 0.1)
         with pytest.raises(LeadingSingular):
-            transcendental_spectrum(transcendental_pencil(ref_spec, op, 0))
+            transcendental_spectrum(ref_spec, op, 0)
 
     def test_principal_branch(self, ref_spec):
         op = k_family(2 * math.pi / 100, 0.1)
-        sp = transcendental_spectrum(transcendental_pencil(ref_spec, op, 0))
+        sp = transcendental_spectrum(ref_spec, op, 0)
         assert (np.abs(sp.lam.roots.imag) <= math.pi / op.epsilon + 1e-9).all()
         assert np.allclose(np.exp(sp.lam.roots * op.epsilon), sp.roots.roots,
                            atol=1e-12)
@@ -222,9 +218,8 @@ class TestCompanionErrorPaths:
         monkeypatch.setattr(np.linalg, "eig", no_convergence)
         with pytest.raises(numkernel.NumericalFailure):
             classical_spectrum(classical_pencil(ref_spec, 0))
-        p = transcendental_pencil(ref_spec, central_difference(0.05), 0)
         with pytest.raises(numkernel.NumericalFailure):
-            transcendental_spectrum(p)
+            transcendental_spectrum(ref_spec, central_difference(0.05), 0)
         rep = check_del_assumptions(ref_spec, central_difference(0.05), 3)
         assert not rep.precondition_ok and "eigen-solve" in rep.note
 
@@ -244,7 +239,7 @@ class TestCompanionErrorPaths:
 
     def test_infinite_eigenvalues_are_a_degree_drop(self):
         # a leading block too small to invert in floating point: the companion overflows
-        p = ClassicalPencil(1e-310 * np.eye(2), np.zeros((2, 2)), np.eye(2), 0.0)
+        p = ClassicalPencil(1e-310 * np.eye(2), np.zeros((2, 2)), np.eye(2))
         with pytest.raises(LeadingSingular):
             classical_spectrum(p)
 
@@ -275,19 +270,18 @@ class TestCompanionErrorPaths:
         for blocks in ((np.eye(2), np.zeros((2, 2)), nan), (nan, np.zeros((2, 2)), np.eye(2))):
             with pytest.raises(numkernel.NumericalFailure,
                                match="non-finite pencil coefficients"):
-                classical_spectrum(ClassicalPencil(*blocks, 0.0))
+                classical_spectrum(ClassicalPencil(*blocks))
 
     def test_backward_error_above_tol_is_rejected(self, monkeypatch, ref_spec):
-        p = transcendental_pencil(ref_spec, central_difference(0.05), 3)
-        assert transcendental_spectrum(p).roots.residuals.max() > 1e-30
+        p = ref_spec, central_difference(0.05), 3
+        assert transcendental_spectrum(*p).roots.residuals.max() > 1e-30
         monkeypatch.setattr(pencil, "BACKWARD_ERROR_TOL", 1e-30)
         with pytest.raises(numkernel.NumericalFailure):
-            transcendental_spectrum(p)
+            transcendental_spectrum(*p)
 
     def test_real_weights_give_conjugate_pairs_and_vectors(self, ref_spec):
         # real arithmetic: roots and kernel vectors come in exact conjugate pairs
-        p = transcendental_pencil(ref_spec, central_difference(0.05), 0)
-        sp = transcendental_spectrum(p)
+        sp = transcendental_spectrum(ref_spec, central_difference(0.05), 0)
         z, v = sp.roots.roots, sp.roots.vectors
         partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
         assert np.array_equal(z[partner], z.conj())
@@ -343,7 +337,7 @@ class TestHalfDegreeRoute:
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
         for op, want in ((gamma_cell(0.05), []), (mixed_five_point(0.05), [(1, 2, 4, 4)])):
             shapes.clear()
-            transcendental_spectrum(transcendental_pencil(ref_spec, op, 3))
+            transcendental_spectrum(ref_spec, op, 3)
             assert shapes == want  # d = 2 targets, one 2N x 2N companion each
 
     def test_the_quadratic_avoids_cancellation_and_pairs_conjugates(self):
@@ -442,14 +436,13 @@ class TestPreimagePath:
     @pytest.mark.parametrize("op_name", sorted(ANTISYMMETRIC))
     @pytest.mark.parametrize("d", [2, 8])
     def test_agrees_with_the_shifted_companion(self, d, op_name, eps):
-        p = transcendental_pencil(gyroscopic_random_spec(d), ANTISYMMETRIC[op_name](eps), 0)
-        sp = transcendental_spectrum(p)
-        blocks = pencil._shifted_blocks(p.spec, p.op.gamma[None], pencil._Delays.of([p.op]),
-                                        p.nu)
+        spec, op = gyroscopic_random_spec(d), ANTISYMMETRIC[op_name](eps)
+        sp = transcendental_spectrum(spec, op, 0)
+        blocks = pencil._shifted_blocks(spec, op.gamma[None], pencil._Delays.of([op]), 0)
         (w,), (vectors,), _, failures = pencil._eigenpairs(blocks)
         assert failures == [None]
         zeta = 1.0 + eps * w
-        assert len(sp.roots) == len(zeta) == 4 * p.op.N * d
+        assert len(sp.roots) == len(zeta) == 4 * op.N * d
         dist = np.abs(sp.roots.roots[:, None] - zeta[None, :])
         match = dist.argmin(axis=1)
         assert sorted(match) == list(range(len(zeta)))  # one to one
@@ -472,7 +465,7 @@ class TestPreimagePath:
                   (ANTISYMMETRIC["complex"](0.05), (1, 3, 2, 2))]
         for op, blocks in routes:
             shapes.clear()
-            transcendental_spectrum(transcendental_pencil(spec, op, 3))
+            transcendental_spectrum(spec, op, 3)
             assert shapes == [blocks]
 
     def test_only_other_weights_reach_the_zeta_companion(self, monkeypatch):
@@ -576,13 +569,13 @@ class TestSymbolReductions:
         shapes, original = [], pencil._companion_roots
         monkeypatch.setattr(pencil, "_companion_roots",
                             lambda c, f: shapes.append(c.shape) or original(c, f))
-        transcendental_spectrum(transcendental_pencil(make_gyroscopic_spec(), op, 0))
+        transcendental_spectrum(make_gyroscopic_spec(), op, 0)
         assert shapes == [(1, solved, 5)]  # coefficients of degree 2N = 4
 
     @staticmethod
     def check_exact_conjugate_pairs(monkeypatch, spec, op, nu):
         calls = recorded_preimages(monkeypatch)
-        sp = transcendental_spectrum(transcendental_pencil(spec, op, nu))
+        sp = transcendental_spectrum(spec, op, nu)
         assert len(calls) == 1  # a symbol reduction, in real arithmetic
         z, v = sp.roots.roots, sp.roots.vectors
         partner = [int(np.argmin(np.abs(z - r.conjugate()))) for r in z]
@@ -605,10 +598,10 @@ class TestSymbolReductions:
         for i, op in enumerate(ops):
             if batch.failures[i] is not None:
                 with pytest.raises(type(batch.failures[i])) as info:
-                    transcendental_spectrum(transcendental_pencil(spec, op, nu))
+                    transcendental_spectrum(spec, op, nu)
                 assert str(info.value) == str(batch.failures[i])
                 continue
-            lone = transcendental_spectrum(transcendental_pencil(spec, op, nu))
+            lone = transcendental_spectrum(spec, op, nu)
             for got, want in ((batch.lam[i], lone.lam.roots), (batch.roots[i], lone.roots.roots),
                               (batch.residuals[i], lone.roots.residuals),
                               (batch.vectors[i], lone.roots.vectors)):
@@ -623,7 +616,7 @@ class TestSymbolReductions:
         # eps^2 underflows to 0: the companion rows are not finite and never reach eig(vals),
         # and the division by it warns nothing (the suite makes RuntimeWarnings errors)
         with pytest.raises(LeadingSingular, match="the block companion has infinite eigenvalues"):
-            transcendental_spectrum(transcendental_pencil(spec, op, 3))
+            transcendental_spectrum(spec, op, 3)
         assert capfd.readouterr().out == ""
 
 

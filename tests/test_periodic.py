@@ -80,7 +80,7 @@ class TestIsPeriodic:
     def test_discrete_tuned_d3_periodic_in_particle_spectrum(self):
         op = central_difference(math.pi / 15.0)
         spec = make_discrete_tuned_spec_d3(op)
-        sp0 = pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, op, 0))
+        sp0 = pencil.transcendental_spectrum(spec, op, 0)
         assert np.allclose(np.sort(np.abs(sp0.lam.roots.imag)),
                            [1, 1, 2, 2, 3, 3, 12, 12, 13, 13, 14, 14], atol=1e-9)
         rep = commensurability(sp0.lam)

@@ -407,9 +407,8 @@ def test_the_reachability_checker_follows_names_from_the_roots(tmp_path):
 
 def test_src_keeps_only_what_a_command_or_the_benchmark_reaches():
     """From `cli.main` and every name the benchmark's own files mention (its layer targets
-    among them), the package reaches all it defines but three: `model.energy`, which the
-    discrete Jacobi integral will call, and `pencil.transcendental_pencil` and
-    `scaleop.GridFunction.from_callable`, which the tests build inputs with."""
+    among them), the package reaches all it defines but one: `model.energy`, which the
+    discrete Jacobi integral will call."""
     bench = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
     assert unreached_definitions(sorted(PACKAGE.glob("*.py")), root_names(bench) | {"main"}) == [
-        "model.energy", "pencil.transcendental_pencil", "scaleop.GridFunction.from_callable"]
+        "model.energy"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from choreoqep.scaleop import (GridFunction, OutOfRange, ScaleOperator,
+from choreoqep.scaleop import (OutOfRange, ScaleOperator,
                                adjoint_box_apply, box_apply, boxbox_apply,
                                central_difference, check_operator_conditions,
                                chi, k_family)
@@ -35,59 +35,54 @@ class TestChi:
     def test_agrees_with_chi_node_far_from_zero(self, op):
         # at t0 = 1e6 the rounding of node times (ulp ~1.2e-10) exceeds 1e-9 eps
         t0, M = 1e6, 200
-        f = GridFunction(t0, op.epsilon, np.zeros(M + 1))
-        tf = f.node_time(M)
+        tf = t0 + M * op.epsilon
         for m in range(M + 1):
             for j in range(-2 * op.N, 2 * op.N + 1):
                 on_grid = int(max(0, j) <= m <= M + min(0, j))  # chi_j at node m
-                assert chi(op, j, f.node_time(m), t0, tf) == on_grid, (m, j)
+                assert chi(op, j, t0 + m * op.epsilon, t0, tf) == on_grid, (m, j)
 
 
 class TestBoxApply:
     def test_identity_function_gives_one(self):
         op = central_difference(0.05)
-        f = GridFunction.from_callable(lambda t: t, 0.0, 0.05, 20)
-        val = box_apply(op, f, 10, 0.0, 1.0)
+        val = box_apply(op, 0.05 * np.arange(21), 10, 0.0, 1.0)
         assert val[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_gives_zero(self):
         op = central_difference(0.05)
-        f = GridFunction.from_callable(lambda t: 1.0, 0.0, 0.05, 20)
-        assert abs(box_apply(op, f, 10, 0.0, 1.0)[0]) < 1e-13
+        assert abs(box_apply(op, np.ones(21), 10, 0.0, 1.0)[0]) < 1e-13
 
     def test_exponential_matches_symbol(self):
         lam = 0.7 + 1.3j
         eps = 0.05
         op = central_difference(eps)
-        f = GridFunction.from_callable(lambda t: np.exp(lam * t), 0.0, eps, 20)
+        f = [np.exp(lam * m * eps) for m in range(21)]
         t = 0.5
         want = np.exp(lam * t) * np.sinh(lam * eps) / eps
         assert abs(box_apply(op, f, 10, 0.0, 1.0)[0] - want) < 1e-12 * abs(want)
 
     def test_missing_node_raises(self):
         op = central_difference(0.05)
-        f = GridFunction.from_callable(lambda t: t, 0.0, 0.05, 10)
         # declared interval extends past the stored grid
         with pytest.raises(OutOfRange):
-            box_apply(op, f, 10, 0.0, 2.0)
+            box_apply(op, 0.05 * np.arange(11), 10, 0.0, 2.0)
 
 
 class TestAdjointBoxApply:
     def test_identity_function_gives_minus_one(self):
         op = central_difference(0.05)
-        f = GridFunction.from_callable(lambda t: t, 0.0, 0.05, 20)
+        f = 0.05 * np.arange(21)
         assert adjoint_box_apply(op, f, 10, 0.0, 1.0)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_gives_zero(self):
         op = central_difference(0.05)
-        f = GridFunction.from_callable(lambda t: 4.2, 0.0, 0.05, 20)
-        assert abs(adjoint_box_apply(op, f, 10, 0.0, 1.0)[0]) < 1e-13
+        assert abs(adjoint_box_apply(op, np.full(21, 4.2), 10, 0.0, 1.0)[0]) < 1e-13
 
     def test_exponential_matches_mirrored_symbol(self):
         lam = -0.2 + 0.9j
         eps = 0.05
         op = central_difference(eps)
-        f = GridFunction.from_callable(lambda t: np.exp(lam * t), 0.0, eps, 20)
+        f = [np.exp(lam * m * eps) for m in range(21)]
         want = -np.exp(lam * 0.5) * np.sinh(lam * eps) / eps
         assert abs(adjoint_box_apply(op, f, 10, 0.0, 1.0)[0] - want) < 1e-12 * abs(want)
 
@@ -163,7 +158,7 @@ class TestComposition:
         sups = []
         for eps in (0.02, 0.01, 0.005):
             M = int(round(2.0 / eps))
-            grid = GridFunction.from_callable(f, 0.0, eps, M)
+            grid = [f(m * eps) for m in range(M + 1)]
             op = k_family(eps, 0.4)
             errs = [abs(box_apply(op, grid, m, 0.0, 2.0)[0] - df(m * eps))
                     for m in range(2, M - 2)]
@@ -175,12 +170,11 @@ class TestComposition:
         eps = 0.05
         op = k_family(eps, 0.2)
         M = 40
-        f = GridFunction.from_callable(lambda t: np.exp(lam * t), 0.0, eps, M)
+        f = [np.exp(lam * m * eps) for m in range(M + 1)]
         box_vals = np.array([box_apply(op, f, m, 0.0, M * eps) for m in range(M + 1)])
-        g = GridFunction(0.0, eps, box_vals)
         m = 20
         want = symbol_theta(op, lam) * np.exp(lam * m * eps)
-        got = adjoint_box_apply(op, g, m, 0.0, M * eps)[0]
+        got = adjoint_box_apply(op, box_vals, m, 0.0, M * eps)[0]
         assert abs(got - want) < 1e-11 * abs(want)
         # the windowed double-sum gives the same composition in one shot
         direct = boxbox_apply(op, f, m, 0.0, M * eps)[0]

@@ -92,7 +92,7 @@ def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
             if setting.op is None:
                 m = pencil.classical_eval(pencil.classical_pencil(ref_spec, 3), z)
             else:
-                m = pencil.transcendental_eval(pencil.transcendental_pencil(ref_spec, op, 3), z)
+                m = pencil.transcendental_eval(ref_spec, op, 3, z)
             ref = numkernel.kernel_vector(m, rank_tol=1e-6)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
             assert np.abs(v - ref).max() <= 1e-8

@@ -162,7 +162,7 @@ def test_a_sweep_never_gathers_kernel_vectors(vector_reads, spec, family):
     assert vector_reads == []
     if not np.isfinite(result.distances).any():
         return
-    pencil.transcendental_spectrum(pencil.transcendental_pencil(spec, family(0.01), 0.0))
+    pencil.transcendental_spectrum(spec, family(0.01), 0.0)
     assert vector_reads == [1, 1]  # the lam and the zeta RootSet
 
 

@@ -12,11 +12,13 @@ time from its first line to the end of the warm-up call, what the benchmark's `s
 counts.
 
 Prints one line a process (its set-up, its min and median pass time, its peak RSS from
-`ru_maxrss` as the benchmark's `peak_rss_mb` reads it, and ok ops a pass), then the
+`ru_maxrss` as the benchmark's `peak_rss_mb` reads it, beside its own peak `VmHWM` from
+/proc/self/status, and ok ops a pass), then the
 NEW/OLD ratio of the min and of the median over all passes of each side, of the median
 set-up and of the median peak RSS over each side's processes: peak RSS creeps upward from
 one process to the next, whichever checkout runs, so each side's largest would count
-against the side that ran last.  Exits 1 if any job's output digest, any op's outcome or any
+against the side that ran last.  A child's `ru_maxrss` is at least its parent's peak RSS,
+which Linux carries across vfork+exec; `VmHWM` is the child's own.  Exits 1 if any job's output digest, any op's outcome or any
 fitted order differs between two passes of the run, on either side.
 """
 from __future__ import annotations
@@ -51,6 +53,8 @@ for _ in range(int(sys.argv[1])):
     walls.append(time.perf_counter() - t)
 print(json.dumps({"setup": setup, "walls": walls, "ok": results[0].ok,
                   "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  "own_mb": next(int(line.split()[1]) for line in open("/proc/self/status")
+                                 if line.startswith("VmHWM:")) / 1024.0,
                   "passes": [[r.digests, r.outcomes, r.order_gaps] for r in results]}))
 """
 
@@ -94,7 +98,8 @@ def main(argv=None) -> int:
                 print(f"round {r + 1} {name}: set-up {1e3 * run['setup']:.1f} ms, "
                       f"min {1e3 * min(run['walls']):.1f} ms, "
                       f"median {1e3 * statistics.median(run['walls']):.1f} ms, "
-                      f"peak rss {run['rss_mb']:.1f} MiB, {run['ok']} ok ops a pass",
+                      f"peak rss {run['rss_mb']:.1f} MiB (own {run['own_mb']:.1f} MiB), "
+                      f"{run['ok']} ok ops a pass",
                       flush=True)
     walls = {name: [w for run in rs for w in run["walls"]] for name, rs in runs.items()}
     setup = {name: statistics.median(run["setup"] for run in rs) for name, rs in runs.items()}
