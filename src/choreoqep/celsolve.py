@@ -5,9 +5,9 @@ Solutions are synthesized as u0 + sum_l e^{lam_l (t - a_l)} u_l: the summed vari
 x_s carries the nu = n pencil phases, and each particle adds nu = 0 phases on
 top of (1/n) x_s.  The homogeneous parts are constrained to sum to zero over
 particles, which is resolved by eliminating the last particle's amplitudes.
-The core (`Core`) runs on a batch of `pencil.Setting`s without asking which
-kind they are: it holds each kernel basis and x_s constant with a leading batch
-axis, assembles x_s and the particles, and solves amplitudes from samples at the
+The core (`Core`) runs on a batch, one spec and its operators ([None]: continuous time),
+without asking which kind it is: it holds each kernel basis and x_s constant with a leading
+batch axis, assembles x_s and the particles, and solves amplitudes from samples at the
 ends of the interval, every item at once, under the batch contract of `numkernel`.
 Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes growing by
 more than e are anchored at the last sample time, others at the first; columns equilibrated.
@@ -145,16 +145,16 @@ def grid_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
 
 
 class Core:
-    """Mode bases and x_s constants of a batch of settings sharing spec, N and eps, with
-    a leading batch axis.  failures[i] is what a solve of item i raises so far, None while
-    it has not failed: an AssumptionViolation where a spectrum it uses fails (nu = n, and
-    nu = 0 for n > 1) or (`xs0`) where the nu = n pencil is singular at the constant mode; a
-    SingularBoundarySystem (`boundary_solve`), also where repeated phases leave too few
-    independent columns."""
+    """Mode bases and x_s constants of spec under operators sharing N and eps ([None]:
+    continuous time), with a leading batch axis.  failures[i] is what a solve of item i
+    raises so far, None while it has not failed: an AssumptionViolation where a spectrum it
+    uses fails (nu = n, and nu = 0 for n > 1) or (`xs0`) where the nu = n pencil is singular
+    at the constant mode; a SingularBoundarySystem (`boundary_solve`), also where repeated
+    phases leave too few independent columns."""
 
-    def __init__(self, settings: list, n: int):
-        sp_n, sp_0 = (pencil.spectra(settings, nu) for nu in (n, 0))
-        self.settings, self.n = settings, n
+    def __init__(self, spec: LagrangianSpec, ops: list, n: int):
+        sp_n, sp_0 = (pencil.spectra(spec, ops, nu) for nu in (n, 0))
+        self.spec, self.ops, self.n = spec, ops, n
         self.lam_n, self.w_n = sp_n.lam, sp_n.vectors
         self.lam_0, self.w_0 = sp_0.lam, sp_0.vectors
         # single particle: the zero-sum constraint eliminates the nu=0 modes
@@ -168,7 +168,7 @@ class Core:
         """(n times each item's constant mode (B, d), failures with the solves' ones: an
         AssumptionViolation where the nu = n pencil is singular at the constant mode)."""
         _, live = numkernel.merge_failures(self.failures)
-        at, rhs = pencil.constant_systems(self.settings, self.n)
+        at, rhs = pencil.constant_systems(self.spec, self.ops, self.n)
         x, found = numkernel.solve_stack(at[live], rhs[live])
         xs0 = np.zeros(rhs.shape, dtype=complex)
         xs0[live] = self.n * x
@@ -298,7 +298,7 @@ def general_solution_cel(spec: LagrangianSpec, n: int, xs_amplitudes,
     then raises NumericalFailure naming the growth.  A boundary solve anchors such modes
     at the far end instead.
     """
-    core = Core([pencil.Setting(spec)], n)
+    core = Core(spec, [None], n)
     return SystemSolution(*core.assemble(xs_amplitudes, particle_amplitudes))
 
 
@@ -309,7 +309,7 @@ def dirichlet_cel(spec: LagrangianSpec, n: int, t0: float, tf: float,
     x_t0 and x_tf hold one row per particle.  The solve decouples into one
     square system for the summed variable and one per particle.
     """
-    core = Core([pencil.Setting(spec)], n)
+    core = Core(spec, [None], n)
     data = np.stack([np.asarray(x_t0, dtype=complex).reshape(n, spec.d),
                      np.asarray(x_tf, dtype=complex).reshape(n, spec.d)], axis=1)
     xs, particles, report = core.solve_one((np.array([t0]), np.array([tf])), data)

@@ -374,7 +374,7 @@ def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
         xf = _complex_block(cfg.boundary, "x_tf", (n, spec.d), "boundary")
         return _reported("cel", *celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf))
     if cfg.amplitudes:
-        size = pencil.Setting(spec).root_count
+        size = pencil.root_count(spec, None)
         xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, seed)
         return celsolve.general_solution_cel(spec, n, xs, ps)
     raise ConfigParse("a continuous solve needs boundary.x_t0 and boundary.x_tf, or amplitudes"
@@ -392,7 +392,7 @@ def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
         head, tail = (convergence.node_values(cel, cfg.t0, cfg.epsilon, nodes) for nodes in
                       (np.arange(2 * N), np.arange(cfg.M - 2 * N + 1, cfg.M + 1)))
     elif cfg.amplitudes:
-        size = pencil.Setting(spec, op).root_count
+        size = pencil.root_count(spec, op)
         xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, seed)
         return delsolve.general_solution_del(spec, op, n, xs, ps, cfg.t0, cfg.M)
     else:
@@ -447,14 +447,13 @@ def cmd_validate(cfg: ExperimentConfig, args, out_dir: Path) -> None:
 
 def cmd_spectrum(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     """Roots of the nu=0 and nu=n pencils, with eigenpair backward errors as residual;
-    convergent_flag marks roots within twice the classical spectral radius plus one."""
-    setting = pencil.Setting(cfg.spec, cfg.operator() if args.which == "del" else None)
+    convergent_flag marks roots in the compact window (`convergence.compact_radius`)."""
+    spec, op = cfg.spec, cfg.operator() if args.which == "del" else None
     paths = []
     for nu, tag in ((0, "nu0"), (cfg.n, "nun")):
-        q_cls = pencil.classical_spectrum(pencil.classical_pencil(cfg.spec, nu))
-        lam = q_cls if setting.op is None else setting.modes(nu).lam
-        radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
-        kept = np.abs(lam.roots) <= radius
+        classical = pencil.classical_spectrum(spec, nu)  # first: a failure reads as its own
+        lam = pencil.spectra(spec, [op], nu).modes(0).lam
+        kept = np.abs(lam.roots) <= convergence.compact_radius(classical)
         rows = [[z.real, z.imag, r, int(k)]
                 for z, r, k in zip(lam.roots, lam.residuals, kept)]
         path = out_dir / f"spectrum_{args.which}_{tag}.csv"
@@ -556,7 +555,7 @@ def cmd_choreo(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
     amplitudes = []  # every setting's, read before any choreography is built
     for kind in which:
-        size = pencil.Setting(spec, cfg.operator() if kind == "del" else None).root_count
+        size = pencil.root_count(spec, cfg.operator() if kind == "del" else None)
         try:
             amplitudes.append(_complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
                               if _given(cfg.choreo, "amplitudes") else np.ones(size, dtype=complex))

@@ -138,28 +138,31 @@ def _pencil_errors(ops: list, lam: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
 
+def compact_radius(classical: RootSet) -> float:
+    """The compact window's radius: twice the classical spectral radius plus one."""
+    return 2.0 * float(np.abs(classical.roots).max()) + 1.0
+
+
 def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
                   K_radius: float = None) -> SweepResult:
     """Hausdorff distances and pencil errors over a family of delays.
 
     op_family maps epsilon to a ScaleOperator.  The sweep is one batch: the delays
     whose operators pass the operator conditions (checked once per weight vector) are
-    solved together, one `pencil.spectra` call per distinct N, with the classical spectrum
-    solved once and shared.  The pencil error is the max over a 21 x 21 grid of the
-    square |Re lam|, |Im lam| <= K_radius, on a `symmetric_axis` (axis[20 - k] = -axis[k],
-    0 in the middle), from its quarter Re lam, Im lam >= 0 when the weights are real.
+    solved together, one `pencil.spectra` call per distinct N, on the classical spectrum
+    the spec keeps.  The pencil error is the max over a 21 x 21 grid of the square
+    |Re lam|, |Im lam| <= K_radius (`compact_radius` by default), on a `symmetric_axis`
+    (axis[20 - k] = -axis[k], 0 in the middle), from its quarter Re lam, Im lam >= 0 when
+    the weights are real.
     Failures at one delay (bad operator conditions, failed spectra, zeta-roots clustered
     below numkernel.SEPARATION_TOL, empty windows) annotate that entry and the others are
     kept.  The order is the least-squares slope of log(distance) against log(epsilon) over
     the valid entries.
     """
     epsilons = np.asarray(epsilons, dtype=float).ravel()
-    p_cls = pencil.classical_pencil(spec, nu)
-    pair = np.stack([p_cls.A, spec.J5]).reshape(2, -1)
-    gram = pair.conj() @ pair.T  # Frobenius inner products of A_nu and J5
-    q_cls = pencil.classical_spectrum(p_cls)
+    gram, q_cls = pencil.error_gram(spec, nu), pencil.classical_spectrum(spec, nu)
     if K_radius is None:
-        K_radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
+        K_radius = compact_radius(q_cls)
     axis = symmetric_axis(K_radius, 21)
     lam_grid = axis[:, None] + 1j * axis[None, :]  # 21 x 21 pencil errors
     ops = [op_family(float(eps)) for eps in epsilons]
@@ -174,8 +177,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
         if notes[i] is None:
             by_n.setdefault(op.N, []).append(i)
     for idx in by_n.values():
-        sp = pencil.spectra([pencil.Setting(spec, ops[i]) for i in idx], nu,
-                            classical=q_cls)
+        sp = pencil.spectra(spec, [ops[i] for i in idx], nu)
         done, simple = [], numkernel.simple_rows(sp.roots, numkernel.SEPARATION_TOL)
         hausdorff = _hausdorff_rows(sp.lam, np.abs(sp.lam) <= K_radius, q_cls.roots)  # window
         for i, failure, ok, h in zip(idx, sp.failures, simple, hausdorff):

@@ -1,6 +1,6 @@
 """Pseudo-periodic solutions of the discrete equations of motion.
 
-The solves run the `celsolve` core on the discrete `pencil.Setting`, with the
+The solves run the `celsolve` core on the spec and its grid operators, with the
 first and last 2N grid nodes as boundary data; sampling, the recurrence march
 and the windowed residuals are particular to the grid and live here.
 Discrete solutions live on the uniform grid t0 + m*eps and are exact there;
@@ -100,7 +100,7 @@ class DelSolution(SystemSolution):
 def _discrete_core(spec: LagrangianSpec, ops: list, n: int, M: int) -> Core:
     """The `Core` of operators sharing N and eps; WindowExceeded for every item that
     meets the assumptions when M < 4N."""
-    core = Core([pencil.Setting(spec, op) for op in ops], n)
+    core = Core(spec, ops, n)
     if M < 4 * ops[0].N:
         core.failures, _ = numkernel.merge_failures(core.failures, [WindowExceeded(
             f"M = {M} leaves no interior window (need M >= 4N)") for op in ops])

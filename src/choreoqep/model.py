@@ -112,7 +112,7 @@ def energy(spec: LagrangianSpec, positions, velocities) -> float:
 def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
                  J5=None, op=None) -> np.ndarray:
     """Pair-coupling matrix making the nu = 0 roots +-i omega1, +-i omega2: in continuous
-    time when op is None, as in `pencil.Setting`, else on the grid of the operator op.
+    time when op is None, else on the grid of the operator op.
 
     Only defined for d = 2.  Writes J4 = J2/2 + S K / 2 with S = J1 - 2 J3 and solves for
     K = [[k1, k2], [k3, j4_free]] under symmetry of S K and, with J5 = j [[0, 1], [-1, 0]]

@@ -26,14 +26,14 @@ error is the root's residual.  On a reduction ||Q(w) v|| = ||R a(w)|| for the R 
 classical pair's products [P_i v], and ||B_i||_F = ||R x_i|| from the scalar coefficients
 x_i = (theta_i/eps^2, sigma1_i, shift_i) of B_i and the R of [vec A_nu | vec J5 | vec C_nu]:
 only the companion assembles the shifted blocks.
-`Setting` is the one place where the two settings differ; the assumption reports, the
-solvers' shared core and the periodicity code run on it.  `spectra` runs on a batch of
-settings that share spec and N, each item with its own eps, under the batch contract of
-`numkernel`, every eigen-solve stacked.  A batch holds the cells of an error surface (one
-eps) or the delays of an eps-sweep, and solves each reduction's classical pencil once.  A
-lone spectrum in either setting is one record, `Modes` (its phases lam and its roots in
-the pencil's variable), built only by `Spectra.modes`: `Setting.modes`,
-`transcendental_spectrum` and the assumption reports return or hold it.
+A batch is one spec and operators sharing N, each with its own eps ([None]: continuous
+time), as `spectra`, `constant_systems` and `celsolve.Core` take it, under the batch
+contract of `numkernel`: the cells of an error surface or the delays of an eps-sweep.
+`classical_spectrum` solves the classical pencil of (spec, nu) once and keeps its roots with
+the spec, beside the verdict on A_nu: continuous time's spectrum and the antisymmetric
+route's targets.  A lone spectrum in either setting is one record, `Modes` (its phases lam
+and its roots in the pencil's variable), built only by `Spectra.modes`: the batch of one,
+which `transcendental_spectrum` and the assumption reports return or hold.
 The equations of motion are stated once, for both settings, by `equation_blocks`:
 `celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
 and march to the scale operator's windows.
@@ -91,22 +91,16 @@ def equation_blocks(spec: LagrangianSpec, n: int) -> tuple:
     return spec._derived[key]
 
 
-@dataclass(frozen=True)
-class ClassicalPencil:
-    """Quadratic pencil A lam^2 + B lam + C."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+def classical_eval(spec: LagrangianSpec, nu: float, lam: complex) -> np.ndarray:
+    """The nu-pencil of spec at lam: A_nu lam^2 - 2 J5 lam - C_nu."""
+    a_nu, c_nu = coefficient_matrices(spec, nu)
+    return a_nu * lam**2 - 2.0 * spec.J5 * lam - c_nu
 
 
-def classical_pencil(spec: LagrangianSpec, nu: float) -> ClassicalPencil:
-    a, c = coefficient_matrices(spec, nu)
-    return ClassicalPencil(a, -2.0 * spec.J5, -c)
-
-
-def classical_eval(p: ClassicalPencil, lam: complex) -> np.ndarray:
-    return p.A * lam**2 + p.B * lam + p.C
+def error_gram(spec: LagrangianSpec, nu: float) -> np.ndarray:
+    """Frobenius inner products (2, 2) of A_nu and J5 (`convergence._pencil_errors`)."""
+    pair = np.stack([coefficient_matrices(spec, nu)[0], spec.J5]).reshape(2, -1)
+    return pair.conj() @ pair.T
 
 
 def _is_singular(m: np.ndarray) -> np.ndarray:
@@ -185,18 +179,41 @@ def _eigenpairs(blocks: np.ndarray) -> tuple:
         for f, exc, r in zip(failures, failed, rejected)]
 
 
-def classical_spectrum(p: ClassicalPencil) -> RootSet:
-    """All 2d pencil roots and their kernel vectors, from the companion of (C, B, A)."""
-    blocks = np.stack([p.C, p.B, p.A])
-    if not np.isfinite(blocks).all():  # the SVD below would not converge
-        raise numkernel.NumericalFailure("non-finite pencil coefficients")
-    if _is_singular(p.A):
-        raise LeadingSingular("leading coefficient is singular; root count drops below 2d")
-    (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(blocks[None])
-    if failure is not None:
-        raise failure
-    order = np.lexsort((lam.real, lam.imag))
-    return RootSet(lam[order], errors[order], vectors[order])
+def _leading_singular(spec: LagrangianSpec, nu: float) -> bool:
+    """Whether A_nu = J1 + 2(nu-1) J3 is singular (`_is_singular`), kept with the spec."""
+    key = ("leading_singular", nu)
+    if key not in spec._derived:
+        spec._derived[key] = bool(_is_singular(coefficient_matrices(spec, nu)[0]))
+    return spec._derived[key]
+
+
+def classical_spectrum(spec: LagrangianSpec, nu: float) -> RootSet:
+    """All 2d roots of the nu-pencil of spec and their kernel vectors, from the companion of
+    (C, B, A) = (-C_nu, -2 J5, A_nu), sorted by phase: solved once per (spec, nu) and kept
+    with the spec.  A failed solve is not kept: it raises again."""
+    key = ("classical_spectrum", nu)
+    if key not in spec._derived:
+        a_nu, c_nu = coefficient_matrices(spec, nu)
+        blocks = np.stack([-c_nu, -2.0 * spec.J5, a_nu])
+        if not np.isfinite(blocks).all():  # the SVD below would not converge
+            raise numkernel.NumericalFailure("non-finite pencil coefficients")
+        if _leading_singular(spec, nu):
+            raise LeadingSingular("leading coefficient is singular; root count drops below 2d")
+        (lam,), (vectors,), (errors,), (failure,) = _eigenpairs(blocks[None])
+        if failure is not None:
+            raise failure
+        order = np.lexsort((lam.real, lam.imag))
+        spec._derived[key] = RootSet(lam[order], errors[order], vectors[order])
+    return spec._derived[key]
+
+
+def _classical(spec: LagrangianSpec, nu: float) -> tuple:
+    """(classical_spectrum, None), or (None, what it raises, without the frames that would
+    keep a batch's arrays alive)."""
+    try:
+        return classical_spectrum(spec, nu), None
+    except (LeadingSingular, numkernel.NumericalFailure) as exc:
+        return None, exc.with_traceback(None)
 
 
 def transcendental_eval(spec: LagrangianSpec, op: ScaleOperator, nu: float,
@@ -454,34 +471,37 @@ class Spectra:
                        for r in (self.lam, self.roots)))
 
 
-def spectra(settings: list, nu: float, classical: RootSet | None = None) -> Spectra:
-    """Spectra of the nu-pencils of a batch of settings that share spec and N; each item
-    has its own eps.
+def root_count(spec: LagrangianSpec, op: ScaleOperator | None) -> int:
+    """The root count of spec's pencils: 2d in continuous time (op None), 4Nd on op's grid."""
+    return 2 * spec.d if op is None else 4 * op.N * spec.d
 
-    Continuous settings share the classical spectrum.  Discrete weights are routed in
+
+def spectra(spec: LagrangianSpec, ops: list, nu: float) -> Spectra:
+    """Spectra of the nu-pencils of spec under a batch of operators that share N, each
+    with its own eps; ops = [None] is continuous time.
+
+    Continuous items share the classical spectrum.  Discrete weights are routed in
     batches, real apart from complex so that each item gets the roots of its lone
-    spectrum: antisymmetric ones to preimages under g/eps of the classical pairs
-    (classical, when the caller has solved it: its `classical_spectrum` of the nu-pencil,
-    which has already found A_nu nonsingular), others when J5 = 0 to preimages under
+    spectrum: antisymmetric ones to preimages under g/eps of the classical pairs (from
+    `classical_spectrum`, solved once per (spec, nu)), others when J5 = 0 to preimages under
     g g~/eps^2 of the pairs of A_nu mu - C_nu, each pencil solved once a batch, and the
     rest to the shifted block companion.  Only that companion assembles the shifted blocks.
     A zeta-root at 0 has no finite phase: its item is a NumericalFailure.
     """
-    spec, op, B, K = settings[0].spec, settings[0].op, len(settings), settings[0].root_count
+    op, B, K = ops[0], len(ops), root_count(spec, ops[0])
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
     parts = [(slice(None), np.zeros(spec.d, dtype=complex))]  # zero where no route solves
     if op is None:
-        try:
-            q = classical_spectrum(classical_pencil(spec, nu))
-        except (LeadingSingular, numkernel.NumericalFailure) as exc:
-            return Spectra(w, w, residuals, [exc.with_traceback(None)] * B, parts)
-        w[:], residuals[:] = q.roots, q.residuals
-        return Spectra(w, w, residuals, [None] * B, parts + [(slice(None), q.vectors)])
+        q, failure = _classical(spec, nu)
+        if q is not None:
+            w[:], residuals[:] = q.roots, q.residuals
+            parts.append((slice(None), q.vectors))
+        return Spectra(w, w, residuals, [failure] * B, parts)
 
-    gamma = np.stack([s.op.gamma for s in settings])
-    delays = _Delays.of([s.op for s in settings])
+    gamma = np.stack([op.gamma for op in ops])
+    delays = _Delays.of(ops)
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    singular = classical is None and _is_singular(a_nu)
+    singular = _leading_singular(spec, nu)
     failures, live = numkernel.merge_failures([None] * B, [
         LeadingSingular("gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates")
         if e == 0 else LeadingSingular("leading block J1 + 2(nu-1) J3 is singular")
@@ -502,10 +522,11 @@ def spectra(settings: list, nu: float, classical: RootSet | None = None) -> Spec
                           axis=(1, 2, 3)))]
         else:  # the pairs of the classical pencil (C, B, A), or of A_nu mu - C_nu
             pencil = np.stack([-c_nu, -2.0 * spec.J5, a_nu] if route >= 4 else [-c_nu, a_nu])
-            if route < 4 or classical is None:
+            if route < 4:
                 (targets,), (pairs,), _, (failure,) = _eigenpairs(pencil[None])
-            else:  # solved by the caller, as an eps-sweep does
-                targets, pairs, failure = classical.roots, classical.vectors, None
+            else:
+                q, failure = _classical(spec, nu)
+                targets, pairs = (None, None) if q is None else (q.roots, q.vectors)
             failed = [failure] * len(idx)
             if failure is None:
                 items = gamma[idx], delays.take(idx)
@@ -537,43 +558,17 @@ def transcendental_spectrum(spec: LagrangianSpec, op: ScaleOperator, nu: float) 
     lam = Log(zeta)/eps uses the principal branch, Im(lam) in (-pi/eps, pi/eps];
     any other representative differs by an integer multiple of 2 pi i / eps.
     """
-    return Setting(spec, op).modes(nu)
+    return spectra(spec, [op], nu).modes(0)
 
 
-@dataclass(frozen=True)
-class Setting:
-    """The continuous/discrete decision (op is None: continuous).
-
-    It fixes which pencil `spectra` solves, the root variable of its kernel
-    vectors (lam, or zeta = e^{lam eps}), where the constant mode sits
-    (lam = 0 with right-hand side J7, or zeta = 1 with J7 + s_bar(0) J6)
-    and how many roots to expect (2d or 4Nd).  A batch is a
-    list of settings that share spec and N; each item has its own eps.  `modes` is its
-    batch of one.
-    """
-
-    spec: LagrangianSpec
-    op: ScaleOperator | None = None
-
-    @property
-    def root_count(self) -> int:
-        if self.op is None:
-            return 2 * self.spec.d
-        return 4 * self.op.N * self.spec.d
-
-    def modes(self, nu: float) -> Modes:
-        return spectra([self], nu).modes(0)
-
-
-def constant_systems(settings: list, nu: float) -> tuple:
-    """Per setting of a batch: the pencil value at the constant mode (lam = 0, zeta = 1)
+def constant_systems(spec: LagrangianSpec, ops: list, nu: float) -> tuple:
+    """Per operator of a batch: the pencil value at the constant mode (lam = 0, zeta = 1)
     and the right-hand side fixing the constant mode of one particle, J7 + s_bar(0) J6.
     s_bar(0) = sum(gamma)/eps, each item's own (0 when continuous), is the interior adjoint
     on 1; the pencil there is -A_nu s_bar(0)^2 - C_nu, as sigma1_hat(1) = 0."""
-    spec = settings[0].spec
     a_nu, c_nu = coefficient_matrices(spec, nu)
-    sbar0 = np.zeros(len(settings)) if settings[0].op is None else np.stack(
-        [s.op.gamma for s in settings]).sum(axis=1) / [s.op.epsilon for s in settings]
+    sbar0 = np.zeros(len(ops)) if ops[0] is None else np.stack(
+        [op.gamma for op in ops]).sum(axis=1) / [op.epsilon for op in ops]
     return -(sbar0**2)[:, None, None] * a_nu - c_nu, spec.J7 + sbar0[:, None] * spec.J6
 
 
@@ -612,10 +607,10 @@ class Assumptions:
                 and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
 
 
-def _report(setting: Setting, n: int) -> Assumptions:
+def _report(spec: LagrangianSpec, op: ScaleOperator | None, n: int) -> Assumptions:
     """Simple phases for nu = n and 0, disjointness and nonsingularity at the constant
-    mode, for one setting."""
-    sp_n, sp_0 = (spectra([setting], nu) for nu in (n, 0))
+    mode, in one setting (op None: continuous)."""
+    sp_n, sp_0 = (spectra(spec, [op], nu) for nu in (n, 0))
     modes_n, modes_0 = (None if sp.failures[0] else sp.modes(0) for sp in (sp_n, sp_0))
     failure = sp_0.failures[0] or sp_n.failures[0]
     if failure is not None:
@@ -624,15 +619,15 @@ def _report(setting: Setting, n: int) -> Assumptions:
     return Assumptions(modes_n, modes_0, None, lam_n.is_simple(), lam_0.is_simple(),
                        not numkernel.close_pairs(lam_n.roots, lam_0.roots,
                                                  numkernel.SEPARATION_TOL).any(),
-                       *(not _is_singular(constant_systems([setting], nu)[0][0])
+                       *(not _is_singular(constant_systems(spec, [op], nu)[0][0])
                          for nu in (n, 0)))
 
 
 def check_cel_assumptions(spec: LagrangianSpec, n: int) -> Assumptions:
     """The paper's assumptions in continuous time: reported, not enforced."""
-    return _report(Setting(spec), n)
+    return _report(spec, None, n)
 
 
 def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int) -> Assumptions:
     """The paper's assumptions on the grid, judged on the phases: reported, not enforced."""
-    return _report(Setting(spec, op), n)
+    return _report(spec, op, n)

@@ -125,7 +125,7 @@ def _delay_phases(rep: CommensurabilityReport, active: np.ndarray, n: int) -> np
     return phases
 
 
-def _build_choreography(setting: pencil.Setting, n: int,
+def _build_choreography(spec: LagrangianSpec, op: ScaleOperator | None, n: int,
                         amplitudes) -> tuple[Choreography, ModeExpansion, tuple]:
     """Choreography on the nu=0 modes, centred on the constant mode.
 
@@ -135,7 +135,7 @@ def _build_choreography(setting: pencil.Setting, n: int,
     Roots may repeat: the curve is a plain sum of its modes, each with its kernel vector.
     """
     try:
-        modes_0 = setting.modes(0)
+        modes_0 = pencil.spectra(spec, [op], 0).modes(0)
     except (pencil.LeadingSingular, numkernel.NumericalFailure) as exc:
         raise NotChoreographic(str(exc)) from exc
     roots = modes_0.lam
@@ -145,7 +145,7 @@ def _build_choreography(setting: pencil.Setting, n: int,
     active = amplitudes != 0
     in_play = active if active.any() else np.ones_like(active)
     rep = _choreography_conditions(roots.roots[in_play])
-    (u0,), (failure,) = numkernel.solve_stack(*pencil.constant_systems([setting], n))
+    (u0,), (failure,) = numkernel.solve_stack(*pencil.constant_systems(spec, [op], n))
     if isinstance(failure, numkernel.Singular):
         raise NotChoreographic("nu=n pencil is singular at the constant mode") from failure
     if failure is not None:
@@ -157,7 +157,7 @@ def _build_choreography(setting: pencil.Setting, n: int,
     u = ModeExpansion(u0, lams, vecs)
     particles = tuple(ModeExpansion(u0, lams, phases[j - 1][:, None] * vecs)
                       for j in range(1, n + 1))
-    xs = ModeExpansion(n * u0, [], np.zeros((0, setting.spec.d)))
+    xs = ModeExpansion(n * u0, [], np.zeros((0, spec.d)))
     T = rep.period
     return Choreography(u, n, T, T / n), xs, particles
 
@@ -170,7 +170,7 @@ def build_choreography_cel(spec: LagrangianSpec, n: int,
     phases, repeated or not, and the nu=n pencil to be regular at 0 (it fixes the
     center u0).
     """
-    ch, xs, particles = _build_choreography(pencil.Setting(spec), n, amplitudes)
+    ch, xs, particles = _build_choreography(spec, None, n, amplitudes)
     return ch, SystemSolution(xs, particles)
 
 
@@ -179,7 +179,7 @@ def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int, ampl
     """Discrete choreography from amplitudes on the discrete nu=0 spectrum, as a solution
     on the M steps of eps from t0: spurious roots with a zero amplitude need not be
     imaginary or commensurable."""
-    ch, xs, particles = _build_choreography(pencil.Setting(spec, op), n, amplitudes)
+    ch, xs, particles = _build_choreography(spec, op, n, amplitudes)
     return ch, DelSolution(xs, particles, op, t0, t0 + M * op.epsilon)
 
 

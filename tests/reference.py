@@ -155,19 +155,19 @@ def hausdorff_distance(f1, f2) -> float:
     return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
 
 
-def _is_periodic(setting: pencil.Setting, n: int):
-    lam_n, lam_0 = setting.modes(n).lam, setting.modes(0).lam
+def _is_periodic(spec, op, n: int):
+    lam_n, lam_0 = (pencil.spectra(spec, [op], nu).modes(0).lam for nu in (n, 0))
     return periodic.commensurability(np.concatenate([lam_n.roots, lam_0.roots]))
 
 
 def is_periodic_cel(spec, n):
     """Commensurability of the union of the nu=n and nu=0 classical spectra."""
-    return _is_periodic(pencil.Setting(spec), n)
+    return _is_periodic(spec, None, n)
 
 
 def is_periodic_del(spec, op, n):
     """Commensurability of the union of the discrete nu=n and nu=0 spectra."""
-    return _is_periodic(pencil.Setting(spec, op), n)
+    return _is_periodic(spec, op, n)
 
 
 class SingularTransform(Exception):

@@ -159,7 +159,7 @@ def test_real_root_round_trip_recovers_the_anchored_expansion(tf):
     expansion solves back to its amplitudes, with a well-conditioned system, where
     unanchored columns spread e^{+-5 tf}."""
     spec, n = real_root_spec(), 3
-    core = celsolve.Core([pencil.Setting(spec)], n)
+    core = celsolve.Core(spec, [None], n)
     assert np.allclose(np.sort(core.lam_0[0].real), [-5, -2, 2, 5])
     assert not core.lam_0.imag.any()
     phases = np.concatenate([core.lam_n, core.lam_0], axis=1)

@@ -1,7 +1,7 @@
 """The batched epsilon sweep against the per-epsilon loop it replaces.
 
-`epsilon_sweep` solves every delay of a sweep in one `pencil.spectra` call per N
-and reuses its classical spectrum; `transcendental_spectrum` is the batch of one.
+`epsilon_sweep` solves every delay of a sweep in one `pencil.spectra` call per N, which
+reads the classical spectrum the spec keeps; `transcendental_spectrum` is the batch of one.
 Each entry's distance, pencil error and note must be bit for bit what one spectrum
 per delay gives.  The constant-mode systems of a batch with mixed delays (`Core.xs0` solves
 them) must be, item by item, those of its batches of one.
@@ -48,11 +48,10 @@ FAMILIES = {"central": central_difference, "five_point": five_point,
 
 
 def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
-    """The sweep as one lone spectrum per delay, each with its own classical solve."""
-    p_cls = pencil.classical_pencil(spec, nu)
-    pair = np.stack([p_cls.A, spec.J5]).reshape(2, -1)
+    """The sweep as one lone spectrum per delay."""
+    pair = np.stack([pencil.coefficient_matrices(spec, nu)[0], spec.J5]).reshape(2, -1)
     gram = pair.conj() @ pair.T
-    q_cls = pencil.classical_spectrum(p_cls)
+    q_cls = pencil.classical_spectrum(spec, nu)
     if K_radius is None:
         K_radius = 2.0 * float(np.abs(q_cls.roots).max()) + 1.0
     axis = np.linspace(-K_radius, K_radius, 21)
@@ -152,10 +151,9 @@ def test_each_item_of_a_mixed_delay_batch_is_its_batch_of_one(batch):
     """The constant-mode systems of a batch whose items have their own eps, item by item
     against the batch of one."""
     weights, epsilons = batch
-    items = [pencil.Setting(make_reference_spec(), ScaleOperator(weights, eps))
-             for eps in epsilons]
-    systems = [pencil.constant_systems(items, nu) for nu in (3, 0)]
-    for i, setting in enumerate(items):
+    spec, ops = make_reference_spec(), [ScaleOperator(weights, eps) for eps in epsilons]
+    systems = [pencil.constant_systems(spec, ops, nu) for nu in (3, 0)]
+    for i, op in enumerate(ops):
         for batched, nu in zip(systems, (3, 0)):
-            for got, want in zip(batched, pencil.constant_systems([setting], nu)):
+            for got, want in zip(batched, pencil.constant_systems(spec, [op], nu)):
                 assert np.array_equal(got[i], want[0])

@@ -90,7 +90,7 @@ def continuous(J1, J2, J3, J5, omega, u, n):
 def grid(J1, J2, J3, J5, omega, u, n, M, op):
     spec = LagrangianSpec(2, n, J1, J2, J3, construct_j4(
         J1, J2, J3, *omega, free(omega, u, op), J5, op), J5)
-    lam = pencil.Setting(spec, op).modes(0).lam.roots
+    lam = pencil.transcendental_spectrum(spec, op, 0).lam.roots
     on_target = np.isclose(np.abs(lam.imag)[:, None], omega, rtol=1e-6, atol=0).any(axis=1)
     return *periodic.build_choreography_del(spec, op, n, on_target, 0.0, M), spec
 

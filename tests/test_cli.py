@@ -13,7 +13,7 @@ from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference
 
 from conftest import (J1, J2, make_discrete_tuned_spec_d3, make_gyroscopic_spec,
-                      make_reference_spec)
+                      make_reference_spec, record_eigenpair_blocks)
 
 BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
             "x_tf": [[-0.1, 0.4], [0.6, -0.3], [0.2, 0.1]]}
@@ -87,6 +87,19 @@ class TestSuccess:
                             lambda *args: calls.append(args) or original(*args))
         code, _ = run(tmp_path, "error-surface", ref_config, "--grid", grid)
         assert code == cli.EXIT_OK and len(calls) == 1
+
+    @pytest.mark.parametrize("command, which", [("validate", "del"), ("spectrum", "del"),
+                                                ("spectrum", "cel")])
+    def test_a_command_solves_the_classical_pencil_once_a_nu(self, tmp_path, monkeypatch,
+                                                            command, which):
+        """One (C, B, A) companion for nu = 0 and one for nu = n, whatever reads the
+        classical spectrum: the assumption reports, the antisymmetric route's targets and
+        the compact window."""
+        config = write_config(tmp_path, make_reference_spec())
+        shapes = record_eigenpair_blocks(monkeypatch)
+        code, _ = run(tmp_path, command, config, "--which", which)
+        assert code == cli.EXIT_OK
+        assert shapes.count((1, 3, 2, 2)) == 2
 
     def test_error_surface_k(self, tmp_path, ref_config):
         code, out = run(tmp_path, "error-surface", ref_config, "--grid", "k")
@@ -396,7 +409,7 @@ class TestValidate:
         assert code == cli.EXIT_OK and deviation.endswith("(ok=True)")
         assert float(deviation.split()[0]) <= 1e-14
         cfg = cli.load_config(write_config(tmp_path, spec, **blocks))
-        lam = pencil.Setting(cfg.spec, cfg.operator()).modes(0).lam.roots
+        lam = pencil.transcendental_spectrum(cfg.spec, cfg.operator(), 0).lam.roots
         physical = np.isclose(np.abs(lam.imag), 2.0) | np.isclose(np.abs(lam.imag), 5.0)
         assert physical.sum() == 4 and len(lam) == 8
         ch, sol = periodic.build_choreography_del(cfg.spec, cfg.operator(), 3, physical,

@@ -88,13 +88,12 @@ def test_pencil_error_grid_matches_the_pointwise_loop(spec, op_family):
     epsilons = [0.2, 0.1, 0.05]
     nu = 3.0
     result = epsilon_sweep(spec, op_family, nu, epsilons)
-    p_cls = pencil.classical_pencil(spec, nu)
-    radius = 2.0 * float(np.abs(pencil.classical_spectrum(p_cls).roots).max()) + 1.0
+    radius = 2.0 * float(np.abs(pencil.classical_spectrum(spec, nu).roots).max()) + 1.0
     axis = np.linspace(-radius, radius, 21)
     for eps, got in zip(epsilons, result.pencil_errors):
         op = op_family(eps)
         want = max(np.linalg.norm(pencil.transcendental_eval(spec, op, nu, np.exp(lam * eps))
-                                  - pencil.classical_eval(p_cls, lam))
+                                  - pencil.classical_eval(spec, nu, lam))
                    for lam in (axis[:, None] + 1j * axis[None, :]).ravel())
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -181,9 +180,9 @@ def test_central_sweep_distance_is_the_asinh_preimage_gap(spec, nu):
     (measured within 7e-9 relative over 12 delays in [1e-4, 0.2])."""
     epsilons = np.logspace(-4, math.log10(0.2), 12)
     result = epsilon_sweep(spec, central_difference, nu, epsilons)
-    lam = pencil.classical_spectrum(pencil.classical_pencil(spec, nu)).roots
+    lam = pencil.classical_spectrum(spec, nu).roots
     radius = 2.0 * np.abs(lam).max() + 1.0
-    sp = pencil.spectra([pencil.Setting(spec, central_difference(e)) for e in epsilons], nu)
+    sp = pencil.spectra(spec, [central_difference(e) for e in epsilons], nu)
     checked = 0
     for eps, distance, roots, failure in zip(epsilons, result.distances, sp.lam, sp.failures):
         if failure is not None or (np.abs(roots) <= radius).sum() != 2 * spec.d:

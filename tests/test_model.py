@@ -99,7 +99,7 @@ class TestEnergy:
         spec = LagrangianSpec(2, 3, ref_spec.J1, ref_spec.J2, ref_spec.J3, ref_spec.J4,
                               None, [1.0, -2.0])
         rng = np.random.default_rng(28)
-        lam_n, lam_0 = (pencil.classical_spectrum(pencil.classical_pencil(spec, nu)).roots
+        lam_n, lam_0 = (pencil.classical_spectrum(spec, nu).roots
                         for nu in (3, 0))
         amps = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) \
             * (np.abs(lam_n.real) < 1e-9)
@@ -190,7 +190,7 @@ class TestConstructJ4:
         j4 = construct_j4(J1, J2, J3, w1, w2, w2**2)
         spec = LagrangianSpec(2, 3, J1, J2, J3, j4)
         assert validate_spec(spec) == []
-        roots = pencil.classical_spectrum(pencil.classical_pencil(spec, 0))
+        roots = pencil.classical_spectrum(spec, 0)
         want = np.array(sorted([-w2, -w1, w1, w2]))
         assert np.abs(np.sort(roots.roots.imag) - want).max() < 1e-8
         assert np.abs(roots.roots.real).max() < 1e-8
@@ -203,7 +203,7 @@ class TestConstructJ4:
             j4 = construct_j4(J1, J2, J3, w1, w2, free)
             spec = LagrangianSpec(2, 3, J1, J2, J3, j4)
             assert validate_spec(spec) == []
-            roots = pencil.classical_spectrum(pencil.classical_pencil(spec, 0))
+            roots = pencil.classical_spectrum(spec, 0)
             want = np.array(sorted([-w2, -w1, w1, w2]))
             assert np.abs(np.sort(roots.roots.imag) - want).max() < 1e-8
             assert np.abs(roots.roots.real).max() < 1e-8
@@ -214,7 +214,7 @@ class TestConstructJ4:
         j5 = np.array([[0.0, 0.7], [-0.7, 0.0]])
         spec = LagrangianSpec(2, 3, J1, J2, J3, construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, j5), j5)
         assert validate_spec(spec) == []
-        roots = pencil.classical_spectrum(pencil.classical_pencil(spec, 0)).roots
+        roots = pencil.classical_spectrum(spec, 0).roots
         assert np.abs(roots - np.array([-5j, -2j, 2j, 5j])).max() <= 1e-12
         # j4_free must lie in the shifted K's eigenvalue range [4.005, 24.97]
         with pytest.raises(NoRealSolution):
@@ -264,7 +264,7 @@ class TestConstructJ4:
         op, j5 = ScaleOperator(np.array(gamma), 0.05), np.array([[0.0, j], [-j, 0.0]])
         j4 = construct_j4(J1, J2, J3, 2.0, 5.0, 20.0, j5, op)
         spec = LagrangianSpec(2, 3, J1, J2, J3, j4, j5)
-        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        lam = pencil.transcendental_spectrum(spec, op, 0).lam.roots
         assert max(np.abs(lam - target).min() for target in (2j, 5j, -2j, -5j)) <= 1e-13
 
     def test_equal_grid_targets_with_j5(self):
@@ -274,7 +274,7 @@ class TestConstructJ4:
         op, zero = central_difference(0.05), np.zeros((2, 2))
         j4 = construct_j4(s_diag, np.diag([3.0, -2.0]), zero, 2.0, 2.0, 0.0, j5, op)
         spec = LagrangianSpec(2, 3, s_diag, np.diag([3.0, -2.0]), zero, j4, j5)
-        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        lam = pencil.transcendental_spectrum(spec, op, 0).lam.roots
         assert (np.abs(np.abs(lam) - 2.0) <= 1e-7).sum() == 4
 
     @pytest.mark.parametrize("gamma", [[-0.7, 0.4, 0.3], [0.1, -0.8, 0.2, 0.6, -0.1]],
@@ -288,7 +288,7 @@ class TestConstructJ4:
         op, zero = ScaleOperator(np.array(gamma), 0.05), np.zeros((2, 2))
         j4 = construct_j4(s_diag, np.diag([3.0, -2.0]), zero, 2.0, 2.0, 0.0, j5, op)
         spec = LagrangianSpec(2, 3, s_diag, np.diag([3.0, -2.0]), zero, j4, j5)
-        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        lam = pencil.transcendental_spectrum(spec, op, 0).lam.roots
         assert [(np.abs(lam - target) <= 1e-6).sum() for target in (2j, -2j)] == [2, 2]
 
     def test_equal_targets_where_re_h_vanishes_keep_every_bit(self):

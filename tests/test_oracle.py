@@ -70,8 +70,8 @@ def mp_companion_roots(coeffs):
 
 
 def classical_coeffs(spec, nu):
-    p = pencil.classical_pencil(spec, nu)
-    return [mp_matrix(p.C), mp_matrix(p.B), mp_matrix(p.A)]
+    a_nu, c_nu = pencil.coefficient_matrices(spec, nu)
+    return [mp_matrix(-c_nu), mp_matrix(-2.0 * spec.J5), mp_matrix(a_nu)]
 
 
 def zeta_coeffs(spec, op, nu):
@@ -117,7 +117,7 @@ def check_pairs(coeffs, got, lam, radius, d):
 
 def window_radius(spec, nu):
     """The convergence window: twice the classical spectral radius plus one."""
-    roots = pencil.classical_spectrum(pencil.classical_pencil(spec, nu)).roots
+    roots = pencil.classical_spectrum(spec, nu).roots
     return 2.0 * float(np.abs(roots).max()) + 1.0
 
 
@@ -128,7 +128,7 @@ def test_classical_spectrum_matches_the_oracle(name, nu):
     with mp.workdps(50):
         coeffs = classical_coeffs(spec, nu)
         want = mp_companion_roots(coeffs)
-        got = pencil.classical_spectrum(pencil.classical_pencil(spec, nu))
+        got = pencil.classical_spectrum(spec, nu)
         assert hausdorff_distance(got, want) <= 1e-9  # measured <= 1.4e-15
         check_pairs(coeffs, got, got.roots, np.inf, spec.d)
 
@@ -172,7 +172,7 @@ def test_antisymmetric_backward_errors_are_the_50_digit_ones(monkeypatch, name, 
     seen, original = [], pencil._preimages
     monkeypatch.setattr(pencil, "_preimages",
                         lambda *args: seen.append(original(*args)) or seen[-1])
-    pencil.spectra([pencil.Setting(spec, op)], nu)
+    pencil.spectra(spec, [op], nu)
     (w,), (v,), (errors,), _ = seen[0]
     with mp.workdps(50):
         coeffs = shifted_coeffs(zeta_coeffs(spec, op, nu), eps)

@@ -25,7 +25,7 @@ def test_one_round_of_one_pass_with_the_repo_on_both_sides():
     own = [float(re.search(r"\(own ([0-9.]+) MiB\)", line)[1]) for line in lines[:2]]
     assert all(20 < mb <= total + 0.1 for mb, total in zip(own, rss))
     ratio = float(re.search(r"peak rss ([0-9.]+)$", lines[2])[1])
-    assert ratio == pytest.approx(rss[1] / rss[0], abs=5e-3)  # rss printed to 0.1 MiB
+    assert ratio == pytest.approx(own[1] / own[0], abs=5e-3)  # own printed to 0.1 MiB
     setup = [float(re.search(r": set-up ([0-9.]+) ms, min", line)[1]) for line in lines[:2]]
     assert all(10 < ms < 60_000 for ms in setup)  # at least numpy's import
     ratio = float(re.search(r", set-up ([0-9.]+), peak rss", lines[2])[1])

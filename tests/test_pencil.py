@@ -6,10 +6,9 @@ import pytest
 
 from choreoqep import numkernel, pencil
 from choreoqep.model import LagrangianSpec
-from choreoqep.pencil import (ClassicalPencil, LeadingSingular, ZeroArgument,
+from choreoqep.pencil import (LeadingSingular, ZeroArgument,
                               check_cel_assumptions, check_del_assumptions,
-                              classical_eval, classical_pencil,
-                              classical_spectrum, coefficient_matrices,
+                              classical_eval, classical_spectrum, coefficient_matrices,
                               transcendental_eval, transcendental_spectrum)
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
@@ -24,57 +23,53 @@ def sorted_imag(roots):
 
 class TestClassicalPencil:
     def test_value_at_zero_is_constant_block(self, ref_spec):
-        p = classical_pencil(ref_spec, 3)
         _, c = coefficient_matrices(ref_spec, 3)
-        assert np.allclose(classical_eval(p, 0.0), -c)
+        assert np.allclose(classical_eval(ref_spec, 3, 0.0), -c)
 
     def test_scalar_oscillator_any_nu(self):
         spec = make_oscillator_spec(2.0)
         for nu in (0, 1, 5.5):
-            p = classical_pencil(spec, nu)
             lam = 1.3 + 0.2j
-            assert classical_eval(p, lam)[0, 0] == pytest.approx(lam**2 + 4.0)
+            assert classical_eval(spec, nu, lam)[0, 0] == pytest.approx(lam**2 + 4.0)
 
     def test_constructed_root_is_singular_point(self, ref_spec):
-        p = classical_pencil(ref_spec, 0)
-        s = np.linalg.svd(classical_eval(p, 2j), compute_uv=False)
+        s = np.linalg.svd(classical_eval(ref_spec, 0, 2j), compute_uv=False)
         assert s[-1] < 1e-10 * s[0]
 
 
 class TestClassicalSpectrum:
     def test_scalar(self):
         spec = make_oscillator_spec(3.0)
-        roots = classical_spectrum(classical_pencil(spec, 1))
+        roots = classical_spectrum(spec, 1)
         assert np.allclose(sorted_imag(roots.roots), [-3, 3], atol=1e-10)
         assert np.abs(roots.roots.real).max() < 1e-10
 
     def test_reference_targets(self, ref_spec):
-        roots = classical_spectrum(classical_pencil(ref_spec, 0))
+        roots = classical_spectrum(ref_spec, 0)
         assert len(roots) == 4
         assert np.allclose(sorted_imag(roots.roots), [-5, -2, 2, 5], atol=1e-8)
 
     def test_incommensurable_pair_targets(self):
         spec = make_reference_spec(omega=(4.0, 7.0 * math.sqrt(2)))
-        roots = classical_spectrum(classical_pencil(spec, 0))
+        roots = classical_spectrum(spec, 0)
         want = [-7 * math.sqrt(2), -4, 4, 7 * math.sqrt(2)]
         assert np.allclose(sorted_imag(roots.roots), want, atol=1e-8)
 
     def test_conjugation_closure_and_kernel_residual(self, ref_spec):
         for nu in (0, 3):
-            p = classical_pencil(ref_spec, nu)
-            roots = classical_spectrum(p)
+            roots = classical_spectrum(ref_spec, nu)
             by_imag = sorted(roots.roots, key=lambda z: z.imag)
             conj = sorted(roots.roots.conj(), key=lambda z: z.imag)
             assert np.abs(np.array(by_imag) - np.array(conj)).max() < 1e-9
             for lam in roots.roots:
-                m = classical_eval(p, lam)
+                m = classical_eval(ref_spec, nu, lam)
                 v = numkernel.kernel_vector(m)
                 assert np.linalg.norm(m @ v) <= 1e-8 * np.linalg.norm(m)
 
     def test_singular_leading_block(self):
         spec = LagrangianSpec(2, 2, np.zeros((2, 2)), J2, np.zeros((2, 2)), np.eye(2))
         with pytest.raises(LeadingSingular):
-            classical_spectrum(classical_pencil(spec, 1))
+            classical_spectrum(spec, 1)
 
 
 class TestTranscendentalEval:
@@ -98,11 +93,10 @@ class TestTranscendentalEval:
 
     def test_tends_to_classical_second_order_for_central(self, ref_spec):
         lam = 0.4 + 1.1j
-        pc = classical_pencil(ref_spec, 0)
         errs = []
         for eps in (1e-2, 5e-3):
             diff = (transcendental_eval(ref_spec, central_difference(eps), 0, np.exp(lam * eps))
-                    - classical_eval(pc, lam))
+                    - classical_eval(ref_spec, 0, lam))
             errs.append(np.abs(diff).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -182,7 +176,7 @@ class TestAssumptionChecks:
         assert not rep.det_p00_nonzero
         # J5 = 0 too, so P_0(lam) = A lam^2: every backward-error term vanishes, and
         # the result is typed with no warning
-        roots = classical_spectrum(classical_pencil(spec, 0))
+        roots = classical_spectrum(spec, 0)
         assert (roots.roots == 0).all() and (roots.residuals == 0).all()
         rep = check_del_assumptions(spec, central_difference(0.05), 3)
         assert not rep.det_p00_nonzero and not rep.all_hold
@@ -217,7 +211,7 @@ class TestCompanionErrorPaths:
 
         monkeypatch.setattr(np.linalg, "eig", no_convergence)
         with pytest.raises(numkernel.NumericalFailure):
-            classical_spectrum(classical_pencil(ref_spec, 0))
+            classical_spectrum(ref_spec, 0)
         with pytest.raises(numkernel.NumericalFailure):
             transcendental_spectrum(ref_spec, central_difference(0.05), 0)
         rep = check_del_assumptions(ref_spec, central_difference(0.05), 3)
@@ -232,16 +226,17 @@ class TestCompanionErrorPaths:
 
         monkeypatch.setattr(np.linalg, "eig", no_convergence)  # the classical (C, B, A) solve
         ops = [None, None] if eps is None else [central_difference(e) for e in eps]
-        failures = pencil.spectra([pencil.Setting(ref_spec, op) for op in ops], 0).failures
+        failures = pencil.spectra(ref_spec, ops, 0).failures
         assert len(failures) == 2 and failures[0] is failures[1]
         assert str(failures[0]) == "companion eigen-solve failed: planted failure"
         assert failures[0].__traceback__ is None
 
     def test_infinite_eigenvalues_are_a_degree_drop(self):
         # a leading block too small to invert in floating point: the companion overflows
-        p = ClassicalPencil(1e-310 * np.eye(2), np.zeros((2, 2)), np.eye(2))
+        spec = LagrangianSpec(2, 1, 1e-310 * np.eye(2), -np.eye(2), np.zeros((2, 2)),
+                              np.zeros((2, 2)))  # (C, B, A) = (I, 0, 1e-310 I) at nu = 1
         with pytest.raises(LeadingSingular):
-            classical_spectrum(p)
+            classical_spectrum(spec, 1)
 
     @pytest.mark.parametrize("block, value", [(0, np.nan), (2, np.inf)],
                              ids=["nan-lower", "inf-leading"])
@@ -265,12 +260,14 @@ class TestCompanionErrorPaths:
 
     def test_a_nan_coefficient_fails_the_classical_spectrum(self):
         # in the constant block, and in the leading one, whose singularity test (an SVD)
-        # used to end in LinAlgError
-        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        for blocks in ((np.eye(2), np.zeros((2, 2)), nan), (nan, np.zeros((2, 2)), np.eye(2))):
-            with pytest.raises(numkernel.NumericalFailure,
-                               match="non-finite pencil coefficients"):
-                classical_spectrum(ClassicalPencil(*blocks))
+        # used to end in LinAlgError: at nu = 8e307, 2 (nu - 1) times a coupling of 1e308
+        # overflows to inf in C_nu (J4) or A_nu (J3)
+        big, zero = 1e308 * np.eye(2), np.zeros((2, 2))
+        for j3, j4 in ((zero, big), (big, zero)):
+            spec = LagrangianSpec(2, 2, np.eye(2), -np.eye(2), j3, j4)
+            with np.errstate(over="ignore"), pytest.raises(
+                    numkernel.NumericalFailure, match="non-finite pencil coefficients"):
+                classical_spectrum(spec, 8e307)
 
     def test_backward_error_above_tol_is_rejected(self, monkeypatch, ref_spec):
         p = ref_spec, central_difference(0.05), 3
@@ -320,7 +317,7 @@ class TestHalfDegreeRoute:
         ops = [ScaleOperator(g, eps)
                for g in random_j5_zero_weights(np.random.default_rng(21), N, 50)]
         calls = preimage_calls(monkeypatch)
-        pencil.spectra([pencil.Setting(ref_spec, op) for op in ops], nu)
+        pencil.spectra(ref_spec, ops, nu)
         ((gamma, delays, _, _, _, targets, _), (w, _, _, failures)), = calls
         assert failures == [None] * len(ops)
         coeffs = (-pencil._symbols(gamma, delays)[1][:, None] / delays.eps2[:, None, None]
@@ -454,9 +451,10 @@ class TestPreimagePath:
         assert (sp.roots.residuals <= 1e-12).all()
 
     @staticmethod
-    def routed_blocks(monkeypatch, spec, other):
+    def routed_blocks(monkeypatch, make_spec, other):
         """For each kind of weights, the block shapes `_eigenpairs` solves at nu = 3:
-        other for weights that are not antisymmetric, the classical (C, B, A) for the rest."""
+        other for weights that are not antisymmetric, the classical (C, B, A) for the rest.
+        Each case has a fresh spec: a spec keeps its classical spectrum once solved."""
         shapes = record_eigenpair_blocks(monkeypatch)
         routes = [(k_family(0.05, 0.3), other),
                   (gamma_cell(0.05), other),
@@ -465,16 +463,16 @@ class TestPreimagePath:
                   (ANTISYMMETRIC["complex"](0.05), (1, 3, 2, 2))]
         for op, blocks in routes:
             shapes.clear()
-            transcendental_spectrum(spec, op, 3)
+            transcendental_spectrum(make_spec(), op, 3)
             assert shapes == [blocks]
 
     def test_only_other_weights_reach_the_zeta_companion(self, monkeypatch):
         # J5 != 0: the shifted (4N+1, d, d) blocks
-        self.routed_blocks(monkeypatch, make_gyroscopic_spec(), (1, 5, 2, 2))
+        self.routed_blocks(monkeypatch, make_gyroscopic_spec, (1, 5, 2, 2))
 
-    def test_j5_zero_reduces_other_weights_to_the_linear_pencil(self, monkeypatch, ref_spec):
+    def test_j5_zero_reduces_other_weights_to_the_linear_pencil(self, monkeypatch):
         # J5 = 0: the pairs of A_nu mu - C_nu, blocks (-C_nu, A_nu), and no zeta-companion
-        self.routed_blocks(monkeypatch, ref_spec, (1, 2, 2, 2))
+        self.routed_blocks(monkeypatch, make_reference_spec, (1, 2, 2, 2))
 
 
 def gamma_cell(eps):
@@ -527,7 +525,7 @@ class TestSymbolReductions:
                    for eps in (1e-3, 1e-2, 0.1, 0.2)]
         calls = recorded_preimages(monkeypatch)
         for N in {op.N for op in ops}:  # a batch shares N
-            pencil.spectra([pencil.Setting(spec, op) for op in ops if op.N == N], nu)
+            pencil.spectra(spec, [op for op in ops if op.N == N], nu)
         assert calls
         for gamma, delays, (w, vectors, errors, failures) in calls:
             assert failures == [None] * len(gamma)
@@ -593,7 +591,7 @@ class TestSymbolReductions:
         family = {"central": central_difference, "five_point_gyroscopic": five_point,
                   "complex": ANTISYMMETRIC["complex"], "mixed_five_point": mixed_five_point}
         ops = [family[case](eps) for eps in (1e-3, 0.01, 0.05, 0.2)]
-        batch = pencil.spectra([pencil.Setting(spec, op) for op in ops], nu)
+        batch = pencil.spectra(spec, ops, nu)
         assert batch.failures.count(None) >= 3
         for i, op in enumerate(ops):
             if batch.failures[i] is not None:
@@ -631,7 +629,7 @@ def test_a_tiny_edge_weight_fails_typed_without_warnings(ref_spec, weights, fail
     RuntimeWarnings into errors, so a warning from either raised in place of the item's
     typed failure."""
     op = ScaleOperator(np.array(weights), 1.0)
-    batch = pencil.spectra([pencil.Setting(ref_spec, op)], nu)
+    batch = pencil.spectra(ref_spec, [op], nu)
     assert type(batch.failures[0]) is failure
 
 
@@ -698,5 +696,5 @@ class TestBlockNorms:
         monkeypatch.setattr(pencil, "_shifted_blocks",
                             lambda *args: calls.append(args) or original(*args))
         for nu in (0, 3):
-            pencil.spectra([pencil.Setting(spec, op)], nu)
+            pencil.spectra(spec, [op], nu)
         assert len(calls) == 2 * assembled

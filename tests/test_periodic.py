@@ -113,7 +113,7 @@ class TestChoreographyCel:
 
     def test_zeroing_resonant_mode_recovers_choreography(self):
         spec = make_reference_spec(omega=(2.0, 4.0))
-        q0 = pencil.classical_spectrum(pencil.classical_pencil(spec, 0))
+        q0 = pencil.classical_spectrum(spec, 0)
         amps = np.where(np.abs(np.abs(q0.roots.imag) - 4.0) < 1e-6, 0.0, 1.0)
         ch, sol = build_choreography_cel(spec, 2, amps)
         assert len(ch.u.lambdas) == 2  # fewer active modes is still a choreography
@@ -172,7 +172,7 @@ class TestChoreographyDel:
         spec = LagrangianSpec(2, 3, J1, J2, J3,
                               construct_j4(J1, J2, J3, *targets, targets[1] ** 2))
         op = central_difference(eps)
-        lam = pencil.Setting(spec, op).modes(0).lam.roots
+        lam = pencil.transcendental_spectrum(spec, op, 0).lam.roots
         physical = np.isclose(np.abs(lam.imag), 2.0) | np.isclose(np.abs(lam.imag), 5.0)
         assert physical.sum() == 4 and len(lam) == 8
         ch, sol = build_choreography_del(spec, op, 3, physical.astype(float), 0.0,
@@ -200,7 +200,7 @@ def test_isotropic_systems_build_their_choreography_in_both_settings(n):
     assert ch.T == pytest.approx(TWO_PI / omega, rel=1e-12)
     assert verify_choreography(ch, sol, spec).all_ok
     op = central_difference(eps)
-    lam = pencil.Setting(spec, op).modes(0).lam.roots
+    lam = pencil.transcendental_spectrum(spec, op, 0).lam.roots
     ch, sol = build_choreography_del(spec, op, n, (np.abs(lam) < 10).astype(float), 0.0, 240)
     assert ch.T == pytest.approx(TWO_PI * eps / math.asin(eps * omega), rel=1e-12)
     assert verify_choreography(ch, sol, spec).all_ok
@@ -238,7 +238,7 @@ def test_a_frequency_fitted_operator_reproduces_the_continuous_choreography(case
         spec = LagrangianSpec(2, 3, J1, J2, J3, j4, j5)
     op = ScaleOperator(fitted_weights(eps), eps)
     ch_c, sol_c = build_choreography_cel(spec, 3, np.ones(4))
-    modes_c, modes_d = pencil.Setting(spec).modes(0), pencil.Setting(spec, op).modes(0)
+    modes_c, modes_d = (pencil.spectra(spec, [o], 0).modes(0) for o in (None, op))
     amplitudes = np.zeros(len(modes_d.lam), dtype=complex)
     for lam, v_c in zip(modes_c.lam.roots, modes_c.lam.vectors):
         k = int(np.argmin(np.abs(modes_d.lam.roots - lam)))

@@ -5,8 +5,7 @@ short run, so a run also loads no module its command does not use.  A fresh inte
 imports the CLI, runs a small discrete solve, a 2x2 gamma error surface and an eps-sweep,
 and reports the modules it loaded: none is scipy's, `numpy.ma` (which the first
 `np.unique` call of a plain array imports) or `choreoqep.periodic`.  A `choreo` run, in
-its own fresh interpreter, loads no `numpy.random`.  The package resolves each name it
-exports on first use, and every one of them resolves.
+its own fresh interpreter, loads no `numpy.random`.
 """
 import json
 import math
@@ -65,9 +64,3 @@ def test_a_choreography_loads_no_random_generator(tmp_path):
     assert "numpy.random" not in modules
     assert {"choreo_cel.csv", "choreo_del.csv"} <= {p.name for p in (tmp_path / "out").iterdir()}
 
-
-def test_every_exported_name_resolves():
-    assert len(choreoqep.__all__) == len(set(choreoqep.__all__)) > 0
-    for name in choreoqep.__all__:
-        assert getattr(choreoqep, name) is not None, name
-    assert set(choreoqep.__all__) <= set(dir(choreoqep))

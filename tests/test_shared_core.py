@@ -83,14 +83,14 @@ def test_dirichlet_del_reduces_other_weights_to_the_linear_pencil_when_j5_is_zer
 
 def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
     op = central_difference(0.05)
-    for setting in (pencil.Setting(ref_spec), pencil.Setting(ref_spec, op)):
-        modes = setting.modes(3)
+    for setting in (None, op):
+        modes = pencil.spectra(ref_spec, [setting], 3).modes(0)
         basis = modes.roots.vectors
-        assert basis.shape == (setting.root_count, 2)
+        assert basis.shape == (pencil.root_count(ref_spec, setting), 2)
         for z, v in zip(modes.roots.roots, basis):
             # the same unit, phase-fixed direction as the SVD reference, up to rounding
-            if setting.op is None:
-                m = pencil.classical_eval(pencil.classical_pencil(ref_spec, 3), z)
+            if setting is None:
+                m = pencil.classical_eval(ref_spec, 3, z)
             else:
                 m = pencil.transcendental_eval(ref_spec, op, 3, z)
             ref = numkernel.kernel_vector(m, rank_tol=1e-6)
@@ -108,14 +108,15 @@ def test_both_checkers_report_a_singular_leading_block():
 
 def test_the_decision_fixes_root_count_and_constant_mode(ref_spec):
     op = central_difference(0.05)
-    cel, dis = pencil.Setting(ref_spec), pencil.Setting(ref_spec, op)
-    assert (cel.root_count, dis.root_count) == (4, 8)
-    for setting in (cel, dis):
+    assert (pencil.root_count(ref_spec, None), pencil.root_count(ref_spec, op)) == (4, 8)
+    for setting in (None, op):
         # both pencils equal -C_nu at their constant mode
         _, c = pencil.coefficient_matrices(ref_spec, 3)
-        assert np.allclose(pencil.constant_systems([setting], 3)[0][0], -c, atol=1e-12)
-    assert len(dis.modes(0).lam) == len(dis.modes(0).roots) == 8
-    assert np.allclose(np.exp(dis.modes(0).lam.roots * op.epsilon), dis.modes(0).roots.roots)
+        assert np.allclose(pencil.constant_systems(ref_spec, [setting], 3)[0][0], -c,
+                           atol=1e-12)
+    modes = pencil.transcendental_spectrum(ref_spec, op, 0)
+    assert len(modes.lam) == len(modes.roots) == 8
+    assert np.allclose(np.exp(modes.lam.roots * op.epsilon), modes.roots.roots)
 
 
 def test_two_time_window_solve_is_the_endpoint_solve():

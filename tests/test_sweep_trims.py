@@ -202,7 +202,7 @@ def test_r_form_errors_are_the_product_form(monkeypatch, spec, operator):
     calls = recorded_preimages(monkeypatch)
     for nu in (0, spec.n):
         for ops in ([operator(e) for e in EPSILONS], cells):
-            pencil.spectra([pencil.Setting(spec, op) for op in ops], nu)
+            pencil.spectra(spec, ops, nu)
     assert len(calls) == (2 if spec.J5.any() else 4)  # J5 != 0: the cells take the companion
     for args, out in calls:
         errors, tol, want = out[2], pencil.BACKWARD_ERROR_TOL, product_errors(args, out)

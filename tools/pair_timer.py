@@ -15,10 +15,10 @@ Prints one line a process (its set-up, its min and median pass time, its peak RS
 `ru_maxrss` as the benchmark's `peak_rss_mb` reads it, beside its own peak `VmHWM` from
 /proc/self/status, and ok ops a pass), then the
 NEW/OLD ratio of the min and of the median over all passes of each side, of the median
-set-up and of the median peak RSS over each side's processes: peak RSS creeps upward from
-one process to the next, whichever checkout runs, so each side's largest would count
-against the side that ran last.  A child's `ru_maxrss` is at least its parent's peak RSS,
-which Linux carries across vfork+exec; `VmHWM` is the child's own.  Exits 1 if any job's output digest, any op's outcome or any
+set-up and of the median own peak RSS (`VmHWM`) over each side's processes.  A child's
+`ru_maxrss` is at least its parent's peak RSS, which Linux carries across vfork+exec, so it
+creeps upward from one process to the next, whichever checkout runs; `VmHWM` is the
+child's own.  Exits 1 if any job's output digest, any op's outcome or any
 fitted order differs between two passes of the run, on either side.
 """
 from __future__ import annotations
@@ -103,10 +103,10 @@ def main(argv=None) -> int:
                       flush=True)
     walls = {name: [w for run in rs for w in run["walls"]] for name, rs in runs.items()}
     setup = {name: statistics.median(run["setup"] for run in rs) for name, rs in runs.items()}
-    rss = {name: statistics.median(run["rss_mb"] for run in rs) for name, rs in runs.items()}
+    own = {name: statistics.median(run["own_mb"] for run in rs) for name, rs in runs.items()}
     print(f"new/old: min {min(walls['new']) / min(walls['old']):.3f}, median "
           f"{statistics.median(walls['new']) / statistics.median(walls['old']):.3f}, "
-          f"set-up {setup['new'] / setup['old']:.3f}, peak rss {rss['new'] / rss['old']:.3f}")
+          f"set-up {setup['new'] / setup['old']:.3f}, peak rss {own['new'] / own['old']:.3f}")
     if not same_outputs(runs["old"] + runs["new"]):
         print("pair_timer: the outputs differ", file=sys.stderr)
         return 1
