@@ -16,8 +16,8 @@ applies them to the expansions' exact derivatives.
 A solve fails only on what it needs (`Core`): a spectrum it uses, a constant mode or a
 boundary system it cannot solve.  Phases may repeat: an expansion is a plain sum, and where
 repeated phases make a boundary system's columns dependent its pivots say so.  The paper's
-verdicts on simple and disjoint roots are reports (`pencil.check_cel_assumptions`,
-`check_del_assumptions`) that no solve reads.
+verdicts on simple and disjoint roots are reports, the list of the assumptions that fail
+(`pencil.check_cel_assumptions`, `check_del_assumptions`), that no solve reads.
 """
 from __future__ import annotations
 

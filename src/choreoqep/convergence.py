@@ -46,17 +46,10 @@ def _hausdorff_rows(a: np.ndarray, keep: np.ndarray, b: np.ndarray) -> np.ndarra
     return np.where(keep.any(axis=1), np.maximum(to_b, to_a), np.nan)
 
 
-def filter_to_window(roots: RootSet, K_radius: float) -> RootSet:
-    """Keep the roots with |lam| <= K_radius (drops the divergent ones)."""
-    keep = np.abs(roots.roots) <= K_radius
-    return RootSet.from_roots(roots.roots[keep], roots.residuals[keep])
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Per-epsilon spectral distances and pencil errors, with a fitted order."""
 
-    epsilons: np.ndarray
     distances: np.ndarray
     pencil_errors: np.ndarray
     estimated_order: float
@@ -193,7 +186,7 @@ def epsilon_sweep(spec: LagrangianSpec, op_family, nu: float, epsilons,
         if done:
             pencil_errors[done] = _pencil_errors([ops[i] for i in done], lam_grid, gram)
     order = fit_order(epsilons, distances)
-    return SweepResult(epsilons, distances, pencil_errors, order, tuple(notes))
+    return SweepResult(distances, pencil_errors, order, tuple(notes))
 
 
 def node_values(cel: celsolve.SystemSolution, t0: float, epsilon: float, nodes) -> np.ndarray:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numkernel
+
 
 class NoRealSolution(Exception):
     """Raised when the pair-coupling construction needs the root of a negative number."""
@@ -128,9 +130,9 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
     J5 = np.zeros((2, 2)) if J5 is None else np.asarray(J5, dtype=float)
     if S.shape != (2, 2) or J2.shape != (2, 2) or J5.shape != (2, 2):
         raise ValueError("construct_j4 is defined for d = 2 only")
-    det_s = np.linalg.det(S)
-    if abs(det_s) < 1e-12 * max(1.0, np.abs(S).max() ** 2):
+    if numkernel.is_singular(S):
         raise ValueError("J1 - 2*J3 must be invertible")
+    det_s = np.linalg.det(S)
     if omega1 <= 0 or omega2 <= 0:
         raise ValueError("target frequencies must be positive")
 
@@ -162,7 +164,7 @@ def construct_j4(J1, J2, J3, omega1: float, omega2: float, j4_free: float,
     k4 = j4_free
     excess = k1 * k4 - det  # required product of the off-diagonal entries
     s11, s12, s22 = S[0, 0], S[0, 1], S[1, 1]
-    tiny = 1e-13 * max(1.0, np.abs(S).max())
+    tiny = 1e-13 * np.abs(S).max()
 
     def _other_offdiagonal(known: float) -> float:
         # recover the partner entry from the determinant constraint

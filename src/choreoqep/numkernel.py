@@ -7,9 +7,9 @@ that item's lone call raises.  `merge_failures` merges a later stage into that l
 that an item keeps the first failure it meets.  A public lone function is the batch of
 one, raising failures[0].  `pencil` takes its spectra from block-companion eigen-solves;
 determinant interpolation, polynomial roots and SVD kernel vectors here are independent
-references for its tests.  `solve_stack` takes each item's LU factors from one numpy
-elimination of the stack: their pivots decide singularity and give x; only a lone solve
-computes a condition number.  Everything here is a pure function of its inputs: no
+references for its tests.  `is_singular` is the one rank rule of `pencil` and `model`.
+`solve_stack` takes each item's LU factors from one numpy elimination of the stack: their
+pivots decide singularity and give x; only a lone solve computes a condition number.  Everything here is a pure function of its inputs: no
 caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
@@ -86,11 +86,6 @@ class Polynomial:
             return np.zeros_like(np.asarray(z, dtype=complex))
         return npoly.polyval(z, self.coeffs)
 
-    @classmethod
-    def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
-        """Expand leading * prod (z - r) into coefficients."""
-        return cls(leading * npoly.polyfromroots(np.asarray(roots, dtype=complex)))
-
 
 # two roots closer than this, relative to max(1, |root|), are one repeated root to every
 # verdict on simple or disjoint roots: `RootSet.is_simple`, the assumption reports and the
@@ -110,14 +105,6 @@ class RootSet:
     def __len__(self) -> int:
         return len(self.roots)
 
-    @classmethod
-    def from_roots(cls, roots, residuals=None) -> "RootSet":
-        roots = np.asarray(roots, dtype=complex).ravel()
-        if residuals is None:
-            residuals = np.zeros(len(roots))
-        residuals = np.asarray(residuals, dtype=float).ravel()
-        return cls(roots, residuals)
-
     def is_simple(self) -> bool:
         """True when no two roots fall within SEPARATION_TOL * max(1, |root|) of each other."""
         return bool(simple_rows(self.roots[None], SEPARATION_TOL)[0])
@@ -127,6 +114,14 @@ def close_pairs(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
     """[..., i, j] is |a_i - b_j| < rel_tol * max(1, |a_i|, |b_j|), over any leading axes."""
     a, b = np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]
     return np.abs(a - b) < rel_tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def is_singular(m: np.ndarray) -> np.ndarray:
+    """The one rank rule, per matrix of a (..., d, d) stack: zero, or sigma_min <= 1e-12
+    sigma_max.  It judges a pencil's leading block, its value at the constant mode and
+    the J1 - 2 J3 that `model.construct_j4` inverts."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return (s[..., 0] == 0) | (s[..., -1] <= 1e-12 * s[..., 0])
 
 
 # elements of the largest temporary that one chunk of a batched kernel forms: the 8 x 8

@@ -33,7 +33,8 @@ contract of `numkernel`: the cells of an error surface or the delays of an eps-s
 the spec, beside the verdict on A_nu: continuous time's spectrum and the antisymmetric
 route's targets.  A lone spectrum in either setting is one record, `Modes` (its phases lam
 and its roots in the pencil's variable), built only by `Spectra.modes`: the batch of one,
-which `transcendental_spectrum` and the assumption reports return or hold.
+which `transcendental_spectrum` returns.  The assumption reports
+(`check_cel_assumptions`, `check_del_assumptions`) are the list of what fails.
 The equations of motion are stated once, for both settings, by `equation_blocks`:
 `celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
 and march to the scale operator's windows.
@@ -101,12 +102,6 @@ def error_gram(spec: LagrangianSpec, nu: float) -> np.ndarray:
     """Frobenius inner products (2, 2) of A_nu and J5 (`convergence._pencil_errors`)."""
     pair = np.stack([coefficient_matrices(spec, nu)[0], spec.J5]).reshape(2, -1)
     return pair.conj() @ pair.T
-
-
-def _is_singular(m: np.ndarray) -> np.ndarray:
-    """Per matrix of a (..., d, d) stack: zero, or sigma_min <= 1e-12 sigma_max."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return (s[..., 0] == 0) | (s[..., -1] <= 1e-12 * s[..., 0])
 
 
 def _verdicts(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray) -> tuple:
@@ -180,10 +175,11 @@ def _eigenpairs(blocks: np.ndarray) -> tuple:
 
 
 def _leading_singular(spec: LagrangianSpec, nu: float) -> bool:
-    """Whether A_nu = J1 + 2(nu-1) J3 is singular (`_is_singular`), kept with the spec."""
+    """Whether A_nu = J1 + 2(nu-1) J3 is singular (`numkernel.is_singular`), kept with the
+    spec."""
     key = ("leading_singular", nu)
     if key not in spec._derived:
-        spec._derived[key] = bool(_is_singular(coefficient_matrices(spec, nu)[0]))
+        spec._derived[key] = bool(numkernel.is_singular(coefficient_matrices(spec, nu)[0]))
     return spec._derived[key]
 
 
@@ -572,62 +568,33 @@ def constant_systems(spec: LagrangianSpec, ops: list, nu: float) -> tuple:
     return -(sbar0**2)[:, None, None] * a_nu - c_nu, spec.J7 + sbar0[:, None] * spec.J6
 
 
-@dataclass(frozen=True)
-class Assumptions:
-    """Report on the paper's standing assumptions; no solve reads it (`celsolve.Core`).  The
-    paper's unique x_s/particle split needs the nu = n and nu = 0 roots disjoint, which
-    solves do not enforce.  Both settings judge the phases lam, at
-    numkernel.SEPARATION_TOL relative (`numkernel.close_pairs`): count_*_ok say that a
-    spectrum's phases are simple, disjoint that no nu = n phase is a nu = 0 phase.  On a
-    grid, two zeta-roots that straddle the negative real axis have phases near
-    Im lam = +pi/eps and -pi/eps: close in zeta, they are judged apart.  A spectrum that
-    fails (a degree drop, a failed eigen-solve) has no modes; failure is what it raised,
-    nu = 0's first, and every verdict is False."""
-
-    modes_n: Modes | None
-    modes_0: Modes | None
-    failure: Exception | None
-    count_n_ok: bool
-    count_0_ok: bool
-    disjoint: bool
-    det_pn0_nonzero: bool
-    det_p00_nonzero: bool
-
-    @property
-    def precondition_ok(self) -> bool:
-        return self.failure is None
-
-    @property
-    def note(self) -> str:
-        return "" if self.failure is None else str(self.failure)
-
-    @property
-    def all_hold(self) -> bool:
-        return (self.precondition_ok and self.count_n_ok and self.count_0_ok
-                and self.disjoint and self.det_pn0_nonzero and self.det_p00_nonzero)
-
-
-def _report(spec: LagrangianSpec, op: ScaleOperator | None, n: int) -> Assumptions:
-    """Simple phases for nu = n and 0, disjointness and nonsingularity at the constant
-    mode, in one setting (op None: continuous)."""
+def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator | None, n: int) -> list:
+    """The paper's standing assumptions on op's grid (op None: continuous time), reported,
+    not enforced (no solve reads them, `celsolve.Core`): the reasons that fail, [] when all
+    hold.  A spectrum that fails (a degree drop, a failed eigen-solve) is the one reason,
+    what it raised, nu = 0's first.  Otherwise the phases lam are judged at
+    numkernel.SEPARATION_TOL relative (`numkernel.close_pairs`): each spectrum's must be
+    simple, and no nu = n phase a nu = 0 phase, which the paper's unique x_s/particle split
+    needs and solves do not enforce.  On a grid, two zeta-roots that straddle the negative
+    real axis have phases near Im lam = +pi/eps and -pi/eps: close in zeta, they are judged
+    apart.  Last, both pencils must be regular at the constant mode
+    (`numkernel.is_singular` on `constant_systems`)."""
     sp_n, sp_0 = (spectra(spec, [op], nu) for nu in (n, 0))
-    modes_n, modes_0 = (None if sp.failures[0] else sp.modes(0) for sp in (sp_n, sp_0))
     failure = sp_0.failures[0] or sp_n.failures[0]
     if failure is not None:
-        return Assumptions(modes_n, modes_0, failure, *[False] * 5)
-    lam_n, lam_0 = modes_n.lam, modes_0.lam
-    return Assumptions(modes_n, modes_0, None, lam_n.is_simple(), lam_0.is_simple(),
-                       not numkernel.close_pairs(lam_n.roots, lam_0.roots,
-                                                 numkernel.SEPARATION_TOL).any(),
-                       *(not _is_singular(constant_systems(spec, [op], nu)[0][0])
-                         for nu in (n, 0)))
+        return [str(failure)]
+    lam_n, lam_0 = sp_n.modes(0).lam, sp_0.modes(0).lam
+    singular_n, singular_0 = numkernel.is_singular(np.concatenate(
+        [constant_systems(spec, [op], nu)[0] for nu in (n, 0)]))
+    checks = {"the nu = n phases are not simple": lam_n.is_simple(),
+              "the nu = 0 phases are not simple": lam_0.is_simple(),
+              "a nu = n phase is a nu = 0 phase": not numkernel.close_pairs(
+                  lam_n.roots, lam_0.roots, numkernel.SEPARATION_TOL).any(),
+              "P_n is singular at the constant mode": not singular_n,
+              "P_0 is singular at the constant mode": not singular_0}
+    return [reason for reason, holds in checks.items() if not holds]
 
 
-def check_cel_assumptions(spec: LagrangianSpec, n: int) -> Assumptions:
-    """The paper's assumptions in continuous time: reported, not enforced."""
-    return _report(spec, None, n)
-
-
-def check_del_assumptions(spec: LagrangianSpec, op: ScaleOperator, n: int) -> Assumptions:
-    """The paper's assumptions on the grid, judged on the phases: reported, not enforced."""
-    return _report(spec, op, n)
+def check_cel_assumptions(spec: LagrangianSpec, n: int) -> list:
+    """The paper's assumptions in continuous time (`check_del_assumptions`)."""
+    return check_del_assumptions(spec, None, n)

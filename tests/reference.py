@@ -22,6 +22,8 @@ the map built from D to those outputs.
 `symbol_s`, `symbol_s_bar`, `symbol_theta` and `symbol_sigma1` are an operator's interior
 symbols at one lam, each as its explicit sum over the weights.
 
+`root_set` is the RootSet of given roots with zero residuals, and `polynomial` the
+Polynomial with given roots.
 `hausdorff_distance` is the max-min distance between two finite sets as a double loop,
 independent of the sweep's masked expression.  `is_periodic_cel` and `is_periodic_del`
 classify the union of a system's nu = n and nu = 0 phases with `periodic.commensurability`.
@@ -29,10 +31,12 @@ classify the union of a system's nu = n and nu = 0 phases with `periodic.commens
 its trajectories must follow.
 """
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import scipy.sparse as sp
 
 from choreoqep import pencil, periodic
 from choreoqep.model import LagrangianSpec
+from choreoqep.numkernel import Polynomial, RootSet
 
 
 def banded(op, M) -> sp.csr_matrix:
@@ -141,6 +145,17 @@ def symbol_sigma1(op, lam: complex) -> complex:
 
 class EmptySet(Exception):
     """Raised when a Hausdorff distance is requested from an empty set."""
+
+
+def root_set(roots) -> RootSet:
+    """The roots (any shape) as a complex RootSet with zero residuals."""
+    roots = np.asarray(roots, dtype=complex).ravel()
+    return RootSet(roots, np.zeros(len(roots)))
+
+
+def polynomial(roots, leading: complex = 1.0) -> Polynomial:
+    """leading * prod (z - r) over the roots, expanded into coefficients."""
+    return Polynomial(leading * npoly.polyfromroots(np.asarray(roots, dtype=complex)))
 
 
 def hausdorff_distance(f1, f2) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from choreoqep import convergence, pencil, scaleop
+from choreoqep import convergence, numkernel, pencil, scaleop
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import make_gyroscopic_spec, make_reference_spec
@@ -74,7 +74,7 @@ def per_epsilon_loop(spec, op_family, nu, epsilons, K_radius=None):
         if not sp.roots.is_simple():
             notes[-1] = "spectrum failure: zeta-roots cluster below the separation tolerance"
             continue
-        kept = convergence.filter_to_window(sp.lam, K_radius)
+        kept = sp.lam.roots[np.abs(sp.lam.roots) <= K_radius]
         if len(kept) == 0:
             notes[-1] = "no roots inside the compact window"
             continue
@@ -112,8 +112,9 @@ def test_an_empty_window_is_noted_as_in_the_loop():
 
 def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
     """One classical eigen-solve and one SVD of A_nu (the batch is given the classical
-    spectrum, which has checked A_nu), and no assembled shifted blocks."""
-    calls = {}
+    spectrum, which has checked A_nu), and no assembled shifted blocks.  The specs are built
+    before the count starts: `model.construct_j4` applies the same rank rule."""
+    calls, specs = {}, [make_reference_spec(), make_reference_spec()]
 
     def counted(module, name):
         original = getattr(module, name)
@@ -126,13 +127,13 @@ def test_a_sweep_solves_one_batch_and_the_classical_pencil_once(monkeypatch):
 
     counted(np.linalg, "eig")
     counted(pencil, "spectra")
-    counted(pencil, "_is_singular")
+    counted(numkernel, "is_singular")
     counted(pencil, "_shifted_blocks")
-    for family in (central_difference, five_point):
-        calls.update(eig=0, spectra=0, _is_singular=0, _shifted_blocks=0)
-        result = convergence.epsilon_sweep(make_reference_spec(), family, 0.0, EPSILONS)
+    for spec, family in zip(specs, (central_difference, five_point)):
+        calls.update(eig=0, spectra=0, is_singular=0, _shifted_blocks=0)
+        result = convergence.epsilon_sweep(spec, family, 0.0, EPSILONS)
         assert np.isfinite(result.distances)[:-1].all()
-        assert calls == {"eig": 1, "spectra": 1, "_is_singular": 1, "_shifted_blocks": 0}
+        assert calls == {"eig": 1, "spectra": 1, "is_singular": 1, "_shifted_blocks": 0}
 
 
 @st.composite

@@ -12,7 +12,7 @@ from choreoqep import celsolve, cli, convergence, delsolve, pencil, periodic
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator, central_difference
 
-from conftest import (J1, J2, make_discrete_tuned_spec_d3, make_gyroscopic_spec,
+from conftest import (J1, J2, J3, make_discrete_tuned_spec_d3, make_gyroscopic_spec,
                       make_reference_spec, record_eigenpair_blocks)
 
 BOUNDARY = {"x_t0": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]],
@@ -324,6 +324,7 @@ class TestInputForms:
 
 
 CONDITIONS = "operator conditions: sum_zero=True derivative_normalized=True"
+LEADING = "leading coefficient is singular; root count drops below 2d"
 FIVE_POINT = {"N": 2, "gamma_re": [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]}
 
 
@@ -482,8 +483,50 @@ class TestValidate:
                                   targets={"omega": [2.0, 2.0], "discrete": discrete})
         assert code == cli.EXIT_OK
         assert lines == [CONDITIONS, "continuous assumptions hold: False",
+                         f"continuous assumption fails: {LEADING}",
                          "discrete assumptions hold: False",
+                         "discrete assumption fails: leading block J1 + 2(nu-1) J3 is singular",
                          f"target spectrum deviation: {deviation}"]
+
+    def test_each_failing_assumption_is_named_in_order(self, tmp_path, capsys):
+        # J2 - 2 J4 = 0: P_0(lam) = A_0 lam^2 has every root at 0, in both settings
+        spec = LagrangianSpec(2, 3, J1, J2, J3, 0.5 * J2)
+        code, lines, _ = validate(tmp_path, capsys, spec)
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, *(line for kind in ("continuous", "discrete") for line in (
+            f"{kind} assumptions hold: False",
+            f"{kind} assumption fails: the nu = 0 phases are not simple",
+            f"{kind} assumption fails: P_0 is singular at the constant mode"))]
+
+    def test_an_uncoupled_system_names_the_shared_phases(self, tmp_path, capsys):
+        spec = LagrangianSpec(2, 3, J1, J2, np.zeros((2, 2)), np.zeros((2, 2)))
+        code, lines, _ = validate(tmp_path, capsys, spec)
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, *(line for kind in ("continuous", "discrete") for line in (
+            f"{kind} assumptions hold: False",
+            f"{kind} assumption fails: a nu = n phase is a nu = 0 phase"))]
+
+    def test_a_failed_nu_0_classical_spectrum_warns_of_no_coarse_grid(self, tmp_path, capsys):
+        """J1 = 2 J3 (d = 1): the nu = 0 pencil drops its degree, so rho and the grid bound
+        are infinite, which no M meets: the reason lines say what failed, and no
+        'grid too coarse' warning is printed against inf."""
+        spec = LagrangianSpec(1, 3, [[1.0]], [[-1.0]], [[0.5]], [[0.0]])
+        code, lines, _ = validate(tmp_path, capsys, spec)
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, "continuous assumptions hold: False",
+                         f"continuous assumption fails: {LEADING}",
+                         "discrete assumptions hold: False",
+                         "discrete assumption fails: leading block J1 + 2(nu-1) J3 is singular"]
+
+    def test_a_zero_edge_weight_warns_of_no_coarse_grid(self, tmp_path, capsys):
+        """The forward difference: gamma_-1 gamma_1 = 0 makes the grid bound infinite."""
+        code, lines, _ = validate(tmp_path, capsys, make_reference_spec(),
+                                  operator={"N": 1, "gamma_re": [0.0, -1.0, 1.0]})
+        assert code == cli.EXIT_OK
+        assert lines == [CONDITIONS, "continuous assumptions hold: True",
+                         "discrete assumptions hold: False",
+                         "discrete assumption fails: gamma_{-N} * gamma_N = 0: the "
+                         "zeta-polynomial degenerates"]
 
 
 def reference_csv(header, rows) -> bytes:

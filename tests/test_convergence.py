@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from choreoqep import celsolve, convergence, pencil
-from choreoqep.convergence import _pencil_errors, epsilon_sweep, filter_to_window
-from choreoqep.numkernel import RootSet
+from choreoqep.convergence import _pencil_errors, epsilon_sweep
 from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import make_gyroscopic_spec, make_oscillator_spec, make_reference_spec
-from reference import EmptySet, hausdorff_distance
+from reference import EmptySet, hausdorff_distance, root_set
 
 
 class TestHausdorff:
@@ -27,21 +26,14 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
 
     def test_accepts_rootsets(self):
-        a = RootSet.from_roots([1.0, 2.0])
+        a = root_set([1.0, 2.0])
         assert hausdorff_distance(a, [1.0]) == 1.0
 
     def test_empty_set(self):
         with pytest.raises(EmptySet):
             hausdorff_distance([], [1.0])
         with pytest.raises(EmptySet):
-            hausdorff_distance(RootSet.from_roots([1.0]), [])
-
-
-def test_filter_to_window_keeps_inner_roots_with_their_residuals():
-    roots = RootSet.from_roots([1j, 5j, -0.5, 2.0], residuals=[1e-9, 2e-9, 3e-9, 4e-9])
-    kept = filter_to_window(roots, 2.0)
-    assert list(kept.roots) == [1j, -0.5, 2.0]
-    assert list(kept.residuals) == [1e-9, 3e-9, 4e-9]
+            hausdorff_distance(root_set([1.0]), [])
 
 
 def test_non_normalised_operator_is_noted_not_raised():

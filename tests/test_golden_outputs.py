@@ -1,4 +1,4 @@
-"""Golden-output guard: five small CLI runs must keep writing the same bytes.
+"""Golden-output guard: small CLI runs must keep writing the same bytes.
 
 The digests were re-recorded when antisymmetric weights moved to preimages of
 the classical roots (and the pencil error to expm1 sums), after `test_oracle.py`
@@ -65,7 +65,11 @@ between 3.901 and 3.962.  A cache or
 vectorisation that moves one bit of a written number fails here, instead of silently
 changing a benchmark cell.  The discrete solve and the discrete choreography also pin
 their SVGs and the choreography its CSV, so that the array writers of both formats are
-held to the bytes the per-cell writers produced.  Each run is a fresh
+held to the bytes the per-cell writers produced.  Five `spectrum` runs pin both settings'
+roots and residuals and the compact-window flag, on each route to a grid spectrum: the
+reference spec under the central difference and the gyroscopic spec (J5 != 0) under the
+5-point operator (both preimages of the classical roots), and the gyroscopic spec under
+real weights that are not antisymmetric (the block companion).  Each run is a fresh
 `python -m choreoqep.cli` with BLAS pinned to one thread, as the benchmark runs it, and
 each is run again at two BLAS threads, which must write the same bytes.
 """
@@ -102,6 +106,10 @@ CHOREO = {"d": 3, "n": 5, **{k: getattr(_TUNED, k).tolist() for k in ("J1", "J2"
           "choreo": {"which": ["del"], "amplitudes_re": [0.5 + 0.1 * k for k in range(12)],
                      "amplitudes_im": [0.3 - 0.05 * k for k in range(12)]}}
 
+J5 = [[0.0, 0.7], [-0.7, 0.0]]  # `make_gyroscopic_spec`'s
+GYROSCOPIC = {"J5": J5, "operator": FIVE_POINT["operator"]}
+COMPANION = {"J5": J5, "operator": {"N": 1, "gamma_re": [-0.7, 0.4, 0.3]}}
+
 RUNS = {  # name -> (argv, (tf, M), config overrides, {file written: sha256 of its bytes})
     "gamma": (["error-surface", "--grid", "gamma"], (1.0, 100), {}, {
         "error_surface_gamma.csv":
@@ -118,6 +126,21 @@ RUNS = {  # name -> (argv, (tf, M), config overrides, {file written: sha256 of i
     "solve_del": (["solve", "--which", "del"], (4.0, 400), {}, {
         "traj_del.csv": "af55afe62740569af193921e738ef7c1375c5c2c4700222dd927237b441c4cfe",
         "traj_del.svg": "32eb773e2612217b777e8821edb5b6786a84ab095bcf3dc310068916efcf95f3"}),
+    "spectrum_cel": (["spectrum", "--which", "cel"], (1.0, 100), {}, {
+        "spectrum_cel_nu0.csv": "14623095f2ac242ca77db8b454ae66383f3a70c403040956250491289d12d8e6",
+        "spectrum_cel_nun.csv": "7f7653a6f1b13016a3a5e5d06479fa5f2dd7d9c913cba72fd65b802cbba39bd8"}),
+    "spectrum_del": (["spectrum", "--which", "del"], (1.0, 100), {}, {
+        "spectrum_del_nu0.csv": "bbb1976ec1326a5a2ae181d42e1c326b620e97dca652251db2fb1dcf45fdb7da",
+        "spectrum_del_nun.csv": "d54e22a0d6fe42d80f247f1d62b76bc70c0a6aa9953e03e0e8e99cf1e5db15a6"}),
+    "spectrum_cel_gyroscopic": (["spectrum", "--which", "cel"], (1.0, 100), GYROSCOPIC, {
+        "spectrum_cel_nu0.csv": "d7369a8c5401c2748be4a731d086e76d487a1c176abf6a94b67c324b3a7d46be",
+        "spectrum_cel_nun.csv": "5fd041381a2e92b9638ae256bd92b85102b6cc14c85d144109593e6449210fba"}),
+    "spectrum_del_gyroscopic": (["spectrum", "--which", "del"], (1.0, 100), GYROSCOPIC, {
+        "spectrum_del_nu0.csv": "efb7789e426bb9b2cdb0e8d009452f36b43ee4807bb2c13fbc4588287ce483e6",
+        "spectrum_del_nun.csv": "f80109ddb679efd7f4ffa812263fd372a1bb67347f286d9b8f215bb52c07ef6e"}),
+    "spectrum_del_companion": (["spectrum", "--which", "del"], (1.0, 100), COMPANION, {
+        "spectrum_del_nu0.csv": "ead9b03359ea959f5872854950600be00c16a66bed126fd21cf25b811e6c0add",
+        "spectrum_del_nun.csv": "fc59fadb5800d7fdf21576b82eeb72ebdae7e865bc3df254659602455d408fff"}),
     "choreo_del": (["choreo"], (60 * CHOREO_EPS, 60), CHOREO, {
         "choreo_del.csv": "b5045c1289c81463d1e9ef46c2b11101a8a77d25de4c4b0b9c6d771f4919e0ec",
         "choreo_del.svg": "274d4c213f49fdf2a4bfa808ce278ae7cd4d584ba06193011d9eb6d23a51c5a2"}),

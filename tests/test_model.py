@@ -177,6 +177,20 @@ class TestConstructJ4:
         want = 0.5 * J2 + 0.5 * (J1 - 2 * J3)  # K = I
         assert np.allclose(j4, want)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e-14])
+    def test_invertibility_does_not_depend_on_scale(self, scale):
+        """J1 - 2 J3 is judged by the one rank rule, sigma_min <= 1e-12 sigma_max
+        (`numkernel.is_singular`), and its branch threshold is relative to max |S|.  An
+        absolute det test refused s I at s = 1e-7 and built it at 1e-6, and an absolute
+        threshold sent 1e-14 I down the anti-diagonal branch."""
+        zero, j2 = np.zeros((2, 2)), scale * np.diag([3.0, -2.0])
+        for s in (scale * np.array([[2.0, 0.3], [0.3, 1.0]]), scale * np.eye(2)):
+            spec = LagrangianSpec(2, 3, s, j2, zero, construct_j4(s, j2, zero, 1.0, 2.0, 1.0))
+            roots = pencil.classical_spectrum(spec, 0).roots
+            assert np.abs(roots - [-2j, -1j, 1j, 2j]).max() <= 1e-12
+        with pytest.raises(ValueError, match="J1 - 2\\*J3 must be invertible"):
+            construct_j4(scale * np.ones((2, 2)), j2, zero, 1.0, 2.0, 1.0)
+
     def test_no_real_solution(self):
         with pytest.raises(NoRealSolution):
             construct_j4(J1, J2, J3, 2.0, 5.0, 29.0)  # j4_free = w1^2 + w2^2

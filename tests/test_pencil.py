@@ -159,49 +159,46 @@ class TestTranscendentalSpectrum:
 
 
 class TestAssumptionChecks:
+    """Each report is the whole list of the reasons that fail, in their order."""
+
     def test_reference_cel_all_hold(self, ref_spec):
-        rep = check_cel_assumptions(ref_spec, 3)
-        assert rep.all_hold
+        assert check_cel_assumptions(ref_spec, 3) == []
 
     def test_uncoupled_system_fails_disjointness(self):
         spec = LagrangianSpec(2, 3, J1, J2, np.zeros((2, 2)), np.zeros((2, 2)))
-        rep = check_cel_assumptions(spec, 3)
-        assert not rep.disjoint and not rep.all_hold
+        assert check_cel_assumptions(spec, 3) == ["a nu = n phase is a nu = 0 phase"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vanishing_constant_block(self):
-        j4 = 0.5 * J2  # J2 - 2 J4 = 0
+        j4 = 0.5 * J2  # J2 - 2 J4 = 0: P_0(lam) = A lam^2, every root at 0
         spec = LagrangianSpec(2, 3, J1, J2, J3, j4)
-        rep = check_cel_assumptions(spec, 3)
-        assert not rep.det_p00_nonzero
-        # J5 = 0 too, so P_0(lam) = A lam^2: every backward-error term vanishes, and
-        # the result is typed with no warning
+        reasons = ["the nu = 0 phases are not simple", "P_0 is singular at the constant mode"]
+        assert check_cel_assumptions(spec, 3) == reasons
+        # J5 = 0 too, so every backward-error term vanishes, and the result is typed with
+        # no warning
         roots = classical_spectrum(spec, 0)
         assert (roots.roots == 0).all() and (roots.residuals == 0).all()
-        rep = check_del_assumptions(spec, central_difference(0.05), 3)
-        assert not rep.det_p00_nonzero and not rep.all_hold
+        assert check_del_assumptions(spec, central_difference(0.05), 3) == reasons
 
     def test_clustered_classical_roots_are_judged_not_raised(self):
         eye = np.eye(2)  # every block a multiple of I: each classical root is double
-        rep = check_cel_assumptions(LagrangianSpec(2, 3, eye, -eye, 0.1 * eye, 0.2 * eye), 3)
-        assert rep.precondition_ok and not rep.count_n_ok and not rep.count_0_ok
-        assert rep.modes_n is not None and rep.disjoint
+        spec = LagrangianSpec(2, 3, eye, -eye, 0.1 * eye, 0.2 * eye)
+        assert check_cel_assumptions(spec, 3) == ["the nu = n phases are not simple",
+                                                 "the nu = 0 phases are not simple"]
 
     def test_reference_del_all_hold(self, ref_spec):
         op = central_difference(2 * math.pi / 100)
-        rep = check_del_assumptions(ref_spec, op, 3)
-        assert rep.all_hold
+        assert check_del_assumptions(ref_spec, op, 3) == []
 
     def test_uncoupled_del_fails_disjointness(self):
         spec = LagrangianSpec(2, 3, J1, J2, np.zeros((2, 2)), np.zeros((2, 2)))
-        rep = check_del_assumptions(spec, central_difference(0.05), 3)
-        assert not rep.disjoint
+        assert check_del_assumptions(spec, central_difference(0.05), 3) == [
+            "a nu = n phase is a nu = 0 phase"]
 
     def test_zero_edge_weight_reported_not_raised(self, ref_spec):
         op = ScaleOperator(np.array([0.0, -0.5, 0.5]), 0.05)
-        rep = check_del_assumptions(ref_spec, op, 3)
-        assert not rep.precondition_ok and not rep.all_hold
-        assert "gamma" in rep.note
+        assert check_del_assumptions(ref_spec, op, 3) == [
+            "gamma_{-N} * gamma_N = 0: the zeta-polynomial degenerates"]
 
 
 class TestCompanionErrorPaths:
@@ -214,8 +211,8 @@ class TestCompanionErrorPaths:
             classical_spectrum(ref_spec, 0)
         with pytest.raises(numkernel.NumericalFailure):
             transcendental_spectrum(ref_spec, central_difference(0.05), 0)
-        rep = check_del_assumptions(ref_spec, central_difference(0.05), 3)
-        assert not rep.precondition_ok and "eigen-solve" in rep.note
+        assert check_del_assumptions(ref_spec, central_difference(0.05), 3) == [
+            "companion eigen-solve failed: Eigenvalues did not converge"]
 
     @pytest.mark.parametrize("eps", [None, (0.05, 0.1)], ids=["continuous", "preimages"])
     def test_a_failure_shared_by_a_batch_keeps_no_frames(self, monkeypatch, ref_spec, eps):

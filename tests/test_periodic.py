@@ -6,7 +6,6 @@ import pytest
 
 from choreoqep import pencil
 from choreoqep.model import LagrangianSpec, construct_j4
-from choreoqep.numkernel import RootSet
 from choreoqep.periodic import (Choreography, DelayResonant, NotChoreographic,
                                 build_choreography_cel, build_choreography_del,
                                 commensurability, verify_choreography)
@@ -14,13 +13,13 @@ from choreoqep.scaleop import ScaleOperator, central_difference, k_family
 
 from conftest import (J1, J2, J3, make_curve_spec, make_discrete_tuned_spec_d3,
                       make_oscillator_spec, make_reference_spec)
-from reference import is_periodic_cel, is_periodic_del
+from reference import is_periodic_cel, is_periodic_del, root_set
 
 TWO_PI = 2.0 * math.pi
 
 
 def rootset(*values):
-    return RootSet.from_roots(np.array(values, dtype=complex))
+    return root_set(values)
 
 
 class TestCommensurability:

@@ -100,10 +100,10 @@ def test_mode_basis_comes_from_the_companion_eigenvectors(ref_spec):
 
 def test_both_checkers_report_a_singular_leading_block():
     spec = LagrangianSpec(2, 3, np.zeros((2, 2)), J2, np.zeros((2, 2)), np.eye(2))
-    for rep in (pencil.check_cel_assumptions(spec, 3),
-                pencil.check_del_assumptions(spec, central_difference(0.05), 3)):
-        assert not rep.precondition_ok and not rep.all_hold
-        assert "singular" in rep.note
+    assert pencil.check_cel_assumptions(spec, 3) == [
+        "leading coefficient is singular; root count drops below 2d"]
+    assert pencil.check_del_assumptions(spec, central_difference(0.05), 3) == [
+        "leading block J1 + 2(nu-1) J3 is singular"]
 
 
 def test_the_decision_fixes_root_count_and_constant_mode(ref_spec):

@@ -59,17 +59,17 @@ def test_mixed_five_point_weights_with_clustered_zeta_roots_solve():
 
 def test_solves_never_read_the_assumption_reports(monkeypatch):
     """A surface's `window_errors` and a lone `dirichlet_del` make no call of the report,
-    `pencil._report`; on the d = 32 case that solves above it judges the phases, whose
-    closest nu = n and nu = 0 pair is 1.1e-5 apart at |lam| = 103, and says every
-    assumption holds (one call)."""
+    `pencil.check_del_assumptions` (`check_cel_assumptions` calls it too); on the d = 32
+    case that solves above it judges the phases, whose closest nu = n and nu = 0 pair is
+    1.1e-5 apart at |lam| = 103, and finds no assumption failing (one call)."""
     calls = []
-    original = pencil._report
+    original = pencil.check_del_assumptions
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pencil, "_report", counted)
+    monkeypatch.setattr(pencil, "check_del_assumptions", counted)
     spec, M = make_reference_spec(), 200
     x0, xf = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3, spec.d))
     cel, _ = celsolve.dirichlet_cel(spec, 3, 0.0, 1.0, x0, xf)
@@ -81,8 +81,7 @@ def test_solves_never_read_the_assumption_reports(monkeypatch):
     assert calls == []
 
     big = make_spread_spec()
-    report = pencil.check_del_assumptions(big, ScaleOperator(FIVE_POINT, 4.0 / 200), 2)
-    assert report.disjoint and report.all_hold
+    assert pencil.check_del_assumptions(big, ScaleOperator(FIVE_POINT, 4.0 / 200), 2) == []
     assert len(calls) == 1
 
 
@@ -99,7 +98,8 @@ def test_a_single_particle_does_not_need_the_nu_0_spectrum():
     """For n = 1 the zero-sum constraint eliminates the nu = 0 modes, so the degree drop of
     the nu = 0 pencil at J1 = 2 J3 is reported but does not fail the solve."""
     spec = LagrangianSpec(1, 1, [[1.0]], [[-1.0]], [[0.5]], [[0.0]])
-    assert not pencil.check_cel_assumptions(spec, 1).precondition_ok
+    assert pencil.check_cel_assumptions(spec, 1) == [
+        "leading coefficient is singular; root count drops below 2d"]
     sol, _ = celsolve.dirichlet_cel(spec, 1, 0.0, 1.0, [[1.0]], [[2.0]])
     assert np.abs(sol.particles[0].value([0.0, 1.0]).ravel() - [1.0, 2.0]).max() <= 1e-12
 
