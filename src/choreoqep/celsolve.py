@@ -110,10 +110,6 @@ class SystemSolution:
     def __post_init__(self):
         object.__setattr__(self, "particles", tuple(self.particles))
 
-    @property
-    def n(self) -> int:
-        return len(self.particles)
-
 
 def _expansion_values(u0: np.ndarray, lams: np.ndarray, vectors: np.ndarray,
                       anchors: np.ndarray, t: np.ndarray) -> np.ndarray:

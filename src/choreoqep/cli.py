@@ -90,6 +90,20 @@ def _finite(value) -> float:
     return number
 
 
+def _positive(value) -> float:
+    number = _finite(value)
+    if not number > 0:
+        raise ValueError(f"must be positive, got {number}")
+    return number
+
+
+def _finite_array(value) -> np.ndarray:
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError("entries must be finite")
+    return array
+
+
 def _kinds(value) -> list:
     """'cel', 'del' or a non-empty list of them, as a list."""
     kinds = [value] if isinstance(value, str) else value
@@ -111,14 +125,13 @@ def _given(block: dict | None, name: str) -> bool:
 
 def _complex_block(block: dict, name: str, shape: tuple, where: str) -> np.ndarray:
     """Read the name / name_re / name_im fields of the config block `where` into a complex
-    array of shape."""
+    array of shape, with finite entries."""
     key = f"{name}_re" if f"{name}_re" in block else name
     if block.get(key) is None:
         raise ConfigParse(f"missing field {where}.{name}")
-    as_array = partial(np.asarray, dtype=float)
-    out = _field(block, key, as_array, None, where).astype(complex)
+    out = _field(block, key, _finite_array, None, where).astype(complex)
     if block.get(f"{name}_im") is not None:
-        out = out + 1j * _field(block, f"{name}_im", as_array, None, where)
+        out = out + 1j * _field(block, f"{name}_im", _finite_array, None, where)
     if out.shape != shape:
         raise ConfigParse(f"{where}.{name} must have shape {shape}, got {out.shape}")
     return out
@@ -181,12 +194,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         d = int(raw["d"])
         n = int(raw["n"])
         time = raw["time"]
-        t0 = float(time["t0"])
-        tf = float(time["tf"])
-        M = int(time["M"])
+        t0, tf, M = time["t0"], time["tf"], int(time["M"])
         op_raw = dict(raw["operator"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"missing or malformed required field: {exc}") from exc
+    t0, tf = (_field(time, key, _finite, None, "time") for key in ("t0", "tf"))
     if not tf > t0:
         raise ConfigParse("time block needs tf > t0")
     if M < 1:
@@ -348,7 +360,7 @@ def _parse_amplitudes(block: dict, size: int, n: int, seed: int):
     seeded random ones, or xs and particles given (no particles given reads zeros)."""
     if block.get("random"):
         rng = np.random.default_rng(seed)
-        scale = _field(block, "scale", float, 1.0, "amplitudes")
+        scale = _field(block, "scale", _finite, 1.0, "amplitudes")
         xs = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
         ps = scale * (rng.standard_normal((max(n - 1, 0), size))
                       + 1j * rng.standard_normal((max(n - 1, 0), size)))
@@ -536,7 +548,7 @@ def cmd_converge(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     block = cfg.sweep
     if "epsilons" not in block:
         raise ConfigParse("converge needs sweep.epsilons")
-    epsilons = _field(block, "epsilons", _each(float), None, "sweep")
+    epsilons = _field(block, "epsilons", _each(_positive), None, "sweep")
     nu = _field(block, "nu", _finite, 0.0, "sweep")
     result = convergence.epsilon_sweep(cfg.spec, partial(_build_operator, cfg.operator_raw),
                                       nu, epsilons)

@@ -55,18 +55,6 @@ class TrajectoryGrid:
             raise ValueError("trajectory has non-finite entries")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[1] - 1
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[2]
-
 
 @dataclass(frozen=True)
 class DelSolution(SystemSolution):
@@ -171,7 +159,7 @@ def recurrence_march(spec: LagrangianSpec, op: ScaleOperator, n: int,
     w_xs, w_p, f, nf = (a[R, R] for a in _residual_map(spec, op, n))
     (head_xs, last_xs), (head_p, last_p) = ((w[:2 * R * d], w[2 * R * d:]) for w in (w_xs, w_p))
     try:  # inverses of the blocks on node c+2N: x_s's equation and a particle's
-        inv_xs, inv_p = (numkernel.solve_square(b.T, np.eye(d)).x.T
+        inv_xs, inv_p = (numkernel.solve_square(b.T, np.eye(d)).T
                          for b in (last_xs[:, :d], last_p))
     except numkernel.Singular as exc:
         raise LeadingBlockSingular(str(exc)) from exc

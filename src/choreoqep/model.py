@@ -65,28 +65,15 @@ class LagrangianSpec:
         object.__setattr__(self, "_derived", {})  # arrays solvers derive from these, by key
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed structural requirement on a coefficient matrix."""
-
-    matrix: str
-    magnitude: float
-
-    def __str__(self) -> str:
-        return f"{self.matrix}: asymmetry {self.magnitude:.3e}"
-
-
-def validate_spec(spec: LagrangianSpec) -> list[Violation]:
-    """Check J1..J4 symmetric and J5 skew-symmetric to 1e-12."""
+def validate_spec(spec: LagrangianSpec) -> list[str]:
+    """The failed structural requirements, [] when all hold: J1..J4 symmetric and J5
+    skew-symmetric to 1e-12, each failure as "<matrix>: asymmetry <magnitude>"."""
     out = []
-    for name in ("J1", "J2", "J3", "J4"):
+    for name, sign in (("J1", -1), ("J2", -1), ("J3", -1), ("J4", -1), ("J5", 1)):
         m = getattr(spec, name)
-        mag = float(np.abs(m - m.T).max())
+        mag = float(np.abs(m + sign * m.T).max())
         if mag > 1e-12:
-            out.append(Violation(name, mag))
-    mag = float(np.abs(spec.J5 + spec.J5.T).max())
-    if mag > 1e-12:
-        out.append(Violation("J5", mag))
+            out.append(f"{name}: asymmetry {mag:.3e}")
     return out
 
 

@@ -9,8 +9,9 @@ one, raising failures[0].  `pencil` takes its spectra from block-companion eigen
 determinant interpolation, polynomial roots and SVD kernel vectors here are independent
 references for its tests.  `is_singular` is the one rank rule of `pencil` and `model`.
 `solve_stack` takes each item's LU factors from one numpy elimination of the stack: their
-pivots decide singularity and give x; only a lone solve computes a condition number.  Everything here is a pure function of its inputs: no
-caching, no shared state, safe for concurrent use.
+pivots decide singularity and give x, and no solve computes a condition number: `cond` is
+the one, read for the boundary systems of a lone Dirichlet solve.  Everything here is a
+pure function of its inputs: no caching, no shared state, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -255,16 +256,6 @@ def kernel_vector(m, rank_tol: float = 1e-8) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class LinearSolve:
-    """Solution of a square system with the 2-norm condition number of its matrix, from
-    an SVD.  A 1-norm estimate from the LU factors that gave x (Hager, SIAM J. Sci.
-    Stat. Comput. 5, 1984) would be cheaper; it is not done."""
-
-    x: np.ndarray
-    cond: float
-
-
 def merge_failures(failures: list, found=(), items=None) -> tuple:
     """Merge a stage's failures into a batch's list: found[j] goes to item items[j] (item j
     when items is None) unless that item has failed already, so that each item keeps its
@@ -364,17 +355,18 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def cond(a: np.ndarray) -> float:
-    """2-norm condition number (`np.linalg.cond`); a LAPACK failure is a NumericalFailure."""
+    """2-norm condition number (`np.linalg.cond`, from an SVD); a LAPACK failure is a
+    NumericalFailure.  A 1-norm estimate from LU factors (Hager, SIAM J. Sci. Stat.
+    Comput. 5, 1984) would be cheaper; it is not done."""
     (value,), (exc,) = per_item(np.linalg.cond, np.inf, a[None])
     if exc is not None:
         raise NumericalFailure(f"LAPACK failed: {exc}") from exc
     return float(value)
 
 
-def solve_square(a, b) -> LinearSolve:
-    """Solve a @ x = b with pivot-based singularity detection: the batch of one of
-    `solve_stack` (pivots and x from the same LU factors), raising its error, with the
-    2-norm condition number of a."""
+def solve_square(a, b) -> np.ndarray:
+    """x solving a @ x = b, with pivot-based singularity detection: the batch of one of
+    `solve_stack` (pivots and x from the same LU factors), raising its error."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -382,4 +374,4 @@ def solve_square(a, b) -> LinearSolve:
     x, failures = solve_stack(a[None], b[None])
     if failures[0] is not None:
         raise failures[0]
-    return LinearSolve(x[0], cond(a))
+    return x[0]

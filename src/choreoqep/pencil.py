@@ -31,9 +31,10 @@ time), as `spectra`, `constant_systems` and `celsolve.Core` take it, under the b
 contract of `numkernel`: the cells of an error surface or the delays of an eps-sweep.
 `classical_spectrum` solves the classical pencil of (spec, nu) once and keeps its roots with
 the spec, beside the verdict on A_nu: continuous time's spectrum and the antisymmetric
-route's targets.  A lone spectrum in either setting is one record, `Modes` (its phases lam
-and its roots in the pencil's variable), built only by `Spectra.modes`: the batch of one,
-which `transcendental_spectrum` returns.  The assumption reports
+route's targets; `spectra` keeps a lone operator's grid spectrum there too.  A lone
+spectrum in either setting is one record, `Modes` (its phases lam and its roots in the
+pencil's variable), built only by `Spectra.modes`: the batch of one, which
+`transcendental_spectrum` returns.  The assumption reports
 (`check_cel_assumptions`, `check_del_assumptions`) are the list of what fails.
 The equations of motion are stated once, for both settings, by `equation_blocks`:
 `celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
@@ -482,9 +483,13 @@ def spectra(spec: LagrangianSpec, ops: list, nu: float) -> Spectra:
     `classical_spectrum`, solved once per (spec, nu)), others when J5 = 0 to preimages under
     g g~/eps^2 of the pairs of A_nu mu - C_nu, each pencil solved once a batch, and the
     rest to the shifted block companion.  Only that companion assembles the shifted blocks.
-    A zeta-root at 0 has no finite phase: its item is a NumericalFailure.
+    A zeta-root at 0 has no finite phase: its item is a NumericalFailure.  A lone
+    operator's spectrum that does not fail is kept with the spec, by (nu, eps, weights).
     """
     op, B, K = ops[0], len(ops), root_count(spec, ops[0])
+    key = None if op is None or B > 1 else ("spectra", nu, op.epsilon, op.gamma.tobytes())
+    if key in spec._derived:
+        return spec._derived[key]
     w, residuals = np.full((B, K), np.nan, dtype=complex), np.full((B, K), np.inf)
     parts = [(slice(None), np.zeros(spec.d, dtype=complex))]  # zero where no route solves
     if op is None:
@@ -542,7 +547,10 @@ def spectra(spec: LagrangianSpec, ops: list, nu: float) -> Spectra:
     failures, _ = numkernel.merge_failures(failures, [
         None if ok else numkernel.NumericalFailure("a zeta-root at 0 has no finite phase")
         for ok in np.isfinite(lam.real).all(axis=1)])
-    return Spectra(lam[order], 1.0 + z[order], residuals[order], failures, parts, order)
+    result = Spectra(lam[order], 1.0 + z[order], residuals[order], failures, parts, order)
+    if key is not None and failures[0] is None:
+        spec._derived[key] = result
+    return result
 
 
 def transcendental_spectrum(spec: LagrangianSpec, op: ScaleOperator, nu: float) -> Modes:

@@ -185,20 +185,19 @@ def build_choreography_del(spec: LagrangianSpec, op: ScaleOperator, n: int, ampl
 
 @dataclass(frozen=True)
 class ChoreographyReport:
-    """Measured errors of the defining choreography properties."""
+    """Measured errors of the defining choreography properties, and the names of the
+    checks whose error exceeds its tolerance ("periodicity", "delay", "xs_constancy",
+    "residual"), [] when all hold."""
 
     periodicity_error: float
     delay_error: float
     xs_constancy_error: float
     residual_error: float
-    periodic_ok: bool
-    delay_ok: bool
-    xs_constant_ok: bool
-    residual_ok: bool
+    failing: list
 
     @property
     def all_ok(self) -> bool:
-        return self.periodic_ok and self.delay_ok and self.xs_constant_ok and self.residual_ok
+        return not self.failing
 
 
 def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec) -> ChoreographyReport:
@@ -231,24 +230,19 @@ def verify_choreography(ch: Choreography, sol, spec: LagrangianSpec) -> Choreogr
         residuals = delsolve.residuals(spec, op, ch.n, values, xs_vals,
                                        np.array(sol.interior_nodes(), dtype=int))
         residual_error = max(float(np.abs(r).max(initial=0.0)) for r in residuals) / eq_scale
-        residual_ok = residual_error <= 1e-10
+        residual_tol = 1e-10
     else:
         r = celsolve.residual_cel(spec, ch.n, sol, ts[:32])
         worst = np.maximum(np.abs(r.particles).max(axis=(0, 2)), np.abs(r.xs).max(axis=1))
         x_norm = np.abs([p.value(ts[:32]) for p in sol.particles]).max(axis=(0, 2))
         residual_error = float((worst / (_matrix_mass(spec) * (1.0 + x_norm))).max())
-        residual_ok = residual_error <= 1e-9
+        residual_tol = 1e-9
 
-    return ChoreographyReport(
-        periodicity_error=per_err,
-        delay_error=delay_err,
-        xs_constancy_error=xs_err / mode_mass,
-        residual_error=residual_error,
-        periodic_ok=per_err <= 1e-9,
-        delay_ok=delay_err <= 1e-9,
-        xs_constant_ok=xs_err <= 1e-10 * mode_mass,
-        residual_ok=residual_ok,
-    )
+    checks = {"periodicity": per_err <= 1e-9, "delay": delay_err <= 1e-9,
+              "xs_constancy": xs_err <= 1e-10 * mode_mass,
+              "residual": residual_error <= residual_tol}
+    return ChoreographyReport(per_err, delay_err, xs_err / mode_mass, residual_error,
+                              [name for name, holds in checks.items() if not holds])
 
 
 def _matrix_mass(spec: LagrangianSpec) -> float:

@@ -296,7 +296,7 @@ def test_stacked_solve_matches_one_solve_per_matrix(monkeypatch):
             assert type(failures[i]) is numkernel.Singular and str(failures[i]) == str(exc)
             continue
         assert failures[i] is None
-        assert np.array_equal(x[i], want.x)
+        assert np.array_equal(x[i], want)
     assert [f is None for f in failures] == [True, False, False, True]
 
 

@@ -101,6 +101,19 @@ class TestSuccess:
         assert code == cli.EXIT_OK
         assert shapes.count((1, 3, 2, 2)) == 2
 
+    def test_validate_solves_the_nu_0_grid_pencil_once(self, tmp_path, monkeypatch):
+        """Discrete targets on the block companion (J5 != 0, weights that are not
+        antisymmetric): the assumption report and the target deviation read one nu = 0
+        grid spectrum, kept with the spec, beside the nu = n one."""
+        spec = make_gyroscopic_spec()
+        config = write_config(tmp_path, spec, J4=None, J5=spec.J5.tolist(),
+                              operator={"N": 1, "gamma": [-0.7, 0.4, 0.3]},
+                              targets={"omega": [2.0, 5.0], "j4_free": 20.0, "discrete": True})
+        shapes = record_eigenpair_blocks(monkeypatch)
+        code, _ = run(tmp_path, "validate", config)
+        assert code == cli.EXIT_OK
+        assert shapes.count((1, 5, 2, 2)) == 2
+
     def test_error_surface_k(self, tmp_path, ref_config):
         code, out = run(tmp_path, "error-surface", ref_config, "--grid", "k")
         assert code == cli.EXIT_OK
@@ -775,9 +788,20 @@ class TestFailure:
          "missing field choreo.amplitudes"),
         (["solve"], {"amplitudes": {"xs": [1, 0, 0, 1], "particles_im": np.eye(2, 4).tolist()}},
          "missing field amplitudes.particles"),
+        (["solve"], {"boundary": {**BOUNDARY, "x_t0": [[math.nan, 0], [0, 0], [0, 0]]}},
+         "boundary.x_t0: entries must be finite"),
+        (["spectrum", "--which", "del"], {"operator": {"N": 1, "gamma": [-0.5, 0, math.nan]}},
+         "operator.gamma: entries must be finite"),
+        (["solve"], {"time": {"t0": 0.0, "tf": math.inf, "M": 100}, "boundary": BOUNDARY},
+         "time.tf: must be finite"),
+        (["solve"], {"amplitudes": {"random": True, "scale": math.nan}},
+         "amplitudes.scale: must be finite"),
+        (["converge"], {"sweep": {"epsilons": [0.1, -0.05]}}, "sweep.epsilons: must be positive"),
+        (["converge"], {"sweep": {"epsilons": [0.1, math.nan]}}, "sweep.epsilons: must be finite"),
     ], ids=["targets-omega", "targets-tol", "epsilons", "nu", "points", "Ms", "ks",
             "amplitudes", "choreo-block", "x_t0", "scale", "no-points", "zero-M", "negative-M",
-            "nan-nu", "no-kind", "amplitudes-im-alone", "particles-im-alone"])
+            "nan-nu", "no-kind", "amplitudes-im-alone", "particles-im-alone", "nan-x_t0",
+            "nan-gamma", "infinite-tf", "nan-scale", "negative-epsilon", "nan-epsilon"])
     def test_a_malformed_value_is_a_config_error_naming_its_field(self, tmp_path, capsys,
                                                                  argv, blocks, field):
         config = write_config(tmp_path, make_reference_spec(), **blocks)

@@ -177,17 +177,15 @@ class TestKernelVector:
 
 class TestSolveSquare:
     def test_identity(self):
-        res = solve_square(np.eye(3), [1.0, 2.0, 3.0])
-        assert np.allclose(res.x, [1, 2, 3])
-        assert res.cond == pytest.approx(1.0)
+        assert np.allclose(solve_square(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
+        assert numkernel.cond(np.eye(3)) == pytest.approx(1.0)
 
     def test_cosine_boundary_system(self):
         # x(t) = c+ e^{it} + c- e^{-it} with x(0) = 1, x(pi/2) = 0:
         # hand-solving the 2x2 system gives (1/2, 1/2)
         mat = np.array([[1.0, 1.0],
                         [np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 2)]])
-        res = solve_square(mat, [1.0, 0.0])
-        assert np.allclose(res.x, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(solve_square(mat, [1.0, 0.0]), [0.5, 0.5], atol=1e-14)
 
     def test_zero_matrix_singular(self):
         with pytest.raises(Singular, match="^zero matrix$"):
@@ -278,7 +276,7 @@ class TestStackedElimination:
         x, failures = numkernel.solve_stack(stack, random(K, 1))
         assert all(isinstance(f, Singular) for f in failures) and not x.any()
 
-    def test_only_a_lone_solve_computes_a_condition_number(self, monkeypatch):
+    def test_no_solve_computes_a_condition_number(self, monkeypatch):
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         rhs = rng.standard_normal((3, 4)) + 0j
@@ -286,9 +284,7 @@ class TestStackedElimination:
         monkeypatch.setattr(np.linalg, "cond", lambda a: seen.append(a.shape) or cond(a))
         x, failures = numkernel.solve_stack(stack, rhs)
         assert failures == [None] * 3 and seen == []
-        res = solve_square(stack[1], rhs[1])
-        assert np.array_equal(res.x, x[1]) and res.cond == cond(stack[1])
-        assert seen == [(1, 4, 4)]
+        assert np.array_equal(solve_square(stack[1], rhs[1]), x[1]) and seen == []
 
     def test_x_comes_from_the_elimination_alone(self, monkeypatch):
         """With LAPACK's solve patched to raise, stacked and lone solves still solve: x
@@ -305,7 +301,7 @@ class TestStackedElimination:
         assert failures == [None] * 3
         for i in range(3):
             assert backward_error(stack[i], x[i], rhs[i]) <= 1e-15
-            assert np.array_equal(solve_square(stack[i], rhs[i]).x, x[i])
+            assert np.array_equal(solve_square(stack[i], rhs[i]), x[i])
 
     def test_a_non_finite_solution_is_a_numerical_failure(self):
         stack = np.array([[[1e-200]], [[2.0]], [[1e-200]]], dtype=complex)
@@ -400,7 +396,7 @@ def test_each_stacked_item_solves_or_fails_as_its_lone_solve(planted):
             continue
         assert failure is None and np.isfinite(x[i]).all()
         assert backward_error(stack[i], x[i], rhs[i]) <= 1e-12
-        assert x[i].tobytes() == want.x.tobytes()
+        assert x[i].tobytes() == want.tobytes()
 
 
 def pair_table_simple(roots, rel_tol):

@@ -10,6 +10,8 @@ vector must also annihilate the pencil: ||P(z) v|| / ||P(z)||_F is small.
 The reference system also appears with a skew J5, so that the gyroscopic term
 enters both pencils.  Companions stay at 16x16 or smaller (up to ~0.7 s each).
 """
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -167,8 +169,9 @@ def test_antisymmetric_backward_errors_are_the_50_digit_ones(monkeypatch, name, 
     """Antisymmetric weights form their backward errors from the classical products:
     they must be the normwise errors of the shifted pencil at 50 digits (measured within
     3.6e-16).  The shifted blocks in double carry the rounding of their own assembly, and
-    the error evaluated on them is off by up to 4.9e-14 here (5-point, eps = 1e-4)."""
-    spec, op = SPECS[name], OPERATORS[op_name](eps)
+    the error evaluated on them is off by up to 4.9e-14 here (5-point, eps = 1e-4).  A
+    fresh copy of the spec keeps no spectrum, so that the preimages are solved here."""
+    spec, op = dataclasses.replace(SPECS[name]), OPERATORS[op_name](eps)
     seen, original = [], pencil._preimages
     monkeypatch.setattr(pencil, "_preimages",
                         lambda *args: seen.append(original(*args)) or seen[-1])

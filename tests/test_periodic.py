@@ -210,7 +210,7 @@ class TestVerifyChoreography:
         ch, sol = build_choreography_cel(ref_spec, 3, np.ones(4))
         halved = Choreography(ch.u, ch.n, ch.T / 2.0, ch.delay)
         rep = verify_choreography(halved, sol, ref_spec)
-        assert not rep.periodic_ok
+        assert rep.failing == ["periodicity", "delay"] and not rep.all_ok
 
 
 def fitted_weights(eps, omega=(2.0, 5.0)):

@@ -138,7 +138,7 @@ def test_two_time_window_solve_is_the_endpoint_solve():
     (got,), failures = celsolve._window_solve(roots[None], basis[None], np.array([t0, tf]),
                                               anchors[None], np.stack([rhs0, rhsf])[None])
     assert failures == [None]
-    assert np.array_equal(got, want.x / scale)
+    assert np.array_equal(got, want / scale)
 
 
 

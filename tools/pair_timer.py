@@ -18,8 +18,11 @@ NEW/OLD ratio of the min and of the median over all passes of each side, of the 
 set-up and of the median own peak RSS (`VmHWM`) over each side's processes.  A child's
 `ru_maxrss` is at least its parent's peak RSS, which Linux carries across vfork+exec, so it
 creeps upward from one process to the next, whichever checkout runs; `VmHWM` is the
-child's own.  Exits 1 if any job's output digest, any op's outcome or any
-fitted order differs between two passes of the run, on either side.
+child's own.  A closing `claim:` line gives what a speed claim is judged by: the rounds in
+which NEW's median pass beat OLD's (k of R), the relative gap 1 - NEW/OLD of the median
+passes, and OLD's spread, the interquartile range over the median of its per-process
+median passes (0 for one round).  Exits 1 if any job's output digest, any op's outcome or
+any fitted order differs between two passes of the run, on either side.
 """
 from __future__ import annotations
 
@@ -76,6 +79,20 @@ def same_outputs(runs: list) -> bool:
     return all(p == first for run in runs for p in run["passes"])
 
 
+def claim(old: list, new: list) -> str:
+    """The `claim:` line of round-paired runs of OLD and NEW."""
+    medians = {name: [statistics.median(run["walls"]) for run in runs]
+               for name, runs in (("old", old), ("new", new))}
+    wins = sum(n < o for o, n in zip(medians["old"], medians["new"]))
+    gap = 1 - (statistics.median(w for run in new for w in run["walls"])
+               / statistics.median(w for run in old for w in run["walls"]))
+    quartiles = statistics.quantiles(medians["old"], n=4, method="inclusive") \
+        if len(old) > 1 else [0.0, 0.0, 0.0]
+    spread = (quartiles[2] - quartiles[0]) / statistics.median(medians["old"])
+    return (f"claim: new beat old in {wins} of {len(old)} rounds, median gap {gap:.2%}, "
+            f"old spread {spread:.2%}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -107,6 +124,7 @@ def main(argv=None) -> int:
     print(f"new/old: min {min(walls['new']) / min(walls['old']):.3f}, median "
           f"{statistics.median(walls['new']) / statistics.median(walls['old']):.3f}, "
           f"set-up {setup['new'] / setup['old']:.3f}, peak rss {own['new'] / own['old']:.3f}")
+    print(claim(runs["old"], runs["new"]))
     if not same_outputs(runs["old"] + runs["new"]):
         print("pair_timer: the outputs differ", file=sys.stderr)
         return 1
