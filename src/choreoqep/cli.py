@@ -2,21 +2,21 @@
 
 Subcommands: validate, spectrum, solve, error-surface, converge, choreo.  Exit codes: 0
 success, 2 config error, 3 assumption violation, 4 numerical failure.  README.md documents
-the commands, the config blocks with their defaults and the forms of a complex value.  The
-CLI only parses a config, dispatches to the library and writes what it returns; the
-experiments (the eps-sweep and the error-surface engine) live in `convergence`.  An error
-surface's `metric` (as -log) or `error` is the Euclidean norm of continuous - discrete over
-the window nodes and `max_error` its max norm; each cell's status is "ok" or the class name
-of the error its lone solve raises.  A run imports only what its command computes with:
-`periodic` is loaded by `choreo` alone.
+the commands and the config format, `FIELDS`.  The CLI only parses a config, dispatches to
+the library and writes what it returns; the experiments (the eps-sweep and the error-surface
+engine) live in `convergence`.  An error surface's `metric` (as -log) or `error` is the
+Euclidean norm of continuous - discrete over the window nodes and `max_error` its max norm;
+each cell's status is "ok" or the class name of the error its lone solve raises.  A run
+imports only what its command computes with: `periodic` is loaded by `choreo` alone.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
@@ -45,112 +45,162 @@ NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
                     model.SymmetryInfeasible)
 
 
-def _matrix(raw, d: int, name: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape == (d * d,):
-        arr = arr.reshape(d, d)  # row-major flat form
-    if arr.shape != (d, d):
-        raise ConfigParse(f"{name} must be {d}x{d} (or flat length {d * d})")
-    return arr
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"must be at least 1 and an integer, got {value!r}")
+    return int(value)
 
 
-def _vector(raw, d: int, name: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float).ravel()
-    if arr.shape != (d,):
-        raise ConfigParse(f"{name} must have length {d}")
-    return arr
-
-
-def _field(block: dict, key: str, convert, default, where: str):
-    """convert(block[key]), or convert(default) when key is absent, for the config field
-    where.key: a value that convert rejects (TypeError, ValueError) is a ConfigParse naming
-    the field.  Only the reading is guarded, so that no library error is relabelled."""
-    try:
-        return convert(block.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed {where}.{key}: {exc}") from exc
-
-
-def _each(convert):
-    """convert applied to each value of a list."""
-    return lambda values: [convert(v) for v in values]
-
-
-def _at_least_one(value) -> int:
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"must be at least 1, got {count}")
-    return count
-
-
-def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be finite, got {number}")
+def _finite(value, positive: bool = False) -> float:
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(number) or positive and not number > 0:
+        raise ValueError(f"must be {'positive' if math.isfinite(number) else 'finite'}, "
+                         f"got {value!r}")
     return number
 
 
-def _positive(value) -> float:
-    number = _finite(value)
-    if not number > 0:
-        raise ValueError(f"must be positive, got {number}")
-    return number
-
-
-def _finite_array(value) -> np.ndarray:
-    array = np.asarray(value, dtype=float)
-    if not np.isfinite(array).all():
-        raise ValueError("entries must be finite")
-    return array
-
-
-def _kinds(value) -> list:
-    """'cel', 'del' or a non-empty list of them, as a list."""
-    kinds = [value] if isinstance(value, str) else value
-    if not isinstance(kinds, list) or not kinds or any(k not in ("cel", "del") for k in kinds):
-        raise ValueError(f"must list 'cel' and/or 'del', got {value!r}")
-    return kinds
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {type(value).__name__}")
+def _one_of(value, names: tuple):
+    if not isinstance(value, type(names[0])) or value not in names:
+        raise ValueError(f"must be one of {', '.join(map(json.dumps, names))}, got {value!r}")
     return value
 
 
-def _given(block: dict | None, name: str) -> bool:
-    """Whether block gives the complex value name: it has name, name_re or name_im."""
-    return any(key in (block or {}) for key in (name, f"{name}_re", f"{name}_im"))
+def _listed(values, convert) -> list:
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"must be a non-empty list, got {values!r}")
+    return [convert(v) for v in values]
 
 
-def _complex_block(block: dict, name: str, shape: tuple, where: str) -> np.ndarray:
-    """Read the name / name_re / name_im fields of the config block `where` into a complex
-    array of shape, with finite entries."""
-    key = f"{name}_re" if f"{name}_re" in block else name
-    if block.get(key) is None:
-        raise ConfigParse(f"missing field {where}.{name}")
-    out = _field(block, key, _finite_array, None, where).astype(complex)
-    if block.get(f"{name}_im") is not None:
-        out = out + 1j * _field(block, f"{name}_im", _finite_array, None, where)
-    if out.shape != shape:
-        raise ConfigParse(f"{where}.{name} must have shape {shape}, got {out.shape}")
-    return out
+def _array(value, shape=None) -> np.ndarray:
+    """A finite array of numbers of shape (any for None): a vector in any shape, a matrix flat."""
+    cells = np.asarray(value, dtype=object)
+    types = set(map(type, cells.flat))
+    array = cells.astype(complex if complex in types else float)
+    if bool in types or not np.isfinite(array).all():
+        raise ValueError("entries must be finite numbers (true and false are not)")
+    if shape and array.size == math.prod(shape) and (array.ndim == 1 or len(shape) == 1):
+        array = array.reshape(shape)
+    if shape and array.shape != shape:
+        raise ValueError(f"must have shape {shape}, got {array.shape}")
+    return array
+
+
+def _complex(parts: dict, shape) -> np.ndarray:
+    """The array of shape with real part parts[""] or parts["_re"], imaginary parts["_im"]."""
+    if {"", "_re"} <= parts.keys():
+        raise ValueError("give the real part once, plain or as _re")
+    value = parts.get("_re", parts.get("")).astype(complex)
+    return _array(value + 1j * parts["_im"] if "_im" in parts else value, shape)
+
+
+CONVERTERS = {  # every kind but an object's and an array's
+    "count": _count, "finite": _finite, "positive": partial(_finite, positive=True),
+    "bool": partial(_one_of, names=(True, False)),
+    "counts": partial(_listed, convert=_count), "finites": partial(_listed, convert=_finite),
+    "positives": partial(_listed, convert=partial(_finite, positive=True)),
+    "family": partial(_one_of, names=("central", "k_family")),
+    "settings": lambda v: _listed([v] if isinstance(v, str) else v,  # one, or a list
+                                  partial(_one_of, names=("cel", "del")))}
+REQUIRED = "required"
+
+# path: (kind, default), read in this order (d before the matrices and vectors it shapes,
+# operator.N before operator.gamma): the config format.  A REQUIRED field must be given; a
+# None default leaves an absent field or block out of its mapping; a block's {} default fills
+# in its fields' defaults.  A complex field may also come as path_re and path_im (README.md).
+FIELDS = {
+    "d": ("count", REQUIRED), "n": ("count", REQUIRED), "J1": ("matrix", REQUIRED),
+    "J2": ("matrix", REQUIRED), "J3": ("matrix", None), "J4": ("matrix", None),
+    "J5": ("matrix", None), "J6": ("vector", None), "J7": ("vector", None),
+    "time": ("object", REQUIRED), "time.t0": ("finite", REQUIRED),
+    "time.tf": ("finite", REQUIRED), "time.M": ("count", REQUIRED),
+    "operator": ("object", REQUIRED), "operator.family": ("family", None),
+    "operator.k": ("finite", 0.0), "operator.N": ("count", None),
+    "operator.gamma": ("complex (2N + 1)", None),
+    "targets": ("object", None), "targets.omega": ("finites", None),
+    "targets.tol": ("positive", 1e-6), "targets.j4_free": ("finite", None),
+    "targets.discrete": ("bool", False),
+    "boundary": ("object", None), "boundary.x_t0": ("complex", None),
+    "boundary.x_tf": ("complex", None), "boundary.head": ("complex", None),
+    "boundary.tail": ("complex", None),
+    "amplitudes": ("object", None), "amplitudes.xs": ("complex", None),
+    "amplitudes.particles": ("complex", None), "amplitudes.random": ("bool", False),
+    "amplitudes.scale": ("finite", 1.0),
+    "choreo": ("object", {}), "choreo.which": ("settings", ["cel", "del"]),
+    "choreo.amplitudes": ("complex", None),
+    "sweep": ("object", {}), "sweep.epsilons": ("positives", None), "sweep.nu": ("finite", 0.0),
+    "sweep.gamma_grid": ("object", {}), "sweep.gamma_grid.min": ("finite", -1.0),
+    "sweep.gamma_grid.max": ("finite", 1.0), "sweep.gamma_grid.points": ("count", 41),
+    "sweep.k_grid": ("object", {}), "sweep.k_grid.ks": ("finites", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+    "sweep.k_grid.Ms": ("counts", None),  # [time.M] when left out
+}
+
+
+@cache  # one table a block
+def _rows(prefix: str) -> tuple[dict, set]:
+    """The rows by key of the block at prefix ("" or "<path>."), and the keys it may hold."""
+    rows = {path[len(prefix):]: row for path, row in FIELDS.items()
+            if path.startswith(prefix) and "." not in path[len(prefix):]}
+    return rows, rows.keys() | {key + part for key, (kind, _) in rows.items()
+                                if kind.startswith("complex") for part in ("_re", "_im")}
+
+
+def _read(path: str, convert, *args):
+    """convert(*args) for the field path: a TypeError, ValueError or OverflowError names it."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParse(f"malformed {path}: {exc}") from exc
+
+
+def _walk(block, prefix: str, out: dict, top: dict) -> None:
+    """Fill out with the typed fields of the block at prefix ("" or "<path>."), by FIELDS;
+    top holds the top level read so far: d shapes a matrix, operator.N (1 for a family) gamma."""
+    if not isinstance(block, dict):
+        raise ConfigParse(f"malformed {prefix[:-1] or 'config'}: expected an object, got "
+                          f"{type(block).__name__}")
+    rows, keys = _rows(prefix)
+    if unknown := sorted(block.keys() - keys):
+        raise ConfigParse(f"unknown field {prefix}{unknown[0]}")
+    for key, (kind, default) in rows.items():
+        d, N, path = top.get("d"), top.get("operator", {}).get("N", 1), prefix + key
+        shape = {"matrix": (d, d), "vector": (d,), "complex (2N + 1)": (2 * N + 1,)}.get(kind)
+        if kind.startswith("complex"):
+            parts = {part: _read(path + part, _array, block[key + part])
+                     for part in ("", "_re", "_im") if key + part in block}
+            if parts.keys() == {"_im"}:
+                raise ConfigParse(f"missing field {path}")
+            if parts:
+                out[key] = _read(path, _complex, parts, shape)
+        elif key not in block and default is REQUIRED:
+            raise ConfigParse(f"missing field {path}")
+        elif kind == "object" and (key in block or default is not None):
+            _walk(block.get(key, default), path + ".", out.setdefault(key, {}), top)
+        elif key in block or default is not None:  # a default too: each config owns its lists
+            out[key] = _read(path, CONVERTERS.get(kind) or partial(_array, shape=shape),
+                             block.get(key, default))
+
+
+def _shaped(value: np.ndarray, shape: tuple, path: str, context: str = "") -> np.ndarray:
+    """A boundary value or amplitudes, once its shape is checked against its command's."""
+    if value.shape != shape:
+        raise ConfigParse(f"{path} must have shape {shape}, got {value.shape}{context}")
+    return value
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed configuration: system, operator, grid, and optional data blocks."""
+    """A parsed config: system, grid, operator weights, typed blocks (None: left out)."""
 
     spec: LagrangianSpec
     t0: float
     tf: float
     M: int
-    operator_raw: dict
-    targets: dict | None = None
-    boundary: dict | None = None
-    amplitudes: dict | None = None
-    choreo: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
+    gamma: np.ndarray
+    targets: dict | None
+    boundary: dict | None
+    amplitudes: dict | None
+    choreo: dict
+    sweep: dict
 
     @property
     def epsilon(self) -> float:
@@ -160,25 +210,9 @@ class ExperimentConfig:
     def n(self) -> int:
         return self.spec.n
 
-    def operator(self) -> ScaleOperator:
-        return _build_operator(self.operator_raw, self.epsilon)
-
-
-def _build_operator(raw: dict, epsilon: float) -> ScaleOperator:
-    try:
-        family = raw.get("family")
-        if family == "k_family":
-            return scaleop.k_family(epsilon, float(raw.get("k", 0.0)))
-        if family == "central":
-            return scaleop.central_difference(epsilon)
-        if family is not None:
-            raise ConfigParse(f"unknown operator family {family!r}")
-        if "N" not in raw:
-            raise ConfigParse("operator needs a family or N with gamma")
-        N = int(raw["N"])
-        return ScaleOperator(_complex_block(raw, "gamma", (2 * N + 1,), "operator"), epsilon)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed operator block: {exc}") from exc
+    def operator(self, epsilon: float | None = None) -> ScaleOperator:
+        """The config's operator on the grid of step epsilon, the config's own by default."""
+        return ScaleOperator(self.gamma, self.epsilon if epsilon is None else epsilon)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -190,56 +224,43 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """raw read by FIELDS, then checked between its fields."""
+    top = {}
+    _walk(raw, "", top, top)
+    d, n, time, op, targets = top["d"], top["n"], top["time"], top["operator"], top.get("targets")
+    t0, tf, M = time["t0"], time["tf"], time["M"]
+    epsilon = (tf - t0) / M
+    if not 0 < epsilon < math.inf:
+        raise ConfigParse("time block needs tf > t0, by a finite step (tf - t0)/M > 0")
+    if ("family" in op) == ("N" in op) or ("N" in op) != ("gamma" in op):
+        raise ConfigParse("operator needs a family, or N with gamma")
+    gamma = op["gamma"] if "N" in op else scaleop.k_family(epsilon, op["k"]).gamma \
+        if op["family"] == "k_family" else scaleop.central_difference(epsilon).gamma
+    boundary, amplitudes, sweep = top.get("boundary", {}), top.get("amplitudes"), top["sweep"]
+    for first, second in (("x_t0", "x_tf"), ("head", "tail")):
+        if (first in boundary) != (second in boundary):
+            raise ConfigParse(f"missing field boundary.{second if first in boundary else first}")
+    if amplitudes is not None and not amplitudes["random"] and "xs" not in amplitudes:
+        raise ConfigParse("missing field amplitudes.xs")
+    if sweep["gamma_grid"]["min"] > sweep["gamma_grid"]["max"]:
+        raise ConfigParse("sweep.gamma_grid needs min <= max")
+    sweep["k_grid"].setdefault("Ms", [M])
     try:
-        d = int(raw["d"])
-        n = int(raw["n"])
-        time = raw["time"]
-        t0, tf, M = time["t0"], time["tf"], int(time["M"])
-        op_raw = dict(raw["operator"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"missing or malformed required field: {exc}") from exc
-    t0, tf = (_field(time, key, _finite, None, "time") for key in ("t0", "tf"))
-    if not tf > t0:
-        raise ConfigParse("time block needs tf > t0")
-    if M < 1:
-        raise ConfigParse("time block needs M >= 1")
-    op = _build_operator(op_raw, (tf - t0) / M)  # fails fast on a malformed operator block
-    blocks = {name: raw.get(name) for name in ("targets", "boundary", "amplitudes", "choreo",
-                                               "sweep")}
-    for name, block in blocks.items():
-        if block is not None and not isinstance(block, dict):
-            raise ConfigParse(f"{name} must be an object, got {type(block).__name__}")
-
-    targets = blocks["targets"]
-    try:
-        j1 = _matrix(raw["J1"], d, "J1")
-        j2 = _matrix(raw["J2"], d, "J2")
-        j3 = _matrix(raw.get("J3", np.zeros(d * d)), d, "J3")
-        j5 = _matrix(raw.get("J5", np.zeros(d * d)), d, "J5")
-        j6 = _vector(raw.get("J6", np.zeros(d)), d, "J6")
-        j7 = _vector(raw.get("J7", np.zeros(d)), d, "J7")
-        if "J4" in raw:
-            j4 = _matrix(raw["J4"], d, "J4")
-        elif targets is not None and d == 2 and "j4_free" in targets:
-            omega = [float(w) for w in targets["omega"]]
-            if len(omega) != 2:
-                raise ConfigParse("targets.omega must list 2 frequencies for d = 2")
-            j4 = model.construct_j4(j1, j2, j3, omega[0], omega[1], float(targets["j4_free"]),
-                                    j5, op if targets.get("discrete") else None)
-        else:
-            raise ConfigParse("J4 must be given directly, or via targets with "
-                              "j4_free for d = 2")
-    except KeyError as exc:
-        raise ConfigParse(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed matrix or targets block: {exc}") from exc
-    try:
-        spec = LagrangianSpec(d, n, j1, j2, j3, j4, j5, j6, j7)
+        spec = LagrangianSpec(d, n, *(top.get(f"J{i}") for i in range(1, 8)))
+        if "J4" not in top:
+            if targets is None or "j4_free" not in targets or d != 2:
+                raise ConfigParse("J4 must be given directly, or via targets with j4_free "
+                                  "for d = 2")
+            if len(targets.get("omega", [])) != 2:
+                raise ConfigParse("missing field targets.omega" if "omega" not in targets
+                                  else "targets.omega must list 2 frequencies for d = 2")
+            spec = replace(spec, J4=model.construct_j4(
+                spec.J1, spec.J2, spec.J3, *targets["omega"], targets["j4_free"], spec.J5,
+                ScaleOperator(gamma, epsilon) if targets["discrete"] else None))
     except ValueError as exc:
         raise ConfigParse(str(exc)) from exc
-
-    return ExperimentConfig(spec, t0, tf, M, op_raw, targets, blocks["boundary"],
-                            blocks["amplitudes"], blocks["choreo"] or {}, blocks["sweep"] or {})
+    return ExperimentConfig(spec, t0, tf, M, gamma, targets, top.get("boundary"), amplitudes,
+                            top["choreo"], sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +376,18 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # solution assembly helpers
 
 
-def _parse_amplitudes(block: dict, size: int, n: int, seed: int):
-    """(x_s amplitudes (size,), particle amplitudes (n - 1, size)) of an amplitudes block:
-    seeded random ones, or xs and particles given (no particles given reads zeros)."""
-    if block.get("random"):
+def _amplitudes(cfg: ExperimentConfig, op: ScaleOperator | None, seed: int):
+    """(x_s amplitudes (size,), particle amplitudes (n - 1, size)), size the root count on
+    op's grid (None: continuous time): seeded random ones, or the amplitudes block's xs and
+    particles (zeros when left out)."""
+    block, size, n = cfg.amplitudes, pencil.root_count(cfg.spec, op), cfg.n
+    if block["random"]:  # the parts of xs, then of the particles', in turn
         rng = np.random.default_rng(seed)
-        scale = _field(block, "scale", _finite, 1.0, "amplitudes")
-        xs = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        ps = scale * (rng.standard_normal((max(n - 1, 0), size))
-                      + 1j * rng.standard_normal((max(n - 1, 0), size)))
-        return xs, ps
-    xs = _complex_block(block, "xs", (size,), "amplitudes")
-    if _given(block, "particles"):
-        return xs, _complex_block(block, "particles", (n - 1, size), "amplitudes")
-    return xs, np.zeros((max(n - 1, 0), size), dtype=complex)
+        return [block["scale"] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                for shape in ((size,), (n - 1, size))]
+    particles = block.get("particles", np.zeros((n - 1, size), dtype=complex))
+    return (_shaped(block["xs"], (size,), "amplitudes.xs"),
+            _shaped(particles, (n - 1, size), "amplitudes.particles"))
 
 
 def _reported(kind: str, solution, report: celsolve.DirichletReport):
@@ -380,35 +399,27 @@ def _reported(kind: str, solution, report: celsolve.DirichletReport):
 
 
 def cel_solution(cfg: ExperimentConfig, seed: int) -> celsolve.SystemSolution:
-    spec, n = cfg.spec, cfg.n
-    if _given(cfg.boundary, "x_t0"):
-        x0 = _complex_block(cfg.boundary, "x_t0", (n, spec.d), "boundary")
-        xf = _complex_block(cfg.boundary, "x_tf", (n, spec.d), "boundary")
-        return _reported("cel", *celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, x0, xf))
+    spec, n, boundary = cfg.spec, cfg.n, cfg.boundary or {}
+    if "x_t0" in boundary:
+        ends = (_shaped(boundary[key], (n, spec.d), f"boundary.{key}") for key in ("x_t0", "x_tf"))
+        return _reported("cel", *celsolve.dirichlet_cel(spec, n, cfg.t0, cfg.tf, *ends))
     if cfg.amplitudes:
-        size = pencil.root_count(spec, None)
-        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, seed)
-        return celsolve.general_solution_cel(spec, n, xs, ps)
-    raise ConfigParse("a continuous solve needs boundary.x_t0 and boundary.x_tf, or amplitudes"
-                      if cfg.boundary else "solve needs a boundary or amplitudes block")
+        return celsolve.general_solution_cel(spec, n, *_amplitudes(cfg, None, seed))
+    raise ConfigParse("a continuous solve needs boundary.x_t0 and boundary.x_tf, or amplitudes")
 
 
 def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
     spec, n, op = cfg.spec, cfg.n, cfg.operator()
-    N = op.N
-    if _given(cfg.boundary, "head"):
-        head = _complex_block(cfg.boundary, "head", (n, 2 * N, spec.d), "boundary")
-        tail = _complex_block(cfg.boundary, "tail", (n, 2 * N, spec.d), "boundary")
-    elif cfg.boundary:  # two-point boundary: match the continuous solution
+    if "head" in (cfg.boundary or {}):
+        head, tail = (_shaped(cfg.boundary[key], (n, 2 * op.N, spec.d), f"boundary.{key}")
+                      for key in ("head", "tail"))
+    elif cfg.amplitudes and not cfg.boundary:
+        return delsolve.general_solution_del(spec, op, n, *_amplitudes(cfg, op, seed), cfg.t0,
+                                             cfg.M)
+    else:  # two-point boundary: match the continuous solution (which names a missing block)
         cel = cel_solution(cfg, seed)
         head, tail = (convergence.node_values(cel, cfg.t0, cfg.epsilon, nodes) for nodes in
-                      (np.arange(2 * N), np.arange(cfg.M - 2 * N + 1, cfg.M + 1)))
-    elif cfg.amplitudes:
-        size = pencil.root_count(spec, op)
-        xs, ps = _parse_amplitudes(cfg.amplitudes, size, n, seed)
-        return delsolve.general_solution_del(spec, op, n, xs, ps, cfg.t0, cfg.M)
-    else:
-        raise ConfigParse("solve needs a boundary or amplitudes block")
+                      (np.arange(2 * op.N), np.arange(cfg.M - 2 * op.N + 1, cfg.M + 1)))
     return _reported("del", *delsolve.dirichlet_del(spec, op, n, cfg.t0, cfg.M, head, tail))
 
 
@@ -417,8 +428,7 @@ def _del_solution(cfg: ExperimentConfig, seed: int) -> delsolve.DelSolution:
 
 
 def cmd_validate(cfg: ExperimentConfig, args, out_dir: Path) -> None:
-    spec, n = cfg.spec, cfg.n
-    op = cfg.operator()
+    spec, n, op = cfg.spec, cfg.n, cfg.operator()
     violations = model.validate_spec(spec)
     conds = scaleop.check_operator_conditions(op)
     reports = {"continuous": pencil.check_cel_assumptions(spec, n),
@@ -432,10 +442,8 @@ def cmd_validate(cfg: ExperimentConfig, args, out_dir: Path) -> None:
 
     deviation = None
     if cfg.targets and "omega" in cfg.targets:
-        omega = np.sort(np.abs(_field(cfg.targets, "omega", partial(np.asarray, dtype=float),
-                                      None, "targets")))
-        tol = _field(cfg.targets, "tol", float, 1e-6, "targets")
-        discrete = bool(cfg.targets.get("discrete"))
+        omega = np.sort(np.abs(cfg.targets["omega"]))
+        tol, discrete = cfg.targets["tol"], cfg.targets["discrete"]
         roots = (pencil.spectra(spec, [op], 0) if discrete else classical).modes(0).lam.roots
         if discrete:  # the compact window drops the divergent roots
             roots = roots[np.abs(roots) <= 2 * omega.max() + 1.0]
@@ -508,19 +516,14 @@ def cmd_error_surface(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     k_family(-k) is k_family(k) reversed and negated."""
     gamma = args.grid == "gamma"
     if gamma:
-        block, where = _field(cfg.sweep, "gamma_grid", _object, {}, "sweep"), "sweep.gamma_grid"
-        lo, hi, points = (_field(block, "min", float, -1.0, where),
-                          _field(block, "max", float, 1.0, where),
-                          _field(block, "points", _at_least_one, 41, where))
+        lo, hi, points = (cfg.sweep["gamma_grid"][key] for key in ("min", "max", "points"))
         axis = convergence.symmetric_axis(hi, points) if lo == -hi else \
             np.linspace(lo, hi, points)
         first, last = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))  # a-major
         blocks = [(cfg.M, zip(first.tolist(), last.tolist()),
                    np.stack([first, -(first + last), last], axis=1).astype(complex))]
     else:
-        block, where = _field(cfg.sweep, "k_grid", _object, {}, "sweep"), "sweep.k_grid"
-        ks = _field(block, "ks", _each(float), [-1.0, -0.5, 0.0, 0.5, 1.0], where)
-        Ms = _field(block, "Ms", _each(_at_least_one), [cfg.M], where)
+        ks, Ms = cfg.sweep["k_grid"]["ks"], cfg.sweep["k_grid"]["Ms"]
         blocks = [(M, [(k, M) for k in ks],
                    np.array([scaleop.k_family((cfg.tf - cfg.t0) / M, k).gamma for k in ks]))
                   for M in Ms]
@@ -545,13 +548,10 @@ def cmd_error_surface(cfg: ExperimentConfig, args, out_dir: Path) -> None:
 
 
 def cmd_converge(cfg: ExperimentConfig, args, out_dir: Path) -> None:
-    block = cfg.sweep
-    if "epsilons" not in block:
+    if "epsilons" not in cfg.sweep:
         raise ConfigParse("converge needs sweep.epsilons")
-    epsilons = _field(block, "epsilons", _each(_positive), None, "sweep")
-    nu = _field(block, "nu", _finite, 0.0, "sweep")
-    result = convergence.epsilon_sweep(cfg.spec, partial(_build_operator, cfg.operator_raw),
-                                      nu, epsilons)
+    epsilons = cfg.sweep["epsilons"]
+    result = convergence.epsilon_sweep(cfg.spec, cfg.operator, cfg.sweep["nu"], epsilons)
     rows = [[eps, dist, perr, note or ""] for eps, dist, perr, note in zip(
         epsilons, result.distances, result.pencil_errors, result.notes)]
     path = out_dir / "converge.csv"
@@ -563,17 +563,13 @@ def cmd_converge(cfg: ExperimentConfig, args, out_dir: Path) -> None:
 def cmd_choreo(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     from . import periodic  # only this command builds choreographies
 
-    spec, n = cfg.spec, cfg.n
-    which = _field(cfg.choreo, "which", _kinds, ["cel", "del"], "choreo")
+    spec, n, which, given = cfg.spec, cfg.n, cfg.choreo["which"], cfg.choreo.get("amplitudes")
     times = cfg.t0 + cfg.epsilon * np.arange(cfg.M + 1)
-    amplitudes = []  # every setting's, read before any choreography is built
+    amplitudes = []  # every setting's, checked before any choreography is built
     for kind in which:
         size = pencil.root_count(spec, cfg.operator() if kind == "del" else None)
-        try:
-            amplitudes.append(_complex_block(cfg.choreo, "amplitudes", (size,), "choreo")
-                              if _given(cfg.choreo, "amplitudes") else np.ones(size, dtype=complex))
-        except ConfigParse as exc:
-            raise ConfigParse(f"{exc} for the {kind} setting") from exc
+        amplitudes.append(np.ones(size, dtype=complex) if given is None else _shaped(
+            given, (size,), "choreo.amplitudes", f" for the {kind} setting"))
     written = []
     for kind, amps in zip(which, amplitudes):
         if kind == "cel":

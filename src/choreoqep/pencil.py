@@ -246,7 +246,11 @@ class _Delays(NamedTuple):
         eps, binom = np.array([op.epsilon for op in ops]), scaleop.binomials(4 * ops[0].N + 1)
         shift = np.broadcast_to(ops[0].shift, (len(ops),) + binom.shape) if (eps == eps[0]).all() \
             else binom * eps[:, None, None] ** np.arange(len(binom))[:, None]
-        return cls(eps, np.array([op.epsilon**2 for op in ops]), shift)
+        try:
+            return cls(eps, np.array([op.epsilon**2 for op in ops]), shift)
+        except OverflowError as exc:  # a float's ** raises where numpy's gives inf
+            raise numkernel.overflow("a squared delay is not finite", "2 log eps",
+                                     2 * float(np.log(eps.max()))) from exc
 
     def take(self, idx: np.ndarray) -> "_Delays":
         return _Delays(*(a[idx] for a in self))

@@ -431,7 +431,8 @@ class TestValidate:
         assert abs(ch.T - 2 * math.pi) <= 1e-13
         assert periodic.verify_choreography(ch, sol, cfg.spec).all_ok
         config = write_config(tmp_path, spec, **blocks,
-                              choreo={"which": "del", "amplitudes_re": physical.tolist()})
+                              choreo={"which": "del",
+                                      "amplitudes_re": physical.astype(float).tolist()})
         code, _ = run(tmp_path, "choreo", config)
         assert code == cli.EXIT_OK and "checks ok = True" in capsys.readouterr().out
 
@@ -750,7 +751,7 @@ class TestFailure:
           "targets": {"omega": [2.0, 5.0], "j4_free": 20.0}}, "J1 - 2*J3 must be invertible"),
         ({"targets": {"omega": ["a", 5.0], "j4_free": 20.0}},
          "could not convert string to float: 'a'"),
-        ({"targets": {"j4_free": 20.0}}, "missing field 'omega'"),
+        ({"targets": {"j4_free": 20.0}}, "missing field targets.omega"),
     ], ids=["negative", "zero", "singular", "not-a-number", "no-omega"])
     def test_a_bad_targets_block_is_a_config_error(self, tmp_path, capsys, blocks, reason):
         config = write_config(tmp_path, make_reference_spec(), J4=None, **blocks)
@@ -771,7 +772,7 @@ class TestFailure:
          "sweep.k_grid.ks"),
         (["choreo"], {"choreo": {"which": "cel", "amplitudes_re": [1, "a", 1, 1]}},
          "choreo.amplitudes_re"),
-        (["choreo"], {"choreo": [1]}, "choreo must be an object"),
+        (["choreo"], {"choreo": [1]}, "malformed choreo: expected an object"),
         (["solve"], {"boundary": {**BOUNDARY, "x_t0": [["a", 0], [0, 0], [0, 0]]}},
          "boundary.x_t0"),
         (["solve"], {"amplitudes": {"random": True, "scale": "x"}}, "amplitudes.scale"),
@@ -798,10 +799,69 @@ class TestFailure:
          "amplitudes.scale: must be finite"),
         (["converge"], {"sweep": {"epsilons": [0.1, -0.05]}}, "sweep.epsilons: must be positive"),
         (["converge"], {"sweep": {"epsilons": [0.1, math.nan]}}, "sweep.epsilons: must be finite"),
+        (["validate"], {"targets": {"omega": [2.0, 5.0], "discrete": "no"}},
+         "malformed targets.discrete: must be one of true, false"),
+        (["solve"], {"amplitudes": {"random": "no", "xs": [1, 0, 0, 1]}},
+         "malformed amplitudes.random: must be one of true, false"),
+        (["error-surface", "--grid", "k"],
+         {"boundary": BOUNDARY, "sweep": {"k_grid": {"ks": [math.nan], "Ms": [100]}}},
+         "malformed sweep.k_grid.ks: must be finite"),
+        (["error-surface", "--grid", "k"], {"boundary": BOUNDARY, "sweep": {"k_grid": {"Ms": []}}},
+         "malformed sweep.k_grid.Ms: must be a non-empty list"),
+        (["error-surface", "--grid", "k"], {"boundary": BOUNDARY, "sweep": {"k_grid": {"ks": []}}},
+         "malformed sweep.k_grid.ks: must be a non-empty list"),
+        (["converge"], {"sweep": {"epsilons": []}},
+         "malformed sweep.epsilons: must be a non-empty"),
+        (["validate"], {"targets": {"omega": []}}, "malformed targets.omega: must be a non-empty"),
+        (["validate"], {"targets": {"omega": [math.nan, 5.0]}},
+         "malformed targets.omega: must be finite"),
+        (["validate"], {"targets": {"omega": [2.0, 5.0], "tol": math.nan}},
+         "malformed targets.tol: must be finite"),
+        (["error-surface", "--grid", "gamma"],
+         {"boundary": BOUNDARY, "sweep": {"gamma_grid": {"min": math.nan}}},
+         "malformed sweep.gamma_grid.min: must be finite"),
+        (["error-surface", "--grid", "gamma"],
+         {"boundary": BOUNDARY, "sweep": {"gamma_grid": {"min": 1.0, "max": -1.0}}},
+         "sweep.gamma_grid needs min <= max"),
+        (["spectrum", "--which", "del"], {"operator": {"family": "k_family", "k": math.nan}},
+         "malformed operator.k: must be finite"),
+        (["validate"], {"targets": {"omega": 5}}, "malformed targets.omega: must be a non-empty"),
+        (["error-surface", "--grid", "gamma"],
+         {"boundary": BOUNDARY, "sweep": {"gamma_grid": {"points": 1e308}}},
+         "malformed sweep.gamma_grid.points: must be at least 1 and an integer"),
+        (["solve", "--which", "del"], {"boundary": BOUNDARY, "time": {"t0": 0.0, "tf": 1.0,
+                                                                     "M": 1e308}},
+         "malformed time.M: must be at least 1 and an integer"),
+        (["spectrum", "--which", "del"], {"d": math.inf}, "malformed d: must be at least 1"),
+        (["solve", "--which", "del"], {"n": math.inf, "boundary": BOUNDARY},
+         "malformed n: must be at least 1"),
+        (["validate"], {"d": 2.5}, "malformed d: must be at least 1 and an integer, got 2.5"),
+        (["validate"], {"n": True}, "malformed n: must be at least 1 and an integer, got True"),
+        (["validate"], {"time": {"t0": 0.0, "tf": 1.0, "M": 100.7}},
+         "malformed time.M: must be at least 1 and an integer, got 100.7"),
+        (["validate"], {"operator": {"N": 1.5, "gamma": [-0.5, 0.0, 0.5]}},
+         "malformed operator.N: must be at least 1 and an integer, got 1.5"),
+        (["validate"], {"J8": np.eye(2).tolist()}, "unknown field J8"),
+        (["validate"], {"time": {"t0": 0.0, "tf": 1.0, "M": 100, "dt": 0.01}},
+         "unknown field time.dt"),
+        (["validate"], {"operator": {"N": 1, "gamma": [-0.5, 0, 0.5], "gamma_re": [-0.5, 0, 0.5]}},
+         "malformed operator.gamma: give the real part once"),
+        (["choreo"], {"choreo": {"which": "cel", "amplitudes": [1, True, 0, 1]}},
+         "malformed choreo.amplitudes: entries must be finite numbers (true and false are not)"),
+        (["validate"], {"time": {"t0": 0, "tf": 10**400, "M": 100}},
+         "malformed time.tf: int too large to convert to float"),
+        (["solve"], {"boundary": {**BOUNDARY, "x_tf": [[10**400, 0], [0, 0], [0, 0]]}},
+         "malformed boundary.x_tf: int too large to convert to float"),
     ], ids=["targets-omega", "targets-tol", "epsilons", "nu", "points", "Ms", "ks",
             "amplitudes", "choreo-block", "x_t0", "scale", "no-points", "zero-M", "negative-M",
             "nan-nu", "no-kind", "amplitudes-im-alone", "particles-im-alone", "nan-x_t0",
-            "nan-gamma", "infinite-tf", "nan-scale", "negative-epsilon", "nan-epsilon"])
+            "nan-gamma", "infinite-tf", "nan-scale", "negative-epsilon", "nan-epsilon",
+            "string-discrete", "string-random", "nan-ks", "empty-Ms", "empty-ks",
+            "empty-epsilons", "empty-omega", "nan-omega", "nan-tol", "nan-gamma-min",
+            "reversed-gamma-grid", "nan-k", "scalar-omega", "huge-points", "huge-M",
+            "infinite-d", "infinite-n", "fractional-d", "boolean-n", "fractional-M",
+            "fractional-N", "unknown-top-level-key", "unknown-time-key", "gamma-and-gamma_re",
+            "boolean-amplitudes", "huge-integer-tf", "huge-integer-x_tf"])
     def test_a_malformed_value_is_a_config_error_naming_its_field(self, tmp_path, capsys,
                                                                  argv, blocks, field):
         config = write_config(tmp_path, make_reference_spec(), **blocks)
@@ -886,3 +946,20 @@ class TestFailure:
                               time={"t0": 0.0, "tf": 0.03, "M": 3})
         code, _ = run(tmp_path, "solve", config, "--which", "del")
         assert code == cli.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("argv, blocks", [
+        (["validate"], {"time": {"t0": 0.0, "tf": 1e308, "M": 20}}),
+        (["spectrum", "--which", "del"], {"time": {"t0": 0.0, "tf": 1e308, "M": 20}}),
+        (["solve", "--which", "del"], {"time": {"t0": 0.0, "tf": 1e308, "M": 20},
+                                       "amplitudes": {"random": True}}),
+        (["converge"], {"sweep": {"epsilons": [1e308]}}),
+    ], ids=["validate", "spectrum", "solve", "converge"])
+    def test_a_step_whose_square_overflows_exits_numerical(self, tmp_path, capfd, argv,
+                                                           blocks):
+        """eps^2 of a step near 1e154 and up overflows as a float: a typed failure, once
+        a traceback."""
+        config = write_config(tmp_path, make_reference_spec(), **blocks)
+        with np.errstate(all="ignore"):  # the operator's tables overflow first
+            code, _ = run(tmp_path, argv[0], config, *argv[1:])
+        assert code == cli.EXIT_NUMERICAL
+        assert "numerical failure: a squared delay is not finite" in capfd.readouterr().err

@@ -203,6 +203,12 @@ class TestAssumptionChecks:
 
 
 class TestCompanionErrorPaths:
+    def test_a_delay_whose_square_overflows_is_a_numerical_failure(self, ref_spec):
+        op = ScaleOperator(np.array([-0.5, 0.0, 0.5]), 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):  # its shift table is not finite
+            with pytest.raises(numkernel.NumericalFailure, match="squared delay"):
+                pencil.spectra(ref_spec, [op], 0)
+
     def test_lapack_non_convergence_is_a_numerical_failure(self, monkeypatch, ref_spec):
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
