@@ -13,8 +13,9 @@ Boundary solves are dichotomy-scaled (Ascher, Mattheij & Russell, 1995): modes g
 more than e are anchored at the last sample time, others at the first; columns equilibrated.
 The equations of motion are `pencil.equation_blocks`, shared with the grid: `residual_cel`
 applies them to the expansions' exact derivatives.
-A solve fails only on what it needs (`Core`): a spectrum it uses, a constant mode or a
-boundary system it cannot solve.  Phases may repeat: an expansion is a plain sum, and where
+A solve fails only on what it needs (`Core`): a spectrum it uses or a constant mode
+(`pencil.AssumptionViolation`), or a boundary system it cannot solve (a
+`numkernel.NumericalFailure`).  Phases may repeat: an expansion is a plain sum, and where
 repeated phases make a boundary system's columns dependent its pivots say so.  The paper's
 verdicts on simple and disjoint roots are reports, the list of the assumptions that fail
 (`pencil.check_cel_assumptions`, `check_del_assumptions`), that no solve reads.
@@ -28,14 +29,10 @@ import numpy as np
 
 from . import numkernel, pencil
 from .model import LagrangianSpec
+from .pencil import AssumptionViolation
 
 
-class AssumptionViolation(Exception):
-    """Raised when a solve's spectra or constant mode do not determine it; `periodic`'s
-    NotChoreographic and DelayResonant subclass it for a choreography's conditions."""
-
-
-class SingularBoundarySystem(Exception):
+class SingularBoundarySystem(numkernel.NumericalFailure):
     """Raised when endpoint data does not determine the amplitudes."""
 
 

@@ -37,13 +37,6 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
 
-# periodic's NotChoreographic and DelayResonant are AssumptionViolations
-ASSUMPTION_ERRORS = (celsolve.AssumptionViolation, pencil.LeadingSingular)
-NUMERICAL_ERRORS = (numkernel.NumericalFailure, numkernel.Singular,
-                    celsolve.SingularBoundarySystem, delsolve.LeadingBlockSingular,
-                    delsolve.WindowExceeded, scaleop.OutOfRange, model.NoRealSolution,
-                    model.SymmetryInfeasible)
-
 
 def _count(value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
@@ -618,10 +611,10 @@ def main(argv=None) -> int:
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ASSUMPTION_ERRORS as exc:
+    except pencil.AssumptionViolation as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except NUMERICAL_ERRORS as exc:
+    except numkernel.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -31,11 +31,11 @@ from .model import LagrangianSpec
 from .scaleop import OutOfRange, ScaleOperator
 
 
-class LeadingBlockSingular(Exception):
+class LeadingBlockSingular(numkernel.NumericalFailure):
     """Raised when the most-advanced recurrence block cannot be inverted."""
 
 
-class WindowExceeded(Exception):
+class WindowExceeded(numkernel.NumericalFailure):
     """Raised when marching would need nodes outside the valid window."""
 
 

@@ -19,11 +19,11 @@ import numpy as np
 from . import numkernel
 
 
-class NoRealSolution(Exception):
+class NoRealSolution(numkernel.NumericalFailure):
     """Raised when the pair-coupling construction needs the root of a negative number."""
 
 
-class SymmetryInfeasible(Exception):
+class SymmetryInfeasible(numkernel.NumericalFailure):
     """Raised when no real coupling matrix satisfies the symmetry constraint."""
 
 

@@ -8,6 +8,8 @@ that an item keeps the first failure it meets.  A public lone function is the ba
 one, raising failures[0].  `pencil` takes its spectra from block-companion eigen-solves;
 determinant interpolation, polynomial roots and SVD kernel vectors here are independent
 references for its tests.  `is_singular` is the one rank rule of `pencil` and `model`.
+Every numerical failure of the package is a `NumericalFailure`, `Singular` among them; an
+argument outside a function's domain, such as a constant polynomial, is a ValueError.
 `solve_stack` takes each item's LU factors from one numpy elimination of the stack: their
 pivots decide singularity and give x, and no solve computes a condition number: `cond` is
 the one, read for the boundary systems of a lone Dirichlet solve.  Everything here is a
@@ -21,13 +23,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 
-class DegreeZero(Exception):
-    """Raised when roots are requested from a constant polynomial."""
-
-
 class NumericalFailure(Exception):
-    """Raised when an eigenvalue/refinement iteration fails to converge, a solve meets
-    non-finite entries or gives a non-finite or underflowing x, or LAPACK fails."""
+    """Raised when the numerics fail: an eigenvalue/refinement iteration does not converge,
+    a solve meets non-finite entries or gives a non-finite or underflowing x, LAPACK fails,
+    or a reference's held-out sample or rank test does not hold."""
 
 
 def overflow(what: str, growth: str, figure: float) -> NumericalFailure:
@@ -37,22 +36,7 @@ def overflow(what: str, growth: str, figure: float) -> NumericalFailure:
                             f"log(max float) = {np.log(np.finfo(float).max):.2f}")
 
 
-class InterpolationInconsistent(Exception):
-    """Raised when determinant interpolation disagrees with a held-out sample.
-
-    Usually means the supplied degree bound is too small.
-    """
-
-
-class NotRankDeficient(Exception):
-    """Raised when a kernel vector is requested from a numerically regular matrix."""
-
-
-class KernelNotOneDimensional(Exception):
-    """Raised when a matrix kernel has numerical dimension greater than one."""
-
-
-class Singular(Exception):
+class Singular(NumericalFailure):
     """Raised when a linear solve meets an exactly or nearly singular matrix.  Made
     from (pivot, threshold, scale), it formats its text only when read."""
 
@@ -170,7 +154,7 @@ def polynomial_roots(p: Polynomial, tol: float = 1e-8) -> RootSet:
     |p(root)| / sum_i |c_i| |root|^i.
     """
     if p.degree < 1:
-        raise DegreeZero("polynomial_roots requires degree >= 1")
+        raise ValueError("polynomial_roots requires degree >= 1")
     c = p.coeffs
     try:
         roots = npoly.polyroots(c)
@@ -223,7 +207,7 @@ def det_as_polynomial(eval_fn, degree_bound: int, radius: float = 1.0) -> Polyno
     p_held = npoly.polyval(z_held, coeffs) if k else 0.0
     scale = max(abs(v_held), np.abs(coeffs).max() if k else 0.0, 1e-300)
     if abs(p_held - v_held) > 1e-8 * scale:
-        raise InterpolationInconsistent(
+        raise NumericalFailure(
             f"held-out determinant sample off by {abs(p_held - v_held) / scale:.3e} "
             f"relative; degree_bound={degree_bound} is likely too small"
         )
@@ -243,11 +227,11 @@ def kernel_vector(m, rank_tol: float = 1e-8) -> np.ndarray:
     # 1x1 matrices have s_min = s_max, so fall back to an absolute-ish scale
     threshold = rank_tol * s[0] if len(s) >= 2 else rank_tol * max(1.0, s[0])
     if s[-1] > threshold:
-        raise NotRankDeficient(
+        raise NumericalFailure(
             f"smallest singular value {s[-1]:.3e} exceeds {rank_tol:.1e} x {s[0]:.3e}"
         )
     if len(s) >= 2 and s[-2] <= rank_tol * s[0]:
-        raise KernelNotOneDimensional(
+        raise NumericalFailure(
             "two smallest singular values are below tolerance; kernel is not simple"
         )
     v = vh[-1].conj()

@@ -35,7 +35,9 @@ route's targets; `spectra` keeps a lone operator's grid spectrum there too.  A l
 spectrum in either setting is one record, `Modes` (its phases lam and its roots in the
 pencil's variable), built only by `Spectra.modes`: the batch of one, which
 `transcendental_spectrum` returns.  The assumption reports
-(`check_cel_assumptions`, `check_del_assumptions`) are the list of what fails.
+(`check_cel_assumptions`, `check_del_assumptions`) are the list of what fails.  A solve
+whose standing assumption fails raises an `AssumptionViolation` (`LeadingSingular`, a
+degree drop, among them); every other failure is a `numkernel.NumericalFailure`.
 The equations of motion are stated once, for both settings, by `equation_blocks`:
 `celsolve.residual_cel` applies them to exact derivatives, and `delsolve`'s residual map
 and march to the scale operator's windows.
@@ -55,12 +57,14 @@ from .numkernel import RootSet
 from .scaleop import ScaleOperator
 
 
-class LeadingSingular(Exception):
+class AssumptionViolation(Exception):
+    """Raised when a standing assumption of the paper fails, so that a solve's spectra or
+    constant mode do not determine it; `periodic`'s NotChoreographic and DelayResonant
+    subclass it for a choreography's conditions."""
+
+
+class LeadingSingular(AssumptionViolation):
     """Raised when a pencil's leading coefficient is singular (degree drop)."""
-
-
-class ZeroArgument(Exception):
-    """Raised when the transcendental pencil is evaluated at zeta = 0."""
 
 
 # the largest normwise backward error of an accepted eigenpair, in either setting
@@ -222,7 +226,7 @@ def transcendental_eval(spec: LagrangianSpec, op: ScaleOperator, nu: float,
     theta_hat, sigma1_hat the operator symbols written in zeta.
     """
     if zeta == 0:
-        raise ZeroArgument("transcendental pencil is undefined at zeta = 0")
+        raise ValueError("transcendental pencil is undefined at zeta = 0")
     a_nu, c_nu = coefficient_matrices(spec, nu)
     ks = np.arange(-2 * op.N, 2 * op.N + 1)
     theta_hat = np.sum(op.theta * np.asarray(zeta, dtype=complex) ** ks) / op.epsilon**2

@@ -18,17 +18,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import celsolve, delsolve, numkernel, pencil
-from .celsolve import AssumptionViolation, ModeExpansion, SystemSolution
+from .celsolve import ModeExpansion, SystemSolution
 from .delsolve import DelSolution
 from .model import LagrangianSpec
 from .scaleop import ScaleOperator
 
 
-class NotChoreographic(AssumptionViolation):
+class NotChoreographic(pencil.AssumptionViolation):
     """Raised when the spectrum conditions for a choreography fail."""
 
 
-class DelayResonant(AssumptionViolation):
+class DelayResonant(pencil.AssumptionViolation):
     """Raised when some e^{lam T/n} = 1, so the delay sums do not cancel."""
 
 

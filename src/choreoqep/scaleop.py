@@ -24,8 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numkernel
 
-class OutOfRange(Exception):
+
+class OutOfRange(numkernel.NumericalFailure):
     """Raised when an operator application needs a grid node that is missing."""
 
 

@@ -29,7 +29,15 @@ independent of the sweep's masked expression.  `is_periodic_cel` and `is_periodi
 classify the union of a system's nu = n and nu = 0 phases with `periodic.commensurability`.
 `transform_affine` rewrites a spec in the variables A x + b, a change of variables that
 its trajectories must follow.
+
+`dirichlet_cel_mp` is the continuous Dirichlet solve refereed from the Lagrangian alone:
+the n particles stacked into one system, J8 X'' - G X' - J9 X = 1 (x) J7 (`stacked`, the
+form whose Jacobi integral `model.energy` states), solved in first-order form with
+mpmath's `expm`, with no eigen-solve, no x_s split and no code of `pencil` or `celsolve`.
 """
+import math
+
+import mpmath as mp
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import scipy.sparse as sp
@@ -205,3 +213,51 @@ def transform_affine(spec, A, b) -> LagrangianSpec:
     j6 = ainv.T @ spec.J6 - j5.T @ b
     j7 = ainv.T @ spec.J7 - j2 @ b - 2.0 * (spec.n - 1) * (j4 @ b)
     return LagrangianSpec(spec.d, spec.n, j1, j2, j3, j4, j5, j6, j7)
+
+
+def stacked(spec, n) -> tuple:
+    """(J8, J9, G, 1 (x) J7) of n stacked particles: J8 has J1 on its diagonal blocks and
+    2 J3 off them, J9 has J2 and 2 J4, and G = I (x) 2 J5."""
+    eye, pairs = np.eye(n), np.ones((n, n)) - np.eye(n)
+    j8, j9 = (np.kron(eye, own) + np.kron(pairs, 2.0 * pair)
+              for own, pair in ((spec.J1, spec.J3), (spec.J2, spec.J4)))
+    return j8, j9, np.kron(eye, 2.0 * spec.J5), np.tile(spec.J7, n)
+
+
+def stacked_phases(spec, n) -> np.ndarray:
+    """The 2 n d phases of the stacked system in double precision, the eigenvalues of its
+    homogeneous first-order matrix [[0, I], [J8^-1 J9, J8^-1 G]]."""
+    j8, j9, g, _ = stacked(spec, n)
+    m = len(j8)
+    return np.linalg.eigvals(np.block([[np.zeros((m, m)), np.eye(m)],
+                                       [np.linalg.solve(j8, np.hstack([j9, g]))]]))
+
+
+def dirichlet_cel_mp(spec, n, t0, tf, x_t0, x_tf, times) -> np.ndarray:
+    """Positions (n, len(times), d) of the particles that are at x_t0 at t0 and at x_tf at
+    tf (rows per particle), in mpmath and rounded once.
+
+    With Y = (X, X', 1) the equations read Y' = F Y, so Y(t) = expm(F (t - t0)) Y(t0), and
+    the initial velocity solves the upper-right block of expm(F (tf - t0)).  The working
+    precision is max |Re lam| (tf - t0) / ln 10 + 30 digits, lam the stacked phases, so that
+    30 digits survive the fastest growth; the phases set the precision only.
+    """
+    j8, j9, g, force = stacked(spec, n)
+    m = len(j8)
+    growth = np.abs(stacked_phases(spec, n).real).max() * (tf - t0)
+    with mp.workdps(int(growth / math.log(10)) + 30):
+        f = mp.zeros(2 * m + 1)
+        f[m:2 * m, :] = mp.inverse(mp.matrix(j8)) * mp.matrix(np.column_stack([j9, g, force]))
+        for i in range(m):
+            f[i, m + i] = 1
+
+        def propagator(t):
+            return mp.expm(f * (mp.mpf(t) - t0))
+
+        x0 = mp.matrix(np.asarray(x_t0, dtype=complex).ravel())
+        phi = propagator(tf)
+        v0 = mp.lu_solve(phi[:m, m:2 * m], mp.matrix(np.asarray(x_tf, dtype=complex).ravel())
+                         - phi[:m, :m] * x0 - phi[:m, 2 * m])
+        y0 = mp.matrix([*x0, *v0, 1])
+        values = [[complex(z) for z in (propagator(t) * y0)[:m]] for t in times]
+    return np.array(values).reshape(len(times), n, spec.d).transpose(1, 0, 2)

@@ -93,7 +93,7 @@ def per_cell(cfg, gamma, reference):
     try:
         sol, _ = delsolve.dirichlet_del(cfg.spec, ScaleOperator(gamma, cfg.epsilon), cfg.n,
                                         cfg.t0, cfg.M, head, tail)
-    except (cli.ASSUMPTION_ERRORS + cli.NUMERICAL_ERRORS + (ValueError,)) as exc:
+    except (pencil.AssumptionViolation, numkernel.NumericalFailure, ValueError) as exc:
         return type(exc).__name__, math.nan, math.nan
     diff = cel_values - np.array([p.value(times) for p in sol.particles])
     return "ok", float(np.linalg.norm(diff.ravel())), float(np.abs(diff).max())

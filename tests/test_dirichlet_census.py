@@ -16,17 +16,31 @@ the 1-norm condition estimate of H on the interior unknowns
 solve reports.  Measured: the worst of the 80 draws here is 2.3 u kappa (d = 1, n = 2,
 M = 29, kappa = 99), and at most 1.1 u kappa on 1,200 more draws (seeds 1..4, 300
 each).  Relative errors reach 3.8e-10 where kappa is 5.9e7.  No draw was refused.
+
+In continuous time `celsolve.dirichlet_cel` is held to `reference.dirichlet_cel_mp`, a
+50-digit solve of the stacked equations by matrix exponentials, on eight draws: each
+draw's spec, t0 and interval length, its first head row as x_t0 and last tail row as x_tf,
+J7 zeroed on every other draw, and the interval of a draw whose fastest growth rate
+r = max Re lam is at least 1 stretched to r (tf - t0) = 12.  The bound is 50 u kappa
+(1 + rho (tf - t0)), kappa the boundary systems' condition numbers that the solve reports
+and rho = max |lam|: a mode's phase lam (t - a) carries a rounding error of about
+u |lam (t - a)| in any double-precision evaluation, which kappa does not count.  Measured
+(seeds 1..16, 128 draws): at most 2.8 u kappa (1 + rho L), and without the phase term up
+to 273 u kappa, on this seed's draw 6 (d = 2, n = 2, phases +-9.53i over L = 10.2).
 """
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from choreoqep import cli, delsolve
+from choreoqep import celsolve, delsolve, numkernel, pencil
 from choreoqep.model import LagrangianSpec
 from choreoqep.scaleop import ScaleOperator
 
-from reference import action
+from reference import action, dirichlet_cel_mp, stacked_phases
 
 DRAWS = 80
+CEL_DRAWS = 8
 BOUND = 50.0  # in units of u kappa
 
 
@@ -88,7 +102,7 @@ def test_dirichlet_solves_match_a_sparse_solve_of_the_action_or_raise_a_typed_er
         try:
             sol, report = delsolve.dirichlet_del(spec, op, spec.n, t0, M, head, tail)
             values = sol.sample()[0].values
-        except cli.ASSUMPTION_ERRORS + cli.NUMERICAL_ERRORS as exc:
+        except (pencil.AssumptionViolation, numkernel.NumericalFailure) as exc:
             refused.append((i, type(exc).__name__))
             continue
         want, cond = reference_solve(spec, op, M, head, tail)
@@ -98,3 +112,24 @@ def test_dirichlet_solves_match_a_sparse_solve_of_the_action_or_raise_a_typed_er
             disagreeing.append((i, error, kappa))
     assert disagreeing == []
     assert len(refused) <= DRAWS // 10, refused
+
+
+def test_continuous_dirichlet_solves_match_a_50_digit_referee():
+    rng, u = np.random.default_rng(6), np.finfo(float).eps
+    grown, disagreeing = 0, []
+    for i in range(CEL_DRAWS):
+        spec, op, t0, M, head, tail = draw(rng)
+        if i % 2:
+            spec = replace(spec, J7=np.zeros(spec.d))
+        phases, length = stacked_phases(spec, spec.n), M * op.epsilon
+        if phases.real.max() >= 1.0:
+            length, grown = 12.0 / phases.real.max(), grown + 1
+        tf, times = t0 + length, t0 + length * np.array([0.25, 0.5, 0.75])
+        sol, report = celsolve.dirichlet_cel(spec, spec.n, t0, tf, head[:, 0], tail[:, -1])
+        values = np.array([p.value(times) for p in sol.particles])
+        want = dirichlet_cel_mp(spec, spec.n, t0, tf, head[:, 0], tail[:, -1], times)
+        kappa = max([report.xs_cond, *report.particle_conds])
+        error = np.abs(values - want).max() / np.abs(want).max()
+        if not error <= BOUND * u * kappa * (1.0 + np.abs(phases).max() * length):
+            disagreeing.append((i, error, kappa))
+    assert grown >= 2 and disagreeing == []

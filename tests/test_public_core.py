@@ -159,7 +159,7 @@ def test_the_checker_sees_an_exception_nothing_raises(tmp_path):
 
 def test_every_exception_the_package_defines_is_raised():
     count, found = unconstructed_exceptions(sorted(PACKAGE.glob("*.py")))
-    assert count >= 18 and found == []
+    assert count == 13 and found == []
 
 
 def equation_restatements(paths: list) -> dict:

@@ -16,14 +16,14 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from choreoqep import celsolve, cli, convergence, delsolve, numkernel, pencil, periodic
+from choreoqep import celsolve, convergence, delsolve, numkernel, pencil, periodic
 from choreoqep.model import LagrangianSpec, validate_spec
 from choreoqep.scaleop import ScaleOperator
 
 DOCUMENTED = (pencil.LeadingSingular, numkernel.NumericalFailure)
 MARCH_ERRORS = (numkernel.NumericalFailure, delsolve.LeadingBlockSingular,
                 delsolve.WindowExceeded)
-SOLVE_ERRORS = cli.ASSUMPTION_ERRORS + cli.NUMERICAL_ERRORS
+SOLVE_ERRORS = (pencil.AssumptionViolation, numkernel.NumericalFailure)
 
 
 @st.composite

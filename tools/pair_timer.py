@@ -21,8 +21,11 @@ creeps upward from one process to the next, whichever checkout runs; `VmHWM` is 
 child's own.  A closing `claim:` line gives what a speed claim is judged by: the rounds in
 which NEW's median pass beat OLD's (k of R), the relative gap 1 - NEW/OLD of the median
 passes, and OLD's spread, the interquartile range over the median of its per-process
-median passes (0 for one round).  Exits 1 if any job's output digest, any op's outcome or
-any fitted order differs between two passes of the run, on either side.
+median passes (0 for one round).  It ends in `holds` when NEW won at least 9 of every 10
+rounds (k >= ceil(0.9 R)) and the gap exceeds the spread, as a claimed gain must on the
+benchmark's paired runs, and in `not met` otherwise.  Exits 1 if any job's output
+digest, any op's outcome or any fitted order differs between two passes of the run, on
+either side.
 """
 from __future__ import annotations
 
@@ -89,8 +92,9 @@ def claim(old: list, new: list) -> str:
     quartiles = statistics.quantiles(medians["old"], n=4, method="inclusive") \
         if len(old) > 1 else [0.0, 0.0, 0.0]
     spread = (quartiles[2] - quartiles[0]) / statistics.median(medians["old"])
+    holds = wins >= -(-9 * len(old) // 10) and gap > spread
     return (f"claim: new beat old in {wins} of {len(old)} rounds, median gap {gap:.2%}, "
-            f"old spread {spread:.2%}")
+            f"old spread {spread:.2%}; {'holds' if holds else 'not met'}")
 
 
 def main(argv=None) -> int:
